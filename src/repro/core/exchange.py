@@ -582,15 +582,7 @@ class CentralExchangeServer(Actor):
             self.network.send(self.name, gateway, result.confirmation)
         for cancelled in result.stp_cancels:
             self._route_to_participant(
-                OrderConfirmation(
-                    participant_id=cancelled.participant_id,
-                    client_order_id=cancelled.client_order_id,
-                    symbol=cancelled.symbol,
-                    status=OrderStatus.CANCELLED,
-                    filled=cancelled.quantity - cancelled.remaining,
-                    remaining=cancelled.remaining,
-                    engine_timestamp=self.clock.now(),
-                )
+                MatchingEngineCore.confirm(cancelled, OrderStatus.CANCELLED, self.clock.now())
             )
         self._emit_trades(result.trades, result.trade_confirmations)
 

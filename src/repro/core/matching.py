@@ -24,7 +24,20 @@ from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.core.messages import OrderConfirmation, StampedCancel, TradeConfirmation
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
-from repro.core.types import OrderStatus, OrderType, RejectReason, Symbol, TimeInForce
+from repro.core.types import OrderStatus, OrderType, RejectReason, Side, Symbol, TimeInForce
+
+# Enum members read on the per-order path, bound once: member lookup on
+# an Enum class costs ~15x a module global.
+_BUY = Side.BUY
+_MARKET = OrderType.MARKET
+_GTC, _IOC = TimeInForce.GTC, TimeInForce.IOC
+_ACCEPTED, _PARTIALLY_FILLED, _FILLED, _CANCELLED, _REJECTED = (
+    OrderStatus.ACCEPTED,
+    OrderStatus.PARTIALLY_FILLED,
+    OrderStatus.FILLED,
+    OrderStatus.CANCELLED,
+    OrderStatus.REJECTED,
+)
 
 
 @dataclass
@@ -51,28 +64,11 @@ class BatchMatchStats:
     notional: int = 0
 
     def merge(self, other: "BatchMatchStats") -> None:
-        self.orders += other.orders
-        self.accepted += other.accepted
-        self.partially_filled += other.partially_filled
-        self.filled += other.filled
-        self.cancelled += other.cancelled
-        self.rejected += other.rejected
-        self.trades += other.trades
-        self.traded_qty += other.traded_qty
-        self.notional += other.notional
+        for name, value in vars(other).items():
+            setattr(self, name, getattr(self, name) + value)
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "orders": self.orders,
-            "accepted": self.accepted,
-            "partially_filled": self.partially_filled,
-            "filled": self.filled,
-            "cancelled": self.cancelled,
-            "rejected": self.rejected,
-            "trades": self.trades,
-            "traded_qty": self.traded_qty,
-            "notional": self.notional,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -131,6 +127,10 @@ class MatchingEngineCore:
         #: halted symbols reject incoming orders, resting orders stay.
         self.circuit_breaker = circuit_breaker
         self.orders_processed: int = 0
+        #: Running fill totals; a batch's tallies are their deltas.
+        self.trades_executed: int = 0
+        self.traded_quantity: int = 0
+        self.traded_notional: int = 0
         self.risk_rejects: int = 0
         self.halt_rejects: int = 0
         self.stp_cancellations: int = 0
@@ -141,64 +141,48 @@ class MatchingEngineCore:
     # ------------------------------------------------------------------
     def process_order(self, order: Order, now_local: int) -> MatchResult:
         """Run one order through continuous price-time matching."""
-        book = self.books.get(order.symbol)
-        if book is None:
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.UNKNOWN_SYMBOL, now_local)
-            )
-        if book.is_resting(order.participant_id, order.client_order_id):
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.DUPLICATE_ORDER_ID, now_local)
-            )
-        if self.circuit_breaker is not None and self.circuit_breaker.is_halted(
-            order.symbol, now_local
-        ):
-            self.halt_rejects += 1
-            return MatchResult(
-                confirmation=self._reject(order, RejectReason.SYMBOL_HALTED, now_local)
-            )
-        if self.risk_policy is not None and self.portfolio.has_account(order.participant_id):
-            reason = self.risk_policy.check(
-                order,
-                self.portfolio.account(order.participant_id),
-                self.reference_price(order.symbol),
-            )
-            if reason is not None:
-                self.risk_rejects += 1
-                return MatchResult(confirmation=self._reject(order, reason, now_local))
+        trades: List[TradeRecord] = []
+        confs: List[TradeConfirmation] = []
+        stp_cancels: List[Order] = []
 
-        self.orders_processed += 1
-        trades, trade_confs, stp_cancels = self._match(order, book, now_local)
+        def sink(trade_id, price, quantity, buyer, seller, aggressor_is_buy, now_local):
+            trades.append(
+                self._settle(trade_id, price, quantity, buyer, seller, aggressor_is_buy, now_local)
+            )
+            # Aggressor's confirmation first, then the resting side's.
+            sides = ((buyer, True), (seller, False))
+            for party, is_buy in sides if aggressor_is_buy else sides[::-1]:
+                confs.append(
+                    TradeConfirmation(
+                        participant_id=party.participant_id,
+                        client_order_id=party.client_order_id,
+                        trade_id=trade_id,
+                        symbol=party.symbol,
+                        is_buy=is_buy,
+                        quantity=quantity,
+                        price=price,
+                        engine_timestamp=now_local,
+                    )
+                )
 
-        if order.order_type is OrderType.MARKET:
-            confirmation = self._confirm_market(order, now_local)
-        else:
-            confirmation = self._confirm_limit(order, book, now_local)
+        status, reason = self._execute(order, now_local, sink, stp_cancels)
         return MatchResult(
-            confirmation=confirmation,
-            trades=trades,
-            trade_confirmations=trade_confs,
-            stp_cancels=stp_cancels,
+            self.confirm(order, status, now_local, reason), trades, confs, stp_cancels
         )
 
     def process_batch(
-        self,
-        orders: List[Order],
-        times: List[int],
-        on_trade=None,
-        settle: bool = True,
+        self, orders: List[Order], times: List[int], on_trade=None
     ) -> BatchMatchStats:
         """Match a pre-ordered batch of orders without per-order results.
 
-        Behaviourally equivalent to ``process_order(order, t)`` for each
-        ``(order, t)`` pair in sequence -- same book mutations, same
-        trade-id consumption, same ``last_trade_price`` updates, same
-        settlement -- but skips the per-order ``OrderConfirmation`` /
-        ``TradeConfirmation`` / ``MatchResult`` allocations, which are
-        most of the scalar path's cost once the network layer is out of
-        the picture.  This is the batched kernel's inner loop
-        (:mod:`repro.core.shardrun`); the differential tests pin the
-        equivalence.
+        The same admit -> cross -> dispose path as ``process_order(order,
+        t)`` for each ``(order, t)`` pair in sequence -- every feature
+        (risk policy, circuit breaker, self-trade prevention) included
+        -- but statuses are tallied instead of wrapped in an
+        ``OrderConfirmation`` / ``MatchResult`` per order, which is most
+        of the scalar feed's cost once the network layer is out of the
+        picture.  This is the batched kernel's feed
+        (:mod:`repro.core.shardrun`).
 
         Parameters
         ----------
@@ -207,118 +191,85 @@ class MatchingEngineCore:
             timestamp for ``orders[i]`` (the batch must already be in
             processing order -- the caller owns sequencing).
         on_trade:
-            Optional callback ``(symbol, price, quantity, buyer, seller)``
-            invoked per execution with the two :class:`Order` objects --
-            the hook the shard runner uses for bucketed accounting.
-        settle:
-            When False, trades are not applied to the portfolio matrix
-            (the shard runner settles through its own bucket accounting
-            instead).  Trade ids are consumed either way so the id
-            stream stays identical across modes.
-
-        The risk-policy / circuit-breaker / self-trade-prevention paths
-        need the full per-order machinery; configuring any of them makes
-        this method raise ``ValueError``.
+            The trade sink: a callable ``(trade_id, price, quantity,
+            buyer, seller, aggressor_is_buy, now_local)`` invoked per
+            execution with the two :class:`Order` objects.  The sink
+            owns settlement: the default settles into the portfolio
+            matrix exactly as ``process_order`` does; the shard runner
+            passes its bucket accounting instead.
         """
-        if (
-            self.risk_policy is not None
-            or self.circuit_breaker is not None
-            or self.self_trade_prevention
-        ):
-            raise ValueError(
-                "process_batch supports the plain core only; risk policy, "
-                "circuit breaker, and STP require process_order"
-            )
-        stats = BatchMatchStats()
-        books = self.books
-        trade_ids = self._trade_ids
-        portfolio = self.portfolio
-        last_trade_price = self.last_trade_price
-        market = OrderType.MARKET
-        gtc = TimeInForce.GTC
-        ioc = TimeInForce.IOC
+        sink = self._settle if on_trade is None else on_trade
+        execute = self._execute
+        stp_cancels: List[Order] = []  # counted in stp_cancellations; not reported per order
+        trades = self.trades_executed
+        traded_qty = self.traded_quantity
+        notional = self.traded_notional
+        accepted = partially_filled = filled = cancelled = rejected = 0
         for order, now_local in zip(orders, times):
-            stats.orders += 1
-            book = books.get(order.symbol)
-            if book is None or book.is_resting(order.participant_id, order.client_order_id):
-                stats.rejected += 1
-                continue
-            self.orders_processed += 1
-            side = order.side
-            limit = order.limit_price
-            is_buy = order.is_buy
-            symbol = order.symbol
-            opposite = book.side(side.opposite)
-            while order.remaining > 0 and book.crosses(side, limit):
-                level = opposite.best_level()
-                resting = level.front()
-                quantity = min(order.remaining, resting.remaining)
-                price = level.price
-                order.remaining -= quantity
-                resting.remaining -= quantity
-                if resting.remaining == 0:
-                    level.pop_front()
-                    book.forget(resting)
-                else:
-                    level.reduce(quantity)
-                trade_id = next(trade_ids)
-                last_trade_price[symbol] = price
-                stats.trades += 1
-                stats.traded_qty += quantity
-                stats.notional += price * quantity
-                buyer, seller = (order, resting) if is_buy else (resting, order)
-                if settle:
-                    portfolio.apply_trade(
-                        TradeRecord(
-                            trade_id=trade_id,
-                            symbol=symbol,
-                            price=price,
-                            quantity=quantity,
-                            buyer=buyer.participant_id,
-                            seller=seller.participant_id,
-                            buy_client_order_id=buyer.client_order_id,
-                            sell_client_order_id=seller.client_order_id,
-                            executed_local=now_local,
-                            aggressor_is_buy=is_buy,
-                        )
-                    )
-                if on_trade is not None:
-                    on_trade(symbol, price, quantity, buyer, seller)
-            if order.order_type is market:
-                if order.remaining == order.quantity:
-                    stats.rejected += 1  # NO_LIQUIDITY in the scalar path
-                elif order.remaining == 0:
-                    stats.filled += 1
-                else:
-                    stats.partially_filled += 1
+            status, _ = execute(order, now_local, sink, stp_cancels)
+            if status is _FILLED:
+                filled += 1
+            elif status is _ACCEPTED:
+                accepted += 1
+            elif status is _PARTIALLY_FILLED:
+                partially_filled += 1
+            elif status is _REJECTED:
+                rejected += 1
             else:
-                if order.remaining > 0 and order.time_in_force is gtc:
-                    book.add_resting(order)
-                if order.remaining == 0:
-                    stats.filled += 1
-                elif order.remaining < order.quantity:
-                    stats.partially_filled += 1
-                elif order.time_in_force is ioc:
-                    stats.cancelled += 1
-                else:
-                    stats.accepted += 1
-        return stats
+                cancelled += 1
+        return BatchMatchStats(
+            orders=accepted + partially_filled + filled + cancelled + rejected,
+            accepted=accepted,
+            partially_filled=partially_filled,
+            filled=filled,
+            cancelled=cancelled,
+            rejected=rejected,
+            trades=self.trades_executed - trades,
+            traded_qty=self.traded_quantity - traded_qty,
+            notional=self.traded_notional - notional,
+        )
 
-    def _match(
-        self, order: Order, book: LimitOrderBook, now_local: int
-    ) -> Tuple[List[TradeRecord], List[TradeConfirmation], List[Order]]:
-        trades: List[TradeRecord] = []
-        confs: List[TradeConfirmation] = []
-        stp_cancels: List[Order] = []
-        opposite = book.side(order.side.opposite)
-        while order.remaining > 0 and book.crosses(order.side, order.limit_price):
+    def _execute(
+        self, order: Order, now_local: int, sink, stp_cancels: List[Order]
+    ) -> Tuple[OrderStatus, Optional[RejectReason]]:
+        """Admit -> cross -> dispose: the one matching path behind both
+        feeds.  Every fill is reported to ``sink``, every resting order
+        removed by self-trade prevention is appended to ``stp_cancels``,
+        and the order's final ``(status, reject reason)`` is returned."""
+        # Admit.
+        symbol = order.symbol
+        book = self.books.get(symbol)
+        if book is None:
+            return _REJECTED, RejectReason.UNKNOWN_SYMBOL
+        if book.is_resting(order.participant_id, order.client_order_id):
+            return _REJECTED, RejectReason.DUPLICATE_ORDER_ID
+        breaker = self.circuit_breaker
+        if breaker is not None and breaker.is_halted(symbol, now_local):
+            self.halt_rejects += 1
+            return _REJECTED, RejectReason.SYMBOL_HALTED
+        if self.risk_policy is not None and self.portfolio.has_account(order.participant_id):
+            reason = self.risk_policy.check(
+                order,
+                self.portfolio.account(order.participant_id),
+                self.reference_price(symbol),
+            )
+            if reason is not None:
+                self.risk_rejects += 1
+                return _REJECTED, reason
+        self.orders_processed += 1
+
+        # Cross.
+        side = order.side
+        limit = order.limit_price
+        is_buy = side is _BUY
+        opposite = book.asks if is_buy else book.bids
+        stp = self.self_trade_prevention
+        trade_ids = self._trade_ids
+        trades = traded_qty = notional = 0
+        while order.remaining > 0 and book.crosses(side, limit):
             level = opposite.best_level()
-            assert level is not None  # crosses() guarantees it
             resting = level.front()
-            if (
-                self.self_trade_prevention
-                and resting.participant_id == order.participant_id
-            ):
+            if stp and resting.participant_id == order.participant_id:
                 level.pop_front()
                 book.forget(resting)
                 stp_cancels.append(resting)
@@ -326,119 +277,82 @@ class MatchingEngineCore:
                 continue
             quantity = min(order.remaining, resting.remaining)
             price = level.price
-            trade = TradeRecord(
-                trade_id=next(self._trade_ids),
-                symbol=order.symbol,
-                price=price,
-                quantity=quantity,
-                buyer=order.participant_id if order.is_buy else resting.participant_id,
-                seller=resting.participant_id if order.is_buy else order.participant_id,
-                buy_client_order_id=(
-                    order.client_order_id if order.is_buy else resting.client_order_id
-                ),
-                sell_client_order_id=(
-                    resting.client_order_id if order.is_buy else order.client_order_id
-                ),
-                executed_local=now_local,
-                aggressor_is_buy=order.is_buy,
-            )
-            order.fill(quantity)
-            resting.fill(quantity)
-            if resting.is_filled:
+            order.remaining -= quantity
+            resting.remaining -= quantity
+            if resting.remaining == 0:
                 level.pop_front()
                 book.forget(resting)
             else:
                 level.reduce(quantity)
-            self.portfolio.apply_trade(trade)
-            self.last_trade_price[order.symbol] = price
-            if self.circuit_breaker is not None:
-                tripped = self.circuit_breaker.on_trade(order.symbol, price, now_local)
-                if tripped:
-                    # The triggering execution stands; the rest of the
-                    # sweep stops with the halt.
-                    trades.append(trade)
-                    confs.append(self._trade_conf(trade, aggressor=order, now_local=now_local))
-                    confs.append(
-                        self._trade_conf(trade, aggressor=None, resting=resting, now_local=now_local)
-                    )
-                    break
-            trades.append(trade)
-            confs.append(self._trade_conf(trade, aggressor=order, now_local=now_local))
-            confs.append(self._trade_conf(trade, aggressor=None, resting=resting, now_local=now_local))
-        return trades, confs, stp_cancels
+            trades += 1
+            traded_qty += quantity
+            notional += price * quantity
+            if is_buy:
+                sink(next(trade_ids), price, quantity, order, resting, True, now_local)
+            else:
+                sink(next(trade_ids), price, quantity, resting, order, False, now_local)
+            if breaker is not None and breaker.on_trade(symbol, price, now_local):
+                break  # the triggering execution stands; the sweep stops with the halt
+        if trades:
+            self.last_trade_price[symbol] = price
+            self.trades_executed += trades
+            self.traded_quantity += traded_qty
+            self.traded_notional += notional
 
-    def _trade_conf(
-        self,
-        trade: TradeRecord,
-        aggressor: Optional[Order],
-        now_local: int = 0,
-        resting: Optional[Order] = None,
-    ) -> TradeConfirmation:
-        order = aggressor if aggressor is not None else resting
-        assert order is not None
-        return TradeConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            trade_id=trade.trade_id,
-            symbol=trade.symbol,
-            is_buy=order.is_buy,
-            quantity=trade.quantity,
-            price=trade.price,
-            engine_timestamp=now_local,
-        )
-
-    def _confirm_market(self, order: Order, now_local: int) -> OrderConfirmation:
-        filled = order.quantity - order.remaining
-        if filled == 0:
-            return self._reject(order, RejectReason.NO_LIQUIDITY, now_local)
-        status = OrderStatus.FILLED if order.is_filled else OrderStatus.PARTIALLY_FILLED
-        return OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=status,
-            filled=filled,
-            remaining=0,  # a market remainder never rests
-            engine_timestamp=now_local,
-        )
-
-    def _confirm_limit(
-        self, order: Order, book: LimitOrderBook, now_local: int
-    ) -> OrderConfirmation:
-        filled = order.quantity - order.remaining
-        if order.remaining > 0 and order.time_in_force is TimeInForce.GTC:
+        # Dispose.
+        remaining = order.remaining
+        if order.order_type is _MARKET:  # a market remainder never rests
+            if remaining == order.quantity:
+                return _REJECTED, RejectReason.NO_LIQUIDITY
+            return (_FILLED if remaining == 0 else _PARTIALLY_FILLED), None
+        if remaining > 0 and order.time_in_force is _GTC:
             book.add_resting(order)
-            remaining = order.remaining
-        else:
-            remaining = order.remaining if order.time_in_force is TimeInForce.GTC else 0
-        if order.is_filled:
-            status = OrderStatus.FILLED
-        elif filled > 0:
-            status = OrderStatus.PARTIALLY_FILLED
-        elif order.time_in_force is TimeInForce.IOC:
-            status = OrderStatus.CANCELLED
-        else:
-            status = OrderStatus.ACCEPTED
+        if remaining == 0:
+            return _FILLED, None
+        if remaining < order.quantity:
+            return _PARTIALLY_FILLED, None
+        if order.time_in_force is _IOC:
+            return _CANCELLED, None
+        return _ACCEPTED, None
+
+    def _settle(
+        self, trade_id, price, quantity, buyer, seller, aggressor_is_buy, now_local
+    ) -> TradeRecord:
+        """The default trade sink: build the :class:`TradeRecord` and
+        settle it into the portfolio matrix."""
+        trade = TradeRecord(
+            trade_id=trade_id,
+            symbol=buyer.symbol,
+            price=price,
+            quantity=quantity,
+            buyer=buyer.participant_id,
+            seller=seller.participant_id,
+            buy_client_order_id=buyer.client_order_id,
+            sell_client_order_id=seller.client_order_id,
+            executed_local=now_local,
+            aggressor_is_buy=aggressor_is_buy,
+        )
+        self.portfolio.apply_trade(trade)
+        return trade
+
+    @staticmethod
+    def confirm(
+        order: Order, status: OrderStatus, now_local: int, reason: Optional[RejectReason] = None
+    ) -> OrderConfirmation:
+        """The engine's confirmation of ``order`` in ``status`` -- the one
+        place an order's :class:`OrderConfirmation` is built (matching
+        outcome, client cancel, STP cancel).  A market or IOC remainder
+        never rests, so unless rejected it reports ``remaining=0``."""
+        keeps_remainder = status is _REJECTED or (
+            order.order_type is not _MARKET and order.time_in_force is _GTC
+        )
         return OrderConfirmation(
             participant_id=order.participant_id,
             client_order_id=order.client_order_id,
             symbol=order.symbol,
             status=status,
-            filled=filled,
-            remaining=remaining,
-            engine_timestamp=now_local,
-        )
-
-    def _reject(
-        self, order: Order, reason: RejectReason, now_local: int
-    ) -> OrderConfirmation:
-        return OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=OrderStatus.REJECTED,
             filled=order.quantity - order.remaining,
-            remaining=order.remaining,
+            remaining=order.remaining if keeps_remainder else 0,
             engine_timestamp=now_local,
             reason=reason,
         )
@@ -465,15 +379,7 @@ class MatchingEngineCore:
                 engine_timestamp=now_local,
                 reason=RejectReason.UNKNOWN_ORDER,
             )
-        return OrderConfirmation(
-            participant_id=cancel.participant_id,
-            client_order_id=cancel.client_order_id,
-            symbol=cancel.symbol,
-            status=OrderStatus.CANCELLED,
-            filled=order.quantity - order.remaining,
-            remaining=order.remaining,
-            engine_timestamp=now_local,
-        )
+        return self.confirm(order, _CANCELLED, now_local)
 
     # ------------------------------------------------------------------
     # Market data

@@ -187,8 +187,6 @@ class ShardProgram:
         self._n_buckets = config.portfolio_buckets
         self._bucket_pos = [0] * (self._n_buckets * len(self.symbols))
         self._bucket_cash = [0] * self._n_buckets
-        self._window_volume = 0
-        self._window_value = 0
 
     # ------------------------------------------------------------------
     # Window protocol
@@ -227,20 +225,16 @@ class ShardProgram:
         # 4. Batch-match everything that became eligible.
         batch = self._eligible
         stats = self.core.process_batch(
-            self._build_orders(batch), [self._col_stamp[i] for i in batch],
-            on_trade=self._on_trade, settle=False,
+            self._build_orders(batch), [self._col_stamp[i] for i in batch], self._on_trade
         )
         batch.clear()
         self.stats.merge(stats)
-        result = {
+        return {
             "orders": stats.orders,
             "trades": stats.trades,
-            "volume": self._window_volume,
-            "value": self._window_value,
+            "volume": stats.traded_qty,
+            "value": stats.notional,
         }
-        self._window_volume = 0
-        self._window_value = 0
-        return result
 
     def _build_orders(self, batch: List[int]) -> List[Order]:
         symbols = self.symbols
@@ -291,10 +285,12 @@ class ShardProgram:
             append(order)
         return orders
 
-    def _on_trade(self, symbol: str, price: int, quantity: int, buyer: Order, seller: Order) -> None:
+    def _on_trade(
+        self, trade_id: int, price: int, quantity: int, buyer: Order, seller: Order,
+        aggressor_is_buy: bool, now_local: int,
+    ) -> None:
+        """The core's trade sink: settle into the per-bucket books."""
         notional = price * quantity
-        self._window_volume += quantity
-        self._window_value += notional
         j = buyer.__dict__["symbol_index"]
         pos = self._bucket_pos
         n_symbols = len(self.symbols)

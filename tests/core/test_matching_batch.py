@@ -1,10 +1,9 @@
 """Differential tests: ``process_batch`` == a ``process_order`` loop.
 
-The batched kernel's inner loop skips every per-order allocation the
-scalar path makes, so its correctness argument is equivalence, not
-inspection: run the same random order stream through both paths and
-demand identical books, trades, settlement, counters, and status
-tallies.
+Both feeds drive one admit -> cross -> dispose path, so what is left to
+pin is the feeds themselves: run the same random order stream through
+both -- plain and with each optional feature configured -- and demand
+identical books, trades, settlement, counters, and status tallies.
 """
 
 import itertools
@@ -15,6 +14,8 @@ import pytest
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
+from repro.core.risk import MarginRiskPolicy
+from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus, OrderType, Side, TimeInForce
 
 SYMBOLS = ("AAA", "BBB", "CCC")
@@ -55,11 +56,26 @@ def _random_specs(seed, n):
     return specs
 
 
-def _build_core():
+def _build_core(**features):
     portfolio = PortfolioMatrix()
     for pid in PARTICIPANTS:
         portfolio.open_account(pid, cash=0)
-    return MatchingEngineCore(SYMBOLS, portfolio, trade_id_counter=itertools.count(1))
+    return MatchingEngineCore(
+        SYMBOLS, portfolio, trade_id_counter=itertools.count(1), **features
+    )
+
+
+# Each entry builds the feature kwargs afresh: a breaker is stateful.
+FEATURES = {
+    "plain": lambda: {},
+    "stp": lambda: {"self_trade_prevention": True},
+    "breaker": lambda: {
+        "circuit_breaker": CircuitBreaker(threshold=0.001, window_ns=5_000, halt_ns=1_500)
+    },
+    "risk": lambda: {"risk_policy": MarginRiskPolicy(max_position=120)},
+}
+# The counter that proves the axis' feature fired inside the stream.
+FEATURE_COUNTER = {"stp": "stp_cancellations", "breaker": "halt_rejects", "risk": "risk_rejects"}
 
 
 def _book_state(core):
@@ -86,12 +102,13 @@ STATUS_FIELD = {
 
 
 class TestProcessBatchEquivalence:
+    @pytest.mark.parametrize("feature", sorted(FEATURES))
     @pytest.mark.parametrize("seed", [1, 7, 2021, 90210])
-    def test_matches_scalar_path(self, seed):
+    def test_matches_scalar_path(self, seed, feature):
         specs = _random_specs(seed, 400)
         times = [100 * (i + 1) for i in range(len(specs))]
 
-        scalar = _build_core()
+        scalar = _build_core(**FEATURES[feature]())
         expected = BatchMatchStats()
         scalar_trades = []
         for spec, t in zip(specs, times):
@@ -102,48 +119,52 @@ class TestProcessBatchEquivalence:
             expected.trades += len(result.trades)
             expected.traded_qty += result.traded_quantity
             expected.notional += sum(tr.price * tr.quantity for tr in result.trades)
-            scalar_trades.extend(
-                (tr.symbol, tr.price, tr.quantity, tr.buyer, tr.seller) for tr in result.trades
-            )
+            scalar_trades.extend(result.trades)
 
-        batched = _build_core()
+        batched = _build_core(**FEATURES[feature]())
         batch_trades = []
         stats = batched.process_batch(
             [Order(**spec) for spec in specs],
             times,
-            on_trade=lambda symbol, price, qty, buyer, seller: batch_trades.append(
-                (symbol, price, qty, buyer.participant_id, seller.participant_id)
-            ),
+            # Settle as the default sink does, and keep the record.
+            on_trade=lambda *fill: batch_trades.append(batched._settle(*fill)),
         )
 
+        if feature in FEATURE_COUNTER:
+            assert getattr(scalar, FEATURE_COUNTER[feature]) > 0
         assert stats == expected
         assert batch_trades == scalar_trades
         assert _book_state(batched) == _book_state(scalar)
         assert batched.last_trade_price == scalar.last_trade_price
-        assert batched.orders_processed == scalar.orders_processed
+        for counter in ("orders_processed", "stp_cancellations", "halt_rejects", "risk_rejects"):
+            assert getattr(batched, counter) == getattr(scalar, counter), counter
         assert _portfolio_state(batched) == _portfolio_state(scalar)
-        # Both paths consumed the same number of trade ids.
+        # Both feeds consumed the same number of trade ids.
         assert next(batched._trade_ids) == next(scalar._trade_ids)
 
-    def test_settle_false_skips_portfolio_but_keeps_ids(self):
+    def test_sink_owns_settlement(self):
         specs = _random_specs(3, 200)
         times = list(range(1, len(specs) + 1))
         settled = _build_core()
-        unsettled = _build_core()
-        settled.process_batch([Order(**s) for s in specs], times)
-        stats = unsettled.process_batch([Order(**s) for s in specs], times, settle=False)
-        assert stats.trades > 0
-        assert unsettled.portfolio.trades_applied == 0
+        sunk = _build_core()
+        seen = []
+        stats = settled.process_batch([Order(**s) for s in specs], times)
+        sunk_stats = sunk.process_batch(
+            [Order(**s) for s in specs],
+            times,
+            on_trade=lambda trade_id, price, qty, *parties: seen.append((trade_id, price, qty)),
+        )
+        assert sunk_stats == stats and stats.trades > 0
+        # The default sink settles every trade; a custom sink sees every
+        # trade and the portfolio is then untouched.
         assert settled.portfolio.trades_applied == stats.trades
+        assert sunk.portfolio.trades_applied == 0
+        assert [trade_id for trade_id, _, _ in seen] == list(range(1, stats.trades + 1))
+        assert sum(qty for _, _, qty in seen) == stats.traded_qty
+        assert sum(price * qty for _, price, qty in seen) == stats.notional
         # Identical book evolution and trade-id consumption either way.
-        assert _book_state(unsettled) == _book_state(settled)
-        assert next(unsettled._trade_ids) == next(settled._trade_ids)
-
-    def test_rejects_configured_risk_paths(self):
-        core = _build_core()
-        core.self_trade_prevention = True
-        with pytest.raises(ValueError):
-            core.process_batch([], [])
+        assert _book_state(sunk) == _book_state(settled)
+        assert next(sunk._trade_ids) == next(settled._trade_ids)
 
     def test_stats_merge_and_dict_roundtrip(self):
         a = BatchMatchStats(orders=2, filled=1, accepted=1, trades=3, traded_qty=9, notional=90)

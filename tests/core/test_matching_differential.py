@@ -103,18 +103,18 @@ def _engine_book_contents(core: MatchingEngineCore):
 )
 @settings(max_examples=300, deadline=None)
 def test_engine_matches_reference(flow):
-    portfolio = PortfolioMatrix(default_cash=10**9)
-    for pid in ("p1", "p2", "p3"):
-        portfolio.open_account(pid)
-    core = MatchingEngineCore(["S"], portfolio)
-    reference = ReferenceMatcher()
+    def fresh_core():
+        portfolio = PortfolioMatrix(default_cash=10**9)
+        for pid in ("p1", "p2", "p3"):
+            portfolio.open_account(pid)
+        return MatchingEngineCore(["S"], portfolio)
 
-    engine_trades = []
+    orders = []
+    reference = ReferenceMatcher()
     for i, (side, qty, price, pid, ts) in enumerate(flow):
-        coid = 1_000 + i
-        result = core.process_order(
-            Order(
-                client_order_id=coid,
+        orders.append(
+            dict(
+                client_order_id=1_000 + i,
                 participant_id=pid,
                 symbol="S",
                 side=side,
@@ -124,15 +124,31 @@ def test_engine_matches_reference(flow):
                 gateway_id="g",
                 gateway_timestamp=ts,
                 gateway_seq=i,
-            ),
-            now_local=i,
-        )
-        engine_trades.extend(
-            (t.buyer, t.seller, t.price, t.quantity) for t in result.trades
+            )
         )
         reference.process(
-            _RefOrder(coid=coid, participant=pid, side=side, qty=qty, price=price, ts=ts, seq=i)
+            _RefOrder(coid=1_000 + i, participant=pid, side=side, qty=qty, price=price, ts=ts, seq=i)
         )
 
-    assert engine_trades == reference.trades
-    assert _engine_book_contents(core) == tuple(reference.book_contents())
+    # Feed 1: one process_order call per order.
+    scalar = fresh_core()
+    scalar_trades = []
+    for i, spec in enumerate(orders):
+        result = scalar.process_order(Order(**spec), now_local=i)
+        scalar_trades.extend((t.buyer, t.seller, t.price, t.quantity) for t in result.trades)
+
+    # Feed 2: the whole flow as one process_batch, trades seen by the sink.
+    batched = fresh_core()
+    batch_trades = []
+    batched.process_batch(
+        [Order(**spec) for spec in orders],
+        list(range(len(orders))),
+        on_trade=lambda trade_id, price, qty, buyer, seller, *rest: batch_trades.append(
+            (buyer.participant_id, seller.participant_id, price, qty)
+        ),
+    )
+
+    # The independent reference, not the other feed, pins each of them.
+    for core, trades in ((scalar, scalar_trades), (batched, batch_trades)):
+        assert trades == reference.trades
+        assert _engine_book_contents(core) == tuple(reference.book_contents())

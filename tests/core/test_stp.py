@@ -1,11 +1,13 @@
 """Tests for self-trade prevention (cancel-resting policy)."""
 
+import dataclasses
 import itertools
 
 import pytest
 
 from repro.core.cluster import CloudExCluster
 from repro.core.matching import MatchingEngineCore
+from repro.core.messages import StampedCancel
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
 from repro.core.types import OrderStatus, OrderType, Side
@@ -74,6 +76,30 @@ class TestStp:
         assert result.trades == []
         assert len(result.stp_cancels) == 3
         assert core.books["S"].best_ask() is None
+
+    def test_stp_cancel_confirmation_has_the_client_cancel_shape(self, core):
+        """An engine-cancelled order and a client-cancelled order in the
+        same state get the same confirmation from the one constructor."""
+        core.process_order(order(Side.BUY, 4, 100, "p2"), 0)
+        by_stp = order(Side.SELL, 10, 100, "p1")  # fills 4, rests 6
+        core.process_order(by_stp, 1)
+        core.process_order(order(Side.BUY, 4, 99, "p1"), 2)
+        by_client = order(Side.SELL, 10, 99, "p2")  # fills 4, rests 6
+        core.process_order(by_client, 3)
+        client_conf = core.process_cancel(
+            StampedCancel(
+                participant_id="p2", client_order_id=by_client.client_order_id, symbol="S",
+                gateway_id="g", gateway_timestamp=4, gateway_seq=4,
+            ),
+            5,
+        )
+        result = core.process_order(order(Side.BUY, 1, 100, "p1"), 5)
+        assert result.stp_cancels == [by_stp]
+        stp_conf = MatchingEngineCore.confirm(by_stp, OrderStatus.CANCELLED, 5)
+        assert (stp_conf.status, stp_conf.filled, stp_conf.remaining) == (OrderStatus.CANCELLED, 4, 6)
+        assert stp_conf == dataclasses.replace(
+            client_conf, participant_id="p1", client_order_id=by_stp.client_order_id
+        )
 
     def test_cluster_level_stp_notifies_participant(self):
         cluster = CloudExCluster(

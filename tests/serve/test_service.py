@@ -10,8 +10,11 @@ including the two headline acceptance properties:
   receive byte-identical packs (dedup by content-addressed identity).
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 
 from repro.serve.api import MAX_BODY_BYTES, ReproServer, ServeConfig
 from repro.serve.evidence import verify_pack
@@ -37,6 +40,24 @@ class TestAuthAndRouting:
         assert status == 200
         assert body["ok"] is True
         assert body["runs"] == {"queued": 0, "running": 0, "done": 0, "failed": 0}
+
+    def test_kept_alive_connection_replies_without_a_stall(self, server):
+        """Headers and body leave in one write: sent as two, the second
+        sits out the client's delayed ACK (~40 ms) on every reply of a
+        kept-alive connection."""
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        round_trips = []
+        try:
+            for _ in range(12):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                body = json.loads(response.read())
+                round_trips.append(time.perf_counter() - started)
+                assert response.status == 200 and body["ok"] is True
+        finally:
+            connection.close()
+        assert statistics.median(round_trips) < 0.020, round_trips
 
     def test_missing_credential_is_401(self, server):
         status, body = request(server, "GET", "/v1/runs", client=None)
