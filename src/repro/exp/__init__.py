@@ -12,10 +12,10 @@ declarative harness:
   (:func:`repro.sim.rng.derive_seed`), never from enumeration or
   execution order.
 - :func:`~repro.exp.runner.run_sweep` fans tasks out over a
-  crash-tolerant ``multiprocessing`` pool
-  (:mod:`repro.exp.pool`) with per-task timeouts and a content-hashed
-  on-disk result cache (:mod:`repro.exp.cache`), then aggregates the
-  results into one deterministic JSON document.
+  crash-tolerant pool of warm worker processes
+  (:class:`~repro.exp.pool.WorkerPool`) with per-task timeouts and a
+  content-hashed on-disk result cache (:mod:`repro.exp.cache`), then
+  aggregates the results into one deterministic JSON document.
 
 The aggregated document is byte-identical for any ``--jobs`` value:
 workers only compute pure functions of their task, and everything
@@ -25,7 +25,7 @@ the document.  See DESIGN.md for the determinism model.
 """
 
 from repro.exp.cache import ResultCache, code_version_hash
-from repro.exp.pool import TaskResult, run_parallel
+from repro.exp.pool import TaskResult, WorkerPool, run_parallel
 from repro.exp.runner import SweepOutcome, run_sweep, sweep_table
 from repro.exp.spec import SweepSpec, SweepTask
 
@@ -35,6 +35,7 @@ __all__ = [
     "SweepSpec",
     "SweepTask",
     "TaskResult",
+    "WorkerPool",
     "code_version_hash",
     "run_parallel",
     "run_sweep",

@@ -22,7 +22,7 @@ from repro.exp.cache import (
     ResultCache,
     code_version_hash,
 )
-from repro.exp.pool import run_parallel
+from repro.exp.pool import WorkerPool, run_parallel
 from repro.exp.spec import SweepSpec, SweepTask
 
 
@@ -73,8 +73,13 @@ def run_sweep(
     cache_max_bytes: int = DEFAULT_MAX_BYTES,
     timeout_s: Optional[float] = None,
     retries: int = 1,
+    pool: Optional[WorkerPool] = None,
 ) -> SweepOutcome:
-    """Expand ``spec``, run what the cache can't answer, aggregate."""
+    """Expand ``spec``, run what the cache can't answer, aggregate.
+
+    Tasks run on ``pool`` when one is given (``jobs`` is then the
+    pool's), else on a ``WorkerPool(jobs)`` opened for this sweep.
+    """
     tasks = spec.expand()
     cache = ResultCache(cache_dir, max_bytes=cache_max_bytes) if use_cache else None
     code = code_version_hash() if use_cache else None
@@ -99,6 +104,7 @@ def run_sweep(
         jobs=jobs,
         timeout_s=timeout_s,
         retries=retries,
+        pool=pool,
     )
 
     failures: List[Tuple[str, str]] = []

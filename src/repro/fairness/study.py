@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.exp.pool import WorkerPool
 from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.spec import SweepSpec
 from repro.fairness.base import POLICY_NAMES
@@ -236,6 +237,7 @@ def run_fairness_study(
     cache_max_bytes: Optional[int] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
+    pool: Optional[WorkerPool] = None,
 ) -> Tuple[Dict[str, object], SweepOutcome]:
     """Run the study and reduce it: (frontier document, sweep outcome)."""
     kwargs: Dict[str, object] = {}
@@ -249,6 +251,7 @@ def run_fairness_study(
         use_cache=use_cache,
         timeout_s=timeout_s,
         retries=retries,
+        pool=pool,
         **kwargs,
     )
     frontier = build_frontier(outcome.document, labels, spec.seed_labels())

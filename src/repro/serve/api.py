@@ -9,7 +9,8 @@ Routes (all JSON; ``Authorization: Bearer <client>:<token>`` except
 ``/healthz``):
 
 ==============================================  =======================
-``GET  /healthz``                               liveness + queue counts
+``GET  /healthz``                               liveness, queue counts,
+                                                worker-pool counters
 ``POST /v1/jobs``                               submit a job spec;
                                                 202 with the
                                                 content-addressed
@@ -65,7 +66,7 @@ class ServeConfig:
     #: client id -> bearer token.  Empty = a single "operator" client
     #: with a token minted from the secret.
     clients: Dict[str, str] = field(default_factory=dict)
-    #: Worker processes per job (passed through to the exp pool).
+    #: Worker processes in the executor's pool (1 = run jobs inline).
     jobs: int = 1
     rate_per_s: float = 20.0
     burst: int = 40
@@ -249,7 +250,14 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 (stdlib handler API)
         parts = [p for p in self.path.split("?")[0].split("/") if p]
         if parts == ["healthz"]:
-            self._send_json(200, {"ok": True, "runs": self.ctx.store.counts()})
+            self._send_json(
+                200,
+                {
+                    "ok": True,
+                    "runs": self.ctx.store.counts(),
+                    "pool": self.ctx.executor.pool.stats,
+                },
+            )
             return
         if self._authenticate() is None:
             return
@@ -310,6 +318,16 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             length = -1
         if length < 0 or length > MAX_BODY_BYTES:
+            # Take (a bounded amount of) the body off the socket first:
+            # closing with it unread resets the connection under a client
+            # that is still sending, which then never sees this reply.
+            unread = min(max(length, 0), 2 * MAX_BODY_BYTES)
+            while unread > 0:
+                chunk = self.rfile.read(min(unread, 1 << 16))
+                if not chunk:
+                    break
+                unread -= len(chunk)
+            self.close_connection = True
             self._send_json(413, {"error": f"body must be 0..{MAX_BODY_BYTES} bytes"})
             return
         try:

@@ -10,6 +10,7 @@ without any network or server state.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, emit_json
@@ -56,7 +57,10 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes per executed job (default 1)",
+        help=(
+            "worker processes in the pool that runs every job's tasks, started "
+            "once and kept for the server's lifetime (default 1 = inline)"
+        ),
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
@@ -108,11 +112,15 @@ def serve_main(argv=None) -> int:
         token = server.clients["operator"]
         print(f"repro serve: default client 'operator' token {token}", flush=True)
     try:
+        # kill, CI and process supervisors send SIGTERM: same orderly
+        # shutdown as Ctrl-C.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
         server.serve_forever()
     except KeyboardInterrupt:
         print("repro serve: shutting down", file=sys.stderr)
     finally:
         server.stop()
+    print("repro serve: stopped", file=sys.stderr)
     return EXIT_OK
 
 

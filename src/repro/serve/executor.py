@@ -13,6 +13,12 @@ marked ``done``, or fails with its traceback recorded and is marked
 ``failed`` -- an executor never dies with a run in limbo short of the
 whole process going down, and :meth:`RunStore.requeue_interrupted`
 recovers even that at the next startup.
+
+The executor keeps one :class:`~repro.exp.pool.WorkerPool` for its
+lifetime and runs every job's tasks on it.  The pool is created in the
+constructor -- before the server starts any thread, so steady state
+never forks from a threaded process -- and from ``start()`` on belongs
+to the executor thread, which closes it on its way out.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import traceback
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.exp.pool import WorkerPool
 from repro.serve.evidence import write_pack
 from repro.serve.runners import execute_job
 from repro.serve.store import RunStore
@@ -52,6 +59,7 @@ class JobExecutor(threading.Thread):
         self.poll_interval_s = poll_interval_s
         self.runs_executed = 0
         self.runs_failed = 0
+        self.pool = WorkerPool(jobs)
         self._wake = threading.Event()
         # Not named ``_stop``: threading.Thread has a private ``_stop()``
         # method its join() internals call; shadowing it breaks joins.
@@ -63,20 +71,30 @@ class JobExecutor(threading.Thread):
         self._wake.set()
 
     def shutdown(self, timeout_s: float = 10.0) -> None:
-        """Stop after the in-flight run (if any) finishes."""
+        """Stop after the in-flight run (if any) finishes, waiting up to
+        ``timeout_s`` for it.  A run still going after that is abandoned:
+        it keeps the pool until it ends or the process exits (workers are
+        daemons and exit on their owner's death), and is re-queued by
+        :meth:`RunStore.requeue_interrupted` at the next startup."""
         self._halt.set()
         self._wake.set()
-        self.join(timeout=timeout_s)
+        if self.is_alive():
+            self.join(timeout=timeout_s)
+        else:  # never started: run() will not close the pool
+            self.pool.close()
 
     # ------------------------------------------------------------------
     def run(self) -> None:
-        while not self._halt.is_set():
-            record = self.store.claim_next()
-            if record is None:
-                self._wake.wait(self.poll_interval_s)
-                self._wake.clear()
-                continue
-            self._execute(record)
+        try:
+            while not self._halt.is_set():
+                record = self.store.claim_next()
+                if record is None:
+                    self._wake.wait(self.poll_interval_s)
+                    self._wake.clear()
+                    continue
+                self._execute(record)
+        finally:
+            self.pool.close()
 
     def _execute(self, record: Dict[str, object]) -> None:
         run_id: str = record["run_id"]  # type: ignore[assignment]
@@ -88,6 +106,7 @@ class JobExecutor(threading.Thread):
                 cache_dir=self.cache_dir,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
+                pool=self.pool,
             )
             pack_dir = self.packs_dir / run_id
             write_pack(

@@ -17,6 +17,10 @@ Chaos jobs execute through :func:`run_parallel` too, so a scenario
 that crashes or hangs a worker is reported as a failed run instead of
 taking the serve process down with it (``jobs=1`` stays inline, the
 deterministic baseline).
+
+Sweep, fairness and chaos jobs take the caller's
+:class:`~repro.exp.pool.WorkerPool` (the executor keeps one for its
+lifetime), so a served job runs on workers that are already warm.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cliutil import dump_json_document
+from repro.exp.pool import WorkerPool, run_parallel
 
 
 @dataclass
@@ -65,15 +70,19 @@ def _run_chaos(
     jobs: int,
     timeout_s: Optional[float],
     retries: int,
+    pool: Optional[WorkerPool],
 ) -> RunArtifacts:
-    from repro.exp.pool import run_parallel
-
     payload = {"scenario": spec["scenario"], "seed": spec["seed"]}
     # min(jobs, 2): one task never needs more than one worker, but
     # jobs >= 2 selects the subprocess path, which is what provides
     # crash/timeout isolation for the serve process.
     (result,) = run_parallel(
-        _chaos_worker, [payload], jobs=min(jobs, 2), timeout_s=timeout_s, retries=retries
+        _chaos_worker,
+        [payload],
+        jobs=min(jobs, 2),
+        timeout_s=timeout_s,
+        retries=retries,
+        pool=pool,
     )
     if not result.ok:
         raise RuntimeError(f"chaos scenario execution failed:\n{result.error}")
@@ -92,6 +101,7 @@ def _run_sweep(
     cache_dir: Optional[str],
     timeout_s: Optional[float],
     retries: int,
+    pool: Optional[WorkerPool],
 ) -> RunArtifacts:
     from repro.exp.runner import run_sweep
     from repro.serve.schema import build_sweep_spec
@@ -103,6 +113,7 @@ def _run_sweep(
         cache_dir=cache_dir if cache_dir is not None else ".repro-cache",
         timeout_s=timeout_s,
         retries=retries,
+        pool=pool,
     )
     violations = [
         {"invariant": "task_complete", "task": key, "error": error}
@@ -121,6 +132,7 @@ def _run_fairness(
     cache_dir: Optional[str],
     timeout_s: Optional[float],
     retries: int,
+    pool: Optional[WorkerPool],
 ) -> RunArtifacts:
     from repro.fairness.study import run_fairness_study
     from repro.serve.schema import build_fairness_study
@@ -134,6 +146,7 @@ def _run_fairness(
         cache_dir=cache_dir,
         timeout_s=timeout_s,
         retries=retries,
+        pool=pool,
     )
     violations = [
         {"invariant": "cell_complete", "task": key, "error": error}
@@ -166,6 +179,7 @@ def execute_job(
     cache_dir: Optional[str] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
+    pool: Optional[WorkerPool] = None,
 ) -> RunArtifacts:
     """Run one normalized job spec to completion.
 
@@ -176,11 +190,11 @@ def execute_job(
     """
     kind = spec["kind"]
     if kind == "chaos":
-        return _run_chaos(spec, jobs, timeout_s, retries)
+        return _run_chaos(spec, jobs, timeout_s, retries, pool)
     if kind == "sweep":
-        return _run_sweep(spec, jobs, cache_dir, timeout_s, retries)
+        return _run_sweep(spec, jobs, cache_dir, timeout_s, retries, pool)
     if kind == "fairness":
-        return _run_fairness(spec, jobs, cache_dir, timeout_s, retries)
+        return _run_fairness(spec, jobs, cache_dir, timeout_s, retries, pool)
     if kind == "bench":
         return _run_bench(spec, jobs)
     raise ValueError(f"unknown job kind {kind!r}")

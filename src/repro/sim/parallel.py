@@ -20,9 +20,10 @@ run produce byte-identical results.  ``jobs=1`` executes the *same*
 windowed protocol in-process, so it stays the golden baseline rather
 than a separate code path.
 
-Crash tolerance reuses the :mod:`repro.exp.pool` worker shape (one
-pipe per worker, EOF = crash, timeout -> terminate -> retry) adapted
-to *stateful* workers: a shard program carries books and RNG state
+Workers are the same supervised :class:`repro.sim.worker.Worker`
+processes the :mod:`repro.exp.pool` uses (one pipe per worker, EOF =
+crash, timeout -> terminate); what differs is what a *stateful* worker
+needs when it goes down: a shard program carries books and RNG state
 across windows, so recovery is respawn + deterministic replay of the
 recorded ``(window, t_end, feedback)`` history rather than simple task
 re-issue.  Replay reproduces the lost state exactly -- determinism is
@@ -31,21 +32,13 @@ what makes cheap recovery possible.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.sim.worker import Worker, WorkerDown
 
 
 class ShardWorkerError(RuntimeError):
     """A shard worker failed repeatedly (crash or timeout after replay)."""
-
-
-def _mp_context():
-    """Prefer fork (cheap, inherits the parent image); fall back to
-    spawn where fork is unavailable.  Mirrors :mod:`repro.exp.pool`."""
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-posix fallback
-        return mp.get_context("spawn")
 
 
 def _worker_main(conn, factory, factory_args, shard_ids) -> None:
@@ -53,23 +46,21 @@ def _worker_main(conn, factory, factory_args, shard_ids) -> None:
 
     Commands: ``("window", index, t_end, feedback)`` -> list of window
     results in local shard order; ``("finish",)`` -> list of final
-    summaries; ``("exit",)`` -> clean shutdown.  Exceptions propagate
-    as ``("error", repr)`` so the coordinator can distinguish a model
-    bug (raise immediately) from a process crash (respawn + replay).
+    summaries; EOF (the coordinator closed its end, or died) -> return.
+    Exceptions propagate as ``("error", repr)`` so the coordinator can
+    distinguish a model bug (raise immediately) from a process crash
+    (respawn + replay).
     """
     try:
         shards = [factory(*factory_args, shard_id) for shard_id in shard_ids]
         while True:
             command = conn.recv()
-            kind = command[0]
-            if kind == "window":
+            if command[0] == "window":
                 _, index, t_end, feedback = command
                 results = [shard.run_window(index, t_end, feedback) for shard in shards]
                 conn.send(("ok", results))
-            elif kind == "finish":
+            else:  # "finish"
                 conn.send(("ok", [shard.finish() for shard in shards]))
-            else:
-                break
     except EOFError:  # coordinator went away
         pass
     except Exception as exc:  # model bug: report, don't crash silently
@@ -77,8 +68,6 @@ def _worker_main(conn, factory, factory_args, shard_ids) -> None:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
         except (BrokenPipeError, OSError):
             pass
-    finally:
-        conn.close()
 
 
 class ConservativeShardRunner:
@@ -123,41 +112,27 @@ class ConservativeShardRunner:
         self._finished = False
         if self.jobs == 1:
             self._shards = [factory(*factory_args, shard_id) for shard_id in range(n_shards)]
-            self._workers: List[Optional[dict]] = []
+            self._workers: List[Optional[Worker]] = []
         else:
             self._shards = None
-            self._ctx = _mp_context()
             self._assignment = [
                 [s for s in range(n_shards) if s % self.jobs == w] for w in range(self.jobs)
             ]
             self._workers = [None] * self.jobs
             for worker_id in range(self.jobs):
-                self._spawn(worker_id)
+                self._start(worker_id)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
     # ------------------------------------------------------------------
-    def _spawn(self, worker_id: int) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, self._factory, self._factory_args, self._assignment[worker_id]),
-            daemon=True,
+    def _start(self, worker_id: int) -> Worker:
+        worker = Worker(
+            _worker_main,
+            (self._factory, self._factory_args, self._assignment[worker_id]),
+            siblings=[other for other in self._workers if other is not None],
         )
-        process.start()
-        child_conn.close()
-        self._workers[worker_id] = {"process": process, "conn": parent_conn}
-
-    def _kill(self, worker_id: int) -> None:
-        worker = self._workers[worker_id]
-        if worker is None:
-            return
-        worker["conn"].close()
-        process = worker["process"]
-        if process.is_alive():
-            process.terminate()
-        process.join(timeout=5.0)
-        self._workers[worker_id] = None
+        self._workers[worker_id] = worker
+        return worker
 
     def _recover(self, worker_id: int, reason: str) -> None:
         """Respawn a dead/hung worker and deterministically replay the
@@ -168,32 +143,24 @@ class ConservativeShardRunner:
                 f"shard worker {worker_id} failed ({reason}) and the restart "
                 f"budget ({self.max_restarts}) is exhausted"
             )
-        self._kill(worker_id)
-        self._spawn(worker_id)
-        conn = self._workers[worker_id]["conn"]
+        self._workers[worker_id].stop()
+        self._workers[worker_id] = None
+        worker = self._start(worker_id)
         for index, t_end, feedback in self._history:
-            conn.send(("window", index, t_end, feedback))
-            status, payload = self._recv(worker_id, replaying=True)
+            try:
+                worker.send(("window", index, t_end, feedback))
+                status, payload = worker.recv(self.timeout_s)
+            except WorkerDown as down:
+                verb = "hung" if down.reason == "timeout" else "crashed"
+                raise ShardWorkerError(
+                    f"shard worker {worker_id} {verb} during replay"
+                ) from down
             if status != "ok":
                 raise ShardWorkerError(
                     f"shard worker {worker_id} failed again during replay: {payload}"
                 )
             # Replay results are discarded: the originals were already
             # merged.  Determinism guarantees they are identical anyway.
-
-    def _recv(self, worker_id: int, replaying: bool = False):
-        worker = self._workers[worker_id]
-        conn = worker["conn"]
-        if not conn.poll(self.timeout_s):
-            if replaying:
-                raise ShardWorkerError(f"shard worker {worker_id} hung during replay")
-            raise _WorkerDown("timeout")
-        try:
-            return conn.recv()
-        except EOFError:
-            if replaying:
-                raise ShardWorkerError(f"shard worker {worker_id} crashed during replay")
-            raise _WorkerDown("crash")
 
     def _broadcast(self, command: tuple) -> Dict[int, Any]:
         """Send ``command`` to every worker, then collect every reply --
@@ -203,21 +170,21 @@ class ConservativeShardRunner:
         for worker_id in range(self.jobs):
             while True:
                 try:
-                    self._workers[worker_id]["conn"].send(command)
+                    self._workers[worker_id].send(command)
                     break
-                except (BrokenPipeError, OSError):
+                except WorkerDown as down:
                     # _recover raises once the restart budget is spent,
                     # so these loops always terminate.
-                    self._recover(worker_id, "crash")
+                    self._recover(worker_id, down.reason)
         payloads: Dict[int, Any] = {}
         for worker_id in range(self.jobs):
             while True:
                 try:
-                    status, payload = self._recv(worker_id)
+                    status, payload = self._workers[worker_id].recv(self.timeout_s)
                     break
-                except _WorkerDown as exc:
-                    self._recover(worker_id, exc.reason)
-                    self._workers[worker_id]["conn"].send(command)
+                except WorkerDown as down:
+                    self._recover(worker_id, down.reason)
+                    self._workers[worker_id].send(command)
             if status != "ok":
                 raise ShardWorkerError(f"shard worker {worker_id} raised: {payload}")
             payloads[worker_id] = payload
@@ -258,26 +225,14 @@ class ConservativeShardRunner:
         return [by_shard[shard_id] for shard_id in range(self.n_shards)]
 
     def close(self) -> None:
-        """Terminate workers (idempotent)."""
+        """Stop every worker and wait for it (idempotent)."""
         for worker_id, worker in enumerate(self._workers):
-            if worker is None:
-                continue
-            try:
-                worker["conn"].send(("exit",))
-            except (BrokenPipeError, OSError):
-                pass
-            self._kill(worker_id)
+            if worker is not None:
+                worker.stop()
+                self._workers[worker_id] = None
 
     def __enter__(self) -> "ConservativeShardRunner":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-class _WorkerDown(Exception):
-    """Internal: a worker crashed or hung on a live (non-replay) command."""
-
-    def __init__(self, reason: str) -> None:
-        super().__init__(reason)
-        self.reason = reason

@@ -8,13 +8,28 @@ unobservable in results.
 
 import json
 import os
+import random
+import signal
 import time
 
 import pytest
 
-from repro.exp import ResultCache, SweepSpec, code_version_hash, run_parallel, run_sweep
+from repro.exp import (
+    ResultCache,
+    SweepSpec,
+    WorkerPool,
+    code_version_hash,
+    run_parallel,
+    run_sweep,
+)
 from repro.exp.runner import sweep_table
 from repro.sim.rng import derive_seed
+from tests.procutil import (
+    children_of,
+    requires_proc,
+    survivors,
+    survivors_of_killed_owner,
+)
 
 # ----------------------------------------------------------------------
 # Spec expansion
@@ -130,6 +145,30 @@ def _sleep_forever(x):
     return x
 
 
+def _sigkill_self_on_one(x):
+    if x == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _hang_on_zero(x):
+    if x == 0:
+        time.sleep(60)
+    return os.getpid()
+
+
+def _square_or_crash(x):
+    # Seeded by pid as well as item, so the retry on the replacement
+    # worker draws again.
+    if random.Random(os.getpid() * 1_000_003 + x).random() < 0.15:
+        os._exit(7)
+    return x * x
+
+
 class TestRunParallel:
     @pytest.mark.parametrize("jobs", [1, 3])
     def test_results_align_with_items(self, jobs):
@@ -148,6 +187,14 @@ class TestRunParallel:
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].attempts == 2  # re-queued once, then reported
         assert "crash" in results[1].error
+        # The worker is joined before its status is read ("exit code
+        # None" otherwise, most of the time).
+        assert "exit code 13" in results[1].error
+
+    def test_killed_worker_reports_its_signal(self):
+        results = run_parallel(_sigkill_self_on_one, [0, 1], jobs=2, retries=0)
+        assert [r.ok for r in results] == [True, False]
+        assert "exit code -9" in results[1].error
 
     def test_crash_does_not_sink_other_tasks(self):
         results = run_parallel(_crash_on_two, list(range(8)), jobs=3, retries=0)
@@ -166,6 +213,92 @@ class TestRunParallel:
             run_parallel(_square, [1], jobs=0)
         with pytest.raises(ValueError):
             run_parallel(_square, [1], retries=-1)
+
+
+class TestWorkerPool:
+    def test_workers_are_reused_across_tasks_and_maps(self):
+        with WorkerPool(2) as pool:
+            first = {r.value for r in pool.map(_pid, range(20))}
+            second = {r.value for r in pool.map(_pid, range(20))}
+            assert len(first | second) == 2  # the same two processes throughout
+            assert os.getpid() not in first
+            assert pool.stats == {
+                "spawned": 2, "respawned": 0, "tasks": 40, "crashes": 0, "timeouts": 0,
+            }
+
+    def test_jobs_1_runs_inline_without_processes(self):
+        with WorkerPool(1) as pool:
+            assert [r.value for r in pool.map(_pid, range(3))] == [os.getpid()] * 3
+            assert pool.stats["spawned"] == 0 and pool.stats["tasks"] == 3
+
+    def test_crashed_worker_is_replaced_and_pool_keeps_serving(self):
+        with WorkerPool(2) as pool:
+            before = {r.value for r in pool.map(_pid, range(8))}
+            results = pool.map(_crash_on_two, [1, 2, 3], retries=0)
+            assert [r.ok for r in results] == [True, False, True]
+            after = pool.map(_pid, range(8))
+            assert all(r.ok for r in after)
+            assert len({r.value for r in after} - before) <= 1  # one replacement
+            stats = pool.stats
+            assert (stats["crashes"], stats["respawned"], stats["spawned"]) == (1, 1, 3)
+
+    @requires_proc
+    def test_hung_worker_is_terminated_and_replaced(self):
+        with WorkerPool(2) as pool:
+            before = set(children_of(os.getpid()))
+            results = pool.map(_hang_on_zero, [0, 1, 2, 3], timeout_s=0.3, retries=0)
+            assert results[0].timed_out and not results[0].ok
+            assert [r.ok for r in results[1:]] == [True, True, True]
+            # All three ran on the worker that was not hung...
+            assert len({r.value for r in results[1:]}) == 1
+            # ...the hung one is gone, and its replacement takes tasks.
+            after = set(children_of(os.getpid()))
+            (killed,) = before - after
+            assert survivors([killed], timeout_s=0.0) == []
+            assert {r.value for r in pool.map(_pid, range(8))} <= after
+            stats = pool.stats
+            assert (stats["timeouts"], stats["respawned"]) == (1, 1)
+
+    @requires_proc
+    def test_close_is_idempotent_and_leaves_no_child(self):
+        before = set(children_of(os.getpid()))
+        pool = WorkerPool(3)
+        workers = set(children_of(os.getpid())) - before
+        assert len(workers) == 3
+        pool.close()
+        pool.close()
+        assert survivors(workers, timeout_s=0.0) == []  # close() joins
+        with pytest.raises(RuntimeError, match="closed"):
+            pool.map(_square, [1])
+
+    @requires_proc
+    def test_workers_exit_when_their_owner_is_killed(self):
+        script = (
+            "import time\n"
+            "from repro.exp.pool import WorkerPool\n"
+            "pool = WorkerPool(3)\n"
+            "assert [r.value for r in pool.map(abs, [-1, -2, -3])] == [1, 2, 3]\n"
+            "print('ready', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        # Each worker reads EOF on its own pipe, which it can only do
+        # because it closed every inherited copy of the owner's pipe ends.
+        assert survivors_of_killed_owner(script, n_workers=3) == []
+
+    def test_stress_more_workers_than_cores_with_random_crashes(self):
+        items = list(range(300))
+        started = time.monotonic()
+        with WorkerPool(min(3 * (os.cpu_count() or 2), 32)) as pool:
+            results = pool.map(_square_or_crash, items, retries=12)
+            stats = pool.stats
+        assert time.monotonic() - started < 60.0
+        # Aligned: slot i holds item i's answer whichever worker, and
+        # whichever attempt, produced it.
+        assert [r.value for r in results] == [x * x for x in items]
+        assert stats["crashes"] > 0
+        assert stats["crashes"] == stats["respawned"]
+        assert stats["tasks"] == len(items) + stats["crashes"]
+        assert sum(r.attempts for r in results) == stats["tasks"]
 
 
 # ----------------------------------------------------------------------
@@ -269,6 +402,20 @@ class TestJobsInvariance:
         assert cached.executed == 0
         assert cached.from_cache == 6
         assert _doc_bytes(cached) == _doc_bytes(serial)
+
+    def test_one_warm_pool_runs_different_sweeps_byte_identically(self):
+        # A worker that has run other tasks before must be unobservable:
+        # two different sweeps back to back through the same two
+        # processes, each against its inline run.
+        specs = [_tiny_spec(seeds=2), _tiny_spec(name="other", seeds=2, master_seed=9)]
+        with WorkerPool(2) as pool:
+            pooled = [run_sweep(spec, use_cache=False, pool=pool) for spec in specs]
+            assert pool.stats == {
+                "spawned": 2, "respawned": 0, "tasks": 8, "crashes": 0, "timeouts": 0,
+            }
+        inline = [run_sweep(spec, jobs=1, use_cache=False) for spec in specs]
+        assert [_doc_bytes(o) for o in pooled] == [_doc_bytes(o) for o in inline]
+        assert _doc_bytes(pooled[0]) != _doc_bytes(pooled[1])
 
     def test_no_cache_skips_read_and_write(self, tmp_path):
         spec = _tiny_spec(grid=[{"n_shards": 1}], seeds=1)

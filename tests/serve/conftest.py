@@ -13,21 +13,25 @@ SECRET = "s3cret"
 CLIENTS = {"alice": "tok-alice", "bob": "tok-bob"}
 
 
-@pytest.fixture
-def server(tmp_path):
-    """A running service on an ephemeral port, limits high enough that
-    polling loops never trip the rate limiter."""
-    config = ServeConfig(
+def serve_config(tmp_path, jobs=1):
+    """Ephemeral port, limits high enough that polling loops never trip
+    the rate limiter."""
+    return ServeConfig(
         host="127.0.0.1",
         port=0,
         data_dir=str(tmp_path / "serve-data"),
         secret=SECRET,
         clients=dict(CLIENTS),
-        jobs=1,
+        jobs=jobs,
         rate_per_s=1000.0,
         burst=1000,
     )
-    server = ReproServer(config)
+
+
+@pytest.fixture
+def server(tmp_path):
+    """A running service executing jobs inline (``jobs=1``)."""
+    server = ReproServer(serve_config(tmp_path))
     server.start()
     yield server
     server.stop()

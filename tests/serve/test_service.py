@@ -12,13 +12,19 @@ including the two headline acceptance properties:
 
 import http.client
 import json
+import os
+import signal
 import statistics
+import subprocess
+import sys
 import threading
 import time
+import urllib.request
 
 from repro.serve.api import MAX_BODY_BYTES, ReproServer, ServeConfig
 from repro.serve.evidence import verify_pack
-from tests.serve.conftest import SECRET, request, wait_for_run
+from tests.procutil import children_of, requires_proc, subprocess_env, survivors
+from tests.serve.conftest import SECRET, request, serve_config, wait_for_run
 
 CHAOS_SMOKE = {"kind": "chaos", "scenario": "smoke", "seed": 11}
 
@@ -40,6 +46,9 @@ class TestAuthAndRouting:
         assert status == 200
         assert body["ok"] is True
         assert body["runs"] == {"queued": 0, "running": 0, "done": 0, "failed": 0}
+        assert body["pool"] == {
+            "spawned": 0, "respawned": 0, "tasks": 0, "crashes": 0, "timeouts": 0,
+        }
 
     def test_kept_alive_connection_replies_without_a_stall(self, server):
         """Headers and body leave in one write: sent as two, the second
@@ -289,3 +298,124 @@ class TestListingAndRecovery:
         assert status == 200
         assert via_jobs["run_id"] == submitted["run_id"]
         assert via_jobs["description"] == "chaos smoke (seed=11)"
+
+    def test_interrupted_run_is_requeued_and_executed_at_next_start(self, tmp_path):
+        # What a server leaves behind when it goes down (killed, or shut
+        # down with a run it had to abandon): a row still ``running``.
+        from repro.exp.cache import code_version_hash
+        from repro.serve.schema import job_key, normalize_job
+        from repro.serve.store import RunStore
+
+        config = serve_config(tmp_path)
+        spec, code = normalize_job(CHAOS_SMOKE), code_version_hash()
+        run_id = job_key(spec, code)
+        store = RunStore(os.path.join(config.data_dir, "runs.sqlite3"))
+        assert store.submit(run_id, spec, code, submitted_by="alice")
+        assert store.claim_next()["run_id"] == run_id
+        store.close()
+
+        server = ReproServer(config)
+        assert server.recovered_runs == 1
+        server.start()
+        try:
+            record = wait_for_run(server, run_id)
+        finally:
+            server.stop()
+        assert record["status"] == "done", record.get("error")
+        assert record["executions"] == 2  # the interrupted attempt counts
+
+
+def _sweep_job(master_seed):
+    return {**TINY_SWEEP, "grid": [{"n_shards": 1}, {"n_shards": 2}],
+            "master_seed": master_seed}
+
+
+class TestPooledExecution:
+    @requires_proc
+    def test_jobs_share_warm_workers_and_match_direct_runs(self, tmp_path):
+        before = set(children_of(os.getpid()))
+        server = ReproServer(serve_config(tmp_path, jobs=2))
+        workers = set(children_of(os.getpid())) - before
+        assert len(workers) == 2  # there before any thread is
+        server.start()
+        try:
+            self._run_jobs(server, workers)
+        finally:
+            server.stop()
+        assert survivors(workers, timeout_s=5.0) == []
+
+    @staticmethod
+    def _run_jobs(server, workers):
+        from repro.chaos import run_scenario
+        from repro.cliutil import dump_json_document
+        from repro.exp.runner import run_sweep
+        from repro.serve.schema import build_sweep_spec, normalize_job
+
+        def served_report(job):
+            _, submitted = request(server, "POST", "/v1/jobs", body=job)
+            record = wait_for_run(server, submitted["run_id"])
+            assert record["status"] == "done", record.get("error")
+            assert record["certified"] is True
+            _, report = request(
+                server, "GET", f"/v1/runs/{submitted['run_id']}/pack/report.json", raw=True
+            )
+            assert workers <= set(children_of(os.getpid()))  # still the same two
+            return report
+
+        sweeps = [_sweep_job(master_seed) for master_seed in (1, 2, 3)]
+        reports = [served_report(job) for job in sweeps]
+        assert len(set(reports)) == 3
+        for job, report in zip(sweeps, reports):
+            direct = run_sweep(build_sweep_spec(normalize_job(job)), jobs=1, use_cache=False)
+            assert report == dump_json_document(direct.document).encode("utf-8")
+
+        direct_chaos = run_scenario("smoke", seed=11).report.to_json() + "\n"
+        assert served_report(CHAOS_SMOKE) == direct_chaos.encode("utf-8")
+
+        # ...and nothing was forked for any of the seven tasks.
+        _, health = request(server, "GET", "/healthz", client=None)
+        assert health["pool"] == {
+            "spawned": 2, "respawned": 0, "tasks": 7, "crashes": 0, "timeouts": 0,
+        }
+
+
+class TestSigterm:
+    @requires_proc
+    def test_sigterm_shuts_down_cleanly_and_takes_the_workers_along(self, tmp_path):
+        server = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "2",
+                "--data-dir", str(tmp_path / "data"), "--operator-secret", SECRET,
+                "--client", "alice=tok-alice", "--rate", "1000", "--burst", "1000",
+            ],
+            env=subprocess_env(),
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            url = server.stdout.readline().split("listening on ", 1)[1].strip()
+
+            def call(path, body=None):
+                req = urllib.request.Request(
+                    url + path,
+                    data=None if body is None else json.dumps(body).encode("utf-8"),
+                    headers={"Authorization": "Bearer alice:tok-alice"},
+                )
+                with urllib.request.urlopen(req, timeout=30) as response:
+                    return json.loads(response.read())
+
+            run_id = call("/v1/jobs", body=_sweep_job(4))["run_id"]
+            deadline = time.monotonic() + 120.0
+            while call(f"/v1/runs/{run_id}")["status"] != "done":
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            workers = children_of(server.pid)
+            assert len(workers) == 2
+
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=10) == 0
+            assert survivors(workers, timeout_s=5.0) == []
+        finally:
+            server.kill()
+            server.wait(timeout=10)
+            server.stdout.close()

@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro.sim.parallel import ConservativeShardRunner, ShardWorkerError
+from tests.procutil import requires_proc, survivors_of_killed_owner
 
 
 class ToyShard:
@@ -183,3 +184,19 @@ class TestProcessRunner:
         runner = ConservativeShardRunner(_make_toy, (7,), n_shards=2, jobs=2)
         runner.close()
         runner.close()
+
+    @requires_proc
+    def test_workers_exit_when_the_coordinator_is_killed(self):
+        # Regression: shard workers kept their inherited copy of the
+        # coordinator's pipe ends open, never read EOF, and outlived a
+        # SIGKILLed coordinator indefinitely.
+        script = (
+            "import time\n"
+            "from repro.sim.parallel import ConservativeShardRunner\n"
+            "from tests.sim.test_parallel import _make_toy\n"
+            "runner = ConservativeShardRunner(_make_toy, (7,), n_shards=3, jobs=3)\n"
+            "assert len(runner.window(0, 100, 0)) == 3\n"
+            "print('ready', flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        assert survivors_of_killed_owner(script, n_workers=3) == []
