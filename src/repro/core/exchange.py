@@ -54,7 +54,7 @@ from repro.obs import tracing
 from repro.core.portfolio import PortfolioMatrix
 from repro.core.risk import MarginRiskPolicy
 from repro.core.ros import RosDeduplicator
-from repro.core.sequencer import SequencerSample
+from repro.core.sequencer import Sequencer, SequencerSample
 from repro.core.sharding import SymbolRouter
 from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus, RejectReason
@@ -92,16 +92,7 @@ class EngineShard:
             self_trade_prevention=server.config.self_trade_prevention,
             circuit_breaker=server.circuit_breaker,
         )
-        self.sequencer = server.fairness.build_inbound(
-            sim=sim,
-            clock=server.clock,
-            on_eligible=self._maybe_start,
-            config=server.config,
-            rngs=server.network.rngs,
-            shard_id=shard_id,
-            on_sample=server._on_sequencer_sample,
-            on_release=server._on_sequencer_release if server.tracer is not None else None,
-        )
+        self.sequencer = server._build_sequencer(self._maybe_start)
         self._book_service_ns = int(server.config.book_service_us * MICROSECOND)
         self._lock_service_ns = int(server.config.lock_service_us * MICROSECOND)
         self._book_cv = server.config.book_service_cv
@@ -216,16 +207,7 @@ class BatchEngineShard:
             reference_prices={s: server.config.initial_price for s in symbols},
             snapshot_depth=server.config.snapshot_depth,
         )
-        self.sequencer = server.fairness.build_inbound(
-            sim=sim,
-            clock=server.clock,
-            on_eligible=self._drain,
-            config=server.config,
-            rngs=server.network.rngs,
-            shard_id=shard_id,
-            on_sample=server._on_sequencer_sample,
-            on_release=server._on_sequencer_release if server.tracer is not None else None,
-        )
+        self.sequencer = server._build_sequencer(self._drain)
         self._cpu_per_order_ns = int(server.config.engine_cpu_per_order_us * MICROSECOND)
 
     # ------------------------------------------------------------------
@@ -302,9 +284,9 @@ class CentralExchangeServer(Actor):
         self.network = network
         self.host = host
         self.config = config
-        # The fairness policy builds each shard's inbound ordering and
-        # sets the engine's outbound hold; the cluster builder shares
-        # one instance with the gateways.
+        # The fairness policy supplies each shard's sequencer rule and
+        # the two initial holds; the cluster builder shares one
+        # instance with the gateways.
         if fairness is None:
             from repro.fairness import make_policy
 
@@ -421,6 +403,20 @@ class CentralExchangeServer(Actor):
     def register_participant(self, participant_id: str, primary_gateway: str) -> None:
         """Record the confirmation-routing default for a participant."""
         self._primary_gateway[participant_id] = primary_gateway
+
+    def _build_sequencer(self, on_eligible: Callable[[], None]) -> Sequencer:
+        """One shard's inbound queue, as the fairness policy rules it."""
+        rank, guard = self.fairness.shard_rule(self.config)
+        return Sequencer(
+            sim=self.sim,
+            clock=self.clock,
+            on_eligible=on_eligible,
+            delay_ns=self.fairness.inbound_hold_ns(self.config, self.network.rngs),
+            on_sample=self._on_sequencer_sample,
+            on_release=self._on_sequencer_release if self.tracer is not None else None,
+            rank=rank,
+            guard=guard,
+        )
 
     def start(self) -> None:
         """Begin periodic work (book snapshots, auction timers).  Idempotent."""

@@ -16,6 +16,7 @@ from typing import Dict
 
 from repro.core.auth import AuthRegistry
 from repro.core.config import CloudExConfig
+from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
 from repro.core.messages import (
     CancelRequest,
@@ -72,23 +73,21 @@ class Gateway(Actor):
         # symbol -> participant host names subscribed through this
         # gateway (dict used as an insertion-ordered set).
         self.subscriptions: Dict[str, Dict[str, None]] = {}
-        # The fairness policy (repro.fairness) decides how market data
-        # is released at this gateway; the cloudex default builds the
-        # classic HoldReleaseBuffer with these exact arguments.
+        # The fairness policy (repro.fairness) decides one thing here:
+        # whether a piece that arrives early is held to its release time.
         if fairness is None:
             from repro.fairness import make_policy
 
             fairness = make_policy(config)
-        self.hr_buffer = fairness.build_outbound(
+        self.hr_buffer = HoldReleaseBuffer(
             sim=sim,
             clock=self.clock,
             gateway_id=self.name,
             release=self._dispense_market_data,
             report=self._send_report,
-            config=config,
-            rngs=network.rngs,
             events=events,
             late_counter=counters.counter("hr.late_pieces") if counters is not None else None,
+            hold_early=fairness.hold_early_pieces,
         )
         self.orders_handled = 0
         self.orders_rejected = 0

@@ -12,6 +12,13 @@ the engine) carrying the hold duration -- the paper's *releasing
 delay*, Fig. 4b/5b's y-axis -- and the late flag that feeds both the
 outbound-unfairness metric (a piece is unfair if >=1 gateway was late)
 and the DDP controller for ``d_h``.
+
+It is the *only* release buffer.  The one outbound decision a fairness
+policy (:mod:`repro.fairness`) makes is ``hold_early``: hold a piece
+that arrives before ``release_at`` until then (the paper), or release
+it on arrival (DBO and the no-op baseline, which have no dissemination
+story).  Lateness, reports, the late-piece WARNING and counter are the
+same code either way.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ class HoldReleaseBuffer:
     late_counter:
         Optional :class:`repro.obs.counters.Counter` incremented per
         late piece.
+    hold_early:
+        False releases every piece on arrival with zero hold; nothing
+        is then ever pending, so :meth:`flush` finds nothing.
     """
 
     def __init__(
@@ -57,6 +67,7 @@ class HoldReleaseBuffer:
         report: Optional[Callable[[HoldReleaseReport], None]] = None,
         events=None,
         late_counter=None,
+        hold_early: bool = True,
     ) -> None:
         self.sim = sim
         self.clock = clock
@@ -65,6 +76,7 @@ class HoldReleaseBuffer:
         self.report = report
         self.events = events
         self.late_counter = late_counter
+        self.hold_early = hold_early
         self.held_count = 0
         self.late_count = 0
         self.total_hold_ns = 0
@@ -84,13 +96,14 @@ class HoldReleaseBuffer:
         dissemination; arrival exactly at the release instant is on
         time (zero hold, zero lateness) -- the gateway releases at
         ``t_R`` either way, simultaneously with every other gateway.
+        This boundary holds whatever ``hold_early`` says.
         """
         arrival_local = self.clock.now()
         if arrival_local > piece.release_at:
             # Arrived past its release time: unfair dissemination.
             self._release(piece, hold_ns=0, late=True, lateness_ns=arrival_local - piece.release_at)
             return
-        if arrival_local == piece.release_at:
+        if arrival_local == piece.release_at or not self.hold_early:
             self._release(piece, hold_ns=0, late=False, lateness_ns=0)
             return
         hold_ns = piece.release_at - arrival_local

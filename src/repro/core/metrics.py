@@ -123,18 +123,24 @@ class MetricsCollector:
         self.measure_start_true: int = 0
         self.measure_end_true: int = 0
         # Optional repro.obs.counters.MetricsRegistry supplying
-        # operational counts (message loss) to summary().
+        # operational counts (message loss) to summary(), and the
+        # cumulative drop count at the last reset_window().
         self._counters = None
+        self._dropped_at_reset: int = 0
 
     def attach_counters(self, registry) -> None:
         """Expose a counter registry's operational counts in summary()."""
         self._counters = registry
 
-    def messages_dropped(self) -> int:
-        """Messages dropped at downed hosts (0 without a registry)."""
+    def _dropped_total(self) -> int:
         if self._counters is None:
             return 0
         return int(self._counters.value("net.dropped_while_down"))
+
+    def messages_dropped(self) -> int:
+        """Messages dropped at downed hosts in the current window (0
+        without a registry).  The registry's counter is cumulative."""
+        return self._dropped_total() - self._dropped_at_reset
 
     def reset_window(self, now_true: int) -> None:
         """Start a fresh measurement window at ``now_true``.
@@ -162,6 +168,7 @@ class MetricsCollector:
         self.replicas_received = 0
         self.duplicates_dropped = 0
         self.rejects = 0
+        self._dropped_at_reset = self._dropped_total()
         self.measure_start_true = now_true
         self.measure_end_true = now_true
 

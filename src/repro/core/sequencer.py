@@ -1,4 +1,4 @@
-"""The sequencer: timestamp-ordered release with hold delay ``d_s``.
+"""The sequencer: rank-ordered release after a hold (the paper's ``d_s``).
 
 Paper §2.1/§2.2: the sequencer enqueues inbound orders into a priority
 queue keyed by gateway timestamp and dequeues an order O only once
@@ -23,6 +23,20 @@ exchange can look fair by its own broken timestamps).
 The sequencer is delay-agnostic plumbing: Dynamic Delay Parameters
 (:mod:`repro.core.ddp`) adjusts ``d_s`` at runtime via
 :meth:`Sequencer.set_delay`.
+
+It is also the *only* inbound queue.  What a fairness policy
+(:mod:`repro.fairness`) may vary are two parameters of it, not a reason
+for a second heap, timer or sample bookkeeping:
+
+- the **rank rule** ``(priority_key, arrival_local) -> virtual
+  timestamp`` on the exchange clock, evaluated once at enqueue and
+  frozen as the leading heap key (so heap order is stable).  Default:
+  the gateway timestamp, i.e. the paper's order ``(ts, gateway_id,
+  gateway_seq, insertion)``.  DBO ranks by ``gateway_ts + min observed
+  lag``; the no-op baseline by the arrival instant, which is FIFO.
+- the **hold** added to the head's rank before it is eligible: the
+  settable ``d_s``, or a live ``guard`` read whenever a release time is
+  computed (DBO's measured jitter bound).
 """
 
 from __future__ import annotations
@@ -33,6 +47,9 @@ from typing import Any, Callable, List, Optional
 
 from repro.sim.clock import HostClock
 from repro.sim.engine import Event, Simulator
+
+#: ``(priority_key, arrival_local) -> virtual timestamp`` (exchange clock).
+RankRule = Callable[[tuple, int], int]
 
 
 @dataclass(frozen=True)
@@ -51,7 +68,7 @@ class SequencerSample:
 
 
 class Sequencer:
-    """A hold-then-release priority queue over gateway timestamps.
+    """A hold-then-release priority queue over ranked gateway stamps.
 
     Parameters
     ----------
@@ -70,6 +87,14 @@ class Sequencer:
         Optional callback receiving ``(item, eligible_local)`` per
         dequeue -- the item-identity hook samples deliberately lack,
         wired to the lifecycle tracer's ``seq_hold`` span.
+    rank:
+        The rank rule (module docstring); None ranks by gateway
+        timestamp.  Equal ranks fall back to ``priority_key``, then
+        insertion order, under every rule.
+    guard:
+        Optional zero-argument callable returning the current hold in
+        ns.  When given it replaces ``delay_ns`` and :meth:`set_delay`
+        is inert: a measured hold is not a tunable one.
     """
 
     def __init__(
@@ -80,16 +105,21 @@ class Sequencer:
         delay_ns: int = 0,
         on_sample: Optional[Callable[[SequencerSample], None]] = None,
         on_release: Optional[Callable[[Any, int], None]] = None,
+        rank: Optional[RankRule] = None,
+        guard: Optional[Callable[[], int]] = None,
     ) -> None:
         if delay_ns < 0:
             raise ValueError(f"d_s must be non-negative, got {delay_ns}")
         self.sim = sim
         self.clock = clock
         self.on_eligible = on_eligible
-        self.delay_ns = delay_ns
+        self._delay_ns = delay_ns
         self.on_sample = on_sample
         self.on_release = on_release
-        # Heap entries: (priority_key, insertion_seq, item, stamped_true, enqueued_local)
+        self._rank = rank
+        self._guard = guard
+        # Heap entries: (rank, priority_key, insertion_seq, item,
+        # stamped_true, enqueued_local)
         self._heap: List[tuple] = []
         self._seq = 0
         self._wakeup: Optional[Event] = None
@@ -105,12 +135,15 @@ class Sequencer:
     # Producer side
     # ------------------------------------------------------------------
     def enqueue(self, priority_key: tuple, item: Any, stamped_true: int) -> None:
-        """Admit an item keyed by ``(gateway_timestamp, ...)``.
+        """Admit an item keyed by ``(gateway_timestamp, gateway_id,
+        gateway_seq)``.
 
         ``stamped_true`` is the ground-truth stamping instant, used only
         for the true-unfairness metric.
         """
-        entry = (priority_key, self._seq, item, stamped_true, self.clock.now())
+        now_local = self.clock.now()
+        rank = priority_key[0] if self._rank is None else self._rank(priority_key, now_local)
+        entry = (rank, priority_key, self._seq, item, stamped_true, now_local)
         self._seq += 1
         heapq.heappush(self._heap, entry)
         self.enqueued_count += 1
@@ -118,23 +151,28 @@ class Sequencer:
             # New head: the earliest release time moved up.
             self._arm_or_notify()
 
+    @property
+    def delay_ns(self) -> int:
+        """The current hold: ``d_s``, or the live guard's reading."""
+        return self._delay_ns if self._guard is None else self._guard()
+
     def set_delay(self, delay_ns: int) -> None:
         """Update ``d_s`` (DDP).  Re-arms the release timer.
 
         Mid-run semantics (pinned; DDP and golden runs rely on them):
-        release times are computed lazily at pop as ``gateway_ts +
+        release times are computed lazily at pop as ``rank +
         self.delay_ns``, never stored, so *already-queued* items see the
         new delay too -- lowering ``d_s`` makes an already-overdue head
         eligible immediately (``_arm_or_notify`` calls ``on_eligible``
         synchronously), and raising it retroactively extends the hold
-        of everything still queued.  The queue order itself
-        (gateway-timestamp priority) never changes.
+        of everything still queued.  The queue order itself (rank
+        priority) never changes.  Inert under a live ``guard``.
         """
         if delay_ns < 0:
             raise ValueError(f"d_s must be non-negative, got {delay_ns}")
-        if delay_ns == self.delay_ns:
+        if self._guard is not None or delay_ns == self._delay_ns:
             return
-        self.delay_ns = delay_ns
+        self._delay_ns = delay_ns
         if self._wakeup is not None:
             self._wakeup.cancel()
             self._wakeup = None
@@ -146,7 +184,7 @@ class Sequencer:
     def _head_release_local(self) -> Optional[int]:
         if not self._heap:
             return None
-        return self._heap[0][0][0] + self.delay_ns
+        return self._heap[0][0] + self.delay_ns
 
     def pop_eligible(self) -> Optional[Any]:
         """Dequeue the head if its hold delay has elapsed, else None.
@@ -161,12 +199,12 @@ class Sequencer:
         if release_at > now_local:
             self._arm(release_at)
             return None
-        key, _, item, stamped_true, enqueued_local = heapq.heappop(self._heap)
+        _, key, _, item, stamped_true, enqueued_local = heapq.heappop(self._heap)
         # Queuing delay (paper fn. 4: enqueue -> dequeue at the
         # sequencer) is measured to the *eligibility* instant: the
         # sequencer releases the order then, and any further wait is
         # matching-engine queueing, not sequencer hold.
-        eligible_local = max(enqueued_local, key[0] + self.delay_ns)
+        eligible_local = max(enqueued_local, release_at)
         self._record_release(key[0], stamped_true, enqueued_local, eligible_local)
         if self.on_release is not None:
             self.on_release(item, eligible_local)
@@ -239,7 +277,7 @@ class Sequencer:
     def pending_items(self) -> List[Any]:
         """The held items themselves (unordered) -- lets the chaos
         invariant checker distinguish in-flight orders from lost ones."""
-        return [entry[2] for entry in self._heap]
+        return [entry[3] for entry in self._heap]
 
     def inbound_unfairness_ratio(self) -> float:
         """Fraction of released orders processed out of (measured) sequence."""

@@ -1,4 +1,4 @@
-"""The pluggable fairness-policy interface.
+"""The fairness-policy interface: a policy is a rule, not a mechanism.
 
 CloudEx's fair-access machinery answers two questions, one per traffic
 direction:
@@ -13,80 +13,67 @@ buffers at ``t_R = t_M + d_h``) is one point in a design space that
 later systems explored differently: DBO (Goyal et al.) equalizes
 response time with per-pair delay bounds and **no clock sync**, and
 Probabilistic Fair Ordering (Haseeb et al.) relaxes the guarantee to a
-posterior-probability threshold to cut latency.  A
-:class:`FairnessPolicy` packages one answer to both questions so the
-cluster can swap backends under identical seeds and chaos -- the
-head-to-head frontier study CloudEx itself couldn't run.
+posterior-probability threshold to cut latency.  Both keep the paper's
+two objects and change only *which timestamp the queue orders by and
+how long it holds*, so that is all a :class:`FairnessPolicy` says.
+The cluster can then swap backends under identical seeds and chaos --
+the head-to-head frontier study CloudEx itself couldn't run.
 
-Interface contract
-------------------
-A policy is a *factory*: :meth:`FairnessPolicy.build_inbound` is called
-once per engine shard and must return an object satisfying the inbound
-ordering protocol (duck-typed; :class:`repro.core.sequencer.Sequencer`
-is the reference implementation):
+Contract
+--------
+There is one inbound queue, :class:`repro.core.sequencer.Sequencer`
+(one per engine shard), and one outbound buffer,
+:class:`repro.core.holdrelease.HoldReleaseBuffer` (one per gateway).
+The exchange and the gateways construct them directly and ask the
+policy four things:
 
-- ``enqueue(priority_key, item, stamped_true)`` -- admit an item keyed
-  by ``(gateway_timestamp, gateway_id, gateway_seq)``.
-- ``pop_eligible() -> item | None`` -- dequeue the next item whose
-  policy-defined hold has elapsed; arm a wake-up (``on_eligible``) when
-  the head is not yet eligible.
-- ``set_delay(delay_ns)`` -- the DDP control hook.  Only the cloudex
-  backend supports runtime delay control; the config layer rejects DDP
-  targets for other policies, so backends may ignore this.
-- ``delay_ns`` (attribute), ``pending()``, ``pending_items()``,
-  ``enqueued_count`` / ``released_count`` /
-  ``out_of_sequence_count`` / ``out_of_sequence_true_count``,
-  ``inbound_unfairness_ratio()`` / ``inbound_unfairness_ratio_true()``
-  -- shared diagnostics consumed by the exchange, the chaos invariant
-  checker, and the frontier study **with shared field names** across
-  every backend.
-- Every released item must produce a
-  :class:`repro.core.sequencer.SequencerSample` through ``on_sample``
-  (and fire ``on_release`` when wired), so per-stage latency
-  attribution and the unfairness ratios are policy-agnostic.
+- :meth:`FairnessPolicy.shard_rule` -- ``(rank, guard)`` for one
+  shard's queue; ``None`` in either place keeps the paper's choice.
+  ``rank(priority_key, arrival_local)`` returns the virtual timestamp
+  the item is ordered by; ``guard()`` returns the hold in force right
+  now.  A rule may read the item's ``(gateway_timestamp, gateway_id,
+  gateway_seq)`` key, its arrival instant on the engine clock, and
+  state it accumulated from earlier calls on the *same shard* -- never
+  the item, another shard, a gateway's clock, or true time.  Called
+  once per shard, so per-shard state lives in what it returns.
+- :meth:`FairnessPolicy.inbound_hold_ns` -- the queue's initial ``d_s``
+  (ignored under a guard).  Only cloudex supports runtime control of it;
+  the config layer rejects DDP targets for other policies.
+- :meth:`FairnessPolicy.engine_hold_ns` -- the hold the engine adds
+  when stamping ``release_at`` (``d_h``; 0 for release-on-arrival).
+- :attr:`FairnessPolicy.hold_early_pieces` -- whether a gateway holds a
+  piece that arrives before ``release_at`` or releases it on arrival.
 
-:meth:`FairnessPolicy.build_outbound` is called once per gateway and
-must return an object satisfying the outbound release protocol
-(:class:`repro.core.holdrelease.HoldReleaseBuffer` is the reference):
-
-- ``offer(piece)`` -- accept a market-data piece; hold or release per
-  policy.  Arrival exactly *at* ``release_at`` is on time; strictly
-  after is late (the PR-3 boundary), whatever the backend.
-- ``flush() -> int`` plus a ``flush_listener`` attribute -- crash
-  support (repro.chaos): drop buffered state, notify the metrics
-  collector of orphaned pieces.
-- ``held_count`` / ``late_count`` / ``total_hold_ns``,
-  ``mean_hold_us()`` / ``late_ratio()`` -- shared diagnostics.
-- Every handled piece must emit a
-  :class:`repro.core.messages.HoldReleaseReport` through ``report``,
-  so the engine-side aggregation (``outbound_unfairness``) works
-  unchanged for every backend.
-
-:meth:`FairnessPolicy.engine_hold_ns` supplies the initial outbound
-hold the engine stamps into ``release_at`` (``d_h`` for cloudex, 0 for
-policies that release immediately, a calibrated quantile for PFO).
+What no policy can change, because the one queue and the one buffer
+own it: every released item yields a ``SequencerSample`` whose queuing
+delay runs from enqueue to *eligibility*; out-of-sequence is judged
+against the preceding release; a piece arriving exactly at
+``release_at`` is on time and strictly after is late (the PR-3
+boundary); every handled piece yields a ``HoldReleaseReport``; a late
+piece logs ``hr.late_release`` and counts in ``hr.late_pieces``.
 
 Determinism
 -----------
 Policies must draw randomness only from named streams of the cluster's
 :class:`repro.sim.rng.RngRegistry` (``fairness:<policy>:<purpose>``).
 Streams are keyed by name, so a policy that is *not* selected consumes
-nothing and perturbs nothing -- the cloudex backend is bit-identical
-to the pre-refactor wiring, which the golden-run guard tests pin.
+nothing and perturbs nothing.  The cloudex policy returns no rule and
+touches no stream: the default cluster is bit-identical to the paper's
+wiring, which the golden-run guard tests pin.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
-from repro.core.sequencer import SequencerSample
+from repro.core.sequencer import RankRule
 
 #: Canonical backend order: baseline mechanisms first, passthrough last.
 POLICY_NAMES = ("cloudex", "dbo", "pfo", "noop")
 
 
 class FairnessPolicy:
-    """Factory for one fairness backend's inbound/outbound machinery.
+    """What one fairness backend decides (see the module docstring).
 
     One instance is created per cluster (see
     :func:`repro.fairness.make_policy`) and shared by the exchange
@@ -95,36 +82,17 @@ class FairnessPolicy:
 
     #: Backend name as it appears in ``CloudExConfig.fairness_policy``.
     name: str = "abstract"
+    #: Gateways hold an early piece until ``release_at`` (False:
+    #: release on arrival).
+    hold_early_pieces: bool = True
 
-    def build_inbound(
-        self,
-        *,
-        sim,
-        clock,
-        on_eligible: Callable[[], None],
-        config,
-        rngs,
-        shard_id: int,
-        on_sample: Optional[Callable[[SequencerSample], None]] = None,
-        on_release: Optional[Callable[[object, int], None]] = None,
-    ):
-        """One shard's inbound ordering object (see module docstring)."""
-        raise NotImplementedError
+    def shard_rule(self, config) -> Tuple[Optional[RankRule], Optional[Callable[[], int]]]:
+        """``(rank, guard)`` for one shard's sequencer; the default is
+        the paper's: gateway-timestamp order under the settable hold."""
+        return None, None
 
-    def build_outbound(
-        self,
-        *,
-        sim,
-        clock,
-        gateway_id: str,
-        release,
-        report,
-        config,
-        rngs,
-        events=None,
-        late_counter=None,
-    ):
-        """One gateway's outbound release object (see module docstring)."""
+    def inbound_hold_ns(self, config, rngs) -> int:
+        """Initial sequencer hold ``d_s``."""
         raise NotImplementedError
 
     def engine_hold_ns(self, config, rngs) -> int:
@@ -133,63 +101,3 @@ class FairnessPolicy:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r})"
-
-
-class ReleaseRecorder:
-    """Shared release bookkeeping for non-cloudex inbound backends.
-
-    Mirrors :class:`repro.core.sequencer.Sequencer`'s sample semantics
-    exactly -- out-of-sequence iff this item's gateway timestamp (resp.
-    true stamping instant) precedes the previously released item's --
-    so every backend reports the unfairness ratios with identical
-    meaning and field names.
-    """
-
-    def __init__(
-        self,
-        on_sample: Optional[Callable[[SequencerSample], None]] = None,
-    ) -> None:
-        self.on_sample = on_sample
-        self._last_released_ts: Optional[int] = None
-        self._last_released_true: Optional[int] = None
-        self.enqueued_count = 0
-        self.released_count = 0
-        self.out_of_sequence_count = 0
-        self.out_of_sequence_true_count = 0
-
-    def record_release(
-        self, gateway_ts: int, stamped_true: int, enqueued_local: int, dequeued_local: int
-    ) -> None:
-        out_of_seq = self._last_released_ts is not None and gateway_ts < self._last_released_ts
-        out_of_seq_true = (
-            self._last_released_true is not None and stamped_true < self._last_released_true
-        )
-        self._last_released_ts = gateway_ts
-        self._last_released_true = stamped_true
-        self.released_count += 1
-        if out_of_seq:
-            self.out_of_sequence_count += 1
-        if out_of_seq_true:
-            self.out_of_sequence_true_count += 1
-        if self.on_sample is not None:
-            self.on_sample(
-                SequencerSample(
-                    gateway_timestamp=gateway_ts,
-                    enqueued_local=enqueued_local,
-                    dequeued_local=dequeued_local,
-                    out_of_sequence=out_of_seq,
-                    out_of_sequence_true=out_of_seq_true,
-                )
-            )
-
-    def inbound_unfairness_ratio(self) -> float:
-        """Fraction of released items out of (measured) sequence."""
-        if self.released_count == 0:
-            return 0.0
-        return self.out_of_sequence_count / self.released_count
-
-    def inbound_unfairness_ratio_true(self) -> float:
-        """Fraction out of sequence against ground-truth stamping order."""
-        if self.released_count == 0:
-            return 0.0
-        return self.out_of_sequence_true_count / self.released_count

@@ -1,21 +1,20 @@
-"""The paper's own fairness mechanism, extracted behind the interface.
+"""The paper's own fairness mechanism (§2.2).
 
 Inbound: the clock-synced :class:`~repro.core.sequencer.Sequencer`
-holding each order for ``d_s`` past its gateway timestamp.  Outbound:
-the :class:`~repro.core.holdrelease.HoldReleaseBuffer` releasing each
-market-data piece at its engine-prescribed ``t_R = t_M + d_h``.
+ordering by gateway timestamp and holding each order for ``d_s`` past
+it.  Outbound: the :class:`~repro.core.holdrelease.HoldReleaseBuffer`
+releasing each market-data piece at its engine-prescribed
+``t_R = t_M + d_h``.
 
-This backend is the golden-run baseline: it constructs the exact
-objects the pre-refactor call sites constructed, with the exact same
-arguments, and touches no RNG stream -- so a cluster built with
-``fairness_policy="cloudex"`` (the default) is bit-identical to the
-pre-refactor wiring.  The golden-run guard tests pin this.
+This policy is the golden-run baseline: it supplies no rule, only the
+two configured delays, and touches no RNG stream -- so a cluster built
+with ``fairness_policy="cloudex"`` (the default) runs the queue and the
+buffer exactly as the paper wires them.  The golden-run guard tests pin
+this.
 """
 
 from __future__ import annotations
 
-from repro.core.holdrelease import HoldReleaseBuffer
-from repro.core.sequencer import Sequencer
 from repro.fairness.base import FairnessPolicy
 
 
@@ -24,32 +23,8 @@ class CloudExPolicy(FairnessPolicy):
 
     name = "cloudex"
 
-    def build_inbound(
-        self, *, sim, clock, on_eligible, config, rngs, shard_id,
-        on_sample=None, on_release=None,
-    ):
-        return Sequencer(
-            sim=sim,
-            clock=clock,
-            on_eligible=on_eligible,
-            delay_ns=config.sequencer_delay_ns,
-            on_sample=on_sample,
-            on_release=on_release,
-        )
-
-    def build_outbound(
-        self, *, sim, clock, gateway_id, release, report, config, rngs,
-        events=None, late_counter=None,
-    ):
-        return HoldReleaseBuffer(
-            sim=sim,
-            clock=clock,
-            gateway_id=gateway_id,
-            release=release,
-            report=report,
-            events=events,
-            late_counter=late_counter,
-        )
+    def inbound_hold_ns(self, config, rngs) -> int:
+        return config.sequencer_delay_ns
 
     def engine_hold_ns(self, config, rngs) -> int:
         return config.holdrelease_delay_ns

@@ -26,25 +26,26 @@ topology:
   latency -- under calm networks the guard collapses toward zero,
   which is how DBO undercuts a fixed ``d_s`` on latency.
 
-Outbound market data is released on arrival (DBO has no dissemination
-story), so ``engine_hold_ns`` is 0.  No RNG stream is consumed.
+Mechanically this is the one :class:`~repro.core.sequencer.Sequencer`
+with :meth:`DelayBounds.rank` as its rank rule and
+:meth:`DelayBounds.guard_ns` as its live guard.  Outbound market data
+is released on arrival (DBO has no dissemination story), so
+``engine_hold_ns`` is 0.  No RNG stream is consumed.
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, Dict, List, Optional
+from typing import Deque, Dict
 
-from repro.fairness.base import FairnessPolicy, ReleaseRecorder
-from repro.fairness.noop import ImmediateRelease
+from repro.fairness.base import FairnessPolicy
 from repro.sim.timeunits import MICROSECOND
 
 
 class _PathBound:
     """Sliding-window lag statistics for one gateway's path."""
 
-    __slots__ = ("window", "samples")
+    __slots__ = ("samples",)
 
     def __init__(self, window: int) -> None:
         self.samples: Deque[int] = deque(maxlen=window)
@@ -59,43 +60,23 @@ class _PathBound:
         return max(self.samples) - min(self.samples)
 
 
-class DelayBoundOrdering(ReleaseRecorder):
-    """Inbound ordering by per-gateway delay bounds (see module doc)."""
+class DelayBounds:
+    """One shard's DBO rule: per-gateway lag windows, read two ways."""
 
-    def __init__(self, sim, clock, on_eligible, window: int, guard_cap_ns: int,
-                 on_sample=None, on_release=None):
-        super().__init__(on_sample)
-        self.sim = sim
-        self.clock = clock
-        self.on_eligible = on_eligible
+    def __init__(self, window: int, guard_cap_ns: int) -> None:
         self.window = window
         self.guard_cap_ns = guard_cap_ns
-        self.on_release = on_release
         self._bounds: Dict[str, _PathBound] = {}
-        # Heap entries: (virtual_arrival, priority_key, seq, item,
-        # stamped_true, enqueued_local).  The virtual arrival is frozen
-        # at enqueue (with the bounds known then) so heap order is
-        # stable; the guard is evaluated live at release time.
-        self._heap: List[tuple] = []
-        self._seq = 0
-        self._wakeup = None
-        self._wakeup_target = 0
 
-    # -- protocol: producer side --------------------------------------
-    def enqueue(self, priority_key: tuple, item: Any, stamped_true: int) -> None:
+    def rank(self, priority_key: tuple, arrival_local: int) -> int:
+        """Record this item's lag, then return its virtual arrival
+        (with the bounds known now; the sequencer freezes it)."""
         gateway_ts, gateway_id = priority_key[0], priority_key[1]
-        enqueued_local = self.clock.now()
         bound = self._bounds.get(gateway_id)
         if bound is None:
             bound = self._bounds[gateway_id] = _PathBound(self.window)
-        bound.observe(enqueued_local - gateway_ts)
-        virtual = gateway_ts + bound.min_lag()
-        entry = (virtual, priority_key, self._seq, item, stamped_true, enqueued_local)
-        self._seq += 1
-        heapq.heappush(self._heap, entry)
-        self.enqueued_count += 1
-        if self._heap[0] is entry:
-            self._arm_or_notify()
+        bound.observe(arrival_local - gateway_ts)
+        return gateway_ts + bound.min_lag()
 
     def guard_ns(self) -> int:
         """Current guard: the worst observed path-jitter bound, capped."""
@@ -106,103 +87,19 @@ class DelayBoundOrdering(ReleaseRecorder):
                 worst = residual
         return worst if worst < self.guard_cap_ns else self.guard_cap_ns
 
-    @property
-    def delay_ns(self) -> int:
-        """The live guard, surfaced under the shared diagnostic name."""
-        return self.guard_ns()
-
-    def set_delay(self, delay_ns: int) -> None:
-        """The guard is measured, not set; DDP is rejected in config."""
-
-    # -- protocol: consumer side --------------------------------------
-    def _head_release_local(self) -> Optional[int]:
-        if not self._heap:
-            return None
-        return self._heap[0][0] + self.guard_ns()
-
-    def pop_eligible(self):
-        release_at = self._head_release_local()
-        if release_at is None:
-            return None
-        now_local = self.clock.now()
-        if release_at > now_local:
-            self._arm(release_at)
-            return None
-        _, key, _, item, stamped_true, enqueued_local = heapq.heappop(self._heap)
-        eligible_local = max(enqueued_local, release_at)
-        self.record_release(key[0], stamped_true, enqueued_local, eligible_local)
-        if self.on_release is not None:
-            self.on_release(item, eligible_local)
-        return item
-
-    # -- release timer (same shape as Sequencer's) --------------------
-    def _arm(self, release_at_local: int) -> None:
-        if (
-            self._wakeup is not None
-            and not self._wakeup.cancelled
-            and self._wakeup_target <= release_at_local
-        ):
-            return
-        if self._wakeup is not None:
-            self._wakeup.cancel()
-        self._wakeup = self.clock.schedule_at_local(release_at_local, self._fire)
-        self._wakeup_target = release_at_local
-
-    def _arm_or_notify(self) -> None:
-        release_at = self._head_release_local()
-        if release_at is None:
-            return
-        if release_at <= self.clock.now():
-            self.on_eligible()
-        else:
-            self._arm(release_at)
-
-    def _fire(self) -> None:
-        self._wakeup = None
-        if self._heap:
-            self.on_eligible()
-
-    # -- protocol: diagnostics ----------------------------------------
-    def pending(self) -> int:
-        return len(self._heap)
-
-    def pending_items(self) -> List[Any]:
-        return [entry[3] for entry in self._heap]
-
-    def __repr__(self) -> str:
-        return (
-            f"DelayBoundOrdering(guard={self.guard_ns()}ns, pending={len(self._heap)}, "
-            f"released={self.released_count})"
-        )
-
 
 class DboPolicy(FairnessPolicy):
     """Response-time fairness via measured delay bounds (no clock sync)."""
 
     name = "dbo"
+    hold_early_pieces = False
 
-    def build_inbound(
-        self, *, sim, clock, on_eligible, config, rngs, shard_id,
-        on_sample=None, on_release=None,
-    ):
-        return DelayBoundOrdering(
-            sim,
-            clock,
-            on_eligible,
-            window=config.dbo_window,
-            guard_cap_ns=int(config.dbo_guard_cap_us * MICROSECOND),
-            on_sample=on_sample,
-            on_release=on_release,
-        )
+    def shard_rule(self, config):
+        bounds = DelayBounds(config.dbo_window, int(config.dbo_guard_cap_us * MICROSECOND))
+        return bounds.rank, bounds.guard_ns
 
-    def build_outbound(
-        self, *, sim, clock, gateway_id, release, report, config, rngs,
-        events=None, late_counter=None,
-    ):
-        return ImmediateRelease(
-            sim, clock, gateway_id, release, report=report, events=events,
-            late_counter=late_counter,
-        )
+    def inbound_hold_ns(self, config, rngs) -> int:
+        return 0
 
     def engine_hold_ns(self, config, rngs) -> int:
         return 0

@@ -1,149 +1,41 @@
 """The no-op baseline: no hold, no resequencing, anywhere.
 
-Inbound orders are processed strictly in arrival order (a genuine
-FIFO -- unlike a ``d_s = 0`` sequencer, whose priority queue still
-timestamp-sorts whatever backlog accumulates while the engine is
+Inbound orders are ranked by their arrival instant on the engine clock
+and held for nothing, so they are processed strictly in arrival order
+(a genuine FIFO -- unlike a ``d_s = 0`` gateway-timestamp rank, which
+still timestamp-sorts whatever backlog accumulates while the engine is
 busy).  Outbound market data is dispensed the instant it reaches the
 gateway, and the engine stamps ``release_at`` with zero hold, so every
-piece that takes nonzero network time arrives "late" by construction.
+piece that takes nonzero network time arrives "late" by construction --
+the honest statement that passthrough dissemination is unfair.
 
 This is the lower envelope of the frontier study: minimum added
-latency, minimum CPU (no release timers at all), maximum unfairness --
-what a cloud exchange looks like with CloudEx's machinery turned off.
+latency, minimum CPU (an arrival is never in the future, so no release
+timer is ever armed), maximum unfairness -- what a cloud exchange looks
+like with CloudEx's machinery turned off.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Tuple
-
-from repro.core.messages import HoldReleaseReport
-from repro.fairness.base import FairnessPolicy, ReleaseRecorder
+from repro.fairness.base import FairnessPolicy
 
 
-class PassthroughOrdering(ReleaseRecorder):
-    """Arrival-order FIFO satisfying the inbound ordering protocol."""
-
-    def __init__(self, sim, clock, on_eligible, on_sample=None, on_release=None):
-        super().__init__(on_sample)
-        self.sim = sim
-        self.clock = clock
-        self.on_eligible = on_eligible
-        self.on_release = on_release
-        #: Always 0: there is no hold delay to report or to tune.
-        self.delay_ns = 0
-        self._fifo: Deque[Tuple[tuple, Any, int, int]] = deque()
-
-    def enqueue(self, priority_key: tuple, item: Any, stamped_true: int) -> None:
-        self._fifo.append((priority_key, item, stamped_true, self.clock.now()))
-        self.enqueued_count += 1
-        self.on_eligible()
-
-    def pop_eligible(self):
-        if not self._fifo:
-            return None
-        key, item, stamped_true, enqueued_local = self._fifo.popleft()
-        now_local = self.clock.now()
-        self.record_release(key[0], stamped_true, enqueued_local, now_local)
-        if self.on_release is not None:
-            self.on_release(item, now_local)
-        return item
-
-    def set_delay(self, delay_ns: int) -> None:
-        """No hold to tune; config validation keeps DDP off this policy."""
-
-    def pending(self) -> int:
-        return len(self._fifo)
-
-    def pending_items(self) -> List[Any]:
-        return [entry[1] for entry in self._fifo]
-
-    def __repr__(self) -> str:
-        return f"PassthroughOrdering(pending={len(self._fifo)}, released={self.released_count})"
-
-
-class ImmediateRelease:
-    """Outbound passthrough satisfying the release protocol.
-
-    Dispenses every piece on arrival with zero hold.  Lateness keeps
-    the H/R meaning (strictly past ``release_at`` is unfair, exactly at
-    it is on time) so ``outbound_unfairness`` stays comparable: with
-    the no-op engine hold of 0, essentially every piece is late -- the
-    honest statement that passthrough dissemination is unfair.
-    """
-
-    def __init__(self, sim, clock, gateway_id, release, report=None, events=None,
-                 late_counter=None):
-        self.sim = sim
-        self.clock = clock
-        self.gateway_id = gateway_id
-        self.release = release
-        self.report = report
-        self.events = events
-        self.late_counter = late_counter
-        self.held_count = 0
-        self.late_count = 0
-        self.total_hold_ns = 0
-        self.flush_listener = None
-
-    def offer(self, piece) -> None:
-        arrival_local = self.clock.now()
-        self.held_count += 1
-        late = arrival_local > piece.release_at
-        lateness_ns = arrival_local - piece.release_at if late else 0
-        if late:
-            self.late_count += 1
-            if self.late_counter is not None:
-                self.late_counter.inc()
-        self.release(piece, arrival_local)
-        if self.report is not None:
-            self.report(
-                HoldReleaseReport(
-                    gateway_id=self.gateway_id,
-                    md_seq=piece.seq,
-                    late=late,
-                    lateness_ns=lateness_ns,
-                    hold_ns=0,
-                )
-            )
-
-    def flush(self) -> int:
-        """Nothing is ever buffered, so a crash loses nothing here."""
-        return 0
-
-    def mean_hold_us(self) -> float:
-        return 0.0
-
-    def late_ratio(self) -> float:
-        if self.held_count == 0:
-            return 0.0
-        return self.late_count / self.held_count
-
-    def __repr__(self) -> str:
-        return f"ImmediateRelease({self.gateway_id!r}, handled={self.held_count})"
+def arrival_rank(priority_key: tuple, arrival_local: int) -> int:
+    """Rank by when the engine saw the item, ignoring its timestamp."""
+    return arrival_local
 
 
 class NoopPolicy(FairnessPolicy):
     """Direct passthrough in both directions."""
 
     name = "noop"
+    hold_early_pieces = False
 
-    def build_inbound(
-        self, *, sim, clock, on_eligible, config, rngs, shard_id,
-        on_sample=None, on_release=None,
-    ):
-        return PassthroughOrdering(
-            sim, clock, on_eligible, on_sample=on_sample, on_release=on_release
-        )
+    def shard_rule(self, config):
+        return arrival_rank, None
 
-    def build_outbound(
-        self, *, sim, clock, gateway_id, release, report, config, rngs,
-        events=None, late_counter=None,
-    ):
-        return ImmediateRelease(
-            sim, clock, gateway_id, release, report=report, events=events,
-            late_counter=late_counter,
-        )
+    def inbound_hold_ns(self, config, rngs) -> int:
+        return 0
 
     def engine_hold_ns(self, config, rngs) -> int:
         return 0

@@ -23,18 +23,16 @@ Calibration samples the configured model ``pfo_calibration_draws``
 times from the dedicated RNG streams ``fairness:pfo:calibration``
 (inbound) and ``fairness:pfo:outbound`` (the θ-quantile engine->
 gateway hold ``d_h``), so the policy is deterministic in the cluster
-seed and perturbs no other stream.  The mechanisms themselves are the
-stock :class:`~repro.core.sequencer.Sequencer` and
-:class:`~repro.core.holdrelease.HoldReleaseBuffer` -- PFO changes how
-the delays are *chosen*, not how they are *enforced*.
+seed and perturbs no other stream.  The policy supplies no rule: the
+:class:`~repro.core.sequencer.Sequencer` and
+:class:`~repro.core.holdrelease.HoldReleaseBuffer` run as under cloudex
+-- PFO changes how the delays are *chosen*, not how they are *enforced*.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.holdrelease import HoldReleaseBuffer
-from repro.core.sequencer import Sequencer
 from repro.fairness.base import FairnessPolicy
 from repro.sim.latency import cloud_link
 from repro.sim.timeunits import MICROSECOND
@@ -83,7 +81,7 @@ class PfoPolicy(FairnessPolicy):
             self._inbound_ns = quantile + overhead
         return self._inbound_ns
 
-    def outbound_hold_ns(self, config, rngs) -> int:
+    def engine_hold_ns(self, config, rngs) -> int:
         """The d_h-equivalent hold: the θ-quantile of one e->g delivery."""
         if self._outbound_ns is None:
             self._outbound_ns = _empirical_quantile_ns(
@@ -93,34 +91,3 @@ class PfoPolicy(FairnessPolicy):
                 config.pfo_threshold,
             )
         return self._outbound_ns
-
-    # -- interface ----------------------------------------------------
-    def build_inbound(
-        self, *, sim, clock, on_eligible, config, rngs, shard_id,
-        on_sample=None, on_release=None,
-    ):
-        return Sequencer(
-            sim=sim,
-            clock=clock,
-            on_eligible=on_eligible,
-            delay_ns=self.inbound_hold_ns(config, rngs),
-            on_sample=on_sample,
-            on_release=on_release,
-        )
-
-    def build_outbound(
-        self, *, sim, clock, gateway_id, release, report, config, rngs,
-        events=None, late_counter=None,
-    ):
-        return HoldReleaseBuffer(
-            sim=sim,
-            clock=clock,
-            gateway_id=gateway_id,
-            release=release,
-            report=report,
-            events=events,
-            late_counter=late_counter,
-        )
-
-    def engine_hold_ns(self, config, rngs) -> int:
-        return self.outbound_hold_ns(config, rngs)

@@ -2,28 +2,38 @@
 
 The inbound ratios (measured vs true) and the outbound lateness
 boundary are the numbers the frontier study compares across backends,
-so their semantics are pinned here independently of any backend's
-queueing mechanics.
+so their semantics are pinned here independently of any policy's
+rule: the schedules go through the one sequencer in arrival order.
 """
 
 import pytest
 
-from repro.fairness.base import ReleaseRecorder
+from repro.core.sequencer import Sequencer
+from repro.fairness.noop import arrival_rank
 from repro.obs.breakdown import POLICY_METRIC_FIELDS, policy_metrics_row
+from repro.sim.clock import HostClock
+from repro.sim.engine import Simulator
 
 
-def replay(schedule):
-    """Run (gateway_ts, stamped_true) pairs through a recorder."""
+def replay(schedule, rank=arrival_rank, delay_ns=0):
+    """Release (gateway_ts, stamped_true) pairs in the order given, one
+    per ns, and return the sequencer that accounted for them."""
+    sim = Simulator()
     samples = []
-    recorder = ReleaseRecorder(on_sample=samples.append)
+    recorder = Sequencer(
+        sim, HostClock(sim), on_eligible=lambda: recorder.pop_eligible(),
+        delay_ns=delay_ns, on_sample=samples.append, rank=rank,
+    )
     for i, (gateway_ts, stamped_true) in enumerate(schedule):
-        recorder.record_release(gateway_ts, stamped_true, i, i + 1)
+        sim.schedule_at(i, recorder.enqueue, (gateway_ts, "g", i), i, stamped_true)
+    sim.run()
+    assert recorder.released_count == len(schedule)
     return recorder, samples
 
 
 class TestInboundRatios:
     def test_empty_schedule_is_fair(self):
-        recorder = ReleaseRecorder()
+        recorder, _ = replay([])
         assert recorder.inbound_unfairness_ratio() == 0.0
         assert recorder.inbound_unfairness_ratio_true() == 0.0
 
@@ -56,8 +66,9 @@ class TestInboundRatios:
         assert [s.out_of_sequence_true for s in samples] == [False, True, False]
 
     def test_sample_carries_queuing_delay(self):
-        recorder, samples = replay([(10, 10)])
-        assert samples[0].queuing_delay_ns == 1  # dequeued 1 - enqueued 0
+        # Default rank, d_s = 1: enqueued at 0, eligible at ts 0 + 1.
+        recorder, samples = replay([(0, 0)], rank=None, delay_ns=1)
+        assert samples[0].queuing_delay_ns == 1
 
 
 class TestPolicyMetricsRow:

@@ -1,16 +1,19 @@
-"""Unit tests for the fairness-policy backends."""
+"""Unit tests for the fairness policies: the one queue and the one
+buffer, configured as each policy rules them."""
 
 import pytest
 
+from repro.core.cluster import CloudExCluster
 from repro.core.config import CloudExConfig
 from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
 from repro.core.sequencer import Sequencer
 from repro.fairness import POLICY_NAMES, make_policy
 from repro.fairness.cloudex import CloudExPolicy
-from repro.fairness.dbo import DboPolicy, DelayBoundOrdering
-from repro.fairness.noop import ImmediateRelease, NoopPolicy, PassthroughOrdering
+from repro.fairness.noop import NoopPolicy
 from repro.fairness.pfo import PfoPolicy
+from repro.obs.counters import Counter
+from repro.obs.events import EventLog, Severity
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -43,14 +46,22 @@ class TestRegistry:
 
 
 class InboundHarness:
-    """Any inbound backend wired to an always-ready consumer."""
+    """The sequencer, ruled as ``CentralExchangeServer._build_sequencer``
+    rules it for ``policy``, wired to an always-ready consumer."""
 
-    def __init__(self, build):
+    def __init__(self, policy, **overrides):
         self.sim = Simulator()
         self.clock = HostClock(self.sim)
         self.released = []
         self.samples = []
-        self.ordering = build(self)
+        config = config_for(policy, **overrides)
+        backend = make_policy(config)
+        rank, guard = backend.shard_rule(config)
+        self.ordering = Sequencer(
+            self.sim, self.clock, self._drain,
+            delay_ns=backend.inbound_hold_ns(config, RngRegistry(7)),
+            on_sample=self.samples.append, rank=rank, guard=guard,
+        )
 
     def _drain(self):
         while True:
@@ -70,12 +81,10 @@ class InboundHarness:
 
 
 class TestPassthroughOrdering:
+    """noop: arrival rank, zero hold."""
+
     def build(self):
-        return InboundHarness(
-            lambda h: PassthroughOrdering(
-                h.sim, h.clock, h._drain, on_sample=h.samples.append
-            )
-        )
+        return InboundHarness("noop")
 
     def test_genuine_fifo_ignores_timestamps(self):
         # Arrival order 30, 10, 20 by timestamp: a d_s=0 sequencer
@@ -107,22 +116,25 @@ class TestPassthroughOrdering:
             h.enqueue_at(t, ts=ts, item=ts)
         h.sim.run()
         assert h.ordering.pending() == 3
-        assert h.ordering.pending_items() == [50, 40, 60]
+        assert sorted(h.ordering.pending_items()) == [40, 50, 60]
         while True:
             item = h.ordering.pop_eligible()
             if item is None:
                 break
             collected.append(item)
         assert collected == [50, 40, 60]
+        # Waiting for a busy engine is not sequencer hold: queuing delay
+        # runs to eligibility, which under noop is the arrival instant.
+        assert [s.queuing_delay_ns for s in h.samples] == [0, 0, 0]
+        assert h.sim.events_processed == 3  # the enqueues; no timer armed
 
 
 class TestDelayBoundOrdering:
+    """dbo: min-lag rank, live capped guard."""
+
     def build(self, window=16, guard_cap_ns=500_000):
         return InboundHarness(
-            lambda h: DelayBoundOrdering(
-                h.sim, h.clock, h._drain, window=window,
-                guard_cap_ns=guard_cap_ns, on_sample=h.samples.append,
-            )
+            "dbo", dbo_window=window, dbo_guard_cap_us=guard_cap_ns / 1_000
         )
 
     def test_gateway_clock_offset_cancels(self):
@@ -151,12 +163,7 @@ class TestDelayBoundOrdering:
 
     def test_cloudex_sequencer_breaks_under_same_offset(self):
         """Contrast: timestamp-trusting hold misorders the same feed."""
-        h = InboundHarness(
-            lambda harness: Sequencer(
-                harness.sim, harness.clock, harness._drain, delay_ns=0,
-                on_sample=harness.samples.append,
-            )
-        )
+        h = InboundHarness("cloudex", sequencer_delay_us=0.0)
         offset = 1_000_000
         for true, gateway, delay in (
             (1_000, "a", 100), (2_000, "b", 150), (3_000, "a", 100),
@@ -176,11 +183,10 @@ class TestDelayBoundOrdering:
         h.enqueue_at(1_000, ts=900, item="a1", gateway="a")   # lag 100
         h.enqueue_at(2_000, ts=1_600, item="a2", gateway="a")  # lag 400
         h.sim.run()
-        assert ordering.guard_ns() == 300  # residual 400-100
-        assert ordering.delay_ns == 300  # shared diagnostic name
+        assert ordering.delay_ns == 300  # residual 400-100
         h.sim.schedule_at(3_000, ordering.enqueue, (2_100, "a", 0), "a3", 2_100)
         h.sim.run()  # lag 900 -> residual 800, capped
-        assert ordering.guard_ns() == 500
+        assert ordering.delay_ns == 500
 
     def test_set_delay_is_inert(self):
         h = self.build()
@@ -189,6 +195,7 @@ class TestDelayBoundOrdering:
         before = h.ordering.delay_ns
         h.ordering.set_delay(123_456)
         assert h.ordering.delay_ns == before
+        assert not h.sim.pending()  # and no timer was re-armed for it
 
 
 class TestPfoCalibration:
@@ -198,7 +205,7 @@ class TestPfoCalibration:
         assert a.inbound_hold_ns(config, RngRegistry(7)) == b.inbound_hold_ns(
             config, RngRegistry(7)
         )
-        assert a.outbound_hold_ns(config, RngRegistry(7)) == b.outbound_hold_ns(
+        assert a.engine_hold_ns(config, RngRegistry(7)) == b.engine_hold_ns(
             config, RngRegistry(7)
         )
 
@@ -235,68 +242,91 @@ class TestPfoCalibration:
         config = config_for("pfo")
         policy = PfoPolicy()
         rngs = RngRegistry(7)
-        assert policy.engine_hold_ns(config, rngs) == policy.outbound_hold_ns(config, rngs)
-        assert policy.engine_hold_ns(config, rngs) > 0
+        hold = policy.engine_hold_ns(config, rngs)
+        assert hold > 0
+        # theta-quantile of one delivery < theta^(1/(n-1))-quantile + service.
+        assert hold < policy.inbound_hold_ns(config, rngs)
+        state = rngs.stream("fairness:pfo:outbound").bit_generator.state
+        assert policy.engine_hold_ns(config, rngs) == hold  # cached, no redraw
+        assert rngs.stream("fairness:pfo:outbound").bit_generator.state == state
 
 
 class TestFactoryProducts:
-    def build_inbound(self, policy, config, rngs):
-        sim = Simulator()
-        clock = HostClock(sim)
-        return policy.build_inbound(
-            sim=sim, clock=clock, on_eligible=lambda: None, config=config,
-            rngs=rngs, shard_id=0,
-        )
+    """What the real construction sites (``_build_sequencer`` per shard,
+    ``Gateway.__init__``) build under each policy."""
 
-    def build_outbound(self, policy, config, rngs):
-        sim = Simulator()
-        clock = HostClock(sim)
-        return policy.build_outbound(
-            sim=sim, clock=clock, gateway_id="g00",
-            release=lambda piece, t: None, report=lambda r: None,
-            config=config, rngs=rngs,
-        )
+    def products(self, policy, **overrides):
+        cluster = CloudExCluster(config_for(policy, n_shards=2, **overrides))
+        return cluster, [s.sequencer for s in cluster.exchange.shards], cluster.gateways
+
+    @staticmethod
+    def fairness_streams(rngs):
+        return [name for name in rngs._streams if name.startswith("fairness:")]
 
     def test_cloudex_builds_stock_mechanisms_and_consumes_no_rng(self):
-        config = config_for("cloudex")
+        cluster, sequencers, gateways = self.products("cloudex")
+        config = cluster.config
+        for sequencer in sequencers:
+            assert type(sequencer) is Sequencer
+            assert sequencer.delay_ns == config.sequencer_delay_ns
+        for gateway in gateways:
+            assert type(gateway.hr_buffer) is HoldReleaseBuffer
+            assert gateway.hr_buffer.hold_early is True
+        assert cluster.exchange.d_h == config.holdrelease_delay_ns
+        # Bit-identity guard: the cloudex path must never touch RNG,
+        # and supplies no rule at all.
+        assert not self.fairness_streams(cluster.rngs)
         rngs = RngRegistry(7)
         policy = CloudExPolicy()
-        inbound = self.build_inbound(policy, config, rngs)
-        outbound = self.build_outbound(policy, config, rngs)
-        assert isinstance(inbound, Sequencer)
-        assert inbound.delay_ns == config.sequencer_delay_ns
-        assert isinstance(outbound, HoldReleaseBuffer)
+        assert policy.shard_rule(config) == (None, None)
+        assert policy.inbound_hold_ns(config, rngs) == config.sequencer_delay_ns
         assert policy.engine_hold_ns(config, rngs) == config.holdrelease_delay_ns
-        # Bit-identity guard: the cloudex path must never touch RNG.
         assert not rngs._streams  # no streams touched
 
     def test_noop_builds_passthroughs(self):
-        config = config_for("noop")
-        policy = NoopPolicy()
-        rngs = RngRegistry(7)
-        assert isinstance(self.build_inbound(policy, config, rngs), PassthroughOrdering)
-        assert isinstance(self.build_outbound(policy, config, rngs), ImmediateRelease)
-        assert policy.engine_hold_ns(config, rngs) == 0
+        cluster, sequencers, gateways = self.products("noop")
+        for sequencer in sequencers:
+            assert type(sequencer) is Sequencer
+            assert sequencer.delay_ns == 0
+        for gateway in gateways:
+            assert type(gateway.hr_buffer) is HoldReleaseBuffer
+            assert gateway.hr_buffer.hold_early is False
+        assert cluster.exchange.d_h == 0
+        rank, guard = NoopPolicy().shard_rule(cluster.config)
+        assert guard is None
+        assert rank((10, "g", 1), 777) == 777  # the arrival, not the stamp
 
     def test_dbo_builds_delay_bounds_with_immediate_outbound(self):
-        config = config_for("dbo", dbo_guard_cap_us=100.0)
-        policy = DboPolicy()
-        rngs = RngRegistry(7)
-        inbound = self.build_inbound(policy, config, rngs)
-        assert isinstance(inbound, DelayBoundOrdering)
-        assert inbound.guard_cap_ns == 100_000
-        assert isinstance(self.build_outbound(policy, config, rngs), ImmediateRelease)
-        assert policy.engine_hold_ns(config, rngs) == 0
-        assert not rngs._streams  # no streams touched
+        cluster, sequencers, gateways = self.products("dbo", dbo_guard_cap_us=100.0)
+        for gateway in gateways:
+            assert gateway.hr_buffer.hold_early is False
+        assert cluster.exchange.d_h == 0
+        assert not self.fairness_streams(cluster.rngs)
+        # Each shard measures its own bounds: 1 ms of jitter seen by
+        # shard 0 on gateway a (lag 0, then lag 1 ms) opens its guard
+        # up to the configured cap and leaves shard 1's shut.
+        first, second = sequencers
+        first.on_eligible = lambda: None
+        first.enqueue((0, "a", 1), "x", 0)
+        cluster.sim.schedule_at(1_000_000, first.enqueue, (0, "a", 2), "y", 0)
+        cluster.sim.run(until=1_000_001)
+        assert first.delay_ns == 100_000
+        assert second.delay_ns == 0
 
     def test_pfo_builds_stock_mechanisms_with_calibrated_delays(self):
-        config = config_for("pfo")
-        policy = PfoPolicy()
-        rngs = RngRegistry(7)
-        inbound = self.build_inbound(policy, config, rngs)
-        assert isinstance(inbound, Sequencer)
-        assert inbound.delay_ns == policy.inbound_hold_ns(config, rngs)
-        assert isinstance(self.build_outbound(policy, config, rngs), HoldReleaseBuffer)
+        cluster, sequencers, gateways = self.products("pfo")
+        config = cluster.config
+        policy = cluster.fairness
+        assert isinstance(policy, PfoPolicy)
+        assert policy.shard_rule(config) == (None, None)
+        for sequencer in sequencers:
+            assert sequencer.delay_ns == policy.inbound_hold_ns(config, cluster.rngs) > 0
+        for gateway in gateways:
+            assert gateway.hr_buffer.hold_early is True
+        assert cluster.exchange.d_h == policy.engine_hold_ns(config, cluster.rngs) > 0
+        assert sorted(self.fairness_streams(cluster.rngs)) == [
+            "fairness:pfo:calibration", "fairness:pfo:outbound",
+        ]
 
 
 def md_piece(seq=1, created=0, release_at=10_000):
@@ -306,26 +336,37 @@ def md_piece(seq=1, created=0, release_at=10_000):
     )
 
 
+def hr_buffer_for(policy, sim, release, report, events=None, late_counter=None):
+    """The buffer as ``Gateway.__init__`` builds it under ``policy``."""
+    backend = make_policy(config_for(policy))
+    return HoldReleaseBuffer(
+        sim, HostClock(sim), "g00", release=release, report=report, events=events,
+        late_counter=late_counter, hold_early=backend.hold_early_pieces,
+    )
+
+
 class TestImmediateRelease:
-    def build(self):
+    """noop/dbo: release on arrival."""
+
+    def build(self, policy="noop"):
         sim = Simulator()
-        clock = HostClock(sim)
         releases, reports = [], []
-        buffer = ImmediateRelease(
-            sim, clock, "g00",
+        buffer = hr_buffer_for(
+            policy, sim,
             release=lambda piece, t: releases.append((piece.seq, sim.now)),
             report=reports.append,
         )
         return sim, buffer, releases, reports
 
     def test_releases_on_arrival_even_before_release_at(self):
-        sim, buffer, releases, reports = self.build()
-        sim.schedule_at(5_000, buffer.offer, md_piece(seq=1, release_at=10_000))
-        sim.run()
-        assert releases == [(1, 5_000)]
-        assert reports[0].late is False
-        assert reports[0].hold_ns == 0
-        assert buffer.late_ratio() == 0.0
+        for policy in ("noop", "dbo"):
+            sim, buffer, releases, reports = self.build(policy)
+            sim.schedule_at(5_000, buffer.offer, md_piece(seq=1, release_at=10_000))
+            sim.run()
+            assert releases == [(1, 5_000)]
+            assert reports[0].late is False
+            assert reports[0].hold_ns == 0
+            assert buffer.late_ratio() == 0.0
 
     def test_exactly_at_release_at_is_on_time(self):
         # The PR-3 boundary, preserved across backends.
@@ -351,3 +392,22 @@ class TestImmediateRelease:
         assert buffer.flush() == 0
         assert buffer.mean_hold_us() == 0.0
         assert releases  # nothing was retracted by flush
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_late_piece_is_logged_and_counted_under_every_policy(self, policy):
+        # Releasing on arrival must not skip the evidence a late piece
+        # leaves: the WARNING and the counter are policy-independent.
+        sim = Simulator()
+        events, late = EventLog(), Counter("hr.late_pieces")
+        buffer = hr_buffer_for(
+            policy, sim, release=lambda piece, t: None, report=None,
+            events=events, late_counter=late,
+        )
+        sim.schedule_at(10_000, buffer.offer, md_piece(seq=1, release_at=10_000))
+        sim.schedule_at(10_250, buffer.offer, md_piece(seq=2, release_at=10_000))
+        sim.run()
+        assert late.value == buffer.late_count == 1
+        (warning,) = events.events(kind="hr.late_release")
+        assert warning.severity is Severity.WARNING
+        assert warning.component == "g00"
+        assert warning.fields == {"md_seq": 2, "symbol": "S", "lateness_ns": 250}

@@ -1,10 +1,13 @@
 """The frontier study: determinism, structure, and the serve front door."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cliutil import dump_json_document
+from repro.core.cluster import CloudExCluster
+from repro.fairness import POLICY_NAMES
 from repro.fairness.study import (
     SCENARIOS,
     build_fairness_spec,
@@ -13,6 +16,9 @@ from repro.fairness.study import (
 )
 from repro.serve.runners import execute_job
 from repro.serve.schema import JobError, describe, normalize_job
+from tests.conftest import small_config
+
+GOLDEN_CELLS = Path(__file__).parent / "golden" / "tiny_study_cells.json"
 
 
 def tiny_spec(policies=("cloudex", "noop"), clocks=("huygens",),
@@ -116,6 +122,35 @@ class TestFrontierDocument:
         _, outcome = run_fairness_study(spec, labels, jobs=1, use_cache=False)
         again = build_frontier(outcome.document, labels, spec.seed_labels())
         assert dump_json_document(again) == dump_json_document(frontier)
+
+
+class TestGoldenCells:
+    def test_four_policy_cells_match_committed_fixture(self):
+        """The golden guard, extended from cloudex to every policy and
+        both clock regimes: the ``cells`` block (everything a cell
+        measures; not ``code_version``) of the tiny study, byte for
+        byte.  Regenerate only for a change that means to move a
+        policy's numbers, and say which field moved and why."""
+        spec, labels = tiny_spec(policies=POLICY_NAMES, clocks=("huygens", "none"))
+        frontier, outcome = run_fairness_study(spec, labels, jobs=1, use_cache=False)
+        assert outcome.ok
+        assert dump_json_document(frontier["cells"]) == GOLDEN_CELLS.read_text()
+
+
+def test_timestamp_trusting_policies_lose_to_fifo_under_free_running_clocks():
+    """The PR 6 finding: with ``clock_sync="none"`` the gateway stamps
+    are garbage, so ordering by them (cloudex, pfo) is *less* fair than
+    not ordering at all (noop), while dbo, which never compares stamps
+    of different gateways, stays below cloudex."""
+    unfairness = {}
+    for policy in POLICY_NAMES:
+        cluster = CloudExCluster(small_config(fairness_policy=policy, clock_sync="none"))
+        cluster.add_default_workload(rate_per_participant=200.0)
+        cluster.run(duration_s=0.6)
+        unfairness[policy] = cluster.metrics.summary()["inbound_unfairness_true"]
+    assert unfairness["cloudex"] > unfairness["noop"]
+    assert unfairness["pfo"] > unfairness["noop"]
+    assert unfairness["dbo"] < unfairness["cloudex"]
 
 
 class TestServeFrontDoor:

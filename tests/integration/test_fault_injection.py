@@ -38,6 +38,29 @@ class TestGatewayRestart:
         assert cluster.metrics.md_pieces_finalized == 0
         assert cluster.network.host("g02").dropped_while_down > 0
 
+    def test_messages_dropped_is_window_relative(self):
+        # Crash g01 for 50 ms inside a 0.2 s warm-up, reset, then run a
+        # clean 0.2 s window: the warm-up's drops are not the window's.
+        cluster = CloudExCluster(small_config())
+        cluster.add_default_workload()
+        victim = cluster.network.host("g01")
+        cluster.sim.schedule(50_000_000, victim.crash)
+        cluster.sim.schedule(100_000_000, victim.restart)
+        cluster.run(duration_s=0.2)
+        warmup_drops = cluster.metrics.summary()["messages_dropped"]
+        assert warmup_drops == victim.dropped_while_down > 0
+        cluster.reset_metrics()
+        assert cluster.metrics.messages_dropped() == 0
+        cluster.run(duration_s=0.2)
+        assert cluster.metrics.summary()["messages_dropped"] == 0.0
+        # The registry's counter stays cumulative.
+        assert cluster.counters.snapshot()["net.dropped_while_down"] == warmup_drops
+        # And a window that does see drops reports only its own.
+        victim.crash()
+        cluster.run(duration_s=0.05)
+        in_window = victim.dropped_while_down - warmup_drops
+        assert cluster.metrics.summary()["messages_dropped"] == in_window > 0
+
     def test_crashed_gateway_clock_not_probed(self):
         cluster = CloudExCluster(small_config(clock_sync="huygens"))
         cluster.run(duration_s=0.1)
