@@ -25,6 +25,8 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.order import Order
 from repro.core.types import Price, Quantity, Side, Symbol
 
+_BUY = Side.BUY  # bound once: Enum member lookup costs ~15x a module global
+
 
 class PriceLevel:
     """All resting orders at one price, in gateway-timestamp priority.
@@ -59,13 +61,14 @@ class PriceLevel:
     def add(self, order: Order) -> None:
         """Insert in timestamp-priority position (append fast path)."""
         key = order.priority_key()
-        if self._head >= len(self._keys) or key >= self._keys[-1]:
+        keys = self._keys
+        if self._head >= len(keys) or key >= keys[-1]:
             self._orders.append(order)
-            self._keys.append(key)
+            keys.append(key)
         else:
-            index = bisect.bisect_right(self._keys, key, lo=self._head)
+            index = bisect.bisect_right(keys, key, lo=self._head)
             self._orders.insert(index, order)
-            self._keys.insert(index, key)
+            keys.insert(index, key)
         self.total_quantity += order.remaining
 
     def remove(self, order: Order) -> None:
@@ -124,43 +127,39 @@ class BookSide:
     def __init__(self, side: Side) -> None:
         self.side = side
         self._levels: Dict[Price, PriceLevel] = {}
-        # Min-heap; bids are stored negated so the best price pops first.
-        self._heap: List[Price] = []
+        # Min-heap of ``_sign * price``: bids are stored negated so the
+        # best price pops first on either side.
+        self._sign = -1 if side is _BUY else 1
+        self._heap: List[int] = []
         # Best-first cache of level objects for depth(): only level
         # *creation* invalidates it.  Levels that empty or get deleted
         # stay in the cache harmlessly -- reads filter on ``empty`` and
         # quantities are read live -- and are purged at next rebuild.
         self._depth_cache: Optional[List[PriceLevel]] = None
 
-    def _heap_key(self, price: Price) -> int:
-        return -price if self.side is Side.BUY else price
-
-    def _price_from_key(self, key: int) -> Price:
-        return -key if self.side is Side.BUY else key
-
     def add(self, order: Order) -> None:
         """Rest ``order`` on this side at its limit price."""
-        if order.limit_price is None:
-            raise ValueError(f"cannot rest an order without a limit price: {order!r}")
         price = order.limit_price
+        if price is None:
+            raise ValueError(f"cannot rest an order without a limit price: {order!r}")
         level = self._levels.get(price)
         if level is None:
-            level = PriceLevel(price)
-            self._levels[price] = level
-            heapq.heappush(self._heap, self._heap_key(price))
+            level = self._levels[price] = PriceLevel(price)
+            heapq.heappush(self._heap, self._sign * price)
             self._depth_cache = None
         level.add(order)
 
     def best_level(self) -> Optional[PriceLevel]:
         """The best-priced non-empty level, or None."""
-        while self._heap:
-            price = self._price_from_key(self._heap[0])
-            level = self._levels.get(price)
-            if level is not None and not level.empty:
+        heap, levels, sign = self._heap, self._levels, self._sign
+        while heap:
+            price = sign * heap[0]
+            level = levels.get(price)
+            if level is not None and level._head < len(level._orders):
                 return level
-            heapq.heappop(self._heap)
+            heapq.heappop(heap)
             if level is not None:
-                del self._levels[price]
+                del levels[price]
         return None
 
     def best_price(self) -> Optional[Price]:
@@ -234,14 +233,14 @@ class LimitOrderBook:
     # Mutation
     # ------------------------------------------------------------------
     def side(self, side: Side) -> BookSide:
-        return self.bids if side is Side.BUY else self.asks
+        return self.bids if side is _BUY else self.asks
 
     def add_resting(self, order: Order) -> None:
         """Rest an unmatched (remainder of a) limit order."""
         key = (order.participant_id, order.client_order_id)
         if key in self._resting:
             raise ValueError(f"order {key} is already resting in {self.symbol}")
-        self.side(order.side).add(order)
+        (self.bids if order.side is _BUY else self.asks).add(order)
         self._resting[key] = order
 
     def cancel(self, participant_id: str, client_order_id: int) -> Optional[Order]:
@@ -280,21 +279,6 @@ class LimitOrderBook:
         if bid is None or ask is None:
             return None
         return ask - bid
-
-    def crosses(self, side: Side, limit_price: Optional[Price]) -> bool:
-        """Would an incoming order on ``side`` at ``limit_price`` match now?
-
-        ``limit_price=None`` (a market order) crosses whenever the
-        opposite side is non-empty.
-        """
-        opposite_best = self.side(side.opposite).best_price()
-        if opposite_best is None:
-            return False
-        if limit_price is None:
-            return True
-        if side is Side.BUY:
-            return limit_price >= opposite_best
-        return limit_price <= opposite_best
 
     def depth_snapshot(self, max_levels: int = 5) -> Tuple[tuple, tuple]:
         """(bids, asks) depth for snapshot dissemination."""

@@ -259,15 +259,19 @@ class MatchingEngineCore:
         self.orders_processed += 1
 
         # Cross.
-        side = order.side
         limit = order.limit_price
-        is_buy = side is _BUY
+        is_buy = order.side is _BUY
         opposite = book.asks if is_buy else book.bids
         stp = self.self_trade_prevention
         trade_ids = self._trade_ids
         trades = traded_qty = notional = 0
-        while order.remaining > 0 and book.crosses(side, limit):
+        while order.remaining > 0:
             level = opposite.best_level()
+            # A market order (no limit) crosses any resting liquidity.
+            if level is None or (
+                limit is not None and (level.price > limit if is_buy else level.price < limit)
+            ):
+                break
             resting = level.front()
             if stp and resting.participant_id == order.participant_id:
                 level.pop_front()

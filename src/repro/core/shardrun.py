@@ -27,11 +27,12 @@ Determinism: a shard's computation depends only on ``(config,
 shard_id, feedback history)``.  ``--jobs 1`` runs the identical
 windowed protocol inline and is the golden baseline; any ``--jobs N``
 process run emits byte-identical report JSON (pinned by tests and the
-CI bench-smoke job).  Inside a shard, ordering is owned by the
-simulator heap: every order's gateway-stamped delivery is
-bulk-scheduled (:meth:`~repro.sim.engine.Simulator.schedule_message_bulk`)
-and popped in ``(stamp, seq)`` order, which also carries late-stamped
-orders across window boundaries for free.
+CI bench-smoke job).  Inside a shard, processing order is a rank
+column: a window's arrivals stay the numpy columns the bulk stream
+drew, go behind a small *carry* of rows stamped past an earlier
+window's edge, and one stable sort on the gateway-stamp column
+(:func:`split_due`) yields the due rows in ``(stamp, arrival id)``
+order -- what a per-order event heap would pop, with no event per order.
 """
 
 from __future__ import annotations
@@ -41,16 +42,20 @@ import time as _time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.cliutil import EXIT_OK, emit_json
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
 from repro.core.sharding import SymbolRouter
 from repro.core.types import OrderType, Side, TimeInForce
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError
 from repro.sim.parallel import ConservativeShardRunner
 from repro.sim.rng import RngRegistry
 from repro.traders.workload import BulkOrderStream
+
+Columns = Dict[str, np.ndarray]  #: named numpy columns, one row per order
 
 
 @dataclass(frozen=True)
@@ -91,6 +96,13 @@ class ShardRunConfig:
             raise ValueError(f"duration must be positive, got {self.duration_s}")
         if self.portfolio_buckets < 1:
             raise ValueError(f"need at least one bucket, got {self.portfolio_buckets}")
+        if self.gateway_base_latency_us < 0 or self.gateway_jitter_scale_us < 0:
+            raise ValueError(
+                f"gateway latency must be non-negative, got base "
+                f"{self.gateway_base_latency_us} us, jitter scale {self.gateway_jitter_scale_us} us"
+            )
+        if self.gateway_jitter_shape <= 0:
+            raise ValueError(f"jitter shape must be positive, got {self.gateway_jitter_shape}")
 
     def symbol_universe(self) -> Tuple[str, ...]:
         return tuple(f"SYM{i:03d}" for i in range(self.n_symbols))
@@ -121,9 +133,26 @@ class ShardRunConfig:
         return {key: value for key, value in sorted(asdict(self).items())}
 
 
+def split_due(carry: Columns, new: Columns, t_end: int) -> Tuple[Columns, Columns]:
+    """One window's ordering step: ``(due, carry)`` column sets.
+
+    ``new`` (this window's arrivals, ascending ``id``) goes behind
+    ``carry`` (rows stamped past an earlier edge, ascending and smaller
+    ``id``), so one stable sort on ``stamp`` is ``(stamp, id)`` order.
+    Rows with ``stamp <= t_end`` are due, in that order; the rest are
+    carried, back in ascending ``id``.  An empty ``carry`` dict stands
+    for no rows.
+    """
+    rows = {key: np.concatenate((carry[key], col)) for key, col in new.items()} if carry else new
+    order = np.argsort(rows["stamp"], kind="stable")
+    n_due = int(np.searchsorted(rows["stamp"][order], t_end, side="right"))
+    picks = order[:n_due], np.sort(order[n_due:])  # due by (stamp, id); carried by id
+    return tuple({key: col[pick] for key, col in rows.items()} for pick in picks)
+
+
 class ShardProgram:
     """One shard of the batched run: a symbol subset, its own bulk
-    order stream and RNG streams, a simulator for stamp ordering, and a
+    order stream and RNG streams, the carry of not-yet-due rows, and a
     plain :class:`MatchingEngineCore`.
 
     The per-shard RNG streams are named ``shardrun:<shard>:*`` from the
@@ -136,7 +165,6 @@ class ShardProgram:
         self.shard_id = shard_id
         router = SymbolRouter(config.symbol_universe(), config.n_shards)
         self.symbols: Tuple[str, ...] = router.symbols_of(shard_id)
-        self._sym_index = {symbol: j for j, symbol in enumerate(self.symbols)}
         rngs = RngRegistry(config.seed)
         # The shard generates the merged flow of the whole participant
         # population restricted to its symbols: rate is apportioned by
@@ -164,23 +192,11 @@ class ShardProgram:
             chunk=config.chunk,
         )
         self.core = MatchingEngineCore(self.symbols, PortfolioMatrix())
-        self.sim = Simulator()
         self.stats = BatchMatchStats()
         self.windows = 0
-        # Eligible order indices, appended by the simulator in
-        # (stamp, seq) order.  One persistent list: heap entries hold a
-        # bound .append, so the object must never be rebound.
-        self._eligible: List[int] = []
+        self._now = 0  # end of the last window run
+        self._carry: Columns = {}  # rows stamped past it (see split_due)
         self._centers = [config.initial_price] * len(self.symbols)
-        # Column store for every generated order, indexed by global
-        # arrival id (python lists: O(1) lookup, ints unboxed once).
-        self._col_symbol: List[int] = []
-        self._col_side: List[bool] = []
-        self._col_qty: List[int] = []
-        self._col_market: List[bool] = []
-        self._col_offset: List[int] = []
-        self._col_pid: List[int] = []
-        self._col_stamp: List[int] = []
         # Bucketed settlement: participant pid settles into bucket
         # pid % portfolio_buckets -- per-(bucket, symbol) positions and
         # per-bucket cash, conserved exactly by construction.
@@ -193,8 +209,18 @@ class ShardProgram:
     # ------------------------------------------------------------------
     def run_window(self, index: int, t_end: int, feedback: Optional[Dict[str, Any]]) -> Dict[str, int]:
         """Advance this shard to ``t_end`` and return window tallies."""
+        # 1. Pull this window's arrivals.  The past is immutable: a
+        # stamp before the window's start fails here, before it could
+        # be matched out of order.
+        start, _, new = self.stream.take_until(t_end)
+        if len(new["stamp"]) and new["stamp"].min() < self._now:
+            raise SimulationError(
+                f"order stamped at t={new['stamp'].min()} ns; the shard is already at {self._now}"
+            )
+        new["id"] = np.arange(start, start + len(new["stamp"]))
         self.windows += 1
-        # 1. Refresh per-symbol price centers: local last trade price
+        self._now = t_end
+        # 2. Refresh per-symbol price centers: local last trade price
         # blended 3:1 with the global index from the previous barrier --
         # the cross-shard coupling that makes the sync load-bearing.
         global_index = feedback.get("index") if feedback else None
@@ -203,31 +229,11 @@ class ShardProgram:
         for j, symbol in enumerate(self.symbols):
             local = last.get(symbol, centers[j])
             centers[j] = local if global_index is None else (3 * local + global_index) // 4
-        # 2. Pull this window's arrivals and bulk-schedule their
-        # gateway-stamped deliveries.
-        start, times, fields = self.stream.take_until(t_end)
-        if len(times):
-            self._col_symbol.extend(fields["symbol"].tolist())
-            self._col_side.extend(fields["side_buy"].tolist())
-            self._col_qty.extend(fields["qty"].tolist())
-            self._col_market.extend(fields["market"].tolist())
-            self._col_offset.extend(fields["offset"].tolist())
-            self._col_pid.extend(fields["participant"].tolist())
-            stamps = fields["stamp"].tolist()
-            self._col_stamp.extend(stamps)
-            append = self._eligible.append
-            self.sim.schedule_message_bulk(
-                [(stamp, append, start + i) for i, stamp in enumerate(stamps)]
-            )
-        # 3. The heap orders deliveries by (stamp, seq) and carries
-        # late-stamped orders across windows automatically.
-        self.sim.run(until=t_end)
-        # 4. Batch-match everything that became eligible.
-        batch = self._eligible
+        # 3. Order by stamp, carry what is not due yet, batch-match the rest.
+        due, self._carry = split_due(self._carry, new, t_end)
         stats = self.core.process_batch(
-            self._build_orders(batch), [self._col_stamp[i] for i in batch], self._on_trade
+            self._build_orders(due), due["stamp"].tolist(), self._on_trade
         )
-        batch.clear()
         self.stats.merge(stats)
         return {
             "orders": stats.orders,
@@ -236,50 +242,43 @@ class ShardProgram:
             "value": stats.notional,
         }
 
-    def _build_orders(self, batch: List[int]) -> List[Order]:
+    def _build_orders(self, due: Columns) -> List[Order]:
+        """Materialise the due rows' orders from their column slices."""
         symbols = self.symbols
-        centers = self._centers
-        col_symbol = self._col_symbol
-        col_side = self._col_side
-        col_qty = self._col_qty
-        col_market = self._col_market
-        col_offset = self._col_offset
-        col_pid = self._col_pid
-        col_stamp = self._col_stamp
         buy, sell = Side.BUY, Side.SELL
         limit_t, market_t = OrderType.LIMIT, OrderType.MARKET
         gtc = TimeInForce.GTC
-        n_buckets = self._n_buckets
+        prices = np.maximum(np.asarray(self._centers)[due["symbol"]] + due["offset"], 1)
         orders = []
         append = orders.append
-        for i in batch:
-            j = col_symbol[i]
-            qty = col_qty[i]
-            pid = col_pid[i]
-            if col_market[i]:
-                order_type, price = market_t, None
-            else:
-                price = centers[j] + col_offset[i]
-                if price < 1:
-                    price = 1
-                order_type = limit_t
+        for i, j, is_buy, qty, market, price, pid, stamp, bucket in zip(
+            due["id"].tolist(),
+            due["symbol"].tolist(),
+            due["side_buy"].tolist(),
+            due["qty"].tolist(),
+            due["market"].tolist(),
+            prices.tolist(),
+            due["participant"].tolist(),
+            due["stamp"].tolist(),
+            (due["participant"] % self._n_buckets).tolist(),
+        ):
             order = Order.__new__(Order)
             order.__dict__ = {
                 "client_order_id": i,
                 "participant_id": str(pid),
                 "symbol": symbols[j],
-                "side": buy if col_side[i] else sell,
-                "order_type": order_type,
+                "side": buy if is_buy else sell,
+                "order_type": market_t if market else limit_t,
                 "quantity": qty,
-                "limit_price": price,
+                "limit_price": None if market else price,
                 "time_in_force": gtc,
                 "gateway_id": "B",
-                "gateway_timestamp": col_stamp[i],
+                "gateway_timestamp": stamp,
                 "gateway_seq": i,
                 "remaining": qty,
                 "submitted_true": -1,
-                "stamped_true": col_stamp[i],
-                "bucket": pid % n_buckets,
+                "stamped_true": stamp,
+                "bucket": bucket,
                 "symbol_index": j,
             }
             append(order)
@@ -307,7 +306,7 @@ class ShardProgram:
             "symbols": len(self.symbols),
             "windows": self.windows,
             "arrivals": self.stream.emitted,
-            "unprocessed": self.sim.pending(),
+            "unprocessed": len(self._carry.get("id", ())),
             "stats": self.stats.to_dict(),
             "last_prices": {
                 symbol: self.core.last_trade_price[symbol]

@@ -180,8 +180,8 @@ class Simulator:
         changes is the heap maintenance: when the batch rivals the heap
         in size, entries are appended and the heap is rebuilt once
         (O(n + m)) instead of m sift-up pushes (O(m log n)) -- the
-        amortization the batched kernel (:mod:`repro.core.shardrun`)
-        relies on for its per-window order trains.
+        amortization the market-data fanout
+        (:meth:`repro.sim.network.Network.send_many`) relies on.
 
         Validation happens before any entry is admitted, so a bad
         timestamp leaves the simulator untouched.  Like

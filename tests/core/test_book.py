@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.book import LimitOrderBook, PriceLevel
+from repro.core.matching import MatchingEngineCore
 from repro.core.order import Order
+from repro.core.portfolio import PortfolioMatrix
 from repro.core.types import OrderType, Side
 
 
@@ -52,22 +54,39 @@ class TestBestPrices:
 
 
 class TestCrosses:
-    def test_limit_buy_crosses_at_or_above_ask(self, book):
-        book.add_resting(order(1, Side.SELL, 100))
-        assert book.crosses(Side.BUY, 100)
-        assert book.crosses(Side.BUY, 101)
-        assert not book.crosses(Side.BUY, 99)
+    """The crossing rule is the kernel's one inline test against the
+    best opposite level; the book's part is the best-price query."""
 
-    def test_limit_sell_crosses_at_or_below_bid(self, book):
-        book.add_resting(order(1, Side.BUY, 100))
-        assert book.crosses(Side.SELL, 100)
-        assert book.crosses(Side.SELL, 99)
-        assert not book.crosses(Side.SELL, 101)
+    @staticmethod
+    def run(*orders):
+        core = MatchingEngineCore(["S"], PortfolioMatrix())
+        stats = core.process_batch(list(orders), list(range(len(orders))), lambda *trade: None)
+        return stats.traded_qty, core.books["S"]
 
-    def test_market_crosses_nonempty_opposite(self, book):
-        assert not book.crosses(Side.BUY, None)
-        book.add_resting(order(1, Side.SELL, 100))
-        assert book.crosses(Side.BUY, None)
+    def test_limit_buy_crosses_at_or_above_ask(self):
+        for limit, crosses in ((100, True), (101, True), (99, False)):
+            traded, book = self.run(order(1, Side.SELL, 100), order(2, Side.BUY, limit))
+            assert traded == (10 if crosses else 0)
+            assert book.best_ask() == (None if crosses else 100)
+            assert book.best_bid() == (None if crosses else 99)
+
+    def test_limit_sell_crosses_at_or_below_bid(self):
+        for limit, crosses in ((100, True), (99, True), (101, False)):
+            traded, book = self.run(order(1, Side.BUY, 100), order(2, Side.SELL, limit))
+            assert traded == (10 if crosses else 0)
+            assert book.best_bid() == (None if crosses else 100)
+            assert book.best_ask() == (None if crosses else 101)
+
+    def test_market_crosses_nonempty_opposite(self):
+        def market_buy():
+            incoming = order(2, Side.BUY, None)
+            incoming.order_type = OrderType.MARKET
+            return incoming
+
+        assert self.run(market_buy())[0] == 0
+        traded, book = self.run(order(1, Side.SELL, 100), market_buy())
+        assert traded == 10
+        assert book.best_ask() is None and book.best_bid() is None
 
 
 class TestTimestampPriority:

@@ -4,7 +4,8 @@ The reference implementation below is deliberately simple (linear
 scans over flat lists, no heaps, no price levels) and was written
 independently of :mod:`repro.core.matching`.  Hypothesis drives both
 with identical order flow and requires identical trades -- same
-counterparties, prices, and quantities in the same sequence -- plus
+counterparties, prices, and quantities in the same sequence -- the
+same last trade price and running fill totals after every order, plus
 identical final book contents.
 """
 
@@ -75,6 +76,24 @@ class ReferenceMatcher:
         snap = lambda side: sorted((o.coid, o.qty, o.price) for o in side)
         return snap(self.bids), snap(self.asks)
 
+    def running_state(self):
+        """(last trade price, trades, shares, notional) so far."""
+        return (
+            self.trades[-1][2] if self.trades else None,
+            len(self.trades),
+            sum(qty for *_, qty in self.trades),
+            sum(price * qty for *_, price, qty in self.trades),
+        )
+
+
+def _running_state(core: MatchingEngineCore):
+    return (
+        core.last_trade_price.get("S"),
+        core.trades_executed,
+        core.traded_quantity,
+        core.traded_notional,
+    )
+
 
 def _engine_book_contents(core: MatchingEngineCore):
     book = core.books["S"]
@@ -109,46 +128,45 @@ def test_engine_matches_reference(flow):
             portfolio.open_account(pid)
         return MatchingEngineCore(["S"], portfolio)
 
+    def sink_into(trades):
+        return lambda trade_id, price, qty, buyer, seller, *rest: trades.append(
+            (buyer.participant_id, seller.participant_id, price, qty)
+        )
+
+    # Feed 1: one process_order call per order.  Feed 2: process_batch,
+    # once per order (so its running state is visible after each) and
+    # once with the whole flow as a single batch.
+    scalar, batched, whole = fresh_core(), fresh_core(), fresh_core()
+    scalar_trades, batch_trades, whole_trades = [], [], []
     orders = []
     reference = ReferenceMatcher()
     for i, (side, qty, price, pid, ts) in enumerate(flow):
-        orders.append(
-            dict(
-                client_order_id=1_000 + i,
-                participant_id=pid,
-                symbol="S",
-                side=side,
-                order_type=OrderType.LIMIT if price is not None else OrderType.MARKET,
-                quantity=qty,
-                limit_price=price,
-                gateway_id="g",
-                gateway_timestamp=ts,
-                gateway_seq=i,
-            )
+        spec = dict(
+            client_order_id=1_000 + i,
+            participant_id=pid,
+            symbol="S",
+            side=side,
+            order_type=OrderType.LIMIT if price is not None else OrderType.MARKET,
+            quantity=qty,
+            limit_price=price,
+            gateway_id="g",
+            gateway_timestamp=ts,
+            gateway_seq=i,
         )
+        orders.append(Order(**spec))
         reference.process(
             _RefOrder(coid=1_000 + i, participant=pid, side=side, qty=qty, price=price, ts=ts, seq=i)
         )
-
-    # Feed 1: one process_order call per order.
-    scalar = fresh_core()
-    scalar_trades = []
-    for i, spec in enumerate(orders):
         result = scalar.process_order(Order(**spec), now_local=i)
         scalar_trades.extend((t.buyer, t.seller, t.price, t.quantity) for t in result.trades)
+        batched.process_batch([Order(**spec)], [i], on_trade=sink_into(batch_trades))
+        # The independent reference, not the other feed, pins each of them.
+        for core, trades in ((scalar, scalar_trades), (batched, batch_trades)):
+            assert trades == reference.trades
+            assert _running_state(core) == reference.running_state()
+    whole.process_batch(orders, list(range(len(orders))), on_trade=sink_into(whole_trades))
 
-    # Feed 2: the whole flow as one process_batch, trades seen by the sink.
-    batched = fresh_core()
-    batch_trades = []
-    batched.process_batch(
-        [Order(**spec) for spec in orders],
-        list(range(len(orders))),
-        on_trade=lambda trade_id, price, qty, buyer, seller, *rest: batch_trades.append(
-            (buyer.participant_id, seller.participant_id, price, qty)
-        ),
-    )
-
-    # The independent reference, not the other feed, pins each of them.
-    for core, trades in ((scalar, scalar_trades), (batched, batch_trades)):
-        assert trades == reference.trades
+    assert whole_trades == reference.trades
+    assert _running_state(whole) == reference.running_state()
+    for core in (scalar, batched, whole):
         assert _engine_book_contents(core) == tuple(reference.book_contents())

@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.cliutil import dump_json_document
 from repro.core.shardrun import (
@@ -12,7 +16,11 @@ from repro.core.shardrun import (
     build_shardrun_parser,
     run_shardrun,
     shardrun_main,
+    split_due,
 )
+from repro.sim.engine import SimulationError, Simulator
+
+GOLDEN = Path(__file__).parent / "golden"
 
 # Small but non-trivial: enough flow that every shard trades and the
 # index moves, cheap enough to run twice per test.
@@ -37,6 +45,15 @@ class TestShardRunConfig:
             ShardRunConfig(n_participants=0)
         with pytest.raises(ValueError):
             ShardRunConfig(portfolio_buckets=0)
+        # Latency knobs that would stamp orders into the past or make
+        # the gamma draw fail deep inside a window.
+        with pytest.raises(ValueError):
+            ShardRunConfig(gateway_base_latency_us=-1.0)
+        with pytest.raises(ValueError):
+            ShardRunConfig(gateway_jitter_scale_us=-0.5)
+        with pytest.raises(ValueError):
+            ShardRunConfig(gateway_jitter_shape=0.0)
+        ShardRunConfig(gateway_base_latency_us=0.0, gateway_jitter_scale_us=0.0)
 
     def test_lookahead_derivation(self):
         config = ShardRunConfig(md_publish_interval_ms=10.0, gateway_base_latency_us=80.0)
@@ -52,7 +69,92 @@ class TestShardRunConfig:
         assert keys == sorted(keys)
 
 
+class TestSplitDue:
+    """The fast path (one stable sort per window) pinned to its slow
+    path: one heap event per order, popped by ``run(until=t_end)``."""
+
+    @given(
+        windows=st.lists(
+            st.tuples(
+                st.sampled_from([1, 5, 7, 20, 40]),  # window length
+                # Stamp offsets from the window start; few values, so
+                # ties and stamps exactly on the edge are common.
+                st.lists(st.sampled_from([0, 1, 5, 20, 40, 41, 60, 90, 130, 400]), max_size=12),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    # On the edge (due) and one past it, equal stamps, an empty window,
+    # and a row carried over three windows.
+    @example(windows=[(5, [5, 6, 5, 0, 14]), (5, []), (5, [0, 0]), (5, [1])])
+    @settings(max_examples=300, deadline=None)
+    def test_due_sequence_and_pending_match_the_heap(self, windows):
+        sim = Simulator()
+        popped = []
+        carry = {}
+        t_start = emitted = 0
+        for length, offsets in windows:
+            t_end = t_start + length
+            ids = list(range(emitted, emitted + len(offsets)))
+            stamps = [t_start + offset for offset in offsets]
+            emitted += len(offsets)
+            sim.schedule_message_bulk(
+                [(stamp, popped.append, i) for i, stamp in zip(ids, stamps)]
+            )
+            sim.run(until=t_end)
+            new = {"id": np.array(ids, dtype=np.int64), "stamp": np.array(stamps, dtype=np.int64)}
+            due, carry = split_due(carry, new, t_end)
+            assert due["id"].tolist() == popped
+            assert (due["stamp"] <= t_end).all()
+            assert len(carry["id"]) == sim.pending()
+            assert carry["id"].tolist() == sorted(carry["id"].tolist())
+            popped.clear()
+            t_start = t_end
+
+    def test_columns_travel_with_their_row(self):
+        new = {
+            "id": np.arange(4),
+            "stamp": np.array([30, 10, 99, 10]),
+            "qty": np.array([7, 8, 9, 6]),
+            "flag": np.array([True, False, True, False]),
+        }
+        due, carry = split_due({}, new, 30)
+        assert due["id"].tolist() == [1, 3, 0]
+        assert due["qty"].tolist() == [8, 6, 7]
+        assert due["flag"].tolist() == [False, False, True]
+        late = {"id": np.arange(4, 6), "stamp": np.array([100, 98]), "qty": np.array([1, 2]),
+                "flag": np.array([False, True])}
+        due, carry = split_due(carry, late, 100)
+        assert due["id"].tolist() == [5, 2, 4]
+        assert due["qty"].tolist() == [2, 9, 1]
+        assert due["flag"].dtype == np.bool_
+        assert {key: len(col) for key, col in carry.items()} == dict.fromkeys(new, 0)
+
+
 class TestShardProgram:
+    def test_arrival_stamped_before_the_window_fails_loudly(self):
+        # What the per-order heap used to refuse: a stamp in the past
+        # would be matched behind orders it should have preceded.
+        program = ShardProgram(SMALL, 0)
+        window = SMALL.lookahead_ns()
+        program.run_window(0, window, {"index": None})
+        before = program.finish()
+        take_until = program.stream.take_until
+
+        def stamped_in_the_past(t_end):
+            start, times, fields = take_until(t_end)
+            fields["stamp"][-1] = window - 1
+            return start, times, fields
+
+        program.stream.take_until = stamped_in_the_past
+        with pytest.raises(SimulationError):
+            program.run_window(1, 2 * window, {"index": None})
+        # Nothing was matched or carried from the refused window.
+        after = program.finish()
+        assert after.pop("arrivals") > before.pop("arrivals")
+        assert after == before
+
     def test_shard_workload_depends_on_shard_id_not_placement(self):
         # Shard 2 built alone produces the same windows as shard 2
         # built alongside its siblings: RNG streams are keyed by id.
@@ -120,9 +222,20 @@ class TestRunShardrun:
         other = dataclasses.replace(SMALL, seed=SMALL.seed + 1)
         assert run_shardrun(other) != run_shardrun(SMALL)
 
+    def test_smoke_report_matches_golden_bytes(self):
+        # The CI smoke recipe, pinned to the bytes the per-order-heap
+        # feed produced (CI cmp's its --jobs 1 report to the same file).
+        config = ShardRunConfig(
+            n_participants=20_000, n_symbols=10, n_shards=4,
+            rate_per_participant_s=2.0, duration_s=0.3,
+        )
+        golden = (GOLDEN / "shardrun_smoke.json").read_text(encoding="utf-8")
+        assert dump_json_document(run_shardrun(config)) == golden
+
     def test_all_orders_eventually_processed(self):
-        # Orders stamped past one window's edge are carried by the heap
-        # and matched later; only stamps past the final horizon remain.
+        # Orders stamped past one window's edge wait in the shard's
+        # carry and are matched in a later window; only stamps past the
+        # final horizon remain.
         report = run_shardrun(SMALL)
         totals = report["totals"]
         assert totals["unprocessed"] < totals["arrivals"] * 0.01
