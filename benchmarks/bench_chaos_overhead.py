@@ -56,10 +56,10 @@ def test_chaos_off_pays_only_a_none_check(benchmark):
     assert off.metrics.orders_released == armed.metrics.orders_released
     armed_counters = {
         name: value
-        for name, value in armed.counters.snapshot().items()
+        for name, value in armed.metrics.counts().items()
         if not name.startswith("chaos.")
     }
-    assert armed_counters == off.counters.snapshot()
+    assert armed_counters == off.metrics.counts()
 
     emit(
         "Chaos-off overhead (no-chaos run vs armed empty schedule)",

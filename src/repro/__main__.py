@@ -53,7 +53,7 @@ import argparse
 import sys
 
 from repro.analysis.report import summarize_run
-from repro.cliutil import EXIT_OK, emit_json
+from repro.cliutil import EXIT_OK, emit_json, usage_error
 from repro.core.cluster import CloudExCluster
 from repro.core.config import CloudExConfig
 
@@ -155,22 +155,26 @@ def build_trace_parser() -> argparse.ArgumentParser:
 
 
 def trace_main(argv=None) -> int:
+    from repro.analysis.tables import format_table
     from repro.obs.breakdown import breakdown_table, clock_error_table, ros_attribution_table
 
     args = build_trace_parser().parse_args(argv)
-    config = CloudExConfig(
-        seed=args.seed,
-        n_participants=args.participants,
-        n_gateways=args.gateways,
-        n_shards=args.shards,
-        n_symbols=args.symbols,
-        replication_factor=args.rf,
-        clock_sync=args.clock_sync,
-        orders_per_participant_per_s=args.rate,
-        subscriptions_per_participant=min(3, args.symbols),
-        tracing=True,
-        trace_sample_rate=args.sample_rate,
-    )
+    try:
+        config = CloudExConfig(
+            seed=args.seed,
+            n_participants=args.participants,
+            n_gateways=args.gateways,
+            n_shards=args.shards,
+            n_symbols=args.symbols,
+            replication_factor=args.rf,
+            clock_sync=args.clock_sync,
+            orders_per_participant_per_s=args.rate,
+            subscriptions_per_participant=min(3, args.symbols),
+            tracing=True,
+            trace_sample_rate=args.sample_rate,
+        )
+    except ValueError as exc:
+        return usage_error(exc)
     cluster = CloudExCluster(config)
     cluster.add_default_workload()
     cluster.run(duration_s=args.duration)
@@ -187,7 +191,10 @@ def trace_main(argv=None) -> int:
     print("\nROS critical-path attribution")
     print(ros_attribution_table(completed))
     print("\nOperational counters")
-    print(cluster.counters.as_table())
+    counts = cluster.metrics.counts()
+    print(format_table(
+        ["instrument", "value"], [[name, f"{value:,.1f}"] for name, value in counts.items()]
+    ))
     if cluster.profiler is not None:
         print("\nEvent-loop dispatch profile")
         print(cluster.profiler.as_table())
@@ -208,7 +215,7 @@ def trace_main(argv=None) -> int:
                 "traces": len(traces),
                 "completed": len(completed),
                 "spans_by_kind": spans_by_kind,
-                "counters": cluster.counters.snapshot(),
+                "counters": counts,
             },
             args.json,
         )
@@ -255,7 +262,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
 
 def chaos_main(argv=None) -> int:
-    from repro.chaos import available_scenarios, run_scenario
+    from repro.chaos import available_scenarios, run_scenario, scenario_spec
     from repro.cliutil import EXIT_FAILURE
 
     args = build_chaos_parser().parse_args(argv)
@@ -263,6 +270,10 @@ def chaos_main(argv=None) -> int:
         for name, description in available_scenarios():
             print(f"{name:28s}{description}")
         return EXIT_OK
+    try:
+        scenario_spec(args.scenario)
+    except ValueError as exc:
+        return usage_error(exc)
     result = run_scenario(args.scenario, seed=args.seed)
     report = result.report
     if args.json is not None:
@@ -307,22 +318,25 @@ def main(argv=None) -> int:
 
         return verify_pack_main(rest)
     args = build_parser().parse_args(argv)
-    config = CloudExConfig(
-        seed=args.seed,
-        n_participants=args.participants,
-        n_gateways=args.gateways,
-        n_shards=args.shards,
-        n_symbols=args.symbols,
-        replication_factor=args.rf,
-        sequencer_delay_us=args.ds,
-        holdrelease_delay_us=args.dh,
-        ddp_inbound_target=args.ddp,
-        ddp_outbound_target=args.ddp,
-        clock_sync=args.clock_sync,
-        matching_mode=args.matching,
-        orders_per_participant_per_s=args.rate,
-        subscriptions_per_participant=min(3, args.symbols),
-    )
+    try:
+        config = CloudExConfig(
+            seed=args.seed,
+            n_participants=args.participants,
+            n_gateways=args.gateways,
+            n_shards=args.shards,
+            n_symbols=args.symbols,
+            replication_factor=args.rf,
+            sequencer_delay_us=args.ds,
+            holdrelease_delay_us=args.dh,
+            ddp_inbound_target=args.ddp,
+            ddp_outbound_target=args.ddp,
+            clock_sync=args.clock_sync,
+            matching_mode=args.matching,
+            orders_per_participant_per_s=args.rate,
+            subscriptions_per_participant=min(3, args.symbols),
+        )
+    except ValueError as exc:
+        return usage_error(exc)
     cluster = CloudExCluster(config)
     cluster.add_default_workload()
     cluster.run(duration_s=args.duration)

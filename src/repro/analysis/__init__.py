@@ -1,19 +1,15 @@
-"""Analysis helpers: statistics, rendering, reports, and market analytics."""
+"""Analysis helpers: rendering, reports, and market analytics."""
 
 from repro.analysis.bookview import render_book
 from repro.analysis.candles import Candle, candles_from_trades
 from repro.analysis.report import summarize_run
-from repro.analysis.stats import describe_ns, percentile, trimmed_mean
 from repro.analysis.tables import format_table, render_series
 
 __all__ = [
     "Candle",
     "candles_from_trades",
-    "describe_ns",
     "format_table",
-    "percentile",
     "render_book",
     "render_series",
     "summarize_run",
-    "trimmed_mean",
 ]

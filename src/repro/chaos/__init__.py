@@ -44,6 +44,7 @@ _LAZY = {
     "ChaosRunResult": "repro.chaos.scenarios",
     "available_scenarios": "repro.chaos.scenarios",
     "run_scenario": "repro.chaos.scenarios",
+    "scenario_spec": "repro.chaos.scenarios",
 }
 
 __all__ = [

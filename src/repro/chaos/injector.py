@@ -6,10 +6,10 @@ priority ahead of ordinary deliveries at the same instant), so an
 entire chaos run is an ordinary deterministic simulation: same seed +
 same schedule = same event sequence, bit for bit.
 
-Every transition increments a ``chaos.*`` counter and emits a
-structured event into the cluster's :class:`~repro.obs.events.EventLog`
--- faults leave the same replayable evidence as the behaviour they
-provoke.
+Every fault transition bumps one of the injector's five tallies (which
+the cluster's collector reads as ``chaos.*``) and emits a structured
+event into the cluster's :class:`~repro.obs.events.EventLog` -- faults
+leave the same replayable evidence as the behaviour they provoke.
 """
 
 from __future__ import annotations
@@ -43,13 +43,11 @@ class ChaosInjector:
         #: Transition log: (t_ns, description) in application order.
         self.injected: List[tuple] = []
         # Partition spec id -> queued block sets awaiting their heal.
-        self._partitions: Dict[int, List[list]] = {}
-        counters = cluster.counters
-        self._crash_counter = counters.counter("chaos.crashes")
-        self._restart_counter = counters.counter("chaos.restarts")
-        self._link_fault_counter = counters.counter("chaos.link_faults")
-        self._partition_counter = counters.counter("chaos.partitions")
-        self._clock_step_counter = counters.counter("chaos.clock_steps")
+        self._open_partitions: Dict[int, List[list]] = {}
+        # Fault transitions applied so far, by kind.
+        self.crashes = self.restarts = self.link_faults = self.partitions = self.clock_steps = 0
+        for tally in ("crashes", "restarts", "link_faults", "partitions", "clock_steps"):
+            cluster.metrics.count(f"chaos.{tally}", lambda tally=tally: getattr(self, tally))
         self._gateways_by_name: Dict[str, object] = {
             gateway.name: gateway for gateway in cluster.gateways
         }
@@ -118,12 +116,12 @@ class ChaosInjector:
 
     def _crash(self, host_name: str) -> None:
         self.cluster.network.host(host_name).crash()
-        self._crash_counter.inc()
+        self.crashes += 1
         self._note("chaos.crash", f"host {host_name} crashed", host=host_name)
 
     def _restart(self, host_name: str) -> None:
         self.cluster.network.host(host_name).restart()
-        self._restart_counter.inc()
+        self.restarts += 1
         gateway = self._gateways_by_name.get(host_name)
         if gateway is not None:
             gateway.rejoin()
@@ -131,7 +129,7 @@ class ChaosInjector:
 
     def _degrade(self, src: str, dst: str, multiplier: float, extra_ns: int) -> None:
         self.cluster.network.degrade_link(src, dst, multiplier, extra_ns)
-        self._link_fault_counter.inc()
+        self.link_faults += 1
         self._note(
             "chaos.link_degraded",
             f"link {src}->{dst} degraded x{multiplier} +{extra_ns}ns",
@@ -148,8 +146,8 @@ class ChaosInjector:
         blocked = self.cluster.network.partition(fault.group_a, fault.group_b)
         # Stash by identity of the spec: schedules are immutable, so
         # the heal transition can find its own block set.
-        self._partitions.setdefault(id(fault), []).append(blocked)
-        self._partition_counter.inc()
+        self._open_partitions.setdefault(id(fault), []).append(blocked)
+        self.partitions += 1
         self._note(
             "chaos.partition",
             f"partitioned {list(fault.group_a)} | {list(fault.group_b)} "
@@ -158,7 +156,7 @@ class ChaosInjector:
         )
 
     def _heal(self, fault: Partition) -> None:
-        blocked = self._partitions[id(fault)].pop(0)
+        blocked = self._open_partitions[id(fault)].pop(0)
         self.cluster.network.heal(blocked)
         self._note(
             "chaos.heal",
@@ -169,7 +167,7 @@ class ChaosInjector:
     def _clock_step(self, host_name: str, step_ns: int) -> None:
         host = self.cluster.network.host(host_name)
         host.clock.offset_ns += step_ns
-        self._clock_step_counter.inc()
+        self.clock_steps += 1
         self._note(
             "chaos.clock_step",
             f"clock of {host_name} stepped by {step_ns} ns",
@@ -179,7 +177,7 @@ class ChaosInjector:
     def _straggle(self, host_name: str, multiplier: float) -> None:
         for link in self.cluster.network.links_touching(host_name):
             link.push_fault(multiplier, 0)
-        self._link_fault_counter.inc()
+        self.link_faults += 1
         self._note(
             "chaos.straggler",
             f"host {host_name} straggling x{multiplier}",

@@ -30,7 +30,7 @@ class ChaosReport:
     findings: List[Finding]
     #: Scalar run statistics (orders submitted/confirmed, retries, ...).
     stats: Dict[str, object] = field(default_factory=dict)
-    #: Final counter snapshot from the cluster's MetricsRegistry.
+    #: Final operational counts (``cluster.metrics.counts()``).
     counters: Dict[str, object] = field(default_factory=dict)
 
     @property

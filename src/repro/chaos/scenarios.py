@@ -265,6 +265,15 @@ def available_scenarios() -> List[Tuple[str, str]]:
     )
 
 
+def scenario_spec(name: str) -> ScenarioSpec:
+    """The library entry called ``name`` (ValueError lists the known ones)."""
+    try:
+        return _SCENARIOS[name]()
+    except KeyError:
+        known = ", ".join(sorted(_SCENARIOS))
+        raise ValueError(f"unknown chaos scenario {name!r} (known: {known})") from None
+
+
 def run_scenario(name: str, seed: int = 11, tracing: bool = False) -> ChaosRunResult:
     """Build, fault, run, and check one scenario deterministically.
 
@@ -274,11 +283,7 @@ def run_scenario(name: str, seed: int = 11, tracing: bool = False) -> ChaosRunRe
     findings, counters -- is byte-identical with tracing on or off
     (pinned by the serve test suite).
     """
-    try:
-        spec = _SCENARIOS[name]()
-    except KeyError:
-        known = ", ".join(sorted(_SCENARIOS))
-        raise ValueError(f"unknown chaos scenario {name!r} (known: {known})") from None
+    spec = scenario_spec(name)
     from repro.core.cluster import CloudExCluster
     from repro.core.config import CloudExConfig
 
@@ -321,6 +326,6 @@ def run_scenario(name: str, seed: int = 11, tracing: bool = False) -> ChaosRunRe
         injected=list(cluster.chaos.injected),
         findings=findings,
         stats=stats,
-        counters=cluster.counters.snapshot(),
+        counters=cluster.metrics.counts(),
     )
     return ChaosRunResult(report=report, cluster=cluster)

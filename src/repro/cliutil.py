@@ -35,6 +35,13 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
+def usage_error(message: object) -> int:
+    """Report an invalid invocation: one ``error:`` line on stderr,
+    :data:`EXIT_USAGE` for the caller to return."""
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
+
+
 def dump_json_document(document: object) -> str:
     """The canonical serialized form shared by every ``--json`` flag
     and every evidence-pack ``report.json``."""

@@ -36,7 +36,7 @@ from repro.core.portfolio import PortfolioMatrix
 from repro.core.sharding import SymbolRouter
 from repro.core.types import OrderType, Side
 from repro.fairness import make_policy
-from repro.obs import DispatchProfiler, EventLog, MetricsRegistry, Tracer
+from repro.obs import DispatchProfiler, EventLog, Tracer
 from repro.sim.engine import Simulator
 from repro.sim.latency import (
     GammaLatency,
@@ -72,6 +72,11 @@ def participant_name(index: int) -> str:
     return f"p{index:02d}"
 
 
+def _adjustments(ddp) -> int:
+    """Delay moves a DDP controller has made (0 when DDP is off)."""
+    return ddp.adjustments if ddp is not None else 0
+
+
 class CloudExCluster:
     """A fully wired CloudEx deployment."""
 
@@ -79,11 +84,10 @@ class CloudExCluster:
         self.config = config
         self.sim = Simulator()
         self.rngs = RngRegistry(config.seed)
-        # Observability (repro.obs): the counter registry and event log
-        # are always on (plain data structures); the lifecycle tracer
-        # and dispatch profiler exist only when config.tracing is set,
-        # so the production hot path pays one `is not None` test.
-        self.counters = MetricsRegistry()
+        # Observability (repro.obs): the event log is always on (a plain
+        # data structure); the lifecycle tracer and dispatch profiler
+        # exist only when config.tracing is set, so the production hot
+        # path pays one `is not None` test.
         self.events = EventLog(capacity=config.event_log_capacity)
         self.tracer: Optional[Tracer] = (
             Tracer(sample_rate=config.trace_sample_rate) if config.tracing else None
@@ -92,9 +96,8 @@ class CloudExCluster:
         if config.tracing:
             self.profiler = DispatchProfiler()
             self.sim.dispatch_hook = self.profiler
-        self.network = Network(self.sim, self.rngs, counters=self.counters)
+        self.network = Network(self.sim, self.rngs)
         self.metrics = MetricsCollector()
-        self.metrics.attach_counters(self.counters)
         self.auth = AuthRegistry()
         self.portfolio = PortfolioMatrix(default_cash=config.initial_cash)
         self.router = SymbolRouter(config.symbols, config.n_shards)
@@ -107,6 +110,7 @@ class CloudExCluster:
         self._build_links()
         self._build_actors()
         self._build_clock_sync()
+        self._name_counts()
         self._seed_books()
         self.agents: List = []
         self._ran_ns = 0
@@ -254,7 +258,6 @@ class CloudExCluster:
             snapshot_sink=snapshot_sink,
             tracer=self.tracer,
             events=self.events,
-            counters=self.counters,
             fairness=self.fairness,
         )
         self.gateways: List[Gateway] = [
@@ -267,7 +270,6 @@ class CloudExCluster:
                 config=config,
                 tracer=self.tracer,
                 events=self.events,
-                counters=self.counters,
                 fairness=self.fairness,
             )
             for host in self.gateway_hosts
@@ -350,6 +352,23 @@ class CloudExCluster:
             use_mesh=config.sync_use_mesh and config.clock_sync == "huygens",
             mesh_latency=mesh_latency,
         )
+
+    def _name_counts(self) -> None:
+        """The reader table: every operational count, read off the
+        component that keeps it (``chaos.*`` are named by the injector)."""
+        count = self.metrics.count
+        hosts, links = self.network.hosts.values(), self.network.links.values()
+        exchange, gateways = self.exchange, self.gateways
+        count("ddp.inbound_adjustments", lambda: _adjustments(exchange.ddp_inbound))
+        count("ddp.outbound_adjustments", lambda: _adjustments(exchange.ddp_outbound))
+        for shard in exchange.shards:
+            count(f"engine.shard{shard.shard_id}.queue_depth", shard.backlog_size)
+        count("hr.late_pieces", lambda: sum(g.hr_buffer.late_count for g in gateways))
+        count("net.dropped_partitioned", lambda: sum(l.dropped_partitioned for l in links))
+        count("net.dropped_while_down", lambda: sum(
+            h.dropped_while_down + h.dropped_sends_while_down for h in hosts))
+        count("ros.confirmations_replayed", lambda: exchange.confirmations_replayed)
+        count("ros.duplicates_dropped", lambda: exchange.dedup.duplicates_dropped)
 
     def _seed_books(self) -> None:
         """Pre-populate every book with operator liquidity.

@@ -246,8 +246,8 @@ class CloudExConfig:
 
     # ------------------------------------------------------------------
     # Observability (repro.obs): per-order lifecycle tracing and the
-    # structured event log.  Tracing off is the production default; the
-    # counter registry is always on (plain integer adds).
+    # structured event log.  Tracing off is the production default;
+    # operational counts are always on (plain ints on their components).
     # ------------------------------------------------------------------
     tracing: bool = False
     #: Fraction of orders traced (deterministic per-order hash, so the

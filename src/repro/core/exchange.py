@@ -58,7 +58,7 @@ from repro.core.sequencer import Sequencer, SequencerSample
 from repro.core.sharding import SymbolRouter
 from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus, RejectReason
-from repro.sim.cpu import CorePool, CpuAccountant
+from repro.sim.cpu import CorePool
 from repro.sim.engine import Actor, Simulator
 from repro.sim.network import Host, Network
 from repro.sim.timeunits import MICROSECOND
@@ -147,7 +147,6 @@ class EngineShard:
             self._service_sample(self._lock_service_ns, self._lock_gamma),
             self._finalize,
             item,
-            category="portfolio-lock",
         )
 
     def _finalize(self, item: _SequencedItem) -> None:
@@ -277,7 +276,6 @@ class CentralExchangeServer(Actor):
         snapshot_sink: Optional[Callable[[object, int], None]] = None,
         tracer=None,
         events=None,
-        counters=None,
         fairness=None,
     ) -> None:
         super().__init__(sim, host.name)
@@ -301,23 +299,10 @@ class CentralExchangeServer(Actor):
         self.events = events
         self.clock = host.clock
         self.rng = network.rngs.stream("engine:service")
-        self._ros_dups_counter = (
-            counters.counter("ros.duplicates_dropped") if counters is not None else None
-        )
-        self._replay_counter = (
-            counters.counter("ros.confirmations_replayed") if counters is not None else None
-        )
-        self._ddp_adjust_counters = (
-            (counters.counter("ddp.inbound_adjustments"),
-             counters.counter("ddp.outbound_adjustments"))
-            if counters is not None
-            else None
-        )
-
         # Critical-path pools track their own utilization; Fig. 6b CPU
         # accounting is charged separately on host.cpu.
-        self.ingress = CorePool(sim, 1, CpuAccountant())
-        self.lock_pool = CorePool(sim, 1, CpuAccountant())
+        self.ingress = CorePool(sim, 1)
+        self.lock_pool = CorePool(sim, 1)
         self._ingress_service_ns = int(config.ingress_service_us * MICROSECOND)
         self._cpu_per_replica_ns = int(config.engine_cpu_per_replica_us * MICROSECOND)
         self._cpu_per_order_ns = int(config.engine_cpu_per_order_us * MICROSECOND)
@@ -345,6 +330,7 @@ class CentralExchangeServer(Actor):
         # (and zero-cost beyond the flag test) when retries are off, so
         # RF > 1 duplicate replicas keep their seed behaviour.
         self._replay_confirmations = config.ack_timeout_ms is not None
+        self.confirmations_replayed = 0
         # Optional repro.chaos.invariants hooks: called with each
         # admitted order / executed trade.  None costs one test.
         self.admit_listener: Optional[Callable[[Order], None]] = None
@@ -355,11 +341,6 @@ class CentralExchangeServer(Actor):
             shard_class(sim, self, shard_id, symbols, portfolio, trade_ids)
             for shard_id, symbols in enumerate(router.partition())
         ]
-        if counters is not None:
-            for shard in self.shards:
-                counters.gauge(
-                    f"engine.shard{shard.shard_id}.queue_depth", fn=shard.backlog_size
-                )
 
         self.d_h = self.fairness.engine_hold_ns(config, network.rngs)
         self._md_seq = itertools.count(1)
@@ -434,8 +415,6 @@ class CentralExchangeServer(Actor):
     def _apply_sequencer_delay(self, delay_ns: int) -> None:
         for shard in self.shards:
             shard.sequencer.set_delay(delay_ns)
-        if self._ddp_adjust_counters is not None:
-            self._ddp_adjust_counters[0].inc()
         if self.events is not None:
             self.events.emit(
                 self.sim.now, obs_events.Severity.INFO, self.name, "ddp.d_s",
@@ -444,8 +423,6 @@ class CentralExchangeServer(Actor):
 
     def _apply_holdrelease_delay(self, delay_ns: int) -> None:
         self.d_h = delay_ns
-        if self._ddp_adjust_counters is not None:
-            self._ddp_adjust_counters[1].inc()
         if self.events is not None:
             self.events.emit(
                 self.sim.now, obs_events.Severity.INFO, self.name, "ddp.d_h",
@@ -477,8 +454,6 @@ class CentralExchangeServer(Actor):
         key = (order.participant_id, order.client_order_id)
         if not self.dedup.admit(key, order.gateway_id, self.clock.now()):
             self.metrics.duplicates_dropped += 1
-            if self._ros_dups_counter is not None:
-                self._ros_dups_counter.inc()
             if self.tracer is not None:
                 # Losing replica: recorded so ROS critical-path
                 # attribution can report the winner's margin.
@@ -492,8 +467,7 @@ class CentralExchangeServer(Actor):
                 # answer it through the replica's (live) gateway.
                 replay = self.dedup.result(key)
                 if replay is not None and order.gateway_id:
-                    if self._replay_counter is not None:
-                        self._replay_counter.inc()
+                    self.confirmations_replayed += 1
                     self.network.send(self.name, order.gateway_id, replay)
             return
         if self.admit_listener is not None:

@@ -40,9 +40,11 @@ from repro.sim.timeunits import MICROSECOND
 class Gateway(Actor):
     """One gateway VM's logic.
 
-    ``tracer``, ``events``, and ``counters`` are the optional
-    observability hooks (:mod:`repro.obs`); each defaults to None and
-    costs one ``is not None`` test on the paths it instruments.
+    ``tracer`` and ``events`` are the optional observability hooks
+    (:mod:`repro.obs`); each defaults to None and costs one
+    ``is not None`` test on the paths it instruments.  What the gateway
+    counts (``orders_handled``, ``restarts``, the H/R buffer's
+    ``late_count``) it keeps as plain ints for the collector to read.
     """
 
     def __init__(
@@ -55,7 +57,6 @@ class Gateway(Actor):
         config: CloudExConfig,
         tracer=None,
         events=None,
-        counters=None,
         fairness=None,
     ) -> None:
         super().__init__(sim, host.name)
@@ -86,7 +87,6 @@ class Gateway(Actor):
             release=self._dispense_market_data,
             report=self._send_report,
             events=events,
-            late_counter=counters.counter("hr.late_pieces") if counters is not None else None,
             hold_early=fairness.hold_early_pieces,
         )
         self.orders_handled = 0

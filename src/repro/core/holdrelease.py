@@ -17,8 +17,9 @@ It is the *only* release buffer.  The one outbound decision a fairness
 policy (:mod:`repro.fairness`) makes is ``hold_early``: hold a piece
 that arrives before ``release_at`` until then (the paper), or release
 it on arrival (DBO and the no-op baseline, which have no dissemination
-story).  Lateness, reports, the late-piece WARNING and counter are the
-same code either way.
+story).  Lateness, reports, the late-piece WARNING and ``late_count``
+(which the cluster's collector reads as ``hr.late_pieces``) are the same
+code either way.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class HoldReleaseBuffer:
         Optional :class:`repro.obs.events.EventLog`; every late piece
         (an unfair dissemination) is logged as a WARNING with its
         lateness, so rare fairness violations leave replayable evidence.
-    late_counter:
-        Optional :class:`repro.obs.counters.Counter` incremented per
-        late piece.
     hold_early:
         False releases every piece on arrival with zero hold; nothing
         is then ever pending, so :meth:`flush` finds nothing.
@@ -66,7 +64,6 @@ class HoldReleaseBuffer:
         release: Callable[[MarketDataPiece, int], None],
         report: Optional[Callable[[HoldReleaseReport], None]] = None,
         events=None,
-        late_counter=None,
         hold_early: bool = True,
     ) -> None:
         self.sim = sim
@@ -75,7 +72,6 @@ class HoldReleaseBuffer:
         self.release = release
         self.report = report
         self.events = events
-        self.late_counter = late_counter
         self.hold_early = hold_early
         self.held_count = 0
         self.late_count = 0
@@ -134,8 +130,6 @@ class HoldReleaseBuffer:
         self.total_hold_ns += hold_ns
         if late:
             self.late_count += 1
-            if self.late_counter is not None:
-                self.late_counter.inc()
             if self.events is not None:
                 from repro.obs.events import Severity
 

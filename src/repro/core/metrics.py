@@ -16,29 +16,24 @@ truth (true times), so it can compute everything the paper reports:
 
 Components push events in; nothing here feeds back into the exchange
 (DDP consumes its own sample streams inside the exchange server).
+
+Operational counts (messages dropped, ROS duplicates, DDP moves, late
+pieces, ...) are *not* pushed: each is a plain int on the component
+that observes the fact, and the collector only **names** it with a
+reader (:meth:`MetricsCollector.count`) and **windows** it
+(:meth:`MetricsCollector.reset_window` takes every reader's baseline).
+Nothing is counted twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.sequencer import SequencerSample
 from repro.sim.timeunits import MICROSECOND, SECOND
-
-
-def percentile_us(samples_ns: List[int], percentile: float) -> float:
-    """Percentile of a latency list, reported in microseconds.
-
-    Empty sample lists yield the explicit empty sentinel 0.0 (matching
-    :meth:`LatencySummary.from_ns`'s ``count=0`` summary) so reports on
-    short runs render instead of crashing.
-    """
-    if not samples_ns:
-        return 0.0
-    return float(np.percentile(np.asarray(samples_ns, dtype=np.float64), percentile)) / MICROSECOND
 
 
 @dataclass
@@ -122,25 +117,35 @@ class MetricsCollector:
         # Window for throughput (set by the cluster runner).
         self.measure_start_true: int = 0
         self.measure_end_true: int = 0
-        # Optional repro.obs.counters.MetricsRegistry supplying
-        # operational counts (message loss) to summary(), and the
-        # cumulative drop count at the last reset_window().
-        self._counters = None
-        self._dropped_at_reset: int = 0
+        # Operational counts: name -> reader of the cumulative value a
+        # component keeps, and each reader's value at the last
+        # reset_window().
+        self._readers: Dict[str, Callable[[], float]] = {}
+        self._baseline: Dict[str, float] = {}
 
-    def attach_counters(self, registry) -> None:
-        """Expose a counter registry's operational counts in summary()."""
-        self._counters = registry
+    # ------------------------------------------------------------------
+    # Operational counts (owned by components, named and windowed here)
+    # ------------------------------------------------------------------
+    def count(self, name: str, read: Callable[[], float]) -> None:
+        """Name a count some component keeps; ``read`` returns its
+        cumulative value.  Called once per name, at wiring time."""
+        if name in self._readers:
+            raise ValueError(f"count {name!r} is already named")
+        self._readers[name] = read
 
-    def _dropped_total(self) -> int:
-        if self._counters is None:
-            return 0
-        return int(self._counters.value("net.dropped_while_down"))
+    def counts(self) -> Dict[str, float]:
+        """Every named count's cumulative value, as floats sorted by name."""
+        return {name: float(self._readers[name]()) for name in sorted(self._readers)}
+
+    def windowed(self, name: str) -> float:
+        """A named count's increase since the last :meth:`reset_window`
+        (0 for a name nobody registered)."""
+        read = self._readers.get(name)
+        return read() - self._baseline.get(name, 0) if read is not None else 0
 
     def messages_dropped(self) -> int:
-        """Messages dropped at downed hosts in the current window (0
-        without a registry).  The registry's counter is cumulative."""
-        return self._dropped_total() - self._dropped_at_reset
+        """Messages dropped at downed hosts in the current window."""
+        return int(self.windowed("net.dropped_while_down"))
 
     def reset_window(self, now_true: int) -> None:
         """Start a fresh measurement window at ``now_true``.
@@ -168,7 +173,7 @@ class MetricsCollector:
         self.replicas_received = 0
         self.duplicates_dropped = 0
         self.rejects = 0
-        self._dropped_at_reset = self._dropped_total()
+        self._baseline = {name: read() for name, read in self._readers.items()}
         self.measure_start_true = now_true
         self.measure_end_true = now_true
 

@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cliutil import EXIT_OK, emit_json
+from repro.cliutil import EXIT_OK, emit_json, usage_error
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
@@ -416,15 +416,18 @@ def build_shardrun_parser() -> argparse.ArgumentParser:
 
 def shardrun_main(argv=None) -> int:
     args = build_shardrun_parser().parse_args(argv)
-    config = ShardRunConfig(
-        seed=args.seed,
-        n_participants=args.participants,
-        n_symbols=args.symbols,
-        n_shards=args.shards,
-        rate_per_participant_s=args.rate,
-        duration_s=args.duration,
-        portfolio_buckets=args.buckets,
-    )
+    try:
+        config = ShardRunConfig(
+            seed=args.seed,
+            n_participants=args.participants,
+            n_symbols=args.symbols,
+            n_shards=args.shards,
+            rate_per_participant_s=args.rate,
+            duration_s=args.duration,
+            portfolio_buckets=args.buckets,
+        )
+    except ValueError as exc:
+        return usage_error(exc)
     started = _time.perf_counter()
     report = run_shardrun(config, jobs=args.jobs)
     wall_s = _time.perf_counter() - started

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Dict, List, Tuple
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, emit_json
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
 from repro.exp.runner import run_sweep, sweep_table
 from repro.exp.spec import SweepSpec
@@ -129,8 +129,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 def sweep_main(argv=None) -> int:
     args = build_sweep_parser().parse_args(argv)
     if not args.grid:
-        print("error: at least one --grid axis is required", file=sys.stderr)
-        return EXIT_USAGE
+        return usage_error("at least one --grid axis is required")
 
     axes = [_parse_axis(spec) for spec in args.grid]
     grid: List[Dict[str, object]] = [

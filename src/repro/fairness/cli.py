@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, emit_json
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
 from repro.fairness.base import POLICY_NAMES
 from repro.fairness.study import (
@@ -120,8 +120,7 @@ def fairness_main(argv=None) -> int:
             name=args.name,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return usage_error(exc)
 
     frontier, outcome = run_fairness_study(
         spec,

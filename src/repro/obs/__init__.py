@@ -1,4 +1,4 @@
-"""Observability: per-order tracing, structured events, counters.
+"""Observability: per-order tracing, structured events, dispatch profiling.
 
 The paper's argument is about *where* an order spends its time --
 gateway ingress, sequencer hold (``d_s``), matching, H/R hold
@@ -13,19 +13,23 @@ This package adds that attribution:
 - :mod:`repro.obs.events` -- a bounded structured event log with JSONL
   export, for replayable evidence of rare events (late releases,
   crashes, DDP moves).
-- :mod:`repro.obs.counters` -- a named counter/gauge/histogram
-  registry components register into, plus an event-dispatch profiler
-  for the simulator's hot loop.
+- :mod:`repro.obs.profiler` -- an event-dispatch profiler for the
+  simulator's hot loop.
 - :mod:`repro.obs.breakdown` -- analysis turning traces into per-stage
   latency decomposition tables and ROS critical-path attribution.
+
+Operational counts (messages dropped, ROS duplicates, DDP moves, ...)
+are not stored here: each lives on the component that observes the
+fact, and the cluster's :class:`~repro.core.metrics.MetricsCollector`
+names and windows them (``metrics.count`` / ``metrics.counts``).
 
 Tracing is off by default (``CloudExConfig.tracing``); when disabled,
 components hold a ``None`` tracer and the hot path pays a single
 ``is not None`` test.
 """
 
-from repro.obs.counters import Counter, DispatchProfiler, Gauge, Histogram, MetricsRegistry
 from repro.obs.events import EventLog, ObsEvent, Severity
+from repro.obs.profiler import DispatchProfiler
 from repro.obs.tracing import (
     CONFIRM_DELIVERY,
     GW_INGRESS,
@@ -42,12 +46,8 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "Counter",
     "DispatchProfiler",
     "EventLog",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "ObsEvent",
     "OrderTrace",
     "Severity",

@@ -13,7 +13,7 @@ import argparse
 import signal
 import sys
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, emit_json
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -86,8 +86,7 @@ def serve_main(argv=None) -> int:
     for spec in args.client:
         name, sep, token = spec.partition("=")
         if not sep or not name or not token:
-            print(f"error: --client expects NAME=TOKEN, got {spec!r}", file=sys.stderr)
-            return EXIT_USAGE
+            return usage_error(f"--client expects NAME=TOKEN, got {spec!r}")
         clients[name] = token
 
     config = ServeConfig(

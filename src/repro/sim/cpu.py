@@ -78,17 +78,11 @@ class CorePool:
     via :attr:`total_queue_ns` / :attr:`jobs`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cores: int,
-        accountant: Optional[CpuAccountant] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, cores: int) -> None:
         if cores < 1:
             raise ValueError(f"need at least one core, got {cores}")
         self.sim = sim
         self.cores = cores
-        self.accountant = accountant if accountant is not None else CpuAccountant()
         # Min-heap of times at which each core becomes free.
         self._free_at: List[int] = [0] * cores
         heapq.heapify(self._free_at)
@@ -96,13 +90,7 @@ class CorePool:
         self.total_queue_ns: int = 0
         self.total_service_ns: int = 0
 
-    def submit(
-        self,
-        service_ns: int,
-        fn: Callable[..., None],
-        *args: Any,
-        category: str = "work",
-    ) -> Event:
+    def submit(self, service_ns: int, fn: Callable[..., None], *args: Any) -> Event:
         """Queue a job needing ``service_ns`` of compute; run ``fn`` on completion."""
         if service_ns < 0:
             raise ValueError(f"service time must be non-negative, got {service_ns}")
@@ -114,7 +102,6 @@ class CorePool:
         self.jobs += 1
         self.total_queue_ns += start - now
         self.total_service_ns += service_ns
-        self.accountant.charge(category, service_ns)
         return self.sim.schedule_at(end, fn, *args)
 
     def backlog_ns(self) -> int:

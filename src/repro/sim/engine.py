@@ -101,7 +101,7 @@ class Simulator:
         self._stopped: bool = False
         self.events_processed: int = 0
         #: Optional profiling hook called with each event just before
-        #: it executes (see :class:`repro.obs.counters.DispatchProfiler`).
+        #: it executes (see :class:`repro.obs.profiler.DispatchProfiler`).
         #: Must not mutate simulation state.
         self.dispatch_hook: Optional[Callable[[Event], None]] = None
 

@@ -33,14 +33,6 @@ class LatencyModel:
     #: No message is delivered faster than this (propagation floor).
     floor_ns: int = 1_000
 
-    #: True when every ``sample`` call draws the *same* signature from
-    #: the RNG (one kind, fixed distribution arguments) -- the shape a
-    #: :class:`repro.sim.rng.BufferedStream` can serve from prefetched
-    #: chunks.  Models that interleave draw kinds (spikes: gamma then
-    #: random) leave this False so their streams stay on the plain
-    #: scalar path rather than thrashing the buffer's rewind logic.
-    buffer_friendly: bool = False
-
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         """Draw a one-way delay in integer nanoseconds."""
         raise NotImplementedError
@@ -53,8 +45,6 @@ class LatencyModel:
 class ConstantLatency(LatencyModel):
     """A fixed delay -- the 'equalized cable lengths' of an on-premise
     exchange, and the right null model for unit tests."""
-
-    buffer_friendly = True  # draws nothing at all
 
     def __init__(self, delay_ns: int) -> None:
         if delay_ns < 0:
@@ -79,8 +69,6 @@ class UniformLatency(LatencyModel):
     ``hi_ns``, inverting the caller's bounds).
     """
 
-    buffer_friendly = True
-
     def __init__(self, lo_ns: int, hi_ns: int) -> None:
         if not 0 <= lo_ns <= hi_ns:
             raise ValueError(f"need 0 <= lo <= hi, got [{lo_ns}, {hi_ns}]")
@@ -102,8 +90,6 @@ class LognormalLatency(LatencyModel):
     median pins the body; ``sigma`` controls tail weight (sigma ~0.25
     gives p99.9/median ~2.2; sigma ~0.45 gives ~4).
     """
-
-    buffer_friendly = True
 
     def __init__(self, median_ns: int, sigma: float) -> None:
         if median_ns <= 0:
@@ -137,8 +123,6 @@ class GammaLatency(LatencyModel):
     auto-lowered from the parameters, because ``base_ns`` is a location
     shift, not an upper bound promise -- callers must opt in.
     """
-
-    buffer_friendly = True
 
     def __init__(
         self, base_ns: int, shape: float, scale_ns: float, floor_ns: Optional[int] = None
@@ -197,7 +181,6 @@ class StragglerLatency(LatencyModel):
             raise ValueError(f"multiplier must be >= 1, got {multiplier}")
         self.base = base
         self.multiplier = float(multiplier)
-        self.buffer_friendly = base.buffer_friendly
 
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         return self._clamp(self.base.sample(rng, now_ns) * self.multiplier)
@@ -223,7 +206,6 @@ class PeriodicInjectedDelay(LatencyModel):
         self.base = base
         self.phases: Tuple[int, ...] = tuple(int(p) for p in phases)
         self.phase_ns = int(phase_ns)
-        self.buffer_friendly = base.buffer_friendly
 
     def extra_at(self, now_ns: int) -> int:
         """The injected delay in force at true time ``now_ns``."""
@@ -257,10 +239,6 @@ class CompositeLatency(LatencyModel):
                 variable.append(component)
         self._variable: List[LatencyModel] = variable
         self._single = variable[0] if len(variable) == 1 else None
-        # A sum draws one signature iff at most one term draws at all.
-        self.buffer_friendly = (
-            not variable or (len(variable) == 1 and variable[0].buffer_friendly)
-        )
 
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         single = self._single

@@ -25,7 +25,7 @@ from repro.sim.clock import HostClock
 from repro.sim.cpu import CpuAccountant
 from repro.sim.engine import Actor, Simulator
 from repro.sim.latency import LatencyModel
-from repro.sim.rng import BufferedStream, RngRegistry
+from repro.sim.rng import RngRegistry
 
 
 class Message:
@@ -62,7 +62,6 @@ class Host:
         name: str,
         clock: HostClock,
         baseline_cores: float = 0.0,
-        drop_counter=None,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -72,9 +71,6 @@ class Host:
         self.up: bool = True
         self.dropped_while_down: int = 0
         self.dropped_sends_while_down: int = 0
-        #: Optional shared :class:`repro.obs.counters.Counter` so
-        #: fault-injection runs report loss instead of hiding it.
-        self.drop_counter = drop_counter
 
     def bind(self, actor: Actor) -> None:
         """Attach the actor that handles this host's inbound messages."""
@@ -104,8 +100,6 @@ class Host:
         """Hand a just-arrived message to the bound actor."""
         if not self.up:
             self.dropped_while_down += 1
-            if self.drop_counter is not None:
-                self.drop_counter.inc()
             return
         if self.actor is None:
             raise RuntimeError(f"host {self.name!r} has no bound actor for {message.payload!r}")
@@ -135,19 +129,13 @@ class Link:
         latency: LatencyModel,
         rngs: RngRegistry,
         fifo: bool = True,
-        partition_counter=None,
     ) -> None:
         self.sim = sim
         self.src = src
         self.dst = dst
         self.latency = latency
         self.fifo = fifo
-        # Models that draw a single fixed-signature stream get the
-        # chunked fast layer; it is bit-for-bit identical to scalar
-        # draws (see BufferedStream), so the sampled delay sequence is
-        # the same either way.
-        raw_rng = rngs.stream(f"link:{src.name}->{dst.name}")
-        self.rng = BufferedStream(raw_rng) if latency.buffer_friendly else raw_rng
+        self.rng = rngs.stream(f"link:{src.name}->{dst.name}")
         self._last_arrival: int = -1
         self.messages_sent: int = 0
         self.total_delay_ns: int = 0
@@ -158,7 +146,6 @@ class Link:
         # Partition nesting depth: > 0 means the link is blocked.
         self._blocked: int = 0
         self.dropped_partitioned: int = 0
-        self.partition_counter = partition_counter
         # Prebound per-send hot references (a bound method per send is
         # an allocation; endpoints never change after construction).
         self._deliver = dst.deliver
@@ -225,13 +212,9 @@ class Link:
         message = Message(payload, self._src_name, self._dst_name, now)
         if not self.src.up:
             self.src.dropped_sends_while_down += 1
-            if self.src.drop_counter is not None:
-                self.src.drop_counter.inc()
             return message, None
         if self._blocked:
             self.dropped_partitioned += 1
-            if self.partition_counter is not None:
-                self.partition_counter.inc()
             return message, None
         delay = self._sample(self.rng, now)
         if self._fault is not None:
@@ -270,19 +253,11 @@ class Link:
 class Network:
     """The fabric: a registry of hosts and directed links."""
 
-    def __init__(self, sim: Simulator, rngs: RngRegistry, counters=None) -> None:
+    def __init__(self, sim: Simulator, rngs: RngRegistry) -> None:
         self.sim = sim
         self.rngs = rngs
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[Tuple[str, str], Link] = {}
-        # One shared drop counter for every host (created lazily so a
-        # bare Network without a registry stays dependency-free).
-        self._drop_counter = (
-            counters.counter("net.dropped_while_down") if counters is not None else None
-        )
-        self._partition_counter = (
-            counters.counter("net.dropped_partitioned") if counters is not None else None
-        )
 
     # ------------------------------------------------------------------
     # Topology construction
@@ -298,10 +273,7 @@ class Network:
         if name in self.hosts:
             raise ValueError(f"duplicate host name {name!r}")
         clock = HostClock(self.sim, drift_ppb=drift_ppb, offset_ns=offset_ns)
-        host = Host(
-            self.sim, name, clock, baseline_cores=baseline_cores,
-            drop_counter=self._drop_counter,
-        )
+        host = Host(self.sim, name, clock, baseline_cores=baseline_cores)
         self.hosts[name] = host
         return host
 
@@ -310,10 +282,7 @@ class Network:
         key = (src, dst)
         if key in self.links:
             raise ValueError(f"link {src}->{dst} already exists")
-        link = Link(
-            self.sim, self.hosts[src], self.hosts[dst], latency, self.rngs,
-            fifo=fifo, partition_counter=self._partition_counter,
-        )
+        link = Link(self.sim, self.hosts[src], self.hosts[dst], latency, self.rngs, fifo=fifo)
         self.links[key] = link
         return link
 

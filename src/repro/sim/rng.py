@@ -12,13 +12,7 @@ a single master seed.  Two properties follow:
 
 Streams are ``numpy.random.Generator`` instances seeded via
 ``numpy.random.SeedSequence`` spawned with a stable hash of the stream
-name.
-
-:class:`BufferedStream` is the hot-path fast layer: a drop-in wrapper
-over a ``Generator`` that serves scalar draws from chunked bulk draws
-while remaining **bit-for-bit identical** to calling the generator one
-scalar at a time (see the class docstring for how).  The same
-name-to-entropy keying used for streams is exposed as
+name.  The same name-to-entropy keying is exposed as
 :func:`derive_seed` for the sweep runner (:mod:`repro.exp`), which
 needs per-task seeds that depend only on the task's identity, never on
 enumeration or execution order.
@@ -27,7 +21,7 @@ enumeration or execution order.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -102,160 +96,3 @@ class RngRegistry:
 
     def __repr__(self) -> str:
         return f"RngRegistry(master_seed={self.master_seed}, streams={len(self._streams)})"
-
-
-class BufferedStream:
-    """Chunked scalar draws, bit-for-bit identical to the bare generator.
-
-    numpy guarantees that a bulk draw (``generator.gamma(shape, scale,
-    size=n)``) consumes the underlying bit stream exactly like ``n``
-    scalar calls with the same arguments, producing the same values and
-    leaving the generator in the same state.  A run of same-signature
-    scalar draws -- the shape of every per-link latency stream -- can
-    therefore be served from a prefetched array, replacing ``n`` numpy
-    scalar-call overheads with one vectorized call plus ``n`` array
-    indexings.
-
-    Exactness across *mixed* draw kinds is preserved by construction:
-
-    - A chunk is only prefetched after :attr:`min_run` consecutive
-      draws of one signature (kind + distribution arguments), so
-      streams that interleave kinds -- e.g. the fused cloud-link model
-      drawing ``gamma`` then ``random`` per message -- stay on the
-      plain scalar path and pay one tuple comparison per draw.
-    - If the signature *does* change while a chunk is partially
-      consumed, the wrapper rewinds: it restores the bit-generator
-      state snapshotted before the bulk draw and replays the served
-      draws scalar-by-scalar, leaving the generator exactly where
-      all-scalar drawing would have -- then continues.  The sequence
-      of returned values is identical in every case; only the cost
-      profile changes.
-
-    The wrapped generator must not be drawn from directly while a
-    chunk is outstanding; call :meth:`flush` first to realign it.
-    """
-
-    __slots__ = ("generator", "chunk", "min_run", "_bit", "_sig", "_run", "_buf", "_pos",
-                 "_n", "_state0")
-
-    def __init__(self, generator: np.random.Generator, chunk: int = 256, min_run: int = 16) -> None:
-        if chunk < 2:
-            raise ValueError(f"chunk must be >= 2, got {chunk}")
-        if min_run < 1:
-            raise ValueError(f"min_run must be >= 1, got {min_run}")
-        self.generator = generator
-        self.chunk = chunk
-        self.min_run = min_run
-        self._bit = generator.bit_generator
-        self._sig: Optional[Tuple] = None  # signature of the current same-kind run
-        self._run = 0  # consecutive scalar draws of _sig (buffering engages at min_run)
-        self._buf = None  # prefetched chunk (None = scalar mode)
-        self._pos = 0
-        self._n = 0
-        self._state0 = None  # bit-generator state snapshotted before the chunk draw
-
-    # ------------------------------------------------------------------
-    # Draw kinds (the five scalar draws the simulator uses)
-    # ------------------------------------------------------------------
-    def standard_normal(self):
-        return self._draw(("sn",))
-
-    def random(self):
-        return self._draw(("rnd",))
-
-    def uniform(self, low: float = 0.0, high: float = 1.0):
-        return self._draw(("uni", low, high))
-
-    def gamma(self, shape: float, scale: float = 1.0):
-        return self._draw(("gam", shape, scale))
-
-    def integers(self, low: int, high: Optional[int] = None):
-        if high is None:
-            low, high = 0, low
-        return self._draw(("int", low, high))
-
-    # ------------------------------------------------------------------
-    # Core machinery
-    # ------------------------------------------------------------------
-    def _scalar(self, sig):
-        kind = sig[0]
-        g = self.generator
-        if kind == "gam":
-            return g.gamma(sig[1], sig[2])
-        if kind == "rnd":
-            return g.random()
-        if kind == "sn":
-            return g.standard_normal()
-        if kind == "int":
-            return g.integers(sig[1], sig[2])
-        return g.uniform(sig[1], sig[2])
-
-    def _bulk(self, sig, n):
-        kind = sig[0]
-        g = self.generator
-        if kind == "gam":
-            return g.gamma(sig[1], sig[2], size=n)
-        if kind == "rnd":
-            return g.random(n)
-        if kind == "sn":
-            return g.standard_normal(n)
-        if kind == "int":
-            return g.integers(sig[1], sig[2], size=n)
-        return g.uniform(sig[1], sig[2], size=n)
-
-    def _draw(self, sig):
-        buf = self._buf
-        if buf is not None:
-            if sig == self._sig:
-                pos = self._pos
-                if pos < self._n:
-                    self._pos = pos + 1
-                    return buf[pos]
-                # Chunk fully consumed: the generator state already
-                # equals the all-scalar state, so refill in place.
-                self._state0 = self._bit.state
-                buf = self._bulk(sig, self.chunk)
-                self._buf = buf
-                self._n = len(buf)
-                self._pos = 1
-                return buf[0]
-            self.flush()
-        if sig == self._sig:
-            run = self._run + 1
-            if run >= self.min_run:
-                self._state0 = self._bit.state
-                buf = self._bulk(sig, self.chunk)
-                self._buf = buf
-                self._n = len(buf)
-                self._pos = 1
-                self._run = 0
-                return buf[0]
-            self._run = run
-        else:
-            self._sig = sig
-            self._run = 1
-        return self._scalar(sig)
-
-    def flush(self) -> None:
-        """Realign the wrapped generator with the draws actually served.
-
-        A partially-consumed chunk means the generator has advanced
-        past the logical position; restore the pre-chunk snapshot and
-        replay the served draws.  No-op in scalar mode.  Idempotent.
-        """
-        buf = self._buf
-        if buf is None:
-            return
-        pos, n = self._pos, self._n
-        self._buf = None
-        self._run = 0
-        if pos >= n:
-            return  # fully consumed: states already coincide
-        self._bit.state = self._state0
-        sig = self._sig
-        for _ in range(pos):
-            self._scalar(sig)
-
-    def __repr__(self) -> str:
-        mode = f"buffered[{self._pos}/{self._n}]" if self._buf is not None else "scalar"
-        return f"BufferedStream({self._sig}, {mode}, chunk={self.chunk})"

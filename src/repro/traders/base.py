@@ -41,9 +41,8 @@ class PoissonArrivalStream:
     The vectorized counterpart of :meth:`TradingAgent._next_gap`: one
     stream models the merged order flow of many participants at an
     aggregate ``rate_per_s``, drawing exponential gaps in fixed-size
-    chunks (the BufferedStream idea scaled from per-draw RNG to whole
-    message batches) and serving strictly increasing integer-ns arrival
-    times.  Gaps are clamped to >= 1 ns like the scalar agent's.
+    chunks and serving strictly increasing integer-ns arrival times.
+    Gaps are clamped to >= 1 ns like the scalar agent's.
 
     Chunking is part of the determinism contract of the batched kernel:
     the draw sequence depends only on ``(rate, chunk)`` -- never on how

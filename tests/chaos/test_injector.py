@@ -54,7 +54,7 @@ class TestInjector:
         cluster = CloudExCluster(_config(schedule))
         cluster.run(duration_s=1.0)
 
-        snapshot = cluster.counters.snapshot()
+        snapshot = cluster.metrics.counts()
         assert snapshot["chaos.crashes"] == 1
         assert snapshot["chaos.restarts"] == 1
         assert snapshot["chaos.clock_steps"] == 1
@@ -91,14 +91,14 @@ class TestInjector:
         cluster = CloudExCluster(_config(schedule))
         cluster.chaos.arm()
         cluster.run(duration_s=0.5)  # run() arms again
-        assert cluster.counters.snapshot()["chaos.crashes"] == 1
+        assert cluster.metrics.counts()["chaos.crashes"] == 1
 
     def test_repeated_partition_windows_heal_in_order(self):
         fault = Partition(("p00",), ("g00",), at_s=0.1, duration_s=0.05)
         again = Partition(("p00",), ("g00",), at_s=0.3, duration_s=0.05)
         cluster = CloudExCluster(_config(FaultSchedule((fault, again))))
         cluster.run(duration_s=0.6)
-        assert cluster.counters.snapshot()["chaos.partitions"] == 2
+        assert cluster.metrics.counts()["chaos.partitions"] == 2
         assert not cluster.network.link("p00", "g00").blocked
 
     def test_same_seed_same_schedule_is_deterministic(self):
@@ -113,7 +113,7 @@ class TestInjector:
             return (
                 cluster.sim.events_processed,
                 cluster.chaos.injected,
-                cluster.counters.snapshot(),
+                cluster.metrics.counts(),
             )
 
         assert run() == run()

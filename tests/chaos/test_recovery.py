@@ -67,7 +67,7 @@ class TestSaneTtl:
     def test_retry_deduplicated_and_confirmation_replayed(self):
         cluster, monitor, participant = _run(ttl_s=5.0)
         assert participant.retries_sent >= 1
-        assert cluster.counters.snapshot()["ros.confirmations_replayed"] >= 1
+        assert cluster.metrics.counts()["ros.confirmations_replayed"] >= 1
         # Exactly one admission despite the replicas.
         assert list(monitor.admits.values()) == [1]
         assert participant.confirmations_received >= 1

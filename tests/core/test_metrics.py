@@ -1,8 +1,10 @@
 """Tests for the metrics collector."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core.metrics import LatencySummary, MetricsCollector, percentile_us
+from repro.core.metrics import LatencySummary, MetricsCollector
 from repro.core.sequencer import SequencerSample
 from repro.sim.timeunits import MICROSECOND, SECOND
 
@@ -194,6 +196,48 @@ class TestThroughputAndSummary:
         assert m.submission_latencies_ns == [1_900]
 
 
+class TestNamedCounts:
+    """Counts live on components; the collector names and windows them."""
+
+    def test_counts_read_the_owner_sorted_as_floats(self):
+        owner = SimpleNamespace(late=2, dropped=1)
+        metrics = MetricsCollector()
+        metrics.count("hr.late", lambda: owner.late)
+        metrics.count("a.dropped", lambda: owner.dropped)
+        counts = metrics.counts()
+        assert list(counts.items()) == [("a.dropped", 1.0), ("hr.late", 2.0)]
+        assert all(type(value) is float for value in counts.values())
+        owner.late += 3  # nothing is copied: the next read sees the owner
+        assert metrics.counts()["hr.late"] == 5.0
+
+    def test_naming_twice_rejected(self):
+        metrics = MetricsCollector()
+        metrics.count("x", lambda: 0)
+        with pytest.raises(ValueError, match="already named"):
+            metrics.count("x", lambda: 1)
+
+    def test_reset_window_baselines_every_reader(self):
+        owner = SimpleNamespace(a=4, b=7)
+        metrics = MetricsCollector()
+        metrics.count("a", lambda: owner.a)
+        metrics.count("b", lambda: owner.b)
+        assert (metrics.windowed("a"), metrics.windowed("b")) == (4, 7)
+        metrics.reset_window(0)
+        owner.a += 1
+        assert (metrics.windowed("a"), metrics.windowed("b")) == (1, 0)
+        assert metrics.counts() == {"a": 5.0, "b": 7.0}  # cumulative reads unmoved
+
+    def test_messages_dropped_is_the_windowed_net_count(self):
+        metrics = MetricsCollector()
+        assert metrics.messages_dropped() == 0  # no network wired: nothing to read
+        drops = [3]
+        metrics.count("net.dropped_while_down", lambda: drops[0])
+        metrics.reset_window(0)
+        drops[0] = 8
+        assert metrics.messages_dropped() == 5
+        assert metrics.summary()["messages_dropped"] == 5.0
+
+
 class TestLatencySummary:
     def test_from_ns(self):
         summary = LatencySummary.from_ns([i * MICROSECOND for i in range(1, 101)])
@@ -206,12 +250,6 @@ class TestLatencySummary:
         summary = LatencySummary.from_ns([])
         assert summary.count == 0
         assert summary.p50_us == 0.0
-
-    def test_percentile_us_helper(self):
-        assert percentile_us([1000, 2000, 3000], 50) == pytest.approx(2.0)
-        # Empty input is a defined sentinel, not an error: summaries of
-        # windows with no samples render as zeros.
-        assert percentile_us([], 50) == 0.0
 
     def test_empty_sentinel(self):
         summary = LatencySummary.empty()

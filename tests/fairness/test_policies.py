@@ -12,7 +12,6 @@ from repro.fairness import POLICY_NAMES, make_policy
 from repro.fairness.cloudex import CloudExPolicy
 from repro.fairness.noop import NoopPolicy
 from repro.fairness.pfo import PfoPolicy
-from repro.obs.counters import Counter
 from repro.obs.events import EventLog, Severity
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
@@ -336,12 +335,12 @@ def md_piece(seq=1, created=0, release_at=10_000):
     )
 
 
-def hr_buffer_for(policy, sim, release, report, events=None, late_counter=None):
+def hr_buffer_for(policy, sim, release, report, events=None):
     """The buffer as ``Gateway.__init__`` builds it under ``policy``."""
     backend = make_policy(config_for(policy))
     return HoldReleaseBuffer(
         sim, HostClock(sim), "g00", release=release, report=report, events=events,
-        late_counter=late_counter, hold_early=backend.hold_early_pieces,
+        hold_early=backend.hold_early_pieces,
     )
 
 
@@ -396,17 +395,16 @@ class TestImmediateRelease:
     @pytest.mark.parametrize("policy", POLICY_NAMES)
     def test_late_piece_is_logged_and_counted_under_every_policy(self, policy):
         # Releasing on arrival must not skip the evidence a late piece
-        # leaves: the WARNING and the counter are policy-independent.
+        # leaves: the WARNING and the count are policy-independent.
         sim = Simulator()
-        events, late = EventLog(), Counter("hr.late_pieces")
+        events = EventLog()
         buffer = hr_buffer_for(
-            policy, sim, release=lambda piece, t: None, report=None,
-            events=events, late_counter=late,
+            policy, sim, release=lambda piece, t: None, report=None, events=events,
         )
         sim.schedule_at(10_000, buffer.offer, md_piece(seq=1, release_at=10_000))
         sim.schedule_at(10_250, buffer.offer, md_piece(seq=2, release_at=10_000))
         sim.run()
-        assert late.value == buffer.late_count == 1
+        assert buffer.late_count == 1
         (warning,) = events.events(kind="hr.late_release")
         assert warning.severity is Severity.WARNING
         assert warning.component == "g00"

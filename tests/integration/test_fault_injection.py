@@ -53,8 +53,8 @@ class TestGatewayRestart:
         assert cluster.metrics.messages_dropped() == 0
         cluster.run(duration_s=0.2)
         assert cluster.metrics.summary()["messages_dropped"] == 0.0
-        # The registry's counter stays cumulative.
-        assert cluster.counters.snapshot()["net.dropped_while_down"] == warmup_drops
+        # The named count itself stays cumulative.
+        assert cluster.metrics.counts()["net.dropped_while_down"] == warmup_drops
         # And a window that does see drops reports only its own.
         victim.crash()
         cluster.run(duration_s=0.05)

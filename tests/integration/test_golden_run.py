@@ -1,8 +1,9 @@
 """Golden-run fixtures: the behavioral contract for performance work.
 
-The committed JSON fixtures pin the *exact* output of two deterministic
-runs -- a small cluster with the default feature set and the chaos
-``smoke`` scenario.  Any change to event ordering, RNG draw sequence,
+The committed JSON fixtures pin the *exact* output of deterministic
+runs -- a small cluster with the default feature set, the chaos
+``smoke`` scenario, and the operational counts of runs that drive every
+one of them above zero.  Any change to event ordering, RNG draw sequence,
 matching semantics, or metrics accounting shifts these numbers; a pure
 performance optimization must reproduce them bit-for-bit.
 
@@ -19,8 +20,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos.scenarios import run_scenario
+from repro.chaos.scenarios import available_scenarios, run_scenario
 from repro.core.cluster import CloudExCluster
+from repro.core.config import CloudExConfig
+from tests.chaos.test_recovery import _run as run_replay
 from tests.conftest import small_config
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -63,3 +66,24 @@ def test_small_cluster_matches_golden():
 def test_chaos_smoke_matches_golden():
     result = run_scenario("smoke")
     _check("golden_chaos_smoke.json", result.report.to_dict())
+
+
+def test_counts_match_golden():
+    """Every operational count, non-zero somewhere: the seven chaos
+    scenarios drive ``chaos.*``, ``hr.late_pieces``, both ``net.dropped_*``
+    and ``ros.duplicates_dropped``; the recovery replay configuration
+    drives ``ros.confirmations_replayed``; a short DDP run drives both
+    ``ddp.*_adjustments``."""
+    counts = {
+        f"chaos:{name}": run_scenario(name, seed=11).cluster.metrics.counts()
+        for name, _ in available_scenarios()
+    }
+    counts["replay"] = run_replay(ttl_s=5.0)[0].metrics.counts()
+    ddp = CloudExCluster(CloudExConfig(
+        seed=5, n_participants=8, n_gateways=4, ddp_window=200,
+        ddp_inbound_target=0.02, ddp_outbound_target=0.02,
+    ))
+    ddp.add_default_workload(rate_per_participant=300.0)
+    ddp.run(duration_s=0.8)
+    counts["ddp"] = ddp.metrics.counts()
+    _check("golden_counts.json", counts)

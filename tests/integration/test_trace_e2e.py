@@ -64,7 +64,7 @@ class TestTracedRun:
     def test_counters_populated(self):
         cluster = traced_cluster()
         cluster.run(duration_s=0.3)
-        snap = cluster.counters.snapshot()
+        snap = cluster.metrics.counts()
         # rf=2 and every order completes ingress twice: one duplicate
         # dropped per order that reached the engine.
         assert snap["ros.duplicates_dropped"] > 0

@@ -1,94 +1,55 @@
-"""Unit tests for repro.obs.counters."""
+"""Tests for the operational counts a cluster names and the dispatch profiler."""
 
-import pytest
-
-from repro.obs import Counter, DispatchProfiler, Gauge, Histogram, MetricsRegistry
+from repro.chaos import FaultSchedule, HostCrash
+from repro.core.cluster import CloudExCluster
+from repro.obs import DispatchProfiler
 from repro.sim.engine import Simulator
+from tests.conftest import small_config
+
+CLUSTER_COUNTS = [
+    "ddp.inbound_adjustments",
+    "ddp.outbound_adjustments",
+    "engine.shard0.queue_depth",
+    "engine.shard1.queue_depth",
+    "hr.late_pieces",
+    "net.dropped_partitioned",
+    "net.dropped_while_down",
+    "ros.confirmations_replayed",
+    "ros.duplicates_dropped",
+]
+CHAOS_COUNTS = [
+    "chaos.clock_steps",
+    "chaos.crashes",
+    "chaos.link_faults",
+    "chaos.partitions",
+    "chaos.restarts",
+]
 
 
-class TestInstruments:
-    def test_counter(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
+class TestClusterCounts:
+    def test_names_without_a_fault_schedule(self):
+        counts = CloudExCluster(small_config(n_shards=2)).metrics.counts()
+        assert list(counts) == CLUSTER_COUNTS
+        assert set(counts.values()) == {0.0}
 
-    def test_gauge_set_and_read(self):
-        g = Gauge("depth")
-        g.set(3.0)
-        assert g.read() == 3.0
+    def test_chaos_names_only_with_a_fault_schedule(self):
+        schedule = FaultSchedule((HostCrash("g00", at_s=0.01, duration_s=0.01),))
+        cluster = CloudExCluster(small_config(n_shards=2, chaos=schedule))
+        assert list(cluster.metrics.counts()) == CHAOS_COUNTS + CLUSTER_COUNTS
+        cluster.run(duration_s=0.05)
+        counts = cluster.metrics.counts()
+        assert counts["chaos.crashes"] == counts["chaos.restarts"] == 1.0
 
-    def test_gauge_callback_backed(self):
-        state = {"v": 7}
-        g = Gauge("depth", fn=lambda: state["v"])
-        assert g.read() == 7.0
-        state["v"] = 9
-        assert g.read() == 9.0
-        with pytest.raises(ValueError):
-            g.set(1.0)
-
-    def test_histogram_stats(self):
-        h = Histogram("lat")
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == 2.5
-        assert h.min == 1.0
-        assert h.max == 4.0
-        assert h.percentile(50) == 2.5
-
-    def test_histogram_bounded_memory(self):
-        h = Histogram("lat", max_samples=10)
-        for v in range(100):
-            h.observe(float(v))
-        assert h.count == 100          # exact count survives
-        assert len(h._samples) == 10   # retained prefix is bounded
-        assert h.max == 99.0           # exact extrema survive
-
-    def test_empty_histogram(self):
-        h = Histogram("lat")
-        assert h.mean == 0.0
-        assert h.percentile(99) == 0.0
-
-
-class TestRegistry:
-    def test_get_or_create_idempotent(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.histogram("h") is reg.histogram("h")
-
-    def test_cross_type_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("a")
-        with pytest.raises(ValueError):
-            reg.gauge("a")
-        with pytest.raises(ValueError):
-            reg.histogram("a")
-
-    def test_gauge_callback_rebind_rejected(self):
-        reg = MetricsRegistry()
-        reg.gauge("depth", fn=lambda: 1.0)
-        with pytest.raises(ValueError):
-            reg.gauge("depth", fn=lambda: 2.0)
-
-    def test_value_and_snapshot(self):
-        reg = MetricsRegistry()
-        reg.counter("b").inc(2)
-        reg.gauge("a", fn=lambda: 1.5)
-        reg.histogram("h").observe(10.0)
-        assert reg.value("b") == 2.0
-        assert reg.value("missing", default=-1.0) == -1.0
-        snap = reg.snapshot()
-        assert list(snap) == sorted(snap)
-        assert snap["a"] == 1.5
-        assert snap["h.count"] == 1.0
-
-    def test_as_table_renders(self):
-        reg = MetricsRegistry()
-        reg.counter("ros.duplicates_dropped").inc(3)
-        table = reg.as_table()
-        assert "ros.duplicates_dropped" in table
-        assert "3.0" in table
+    def test_queue_depth_reads_the_live_backlog(self):
+        cluster = CloudExCluster(small_config())
+        cluster.add_default_workload()
+        shard = cluster.exchange.shards[0]
+        for _ in range(200):  # step until an order sits in the sequencer
+            cluster.run(duration_s=0.0005)
+            if shard.backlog_size():
+                break
+        depth = cluster.metrics.counts()["engine.shard0.queue_depth"]
+        assert depth == shard.backlog_size() > 0
 
 
 class TestDispatchProfiler:

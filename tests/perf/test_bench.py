@@ -113,7 +113,11 @@ class TestCli:
         assert baseline_path.exists()
         baseline = json.loads(baseline_path.read_text())
         assert baseline["suite"] == "micro"
-        assert bench_main(argv + ["--check", "--tolerance", "2.0"]) == 0
+        # This pins write -> read -> compare, not speed: two --repeats 1
+        # runs of the same code can differ by any factor on a busy
+        # host, so the timing tolerance is out of reach.  The exact
+        # ``work`` comparison still runs (see the drift test below).
+        assert bench_main(argv + ["--check", "--tolerance", "1e9"]) == 0
         out = capsys.readouterr().out
         assert "OK vs" in out
 

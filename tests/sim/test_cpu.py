@@ -85,14 +85,6 @@ class TestCorePool:
         sim.run(until=1_000)
         assert pool.utilization() == pytest.approx(0.5)
 
-    def test_accountant_is_charged(self):
-        sim = Simulator()
-        acct = CpuAccountant()
-        pool = CorePool(sim, 1, acct)
-        pool.submit(123, lambda: None, category="match")
-        sim.run()
-        assert acct.busy_ns("match") == 123
-
     def test_idle_core_runs_job_immediately_after_gap(self):
         sim = Simulator()
         pool = CorePool(sim, 1)

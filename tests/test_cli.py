@@ -85,6 +85,8 @@ class TestMain:
         assert "Latency breakdown" in out
         assert "end_to_end" in out
         assert "ROS critical-path attribution" in out
+        counters = out[out.index("Operational counters"):]
+        assert "ros.duplicates_dropped" in counters and "engine.shard0.queue_depth" in counters
         assert out_path.exists()
         assert out_path.read_text().startswith("{")
 
@@ -154,6 +156,24 @@ class TestMain:
     def test_sweep_requires_a_grid(self, capsys):
         assert main(["sweep"]) == 2
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            (["--symbols", "2", "--shards", "3"], "3 shards cannot each own a symbol"),
+            (["trace", "--rf", "5"], "replication factor 5"),
+            (["chaos", "--scenario", "nope"], "unknown chaos scenario 'nope'"),
+            (["shardrun", "--shards", "20", "--symbols", "10"], "n_shards must be in"),
+        ],
+    )
+    def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
+        # Exit 1 is reserved for "the run completed but something it
+        # measured failed"; a config that cannot be built never ran.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and complaint in line
 
     def test_batch_mode_runs(self, capsys):
         code = main(
