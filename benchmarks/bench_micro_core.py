@@ -1,8 +1,9 @@
 """Microbenchmarks for the hot-path data structures.
 
 Not a paper figure: these guard the simulator's own performance (the
-matching core, book, sequencer, and storage are executed hundreds of
-thousands of times per simulated second in the macro benchmarks).
+matching core, book, sequencer, clock, and storage are executed
+hundreds of thousands of times per simulated second in the macro
+benchmarks).  Each case asserts its deterministic result.
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ def test_book_add_cancel_throughput(benchmark):
         for order in orders:
             book.cancel(order.participant_id, order.client_order_id)
             order.remaining = order.quantity
-        return book
+        return book.resting_count()
 
-    benchmark(run)
+    assert benchmark(run) == 0
 
 
 def test_matching_throughput_crossing_flow(benchmark):
@@ -131,3 +132,35 @@ def test_simulator_event_throughput(benchmark):
         return sim.events_processed
 
     assert benchmark(run) == 10_000
+
+
+def test_depth_snapshot_throughput(benchmark):
+    orders = _orders(1_000)
+
+    def run():
+        book = LimitOrderBook("S")
+        checksum = 0
+        for i, order in enumerate(orders):
+            book.add_resting(order)
+            bids, asks = book.depth_snapshot(max_levels=10)
+            checksum = (checksum * 31 + len(bids) + 7 * len(asks) + i) % 1_000_000_007
+            if i % 3 == 0:
+                book.cancel(order.participant_id, order.client_order_id)
+                order.remaining = order.quantity
+        return checksum
+
+    assert benchmark(run) == 194_432_042
+
+
+def test_clock_now_throughput(benchmark):
+    def run():
+        sim = Simulator()
+        clock = HostClock(sim, drift_ppb=42_000, offset_ns=1_500_000)
+        clock.set_linear_correction(1_200, 37_000, clock.raw_local())
+        total = 0
+        for i in range(150_000):
+            sim.now = i * 1_000
+            total += clock.now()
+        return total
+
+    assert benchmark(run) == 11_474_801_232_297

@@ -81,14 +81,11 @@ def run_measured(
     measure_s: float,
     rate_per_participant: Optional[float] = None,
 ) -> CloudExCluster:
-    """Build, warm up, reset metrics, and measure a cluster run."""
+    """Build a cluster and run the standard measurement protocol on it,
+    both durations stretched by :func:`bench_scale`."""
     scale = bench_scale()
     cluster = CloudExCluster(config)
-    cluster.add_default_workload(rate_per_participant=rate_per_participant)
-    if warmup_s > 0:
-        cluster.run(duration_s=warmup_s * scale)
-    cluster.reset_metrics()
-    cluster.run(duration_s=measure_s * scale)
+    cluster.measured_run(warmup_s * scale, measure_s * scale, rate_per_participant)
     return cluster
 
 

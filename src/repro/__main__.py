@@ -14,11 +14,6 @@ scenario (gateway crashes, latency storms, partitions, clock steps)
 and prints the chaos report with its invariant findings; see
 ``python -m repro chaos --help``.
 
-``python -m repro bench`` runs the micro/macro performance suites and
-writes (or, with ``--check``, compares against) the persistent
-``BENCH_micro.json`` / ``BENCH_macro.json`` baselines; see
-``python -m repro bench --help``.
-
 ``python -m repro sweep`` runs a (config x seed) experiment grid over
 a parallel worker pool with deterministic aggregation and on-disk
 result caching; see ``python -m repro sweep --help``.
@@ -35,7 +30,7 @@ byte-identical to the inline run; see ``python -m repro shardrun
 --help``.
 
 ``python -m repro serve`` runs the exchange-as-a-service control
-plane: an authenticated HTTP API that accepts sweep/chaos/bench job
+plane: an authenticated HTTP API that accepts sweep/chaos/fairness job
 submissions, executes them on the experiment pool, and serves signed
 evidence packs; see ``python -m repro serve --help``.
 
@@ -59,7 +54,7 @@ from repro.core.config import CloudExConfig
 
 #: Every subcommand, in help order.  ``python -m repro --help`` lists
 #: exactly these; the CLI test suite pins the list.
-SUBCOMMANDS = ("trace", "chaos", "bench", "sweep", "fairness", "shardrun", "serve", "verify-pack")
+SUBCOMMANDS = ("trace", "chaos", "sweep", "fairness", "shardrun", "serve", "verify-pack")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
             "               latency/clock/ROS breakdown tables\n"
             "  chaos        run a deterministic fault-injection scenario and\n"
             "               print the invariant-checked chaos report\n"
-            "  bench        run the micro/macro performance suites and write or\n"
-            "               check the BENCH_*.json baselines\n"
             "  sweep        run a (config x seed) experiment grid over a parallel\n"
             "               worker pool with caching and deterministic output\n"
             "  fairness     run the fairness-policy frontier study (cloudex vs\n"
@@ -82,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
             "               conservative-sync windows, optional --jobs processes\n"
             "               with byte-identical reports)\n"
             "  serve        run the exchange-as-a-service HTTP control plane:\n"
-            "               submit sweep/chaos/bench jobs, download signed\n"
+            "               submit sweep/chaos/fairness jobs, download signed\n"
             "               evidence packs\n"
             "  verify-pack  verify a downloaded evidence pack offline\n"
             "\n"
@@ -294,10 +287,6 @@ def main(argv=None) -> int:
             return trace_main(rest)
         if name == "chaos":
             return chaos_main(rest)
-        if name == "bench":
-            from repro.perf.bench import bench_main
-
-            return bench_main(rest)
         if name == "sweep":
             from repro.exp.cli import sweep_main
 

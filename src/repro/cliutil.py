@@ -11,8 +11,8 @@ exit code               meaning
 :data:`EXIT_OK` (0)     the run completed and passed every check
 :data:`EXIT_FAILURE`    the run completed but something it measured
 (1)                     failed -- invariant violations under
-                        ``chaos --strict``, failed sweep tasks, bench
-                        regressions, evidence-pack verification problems
+                        ``chaos --strict``, failed sweep tasks,
+                        evidence-pack verification problems
 :data:`EXIT_USAGE` (2)  the invocation itself was invalid (argparse's
                         own convention; usage errors never masquerade
                         as measurement failures)

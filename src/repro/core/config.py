@@ -354,6 +354,16 @@ class CloudExConfig:
             raise ValueError(f"unknown matching_mode {self.matching_mode!r}")
         if self.batch_interval_ms <= 0:
             raise ValueError("batch interval must be positive")
+        if self.matching_mode == "batch":
+            # The auction core consults none of these: accepting them
+            # would report a guarded market that never was.
+            for name in (
+                "risk_max_position", "risk_max_order_notional",
+                "self_trade_prevention", "halt_threshold", "audit_trail",
+            ):
+                value = getattr(self, name)
+                if value is not None and value is not False:
+                    raise ValueError(f"{name} has no effect under matching_mode='batch'")
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
             raise ValueError("delay parameters must be non-negative")
         if self.fairness_policy not in _FAIRNESS_POLICIES:

@@ -53,6 +53,7 @@ from repro.core.types import OrderType, Side, TimeInForce
 from repro.sim.engine import SimulationError
 from repro.sim.parallel import ConservativeShardRunner
 from repro.sim.rng import RngRegistry
+from repro.sim.worker import check_jobs
 from repro.traders.workload import BulkOrderStream
 
 Columns = Dict[str, np.ndarray]  #: named numpy columns, one row per order
@@ -426,6 +427,7 @@ def shardrun_main(argv=None) -> int:
             duration_s=args.duration,
             portfolio_buckets=args.buckets,
         )
+        check_jobs(args.jobs)
     except ValueError as exc:
         return usage_error(exc)
     started = _time.perf_counter()

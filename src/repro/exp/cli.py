@@ -28,6 +28,7 @@ from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
 from repro.exp.runner import run_sweep, sweep_table
 from repro.exp.spec import SweepSpec
+from repro.sim.worker import check_jobs
 
 
 def _parse_value(text: str) -> object:
@@ -40,18 +41,23 @@ def _parse_value(text: str) -> object:
 
 def _parse_axis(spec: str) -> Tuple[str, List[object]]:
     if "=" not in spec:
-        raise argparse.ArgumentTypeError(
-            f"expected field=v1,v2,... got {spec!r}"
-        )
+        raise ValueError(f"--grid expects field=v1,v2,... got {spec!r}")
     field, _, values = spec.partition("=")
     return field.strip(), [_parse_value(v) for v in values.split(",")]
 
 
 def _parse_setting(spec: str) -> Tuple[str, object]:
     if "=" not in spec:
-        raise argparse.ArgumentTypeError(f"expected field=value, got {spec!r}")
+        raise ValueError(f"--set expects field=value, got {spec!r}")
     field, _, value = spec.partition("=")
     return field.strip(), _parse_value(value)
+
+
+def _parse_seed_list(text: str) -> List[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError:
+        raise ValueError(f"--seed-list expects integers s1,s2,... got {text!r}") from None
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
@@ -131,27 +137,30 @@ def sweep_main(argv=None) -> int:
     if not args.grid:
         return usage_error("at least one --grid axis is required")
 
-    axes = [_parse_axis(spec) for spec in args.grid]
-    grid: List[Dict[str, object]] = [
-        dict(zip((name for name, _ in axes), combo))
-        for combo in itertools.product(*(values for _, values in axes))
-    ]
-    base = dict(_parse_setting(spec) for spec in args.base)
-    if args.seed_list is not None:
-        seeds = [int(s) for s in args.seed_list.split(",")]
-    else:
-        seeds = args.seeds
-
-    spec = SweepSpec(
-        name=args.name,
-        grid=grid,
-        seeds=seeds,
-        master_seed=args.master_seed,
-        warmup_s=args.warmup,
-        duration_s=args.duration,
-        rate_per_participant=args.rate,
-        base=base,
-    )
+    # Everything the spec can get wrong is found here, before anything
+    # runs -- the same checks, and the same messages, as a submitted job.
+    try:
+        axes = [_parse_axis(spec) for spec in args.grid]
+        grid: List[Dict[str, object]] = [
+            dict(zip((name for name, _ in axes), combo))
+            for combo in itertools.product(*(values for _, values in axes))
+        ]
+        base = dict(_parse_setting(spec) for spec in args.base)
+        seeds = args.seeds if args.seed_list is None else _parse_seed_list(args.seed_list)
+        spec = SweepSpec(
+            name=args.name,
+            grid=grid,
+            seeds=seeds,
+            master_seed=args.master_seed,
+            warmup_s=args.warmup,
+            duration_s=args.duration,
+            rate_per_participant=args.rate,
+            base=base,
+        )
+        spec.validate()
+        check_jobs(args.jobs)
+    except (TypeError, ValueError) as exc:
+        return usage_error(exc)
     outcome = run_sweep(
         spec,
         jobs=args.jobs,

@@ -27,7 +27,7 @@ from multiprocessing.connection import wait as connection_wait
 from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.sim.worker import Worker, WorkerDown
+from repro.sim.worker import Worker, WorkerDown, check_jobs
 
 
 @dataclass
@@ -81,8 +81,7 @@ class WorkerPool:
     """
 
     def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        check_jobs(jobs)
         self.jobs = jobs
         #: What the workers did, for ``/healthz``.
         self.stats: Dict[str, int] = {

@@ -126,6 +126,14 @@ class SweepSpec:
             return [f"rep{i}" for i in range(self.seeds)]
         return [f"seed{int(s)}" for s in self.seeds]
 
+    def validate(self) -> None:
+        """Expand the grid and build every task's config -- what a front
+        door (``python -m repro sweep``, a submitted job) checks before
+        it runs anything.  :func:`~repro.exp.runner.run_sweep` itself
+        does not: there a point that cannot be built is one failed task."""
+        for task in self.expand():
+            task.build_config()
+
     def expand(self) -> List[SweepTask]:
         """The full task list, in deterministic grid-major order."""
         if not self.grid:

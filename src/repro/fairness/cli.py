@@ -37,6 +37,7 @@ from repro.fairness.study import (
     run_fairness_study,
 )
 from repro.obs.breakdown import policy_comparison_table
+from repro.sim.worker import check_jobs
 
 
 def _parse_list(text: str) -> List[str]:
@@ -119,7 +120,9 @@ def fairness_main(argv=None) -> int:
             duration_s=args.duration,
             name=args.name,
         )
-    except ValueError as exc:
+        spec.validate()
+        check_jobs(args.jobs)
+    except (TypeError, ValueError) as exc:
         return usage_error(exc)
 
     frontier, outcome = run_fairness_study(

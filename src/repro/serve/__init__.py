@@ -3,8 +3,8 @@
 CloudEx is operated as a hosted research exchange that users submit to
 remotely; this package is that face of the reproduction.  It turns the
 repo's deterministic runners -- sweeps (:mod:`repro.exp`), chaos
-scenarios (:mod:`repro.chaos`), benchmarks (:mod:`repro.perf`) -- into
-a served, queryable, certifiable system:
+scenarios (:mod:`repro.chaos`), fairness studies
+(:mod:`repro.fairness`) -- into a served, queryable, certifiable system:
 
 - :mod:`repro.serve.schema` -- the JSON job schema: validation,
   normalization, and content-addressed job identity (BLAKE2 over the

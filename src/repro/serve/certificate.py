@@ -4,7 +4,7 @@ A *certificate* is the control plane's strongest statement: this run,
 of this exact spec, on this exact source tree, completed with its
 checker clean -- chaos invariants (conservation, no duplicate
 executions, no order loss) for chaos jobs, zero failed tasks for
-sweeps, suite completion for benches.  It binds the claim to the
+sweeps and fairness studies.  It binds the claim to the
 artifacts by hash and is HMAC-SHA256-signed with the operator secret,
 so a pack can be handed to a third party and verified offline
 (``python -m repro verify-pack --secret ...``) without trusting the
@@ -34,7 +34,6 @@ TRIAGE_SCHEMA = "repro-triage/1"
 CLAIMS = {
     "chaos": "chaos-invariants-clean",
     "sweep": "sweep-complete",
-    "bench": "bench-complete",
     "fairness": "fairness-study-complete",
 }
 

@@ -21,7 +21,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         prog="python -m repro serve",
         description=(
             "Run the exchange-as-a-service control plane: an authenticated "
-            "HTTP API accepting sweep/chaos/bench jobs, executing them on "
+            "HTTP API accepting sweep/chaos/fairness jobs, executing them on "
             "the repro.exp pool, and serving signed evidence packs."
         ),
         epilog=(

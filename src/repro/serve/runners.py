@@ -159,20 +159,6 @@ def _run_fairness(
     )
 
 
-def _run_bench(spec: Dict[str, object], jobs: int) -> RunArtifacts:
-    from repro.perf.bench import run_macro_suite, run_micro_suite
-
-    suites: Dict[str, object] = {}
-    if spec["suite"] in ("micro", "all"):
-        suites["micro"] = run_micro_suite(
-            spec["quick"], repeats=spec["repeats"], jobs=jobs
-        )
-    if spec["suite"] in ("macro", "all"):
-        suites["macro"] = run_macro_suite(spec["quick"], jobs=jobs)
-    document = {"bench": spec["suite"], "quick": spec["quick"], "suites": suites}
-    return RunArtifacts(report=dump_json_document(document).encode("utf-8"))
-
-
 def execute_job(
     spec: Dict[str, object],
     jobs: int = 1,
@@ -195,6 +181,4 @@ def execute_job(
         return _run_sweep(spec, jobs, cache_dir, timeout_s, retries, pool)
     if kind == "fairness":
         return _run_fairness(spec, jobs, cache_dir, timeout_s, retries, pool)
-    if kind == "bench":
-        return _run_bench(spec, jobs)
     raise ValueError(f"unknown job kind {kind!r}")

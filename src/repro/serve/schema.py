@@ -18,8 +18,6 @@ Supported kinds:
 ``chaos``
     ``scenario`` (required, a name from the :mod:`repro.chaos` library)
     and ``seed``.
-``bench``
-    ``suite`` (micro/macro/all), ``quick``, ``repeats``.
 ``fairness``
     A :func:`repro.fairness.study.build_fairness_spec` study by value:
     ``policies``, ``clocks``, ``scenarios`` (name lists), ``seeds``,
@@ -42,9 +40,7 @@ from repro.exp.cache import content_key
 
 SCHEMA = "repro-job/1"
 
-JOB_KINDS = ("sweep", "chaos", "bench", "fairness")
-
-BENCH_SUITES = ("micro", "macro", "all")
+JOB_KINDS = ("sweep", "chaos", "fairness")
 
 
 class JobError(ValueError):
@@ -111,11 +107,12 @@ def _normalize_sweep(spec: Dict[str, object]) -> Dict[str, object]:
         "rate_per_participant": rate,
         "base": base,
     }
-    # Expansion validates every override against CloudExConfig's fields
-    # and the reserved sweep keys -- bad field names are caught here, at
-    # submission, not minutes later in a worker.
+    # Every override is checked against CloudExConfig's fields and the
+    # reserved sweep keys, and every point's config is built -- a bad
+    # field name or value is caught here, at submission, not minutes
+    # later in a worker.
     try:
-        build_sweep_spec(normalized).expand()
+        build_sweep_spec(normalized).validate()
     except (TypeError, ValueError) as exc:
         raise JobError(f"invalid sweep spec: {exc}") from None
     return normalized
@@ -135,17 +132,6 @@ def _normalize_chaos(spec: Dict[str, object]) -> Dict[str, object]:
         "scenario": scenario,
         "seed": _as_int(spec, "seed", 11),
     }
-
-
-def _normalize_bench(spec: Dict[str, object]) -> Dict[str, object]:
-    _check_keys(spec, ("suite", "quick", "repeats"), "bench")
-    suite = spec.get("suite", "all")
-    _require(suite in BENCH_SUITES, f"'suite' must be one of {BENCH_SUITES}")
-    quick = spec.get("quick", True)
-    _require(isinstance(quick, bool), "'quick' must be a boolean")
-    repeats = _as_int(spec, "repeats", 1)
-    _require(repeats >= 1, "'repeats' must be >= 1")
-    return {"kind": "bench", "suite": suite, "quick": quick, "repeats": repeats}
 
 
 def _as_name_list(spec: Dict[str, object], key: str, default: tuple) -> List[str]:
@@ -199,7 +185,7 @@ def _normalize_fairness(spec: Dict[str, object]) -> Dict[str, object]:
     # invalid configs are a 400, not a worker crash.
     try:
         spec_obj, _ = build_fairness_study(normalized)
-        spec_obj.expand()
+        spec_obj.validate()
     except (TypeError, ValueError) as exc:
         raise JobError(f"invalid fairness spec: {exc}") from None
     return normalized
@@ -208,7 +194,6 @@ def _normalize_fairness(spec: Dict[str, object]) -> Dict[str, object]:
 _NORMALIZERS = {
     "sweep": _normalize_sweep,
     "chaos": _normalize_chaos,
-    "bench": _normalize_bench,
     "fairness": _normalize_fairness,
 }
 
@@ -305,4 +290,5 @@ def describe(spec: Dict[str, object]) -> str:
             f"fairness {spec['name']}: {'/'.join(spec['policies'])} "
             f"({cells} cell(s))"
         )
-    return f"bench {spec['suite']} ({'quick' if spec['quick'] else 'full'})"
+    # A record an older build persisted (RunStore keeps them across upgrades).
+    return f"{kind} (unknown job kind)"

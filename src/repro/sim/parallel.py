@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.sim.worker import Worker, WorkerDown
+from repro.sim.worker import Worker, WorkerDown, check_jobs
 
 
 class ShardWorkerError(RuntimeError):
@@ -104,7 +104,8 @@ class ConservativeShardRunner:
         self._factory = factory
         self._factory_args = factory_args
         self.n_shards = n_shards
-        self.jobs = max(1, min(jobs, n_shards))
+        check_jobs(jobs)
+        self.jobs = min(jobs, n_shards)
         self.timeout_s = timeout_s
         self.max_restarts = max_restarts
         self.restarts = 0

@@ -35,6 +35,14 @@ class WorkerDown(Exception):
         self.reason = reason
 
 
+def check_jobs(jobs: int) -> None:
+    """A worker count below 1 is an error everywhere it is accepted --
+    the pool, the shard runner and the ``--jobs`` flags in front of
+    them -- never a request to run inline."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+
+
 def _mp_context():
     """Prefer fork (cheap, inherits the parent image, no pickling of the
     target); fall back to spawn on platforms without it."""

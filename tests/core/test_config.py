@@ -55,6 +55,21 @@ class TestValidation:
         with pytest.raises(ValueError):
             CloudExConfig(**overrides)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("risk_max_position", 100),
+            ("risk_max_order_notional", 1),
+            ("self_trade_prevention", True),
+            ("halt_threshold", 0.05),
+            ("audit_trail", True),
+        ],
+    )
+    def test_batch_mode_refuses_safeguards_it_never_consults(self, field, value):
+        CloudExConfig(**{field: value})  # fine under continuous matching
+        with pytest.raises(ValueError, match=field):
+            CloudExConfig(matching_mode="batch", **{field: value})
+
     def test_with_overrides_returns_validated_copy(self):
         config = CloudExConfig()
         other = config.with_overrides(n_shards=4)

@@ -223,14 +223,27 @@ class TestRunShardrun:
         assert run_shardrun(other) != run_shardrun(SMALL)
 
     def test_smoke_report_matches_golden_bytes(self):
-        # The CI smoke recipe, pinned to the bytes the per-order-heap
-        # feed produced (CI cmp's its --jobs 1 report to the same file).
-        config = ShardRunConfig(
-            n_participants=20_000, n_symbols=10, n_shards=4,
-            rate_per_participant_s=2.0, duration_s=0.3,
-        )
-        golden = (GOLDEN / "shardrun_smoke.json").read_text(encoding="utf-8")
-        assert dump_json_document(run_shardrun(config)) == golden
+        recipes = {
+            # The CI smoke recipe, pinned to the bytes the per-order-heap
+            # feed produced (CI cmp's its --jobs 1 report to the same file).
+            "shardrun_smoke.json": ShardRunConfig(
+                n_participants=20_000, n_symbols=10, n_shards=4,
+                rate_per_participant_s=2.0, duration_s=0.3,
+            ),
+            # The Table-1 economics on the batched kernel: 12 283 orders,
+            # 3 459 trades.
+            "shardrun_table1.json": ShardRunConfig(
+                seed=2021, n_participants=48, n_symbols=100, n_shards=4,
+                rate_per_participant_s=1_700.0, duration_s=0.15,
+                market_order_fraction=0.05,
+            ),
+            # A million participants (the defaults) for 0.1 s: 45 166
+            # orders, 14 722 trades.
+            "shardrun_1m_quick.json": ShardRunConfig(seed=2021, duration_s=0.1),
+        }
+        for name, config in recipes.items():
+            golden = (GOLDEN / name).read_text(encoding="utf-8")
+            assert dump_json_document(run_shardrun(config)) == golden, name
 
     def test_all_orders_eventually_processed(self):
         # Orders stamped past one window's edge wait in the shard's

@@ -87,3 +87,25 @@ def test_counts_match_golden():
     ddp.run(duration_s=0.8)
     counts["ddp"] = ddp.metrics.counts()
     _check("golden_counts.json", counts)
+
+
+def test_table1_saturation_matches_golden():
+    """The Table-1 recipe at saturation -- the §4 testbed (48 / 16 / 100),
+    1 700 orders/s/participant offered, no cancels, 0.15 s -- at 1 and 4
+    shards: the heaviest event mix tier-1 runs, and the one multi-shard
+    pin."""
+    work = {}
+    for shards in (1, 4):
+        cluster = CloudExCluster(CloudExConfig(
+            seed=2021, n_participants=48, n_gateways=16, n_symbols=100,
+            n_shards=shards, orders_per_participant_per_s=450.0,
+            subscriptions_per_participant=2, snapshot_interval_ms=100.0,
+            market_order_fraction=0.05, cancel_fraction=0.0,
+        ))
+        cluster.add_default_workload(rate_per_participant=1_700.0)
+        cluster.run(duration_s=0.15)
+        work[f"table1_shards_{shards}"] = {
+            "events_processed": cluster.sim.events_processed,
+            "throughput_per_s": round(cluster.metrics.throughput_per_s(), 3),
+        }
+    _check("golden_table1_saturation.json", work)

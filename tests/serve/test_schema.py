@@ -62,6 +62,11 @@ class TestNormalizeSweep:
     def test_bad_config_field_caught_at_submission(self):
         with pytest.raises(JobError, match="invalid sweep spec"):
             normalize_job({**SWEEP_RAW, "grid": [{"n_shardz": 1}]})
+        # ... and so is a value no config can be built from.
+        with pytest.raises(JobError, match="invalid sweep spec: audit_trail has no effect"):
+            normalize_job({**SWEEP_RAW, "grid": [
+                {"n_shards": 1}, {"matching_mode": "batch", "audit_trail": True},
+            ]})
 
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):
@@ -111,14 +116,10 @@ class TestNormalizeChaosAndBench:
         with pytest.raises(JobError, match="scenario"):
             normalize_job({"kind": "chaos"})
 
-    def test_bench_defaults(self):
-        spec = normalize_job({"kind": "bench"})
-        assert spec == {"kind": "bench", "suite": "all", "quick": True,
-                        "repeats": 1, "schema": SCHEMA}
-
-    def test_bench_bad_suite_rejected(self):
-        with pytest.raises(JobError, match="suite"):
-            normalize_job({"kind": "bench", "suite": "nano"})
+    def test_bench_kind_retired(self):
+        # `python3 -m bench` is the one perf harness; it is not a job.
+        with pytest.raises(JobError, match="'kind' must be one of sweep, chaos, fairness"):
+            normalize_job({"kind": "bench"})
 
 
 class TestEnvelope:
@@ -129,7 +130,7 @@ class TestEnvelope:
     def test_unknown_kind_rejected(self):
         with pytest.raises(JobError, match="kind"):
             normalize_job({"kind": "train"})
-        assert JOB_KINDS == ("sweep", "chaos", "bench", "fairness")
+        assert JOB_KINDS == ("sweep", "chaos", "fairness")
 
     def test_unknown_schema_rejected(self):
         with pytest.raises(JobError, match="schema"):
@@ -141,4 +142,7 @@ class TestEnvelope:
         assert "chaos smoke" in describe(
             normalize_job({"kind": "chaos", "scenario": "smoke"})
         )
-        assert "bench all (quick)" == describe(normalize_job({"kind": "bench"}))
+        assert "fairness f: cloudex/noop (2 cell(s))" == describe(normalize_job({
+            "kind": "fairness", "name": "f", "policies": ["cloudex", "noop"],
+            "clocks": ["huygens"], "scenarios": ["latency_storm"],
+        }))

@@ -101,6 +101,9 @@ class TestAuthAndRouting:
         )
         assert status == 400
         assert "unknown chaos scenario" in body["error"]
+        status, body = request(server, "POST", "/v1/jobs", body={"kind": "bench"})
+        assert status == 400
+        assert body["error"] == "'kind' must be one of sweep, chaos, fairness"
 
     def test_non_json_body_is_400(self, server):
         import urllib.error
@@ -323,6 +326,33 @@ class TestListingAndRecovery:
             server.stop()
         assert record["status"] == "done", record.get("error")
         assert record["executions"] == 2  # the interrupted attempt counts
+
+    def test_persisted_run_of_a_retired_kind_fails_and_the_queue_moves_on(self, tmp_path):
+        # A data directory written by a build that still served ``bench``
+        # jobs: the interrupted run is re-queued like any other.
+        from repro.serve.store import RunStore
+
+        config = serve_config(tmp_path)
+        spec = {"kind": "bench", "suite": "all", "quick": True, "repeats": 1,
+                "schema": "repro-job/1"}
+        store = RunStore(os.path.join(config.data_dir, "runs.sqlite3"))
+        assert store.submit("old-bench-run", spec, "an-older-build", submitted_by="alice")
+        assert store.claim_next()["run_id"] == "old-bench-run"
+        store.close()
+
+        server = ReproServer(config)
+        assert server.recovered_runs == 1
+        server.start()
+        try:
+            old = wait_for_run(server, "old-bench-run")
+            _, submitted = request(server, "POST", "/v1/jobs", body=CHAOS_SMOKE)
+            new = wait_for_run(server, submitted["run_id"])
+        finally:
+            server.stop()
+        assert old["status"] == "failed"
+        assert "ValueError: unknown job kind 'bench'" in old["error"]
+        assert old["description"] == "bench (unknown job kind)"
+        assert new["status"] == "done", new.get("error")
 
 
 def _sweep_job(master_seed):

@@ -106,6 +106,10 @@ class TestInlineRunner:
     def test_validation(self):
         with pytest.raises(ValueError):
             ConservativeShardRunner(_make_toy, (7,), n_shards=0)
+        # Too many workers is clamped to one per shard; none is an error,
+        # not a quiet inline run.
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            ConservativeShardRunner(_make_toy, (7,), n_shards=2, jobs=0)
 
     def test_finish_is_terminal(self):
         with ConservativeShardRunner(_make_toy, (7,), n_shards=1, jobs=1) as runner:

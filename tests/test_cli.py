@@ -36,7 +36,7 @@ class TestParser:
         # The full subcommand surface, pinned: adding one means adding
         # it here, to the dispatcher, and to the --help epilog.
         assert SUBCOMMANDS == (
-            "trace", "chaos", "bench", "sweep", "fairness", "shardrun", "serve", "verify-pack"
+            "trace", "chaos", "sweep", "fairness", "shardrun", "serve", "verify-pack"
         )
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--help"])
@@ -164,11 +164,24 @@ class TestMain:
             (["trace", "--rf", "5"], "replication factor 5"),
             (["chaos", "--scenario", "nope"], "unknown chaos scenario 'nope'"),
             (["shardrun", "--shards", "20", "--symbols", "10"], "n_shards must be in"),
+            (["shardrun", "--jobs", "0"], "jobs must be >= 1"),
+            (["sweep", "--grid", "bogus=1"], "'bogus' is not a CloudExConfig field"),
+            (["sweep", "--grid", "n_shards"], "--grid expects field=v1,v2,..."),
+            (["sweep", "--grid", "n_shards=1", "--set", "seed=3"], "set seeds via"),
+            (["sweep", "--grid", "n_shards=1", "--seeds", "0"], "seeds must be >= 1"),
+            (["sweep", "--grid", "n_shards=1", "--seed-list", "a,b"], "--seed-list expects"),
+            (["sweep", "--grid", "n_shards=1", "--jobs", "0"], "jobs must be >= 1"),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch",
+                 "--set", "audit_trail=true"],
+                "audit_trail has no effect under matching_mode='batch'",
+            ),
+            (["fairness", "--seeds", "0"], "seeds must be >= 1"),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
         # Exit 1 is reserved for "the run completed but something it
-        # measured failed"; a config that cannot be built never ran.
+        # measured failed"; a config or spec that cannot be built never ran.
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -4,7 +4,9 @@ README.md, DESIGN.md and EXPERIMENTS.md name modules, classes and
 functions as `` `repro.pkg.mod.Name` ``.  Each such path is resolved
 here by importing the longest importable module prefix and walking the
 rest with ``getattr`` -- so deleting or renaming what a doc sentence
-points at fails tier-1 instead of leaving the sentence stale.
+points at fails tier-1 instead of leaving the sentence stale.  The
+same goes for commands: every ``python -m repro <word>`` names a
+subcommand the dispatcher knows.
 """
 
 import importlib
@@ -16,6 +18,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
 _REF = re.compile(r"`(repro(?:\.[A-Za-z_][A-Za-z0-9_]*)+)`")
+_COMMAND = re.compile(r"python3? -m repro\s+([A-Za-z][A-Za-z0-9-]*)")
 
 
 def doc_refs():
@@ -49,3 +52,12 @@ def test_doc_reference_resolves(doc, ref):
         resolve(ref)
     except (ModuleNotFoundError, AttributeError) as exc:
         pytest.fail(f"{doc} names `{ref}`, which does not resolve: {exc}")
+
+
+@pytest.mark.parametrize("doc", DOCS)
+def test_doc_commands_name_subcommands(doc):
+    from repro.__main__ import SUBCOMMANDS
+
+    words = set(_COMMAND.findall((ROOT / doc).read_text()))
+    assert words  # the pattern still finds the commands
+    assert words <= set(SUBCOMMANDS), sorted(words - set(SUBCOMMANDS))
