@@ -48,7 +48,7 @@ import argparse
 import sys
 
 from repro.analysis.report import summarize_run
-from repro.cliutil import EXIT_OK, emit_json, usage_error
+from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.core.cluster import CloudExCluster
 from repro.core.config import CloudExConfig
 
@@ -136,14 +136,7 @@ def build_trace_parser() -> argparse.ArgumentParser:
         choices=["huygens", "ntp", "none", "perfect"],
         default="huygens",
     )
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="also write a deterministic trace-summary document as JSON (no PATH = stdout)",
-    )
+    add_json_flag(parser, "also write a deterministic trace-summary document as JSON")
     return parser
 
 
@@ -238,14 +231,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--list", action="store_true", help="list scenarios and exit")
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit the report as JSON instead of text (no PATH = stdout)",
-    )
+    add_json_flag(parser, "emit the report as JSON instead of text")
     parser.add_argument(
         "--strict",
         action="store_true",

@@ -26,6 +26,7 @@ evidence packs built from the same documents.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from typing import Optional
@@ -40,6 +41,15 @@ def usage_error(message: object) -> int:
     :data:`EXIT_USAGE` for the caller to return."""
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def add_json_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    """Give ``parser`` the family's one ``--json [PATH]`` flag: bare (or
+    ``-``) means stdout.  Pass ``args.json`` to :func:`emit_json`."""
+    parser.add_argument(
+        "--json", nargs="?", const="-", default=None, metavar="PATH",
+        help=f"{help} (no PATH = stdout)",
+    )
 
 
 def dump_json_document(document: object) -> str:

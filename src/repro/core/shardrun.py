@@ -44,7 +44,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.cliutil import EXIT_OK, emit_json, usage_error
+from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
@@ -404,14 +404,7 @@ def build_shardrun_parser() -> argparse.ArgumentParser:
     parser.add_argument("--duration", type=float, default=0.5, metavar="SECONDS")
     parser.add_argument("--buckets", type=int, default=64, help="portfolio accounting buckets")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = inline)")
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit the deterministic report as JSON (no PATH = stdout)",
-    )
+    add_json_flag(parser, "emit the deterministic report as JSON")
     return parser
 
 

@@ -24,7 +24,7 @@ import json
 import sys
 from typing import Dict, List, Tuple
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
 from repro.exp.runner import run_sweep, sweep_table
 from repro.exp.spec import SweepSpec
@@ -111,10 +111,7 @@ def build_sweep_parser() -> argparse.ArgumentParser:
         help="per-task timeout (jobs > 1 only)",
     )
     parser.add_argument("--retries", type=int, default=1, help="extra attempts per failed task")
-    parser.add_argument(
-        "--json", default=None, metavar="PATH",
-        help="write the aggregated document as JSON ('-' for stdout)",
-    )
+    add_json_flag(parser, "write the aggregated document as JSON")
     parser.add_argument("--no-cache", action="store_true", help="ignore and don't write .repro-cache/")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     parser.add_argument(

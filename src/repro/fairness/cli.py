@@ -27,7 +27,7 @@ import argparse
 import sys
 from typing import List
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
 from repro.fairness.base import POLICY_NAMES
 from repro.fairness.study import (
@@ -88,8 +88,7 @@ def build_fairness_parser() -> argparse.ArgumentParser:
                         help="per-task timeout (jobs > 1 only)")
     parser.add_argument("--retries", type=int, default=1,
                         help="extra attempts per failed task")
-    parser.add_argument("--json", default=None, metavar="PATH", nargs="?", const="-",
-                        help="write the frontier document as JSON ('-' for stdout)")
+    add_json_flag(parser, "write the frontier document as JSON")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and don't write .repro-cache/")
     parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)

@@ -13,7 +13,7 @@ import argparse
 import signal
 import sys
 
-from repro.cliutil import EXIT_FAILURE, EXIT_OK, emit_json, usage_error
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -137,10 +137,7 @@ def build_verify_pack_parser() -> argparse.ArgumentParser:
         "--secret", default=None, metavar="SECRET",
         help="operator secret; enables certificate signature verification",
     )
-    parser.add_argument(
-        "--json", nargs="?", const="-", default=None, metavar="PATH",
-        help="write the verification document as JSON (no PATH = stdout)",
-    )
+    add_json_flag(parser, "write the verification document as JSON")
     return parser
 
 

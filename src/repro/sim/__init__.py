@@ -28,7 +28,7 @@ from repro.sim.latency import (
     StragglerLatency,
     UniformLatency,
 )
-from repro.sim.network import Host, Link, Message, Network
+from repro.sim.network import Host, Link, Network
 from repro.sim.rng import RngRegistry
 from repro.sim.timeunits import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
 
@@ -45,7 +45,6 @@ __all__ = [
     "LatencyModel",
     "Link",
     "LognormalLatency",
-    "Message",
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",

@@ -26,7 +26,6 @@ from collections import defaultdict
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.sim.engine import Event, Simulator
-from repro.sim.timeunits import SECOND
 
 
 class CpuAccountant:
@@ -125,7 +124,3 @@ class CorePool:
     def __repr__(self) -> str:
         return f"CorePool(cores={self.cores}, jobs={self.jobs})"
 
-
-def cores_over_window(accountant: CpuAccountant, window_ns: int = SECOND) -> float:
-    """Convenience: cores used by ``accountant`` over ``window_ns``."""
-    return accountant.cores_used(window_ns)

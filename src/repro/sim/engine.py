@@ -1,10 +1,11 @@
 """The discrete-event simulation engine.
 
-A :class:`Simulator` owns a heap of pending events ordered by
-``(time, priority, sequence)``.  Time is integer nanoseconds
-(:mod:`repro.sim.timeunits`).  The sequence number breaks ties between
-events scheduled for the same instant, preserving scheduling order so
-runs are fully deterministic.
+A :class:`Simulator` owns a heap of pending :class:`Event` entries
+ordered by ``(time, priority, sequence)`` -- one layout and one dispatch
+loop, whichever ``schedule*`` method made the entry.  Time is integer
+nanoseconds (:mod:`repro.sim.timeunits`).  The sequence number breaks
+ties between events scheduled for the same instant, preserving
+scheduling order so runs are fully deterministic.
 
 Components are :class:`Actor` subclasses; an actor holds a reference to
 the simulator and schedules callbacks on it.  There are no threads:
@@ -16,51 +17,41 @@ wall-clock implementation could not time precisely (see DESIGN.md §4).
 from __future__ import annotations
 
 import heapq
+import operator
 from typing import Any, Callable, List, Optional, Sequence
 
 
-class Event:
-    """A scheduled callback.
+class Event(list):
+    """A scheduled callback: the heap entry ``[time, priority, seq, fn, args]``.
 
-    Events are created through :meth:`Simulator.schedule` /
-    :meth:`Simulator.schedule_at`; user code only ever needs
-    :meth:`cancel`.
+    The simulator's heap holds these and nothing else, whichever
+    ``schedule*`` method made them.  ``seq`` is unique, so heap
+    comparisons are C list comparisons decided by the
+    ``(time, priority, seq)`` prefix and never reach ``fn``.  User code
+    only ever needs :meth:`cancel`; a ``dispatch_hook`` reads ``time``,
+    ``seq``, ``fn`` and ``args``.
     """
 
-    __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "_sim", "_in_heap")
+    __slots__ = ()
 
-    def __init__(
-        self,
-        time: int,
-        priority: int,
-        seq: int,
-        fn: Callable[..., None],
-        args: tuple,
-        sim: "Optional[Simulator]" = None,
-    ) -> None:
-        self.time = time
-        self.priority = priority
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-        self._in_heap = False
+    time = property(operator.itemgetter(0))
+    priority = property(operator.itemgetter(1))
+    seq = property(operator.itemgetter(2))
+    fn = property(operator.itemgetter(3))
+    args = property(operator.itemgetter(4))
+
+    @property
+    def cancelled(self) -> bool:
+        return self[3] is None
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
-        if not self.cancelled:
-            self.cancelled = True
-            if self._in_heap and self._sim is not None:
-                self._sim._live -= 1
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
+        self[3] = None
 
     def __repr__(self) -> str:
-        state = "cancelled" if self.cancelled else "pending"
-        fn_name = getattr(self.fn, "__qualname__", repr(self.fn))
-        return f"Event(t={self.time}, fn={fn_name}, {state})"
+        if self[3] is None:
+            return f"Event(t={self[0]}, cancelled)"
+        return f"Event(t={self[0]}, fn={getattr(self[3], '__qualname__', repr(self[3]))})"
 
 
 class SimulationError(RuntimeError):
@@ -91,23 +82,25 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: int = 0
-        # Heap entries are ``(time, priority, seq, event)`` tuples so
-        # sift comparisons stay in C (tuple < tuple) instead of calling
-        # ``Event.__lt__`` millions of times per run.
-        self._heap: List[tuple] = []
+        self._heap: List[Event] = []
         self._seq: int = 0
-        self._live: int = 0
         self._running: bool = False
         self._stopped: bool = False
         self.events_processed: int = 0
-        #: Optional profiling hook called with each event just before
-        #: it executes (see :class:`repro.obs.profiler.DispatchProfiler`).
-        #: Must not mutate simulation state.
+        #: Optional profiling hook called with each :class:`Event` just
+        #: before it executes (see :class:`repro.obs.profiler.DispatchProfiler`).
+        #: Must not mutate simulation state.  Only the dispatch loop
+        #: reads it, so installing one never changes what runs.
         self.dispatch_hook: Optional[Callable[[Event], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def _past(self, time_ns: int) -> SimulationError:
+        return SimulationError(
+            f"cannot schedule at t={time_ns} ns; simulation time is already {self.now} ns"
+        )
+
     def schedule(
         self,
         delay_ns: int,
@@ -133,50 +126,36 @@ class Simulator:
     ) -> Event:
         """Schedule ``fn(*args)`` at absolute simulation time ``time_ns``."""
         if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} ns; simulation time is already {self.now} ns"
-            )
-        event = Event(time_ns, priority, self._seq, fn, args, self)
-        event._in_heap = True
-        heapq.heappush(self._heap, (time_ns, priority, self._seq, event))
+            raise self._past(time_ns)
+        event = Event((time_ns, priority, self._seq, fn, args))
+        heapq.heappush(self._heap, event)
         self._seq += 1
-        self._live += 1
         return event
 
-    def schedule_message(self, time_ns: int, fn: Callable[[Any], None], arg: Any) -> None:
-        """Schedule ``fn(arg)`` at ``time_ns`` without allocating an Event.
+    def schedule_message(self, time_ns: int, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule ``fn(*args)`` at ``time_ns`` at priority 0, returning no handle.
 
-        A pinned-shape fast path for the single hottest schedule site --
-        message delivery, a quarter of all events in a cluster run.
-        Deliveries are never cancelled and always run at priority 0, so
-        the heap entry can carry a plain ``(fn, arg)`` tuple instead of
-        an :class:`Event`; no handle is returned.  A sequence number is
-        consumed from the same counter as :meth:`schedule_at`, so event
-        ordering -- and therefore the whole run -- is identical
-        whichever path a delivery takes.  While a ``dispatch_hook`` is
-        installed this delegates to :meth:`schedule_at` so profilers
-        see a real Event for every dispatch.
+        The entry point for the hottest schedule site -- message
+        delivery, over half of all events in a cluster run.  Deliveries
+        are never cancelled, so no handle is returned; the heap entry
+        and the sequence counter are the ones :meth:`schedule_at` uses,
+        so ordering -- and therefore the whole run -- is identical
+        whichever method scheduled a callback.
         """
-        if self.dispatch_hook is not None:
-            self.schedule_at(time_ns, fn, arg)
-            return
         if time_ns < self.now:
-            raise SimulationError(
-                f"cannot schedule at t={time_ns} ns; simulation time is already {self.now} ns"
-            )
-        heapq.heappush(self._heap, (time_ns, 0, self._seq, (fn, arg)))
+            raise self._past(time_ns)
+        heapq.heappush(self._heap, Event((time_ns, 0, self._seq, fn, args)))
         self._seq += 1
-        self._live += 1
 
     def schedule_message_bulk(self, entries: "Sequence[tuple]") -> None:
-        """Schedule a train of ``fn(arg)`` deliveries in one call.
+        """Schedule a train of deliveries in one call.
 
-        ``entries`` is a sequence of ``(time_ns, fn, arg)`` triples.
+        ``entries`` is a sequence of ``(time_ns, fn, *args)`` tuples.
         Semantically identical to calling :meth:`schedule_message` once
         per entry in order -- the same sequence numbers are consumed
         from the same counter, and heap pops are ordered purely by the
         ``(time, priority, seq)`` key, so dispatch order (and therefore
-        the whole run) cannot depend on which path a train took.  What
+        the whole run) cannot depend on how a train was scheduled.  What
         changes is the heap maintenance: when the batch rivals the heap
         in size, entries are appended and the heap is rebuilt once
         (O(n + m)) instead of m sift-up pushes (O(m log n)) -- the
@@ -184,36 +163,24 @@ class Simulator:
         (:meth:`repro.sim.network.Network.send_many`) relies on.
 
         Validation happens before any entry is admitted, so a bad
-        timestamp leaves the simulator untouched.  Like
-        :meth:`schedule_message`, delegates to :meth:`schedule_at`
-        while a ``dispatch_hook`` is installed so profilers see a real
-        Event per delivery.
+        timestamp leaves the simulator untouched.
         """
-        if self.dispatch_hook is not None:
-            for time_ns, fn, arg in entries:
-                self.schedule_at(time_ns, fn, arg)
-            return
         now = self.now
         for entry in entries:
             if entry[0] < now:
-                raise SimulationError(
-                    f"cannot schedule at t={entry[0]} ns; simulation time is already {now} ns"
-                )
+                raise self._past(entry[0])
         heap = self._heap
-        seq = self._seq
-        if len(entries) >= 8 and len(entries) * 4 >= len(heap):
-            append = heap.append
-            for time_ns, fn, arg in entries:
-                append((time_ns, 0, seq, (fn, arg)))
-                seq += 1
+        events = [
+            Event((entry[0], 0, seq, entry[1], entry[2:]))
+            for seq, entry in enumerate(entries, self._seq)
+        ]
+        self._seq += len(events)
+        if len(events) >= 8 and len(events) * 4 >= len(heap):
+            heap.extend(events)
             heapq.heapify(heap)
         else:
-            heappush = heapq.heappush
-            for time_ns, fn, arg in entries:
-                heappush(heap, (time_ns, 0, seq, (fn, arg)))
-                seq += 1
-        self._live += seq - self._seq
-        self._seq = seq
+            for event in events:
+                heapq.heappush(heap, event)
 
     def schedule_fault(self, time_ns: int, fn: Callable[..., None], *args: Any) -> Event:
         """Schedule a fault transition (crash, partition, clock step).
@@ -258,38 +225,19 @@ class Simulator:
                 if processed >= stop_after:
                     hit_max_events = True
                     break
-                entry = heap[0]
-                event_time = entry[0]
-                if event_time > horizon:
+                event = heap[0]
+                time_ns = event[0]
+                if time_ns > horizon:
                     break
                 heappop(heap)
-                event = entry[3]
-                if type(event) is tuple:
-                    # schedule_message fast-path entry: (fn, arg),
-                    # uncancellable.  schedule_message falls back to
-                    # Events while a dispatch_hook is installed, so a
-                    # tuple entry can coexist with a hook only when the
-                    # hook was installed *after* the delivery was
-                    # scheduled.  Profilers must still see those
-                    # dispatches, so wrap the entry in a synthetic
-                    # one-shot Event; the no-hook hot path is unchanged.
-                    self._live -= 1
-                    self.now = event_time
-                    if self.dispatch_hook is not None:
-                        self.dispatch_hook(
-                            Event(event_time, 0, entry[2], event[0], (event[1],), None)
-                        )
-                    event[0](event[1])
-                    processed += 1
+                fn = event[3]
+                if fn is None:  # cancelled
                     continue
-                event._in_heap = False
-                if event.cancelled:
-                    continue
-                self._live -= 1
-                self.now = event_time
-                if self.dispatch_hook is not None:
-                    self.dispatch_hook(event)
-                event.fn(*event.args)
+                self.now = time_ns
+                hook = self.dispatch_hook
+                if hook is not None:
+                    hook(event)
+                fn(*event[4])
                 processed += 1
         finally:
             self._running = False
@@ -317,52 +265,21 @@ class Simulator:
         if self._stopped:
             self._stopped = False
             return False
-        self._running = True
-        try:
-            while self._heap:
-                entry = heapq.heappop(self._heap)
-                event = entry[3]
-                if type(event) is tuple:
-                    self._live -= 1
-                    self.now = entry[0]
-                    if self.dispatch_hook is not None:
-                        # See run(): tuple entries predate a mid-run
-                        # hook install; synthesize an Event for it.
-                        self.dispatch_hook(
-                            Event(entry[0], 0, entry[2], event[0], (event[1],), None)
-                        )
-                    event[0](event[1])
-                    self.events_processed += 1
-                    return True
-                event._in_heap = False
-                if event.cancelled:
-                    continue
-                self._live -= 1
-                self.now = entry[0]
-                if self.dispatch_hook is not None:
-                    self.dispatch_hook(event)
-                event.fn(*event.args)
-                self.events_processed += 1
-                return True
-            return False
-        finally:
-            self._running = False
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed > before
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current handler."""
         self._stopped = True
 
     def pending(self) -> int:
-        """Number of scheduled, non-cancelled events (O(1): a live
-        counter maintained by schedule/cancel/dispatch)."""
-        return self._live
+        """Number of scheduled, non-cancelled events (counted on demand:
+        the heap still holds cancelled-but-unpopped entries)."""
+        return sum(1 for event in self._heap if event[3] is not None)
 
     def __repr__(self) -> str:
-        # ``self._live``, not ``len(self._heap)``: the heap still holds
-        # cancelled-but-unpopped entries, so its length can exceed the
-        # number of events that will actually fire.  The repr must agree
-        # with :meth:`pending`.
-        return f"Simulator(now={self.now}, pending={self._live})"
+        return f"Simulator(now={self.now}, pending={self.pending()})"
 
 
 class Actor:

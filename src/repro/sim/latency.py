@@ -6,12 +6,17 @@ and market data arrives at gateways at different times.  Each link in
 the simulated network draws per-message one-way delays from one of the
 models here.
 
-The workhorse is :class:`LognormalLatency` (cloud intra-zone RTTs are
-well described by a lognormal body) optionally wrapped in
-:class:`SpikyLatency` (rare large jitter spikes from hypervisor
-scheduling), :class:`StragglerLatency` (a persistently slow VM -- the
-motivation for ROS, §3), and :class:`PeriodicInjectedDelay` (the
-0/400/200 us every-6-seconds schedule of Fig. 5).
+The workhorse is :func:`cloud_link`'s :class:`CloudLinkLatency` -- a
+propagation floor plus gamma queueing jitter plus rare hypervisor
+spikes, sampled in one call -- which backs every link of a cluster.
+The cluster wraps it in :class:`StragglerLatency` (a persistently slow
+VM -- the motivation for ROS, §3) and :class:`PeriodicInjectedDelay`
+(the 0/400/200 us every-6-seconds schedule of Fig. 5), and uses
+:class:`GammaLatency` for NTP's asymmetric millisecond probe paths.
+The remaining models (constant, uniform, lognormal, spiky, composite)
+are the building blocks ``CloudLinkLatency`` is defined against and the
+null models of the unit tests; nothing under ``src/`` builds one for a
+run.
 
 All ``sample`` methods take the current true time so models can be
 time-varying, and return integer nanoseconds >= ``floor_ns``.

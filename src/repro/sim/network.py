@@ -11,10 +11,15 @@ The network layer plays the role of ZeroMQ-over-cloud in the paper:
   connection); *cross-link* reordering -- the source of inbound
   unfairness -- arises naturally because different links sample
   different delays.
-- The :class:`Network` owns hosts and links and offers ``send``.
+- The :class:`Network` owns hosts and links and offers ``send`` /
+  ``send_many``.
 
-Messages delivered to a downed host are counted and dropped, never
-raised: crash behaviour is data, not an error.
+A message in flight is nothing but a scheduled ``Host.deliver(payload,
+src)`` call: no per-send object, no per-send counters (latency and
+throughput are measured where the paper measures them, in
+:mod:`repro.core.metrics`).  Messages delivered to a downed host are
+counted and dropped, never raised: crash behaviour is data, not an
+error.
 """
 
 from __future__ import annotations
@@ -28,42 +33,10 @@ from repro.sim.latency import LatencyModel
 from repro.sim.rng import RngRegistry
 
 
-class Message:
-    """A payload in flight, with transport metadata for metrics.
-
-    A plain ``__slots__`` class: one is allocated per send, so the
-    per-instance dict and dataclass machinery are measurable overhead.
-    """
-
-    __slots__ = ("payload", "src", "dst", "sent_at", "delivered_at")
-
-    def __init__(
-        self, payload: Any, src: str, dst: str, sent_at: int, delivered_at: int = -1
-    ) -> None:
-        self.payload = payload
-        self.src = src
-        self.dst = dst
-        self.sent_at = sent_at
-        self.delivered_at = delivered_at
-
-    def __repr__(self) -> str:
-        return (
-            f"Message({self.payload!r}, {self.src}->{self.dst}, "
-            f"sent_at={self.sent_at}, delivered_at={self.delivered_at})"
-        )
-
-
 class Host:
     """A simulated VM."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        name: str,
-        clock: HostClock,
-        baseline_cores: float = 0.0,
-    ) -> None:
-        self.sim = sim
+    def __init__(self, name: str, clock: HostClock, baseline_cores: float = 0.0) -> None:
         self.name = name
         self.clock = clock
         self.cpu = CpuAccountant(baseline_cores=baseline_cores)
@@ -87,7 +60,7 @@ class Host:
         host is still down then (the ``up`` check in :meth:`deliver`;
         a host that restarts before the arrival still receives it),
         and messages its actor tries to send are dropped at the source
-        (the ``src.up`` check in :meth:`Link.send`).  Dropped messages
+        (the ``src.up`` check in :meth:`Link.prepare`).  Dropped messages
         stay lost after :meth:`restart`; nothing is requeued.
         """
         self.up = False
@@ -96,15 +69,14 @@ class Host:
         """Bring the host back up.  Messages dropped while down stay lost."""
         self.up = True
 
-    def deliver(self, message: Message) -> None:
-        """Hand a just-arrived message to the bound actor."""
+    def deliver(self, payload: Any, src: str) -> None:
+        """Hand a just-arrived payload from host ``src`` to the bound actor."""
         if not self.up:
             self.dropped_while_down += 1
             return
         if self.actor is None:
-            raise RuntimeError(f"host {self.name!r} has no bound actor for {message.payload!r}")
-        message.delivered_at = self.sim.now
-        self.actor.on_message(message.payload, message.src)
+            raise RuntimeError(f"host {self.name!r} has no bound actor for {payload!r}")
+        self.actor.on_message(payload, src)
 
     def __repr__(self) -> str:
         state = "up" if self.up else "DOWN"
@@ -137,8 +109,6 @@ class Link:
         self.fifo = fifo
         self.rng = rngs.stream(f"link:{src.name}->{dst.name}")
         self._last_arrival: int = -1
-        self.messages_sent: int = 0
-        self.total_delay_ns: int = 0
         # Active latency faults: list of (multiplier, extra_ns) plus
         # their product/sum folded into one tuple (None = no fault).
         self._fault_stack: List[Tuple[float, int]] = []
@@ -152,7 +122,6 @@ class Link:
         self._sample = latency.sample
         self._schedule_message = sim.schedule_message
         self._src_name = src.name
-        self._dst_name = dst.name
 
     # ------------------------------------------------------------------
     # Runtime faults (repro.chaos)
@@ -194,28 +163,26 @@ class Link:
     def blocked(self) -> bool:
         return self._blocked > 0
 
-    def prepare(self, payload: Any) -> Tuple[Message, Optional[tuple]]:
+    def prepare(self, payload: Any) -> Optional[tuple]:
         """Everything :meth:`send` does except the scheduling itself.
 
-        Returns ``(message, entry)`` where ``entry`` is an
-        ``(arrival_ns, deliver, message)`` triple ready for
-        :meth:`~repro.sim.engine.Simulator.schedule_message` (or the
-        bulk variant), or ``None`` when the send was dropped at the
-        source (downed host, partitioned link).  Splitting preparation
-        from scheduling lets fanout sites collect a whole train of
-        deliveries and hand them to ``schedule_message_bulk`` in one
-        call -- the RNG draws, FIFO bumping, and counters happen here,
-        in per-call order, so a bulk-scheduled fanout is bit-identical
-        to a loop of sends.
+        Returns the ``(arrival_ns, deliver, payload, src_name)`` entry
+        ready for :meth:`~repro.sim.engine.Simulator.schedule_message`
+        (or the bulk variant), or ``None`` when the send was dropped at
+        the source (downed host, partitioned link).  Splitting
+        preparation from scheduling lets fanout sites collect a whole
+        train of deliveries and hand them to ``schedule_message_bulk``
+        in one call -- the RNG draws, FIFO bumping, and drop counters
+        happen here, in per-call order, so a bulk-scheduled fanout is
+        bit-identical to a loop of sends.
         """
-        now = self.sim.now
-        message = Message(payload, self._src_name, self._dst_name, now)
         if not self.src.up:
             self.src.dropped_sends_while_down += 1
-            return message, None
+            return None
         if self._blocked:
             self.dropped_partitioned += 1
-            return message, None
+            return None
+        now = self.sim.now
         delay = self._sample(self.rng, now)
         if self._fault is not None:
             multiplier, extra_ns = self._fault
@@ -224,27 +191,17 @@ class Link:
         if self.fifo and arrival <= self._last_arrival:
             arrival = self._last_arrival + 1
         self._last_arrival = arrival
-        self.messages_sent += 1
-        self.total_delay_ns += arrival - now
-        return message, (arrival, self._deliver, message)
+        return arrival, self._deliver, payload, self._src_name
 
-    def send(self, payload: Any) -> Message:
+    def send(self, payload: Any) -> None:
         """Sample a delay and schedule delivery at the destination.
 
         A send from a downed source host, or over a partitioned link,
-        is dropped at the source: the Message is returned (callers need
-        the handle) but never scheduled for delivery.
+        is dropped at the source: counted, never scheduled.
         """
-        message, entry = self.prepare(payload)
+        entry = self.prepare(payload)
         if entry is not None:
-            self._schedule_message(entry[0], entry[1], entry[2])
-        return message
-
-    def mean_delay_us(self) -> float:
-        """Average observed one-way delay, in microseconds."""
-        if self.messages_sent == 0:
-            return 0.0
-        return self.total_delay_ns / self.messages_sent / 1_000
+            self._schedule_message(*entry)
 
     def __repr__(self) -> str:
         return f"Link({self.src.name}->{self.dst.name}, {self.latency!r})"
@@ -273,7 +230,7 @@ class Network:
         if name in self.hosts:
             raise ValueError(f"duplicate host name {name!r}")
         clock = HostClock(self.sim, drift_ppb=drift_ppb, offset_ns=offset_ns)
-        host = Host(self.sim, name, clock, baseline_cores=baseline_cores)
+        host = Host(name, clock, baseline_cores=baseline_cores)
         self.hosts[name] = host
         return host
 
@@ -305,14 +262,14 @@ class Network:
         except KeyError:
             raise KeyError(f"no link {src}->{dst}; call connect() first") from None
 
-    def send(self, src: str, dst: str, payload: Any) -> Message:
+    def send(self, src: str, dst: str, payload: Any) -> None:
         """Send ``payload`` from ``src`` to ``dst`` over their link."""
         link = self.links.get((src, dst))
         if link is None:
             raise KeyError(f"no link {src}->{dst}; call connect() first")
-        return link.send(payload)
+        link.send(payload)
 
-    def send_many(self, src: str, sends: "List[Tuple[str, Any]]") -> List[Message]:
+    def send_many(self, src: str, sends: "List[Tuple[str, Any]]") -> None:
         """Send a fanout train ``[(dst, payload), ...]`` from ``src``.
 
         Semantically identical to calling :meth:`send` once per pair in
@@ -326,17 +283,14 @@ class Network:
         """
         links = self.links
         entries = []
-        messages = []
         for dst, payload in sends:
             link = links.get((src, dst))
             if link is None:
                 raise KeyError(f"no link {src}->{dst}; call connect() first")
-            message, entry = link.prepare(payload)
-            messages.append(message)
+            entry = link.prepare(payload)
             if entry is not None:
                 entries.append(entry)
         self.sim.schedule_message_bulk(entries)
-        return messages
 
     def host(self, name: str) -> Host:
         """Look up a host by name."""

@@ -181,10 +181,11 @@ class TestReprAgreesWithPending:
 
 
 class TestHookSeesFastPathEntries:
-    """Regression: a dispatch_hook installed after schedule_message put
-    tuple fast-path entries in the heap used to miss those dispatches
-    entirely (DispatchProfiler undercounted when tracing was enabled
-    after warmup)."""
+    """Regression: a dispatch_hook installed after schedule_message had
+    filled the heap used to miss those dispatches entirely
+    (DispatchProfiler undercounted when tracing was enabled after
+    warmup).  Every heap entry is an Event now, so the hook sees the
+    same object whenever it was installed."""
 
     def test_hook_installed_between_schedule_and_run(self, sim):
         hits, seen = [], []
@@ -204,7 +205,7 @@ class TestHookSeesFastPathEntries:
         sim.schedule_message(20, lambda _: None, "late")
         sim.run()
         # Only the delivery after the install is traced; it was already
-        # a tuple entry in the heap when the hook appeared.
+        # in the heap when the hook appeared.
         assert [event.args for event in seen] == [("late",)]
 
     def test_step_invokes_hook_for_tuple_entries(self, sim):
@@ -309,13 +310,18 @@ class TestScheduleMessageBulk:
             )
         assert sim.pending() == before  # validation precedes admission
 
-    def test_delegates_to_events_while_hook_installed(self, sim):
-        seen, hits = [], []
-        sim.dispatch_hook = seen.append
-        sim.schedule_message_bulk([(10, hits.append, "a"), (20, hits.append, "b")])
-        sim.run()
-        assert hits == ["a", "b"]
-        assert [event.args for event in seen] == [("a",), ("b",)]
+    def test_hook_sees_every_bulk_delivery(self):
+        for n_entries in (2, 12):  # heappush side, heapify side
+            sim = Simulator()
+            seen, hits = [], []
+            sim.dispatch_hook = seen.append
+            sim.schedule_message_bulk([(10 * i, hits.append, i) for i in range(n_entries)])
+            sim.run()
+            assert hits == list(range(n_entries))
+            assert [(event.time, event.seq, event.args) for event in seen] == [
+                (10 * i, i, (i,)) for i in range(n_entries)
+            ]
+            assert all(event.fn == hits.append for event in seen)
 
 
 class TestActor:

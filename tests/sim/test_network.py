@@ -65,15 +65,6 @@ class TestDelivery:
         assert sorted(order) == list(range(100))
         assert order != list(range(100))
 
-    def test_link_stats(self, net):
-        sim, network = net
-        wire(sim, network)
-        link = network.link("a", "b")
-        network.send("a", "b", "x")
-        sim.run()
-        assert link.messages_sent == 1
-        assert link.mean_delay_us() == pytest.approx(1.0)
-
 
 class TestCrash:
     def test_messages_to_down_host_are_dropped(self, net):
@@ -134,12 +125,11 @@ class TestCrash:
         sim, network = net
         recorder = wire(sim, network)
         network.host("a").crash()
-        message = network.send("a", "b", "never-leaves")
+        network.send("a", "b", "never-leaves")
         sim.run()
         network.host("a").restart()
         sim.run()
         assert recorder.received == []
-        assert message.delivered_at == -1
         assert network.host("a").dropped_sends_while_down == 1
         # The drop happened at the source, not at the destination.
         assert network.host("b").dropped_while_down == 0
@@ -315,12 +305,11 @@ class TestSendMany:
         assert sim_a.events_processed == sim_b.events_processed
         assert sim_a.now == sim_b.now
 
-    def test_returns_message_per_send_including_dropped(self):
+    def test_dropped_send_in_train_skips_only_that_destination(self):
         sim, network, _ = self._fanout_net(3)
         network.link("src", "dst2").block()
-        messages = network.send_many("src", [(f"dst{i}", i) for i in range(5)])
-        assert len(messages) == 5
-        assert all(m.src == "src" for m in messages)
+        network.send_many("src", [(f"dst{i}", i) for i in range(5)])
+        assert sim.pending() == 4
         sim.run()
         assert network.host("dst2").actor.received == []
         assert network.host("dst1").actor.received != []
@@ -333,5 +322,5 @@ class TestSendMany:
 
     def test_empty_fanout_is_noop(self):
         sim, network, _ = self._fanout_net(3)
-        assert network.send_many("src", []) == []
+        network.send_many("src", [])
         assert sim.pending() == 0

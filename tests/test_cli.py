@@ -220,6 +220,28 @@ class TestUnifiedJsonOutput:
         payload = json.loads(stdout_bytes)
         assert payload["scenario"] == "smoke"
 
+    def test_sweep_json_bare_prints_the_file_bytes(self, capsys, tmp_path, monkeypatch):
+        """Regression: sweep's hand-written flag required a PATH."""
+        monkeypatch.chdir(tmp_path)  # keep .repro-cache out of the repo
+        argv = [
+            "sweep",
+            "--grid", "n_shards=1",
+            "--set", "n_participants=4",
+            "--set", "n_gateways=2",
+            "--set", "n_symbols=4",
+            "--seeds", "1",
+            "--warmup", "0.05",
+            "--duration", "0.1",
+            "--rate", "100",
+            "--json",
+        ]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out_path = tmp_path / "sweep.json"
+        assert main(argv + [str(out_path)]) == 0
+        assert stdout.endswith(out_path.read_text())
+        assert json.loads(out_path.read_text())["sweep"] == "sweep"
+
     def test_trace_json_summary(self, capsys, tmp_path):
         code = main(
             [
