@@ -49,7 +49,8 @@ def main() -> None:
         summary = cluster.metrics.submission_summary()
         print(
             f"{rf:>3} {summary.p50_us:>10.0f} {summary.p99_us:>10.0f} "
-            f"{summary.p999_us:>11.0f} {cluster.metrics.duplicates_dropped:>13}"
+            f"{summary.p999_us:>11.0f} "
+            f"{cluster.metrics.windowed('ros.duplicates_dropped'):>13.0f}"
         )
 
     print("\nPart 2: a gateway crash mid-session")

@@ -105,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["huygens", "ntp", "none", "perfect"],
         default="huygens",
     )
-    parser.add_argument(
-        "--matching",
-        choices=["continuous", "batch"],
-        default="continuous",
-    )
     return parser
 
 
@@ -306,7 +301,6 @@ def main(argv=None) -> int:
             ddp_inbound_target=args.ddp,
             ddp_outbound_target=args.ddp,
             clock_sync=args.clock_sync,
-            matching_mode=args.matching,
             orders_per_participant_per_s=args.rate,
             subscriptions_per_participant=min(3, args.symbols),
         )

@@ -38,7 +38,7 @@ def summarize_run(cluster: CloudExCluster) -> str:
                 ["orders matched", f"{m.orders_matched:,.0f}"],
                 ["trades executed", f"{m.trades_executed:,.0f}"],
                 ["replicas received", f"{m.replicas_received:,.0f}"],
-                ["duplicates dropped", f"{m.duplicates_dropped:,.0f}"],
+                ["duplicates dropped", f"{m.windowed('ros.duplicates_dropped'):,.0f}"],
                 ["rejects", f"{m.rejects:,.0f}"],
                 ["throughput", f"{m.throughput_per_s():,.0f} orders/s"],
             ],

@@ -176,10 +176,6 @@ def _check_overfills(monitor: ChaosMonitor) -> List[Finding]:
 
 
 def _check_books(cluster) -> List[Finding]:
-    if cluster.config.matching_mode == "batch":
-        # A call auction's buffer is legitimately crossed between
-        # auctions (and holds plain order lists, not books).
-        return []
     findings = []
     for shard in cluster.exchange.shards:
         for symbol, book in shard.core.books.items():

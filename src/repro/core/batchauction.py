@@ -4,8 +4,10 @@ The paper positions CloudEx's infrastructure-level fairness as
 complementary to *algorithmic* fixes such as frequent batch auctions
 (Budish, Cramton & Shim -- the paper's [25]), and names "new auction
 mechanisms" as a target use of CloudEx as a market simulator (§7).
-This module provides that mechanism: a uniform-price call auction run
-at a fixed cadence.
+This module provides that mechanism as a standalone core: a
+uniform-price call auction the caller clears at whatever cadence it
+chooses.  The cluster matches continuously (§2.1); the §5 ablation
+drives this core directly.
 
 Semantics (following Budish et al.):
 
@@ -60,12 +62,11 @@ class AuctionResult:
 class BatchAuctionCore:
     """Uniform-price call auctions over a set of symbols.
 
-    Drop-in alternative to
-    :class:`~repro.core.matching.MatchingEngineCore` for research use:
-    ``add_order`` buffers (instead of matching) and ``run_auction``
-    clears one symbol.  Market orders are treated as limit orders at
-    the most aggressive representable price, the standard call-auction
-    convention.
+    A standalone core, not a cluster mode: the caller buffers with
+    ``add_order`` (nothing matches on arrival) and decides when
+    ``run_auction`` clears one symbol.  Market orders are treated as
+    limit orders at the most aggressive representable price, the
+    standard call-auction convention.
     """
 
     #: Price cap used to represent market orders inside an auction.
@@ -77,7 +78,6 @@ class BatchAuctionCore:
         portfolio: PortfolioMatrix,
         trade_id_counter: Optional[Iterable[int]] = None,
         reference_prices: Optional[Dict[Symbol, int]] = None,
-        snapshot_depth: int = 5,
     ) -> None:
         self._books: Dict[Symbol, List[Order]] = {s: [] for s in symbols}
         self.portfolio = portfolio
@@ -85,16 +85,8 @@ class BatchAuctionCore:
             iter(trade_id_counter) if trade_id_counter is not None else itertools.count(1)
         )
         self.reference_prices: Dict[Symbol, int] = dict(reference_prices or {})
-        self.snapshot_depth = snapshot_depth
-        self.last_trade_price: Dict[Symbol, int] = {}
         self.auctions_run = 0
         self.orders_processed = 0
-
-    @property
-    def books(self) -> Dict[Symbol, List[Order]]:
-        """Symbol -> buffered/resting orders (API parity with the
-        continuous :class:`~repro.core.matching.MatchingEngineCore`)."""
-        return self._books
 
     # ------------------------------------------------------------------
     # Order intake
@@ -236,7 +228,6 @@ class BatchAuctionCore:
         # Drop filled orders; unfilled limit remainders carry over.
         book[:] = [o for o in book if o.remaining > 0 and o.order_type is OrderType.LIMIT]
         self.reference_prices[symbol] = price
-        self.last_trade_price[symbol] = price
         return AuctionResult(
             symbol=symbol, clearing_price=price, executed_volume=volume, trades=trades
         )
@@ -287,32 +278,6 @@ class BatchAuctionCore:
             if sell_need == 0:
                 si += 1
         return trades
-
-    # ------------------------------------------------------------------
-    # Market data (API parity with the continuous core)
-    # ------------------------------------------------------------------
-    def snapshot(self, symbol: Symbol, now_local: int) -> "BookSnapshot":
-        """Depth snapshot aggregating the buffered/resting limit orders."""
-        from repro.core.marketdata import BookSnapshot
-
-        bids: Dict[int, int] = {}
-        asks: Dict[int, int] = {}
-        for order in self._books[symbol]:
-            if order.order_type is not OrderType.LIMIT:
-                continue
-            side = bids if order.is_buy else asks
-            side[order.limit_price] = side.get(order.limit_price, 0) + order.remaining
-        depth = self.snapshot_depth
-        return BookSnapshot(
-            symbol=symbol,
-            bids=tuple(sorted(bids.items(), key=lambda kv: -kv[0])[:depth]),
-            asks=tuple(sorted(asks.items())[:depth]),
-            taken_local=now_local,
-        )
-
-    def reference_price(self, symbol: Symbol) -> Optional[int]:
-        """Last clearing price, falling back to the configured reference."""
-        return self.last_trade_price.get(symbol, self.reference_prices.get(symbol))
 
     def __repr__(self) -> str:
         return f"BatchAuctionCore(symbols={len(self._books)}, auctions={self.auctions_run})"

@@ -43,7 +43,6 @@ from repro.sim.latency import (
     LatencyModel,
     PeriodicInjectedDelay,
     StragglerLatency,
-    cloud_link,
 )
 from repro.sim.network import Host, Network
 from repro.sim.rng import RngRegistry
@@ -161,25 +160,9 @@ class CloudExCluster:
             for i in range(config.n_participants)
         ]
 
-    def _pg_model(self) -> LatencyModel:
-        config = self.config
-        return cloud_link(
-            config.participant_gateway_base_us,
-            config.participant_gateway_jitter_shape,
-            config.participant_gateway_jitter_scale_us,
-            config.spike_prob,
-            config.spike_scale,
-        )
-
     def _ge_model(self, inject: bool) -> LatencyModel:
         config = self.config
-        model = cloud_link(
-            config.gateway_engine_base_us,
-            config.gateway_engine_jitter_shape,
-            config.gateway_engine_jitter_scale_us,
-            config.spike_prob,
-            config.spike_scale,
-        )
+        model = config.link_model("gateway_engine")
         if inject and config.injected_delay_phases_us is not None:
             phases = [int(us * MICROSECOND) for us in config.injected_delay_phases_us]
             model = PeriodicInjectedDelay(model, phases, config.injected_phase_ns)
@@ -227,8 +210,9 @@ class CloudExCluster:
             pname = participant_name(p_index)
             for gname in self.replica_gateways(p_index):
                 g_index = int(gname[1:])
-                self.network.connect(pname, gname, self._maybe_straggle(self._pg_model(), g_index))
-                self.network.connect(gname, pname, self._maybe_straggle(self._pg_model(), g_index))
+                for src, dst in ((pname, gname), (gname, pname)):
+                    model = config.link_model("participant_gateway")
+                    self.network.connect(src, dst, self._maybe_straggle(model, g_index))
 
     # ------------------------------------------------------------------
     # Software
@@ -331,13 +315,7 @@ class CloudExCluster:
         if config.sync_use_mesh and config.clock_sync == "huygens":
             # Gateway<->gateway probe paths: same fabric, slightly
             # shorter than the gateway<->engine hop.
-            mesh_latency = cloud_link(
-                config.gateway_engine_base_us * 0.8,
-                config.gateway_engine_jitter_shape,
-                config.gateway_engine_jitter_scale_us * 0.8,
-                config.spike_prob,
-                config.spike_scale,
-            )
+            mesh_latency = config.link_model("gateway_engine", scale=0.8)
         self.clock_sync = ClockSyncService(
             sim=self.sim,
             network=self.network,
@@ -401,14 +379,11 @@ class CloudExCluster:
                         gateway_seq=seq,
                         stamped_true=0,
                     )
-                    if self.config.matching_mode == "batch":
-                        shard.core.add_order(order)
-                    else:
-                        result = shard.core.process_order(order, now_local=0)
-                        if result.trades:
-                            raise AssertionError(
-                                f"book seeding must not self-cross (symbol {symbol})"
-                            )
+                    result = shard.core.process_order(order, now_local=0)
+                    if result.trades:
+                        raise AssertionError(
+                            f"book seeding must not self-cross (symbol {symbol})"
+                        )
 
     # ------------------------------------------------------------------
     # Workload

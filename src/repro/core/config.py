@@ -38,6 +38,7 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 from repro.chaos.schedule import FaultSchedule
+from repro.sim.latency import LatencyModel, cloud_link
 from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
 
 #: Known fairness backends.  Kept as a literal (rather than imported
@@ -182,14 +183,6 @@ class CloudExConfig:
     sync_use_mesh: bool = False
 
     # ------------------------------------------------------------------
-    # Matching mode: "continuous" price-time matching (the paper's
-    # exchange) or frequent "batch" auctions (the §5/§7 alternative
-    # market design, repro.core.batchauction)
-    # ------------------------------------------------------------------
-    matching_mode: str = "continuous"
-    batch_interval_ms: float = 100.0
-
-    # ------------------------------------------------------------------
     # Engine critical-path service model
     # ------------------------------------------------------------------
     ingress_service_us: float = 8.0
@@ -293,10 +286,6 @@ class CloudExConfig:
         return int(self.snapshot_interval_ms * MILLISECOND)
 
     @property
-    def batch_interval_ns(self) -> int:
-        return int(self.batch_interval_ms * MILLISECOND)
-
-    @property
     def sync_interval_ns(self) -> int:
         return int(self.sync_interval_ms * MILLISECOND)
 
@@ -323,6 +312,20 @@ class CloudExConfig:
         """Offered orders/second across all participants."""
         return self.n_participants * self.orders_per_participant_per_s
 
+    def link_model(self, leg: str, scale: float = 1.0) -> LatencyModel:
+        """One-way latency model of a ``"participant_gateway"`` or
+        ``"gateway_engine"`` link: hard floor + gamma jitter + rare
+        spikes.  ``scale`` shortens floor and jitter together (the
+        gateway<->gateway probe mesh is a shorter hop of the same
+        fabric)."""
+        return cloud_link(
+            getattr(self, f"{leg}_base_us") * scale,
+            getattr(self, f"{leg}_jitter_shape"),
+            getattr(self, f"{leg}_jitter_scale_us") * scale,
+            self.spike_prob,
+            self.spike_scale,
+        )
+
     # ------------------------------------------------------------------
     # Validation and variants
     # ------------------------------------------------------------------
@@ -346,24 +349,39 @@ class CloudExConfig:
             )
         if self.straggler_gateways > self.n_gateways:
             raise ValueError("more straggler gateways than gateways")
+        if self.straggler_gateways > 0 and self.straggler_multiplier < 1.0:
+            raise ValueError(
+                f"straggler_multiplier must be >= 1, got {self.straggler_multiplier}"
+            )
+        for leg in ("participant_gateway", "gateway_engine"):
+            # cloud_link states the base/jitter/spike ranges; building
+            # the model here is the check.
+            try:
+                self.link_model(leg)
+            except ValueError as exc:
+                raise ValueError(f"{leg}_* / spike_* link latency fields: {exc}") from None
+        if self.injected_delay_phases_us is not None:
+            if not self.injected_delay_phases_us:
+                raise ValueError("injected_delay_phases_us must be non-empty (or None)")
+            if self.injected_phase_seconds <= 0:
+                raise ValueError("injected_phase_seconds must be positive")
         if not 0.0 < self.injected_gateway_fraction <= 1.0:
             raise ValueError("injected_gateway_fraction must be in (0, 1]")
         if self.clock_sync not in ("huygens", "ntp", "none", "perfect"):
             raise ValueError(f"unknown clock_sync mode {self.clock_sync!r}")
-        if self.matching_mode not in ("continuous", "batch"):
-            raise ValueError(f"unknown matching_mode {self.matching_mode!r}")
-        if self.batch_interval_ms <= 0:
-            raise ValueError("batch interval must be positive")
-        if self.matching_mode == "batch":
-            # The auction core consults none of these: accepting them
-            # would report a guarded market that never was.
-            for name in (
-                "risk_max_position", "risk_max_order_notional",
-                "self_trade_prevention", "halt_threshold", "audit_trail",
-            ):
-                value = getattr(self, name)
-                if value is not None and value is not False:
-                    raise ValueError(f"{name} has no effect under matching_mode='batch'")
+        for name in (
+            "clock_drift_ppb_max", "clock_offset_ms_max",
+            "ingress_service_us", "book_service_us", "lock_service_us", "gateway_service_us",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("sync_interval_ms", "probe_interval_ms", "orders_per_participant_per_s"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.halt_threshold is not None:
+            for name in ("halt_threshold", "halt_window_ms", "halt_duration_ms"):
+                if getattr(self, name) <= 0:
+                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
             raise ValueError("delay parameters must be non-negative")
         if self.fairness_policy not in _FAIRNESS_POLICIES:
@@ -381,6 +399,24 @@ class CloudExConfig:
                 f"DDP targets require fairness_policy='cloudex' "
                 f"(got {self.fairness_policy!r})"
             )
+        for name, initial_us in (
+            ("ddp_inbound_target", self.sequencer_delay_us),
+            ("ddp_outbound_target", self.holdrelease_delay_us),
+        ):
+            target = getattr(self, name)
+            if target is None:
+                continue
+            if not 0.0 <= target <= 1.0:
+                raise ValueError(f"{name} must be in [0,1], got {target}")
+            if self.ddp_window < 1 or self.ddp_step_us <= 0 or self.ddp_update_every < 1:
+                raise ValueError(
+                    "ddp_window, ddp_step_us and ddp_update_every must be positive"
+                )
+            if initial_us > self.ddp_max_delay_us:
+                raise ValueError(
+                    f"{name}: the delay it tunes starts at {initial_us} us, "
+                    f"above ddp_max_delay_us={self.ddp_max_delay_us}"
+                )
         if self.dbo_window < 1:
             raise ValueError("dbo_window must be >= 1")
         if self.dbo_guard_cap_us < 0:

@@ -24,7 +24,9 @@ book work (``book_service_us``, one order at a time per shard) ->
 portfolio critical section (``lock_service_us``, one order at a time
 globally).  A shard does not start its next order until the current
 one clears the lock, modelling a shard thread that blocks on the
-shared-structure mutex.
+shared-structure mutex.  There is one shard class and one way out of
+it: :meth:`EngineShard._finalize` hands every order to
+``_emit_order_result`` and every cancel to ``_emit_cancel_result``.
 """
 
 from __future__ import annotations
@@ -39,13 +41,10 @@ from repro.core.marketdata import MarketDataPiece, TradeRecord
 from repro.core.matching import MatchingEngineCore, MatchResult
 from repro.core import audit as audit_events
 from repro.core.audit import AuditEvent, AuditTrail
-from repro.core.batchauction import BatchAuctionCore
 from repro.core.messages import (
     HoldReleaseReport,
-    OrderConfirmation,
     StampedCancel,
     StampedOrder,
-    TradeConfirmation,
 )
 from repro.core.metrics import MetricsCollector
 from repro.core.order import Order
@@ -57,7 +56,7 @@ from repro.core.ros import RosDeduplicator
 from repro.core.sequencer import Sequencer, SequencerSample
 from repro.core.sharding import SymbolRouter
 from repro.core.surveillance import CircuitBreaker
-from repro.core.types import OrderStatus, RejectReason
+from repro.core.types import OrderStatus
 from repro.sim.cpu import CorePool
 from repro.sim.engine import Actor, Simulator
 from repro.sim.network import Host, Network
@@ -167,96 +166,8 @@ class EngineShard:
         """Eligible-or-held orders waiting in this shard's sequencer."""
         return self.sequencer.pending()
 
-    def start(self) -> None:
-        """Continuous shards have no periodic work."""
-
     def __repr__(self) -> str:
         return f"EngineShard({self.shard_id}, symbols={len(self.core.books)})"
-
-
-class BatchEngineShard:
-    """A shard running frequent batch auctions instead of continuous
-    matching (config ``matching_mode="batch"``).
-
-    Orders still traverse the full fair-access path -- gateway
-    stamping, ROS dedup, and the sequencer's hold delay -- and are then
-    *buffered* per symbol; a periodic timer clears each symbol's
-    auction at the uniform price.  Per-order service timing is not
-    modelled (no paper figure depends on batch-mode performance); CPU
-    is accounted per order and per auction.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        server: "CentralExchangeServer",
-        shard_id: int,
-        symbols: Tuple[str, ...],
-        portfolio: PortfolioMatrix,
-        trade_ids,
-    ) -> None:
-        self.sim = sim
-        self.server = server
-        self.shard_id = shard_id
-        self.symbols = symbols
-        self.core = BatchAuctionCore(
-            symbols,
-            portfolio,
-            trade_id_counter=trade_ids,
-            reference_prices={s: server.config.initial_price for s in symbols},
-            snapshot_depth=server.config.snapshot_depth,
-        )
-        self.sequencer = server._build_sequencer(self._drain)
-        self._cpu_per_order_ns = int(server.config.engine_cpu_per_order_us * MICROSECOND)
-
-    # ------------------------------------------------------------------
-    # Intake
-    # ------------------------------------------------------------------
-    def _drain(self) -> None:
-        while True:
-            item = self.sequencer.pop_eligible()
-            if item is None:
-                return
-            self._ingest(item)
-
-    def _ingest(self, item: _SequencedItem) -> None:
-        kind, payload = item
-        self.server.host.cpu.charge("order", self._cpu_per_order_ns)
-        now_local = self.server.clock.now()
-        if kind == "order":
-            assert isinstance(payload, Order)
-            self.core.add_order(payload)
-            self.server._emit_batch_ack(payload, now_local)
-        else:
-            assert isinstance(payload, StampedCancel)
-            found = self.core.cancel(
-                payload.participant_id, payload.client_order_id, payload.symbol
-            )
-            self.server._emit_batch_cancel(payload, found, now_local)
-
-    # ------------------------------------------------------------------
-    # Auctions
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        """Arm the periodic auction timer."""
-        self.sim.schedule(self.server.config.batch_interval_ns, self._auction_tick)
-
-    def _auction_tick(self) -> None:
-        now_local = self.server.clock.now()
-        for symbol in self.symbols:
-            if self.core.resting_count(symbol) == 0:
-                continue
-            result = self.core.run_auction(symbol, now_local)
-            if result.cleared:
-                self.server._emit_auction_result(result, now_local)
-        self.sim.schedule(self.server.config.batch_interval_ns, self._auction_tick)
-
-    def backlog_size(self) -> int:
-        """Orders held in this shard's sequencer (not yet buffered)."""
-        return self.sequencer.pending()
-
-    def __repr__(self) -> str:
-        return f"BatchEngineShard({self.shard_id}, symbols={len(self.symbols)})"
 
 
 class CentralExchangeServer(Actor):
@@ -336,9 +247,8 @@ class CentralExchangeServer(Actor):
         self.admit_listener: Optional[Callable[[Order], None]] = None
         self.trade_listener: Optional[Callable[[TradeRecord], None]] = None
         trade_ids = itertools.count(1)
-        shard_class = EngineShard if config.matching_mode == "continuous" else BatchEngineShard
         self.shards = [
-            shard_class(sim, self, shard_id, symbols, portfolio, trade_ids)
+            EngineShard(sim, self, shard_id, symbols, portfolio, trade_ids)
             for shard_id, symbols in enumerate(router.partition())
         ]
 
@@ -400,14 +310,12 @@ class CentralExchangeServer(Actor):
         )
 
     def start(self) -> None:
-        """Begin periodic work (book snapshots, auction timers).  Idempotent."""
+        """Begin periodic work (book snapshots).  Idempotent."""
         if self._started:
             return
         self._started = True
         if self.config.snapshot_interval_ns > 0:
             self.sim.schedule(self.config.snapshot_interval_ns, self._snapshot_tick)
-        for shard in self.shards:
-            shard.start()
 
     # ------------------------------------------------------------------
     # DDP applications
@@ -453,7 +361,6 @@ class CentralExchangeServer(Actor):
     def _ingress_done(self, order: Order) -> None:
         key = (order.participant_id, order.client_order_id)
         if not self.dedup.admit(key, order.gateway_id, self.clock.now()):
-            self.metrics.duplicates_dropped += 1
             if self.tracer is not None:
                 # Losing replica: recorded so ROS critical-path
                 # attribution can report the winner's margin.
@@ -575,66 +482,6 @@ class CentralExchangeServer(Actor):
             if self.trade_sink is not None:
                 self.trade_sink(trade, now_local)
             self._publish(trade.symbol, trade)
-
-    # ------------------------------------------------------------------
-    # Batch-mode emission (auction shards)
-    # ------------------------------------------------------------------
-    def _emit_batch_ack(self, order: Order, now_local: int) -> None:
-        """Acknowledge an order buffered for the next auction."""
-        self.metrics.orders_matched += 1
-        if self.tracer is not None:
-            self.tracer.span(
-                order.participant_id, order.client_order_id, tracing.MATCH,
-                self.sim.now, now_local, self.name, detail="batch-buffered",
-            )
-        confirmation = OrderConfirmation(
-            participant_id=order.participant_id,
-            client_order_id=order.client_order_id,
-            symbol=order.symbol,
-            status=OrderStatus.ACCEPTED,
-            filled=0,
-            remaining=order.remaining,
-            engine_timestamp=now_local,
-        )
-        gateway = order.gateway_id or self._primary_gateway.get(order.participant_id)
-        if gateway is not None:
-            self.network.send(self.name, gateway, confirmation)
-
-    def _emit_batch_cancel(self, cancel: StampedCancel, found: bool, now_local: int) -> None:
-        confirmation = OrderConfirmation(
-            participant_id=cancel.participant_id,
-            client_order_id=cancel.client_order_id,
-            symbol=cancel.symbol,
-            status=OrderStatus.CANCELLED if found else OrderStatus.REJECTED,
-            filled=0,
-            remaining=0,
-            engine_timestamp=now_local,
-            reason=None if found else RejectReason.UNKNOWN_ORDER,
-        )
-        self.network.send(self.name, cancel.gateway_id, confirmation)
-
-    def _emit_auction_result(self, result, now_local: int) -> None:
-        """Emit one auction's executions: per-fill confirmations to both
-        parties, persistence, and dissemination."""
-        trade_confirmations = []
-        for trade in result.trades:
-            for participant, client_order_id, is_buy in (
-                (trade.buyer, trade.buy_client_order_id, True),
-                (trade.seller, trade.sell_client_order_id, False),
-            ):
-                trade_confirmations.append(
-                    TradeConfirmation(
-                        participant_id=participant,
-                        client_order_id=client_order_id,
-                        trade_id=trade.trade_id,
-                        symbol=trade.symbol,
-                        is_buy=is_buy,
-                        quantity=trade.quantity,
-                        price=trade.price,
-                        engine_timestamp=now_local,
-                    )
-                )
-        self._emit_trades(result.trades, trade_confirmations)
 
     def _emit_cancel_result(self, cancel: StampedCancel, confirmation) -> None:
         self.host.cpu.charge("order", self._cpu_per_order_ns)

@@ -112,7 +112,6 @@ class MetricsCollector:
         self.orders_matched: int = 0
         self.trades_executed: int = 0
         self.replicas_received: int = 0
-        self.duplicates_dropped: int = 0
         self.rejects: int = 0
         # Window for throughput (set by the cluster runner).
         self.measure_start_true: int = 0
@@ -171,7 +170,6 @@ class MetricsCollector:
         self.orders_matched = 0
         self.trades_executed = 0
         self.replicas_received = 0
-        self.duplicates_dropped = 0
         self.rejects = 0
         self._baseline = {name: read() for name, read in self._readers.items()}
         self.measure_start_true = now_true
@@ -383,7 +381,7 @@ class MetricsCollector:
             "orders_matched": float(self.orders_matched),
             "trades_executed": float(self.trades_executed),
             "replicas_received": float(self.replicas_received),
-            "duplicates_dropped": float(self.duplicates_dropped),
+            "duplicates_dropped": float(self.windowed("ros.duplicates_dropped")),
             "messages_dropped": float(self.messages_dropped()),
             "throughput_per_s": self.throughput_per_s(),
             "submission_p50_us": submission.p50_us,

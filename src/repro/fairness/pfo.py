@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.fairness.base import FairnessPolicy
-from repro.sim.latency import cloud_link
 from repro.sim.timeunits import MICROSECOND
 
 
@@ -57,22 +56,13 @@ class PfoPolicy(FairnessPolicy):
         self._outbound_ns: Optional[int] = None
 
     # -- calibration (once per cluster; cached on the instance) -------
-    def _path_model(self, config):
-        return cloud_link(
-            config.gateway_engine_base_us,
-            config.gateway_engine_jitter_shape,
-            config.gateway_engine_jitter_scale_us,
-            config.spike_prob,
-            config.spike_scale,
-        )
-
     def inbound_hold_ns(self, config, rngs) -> int:
         """The d_s-equivalent hold: the θ^(1/(n-1))-quantile of D."""
         if self._inbound_ns is None:
             others = max(1, config.n_gateways - 1)
             p = config.pfo_threshold ** (1.0 / others)
             quantile = _empirical_quantile_ns(
-                self._path_model(config),
+                config.link_model("gateway_engine"),
                 rngs.stream("fairness:pfo:calibration"),
                 config.pfo_calibration_draws,
                 p,
@@ -85,7 +75,7 @@ class PfoPolicy(FairnessPolicy):
         """The d_h-equivalent hold: the θ-quantile of one e->g delivery."""
         if self._outbound_ns is None:
             self._outbound_ns = _empirical_quantile_ns(
-                self._path_model(config),
+                config.link_model("gateway_engine"),
                 rngs.stream("fairness:pfo:outbound"),
                 config.pfo_calibration_draws,
                 config.pfo_threshold,

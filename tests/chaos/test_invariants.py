@@ -177,26 +177,3 @@ class TestCheckers:
             assert set(payload) == {"invariant", "severity", "message", "data"}
         finally:
             cluster.participants[0].orders_abandoned -= 1
-
-
-class TestBatchCluster:
-    def test_auction_cluster_answers_to_the_checker(self):
-        """Regression: ``_check_books`` probed ``core.books`` and called
-        ``best_bid()`` on the auction core's plain order lists."""
-        config = CloudExConfig(
-            seed=3,
-            n_participants=4,
-            n_gateways=2,
-            n_symbols=4,
-            matching_mode="batch",
-            persist_trades=False,
-        )
-        cluster = CloudExCluster(config)
-        monitor = ChaosMonitor(cluster)
-        cluster.add_default_workload(rate_per_participant=200.0)
-        cluster.run(duration_s=0.5)
-        assert sum(p.trades_received for p in cluster.participants) > 0
-        found = _by_invariant(check_invariants(cluster, monitor))
-        # A call-auction buffer is crossed between auctions by design;
-        # every other invariant still applies.
-        assert not {"cash_conservation", "share_conservation", "book_integrity"} & set(found)

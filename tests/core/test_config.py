@@ -56,19 +56,41 @@ class TestValidation:
             CloudExConfig(**overrides)
 
     @pytest.mark.parametrize(
-        "field, value",
+        "overrides, named",
         [
-            ("risk_max_position", 100),
-            ("risk_max_order_notional", 1),
-            ("self_trade_prevention", True),
-            ("halt_threshold", 0.05),
-            ("audit_trail", True),
+            ({"clock_drift_ppb_max": -1}, "clock_drift_ppb_max"),
+            ({"clock_offset_ms_max": -1.0}, "clock_offset_ms_max"),
+            ({"spike_scale": 1.0}, "spike_scale"),
+            ({"spike_prob": 1.5}, "spike_prob"),
+            ({"participant_gateway_base_us": 0.0}, "participant_gateway_"),
+            ({"gateway_engine_jitter_scale_us": 0.0}, "gateway_engine_"),
+            ({"straggler_gateways": 1, "straggler_multiplier": 0.5}, "straggler_multiplier"),
+            ({"orders_per_participant_per_s": 0.0}, "orders_per_participant_per_s"),
+            ({"halt_threshold": -0.1}, "halt_threshold"),
+            ({"halt_threshold": 0.1, "halt_window_ms": 0.0}, "halt_window_ms"),
+            ({"ddp_inbound_target": 0.01, "ddp_window": 0}, "ddp_window"),
+            ({"ddp_outbound_target": 1.5}, "ddp_outbound_target"),
+            ({"ddp_inbound_target": 0.01, "sequencer_delay_us": 6000.0}, "ddp_max_delay_us"),
+            ({"injected_delay_phases_us": ()}, "injected_delay_phases_us"),
+            (
+                {"injected_delay_phases_us": (0.0, 100.0), "injected_phase_seconds": 0.0},
+                "injected_phase_seconds",
+            ),
+            ({"sync_interval_ms": 0.0}, "sync_interval_ms"),
+            ({"book_service_us": -1.0}, "book_service_us"),
+            ({"ingress_service_us": -1.0}, "ingress_service_us"),
         ],
     )
-    def test_batch_mode_refuses_safeguards_it_never_consults(self, field, value):
-        CloudExConfig(**{field: value})  # fine under continuous matching
-        with pytest.raises(ValueError, match=field):
-            CloudExConfig(matching_mode="batch", **{field: value})
+    def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):
+        """Each of these built a config and then failed in
+        ``CloudExCluster(config)`` / ``add_default_workload()`` -- for a
+        sweep, in a worker, after submission had accepted it."""
+        small = dict(
+            n_participants=2, n_gateways=2, n_symbols=2, subscriptions_per_participant=1
+        )
+        CloudExConfig(**small)
+        with pytest.raises(ValueError, match=named):
+            CloudExConfig(**small, **overrides)
 
     def test_with_overrides_returns_validated_copy(self):
         config = CloudExConfig()

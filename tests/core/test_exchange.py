@@ -17,7 +17,7 @@ class TestIngressAndDedup:
         cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 9_000)
         run_for(cluster)
         assert cluster.metrics.replicas_received == 3
-        assert cluster.metrics.duplicates_dropped == 2
+        assert cluster.metrics.windowed("ros.duplicates_dropped") == 2
         assert cluster.metrics.orders_matched == 1
 
     def test_submission_latency_recorded_once(self):

@@ -2,7 +2,7 @@
 
 Bit-identical reruns are what make the benchmarks trustworthy and the
 bugs reproducible; these tests lock that property across the feature
-matrix (ROS, DDP, Huygens, batch auctions, stragglers, faults).
+matrix (ROS, DDP, Huygens, stragglers, risk controls, faults).
 """
 
 import pytest
@@ -28,7 +28,6 @@ FEATURE_MATRIX = [
     {"replication_factor": 3},
     {"ddp_inbound_target": 0.02, "ddp_outbound_target": 0.02},
     {"clock_sync": "huygens", "sync_use_mesh": True},
-    {"matching_mode": "batch", "batch_interval_ms": 50.0},
     {"straggler_gateways": 1, "straggler_multiplier": 3.0},
     {"self_trade_prevention": True, "risk_max_position": 100_000},
 ]

@@ -1,7 +1,5 @@
 """Fault-injection integration tests: crashes, restarts, clock steps."""
 
-import pytest
-
 from repro.core.cluster import CloudExCluster
 from repro.core.types import Side
 from tests.conftest import small_config
@@ -108,24 +106,3 @@ class TestClockStepFault:
         after = cluster.metrics.inbound_unfairness_ratio_true()
         assert during > 0.01
         assert after < during / 2
-
-
-class TestBatchModeWithDdp:
-    def test_batch_mode_ddp_controls_inbound(self):
-        cluster = CloudExCluster(
-            small_config(
-                clock_sync="perfect",
-                matching_mode="batch",
-                batch_interval_ms=50.0,
-                ddp_inbound_target=0.02,
-                ddp_window=200,
-                ddp_update_every=20,
-                sequencer_delay_us=0.0,
-            )
-        )
-        cluster.add_default_workload(rate_per_participant=400.0)
-        cluster.run(duration_s=2.0)
-        cluster.reset_metrics()
-        cluster.run(duration_s=1.5)
-        achieved = cluster.metrics.inbound_unfairness_ratio()
-        assert achieved == pytest.approx(0.02, abs=0.02)

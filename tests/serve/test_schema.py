@@ -63,10 +63,12 @@ class TestNormalizeSweep:
         with pytest.raises(JobError, match="invalid sweep spec"):
             normalize_job({**SWEEP_RAW, "grid": [{"n_shardz": 1}]})
         # ... and so is a value no config can be built from.
-        with pytest.raises(JobError, match="invalid sweep spec: audit_trail has no effect"):
-            normalize_job({**SWEEP_RAW, "grid": [
-                {"n_shards": 1}, {"matching_mode": "batch", "audit_trail": True},
-            ]})
+        bad_base = {**SWEEP_RAW["base"], "spike_scale": 1.0}
+        with pytest.raises(JobError, match="invalid sweep spec: .*spike_scale must be >= 2"):
+            normalize_job({**SWEEP_RAW, "base": bad_base})
+        # The cluster has one matching design; the old knob is just an unknown field.
+        with pytest.raises(JobError, match="'matching_mode' is not a CloudExConfig field"):
+            normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "matching_mode": "batch"}})
 
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):

@@ -104,6 +104,11 @@ class TestAuthAndRouting:
         status, body = request(server, "POST", "/v1/jobs", body={"kind": "bench"})
         assert status == 400
         assert body["error"] == "'kind' must be one of sweep, chaos, fairness"
+        # A config value the builder would refuse is refused here, not in a worker.
+        bad_base = {**TINY_SWEEP, "base": {**TINY_SWEEP["base"], "spike_scale": 1.0}}
+        status, body = request(server, "POST", "/v1/jobs", body=bad_base)
+        assert status == 400
+        assert "spike_scale must be >= 2" in body["error"]
 
     def test_non_json_body_is_400(self, server):
         import urllib.error

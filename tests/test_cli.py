@@ -18,19 +18,26 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.participants == 12
         assert args.clock_sync == "huygens"
-        assert args.matching == "continuous"
 
     def test_flag_parsing(self):
         args = build_parser().parse_args(
-            ["--rf", "3", "--ddp", "0.01", "--matching", "batch", "--duration", "0.5"]
+            ["--rf", "3", "--ddp", "0.01", "--duration", "0.5"]
         )
         assert args.rf == 3
         assert args.ddp == 0.01
-        assert args.matching == "batch"
+        assert args.duration == 0.5
 
     def test_bad_choice_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--clock-sync", "chrony"])
+
+    def test_matching_design_is_not_a_flag(self, capsys):
+        # The cluster matches continuously; FBA is the standalone
+        # repro.core.batchauction, so the word is argparse's to refuse.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--matching", "batch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --matching" in capsys.readouterr().err
 
     def test_help_lists_every_subcommand(self, capsys):
         # The full subcommand surface, pinned: adding one means adding
@@ -171,12 +178,12 @@ class TestMain:
             (["sweep", "--grid", "n_shards=1", "--seeds", "0"], "seeds must be >= 1"),
             (["sweep", "--grid", "n_shards=1", "--seed-list", "a,b"], "--seed-list expects"),
             (["sweep", "--grid", "n_shards=1", "--jobs", "0"], "jobs must be >= 1"),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch",
-                 "--set", "audit_trail=true"],
-                "audit_trail has no effect under matching_mode='batch'",
-            ),
+            (["sweep", "--grid", "n_shards=1", "--set", "spike_scale=1"], "spike_scale must be"),
             (["fairness", "--seeds", "0"], "seeds must be >= 1"),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch"],
+                "'matching_mode' is not a CloudExConfig field",
+            ),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
@@ -187,21 +194,6 @@ class TestMain:
         assert captured.out == ""
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and complaint in line
-
-    def test_batch_mode_runs(self, capsys):
-        code = main(
-            [
-                "--participants", "4",
-                "--gateways", "2",
-                "--symbols", "4",
-                "--duration", "0.3",
-                "--rate", "100",
-                "--clock-sync", "perfect",
-                "--matching", "batch",
-            ]
-        )
-        assert code == 0
-        assert "trades executed" in capsys.readouterr().out
 
 
 class TestUnifiedJsonOutput:
