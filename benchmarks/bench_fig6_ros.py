@@ -33,7 +33,7 @@ from benchmarks.conftest import (
     emit,
     paper_testbed_overrides,
 )
-from repro.exp import SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, run_sweep
 
 REPLICATION_FACTORS = (1, 2, 3, 4, 5)
 
@@ -58,6 +58,7 @@ def ros_results():
             duration_s=1.5 * scale,
         ),
         jobs=bench_jobs(),
+        cache=ResultCache(),
     )
     assert outcome.ok, outcome.failures
     results = {}

@@ -26,7 +26,7 @@ from benchmarks.conftest import (
     emit,
     paper_testbed_overrides,
 )
-from repro.exp import SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, run_sweep
 
 SHARD_COUNTS = (1, 2, 4, 8, 16)
 
@@ -43,6 +43,7 @@ PAPER = {
 def table1_results():
     scale = bench_scale()
     jobs = bench_jobs()
+    cache = ResultCache()
     # Phase 1 -- saturation throughput: offer ~1.3x the expected
     # plateau at every shard count, fanned out over the sweep pool.
     overload = run_sweep(
@@ -56,6 +57,7 @@ def table1_results():
             rate_per_participant=1_700.0,
         ),
         jobs=jobs,
+        cache=cache,
     )
     assert overload.ok, overload.failures
     throughputs = {
@@ -83,6 +85,7 @@ def table1_results():
             duration_s=1.0 * scale,
         ),
         jobs=jobs,
+        cache=cache,
     )
     assert nominal.ok, nominal.failures
     results = {}

@@ -20,7 +20,7 @@ Run:  python examples/fairness_lab.py [--jobs N]
 import argparse
 
 from repro.analysis.tables import format_table
-from repro.exp import SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, run_sweep
 from repro.fairness.study import build_fairness_spec, run_fairness_study
 from repro.obs.breakdown import policy_comparison_table
 
@@ -42,6 +42,7 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
     args = parser.parse_args()
+    cache = ResultCache()  # .repro-cache/ in the working directory
 
     print("Static sweep of d_s...")
     static = run_sweep(
@@ -54,6 +55,7 @@ def main() -> None:
             duration_s=1.5,
         ),
         jobs=args.jobs,
+        cache=cache,
     )
     assert static.ok, static.failures
 
@@ -71,6 +73,7 @@ def main() -> None:
             duration_s=1.5,
         ),
         jobs=args.jobs,
+        cache=cache,
     )
     assert ddp.ok, ddp.failures
 
@@ -118,7 +121,7 @@ def main() -> None:
         duration_s=0.8,
         name="fairness-lab-policies",
     )
-    frontier, outcome = run_fairness_study(spec, labels, jobs=args.jobs)
+    frontier, outcome = run_fairness_study(spec, labels, jobs=args.jobs, cache=cache)
     assert outcome.ok, outcome.failures
 
     print()

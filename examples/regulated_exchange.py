@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""A 'production-config' exchange: risk, STP, halts, and audit (paper §6).
+"""A 'production-config' exchange: risk, STP, halts, surveillance (paper §6).
 
 The paper's discussion section argues that regulated equity venues can
 move to the cloud by pairing fair-access infrastructure with the usual
@@ -9,13 +9,15 @@ regulatory controls.  This example turns them all on:
 - self-trade prevention,
 - price-band circuit breakers (a pattern bot pumps one symbol until it
   halts),
-- the order-event audit trail, used afterwards to reconstruct an
-  order's complete lifecycle the way a surveillance team would.
+- the per-order lifecycle tracer, read afterwards together with the
+  trade tape to reconstruct an order's complete lifecycle the way a
+  surveillance team would.
 
 Run:  python examples/regulated_exchange.py
 """
 
 from repro import CloudExCluster, CloudExConfig
+from repro.obs import tracing
 from repro.traders import PatternBotStrategy, TradingAgent, ZeroIntelligenceStrategy, trend_target
 
 PUMPED = "SYM000"
@@ -35,7 +37,7 @@ def main() -> None:
         halt_threshold=0.03,
         halt_window_ms=500.0,
         halt_duration_ms=400.0,
-        audit_trail=True,
+        tracing=True,
     )
     cluster = CloudExCluster(config)
 
@@ -84,19 +86,35 @@ def main() -> None:
             f"{(halt.resumes_at - halt.tripped_at)/1e6:.0f} ms"
         )
 
-    # Surveillance: reconstruct one pumped order's lifecycle.
-    audit = cluster.exchange.audit
+    # Surveillance: reconstruct one pumped order's lifecycle from the
+    # tracer (stamped inbound path, match status) and the trade tape.
     pumper = cluster.participant(0).name
-    events = audit.events_for_participant(pumper)
-    executed_ids = [e.client_order_id for e in events if e.kind == "executed"]
-    if executed_ids:
-        target = executed_ids[0]
-        print(f"\nAudit reconstruction of {pumper}'s order {target}:")
-        for entry in audit.events_for_order(pumper, target):
-            print(f"  {entry.timestamp_ns/1e6:10.3f} ms  {entry.kind:10s} {entry.detail}")
-        ok = audit.lifecycle_is_wellformed(pumper, target)
-        print(f"  lifecycle well-formed: {ok}")
-    print(f"\nTotal audit events recorded: {audit.events_recorded:,}")
+    tape = cluster.history.trades(PUMPED)
+    target = next(
+        (t.buy_client_order_id for t in tape if t.buyer == pumper and t.aggressor_is_buy), None
+    )
+    fills = [t for t in tape if (t.buyer, t.buy_client_order_id) == (pumper, target)]
+    trace = cluster.tracer.get(pumper, target)
+    print(f"\nOrders traced: {len(cluster.tracer.traces):,}; "
+          f"trades on the tape for {PUMPED}: {len(tape):,}")
+    if trace is not None and trace.completed:
+        submit, stamped, _, released, match, confirm = trace.chain()
+        steps = [
+            (submit, "submitted"),
+            (stamped, f"stamped by gateway {stamped.host}"),
+            (released, "released by the sequencer"),
+            (match, f"matched: {match.detail}"),
+            (confirm, "confirmation delivered"),
+        ] + [(span, f"client cancel {span.detail}") for span in trace.spans_of(tracing.CANCEL)]
+        print(f"\nReconstruction of {pumper}'s order {target} (true ms / host-clock ms):")
+        for span, what in sorted(steps, key=lambda step: step[0].t_true):
+            print(f"  {span.t_true/1e6:10.3f} {span.t_local/1e6:10.3f}  {what}")
+            if span is match:
+                for trade in fills:
+                    print(f"  {'':10s} {trade.executed_local/1e6:10.3f}    fill: trade "
+                          f"{trade.trade_id}, {trade.quantity} @ {trade.price/100:.2f} "
+                          f"from {trade.seller}")
+        print(f"  lifecycle well-formed: {trace.lifecycle_is_wellformed()}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ Public API highlights:
 - :class:`MetricsCollector` -- unfairness ratios, delays, latencies.
 """
 
-from repro.core.audit import AuditEvent, AuditTrail
 from repro.core.auth import AuthRegistry
 from repro.core.batchauction import AuctionResult, BatchAuctionCore
 from repro.core.book import BookSide, LimitOrderBook, PriceLevel
@@ -43,8 +42,6 @@ from repro.core.cluster import CloudExCluster, gateway_name, participant_name
 
 __all__ = [
     "Account",
-    "AuditEvent",
-    "AuditTrail",
     "CircuitBreaker",
     "HaltRecord",
     "AuctionResult",

@@ -229,13 +229,12 @@ class CloudExConfig:
     halt_duration_ms: float = 2000.0
 
     # ------------------------------------------------------------------
-    # Storage
+    # Storage: the market-data table.  Persisted trades are the trade
+    # tape -- with the lifecycle tracer below, the per-order record
+    # (paper §6); there is no second per-order log.
     # ------------------------------------------------------------------
     persist_trades: bool = True
     persist_snapshots: bool = False
-    #: Record a per-order event log (stamped/sequenced/executed/...)
-    #: for surveillance-style lifecycle reconstruction (paper §6).
-    audit_trail: bool = False
 
     # ------------------------------------------------------------------
     # Observability (repro.obs): per-order lifecycle tracing and the
@@ -365,19 +364,35 @@ class CloudExConfig:
                 raise ValueError("injected_delay_phases_us must be non-empty (or None)")
             if self.injected_phase_seconds <= 0:
                 raise ValueError("injected_phase_seconds must be positive")
+            if min(self.injected_delay_phases_us) < 0:
+                raise ValueError(
+                    f"injected_delay_phases_us must be non-negative, got "
+                    f"{self.injected_delay_phases_us}"
+                )
         if not 0.0 < self.injected_gateway_fraction <= 1.0:
             raise ValueError("injected_gateway_fraction must be in (0, 1]")
         if self.clock_sync not in ("huygens", "ntp", "none", "perfect"):
             raise ValueError(f"unknown clock_sync mode {self.clock_sync!r}")
         for name in (
-            "clock_drift_ppb_max", "clock_offset_ms_max",
+            "clock_drift_ppb_max", "clock_offset_ms_max", "sync_warm_start_rounds",
             "ingress_service_us", "book_service_us", "lock_service_us", "gateway_service_us",
+            "book_service_cv", "lock_service_cv", "straggler_gateways",
+            "initial_cash", "initial_book_depth", "snapshot_interval_ms", "snapshot_depth",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("sync_interval_ms", "probe_interval_ms", "orders_per_participant_per_s"):
+        for name in (
+            "sync_interval_ms", "probe_interval_ms", "orders_per_participant_per_s",
+            "initial_price", "initial_book_qty",
+        ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.initial_book_depth >= self.initial_price:
+            # The seeded bids sit at initial_price - 1 ... - depth.
+            raise ValueError(
+                f"initial_book_depth={self.initial_book_depth} would seed bids at or "
+                f"below price 0 around initial_price={self.initial_price}"
+            )
         if self.halt_threshold is not None:
             for name in ("halt_threshold", "halt_window_ms", "halt_duration_ms"):
                 if getattr(self, name) <= 0:

@@ -39,8 +39,6 @@ from repro.core.config import CloudExConfig
 from repro.core.ddp import DdpController
 from repro.core.marketdata import MarketDataPiece, TradeRecord
 from repro.core.matching import MatchingEngineCore, MatchResult
-from repro.core import audit as audit_events
-from repro.core.audit import AuditEvent, AuditTrail
 from repro.core.messages import (
     HoldReleaseReport,
     StampedCancel,
@@ -224,7 +222,6 @@ class CentralExchangeServer(Actor):
                 max_position=config.risk_max_position,
                 max_order_notional=config.risk_max_order_notional,
             )
-        self.audit: Optional[AuditTrail] = AuditTrail() if config.audit_trail else None
         self.circuit_breaker: Optional[CircuitBreaker] = None
         if config.halt_threshold is not None:
             self.circuit_breaker = CircuitBreaker(
@@ -390,16 +387,6 @@ class CentralExchangeServer(Actor):
             order.participant_id, order.client_order_id, self.sim.now
         )
         self._confirm_gateway[order.participant_id] = order.gateway_id
-        if self.audit is not None:
-            self.audit.record(
-                AuditEvent(
-                    participant_id=order.participant_id,
-                    client_order_id=order.client_order_id,
-                    kind=audit_events.STAMPED,
-                    timestamp_ns=order.gateway_timestamp,
-                    detail=f"gateway={order.gateway_id}",
-                )
-            )
         shard = self.shards[self.router.shard_of(order.symbol)]
         shard.sequencer.enqueue(order.priority_key(), ("order", order), order.stamped_true)
 
@@ -445,11 +432,10 @@ class CentralExchangeServer(Actor):
             self.tracer.span(
                 order.participant_id, order.client_order_id, tracing.MATCH,
                 self.sim.now, self.clock.now(), self.name,
+                detail=str(result.confirmation.status),
             )
         if result.confirmation.status is OrderStatus.REJECTED:
             self.metrics.rejects += 1
-        if self.audit is not None:
-            self._audit_order_result(order, result)
         if self._replay_confirmations:
             self.dedup.record_result(
                 (order.participant_id, order.client_order_id), result.confirmation
@@ -485,56 +471,13 @@ class CentralExchangeServer(Actor):
 
     def _emit_cancel_result(self, cancel: StampedCancel, confirmation) -> None:
         self.host.cpu.charge("order", self._cpu_per_order_ns)
-        if self.audit is not None and confirmation.status is OrderStatus.CANCELLED:
-            self.audit.record(
-                AuditEvent(
-                    participant_id=cancel.participant_id,
-                    client_order_id=cancel.client_order_id,
-                    kind=audit_events.CANCELLED,
-                    timestamp_ns=self.clock.now(),
-                    detail=f"via={cancel.gateway_id}",
-                )
+        if self.tracer is not None:
+            self.tracer.span(
+                cancel.participant_id, cancel.client_order_id, tracing.CANCEL,
+                self.sim.now, self.clock.now(), self.name,
+                detail=str(confirmation.status),
             )
         self.network.send(self.name, cancel.gateway_id, confirmation)
-
-    def _audit_order_result(self, order: Order, result: MatchResult) -> None:
-        """One SEQUENCED event, one EXECUTED per fill (both sides), and
-        the terminal disposition."""
-        now_local = self.clock.now()
-        self.audit.record(
-            AuditEvent(
-                participant_id=order.participant_id,
-                client_order_id=order.client_order_id,
-                kind=audit_events.SEQUENCED,
-                timestamp_ns=now_local,
-            )
-        )
-        for trade_conf in result.trade_confirmations:
-            self.audit.record(
-                AuditEvent(
-                    participant_id=trade_conf.participant_id,
-                    client_order_id=trade_conf.client_order_id,
-                    kind=audit_events.EXECUTED,
-                    timestamp_ns=now_local,
-                    detail=f"trade={trade_conf.trade_id} qty={trade_conf.quantity} px={trade_conf.price}",
-                )
-            )
-        status = result.confirmation.status
-        if status is OrderStatus.REJECTED:
-            kind = audit_events.REJECTED
-        elif status is OrderStatus.CANCELLED:
-            kind = audit_events.CANCELLED
-        else:
-            kind = audit_events.ACCEPTED
-        self.audit.record(
-            AuditEvent(
-                participant_id=order.participant_id,
-                client_order_id=order.client_order_id,
-                kind=kind,
-                timestamp_ns=now_local,
-                detail=str(status),
-            )
-        )
 
     def _route_to_participant(self, confirmation) -> None:
         participant = confirmation.participant_id

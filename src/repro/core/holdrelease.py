@@ -13,13 +13,19 @@ delay*, Fig. 4b/5b's y-axis -- and the late flag that feeds both the
 outbound-unfairness metric (a piece is unfair if >=1 gateway was late)
 and the DDP controller for ``d_h``.
 
-It is the *only* release buffer.  The one outbound decision a fairness
-policy (:mod:`repro.fairness`) makes is ``hold_early``: hold a piece
-that arrives before ``release_at`` until then (the paper), or release
-it on arrival (DBO and the no-op baseline, which have no dissemination
-story).  Lateness, reports, the late-piece WARNING and ``late_count``
-(which the cluster's collector reads as ``hr.late_pieces``) are the same
-code either way.
+It is the only release buffer for *market data*.  Trade confirmations
+do not pass through it: ``Gateway._forward_to_participant`` /
+``_release_held`` hold each one to ``release_at`` on a timer of their
+own, under every policy (no ``hold_early``) and with no flush on
+``rejoin`` -- ROADMAP's scoreboard item, bug 2, which stays open because
+fixing it moves the dbo/noop fixtures.
+
+The one outbound decision a fairness policy (:mod:`repro.fairness`)
+makes is ``hold_early``: hold a piece that arrives before ``release_at``
+until then (the paper), or release it on arrival (DBO and the no-op
+baseline, which have no dissemination story).  Lateness, reports, the
+late-piece WARNING and ``late_count`` (which the cluster's collector
+reads as ``hr.late_pieces``) are the same code either way.
 """
 
 from __future__ import annotations

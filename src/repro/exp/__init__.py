@@ -13,9 +13,10 @@ declarative harness:
   execution order.
 - :func:`~repro.exp.runner.run_sweep` fans tasks out over a
   crash-tolerant pool of warm worker processes
-  (:class:`~repro.exp.pool.WorkerPool`) with per-task timeouts and a
-  content-hashed on-disk result cache (:mod:`repro.exp.cache`), then
-  aggregates the results into one deterministic JSON document.
+  (:class:`~repro.exp.pool.WorkerPool`) with per-task timeouts and,
+  when the caller passes one, a content-hashed on-disk result cache
+  (:class:`~repro.exp.cache.ResultCache`), then aggregates the results
+  into one deterministic JSON document.
 
 The aggregated document is byte-identical for any ``--jobs`` value:
 workers only compute pure functions of their task, and everything

@@ -25,7 +25,7 @@ import sys
 from typing import Dict, List, Tuple
 
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
-from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES
+from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES, ResultCache
 from repro.exp.runner import run_sweep, sweep_table
 from repro.exp.spec import SweepSpec
 from repro.sim.worker import check_jobs
@@ -156,14 +156,15 @@ def sweep_main(argv=None) -> int:
         )
         spec.validate()
         check_jobs(args.jobs)
+        cache = None if args.no_cache else ResultCache(
+            args.cache_dir, max_bytes=args.cache_max_mb * 1024 * 1024
+        )
     except (TypeError, ValueError) as exc:
         return usage_error(exc)
     outcome = run_sweep(
         spec,
         jobs=args.jobs,
-        use_cache=not args.no_cache,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_mb * 1024 * 1024,
+        cache=cache,
         timeout_s=args.timeout,
         retries=args.retries,
     )

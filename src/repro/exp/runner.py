@@ -16,12 +16,7 @@ from time import monotonic
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
-from repro.exp.cache import (
-    DEFAULT_CACHE_DIR,
-    DEFAULT_MAX_BYTES,
-    ResultCache,
-    code_version_hash,
-)
+from repro.exp.cache import ResultCache, code_version_hash
 from repro.exp.pool import WorkerPool, run_parallel
 from repro.exp.spec import SweepSpec, SweepTask
 
@@ -68,9 +63,7 @@ class SweepOutcome:
 def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: str = DEFAULT_CACHE_DIR,
-    cache_max_bytes: int = DEFAULT_MAX_BYTES,
+    cache: Optional[ResultCache] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
@@ -79,10 +72,12 @@ def run_sweep(
 
     Tasks run on ``pool`` when one is given (``jobs`` is then the
     pool's), else on a ``WorkerPool(jobs)`` opened for this sweep.
+    Results are read from and written to ``cache`` when one is given;
+    without one nothing touches the disk.  The cache belongs to the
+    caller, so its prune cadence and hit/miss/evict counts span every
+    sweep the caller runs through it.
     """
     tasks = spec.expand()
-    cache = ResultCache(cache_dir, max_bytes=cache_max_bytes) if use_cache else None
-    code = code_version_hash() if use_cache else None
     start = monotonic()
 
     results: Dict[int, Dict[str, object]] = {}
@@ -90,7 +85,7 @@ def run_sweep(
     to_run: List[SweepTask] = []
     for task in tasks:
         if cache is not None:
-            key = cache.key_for(task.worker_payload(), code)
+            key = cache.key_for(task.worker_payload())
             keys[task.index] = key
             cached = cache.get(key)
             if cached is not None:

@@ -22,8 +22,11 @@ the head-to-head frontier study CloudEx itself couldn't run.
 Contract
 --------
 There is one inbound queue, :class:`repro.core.sequencer.Sequencer`
-(one per engine shard), and one outbound buffer,
-:class:`repro.core.holdrelease.HoldReleaseBuffer` (one per gateway).
+(one per engine shard), and one outbound buffer for market data,
+:class:`repro.core.holdrelease.HoldReleaseBuffer` (one per gateway;
+trade confirmations are the exception -- the gateway holds them to
+``release_at`` on its own timer whatever the policy says, see ROADMAP's
+scoreboard item, bug 2).
 The exchange and the gateways construct them directly and ask the
 policy four things:
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool
 from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.spec import SweepSpec
@@ -232,27 +233,14 @@ def run_fairness_study(
     spec: SweepSpec,
     labels: Sequence[Tuple[str, str, str]],
     jobs: int = 1,
-    use_cache: bool = True,
-    cache_dir: Optional[str] = None,
-    cache_max_bytes: Optional[int] = None,
+    cache: Optional[ResultCache] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
 ) -> Tuple[Dict[str, object], SweepOutcome]:
     """Run the study and reduce it: (frontier document, sweep outcome)."""
-    kwargs: Dict[str, object] = {}
-    if cache_dir is not None:
-        kwargs["cache_dir"] = cache_dir
-    if cache_max_bytes is not None:
-        kwargs["cache_max_bytes"] = cache_max_bytes
     outcome = run_sweep(
-        spec,
-        jobs=jobs,
-        use_cache=use_cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        pool=pool,
-        **kwargs,
+        spec, jobs=jobs, cache=cache, timeout_s=timeout_s, retries=retries, pool=pool
     )
     frontier = build_frontier(outcome.document, labels, spec.seed_labels())
     return frontier, outcome

@@ -31,6 +31,7 @@ components hold a ``None`` tracer and the hot path pays a single
 from repro.obs.events import EventLog, ObsEvent, Severity
 from repro.obs.profiler import DispatchProfiler
 from repro.obs.tracing import (
+    CANCEL,
     CONFIRM_DELIVERY,
     GW_INGRESS,
     HR_HOLD,
@@ -59,6 +60,7 @@ __all__ = [
     "ROS_DEDUP",
     "SEQ_HOLD",
     "MATCH",
+    "CANCEL",
     "HR_HOLD",
     "MD_RELEASE",
     "CONFIRM_DELIVERY",

@@ -17,7 +17,11 @@ kind                      recorded when / by
 ``seq_hold``              the sequencer releases the order after its ``d_s``
                           hold
 ``match``                 the matching core finished the order (book work +
-                          portfolio lock)
+                          portfolio lock); ``detail`` is the confirmed status
+                          (``accepted`` / ``partially_filled`` / ``filled`` /
+                          ``cancelled`` / ``rejected``)
+``cancel``                the engine answered a client cancel aimed at this
+                          order; ``detail`` is the cancel confirmation's status
 ``hr_hold``               a gateway begins holding the trade confirmation to
                           its release time (``d_h``)
 ``md_release``            the held confirmation is released to the participant
@@ -28,7 +32,10 @@ Every span carries *both* the true simulator time (``t_true``, ground
 truth the real system never sees) and the recording component's
 synced-clock estimate (``t_local``), so per-stage clock error is
 directly observable: ``t_local - t_true`` is the recording host's
-clock error at that instant.
+clock error at that instant.  With the trade tape (the ``TradeRecord``
+rows of the market-data table, which carry both order ids) a trace is
+the exchange's per-order record (paper §6):
+:meth:`OrderTrace.lifecycle_is_wellformed` is the surveillance check.
 
 Sampling is deterministic and seed-independent: an order is traced iff
 a stable hash of ``participant:client_order_id`` falls below
@@ -48,6 +55,7 @@ GW_INGRESS = "gw_ingress"
 ROS_DEDUP = "ros_dedup"
 SEQ_HOLD = "seq_hold"
 MATCH = "match"
+CANCEL = "cancel"
 HR_HOLD = "hr_hold"
 MD_RELEASE = "md_release"
 CONFIRM_DELIVERY = "confirm_delivery"
@@ -59,6 +67,7 @@ SPAN_KINDS: Tuple[str, ...] = (
     ROS_DEDUP,
     SEQ_HOLD,
     MATCH,
+    CANCEL,
     HR_HOLD,
     MD_RELEASE,
     CONFIRM_DELIVERY,
@@ -158,6 +167,26 @@ class OrderTrace:
         if None in (gw_span, seq, match, confirm):
             return None
         return [submit, gw_span, winner, seq, match, confirm]
+
+    def lifecycle_is_wellformed(self) -> bool:
+        """Surveillance check (paper §6): the critical chain is
+        complete and ordered in true time, the order was matched
+        exactly once, and no host's own clock ran backwards across the
+        spans it stamped.  Ground truth orders the chain, so the verdict
+        holds under every clock regime and fairness policy; ``t_local``
+        is only ever compared with ``t_local`` of the same host.
+        """
+        chain = self.chain()
+        if chain is None or len(self.spans_of(MATCH)) != 1:
+            return False
+        if any(a.t_true > b.t_true for a, b in zip(chain, chain[1:])):
+            return False
+        last_local: Dict[str, int] = {}
+        for span in sorted(self.spans, key=lambda s: s.t_true):
+            if span.t_local < last_local.get(span.host, span.t_local):
+                return False
+            last_local[span.host] = span.t_local
+        return True
 
     def e2e_ns(self) -> Optional[int]:
         """submit -> confirm_delivery in true time, or None."""

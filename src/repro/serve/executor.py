@@ -28,6 +28,7 @@ import traceback
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool
 from repro.serve.evidence import write_pack
 from repro.serve.runners import execute_job
@@ -53,13 +54,15 @@ class JobExecutor(threading.Thread):
         self.packs_dir = Path(packs_dir)
         self.secret = secret
         self.jobs = jobs
-        self.cache_dir = cache_dir
         self.timeout_s = timeout_s
         self.retries = retries
         self.poll_interval_s = poll_interval_s
         self.runs_executed = 0
         self.runs_failed = 0
         self.pool = WorkerPool(jobs)
+        # One cache for every job, like the pool: its prune cadence and
+        # hit/miss/evict counts span the executor's lifetime.
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self._wake = threading.Event()
         # Not named ``_stop``: threading.Thread has a private ``_stop()``
         # method its join() internals call; shadowing it breaks joins.
@@ -103,7 +106,7 @@ class JobExecutor(threading.Thread):
             artifacts = execute_job(
                 spec,
                 jobs=self.jobs,
-                cache_dir=self.cache_dir,
+                cache=self.cache,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
                 pool=self.pool,

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cliutil import dump_json_document
+from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool, run_parallel
 
 
@@ -73,13 +74,10 @@ def _run_chaos(
     pool: Optional[WorkerPool],
 ) -> RunArtifacts:
     payload = {"scenario": spec["scenario"], "seed": spec["seed"]}
-    # min(jobs, 2): one task never needs more than one worker, but
-    # jobs >= 2 selects the subprocess path, which is what provides
-    # crash/timeout isolation for the serve process.
     (result,) = run_parallel(
         _chaos_worker,
         [payload],
-        jobs=min(jobs, 2),
+        jobs=jobs,
         timeout_s=timeout_s,
         retries=retries,
         pool=pool,
@@ -98,7 +96,7 @@ def _run_chaos(
 def _run_sweep(
     spec: Dict[str, object],
     jobs: int,
-    cache_dir: Optional[str],
+    cache: Optional[ResultCache],
     timeout_s: Optional[float],
     retries: int,
     pool: Optional[WorkerPool],
@@ -109,8 +107,7 @@ def _run_sweep(
     outcome = run_sweep(
         build_sweep_spec(spec),
         jobs=jobs,
-        use_cache=cache_dir is not None,
-        cache_dir=cache_dir if cache_dir is not None else ".repro-cache",
+        cache=cache,
         timeout_s=timeout_s,
         retries=retries,
         pool=pool,
@@ -129,7 +126,7 @@ def _run_sweep(
 def _run_fairness(
     spec: Dict[str, object],
     jobs: int,
-    cache_dir: Optional[str],
+    cache: Optional[ResultCache],
     timeout_s: Optional[float],
     retries: int,
     pool: Optional[WorkerPool],
@@ -142,8 +139,7 @@ def _run_fairness(
         study_spec,
         labels,
         jobs=jobs,
-        use_cache=cache_dir is not None,
-        cache_dir=cache_dir,
+        cache=cache,
         timeout_s=timeout_s,
         retries=retries,
         pool=pool,
@@ -162,7 +158,7 @@ def _run_fairness(
 def execute_job(
     spec: Dict[str, object],
     jobs: int = 1,
-    cache_dir: Optional[str] = None,
+    cache: Optional[ResultCache] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
@@ -178,7 +174,7 @@ def execute_job(
     if kind == "chaos":
         return _run_chaos(spec, jobs, timeout_s, retries, pool)
     if kind == "sweep":
-        return _run_sweep(spec, jobs, cache_dir, timeout_s, retries, pool)
+        return _run_sweep(spec, jobs, cache, timeout_s, retries, pool)
     if kind == "fairness":
-        return _run_fairness(spec, jobs, cache_dir, timeout_s, retries, pool)
+        return _run_fairness(spec, jobs, cache, timeout_s, retries, pool)
     raise ValueError(f"unknown job kind {kind!r}")

@@ -263,8 +263,10 @@ class CloudLinkLatency(LatencyModel):
     """Fused constant + gamma jitter + rare spikes (:func:`cloud_link`).
 
     Semantically identical to ``CompositeLatency([ConstantLatency(base),
-    SpikyLatency(GammaLatency(0, shape, scale), p, s)])`` -- same RNG
-    draw order, same clamping arithmetic -- but sampled in one call.
+    SpikyLatency(GammaLatency(0, shape, scale), p, s)])`` with the two
+    jitter models' floors at 0 (the floor applies once, to the sum) --
+    same RNG draw order, same clamping arithmetic -- but sampled in one
+    call; ``tests/sim/test_latency.py`` holds it to that draw for draw.
     This model backs every link in a cluster, so the layered dispatch
     (4 method calls + 2 clamps per message) is worth flattening.
     """

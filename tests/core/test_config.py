@@ -79,12 +79,27 @@ class TestValidation:
             ({"sync_interval_ms": 0.0}, "sync_interval_ms"),
             ({"book_service_us": -1.0}, "book_service_us"),
             ({"ingress_service_us": -1.0}, "ingress_service_us"),
+            # Built, ran, and silently meant "off", "deterministic" or nonsense:
+            ({"initial_price": 0}, "initial_price"),
+            ({"initial_price": 3, "initial_book_depth": 5}, "initial_book_depth"),
+            ({"snapshot_interval_ms": -5}, "snapshot_interval_ms"),
+            ({"initial_book_depth": -1}, "initial_book_depth"),
+            ({"initial_book_qty": 0}, "initial_book_qty"),
+            ({"initial_book_qty": -5}, "initial_book_qty"),
+            ({"snapshot_depth": -1}, "snapshot_depth"),
+            ({"sync_warm_start_rounds": -1}, "sync_warm_start_rounds"),
+            ({"straggler_gateways": -1}, "straggler_gateways"),
+            ({"book_service_cv": -0.5}, "book_service_cv"),
+            ({"lock_service_cv": -1}, "lock_service_cv"),
+            ({"initial_cash": -1}, "initial_cash"),
+            ({"injected_delay_phases_us": (-100.0,)}, "injected_delay_phases_us"),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):
         """Each of these built a config and then failed in
         ``CloudExCluster(config)`` / ``add_default_workload()`` -- for a
-        sweep, in a worker, after submission had accepted it."""
+        sweep, in a worker, after submission had accepted it -- or, from
+        the second group on, ran to the end on a value nobody meant."""
         small = dict(
             n_participants=2, n_gateways=2, n_symbols=2, subscriptions_per_participant=1
         )

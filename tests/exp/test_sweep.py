@@ -391,14 +391,14 @@ def _doc_bytes(outcome):
 class TestJobsInvariance:
     def test_jobs_1_vs_4_byte_identical_and_cache_executes_zero(self, tmp_path):
         spec = _tiny_spec()  # 2 points x 3 seeds
-        serial = run_sweep(spec, jobs=1, cache_dir=str(tmp_path / "cache1"))
-        parallel = run_sweep(spec, jobs=4, cache_dir=str(tmp_path / "cache2"))
+        serial = run_sweep(spec, jobs=1, cache=ResultCache(str(tmp_path / "cache1")))
+        parallel = run_sweep(spec, jobs=4, cache=ResultCache(str(tmp_path / "cache2")))
         assert serial.executed == 6 and parallel.executed == 6
         assert serial.ok and parallel.ok
         assert _doc_bytes(serial) == _doc_bytes(parallel)
 
         # A cached re-run executes zero tasks and returns the same doc.
-        cached = run_sweep(spec, jobs=4, cache_dir=str(tmp_path / "cache1"))
+        cached = run_sweep(spec, jobs=4, cache=ResultCache(str(tmp_path / "cache1")))
         assert cached.executed == 0
         assert cached.from_cache == 6
         assert _doc_bytes(cached) == _doc_bytes(serial)
@@ -409,29 +409,26 @@ class TestJobsInvariance:
         # processes, each against its inline run.
         specs = [_tiny_spec(seeds=2), _tiny_spec(name="other", seeds=2, master_seed=9)]
         with WorkerPool(2) as pool:
-            pooled = [run_sweep(spec, use_cache=False, pool=pool) for spec in specs]
+            pooled = [run_sweep(spec, pool=pool) for spec in specs]
             assert pool.stats == {
                 "spawned": 2, "respawned": 0, "tasks": 8, "crashes": 0, "timeouts": 0,
             }
-        inline = [run_sweep(spec, jobs=1, use_cache=False) for spec in specs]
+        inline = [run_sweep(spec, jobs=1) for spec in specs]
         assert [_doc_bytes(o) for o in pooled] == [_doc_bytes(o) for o in inline]
         assert _doc_bytes(pooled[0]) != _doc_bytes(pooled[1])
 
-    def test_no_cache_skips_read_and_write(self, tmp_path):
+    def test_no_cache_skips_read_and_write(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         spec = _tiny_spec(grid=[{"n_shards": 1}], seeds=1)
-        cache_dir = tmp_path / "cache"
-        first = run_sweep(spec, jobs=1, cache_dir=str(cache_dir))
+        first = run_sweep(spec, jobs=1, cache=ResultCache(str(tmp_path / "warm")))
         assert first.executed == 1
-        uncached = run_sweep(spec, jobs=1, use_cache=False, cache_dir=str(cache_dir))
-        assert uncached.executed == 1  # ignored the warm cache
+        uncached = run_sweep(spec, jobs=1)
+        assert uncached.executed == 1 and uncached.from_cache == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["warm"]  # no .repro-cache/ in the cwd
         assert _doc_bytes(uncached) == _doc_bytes(first)
 
-    def test_document_excludes_execution_details(self, tmp_path):
-        outcome = run_sweep(
-            _tiny_spec(grid=[{"n_shards": 1}], seeds=1),
-            jobs=1,
-            cache_dir=str(tmp_path),
-        )
+    def test_document_excludes_execution_details(self):
+        outcome = run_sweep(_tiny_spec(grid=[{"n_shards": 1}], seeds=1), jobs=1)
         text = _doc_bytes(outcome)
         assert "wall" not in text
         assert outcome.wall_s > 0
@@ -445,16 +442,16 @@ class TestJobsInvariance:
             grid=[{"n_shards": 1}, {"gateway_failover": True}],
             seeds=1,
         )
-        outcome = run_sweep(spec, jobs=1, use_cache=False, retries=0)
+        outcome = run_sweep(spec, jobs=1, retries=0)
         assert not outcome.ok
         assert len(outcome.failures) == 1
         entries = outcome.document["points"]
         assert [e["failed"] for e in entries] == [False, True]
         assert entries[1]["result"] is None
 
-    def test_sweep_table_renders_failures_and_values(self, tmp_path):
+    def test_sweep_table_renders_failures_and_values(self):
         spec = _tiny_spec(grid=[{"n_shards": 1}], seeds=1)
-        outcome = run_sweep(spec, jobs=1, cache_dir=str(tmp_path))
+        outcome = run_sweep(spec, jobs=1)
         table = sweep_table(outcome.document, columns=("throughput_per_s",))
         assert "n_shards" in table and "seed" in table
         assert "throughput_per_s" in table

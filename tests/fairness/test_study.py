@@ -7,6 +7,7 @@ import pytest
 
 from repro.cliutil import dump_json_document
 from repro.core.cluster import CloudExCluster
+from repro.exp import ResultCache
 from repro.fairness import POLICY_NAMES
 from repro.fairness.study import (
     SCENARIOS,
@@ -67,18 +68,15 @@ class TestSpec:
 class TestDeterminism:
     def test_jobs_1_vs_2_byte_identical(self):
         spec, labels = tiny_spec()
-        serial, _ = run_fairness_study(spec, labels, jobs=1, use_cache=False)
-        parallel, _ = run_fairness_study(spec, labels, jobs=2, use_cache=False)
+        serial, _ = run_fairness_study(spec, labels, jobs=1)
+        parallel, _ = run_fairness_study(spec, labels, jobs=2)
         assert dump_json_document(serial) == dump_json_document(parallel)
 
     def test_cached_rerun_byte_identical(self, tmp_path):
         spec, labels = tiny_spec()
-        first, outcome1 = run_fairness_study(
-            spec, labels, jobs=1, cache_dir=str(tmp_path)
-        )
-        second, outcome2 = run_fairness_study(
-            spec, labels, jobs=1, cache_dir=str(tmp_path)
-        )
+        cache = ResultCache(str(tmp_path))
+        first, outcome1 = run_fairness_study(spec, labels, jobs=1, cache=cache)
+        second, outcome2 = run_fairness_study(spec, labels, jobs=1, cache=cache)
         assert outcome1.executed == len(labels)
         assert outcome2.executed == 0
         assert outcome2.from_cache == len(labels)
@@ -89,7 +87,7 @@ class TestFrontierDocument:
     @pytest.fixture(scope="class")
     def frontier(self):
         spec, labels = tiny_spec()
-        document, outcome = run_fairness_study(spec, labels, jobs=1, use_cache=False)
+        document, outcome = run_fairness_study(spec, labels, jobs=1)
         assert outcome.ok
         return document
 
@@ -119,7 +117,7 @@ class TestFrontierDocument:
 
     def test_document_reduction_is_pure(self, frontier):
         spec, labels = tiny_spec()
-        _, outcome = run_fairness_study(spec, labels, jobs=1, use_cache=False)
+        _, outcome = run_fairness_study(spec, labels, jobs=1)
         again = build_frontier(outcome.document, labels, spec.seed_labels())
         assert dump_json_document(again) == dump_json_document(frontier)
 
@@ -132,7 +130,7 @@ class TestGoldenCells:
         byte.  Regenerate only for a change that means to move a
         policy's numbers, and say which field moved and why."""
         spec, labels = tiny_spec(policies=POLICY_NAMES, clocks=("huygens", "none"))
-        frontier, outcome = run_fairness_study(spec, labels, jobs=1, use_cache=False)
+        frontier, outcome = run_fairness_study(spec, labels, jobs=1)
         assert outcome.ok
         assert dump_json_document(frontier["cells"]) == GOLDEN_CELLS.read_text()
 
@@ -190,12 +188,13 @@ class TestServeFrontDoor:
 
     def test_execute_packs_the_frontier_document(self, tmp_path):
         spec = normalize_job(self.RAW)
-        artifacts = execute_job(spec, jobs=1, cache_dir=str(tmp_path))
+        cache = ResultCache(str(tmp_path))
+        artifacts = execute_job(spec, jobs=1, cache=cache)
         assert artifacts.clean
         document = json.loads(artifacts.report)
         assert set(document["frontier"]) == {"cloudex", "noop"}
         assert len(document["cells"]) == 2
         # Front doors agree: the CLI path emits the same bytes.
         study, labels = tiny_spec()
-        frontier, _ = run_fairness_study(study, labels, jobs=1, cache_dir=str(tmp_path))
+        frontier, _ = run_fairness_study(study, labels, jobs=1, cache=cache)
         assert artifacts.report.decode("utf-8") == dump_json_document(frontier)

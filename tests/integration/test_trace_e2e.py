@@ -7,7 +7,13 @@ and those latencies agree with the ground-truth MetricsCollector.
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
+import pytest
+
 from repro.core.cluster import CloudExCluster
+from repro.core.types import RejectReason
+from repro.fairness import POLICY_NAMES
 from repro.obs import tracing
 from repro.obs.breakdown import END_TO_END, STAGES, stage_durations_ns
 
@@ -93,3 +99,67 @@ class TestTracedRun:
         assert 0 < len(sampled.tracer.traces) < len(full.tracer.traces)
         # Sampled traces are a subset of the full run's traces.
         assert set(sampled.tracer.traces) <= set(full.tracer.traces)
+
+
+class TestOrderRecord:
+    """The tracer and the trade tape are the per-order record (paper §6)
+    under every fairness policy, with and without synchronized clocks."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(policy, sync) for policy in POLICY_NAMES for sync in ("huygens", "none")],
+        ids="-".join,
+    )
+    def run(self, request):
+        policy, sync = request.param
+        cluster = CloudExCluster(
+            small_config(
+                tracing=True, cancel_fraction=0.1, fairness_policy=policy, clock_sync=sync
+            )
+        )
+        cluster.add_default_workload(rate_per_participant=150.0)
+        # Every confirmation each participant receives, in arrival order.
+        confirmed = defaultdict(list)
+        for participant in cluster.participants:
+            deliver = participant._on_confirmation
+
+            def record(conf, deliver=deliver):
+                confirmed[(conf.participant_id, conf.client_order_id)].append(conf)
+                deliver(conf)
+
+            participant._on_confirmation = record
+        cluster.run(duration_s=0.8)
+        return cluster, confirmed
+
+    def test_traces_are_wellformed(self, run):
+        cluster, confirmed = run
+        completed = cluster.tracer.completed_traces()
+        assert len(completed) > 300
+        cancels_confirmed = 0
+        for trace in completed:
+            assert trace.lifecycle_is_wellformed(), trace
+            got = [str(c.status) for c in confirmed[(trace.participant, trace.client_order_id)]]
+            # The match span carries the status the participant was
+            # confirmed; every further confirmation is a client cancel
+            # the engine answered, and each left a cancel span.
+            got.remove(trace.first(tracing.MATCH).detail)
+            cancel_details = Counter(s.detail for s in trace.spans_of(tracing.CANCEL))
+            assert not Counter(got) - cancel_details, trace
+            cancels_confirmed += len(got)
+        assert cancels_confirmed > 0
+
+    def test_tape_fills_sum_to_filled(self, run):
+        cluster, confirmed = run
+        fills = defaultdict(list)  # (participant, order id) -> [(executed_local, quantity)]
+        for symbol in cluster.config.symbols:
+            for trade in cluster.history.trades(symbol):
+                stamp = (trade.executed_local, trade.quantity)
+                fills[(trade.buyer, trade.buy_client_order_id)].append(stamp)
+                fills[(trade.seller, trade.sell_client_order_id)].append(stamp)
+        assert sum(len(v) for v in fills.values()) == 2 * cluster.metrics.trades_executed > 0
+        for key, confirmations in confirmed.items():
+            for conf in confirmations:
+                # A cancel rejected as unknown names no order, so no fills.
+                if conf.reason is not RejectReason.UNKNOWN_ORDER:
+                    on_tape = sum(q for at, q in fills[key] if at <= conf.engine_timestamp)
+                    assert on_tape == conf.filled, conf

@@ -81,6 +81,62 @@ class TestOrderTrace:
         assert trace.e2e_ns() is None
 
 
+def trace_of(*spans) -> OrderTrace:
+    trace = OrderTrace("p00", 1, "SYM0")
+    for kind, t_true, t_local, host in spans:
+        trace.add(Span(kind, t_true, t_local, host, "g01" if kind == tracing.ROS_DEDUP else ""))
+    return trace
+
+
+class TestLifecycleCheck:
+    """The §6 surveillance rule, restated over spans."""
+
+    CHAIN = (
+        (tracing.SUBMIT, 100, 95, "p00"),
+        (tracing.GW_INGRESS, 200, 201, "g01"),
+        (tracing.ROS_DEDUP, 300, 300, "engine"),
+        (tracing.SEQ_HOLD, 700, 700, "engine"),
+        (tracing.MATCH, 750, 750, "engine"),
+        (tracing.CONFIRM_DELIVERY, 900, 894, "p00"),
+    )
+
+    def test_wellformed_chain(self):
+        assert trace_of(*self.CHAIN).lifecycle_is_wellformed()
+        # Two ROS replicas, fills released through H/R, a later client
+        # cancel and its confirmation: still one well-formed lifecycle.
+        trace = make_completed_tracer().get("p00", 1)
+        trace.add(Span(tracing.CANCEL, 1200, 1200, "engine", "cancelled"))
+        trace.add(Span(tracing.CONFIRM_DELIVERY, 1500, 1494, "p00"))
+        assert trace.lifecycle_is_wellformed()
+
+    def test_clocks_of_different_hosts_are_never_compared(self):
+        # A gateway whose free-running clock reads far ahead of the
+        # engine's: honest, and what the deleted audit check flagged.
+        spans = list(self.CHAIN)
+        spans[1] = (tracing.GW_INGRESS, 200, 5_000_000, "g01")
+        assert trace_of(*spans).lifecycle_is_wellformed()
+
+    def test_out_of_order_phases_flagged(self):
+        spans = list(self.CHAIN)
+        spans[3] = (tracing.SEQ_HOLD, 250, 250, "engine")  # released before it was admitted
+        assert not trace_of(*spans).lifecycle_is_wellformed()
+
+    def test_host_clock_running_backwards_flagged(self):
+        spans = list(self.CHAIN)
+        spans[4] = (tracing.MATCH, 750, 650, "engine")  # true time advances, engine clock does not
+        assert not trace_of(*spans).lifecycle_is_wellformed()
+
+    def test_matched_twice_flagged(self):
+        spans = self.CHAIN[:5] + ((tracing.MATCH, 800, 800, "engine"),) + self.CHAIN[5:]
+        assert not trace_of(*spans).lifecycle_is_wellformed()
+
+    def test_incomplete_chain_flagged(self):
+        assert not trace_of(*self.CHAIN[:4]).lifecycle_is_wellformed()
+
+    def test_missing_order_has_no_trace(self):
+        assert make_completed_tracer().get("p00", 99) is None
+
+
 class TestSampling:
     def test_rate_one_samples_everything(self):
         tracer = Tracer(sample_rate=1.0)

@@ -66,6 +66,9 @@ class TestNormalizeSweep:
         bad_base = {**SWEEP_RAW["base"], "spike_scale": 1.0}
         with pytest.raises(JobError, match="invalid sweep spec: .*spike_scale must be >= 2"):
             normalize_job({**SWEEP_RAW, "base": bad_base})
+        # ... or one that used to build and silently mean "off".
+        with pytest.raises(JobError, match="snapshot_interval_ms must be non-negative"):
+            normalize_job({**SWEEP_RAW, "grid": [{"snapshot_interval_ms": -5}]})
         # The cluster has one matching design; the old knob is just an unknown field.
         with pytest.raises(JobError, match="'matching_mode' is not a CloudExConfig field"):
             normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "matching_mode": "batch"}})

@@ -266,7 +266,7 @@ class TestDedupAcrossClients:
             _, bob_bytes = request(server, "GET", path, client="bob", raw=True)
             assert alice_bytes == bob_bytes
 
-    def test_sweep_report_matches_direct_runner_bytes(self, server, tmp_path):
+    def test_sweep_report_matches_direct_runner_bytes(self, server):
         from repro.cliutil import dump_json_document
         from repro.exp.runner import run_sweep
         from repro.serve.schema import build_sweep_spec, normalize_job
@@ -280,11 +280,7 @@ class TestDedupAcrossClients:
             server, "GET", f"/v1/runs/{submitted['run_id']}/pack/report.json",
             raw=True,
         )
-        outcome = run_sweep(
-            build_sweep_spec(normalize_job(TINY_SWEEP)),
-            jobs=1,
-            cache_dir=str(tmp_path / "direct-cache"),
-        )
+        outcome = run_sweep(build_sweep_spec(normalize_job(TINY_SWEEP)), jobs=1)
         assert served == dump_json_document(outcome.document).encode("utf-8")
 
 
@@ -401,7 +397,7 @@ class TestPooledExecution:
         reports = [served_report(job) for job in sweeps]
         assert len(set(reports)) == 3
         for job, report in zip(sweeps, reports):
-            direct = run_sweep(build_sweep_spec(normalize_job(job)), jobs=1, use_cache=False)
+            direct = run_sweep(build_sweep_spec(normalize_job(job)), jobs=1)
             assert report == dump_json_document(direct.document).encode("utf-8")
 
         direct_chaos = run_scenario("smoke", seed=11).report.to_json() + "\n"
@@ -412,6 +408,30 @@ class TestPooledExecution:
         assert health["pool"] == {
             "spawned": 2, "respawned": 0, "tasks": 7, "crashes": 0, "timeouts": 0,
         }
+
+
+class TestExecutorCache:
+    def test_one_cache_spans_jobs_so_the_directory_is_scanned_once(self, server, monkeypatch):
+        """A cache per job would restart the prune cadence at "first
+        put" and list the whole cache directory on every job."""
+        from repro.exp.cache import ResultCache
+
+        scans = []
+        prune = ResultCache.prune
+
+        def counted(self, max_bytes=None):
+            scans.append(self)
+            return prune(self, max_bytes)
+
+        monkeypatch.setattr(ResultCache, "prune", counted)
+        for master_seed in (1, 2):
+            _, submitted = request(
+                server, "POST", "/v1/jobs", body={**TINY_SWEEP, "master_seed": master_seed}
+            )
+            assert wait_for_run(server, submitted["run_id"])["status"] == "done"
+        assert len(scans) == 1
+        cache = server.executor.cache
+        assert (cache.hits, cache.misses) == (0, 2)  # counts outlive a job too
 
 
 class TestSigterm:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.latency import (
+    CloudLinkLatency,
     CompositeLatency,
     ConstantLatency,
     GammaLatency,
@@ -184,3 +187,31 @@ class TestCloudLink:
     def test_bad_base_rejected(self):
         with pytest.raises(ValueError):
             cloud_link(0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        base_us=st.floats(0.001, 1000.0),
+        jitter_shape=st.floats(0.05, 5.0),
+        jitter_scale_us=st.floats(0.001, 500.0),
+        spike_prob=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)),
+        spike_scale=st.floats(2.0, 20.0, exclude_min=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_model_is_the_composed_one_draw_for_draw(
+        self, base_us, jitter_shape, jitter_scale_us, spike_prob, spike_scale, seed
+    ):
+        """The fast path under every link, pinned to the models it was
+        fused from: same samples, same RNG draws in the same order."""
+        fused = cloud_link(base_us, jitter_shape, jitter_scale_us, spike_prob, spike_scale)
+        assert type(fused) is CloudLinkLatency
+        jitter = SpikyLatency(
+            GammaLatency(0, jitter_shape, jitter_scale_us * MICROSECOND, floor_ns=0),
+            spike_prob,
+            spike_scale,
+        )
+        jitter.floor_ns = 0  # spikes multiply queueing only; the floor applies to the sum
+        composed = CompositeLatency([ConstantLatency(int(base_us * MICROSECOND)), jitter])
+        fused_rng, composed_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for now in range(200):
+            assert fused.sample(fused_rng, now) == composed.sample(composed_rng, now)
+        assert fused_rng.bit_generator.state == composed_rng.bit_generator.state

@@ -184,6 +184,10 @@ class TestMain:
                 ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch"],
                 "'matching_mode' is not a CloudExConfig field",
             ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "initial_book_qty=0"],
+                "initial_book_qty must be positive",
+            ),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
@@ -249,7 +253,7 @@ class TestUnifiedJsonOutput:
         payload = json.loads((tmp_path / "trace.json").read_text())
         assert payload["trace"] == {"seed": 7, "duration_s": 0.2}
         assert payload["traces"] >= payload["completed"] > 0
-        assert "gw_ingress" in payload["spans_by_kind"]
+        assert {"gw_ingress", "match", "cancel"} <= set(payload["spans_by_kind"])
 
 
 class TestServeCli:
