@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProbeExchange:
     """One timestamped probe observation in a single direction.
 

@@ -12,8 +12,8 @@ Price levels live in a dict keyed by price with a lazy heap of prices
 for best-price lookup: O(1) amortized best, O(log n) insert, and
 cancellation without heap surgery (emptied levels are skipped when
 popped).  Within a level, orders are a list kept sorted by
-``Order.priority_key()`` with an O(1) append fast path for the common
-in-order case.
+``Order.priority_key()`` (built inline on insert: no call per resting
+order) with an O(1) append fast path for the common in-order case.
 """
 
 from __future__ import annotations
@@ -60,7 +60,9 @@ class PriceLevel:
 
     def add(self, order: Order) -> None:
         """Insert in timestamp-priority position (append fast path)."""
-        key = order.priority_key()
+        key = (order.gateway_timestamp, order.gateway_id, order.gateway_seq)
+        if key[0] is None or key[2] is None:
+            raise ValueError(f"order {order.client_order_id} has not been gateway-stamped")
         keys = self._keys
         if self._head >= len(keys) or key >= keys[-1]:
             self._orders.append(order)
@@ -226,8 +228,8 @@ class LimitOrderBook:
         self.symbol = symbol
         self.bids = BookSide(Side.BUY)
         self.asks = BookSide(Side.SELL)
-        # (participant_id, client_order_id) -> resting Order, for cancels.
-        self._resting: Dict[Tuple[str, int], Order] = {}
+        #: (participant_id, client_order_id) -> resting Order; read-only to callers.
+        self.resting: Dict[Tuple[str, int], Order] = {}
 
     # ------------------------------------------------------------------
     # Mutation
@@ -235,26 +237,24 @@ class LimitOrderBook:
     def side(self, side: Side) -> BookSide:
         return self.bids if side is _BUY else self.asks
 
-    def add_resting(self, order: Order) -> None:
-        """Rest an unmatched (remainder of a) limit order."""
-        key = (order.participant_id, order.client_order_id)
-        if key in self._resting:
+    def add_resting(self, order: Order, key: Optional[Tuple[str, int]] = None) -> None:
+        """Rest a limit order's unmatched remainder (``key``: its :attr:`resting` key, if built)."""
+        key = key or (order.participant_id, order.client_order_id)
+        if key in self.resting:
             raise ValueError(f"order {key} is already resting in {self.symbol}")
         (self.bids if order.side is _BUY else self.asks).add(order)
-        self._resting[key] = order
+        self.resting[key] = order
 
     def cancel(self, participant_id: str, client_order_id: int) -> Optional[Order]:
         """Remove and return a resting order; None if not resting."""
-        key = (participant_id, client_order_id)
-        order = self._resting.pop(key, None)
-        if order is None:
-            return None
-        self.side(order.side).remove(order)
+        order = self.resting.pop((participant_id, client_order_id), None)
+        if order is not None:
+            self.side(order.side).remove(order)
         return order
 
     def is_resting(self, participant_id: str, client_order_id: int) -> bool:
         """Whether the participant's order currently rests in this book."""
-        return (participant_id, client_order_id) in self._resting
+        return (participant_id, client_order_id) in self.resting
 
     def forget(self, order: Order) -> None:
         """Drop a fully-filled front order from the cancel index.
@@ -262,7 +262,7 @@ class LimitOrderBook:
         The matching engine pops filled orders from levels directly;
         this keeps the cancel index consistent.
         """
-        self._resting.pop((order.participant_id, order.client_order_id), None)
+        self.resting.pop((order.participant_id, order.client_order_id), None)
 
     # ------------------------------------------------------------------
     # Queries
@@ -286,10 +286,10 @@ class LimitOrderBook:
 
     def resting_count(self) -> int:
         """Number of resting orders across both sides."""
-        return len(self._resting)
+        return len(self.resting)
 
     def __repr__(self) -> str:
         return (
             f"LimitOrderBook({self.symbol!r}, bid={self.best_bid()}, "
-            f"ask={self.best_ask()}, resting={len(self._resting)})"
+            f"ask={self.best_ask()}, resting={len(self.resting)})"
         )

@@ -16,7 +16,7 @@ from typing import Tuple
 from repro.core.types import Price, Quantity, Symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TradeRecord:
     """A record of one execution (paper: "Trade records consist of the
     traded symbol, the number of shares traded, and the execution
@@ -42,7 +42,7 @@ class TradeRecord:
         return self.price * self.quantity
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BookSnapshot:
     """Top-of-book depth snapshot for one symbol.
 
@@ -80,7 +80,7 @@ class BookSnapshot:
         return (self.best_bid + self.best_ask) / 2.0
 
 
-@dataclass
+@dataclass(slots=True)
 class MarketDataPiece:
     """One piece of market data as disseminated: payload plus timing.
 

@@ -241,7 +241,7 @@ class MatchingEngineCore:
         book = self.books.get(symbol)
         if book is None:
             return _REJECTED, RejectReason.UNKNOWN_SYMBOL
-        if book.is_resting(order.participant_id, order.client_order_id):
+        if (key := (order.participant_id, order.client_order_id)) in book.resting:  # reused to rest
             return _REJECTED, RejectReason.DUPLICATE_ORDER_ID
         breaker = self.circuit_breaker
         if breaker is not None and breaker.is_halted(symbol, now_local):
@@ -310,7 +310,7 @@ class MatchingEngineCore:
                 return _REJECTED, RejectReason.NO_LIQUIDITY
             return (_FILLED if remaining == 0 else _PARTIALLY_FILLED), None
         if remaining > 0 and order.time_in_force is _GTC:
-            book.add_resting(order)
+            book.add_resting(order, key)
         if remaining == 0:
             return _FILLED, None
         if remaining < order.quantity:

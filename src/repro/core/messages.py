@@ -24,7 +24,7 @@ from repro.core.order import Order
 from repro.core.types import OrderStatus, Price, Quantity, RejectReason, Symbol
 
 
-@dataclass
+@dataclass(slots=True)
 class NewOrderRequest:
     """A participant submits (one replica of) an order to a gateway."""
 
@@ -32,7 +32,7 @@ class NewOrderRequest:
     auth_token: str
 
 
-@dataclass
+@dataclass(slots=True)
 class CancelRequest:
     """A participant asks to cancel a previously submitted order."""
 
@@ -42,14 +42,14 @@ class CancelRequest:
     auth_token: str
 
 
-@dataclass
+@dataclass(slots=True)
 class StampedOrder:
     """A gateway-stamped order replica on its way to the engine."""
 
     order: Order
 
 
-@dataclass
+@dataclass(slots=True)
 class StampedCancel:
     """A gateway-stamped cancel on its way to the engine."""
 
@@ -66,7 +66,7 @@ class StampedCancel:
         return (self.gateway_timestamp, self.gateway_id, self.gateway_seq)
 
 
-@dataclass
+@dataclass(slots=True)
 class OrderConfirmation:
     """Engine's response to an order (Fig. 2 steps 4-5)."""
 
@@ -84,7 +84,7 @@ class OrderConfirmation:
         return self.status is not OrderStatus.REJECTED
 
 
-@dataclass
+@dataclass(slots=True)
 class TradeConfirmation:
     """Engine's notification of an execution to one counterparty
     (Fig. 2 steps 6-7).
@@ -108,7 +108,7 @@ class TradeConfirmation:
     release_at: Optional[int] = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MarketDataDelivery:
     """A piece of market data released by a gateway's H/R buffer to one
     subscribed participant."""
@@ -117,7 +117,7 @@ class MarketDataDelivery:
     released_local: int
 
 
-@dataclass
+@dataclass(slots=True)
 class HoldReleaseReport:
     """A gateway's report of whether a piece of market data arrived in
     time to be released fairly -- the outbound sample stream DDP tunes
@@ -130,7 +130,7 @@ class HoldReleaseReport:
     hold_ns: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SubscriptionRequest:
     """Participant subscribes to market data for ``symbols`` (paper
     §2.1: "Market participants subscribe to this data per symbol")."""

@@ -35,7 +35,7 @@ class OrderValidationError(ValueError):
         self.detail = detail
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Order:
     """A participant's order, progressively annotated along Fig. 2.
 
@@ -43,6 +43,11 @@ class Order:
     two distinct orders can carry identical fields (ROS replicas), and
     book operations (cancel lookup, level removal) want identity
     semantics rather than a 12-field comparison per candidate.
+
+    ``slots=True``: one fixed-layout record per order and no instance
+    dictionary -- half the objects per resting order for the cyclic
+    collector to walk, and a typo'd attribute raises instead of
+    silently growing the record.
 
     Participant-set fields
     ----------------------
@@ -112,12 +117,22 @@ class Order:
     ) -> "Order":
         """A copy annotated with the gateway stamp (Fig. 2 step 2).
 
-        Replaces ``dataclasses.replace`` on the order hot path: a dict
-        copy plus four assignments instead of re-running field
-        collection and ``__init__``.
+        Replaces ``dataclasses.replace`` on the order hot path: one
+        store per field instead of re-running field collection and
+        ``__init__``.  The copy is written out by hand, so a test walks
+        ``dataclasses.fields(Order)`` to catch a field added later.
         """
         clone = Order.__new__(Order)
-        clone.__dict__.update(self.__dict__)
+        clone.client_order_id = self.client_order_id
+        clone.participant_id = self.participant_id
+        clone.symbol = self.symbol
+        clone.side = self.side
+        clone.order_type = self.order_type
+        clone.quantity = self.quantity
+        clone.limit_price = self.limit_price
+        clone.time_in_force = self.time_in_force
+        clone.remaining = self.remaining
+        clone.submitted_true = self.submitted_true
         clone.gateway_id = gateway_id
         clone.gateway_timestamp = gateway_timestamp
         clone.gateway_seq = gateway_seq

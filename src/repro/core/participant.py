@@ -285,7 +285,7 @@ class Participant(Actor):
     def subscribe(self, symbols: Sequence[Symbol]) -> None:
         """Subscribe to real-time market data for ``symbols``."""
         for symbol in symbols:
-            self.market.setdefault(symbol, MarketView(symbol=symbol))
+            self.view(symbol)
         self.network.send(
             self.name,
             self.primary_gateway,
@@ -294,7 +294,10 @@ class Participant(Actor):
 
     def view(self, symbol: Symbol) -> MarketView:
         """Current local market view for ``symbol`` (creates if absent)."""
-        return self.market.setdefault(symbol, MarketView(symbol=symbol))
+        view = self.market.get(symbol)
+        if view is None:
+            view = self.market[symbol] = MarketView(symbol=symbol)
+        return view
 
     # ------------------------------------------------------------------
     # API (3): historical data

@@ -52,7 +52,7 @@ from repro.sim.engine import Event, Simulator
 RankRule = Callable[[tuple, int], int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequencerSample:
     """Metrics emitted for every dequeued item."""
 

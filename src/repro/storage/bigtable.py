@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One version of one column's value."""
 
@@ -109,27 +109,7 @@ class Bigtable:
         timestamp_ns: int,
     ) -> None:
         """Write one cell version.  Atomic per row by construction."""
-        if family not in self._families:
-            raise ColumnFamilyNotFound(f"family {family!r} not declared on table {self.name!r}")
-        if not isinstance(value, bytes):
-            raise TypeError(f"cell values are bytes, got {type(value).__name__}")
-        row = self._rows.get(row_key)
-        if row is None:
-            row = {}
-            self._rows[row_key] = row
-            bisect.insort(self._sorted_keys, row_key)
-        versions = row.setdefault((family, qualifier), [])
-        # Keep versions newest-first; inserts are usually append-newest.
-        cell = Cell(value=value, timestamp_ns=timestamp_ns)
-        index = 0
-        while index < len(versions) and versions[index].timestamp_ns > timestamp_ns:
-            index += 1
-        versions.insert(index, cell)
-        limit = self._families[family]
-        if limit is not None and len(versions) > limit:
-            self.cells_gc_collected += len(versions) - limit
-            del versions[limit:]
-        self.writes += 1
+        self.write_row(row_key, family, {qualifier: value}, timestamp_ns)
 
     def write_row(
         self,
@@ -138,9 +118,32 @@ class Bigtable:
         values: Dict[str, bytes],
         timestamp_ns: int,
     ) -> None:
-        """Write several qualifiers of one family atomically."""
+        """Write several qualifiers of one family atomically: the family
+        and every value are checked before the first cell is stored, so
+        a bad one leaves the row as it was."""
+        if family not in self._families:
+            raise ColumnFamilyNotFound(f"family {family!r} not declared on table {self.name!r}")
+        for value in values.values():
+            if not isinstance(value, bytes):
+                raise TypeError(f"cell values are bytes, got {type(value).__name__}")
+        if not values:
+            return
+        row = self._rows.get(row_key)
+        if row is None:
+            row = self._rows[row_key] = {}
+            bisect.insort(self._sorted_keys, row_key)
+        limit = self._families[family]
         for qualifier, value in values.items():
-            self.write(row_key, family, qualifier, value, timestamp_ns)
+            versions = row.setdefault((family, qualifier), [])
+            # Keep versions newest-first; inserts are usually append-newest.
+            index = 0
+            while index < len(versions) and versions[index].timestamp_ns > timestamp_ns:
+                index += 1
+            versions.insert(index, Cell(value=value, timestamp_ns=timestamp_ns))
+            if limit is not None and len(versions) > limit:
+                self.cells_gc_collected += len(versions) - limit
+                del versions[limit:]
+        self.writes += len(values)
 
     def delete_row(self, row_key: str) -> bool:
         """Remove a row entirely.  Returns whether it existed."""

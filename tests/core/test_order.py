@@ -1,5 +1,7 @@
 """Tests for orders and validation."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.order import (
@@ -8,7 +10,7 @@ from repro.core.order import (
     OrderValidationError,
     validate_order,
 )
-from repro.core.types import OrderType, RejectReason, Side
+from repro.core.types import OrderType, RejectReason, Side, TimeInForce
 
 
 def make_order(**overrides):
@@ -58,6 +60,25 @@ class TestOrder:
     def test_is_buy(self):
         assert make_order(side=Side.BUY).is_buy
         assert not make_order(side=Side.SELL).is_buy
+
+    def test_stamped_clone_copies_every_field_but_the_stamp(self):
+        # Walks the field list, so a field added to Order later cannot be
+        # silently dropped by the hand-written copy.
+        stamp = dict(gateway_id="g3", gateway_timestamp=1_234, gateway_seq=9, stamped_true=1_300)
+        values = {
+            "client_order_id": 41, "participant_id": "p7", "symbol": "SYM2", "side": Side.SELL,
+            "order_type": OrderType.LIMIT, "quantity": 30, "limit_price": 995,
+            "time_in_force": TimeInForce.IOC, "gateway_id": "old", "gateway_timestamp": 5,
+            "gateway_seq": 6, "remaining": 12, "submitted_true": 77, "stamped_true": 88,
+        }
+        names = [field.name for field in dataclasses.fields(Order)]
+        assert sorted(values) == sorted(names)  # a new field needs a non-default value here
+        original = Order(**values)
+        clone = original.stamped_clone(**stamp)
+        assert type(clone) is Order and clone is not original
+        for name in names:
+            assert getattr(clone, name) == stamp.get(name, values[name]), name
+            assert getattr(original, name) == values[name], name
 
 
 class TestValidation:

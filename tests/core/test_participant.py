@@ -67,6 +67,24 @@ class TestMarketView:
         assert MarketView(symbol="S", best_ask=105).reference_price == 105
         assert MarketView(symbol="S").reference_price is None
 
+    def test_view_is_built_only_on_a_miss(self, cluster, monkeypatch):
+        built = []
+
+        class CountingView(MarketView):
+            def __init__(self, symbol):
+                super().__init__(symbol=symbol)
+                built.append(symbol)
+
+        monkeypatch.setattr("repro.core.participant.MarketView", CountingView)
+        participant = cluster.participant(0)
+        assert "NEW" not in participant.market
+        view = participant.view("NEW")
+        assert view.symbol == "NEW" and view.reference_price is None
+        assert participant.view("NEW") is view
+        participant.subscribe(["NEW"])
+        assert participant.market["NEW"] is view
+        assert built == ["NEW"]
+
     def test_view_updates_from_trade_confirmation(self, cluster):
         participant = cluster.participant(0)
         participant.submit_market("SYM000", Side.BUY, 5)

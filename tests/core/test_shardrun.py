@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cliutil import dump_json_document
 from repro.core.shardrun import (
+    BatchOrder,
     ShardProgram,
     ShardRunConfig,
     build_shardrun_parser,
@@ -18,6 +19,7 @@ from repro.core.shardrun import (
     shardrun_main,
     split_due,
 )
+from repro.core.types import OrderType, Side, TimeInForce
 from repro.sim.engine import SimulationError, Simulator
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,6 +184,61 @@ class TestShardProgram:
         r_pushed = pushed.run_window(1, 2 * t1, {"index": 14_000})
         assert r_neutral != r_pushed
         assert neutral.finish()["last_prices"] != pushed.finish()["last_prices"]
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 10**9),  # id
+                st.integers(0, 2),  # symbol index (shard 0 of SMALL has 3 symbols)
+                st.booleans(),  # side_buy
+                st.integers(1, 100),  # qty
+                st.booleans(),  # market
+                st.integers(-12_000, 400),  # offset: far enough down to hit the price floor
+                st.integers(0, 10**6),  # participant
+                st.integers(0, 10**12),  # stamp
+            ),
+            max_size=20,
+        ),
+        centers=st.tuples(*[st.integers(1, 20_000)] * 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_built_orders_equal_the_constructor(self, rows, centers):
+        # The fast path (__new__ plus one store per slot) pinned to its
+        # slow path: BatchOrder.__init__ on the same column rows.
+        program = ShardProgram(SMALL, 0)
+        assert len(program.symbols) == len(centers)
+        program._centers = list(centers)
+        names = ("id", "symbol", "side_buy", "qty", "market", "offset", "participant", "stamp")
+        due = {
+            name: np.array(
+                [row[k] for row in rows],
+                dtype=np.bool_ if name in ("side_buy", "market") else np.int64,
+            )
+            for k, name in enumerate(names)
+        }
+        built = program._build_orders(due)
+        assert len(built) == len(rows)
+        for order, (i, j, is_buy, qty, market, offset, pid, stamp) in zip(built, rows):
+            expected = BatchOrder(
+                client_order_id=i,
+                participant_id=str(pid),
+                symbol=program.symbols[j],
+                side=Side.BUY if is_buy else Side.SELL,
+                order_type=OrderType.MARKET if market else OrderType.LIMIT,
+                quantity=qty,
+                limit_price=None if market else max(centers[j] + offset, 1),
+                time_in_force=TimeInForce.GTC,
+                gateway_id="B",
+                gateway_timestamp=stamp,
+                gateway_seq=i,
+                stamped_true=stamp,
+                bucket=pid % SMALL.portfolio_buckets,
+                symbol_index=j,
+            )
+            assert type(order) is BatchOrder
+            for field in dataclasses.fields(BatchOrder):
+                got, want = getattr(order, field.name), getattr(expected, field.name)
+                assert got == want and type(got) is type(want), field.name
 
     def test_bucket_accounting_is_zero_sum(self):
         program = ShardProgram(SMALL, 1)

@@ -49,6 +49,33 @@ class TestWriteRead:
         assert row[("cf", "a")][0].value == b"1"
         assert row[("cf", "b")][0].value == b"2"
 
+    def test_write_row_is_atomic(self, table):
+        # A bad value in the middle leaves nothing of the row behind --
+        # neither the qualifiers before it nor the row key itself.
+        table.write("kept", "cf", "a", b"0", timestamp_ns=1)
+        for row_key in ("kept", "new"):
+            with pytest.raises(TypeError):
+                table.write_row(row_key, "cf", {"a": b"1", "b": "2", "c": b"3"}, timestamp_ns=2)
+            with pytest.raises(ColumnFamilyNotFound):
+                table.write_row(row_key, "bad", {"a": b"1"}, timestamp_ns=2)
+        assert list(table.read_row("kept")) == [("cf", "a")]
+        assert [c.value for c in table.read_row("kept")[("cf", "a")]] == [b"0"]
+        assert "new" not in table and [k for k, _ in table.scan()] == ["kept"]
+        assert table.writes == 1
+
+    def test_write_row_is_one_write_per_cell(self):
+        # Same counters, version order and GC as a loop of write().
+        by_row, by_cell = (Bigtable("t", families={"cf": 2}) for _ in range(2))
+        for ts in (5, 9, 7, 1):
+            values = {"a": b"a%d" % ts, "b": b"b%d" % ts}
+            by_row.write_row("r", "cf", values, timestamp_ns=ts)
+            for qualifier, value in values.items():
+                by_cell.write("r", "cf", qualifier, value, timestamp_ns=ts)
+        assert by_row.read_row("r") == by_cell.read_row("r")
+        assert [c.timestamp_ns for c in by_row.read_row("r")[("cf", "b")]] == [9, 7]
+        assert (by_row.writes, by_row.cells_gc_collected) == (8, 4)
+        assert (by_cell.writes, by_cell.cells_gc_collected) == (8, 4)
+
     def test_family_filter_on_read(self):
         table = Bigtable("t", families=("cf1", "cf2"))
         table.write("r", "cf1", "q", b"1", 0)
