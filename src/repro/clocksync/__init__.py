@@ -8,7 +8,7 @@ network latencies are themselves only hundreds of microseconds.
 
 This package implements both:
 
-- :mod:`repro.clocksync.probes` -- probe exchange records and the
+- :mod:`repro.clocksync.probes` -- columnar probe records and the
   coded-probe spacing filter.
 - :mod:`repro.clocksync.huygens` -- Huygens-style estimator: coded
   probes, minimum-delay envelope filtering, and offset+drift
@@ -21,14 +21,14 @@ This package implements both:
 
 from repro.clocksync.huygens import HuygensEstimator
 from repro.clocksync.ntp import NtpEstimator
-from repro.clocksync.probes import ProbeExchange, coded_probe_filter
+from repro.clocksync.probes import ProbeColumns, coded_pair_mask
 from repro.clocksync.service import ClockSyncService, SyncEstimate
 
 __all__ = [
     "ClockSyncService",
     "HuygensEstimator",
     "NtpEstimator",
-    "ProbeExchange",
+    "ProbeColumns",
     "SyncEstimate",
-    "coded_probe_filter",
+    "coded_pair_mask",
 ]

@@ -26,9 +26,8 @@ better rate -> cleaner detrend -> sharper minima -> better offset.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
-from repro.clocksync.probes import ProbeExchange
+from repro.clocksync.probes import ProbeColumns
 
 _BILLION = 1_000_000_000
 
@@ -84,8 +83,8 @@ class HuygensEstimator:
 
     def estimate(
         self,
-        forward: Sequence[ProbeExchange],
-        reverse: Sequence[ProbeExchange],
+        forward: ProbeColumns,
+        reverse: ProbeColumns,
         rate_hint_ppb: int = 0,
     ) -> SyncEstimate:
         """Estimate the clock difference at the window midpoint.
@@ -102,22 +101,17 @@ class HuygensEstimator:
             )
         # All x-coordinates in client raw time: arrival instant for
         # forward probes, transmission instant for reverse ones.
-        fwd_x = [p.recv_local for p in forward]
-        rev_x = [p.sent_local for p in reverse]
-        x_lo = min(min(fwd_x), min(rev_x))
-        x_hi = max(max(fwd_x), max(rev_x))
+        fwd_x, rev_x = forward.recv_local, reverse.sent_local
+        x_lo = int(min(fwd_x.min(), rev_x.min()))
+        x_hi = int(max(fwd_x.max(), rev_x.max()))
         x_ref = (x_lo + x_hi) // 2
+        if abs(rate_hint_ppb) * (x_hi - x_lo) >= 2**63:
+            raise OverflowError("rate hint times window span does not fit int64")
 
         # Detrend so every sample reflects theta at x_ref; the minimum
         # then isolates the (symmetric) delay floor.
-        min_fwd = min(
-            p.difference - (rate_hint_ppb * (x - x_ref)) // _BILLION
-            for p, x in zip(forward, fwd_x)
-        )
-        min_rev = min(
-            p.difference + (rate_hint_ppb * (x - x_ref)) // _BILLION
-            for p, x in zip(reverse, rev_x)
-        )
+        min_fwd = int((forward.difference - (rate_hint_ppb * (fwd_x - x_ref)) // _BILLION).min())
+        min_rev = int((reverse.difference + (rate_hint_ppb * (rev_x - x_ref)) // _BILLION).min())
         theta = (min_fwd - min_rev) // 2
         return SyncEstimate(
             offset_ns=theta,

@@ -19,10 +19,8 @@ minimum-envelope achieves on a direct intra-zone path.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from repro.clocksync.huygens import EstimationError, SyncEstimate
-from repro.clocksync.probes import ProbeExchange
+from repro.clocksync.probes import ProbeColumns
 
 
 class NtpEstimator:
@@ -43,8 +41,8 @@ class NtpEstimator:
 
     def estimate(
         self,
-        forward: Sequence[ProbeExchange],
-        reverse: Sequence[ProbeExchange],
+        forward: ProbeColumns,
+        reverse: ProbeColumns,
         rate_hint_ppb: int = 0,
     ) -> SyncEstimate:
         """Estimate from the most recent exchange(s), unfiltered.
@@ -56,15 +54,11 @@ class NtpEstimator:
             raise EstimationError(
                 f"need probes in both directions, got {len(forward)} forward / {len(reverse)} reverse"
             )
-        k = self.samples_to_average
-        fwd = list(forward)[-k:]
-        rev = list(reverse)[-k:]
-        n = min(len(fwd), len(rev))
-        offsets = [(f.difference - r.difference) / 2.0 for f, r in zip(fwd[-n:], rev[-n:])]
-        offset = sum(offsets) / len(offsets)
+        n = min(self.samples_to_average, len(forward), len(reverse))
+        offsets = ((forward.difference[-n:] - reverse.difference[-n:]) / 2.0).tolist()
         return SyncEstimate(
-            offset_ns=int(round(offset)),
+            offset_ns=int(round(sum(offsets) / n)),
             rate_ppb=0,
-            ref_raw_ns=fwd[-1].recv_local,
+            ref_raw_ns=int(forward.recv_local[-1]),
             samples_used=2 * n,
         )

@@ -12,7 +12,10 @@ correction on the client clock.
 Probe delays are drawn from the same latency model as the data-plane
 link between the two hosts (or an explicit override for NTP's distant
 server path) but with the service's own random stream, so probing does
-not perturb the data plane's FIFO state.
+not perturb the data plane's FIFO state.  The unit drawn is a *window*
+-- every probe one host sends another over a set of instants; see
+:meth:`ClockSyncService._probe_window` for the order its numbers leave
+the stream in.
 
 The service also keeps a history of each client's residual clock error
 sampled at every probe tick -- the statistic behind the paper's
@@ -26,7 +29,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.clocksync.huygens import EstimationError, HuygensEstimator, SyncEstimate
-from repro.clocksync.probes import ProbeExchange, coded_probe_filter
+from repro.clocksync.probes import ProbeColumns, coded_pair_mask
+from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
 from repro.sim.network import Host, Network
@@ -40,8 +44,10 @@ class _ClientState:
     """Per-client probe buffers, drift tracking, and error history."""
 
     def __init__(self) -> None:
-        self.forward_pairs: List[Tuple[ProbeExchange, ProbeExchange]] = []
-        self.reverse_pairs: List[Tuple[ProbeExchange, ProbeExchange]] = []
+        # Windows since the last round; the first half of each holds the
+        # first probe of every coded pair, the second half the second.
+        self.forward: List[ProbeColumns] = []
+        self.reverse: List[ProbeColumns] = []
         self.error_samples_ns: List[int] = []
         self.estimates: List[SyncEstimate] = []
         self.failed_rounds: int = 0
@@ -151,18 +157,16 @@ class ClockSyncService:
         accurate timestamps.  Probes are evaluated back-to-back without
         advancing simulation time, using historical raw-clock values.
         """
-        n_ticks = max(self.sync_interval_ns // self.probe_interval_ns, 8)
         for round_index in range(rounds):
+            # Rounds are placed in the (virtual) past so successive
+            # windows have distinct midpoints -- the drift fit needs
+            # x-axis leverage.  Negative true times are fine: they
+            # only parameterize clock reads and latency draws.
+            base = self.sim.now - (rounds - round_index) * self.sync_interval_ns
+            times = self._coded_times(self._window_ticks(base))
             for client in self.clients:
                 state = self._state[client.name]
-                # Rounds are placed in the (virtual) past so successive
-                # windows have distinct midpoints -- the drift fit needs
-                # x-axis leverage.  Negative true times are fine: they
-                # only parameterize clock reads and latency draws.
-                base = self.sim.now - (rounds - round_index) * self.sync_interval_ns
-                step = max(self.sync_interval_ns // n_ticks, 1)
-                for i in range(n_ticks):
-                    self._exchange_probes(client, state, at_true=base + i * step)
+                self._exchange_probes(client, state, times)
                 self._estimate_and_correct(client, state)
 
     # ------------------------------------------------------------------
@@ -175,52 +179,65 @@ class ClockSyncService:
         rev = self.network.link(client.name, self.reference.name).latency
         return fwd, rev
 
-    def _noise(self) -> int:
-        if self.timestamp_noise_ns == 0:
-            return 0
-        return int(self.rng.integers(-self.timestamp_noise_ns, self.timestamp_noise_ns + 1))
+    def _window_ticks(self, base: int) -> np.ndarray:
+        """The probe instants of one sync interval starting at ``base``."""
+        n_ticks = max(self.sync_interval_ns // self.probe_interval_ns, 8)
+        step = max(self.sync_interval_ns // n_ticks, 1)
+        return base + step * np.arange(n_ticks, dtype=np.int64)
 
-    def _one_probe(
-        self,
-        send_clock,
-        recv_clock,
-        model: LatencyModel,
-        at_true: int,
-    ) -> ProbeExchange:
-        delay = model.sample(self.rng, at_true)
-        return ProbeExchange(
-            sent_local=send_clock.raw_local(at_true) + self._noise(),
-            recv_local=recv_clock.raw_local(at_true + delay) + self._noise(),
-            sent_true=at_true,
-        )
+    def _coded_times(self, ticks: np.ndarray) -> np.ndarray:
+        """Send instants of one coded pair per tick: every ``t``, then every ``t + spacing``."""
+        return np.concatenate([ticks, ticks + self.coded_spacing_ns])
 
-    def _exchange_probes(self, client: Host, state: _ClientState, at_true: int) -> None:
-        """Simulate one coded pair in each direction at true time ``at_true``."""
+    def _probe_window(
+        self, sender: HostClock, receiver: HostClock, model: LatencyModel, times: np.ndarray
+    ) -> ProbeColumns:
+        """Draw the probes ``sender`` sends ``receiver`` at true ``times``.
+
+        Determinism contract -- this is the one place the
+        ``clocksync:service`` stream is read.  A window consumes, in
+        order: its delay column (``model.sample_many``: every jitter,
+        then every spike coin, then one factor per spike), then one
+        ``integers`` call of ``2 * len(times)`` whose first half is the
+        send-stamp noise and second half the receive-stamp noise
+        (skipped when ``timestamp_noise_ns`` is 0).  Callers draw a
+        pair of hosts' forward window, then its reverse window.
+        """
+        delays = model.sample_many(self.rng, times)
+        sent = sender.raw_local_many(times)
+        received = receiver.raw_local_many(times + delays)
+        half_width = self.timestamp_noise_ns
+        if half_width:
+            noise = self.rng.integers(-half_width, half_width + 1, size=2 * len(times))
+            sent += noise[: len(times)]
+            received += noise[len(times) :]
+        return ProbeColumns(sent, received, times)
+
+    def _exchange_probes(self, client: Host, state: _ClientState, times: np.ndarray) -> None:
+        """Simulate the coded pairs sent at ``times`` in each direction."""
         fwd_model, rev_model = self._path_models(client)
         ref_clock, cli_clock = self.reference.clock, client.clock
-        spacing = self.coded_spacing_ns
-        fwd_first = self._one_probe(ref_clock, cli_clock, fwd_model, at_true)
-        fwd_second = self._one_probe(ref_clock, cli_clock, fwd_model, at_true + spacing)
-        rev_first = self._one_probe(cli_clock, ref_clock, rev_model, at_true)
-        rev_second = self._one_probe(cli_clock, ref_clock, rev_model, at_true + spacing)
-        state.forward_pairs.append((fwd_first, fwd_second))
-        state.reverse_pairs.append((rev_first, rev_second))
+        state.forward.append(self._probe_window(ref_clock, cli_clock, fwd_model, times))
+        state.reverse.append(self._probe_window(cli_clock, ref_clock, rev_model, times))
 
     def _probe_tick(self) -> None:
+        times = self._coded_times(np.array([self.sim.now], dtype=np.int64))
         for client in self.clients:
             if not client.up:
                 continue
             state = self._state[client.name]
-            self._exchange_probes(client, state, at_true=self.sim.now)
+            self._exchange_probes(client, state, times)
             state.error_samples_ns.append(client.clock.error_ns())
         self.sim.schedule(self.probe_interval_ns, self._probe_tick)
 
     # ------------------------------------------------------------------
     # Estimation and correction
     # ------------------------------------------------------------------
-    def _filtered(self, pairs: List[Tuple[ProbeExchange, ProbeExchange]]) -> List[ProbeExchange]:
+    def _filtered(self, windows: List[ProbeColumns]) -> ProbeColumns:
+        first = ProbeColumns.concat([w[: len(w) // 2] for w in windows])
         if self.use_coded_filter:
-            survivors = coded_probe_filter(pairs, self.spacing_tolerance_ns)
+            second = ProbeColumns.concat([w[len(w) // 2 :] for w in windows])
+            survivors = first[coded_pair_mask(first, second, self.spacing_tolerance_ns)]
             # Coded probes cull queued samples, but a congested window
             # can starve the filter entirely; fall back to the raw
             # probes -- the minimum envelope still applies, just with
@@ -228,7 +245,7 @@ class ClockSyncService:
             min_needed = getattr(self.estimator, "min_samples", 1)
             if len(survivors) >= min_needed:
                 return survivors
-        return [first for first, _ in pairs]
+        return first
 
     #: Rounds of (raw, theta) history used for the drift fit.
     _HISTORY_ROUNDS = 8
@@ -236,10 +253,10 @@ class ClockSyncService:
     _MAX_RATE_PPB = 1_000_000
 
     def _estimate_and_correct(self, client: Host, state: _ClientState) -> None:
-        forward = self._filtered(state.forward_pairs)
-        reverse = self._filtered(state.reverse_pairs)
-        state.forward_pairs.clear()
-        state.reverse_pairs.clear()
+        forward = self._filtered(state.forward)
+        reverse = self._filtered(state.reverse)
+        state.forward.clear()
+        state.reverse.clear()
         try:
             estimate = self.estimator.estimate(forward, reverse, rate_hint_ppb=state.rate_ppb)
         except EstimationError:
@@ -306,15 +323,9 @@ class ClockSyncService:
         reads at past instants parameterize the estimate, exactly as in
         :meth:`warm_start`).
         """
-        n_ticks = max(self.sync_interval_ns // self.probe_interval_ns, 8)
-        step = max(self.sync_interval_ns // n_ticks, 1)
-        base = self.sim.now - self.sync_interval_ns
-        forward = []
-        reverse = []
-        for i in range(n_ticks):
-            at = base + i * step
-            forward.append(self._one_probe(a.clock, b.clock, model, at))
-            reverse.append(self._one_probe(b.clock, a.clock, model, at))
+        ticks = self._window_ticks(self.sim.now - self.sync_interval_ns)
+        forward = self._probe_window(a.clock, b.clock, model, ticks)
+        reverse = self._probe_window(b.clock, a.clock, model, ticks)
         estimator = self.estimator
         if not hasattr(estimator, "min_samples"):
             estimator = HuygensEstimator()

@@ -256,8 +256,11 @@ class Gateway(Actor):
             self.subscriptions.setdefault(symbol, {})[request.participant_id] = None
 
     def _dispense_market_data(self, piece: MarketDataPiece, released_local: int) -> None:
+        subscribers = self.subscriptions.get(piece.symbol)
+        if not subscribers:
+            return  # most (gateway, symbol) pairs: nobody here to deliver to
         delivery = MarketDataDelivery(piece=piece, released_local=released_local)
-        for participant in self.subscriptions.get(piece.symbol, ()):
+        for participant in subscribers:
             self.network.send(self.name, participant, delivery)
 
     def _send_report(self, report: HoldReleaseReport) -> None:

@@ -65,6 +65,14 @@ class RunStore:
         self._conn.row_factory = sqlite3.Row
         self._lock = threading.Lock()
         with self._lock:
+            # Three commits per job sit on the client's critical path and
+            # a rollback journal pays fsyncs on each.  WAL appends, and
+            # NORMAL syncs only at checkpoints: a killed *process* loses
+            # nothing committed; a power cut may lose the last commits
+            # but cannot corrupt the file -- enough for operational state
+            # that requeue_interrupted() repairs on the next start.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute("PRAGMA synchronous=NORMAL")
             self._conn.executescript(_SCHEMA)
             self._conn.commit()
 

@@ -67,6 +67,24 @@ class HostClock:
         t = self.sim.now if true_time_ns is None else true_time_ns
         return t + self.offset_ns + (self.drift_ppb * t) // _BILLION
 
+    def raw_local_many(self, true_times_ns):
+        """:meth:`raw_local` over an int64 numpy column of true times.
+
+        int64 wraps silently where Python ints grow, and ``drift * t``
+        passes 2**63 for |t| > ~9e12 ns at 10**6 ppb -- so the multiply
+        is split at the second: with ``t = q * 10**9 + r``,
+        ``(drift * t) // 10**9 == drift * q + (drift * r) // 10**9``
+        exactly, and every term stays inside int64 for |t| <= 10**18
+        and |drift| <= 10**9 ppb.
+        """
+        if self.drift_ppb == 0:
+            return true_times_ns + self.offset_ns
+        seconds = true_times_ns // _BILLION
+        drifted = self.drift_ppb * seconds + (
+            self.drift_ppb * (true_times_ns - seconds * _BILLION)
+        ) // _BILLION
+        return true_times_ns + self.offset_ns + drifted
+
     def _correction_at_raw(self, raw_ns: int) -> int:
         return self._corr0_ns + (self._corr_rate_ppb * (raw_ns - self._corr_ref_raw)) // _BILLION
 

@@ -20,6 +20,14 @@ run.
 
 All ``sample`` methods take the current true time so models can be
 time-varying, and return integer nanoseconds >= ``floor_ns``.
+
+``sample_many`` draws one delay per entry of an int64 array of true
+times.  The base class loops ``sample``; the models a cluster builds
+draw *column by column* -- every jitter, then every spike coin, then one
+factor per spike -- with the scalar method's truncation, spike and floor
+arithmetic, so a window of one is draw for draw ``sample`` and
+``tests/sim/test_latency.py`` pins a longer one to the same scalar calls
+made in column order.
 """
 
 from __future__ import annotations
@@ -42,9 +50,17 @@ class LatencyModel:
         """Draw a one-way delay in integer nanoseconds."""
         raise NotImplementedError
 
+    def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
+        """Draw one delay per entry of ``now_ns``, as an int64 array."""
+        return np.array([self.sample(rng, int(t)) for t in now_ns], dtype=np.int64)
+
     def _clamp(self, value: float) -> int:
         sampled = int(value)
         return sampled if sampled >= self.floor_ns else self.floor_ns
+
+    def _clamp_many(self, values: np.ndarray) -> np.ndarray:
+        """``_clamp`` per entry: truncate toward zero, then the floor."""
+        return np.maximum(values.astype(np.int64), self.floor_ns)
 
 
 class ConstantLatency(LatencyModel):
@@ -143,6 +159,9 @@ class GammaLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         return self._clamp(self.base_ns + rng.gamma(self.shape, self.scale_ns))
 
+    def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
+        return self._clamp_many(self.base_ns + rng.gamma(self.shape, self.scale_ns, len(now_ns)))
+
     def __repr__(self) -> str:
         return f"GammaLatency(base_ns={self.base_ns}, shape={self.shape}, scale_ns={self.scale_ns})"
 
@@ -190,6 +209,9 @@ class StragglerLatency(LatencyModel):
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         return self._clamp(self.base.sample(rng, now_ns) * self.multiplier)
 
+    def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
+        return self._clamp_many(self.base.sample_many(rng, now_ns) * self.multiplier)
+
     def __repr__(self) -> str:
         return f"StragglerLatency({self.base!r}, x{self.multiplier})"
 
@@ -219,6 +241,11 @@ class PeriodicInjectedDelay(LatencyModel):
 
     def sample(self, rng: np.random.Generator, now_ns: int) -> int:
         return self._clamp(self.base.sample(rng, now_ns) + self.extra_at(now_ns))
+
+    def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
+        # The phase is picked per entry: a window may straddle a step.
+        extra = np.array(self.phases, dtype=np.int64)[(now_ns // self.phase_ns) % len(self.phases)]
+        return np.maximum(self.base.sample_many(rng, now_ns) + extra, self.floor_ns)
 
     def __repr__(self) -> str:
         return f"PeriodicInjectedDelay({self.base!r}, phases={self.phases}, phase_ns={self.phase_ns})"
@@ -299,6 +326,19 @@ class CloudLinkLatency(LatencyModel):
         # CompositeLatency.sample (class-default floor)
         value = self.base_ns + jitter
         return value if value >= self.floor_ns else self.floor_ns
+
+    def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
+        # ``sample`` column by column.  Its ``jitter < 0`` guards have no
+        # counterpart: a gamma draw and a factor >= 2 are never negative.
+        n = len(now_ns)
+        jitter = rng.gamma(self.jitter_shape, self.jitter_scale_ns, n).astype(np.int64)
+        if self.spike_prob > 0.0:
+            spiked = rng.random(n) < self.spike_prob
+            n_spiked = np.count_nonzero(spiked)
+            if n_spiked:
+                factors = rng.uniform(2.0, self.spike_scale, n_spiked)
+                jitter[spiked] = (jitter[spiked] * factors).astype(np.int64)
+        return np.maximum(self.base_ns + jitter, self.floor_ns)
 
     def __repr__(self) -> str:
         return (

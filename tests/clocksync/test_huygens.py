@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.clocksync.huygens import EstimationError, HuygensEstimator, SyncEstimate
-from repro.clocksync.probes import ProbeExchange
+from tests.clocksync.reference import Probe, columns, list_huygens
 
 _BILLION = 1_000_000_000
 
 
-def synth_probes(
+def synth_probe_lists(
     theta0=5_000,
     rate_ppb=0,
     floor=100_000,
@@ -19,7 +21,8 @@ def synth_probes(
     seed=7,
 ):
     """Synthesize forward and reverse probes for a client whose clock
-    difference is ``theta(t) = theta0 + rate * t``."""
+    difference is ``theta(t) = theta0 + rate * t`` (hand-made, one
+    ``Probe`` each; :func:`synth_probes` hands them over as columns)."""
     rng = np.random.default_rng(seed)
     forward, reverse = [], []
     for i in range(n):
@@ -29,13 +32,18 @@ def synth_probes(
         d_rev = floor + (int(queueing(rng)) if queueing else 0)
         # forward: ref sends at ref-time t (x = t), client receives.
         forward.append(
-            ProbeExchange(sent_local=t, recv_local=t + d_fwd + theta, sent_true=t)
+            Probe(sent_local=t, recv_local=t + d_fwd + theta, sent_true=t)
         )
         # reverse: client sends at client raw t + theta.
         reverse.append(
-            ProbeExchange(sent_local=t + theta, recv_local=t + theta + d_rev - theta, sent_true=t)
+            Probe(sent_local=t + theta, recv_local=t + theta + d_rev - theta, sent_true=t)
         )
     return forward, reverse
+
+
+def synth_probes(**kwargs):
+    forward, reverse = synth_probe_lists(**kwargs)
+    return columns(forward), columns(reverse)
 
 
 class TestEstimate:
@@ -81,7 +89,7 @@ class TestEstimate:
 
     def test_empty_raises(self):
         with pytest.raises(EstimationError):
-            HuygensEstimator().estimate([], [])
+            HuygensEstimator().estimate(columns([]), columns([]))
 
     def test_samples_used_counts_both_directions(self):
         forward, reverse = synth_probes(n=10)
@@ -91,6 +99,47 @@ class TestEstimate:
     def test_invalid_min_samples(self):
         with pytest.raises(ValueError):
             HuygensEstimator(min_samples=0)
+
+
+    def test_estimate_fields_are_python_ints(self):
+        # A numpy scalar installed on a HostClock would leak into every stamp.
+        estimate = HuygensEstimator().estimate(*synth_probes(), rate_hint_ppb=40_000)
+        assert all(type(v) is int for v in (estimate.offset_ns, estimate.ref_raw_ns, estimate.rate_ppb))
+
+    def test_a_span_int64_cannot_detrend_is_refused(self):
+        forward, reverse = synth_probes(n=3, spacing=10**16)
+        with pytest.raises(OverflowError):
+            HuygensEstimator().estimate(forward, reverse, rate_hint_ppb=1_000_000)
+
+    @pytest.mark.parametrize(
+        "kwargs, rate_hint_ppb",
+        [
+            (dict(theta0=5_000), 0),
+            (dict(theta0=-12_345), 0),
+            (dict(theta0=7_000, queueing=lambda rng: rng.gamma(0.7, 30_000)), 0),
+            (dict(theta0=1_000, rate_ppb=50_000), 50_000),
+            (dict(theta0=0, rate_ppb=50_000), 0),
+            (dict(n=10), -3),
+        ],
+    )
+    def test_hand_made_probes_give_the_list_estimators_estimate(self, kwargs, rate_hint_ppb):
+        forward, reverse = synth_probe_lists(**kwargs)
+        estimate = HuygensEstimator().estimate(columns(forward), columns(reverse), rate_hint_ppb)
+        assert estimate == list_huygens(forward, reverse, rate_hint_ppb)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        forward=st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**7, 10**7)), min_size=3, max_size=30),
+        reverse=st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**7, 10**7)), min_size=3, max_size=30),
+        rate_hint_ppb=st.integers(-1_000_000, 1_000_000),
+    )
+    def test_columns_estimate_equals_the_list_estimate(self, forward, reverse, rate_hint_ppb):
+        """Negative stamps, negative differences, floor division of
+        negative detrend terms: value for value the per-probe loop."""
+        forward = [Probe(sent, sent + diff, 0) for sent, diff in forward]
+        reverse = [Probe(sent, sent + diff, 0) for sent, diff in reverse]
+        estimate = HuygensEstimator().estimate(columns(forward), columns(reverse), rate_hint_ppb)
+        assert estimate == list_huygens(forward, reverse, rate_hint_ppb)
 
 
 class TestSyncEstimate:

@@ -92,6 +92,122 @@ class TestHuygensService:
             ClockSyncService(sim, network, ref, [], rngs, probe_interval_ns=0)
 
 
+class TestProbeWindow:
+    """One probe path: every caller draws through ``_probe_window``."""
+
+    @staticmethod
+    def spy(service, monkeypatch):
+        sizes = []
+        draw = service._probe_window
+
+        def counting(sender, receiver, model, times):
+            sizes.append(len(times))
+            return draw(sender, receiver, model, times)
+
+        monkeypatch.setattr(service, "_probe_window", counting)
+        return sizes
+
+    def test_warm_start_draws_one_window_per_direction_client_and_round(self, monkeypatch):
+        _, service, _ = build(n_clients=2)
+        sizes = self.spy(service, monkeypatch)
+        service.warm_start(3)
+        # 100 ticks x a coded pair: the second probe of each pair is drawn
+        # although the filter is off -- 3 x 100 x 2 x 2 probes per client.
+        assert sizes == [200] * (3 * 2 * 2)
+
+    def test_probe_tick_is_a_window_of_one_tick(self, monkeypatch):
+        sim, service, clients = build(n_clients=2)
+        sizes = self.spy(service, monkeypatch)
+        service.start()
+        sim.run(until=25 * MILLISECOND)  # ticks at 0, 10, 20 ms
+        assert sizes == [2] * (3 * 2 * 2)
+        state = service._state[clients[0].name]
+        assert [len(w) for w in state.forward] == [2, 2, 2]
+        first, second = state.forward[0].sent_true.tolist()
+        assert second - first == service.coded_spacing_ns
+
+    def test_mesh_pairs_draw_through_the_same_window(self, monkeypatch):
+        sim, service, _ = build(n_clients=2, use_mesh=True)
+        sizes = self.spy(service, monkeypatch)
+        service._mesh_sync_round()
+        # 3 node pairs x 2 directions, 100 single probes each.
+        assert sizes == [100] * 6
+
+    def test_window_draw_order_is_the_documented_contract(self):
+        _, service, clients = build(n_clients=1, drift=40_000)
+        model = service._path_models(clients[0])[0]
+        times = service._coded_times(service._window_ticks(-3 * SECOND))
+        reference_rng = np.random.default_rng(5)
+        service.rng = np.random.default_rng(5)
+        window = service._probe_window(service.reference.clock, clients[0].clock, model, times)
+        delays = model.sample_many(reference_rng, times)
+        noise = reference_rng.integers(-25, 26, size=2 * len(times)).reshape(2, -1)
+        ref_clock, cli_clock = service.reference.clock, clients[0].clock
+        assert window.sent_true.tolist() == times.tolist()
+        assert window.sent_local.tolist() == [
+            ref_clock.raw_local(int(t)) + int(e) for t, e in zip(times, noise[0])
+        ]
+        assert window.recv_local.tolist() == [
+            cli_clock.raw_local(int(t) + int(d)) + int(e) for t, d, e in zip(times, delays, noise[1])
+        ]
+        assert service.rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_noiseless_stamps_draw_no_noise(self):
+        _, service, clients = build(n_clients=1, timestamp_noise_ns=0)
+        model = service._path_models(clients[0])[0]
+        times = service._window_ticks(0)
+        reference_rng = np.random.default_rng(9)
+        service.rng = np.random.default_rng(9)
+        window = service._probe_window(service.reference.clock, clients[0].clock, model, times)
+        model.sample_many(reference_rng, times)
+        assert service.rng.bit_generator.state == reference_rng.bit_generator.state
+        assert window.sent_local.tolist() == times.tolist()  # reference clock: no drift, no offset
+
+    def test_round_without_probes_is_a_failed_round(self):
+        _, service, clients = build(n_clients=1)
+        state = service._state[clients[0].name]
+        service._estimate_and_correct(clients[0], state)
+        assert state.failed_rounds == 1 and not state.estimates
+
+    def test_coded_filter_keeps_first_probes_of_clean_pairs(self):
+        sim = Simulator()
+        rngs = RngRegistry(31)
+        network = Network(sim, rngs)
+        reference = network.add_host("engine")
+        client = network.add_host("g00", drift_ppb=-40_000, offset_ns=2_000_000)
+        network.connect_bidirectional("engine", "g00", cloud_link(140, 0.7, 80.0, 0.002, 5))
+        service = ClockSyncService(sim, network, reference, [client], rngs, spacing_tolerance_ns=20_000)
+        state = service._state["g00"]
+        service._exchange_probes(client, state, service._coded_times(service._window_ticks(-SECOND)))
+        probes = state.forward[0]
+        kept = service._filtered(state.forward)
+        n = len(probes) // 2  # first probes of the pairs, then second probes
+        rx_spacing = probes.recv_local[n:] - probes.recv_local[:n]
+        tx_spacing = probes.sent_local[n:] - probes.sent_local[:n]
+        clean = np.abs(rx_spacing - tx_spacing) <= 20_000
+        assert 3 <= clean.sum() < len(clean)  # the filter has something to keep and to drop
+        assert kept.sent_true.tolist() == probes.sent_true[:n][clean].tolist()
+        # Pairs stay paired across windows: a round's worth of one-tick
+        # windows filters to the first probes of its clean pairs, in order.
+        state.forward.clear()
+        state.reverse.clear()
+        for tick in service._window_ticks(-SECOND)[:30]:
+            service._exchange_probes(client, state, service._coded_times(np.array([tick])))
+        firsts = [int(w.sent_true[0]) for w in state.forward]
+        clean = [
+            abs(int((w.recv_local[1] - w.recv_local[0]) - (w.sent_local[1] - w.sent_local[0]))) <= 20_000
+            for w in state.forward
+        ]
+        assert 3 <= sum(clean) < len(clean)
+        assert service._filtered(state.forward).sent_true.tolist() == [
+            t for t, keep in zip(firsts, clean) if keep
+        ]
+        state.forward.clear()
+        state.reverse.clear()
+        service.warm_start(3)
+        assert abs(client.clock.error_ns()) < 20_000
+
+
 class TestNtpService:
     def test_ntp_offsets_are_milliseconds(self):
         """Paper footnote 3: ~10 ms offsets make NTP unusable."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.messages import NewOrderRequest, SubscriptionRequest
+from repro.core.messages import MarketDataDelivery, NewOrderRequest, SubscriptionRequest
 from repro.core.order import Order
 from repro.core.types import OrderStatus, OrderType, RejectReason, Side
 from tests.conftest import small_config
@@ -100,6 +100,29 @@ class TestMarketDataPath:
         maker.submit_limit("SYM000", Side.BUY, 5, 10_100)
         run_for(cluster, ms=100)
         assert loner.md_received == 0
+
+    def test_delivery_is_built_only_for_a_gateway_with_a_subscriber(self, cluster, monkeypatch):
+        built = []
+
+        class CountingDelivery(MarketDataDelivery):
+            __slots__ = ()
+
+            def __init__(self, piece, released_local):
+                super().__init__(piece=piece, released_local=released_local)
+                built.append(piece.symbol)
+
+        monkeypatch.setattr("repro.core.gateway.MarketDataDelivery", CountingDelivery)
+        watcher = cluster.participant(1)  # primary gateway g01
+        watcher.subscribe(["SYM000"])
+        run_for(cluster, ms=10)
+        assert [g.name for g in cluster.gateways if g.subscriptions.get("SYM000")] == ["g01"]
+        cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)  # crosses seeded ask
+        run_for(cluster, ms=100)
+        # Every gateway released the trade's pieces; only g01 had anyone to
+        # deliver them to, and it built one delivery per piece it sent.
+        assert all(g.hr_buffer.held_count + g.hr_buffer.late_count > 0 for g in cluster.gateways)
+        assert built and set(built) == {"SYM000"}
+        assert len(built) == watcher.md_received
 
     def test_hr_reports_flow_back(self, cluster):
         cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)

@@ -1,13 +1,17 @@
 """The order path's records have one fixed layout: slots, no instance
 ``__dict__`` -- half the objects per record for the cyclic collector to
-walk -- and the frozen ones still cross a process boundary."""
+walk -- and the frozen ones still cross a process boundary.
+
+The clock-sync probe is not in the list any more: there is no per-probe
+object to lay out.  A probe window is three int64 numpy columns
+(``repro.clocksync.probes.ProbeColumns``, one record per window, never
+pickled); ``tests/clocksync/test_probes.py`` holds its layout."""
 
 import dataclasses
 import pickle
 
 import pytest
 
-from repro.clocksync.probes import ProbeExchange
 from repro.core import messages
 from repro.core.marketdata import BookSnapshot, MarketDataPiece, TradeRecord
 from repro.core.order import Order
@@ -30,7 +34,6 @@ SLOTTED = [
     TradeRecord,
     BookSnapshot,
     MarketDataPiece,
-    ProbeExchange,
     Cell,
     SequencerSample,
 ]
@@ -79,7 +82,6 @@ def test_no_instance_dict_and_no_undeclared_attribute(cls):
             aggressor_is_buy=True,
         ),
         BookSnapshot(symbol="S", bids=((100, 5), (99, 1)), asks=((101, 2),), taken_local=3),
-        ProbeExchange(sent_local=1, recv_local=5, sent_true=2),
         Cell(value=b"v", timestamp_ns=10),
         SequencerSample(
             gateway_timestamp=1, enqueued_local=2, dequeued_local=3,

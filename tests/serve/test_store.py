@@ -16,6 +16,15 @@ def store(tmp_path):
     store.close()
 
 
+def test_fresh_store_journals_to_a_wal_without_a_sync_per_commit(store):
+    # Three commits per job are on the client's critical path.
+    with store._lock:
+        assert store._conn.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert store._conn.execute("PRAGMA synchronous").fetchone()[0] == 1  # NORMAL
+    store.submit("r1", SPEC, "v1")
+    assert store.path.with_name(store.path.name + "-wal").exists()
+
+
 class TestSubmitDedup:
     def test_first_submission_creates(self, store):
         assert store.submit("r1", SPEC, "v1", submitted_by="alice") is True

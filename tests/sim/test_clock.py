@@ -1,5 +1,6 @@
 """Tests for drifting, disciplinable host clocks."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +45,37 @@ class TestRawClock:
     def test_raw_local_at_explicit_time(self):
         _, clock = make_clock(drift_ppb=1_000, offset_ns=100)
         assert clock.raw_local(SECOND) == SECOND + 100 + 1_000
+
+
+class TestRawLocalColumn:
+    """``raw_local_many`` against ``raw_local``, where int64 would wrap:
+    ``drift * t`` reaches 10**23 at the corners, 2**63 is ~9.2 * 10**18."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        drift_ppb=st.integers(-1_000_000, 1_000_000),
+        offset_ns=st.integers(-10**10, 10**10),
+        times=st.lists(st.integers(-(10**17), 10**17), min_size=0, max_size=20),
+    )
+    def test_column_equals_scalar_entry_by_entry(self, drift_ppb, offset_ns, times):
+        _, clock = make_clock(drift_ppb=drift_ppb, offset_ns=offset_ns)
+        column = clock.raw_local_many(np.array(times, dtype=np.int64))
+        assert column.dtype == np.int64
+        assert column.tolist() == [clock.raw_local(t) for t in times]
+
+    @pytest.mark.parametrize("drift_ppb", [-1_000_000, -1, 0, 1, 1_000_000])
+    def test_corners_and_the_second_boundary(self, drift_ppb):
+        _, clock = make_clock(drift_ppb=drift_ppb, offset_ns=-7)
+        times = [-(10**17), -SECOND - 1, -SECOND, -1, 0, 1, SECOND - 1, SECOND, 10**17]
+        column = clock.raw_local_many(np.array(times, dtype=np.int64))
+        assert column.tolist() == [clock.raw_local(t) for t in times]
+
+    def test_a_fresh_column_is_returned(self):
+        # The sync service adds stamp noise in place.
+        _, clock = make_clock()
+        times = np.array([5, 6], dtype=np.int64)
+        clock.raw_local_many(times)[0] += 1
+        assert times.tolist() == [5, 6]
 
 
 class TestDiscipline:

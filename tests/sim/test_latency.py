@@ -10,6 +10,7 @@ from repro.sim.latency import (
     CompositeLatency,
     ConstantLatency,
     GammaLatency,
+    LatencyModel,
     LognormalLatency,
     PeriodicInjectedDelay,
     SpikyLatency,
@@ -215,3 +216,109 @@ class TestCloudLink:
         for now in range(200):
             assert fused.sample(fused_rng, now) == composed.sample(composed_rng, now)
         assert fused_rng.bit_generator.state == composed_rng.bit_generator.state
+
+
+# ----------------------------------------------------------------------
+# sample_many: the bulk path pinned to the scalar one
+# ----------------------------------------------------------------------
+def _cloud_link_columns(model, rng, times):
+    """``CloudLinkLatency.sample``'s scalar calls, made column by column:
+    every jitter, then every spike coin, then one factor per spike."""
+    jitter = [int(rng.gamma(model.jitter_shape, model.jitter_scale_ns)) for _ in times]
+    if model.spike_prob > 0.0:
+        spiked = [rng.random() < model.spike_prob for _ in times]
+        for i, hit in enumerate(spiked):
+            if hit:
+                jitter[i] = int(jitter[i] * rng.uniform(2.0, model.spike_scale))
+    return [max(model.base_ns + j, model.floor_ns) for j in jitter]
+
+
+def _reference_columns(model, rng, times):
+    """The scalar arithmetic of each vectorised model over its base's column."""
+    if type(model) is CloudLinkLatency:
+        return _cloud_link_columns(model, rng, times)
+    if type(model) is GammaLatency:
+        return [model._clamp(model.base_ns + rng.gamma(model.shape, model.scale_ns)) for _ in times]
+    base = _reference_columns(model.base, rng, times)
+    if type(model) is StragglerLatency:
+        return [model._clamp(d * model.multiplier) for d in base]
+    assert type(model) is PeriodicInjectedDelay
+    return [model._clamp(d + model.extra_at(t)) for d, t in zip(base, times)]
+
+
+_link_models = st.builds(
+    cloud_link,
+    base_us=st.floats(0.001, 1000.0),
+    jitter_shape=st.floats(0.05, 5.0),
+    jitter_scale_us=st.floats(0.001, 500.0),
+    spike_prob=st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_min=True)),
+    spike_scale=st.floats(2.0, 20.0, exclude_min=True),
+)
+_gamma_models = st.builds(
+    GammaLatency,
+    base_ns=st.integers(0, 5_000_000),
+    shape=st.floats(0.05, 5.0),
+    scale_ns=st.floats(1.0, 12_000_000.0),
+    floor_ns=st.one_of(st.none(), st.integers(0, 10_000)),
+)
+_base_models = st.one_of(_link_models, _gamma_models)
+_vectorised_models = st.one_of(
+    _base_models,
+    st.builds(StragglerLatency, _base_models, st.floats(1.0, 8.0)),
+    st.builds(
+        PeriodicInjectedDelay,
+        _base_models,
+        st.lists(st.integers(0, 400_000), min_size=1, max_size=4),
+        st.integers(1, 6 * SECOND),
+    ),
+    st.builds(
+        StragglerLatency,
+        st.builds(PeriodicInjectedDelay, _link_models, st.just([0, 400_000, 200_000]), st.just(SECOND)),
+        st.floats(1.0, 8.0),
+    ),
+)
+# warm start places windows in the (virtual) past: negative times too.
+_times = st.lists(st.integers(-20 * SECOND, 20 * SECOND), min_size=0, max_size=40)
+
+
+class TestSampleMany:
+    @settings(max_examples=200, deadline=None)
+    @given(model=_vectorised_models, times=_times, seed=st.integers(0, 2**32 - 1))
+    def test_bulk_draw_is_the_scalar_calls_in_column_order(self, model, times, seed):
+        bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = model.sample_many(bulk_rng, np.array(times, dtype=np.int64))
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == _reference_columns(model, scalar_rng, times)
+        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        model=_vectorised_models,
+        times=st.lists(st.integers(-20 * SECOND, 20 * SECOND), min_size=1, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_window_of_one_is_sample(self, model, times, seed):
+        bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for now in times:
+            drawn = model.sample_many(bulk_rng, np.array([now], dtype=np.int64))
+            assert drawn.tolist() == [model.sample(scalar_rng, now)]
+        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=50, deadline=None)
+    @given(times=_times, seed=st.integers(0, 2**32 - 1))
+    def test_base_class_default_loops_sample(self, times, seed):
+        """Models nobody vectorised (here: spiky lognormal) get the loop."""
+        model = SpikyLatency(LognormalLatency(100_000, 0.4), 0.3, 4.0)
+        assert type(model).sample_many is LatencyModel.sample_many
+        bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = model.sample_many(bulk_rng, np.array(times, dtype=np.int64))
+        assert drawn.dtype == np.int64
+        assert drawn.tolist() == [model.sample(scalar_rng, now) for now in times]
+        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    def test_periodic_injection_picks_the_phase_per_entry(self, rng):
+        model = PeriodicInjectedDelay(ConstantLatency(10_000), [0, 400_000, 200_000], SECOND)
+        times = np.array([-1, 0, SECOND - 1, SECOND, 2 * SECOND, 3 * SECOND], dtype=np.int64)
+        assert model.sample_many(rng, times).tolist() == [
+            210_000, 10_000, 10_000, 410_000, 210_000, 10_000
+        ]
