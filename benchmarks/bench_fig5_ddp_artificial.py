@@ -104,8 +104,13 @@ def test_fig5_adaptation(benchmark, fig5_results):
         if comparable:
             assert queuing <= max(comparable)
 
-    # Smallest static d_s (400 us < 400 us injection + jitter) is more
-    # unfair under injection than the D-1% run; DDP stays near target.
-    assert static_rows[0][2] > ddp_rows[0][1]
+    # The smallest static point is less fair than the D-1% run; DDP stays
+    # near target.  Stated on the outbound ratio, which has margin on both
+    # sides at any scale: over seeds 2021 and 1-5 at CLOUDEX_BENCH_SCALE=0.3,
+    # S-400/800 reads 8.7-13.7 % against D-1%'s 1.1-4.3 % (worst pair 2.0x).
+    # The inbound ratio does not: at that scale S-400's is measured over
+    # ~0.5 s of the 400 us phase and reads 0.45-2.6 % against D-1%'s
+    # 1.4-1.8 %, either side of it by the luck of the seed.
+    assert static_rows[0][4] > 1.5 * ddp_rows[0][3]
     for target, inbound, *_ in ddp_rows:
         assert inbound < 4 * target

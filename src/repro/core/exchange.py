@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.config import CloudExConfig
 from repro.core.ddp import DdpController
@@ -58,6 +60,7 @@ from repro.core.types import OrderStatus
 from repro.sim.cpu import CorePool
 from repro.sim.engine import Actor, Simulator
 from repro.sim.network import Host, Network
+from repro.sim.rng import DRAW_BLOCK, block_stream
 from repro.sim.timeunits import MICROSECOND
 
 #: Items flowing through a sequencer: ("order", Order) or ("cancel", StampedCancel).
@@ -90,35 +93,10 @@ class EngineShard:
             circuit_breaker=server.circuit_breaker,
         )
         self.sequencer = server._build_sequencer(self._maybe_start)
-        self._book_service_ns = int(server.config.book_service_us * MICROSECOND)
-        self._lock_service_ns = int(server.config.lock_service_us * MICROSECOND)
-        self._book_cv = server.config.book_service_cv
-        self._lock_cv = server.config.lock_service_cv
-        # Gamma (shape, scale) pairs precomputed once: the mean/CV
-        # never change after construction, and _service_sample runs
-        # twice per order.  The arithmetic matches the previous
-        # per-call computation exactly, so draws are bit-identical.
-        self._book_gamma = self._gamma_params(self._book_service_ns, self._book_cv)
-        self._lock_gamma = self._gamma_params(self._lock_service_ns, self._lock_cv)
-        self._rng = server.rng
+        self._book_times = server.book_times
+        self._lock_times = server.lock_times
         self._busy = False
         self._backlog: Deque[_SequencedItem] = deque()
-
-    @staticmethod
-    def _gamma_params(mean_ns: int, cv: float):
-        """``(shape, scale)`` for a gamma with this mean/CV, or None if
-        the CV is zero (deterministic service)."""
-        if cv <= 0.0:
-            return None
-        shape = 1.0 / (cv * cv)
-        return (shape, mean_ns / shape)
-
-    def _service_sample(self, mean_ns: int, params) -> int:
-        """Gamma-distributed service time with the configured mean/CV."""
-        if params is None:
-            return mean_ns
-        sample = self._rng.gamma(params[0], params[1])
-        return max(1, int(sample))
 
     # ------------------------------------------------------------------
     # Serial processing loop (pull model: the shard dequeues from its
@@ -134,17 +112,11 @@ class EngineShard:
 
     def _begin(self, item: _SequencedItem) -> None:
         self._busy = True
-        self.sim.schedule(
-            self._service_sample(self._book_service_ns, self._book_gamma), self._book_done, item
-        )
+        self.sim.schedule(next(self._book_times), self._book_done, item)
 
     def _book_done(self, item: _SequencedItem) -> None:
         # Queue for the global portfolio lock; the shard stays blocked.
-        self.server.lock_pool.submit(
-            self._service_sample(self._lock_service_ns, self._lock_gamma),
-            self._finalize,
-            item,
-        )
+        self.server.lock_pool.submit(next(self._lock_times), self._finalize, item)
 
     def _finalize(self, item: _SequencedItem) -> None:
         kind, payload = item
@@ -208,6 +180,8 @@ class CentralExchangeServer(Actor):
         self.events = events
         self.clock = host.clock
         self.rng = network.rngs.stream("engine:service")
+        self.book_times = self._service_times(config.book_service_us, config.book_service_cv)
+        self.lock_times = self._service_times(config.lock_service_us, config.lock_service_cv)
         # Critical-path pools track their own utilization; Fig. 6b CPU
         # accounting is charged separately on host.cpu.
         self.ingress = CorePool(sim, 1)
@@ -291,6 +265,18 @@ class CentralExchangeServer(Actor):
     def register_participant(self, participant_id: str, primary_gateway: str) -> None:
         """Record the confirmation-routing default for a participant."""
         self._primary_gateway[participant_id] = primary_gateway
+
+    def _service_times(self, mean_us: float, cv: float) -> Iterator[int]:
+        """Endless gamma service times (>= 1 ns) with this mean and CV, one
+        run of blocks that every shard reads; the bare mean at CV zero."""
+        mean_ns = int(mean_us * MICROSECOND)
+        if cv <= 0.0:
+            return itertools.repeat(mean_ns)
+        shape = 1.0 / (cv * cv)
+        scale, rng = mean_ns / shape, self.rng
+        return block_stream(
+            lambda: np.maximum(1, rng.gamma(shape, scale, size=DRAW_BLOCK).astype(np.int64)).tolist()
+        )
 
     def _build_sequencer(self, on_eligible: Callable[[], None]) -> Sequencer:
         """One shard's inbound queue, as the fairness policy rules it."""

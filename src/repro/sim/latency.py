@@ -33,7 +33,7 @@ made in column order.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +53,16 @@ class LatencyModel:
     def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
         """Draw one delay per entry of ``now_ns``, as an int64 array."""
         return np.array([self.sample(rng, int(t)) for t in now_ns], dtype=np.int64)
+
+    def split(self) -> "Tuple[LatencyModel, Optional[Callable[[int, int], int]]]":
+        """``(drawn, finish)``: the random part of this model and the rest.
+
+        ``drawn.sample_many`` reads only the count of its times, so a link
+        draws it ahead in blocks (DESIGN §4.11); ``finish(delay, now_ns)``
+        makes one such draw what ``sample(rng, now_ns)`` would have
+        returned (``None``: nothing to do).  A time-varying model overrides.
+        """
+        return self, None
 
     def _clamp(self, value: float) -> int:
         sampled = int(value)
@@ -212,6 +222,14 @@ class StragglerLatency(LatencyModel):
     def sample_many(self, rng: np.random.Generator, now_ns: np.ndarray) -> np.ndarray:
         return self._clamp_many(self.base.sample_many(rng, now_ns) * self.multiplier)
 
+    def split(self):
+        # Time-free, so it stays in the block -- unless the base has a
+        # timed step, which ``sample`` applies before the multiplier.
+        drawn, inner = self.base.split()
+        if inner is None:
+            return self, None
+        return drawn, lambda delay, now_ns: self._clamp(inner(delay, now_ns) * self.multiplier)
+
     def __repr__(self) -> str:
         return f"StragglerLatency({self.base!r}, x{self.multiplier})"
 
@@ -246,6 +264,12 @@ class PeriodicInjectedDelay(LatencyModel):
         # The phase is picked per entry: a window may straddle a step.
         extra = np.array(self.phases, dtype=np.int64)[(now_ns // self.phase_ns) % len(self.phases)]
         return np.maximum(self.base.sample_many(rng, now_ns) + extra, self.floor_ns)
+
+    def split(self):
+        drawn, inner = self.base.split()
+        if inner is None:
+            return drawn, lambda delay, now_ns: self._clamp(delay + self.extra_at(now_ns))
+        return drawn, lambda delay, now_ns: self._clamp(inner(delay, now_ns) + self.extra_at(now_ns))
 
     def __repr__(self) -> str:
         return f"PeriodicInjectedDelay({self.base!r}, phases={self.phases}, phase_ns={self.phase_ns})"

@@ -26,11 +26,16 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.sim.clock import HostClock
 from repro.sim.cpu import CpuAccountant
 from repro.sim.engine import Actor, Simulator
 from repro.sim.latency import LatencyModel
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import DRAW_BLOCK, RngRegistry, block_stream
+
+#: The times of a block draw: ``split()``'s drawn part reads only their count.
+_BLOCK_TIMES = np.zeros(DRAW_BLOCK, dtype=np.int64)
 
 
 class Host:
@@ -86,6 +91,11 @@ class Host:
 class Link:
     """A unidirectional, latency-sampling, optionally-FIFO transport.
 
+    Delays come off the link's own ``link:src->dst`` stream a block of
+    :data:`~repro.sim.rng.DRAW_BLOCK` at a time (DESIGN §4.11): the n-th
+    message to leave the source gets the n-th draw, and the model's timed
+    part (``split()``'s ``finish``) is applied at that send's true time.
+
     Runtime faults (:mod:`repro.chaos`) attach here: a *degradation*
     scales/shifts sampled delays for a window, a *partition* blocks the
     link entirely.  Both are stacked (nested windows compose) and both
@@ -107,7 +117,9 @@ class Link:
         self.dst = dst
         self.latency = latency
         self.fifo = fifo
-        self.rng = rngs.stream(f"link:{src.name}->{dst.name}")
+        self.rng = rng = rngs.stream(f"link:{src.name}->{dst.name}")
+        drawn, self._finish = latency.split()
+        self._delays = block_stream(lambda: drawn.sample_many(rng, _BLOCK_TIMES).tolist())
         self._last_arrival: int = -1
         # Active latency faults: list of (multiplier, extra_ns) plus
         # their product/sum folded into one tuple (None = no fault).
@@ -119,7 +131,6 @@ class Link:
         # Prebound per-send hot references (a bound method per send is
         # an allocation; endpoints never change after construction).
         self._deliver = dst.deliver
-        self._sample = latency.sample
         self._schedule_message = sim.schedule_message
         self._src_name = src.name
 
@@ -172,9 +183,9 @@ class Link:
         the source (downed host, partitioned link).  Splitting
         preparation from scheduling lets fanout sites collect a whole
         train of deliveries and hand them to ``schedule_message_bulk``
-        in one call -- the RNG draws, FIFO bumping, and drop counters
-        happen here, in per-call order, so a bulk-scheduled fanout is
-        bit-identical to a loop of sends.
+        in one call -- taking the next delay (a dropped send takes none),
+        FIFO bumping, and drop counters happen here, in per-call order,
+        so a bulk-scheduled fanout is bit-identical to a loop of sends.
         """
         if not self.src.up:
             self.src.dropped_sends_while_down += 1
@@ -183,7 +194,9 @@ class Link:
             self.dropped_partitioned += 1
             return None
         now = self.sim.now
-        delay = self._sample(self.rng, now)
+        delay = next(self._delays)
+        if self._finish is not None:
+            delay = self._finish(delay, now)
         if self._fault is not None:
             multiplier, extra_ns = self._fault
             delay = int(delay * multiplier) + extra_ns
@@ -194,7 +207,7 @@ class Link:
         return arrival, self._deliver, payload, self._src_name
 
     def send(self, payload: Any) -> None:
-        """Sample a delay and schedule delivery at the destination.
+        """Take the next delay and schedule delivery at the destination.
 
         A send from a downed source host, or over a partitioned link,
         is dropped at the source: counted, never scheduled.

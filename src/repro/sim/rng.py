@@ -21,9 +21,25 @@ enumeration or execution order.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Callable, Dict, Iterable, Iterator
 
 import numpy as np
+
+#: Rows per block of a data-plane stream (link delays, trader gaps and
+#: ZI rows, engine service times).  Like ``PoissonArrivalStream.chunk``
+#: it is part of the determinism contract (DESIGN §4.11), not a setting.
+DRAW_BLOCK = 64
+
+
+def block_stream(draw_block: Callable[[], Iterable]) -> Iterator:
+    """Serve the rows of ``draw_block()`` one ``next`` at a time, for ever.
+
+    A block is drawn when a row is asked for and none is left -- never at
+    construction -- so a consumer that never asks draws nothing.  The
+    iterator is the buffer: whoever owns the stream keeps it.
+    """
+    while True:
+        yield from draw_block()
 
 
 def _name_to_entropy(name: str) -> int:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+from typing import Any, Iterator
+
 import numpy as np
 
 from repro.core.participant import Participant
 from repro.sim.engine import Simulator
+from repro.sim.rng import DRAW_BLOCK, block_stream
 from repro.sim.timeunits import SECOND
 
 
@@ -22,8 +26,17 @@ class Strategy:
     def on_start(self, participant: Participant) -> None:
         """Called once before trading begins (subscribe, seed state)."""
 
-    def on_order_opportunity(self, participant: Participant, rng: np.random.Generator) -> None:
-        """Called at each order-arrival instant; place orders here."""
+    def opportunity_draws(self, rng: np.random.Generator) -> Iterator[Any]:
+        """What :meth:`on_order_opportunity` gets, one item an opportunity:
+        the agent's stream itself by default, block-drawn rows for a
+        strategy that is all chance (:mod:`repro.traders.zi`).  The agent
+        keeps the iterator, so a strategy two agents share holds no buffer.
+        """
+        return itertools.repeat(rng)
+
+    def on_order_opportunity(self, participant: Participant, draw: Any) -> None:
+        """Called at each order-arrival instant with the next item of
+        :meth:`opportunity_draws`; place orders here."""
 
     def on_market_data(self, participant: Participant, delivery) -> None:
         """Called on every released market-data delivery."""
@@ -38,11 +51,10 @@ class Strategy:
 class PoissonArrivalStream:
     """Chunked bulk generation of a merged Poisson arrival process.
 
-    The vectorized counterpart of :meth:`TradingAgent._next_gap`: one
-    stream models the merged order flow of many participants at an
+    One stream models the merged order flow of many participants at an
     aggregate ``rate_per_s``, drawing exponential gaps in fixed-size
     chunks and serving strictly increasing integer-ns arrival times.
-    Gaps are clamped to >= 1 ns like the scalar agent's.
+    Gaps are clamped to >= 1 ns like a :class:`TradingAgent`'s.
 
     Chunking is part of the determinism contract of the batched kernel:
     the draw sequence depends only on ``(rate, chunk)`` -- never on how
@@ -131,7 +143,9 @@ class TradingAgent:
 
     Inter-opportunity gaps are exponential with mean ``1/rate``, the
     standard order-flow model and what "each market participant
-    submits around 450 orders/s on average" (paper §4) implies.
+    submits around 450 orders/s on average" (paper §4) implies.  Gaps
+    and the strategy's draws both come off the agent's stream a block of
+    :data:`~repro.sim.rng.DRAW_BLOCK` at a time (DESIGN §4.11).
     """
 
     def __init__(
@@ -149,6 +163,11 @@ class TradingAgent:
         self.strategy = strategy
         self.rate_per_s = rate_per_s
         self.rng = rng
+        scale = SECOND / rate_per_s
+        self._gaps = block_stream(
+            lambda: np.maximum(1, rng.exponential(scale, size=DRAW_BLOCK).astype(np.int64)).tolist()
+        )
+        self._draws = strategy.opportunity_draws(rng)
         self.opportunities = 0
         self._running = False
         participant.strategy = strategy
@@ -159,21 +178,18 @@ class TradingAgent:
             return
         self._running = True
         self.strategy.on_start(self.participant)
-        self.sim.schedule(delay_ns + self._next_gap(), self._tick)
+        self.sim.schedule(delay_ns + next(self._gaps), self._tick)
 
     def stop(self) -> None:
         """Stop after the currently scheduled opportunity."""
         self._running = False
 
-    def _next_gap(self) -> int:
-        return max(1, int(self.rng.exponential(SECOND / self.rate_per_s)))
-
     def _tick(self) -> None:
         if not self._running:
             return
         self.opportunities += 1
-        self.strategy.on_order_opportunity(self.participant, self.rng)
-        self.sim.schedule(self._next_gap(), self._tick)
+        self.strategy.on_order_opportunity(self.participant, next(self._draws))
+        self.sim.schedule(next(self._gaps), self._tick)
 
     def __repr__(self) -> str:
         return (

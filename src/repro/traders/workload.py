@@ -110,9 +110,9 @@ class BulkOrderStream:
                 min_qty=min_qty,
                 max_qty=max_qty,
                 aggression=aggression,
-                market_order_fraction=market_order_fraction,
                 price_sigma_ticks=price_sigma_ticks,
             )
+            fields["market"] = fields.pop("roll") < market_order_fraction
             fields["participant"] = fields_rng.integers(0, n_participants, size=n)
             fields["latency"] = latency_base_ns + fields_rng.gamma(
                 latency_jitter_shape, latency_jitter_scale_ns, size=n

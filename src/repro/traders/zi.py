@@ -10,12 +10,13 @@ is all the exchange-side evaluations need.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
 from repro.core.participant import Participant
 from repro.core.types import Side, Symbol
+from repro.sim.rng import DRAW_BLOCK, block_stream
 from repro.traders.base import Strategy
 
 
@@ -26,31 +27,31 @@ def zi_bulk_fields(
     min_qty: int = 1,
     max_qty: int = 100,
     aggression: float = 0.18,
-    market_order_fraction: float = 0.10,
     price_sigma_ticks: float = 15.0,
 ) -> dict:
-    """Draw ``n`` ZI order rows at once (the batched-kernel workload).
+    """Draw ``n`` ZI opportunities at once -- the only ZI generator.
 
-    Vectorized mirror of :meth:`ZeroIntelligenceStrategy.on_order_opportunity`'s
-    distributions for the no-cancel case: uniform symbol and side,
-    uniform quantity, a ``market_order_fraction`` coin, and a limit
-    price expressed as a signed tick ``offset`` relative to whatever
-    reference price applies at match time -- aggressive rows price 1-3
-    ticks through the touch, passive rows rest
-    ``1 + |round(N(0, sigma))|`` ticks behind, with the sign already
-    folded in for the drawn side.  Deferring the reference-price
-    addition to match time is what lets a sharded run pre-draw whole
-    chunks without knowing the future price path: feedback moves the
-    center, never the draws.
+    Seven columns, in this order whatever ``n`` is (the order is part of
+    both consumers' determinism contract): uniform ``symbol`` index,
+    ``side_buy`` coin, uniform ``qty``, the raw ``roll`` in [0, 1) that
+    decides the kind of opportunity, the aggression coin, ticks
+    ``through`` (1-3) and ticks ``behind`` (``1 + |round(N(0, sigma))|``).
+    The last three fold into one signed tick ``offset`` from whatever
+    reference price applies when the order is priced -- aggressive rows
+    through the touch, passive rows behind it, sign set for the drawn
+    side -- which is what lets a sharded run pre-draw whole chunks without
+    knowing the price path: feedback moves the center, never the draws.
 
-    The draw order (symbol, side, qty, market, aggression, through,
-    behind) is fixed and size-independent per call, part of the batched
-    kernel's determinism contract.
+    One roll decides cancel / market / limit, and the consumer holds the
+    thresholds: :class:`ZeroIntelligenceStrategy` reads ``cancel_fraction``
+    then ``cancel_fraction + market_order_fraction``; the batched feed
+    (:class:`~repro.traders.workload.BulkOrderStream`) has no cancels and
+    reads ``roll < market_order_fraction``.
     """
     symbol = rng.integers(0, n_symbols, size=n)
     side_buy = rng.random(size=n) < 0.5
     qty = rng.integers(min_qty, max_qty + 1, size=n)
-    market = rng.random(size=n) < market_order_fraction
+    roll = rng.random(size=n)
     aggressive = rng.random(size=n) < aggression
     through = rng.integers(1, 4, size=n)
     behind = 1 + np.abs(np.rint(rng.normal(0.0, price_sigma_ticks, size=n)).astype(np.int64))
@@ -60,13 +61,16 @@ def zi_bulk_fields(
         "symbol": symbol,
         "side_buy": side_buy,
         "qty": qty,
-        "market": market,
+        "roll": roll,
         "offset": offset,
     }
 
 
 class ZeroIntelligenceStrategy(Strategy):
     """Random orders around the reference price.
+
+    Each opportunity is one row of :func:`zi_bulk_fields` (which states
+    the column order), drawn ``DRAW_BLOCK`` rows at a time.
 
     Parameters
     ----------
@@ -129,29 +133,30 @@ class ZeroIntelligenceStrategy(Strategy):
         ref = participant.view(symbol).reference_price
         return ref if ref is not None and ref > 0 else self.fallback_price
 
-    def on_order_opportunity(self, participant: Participant, rng: np.random.Generator) -> None:
-        roll = rng.random()
+    def opportunity_draws(self, rng: np.random.Generator) -> Iterator[tuple]:
+        def rows():
+            fields = zi_bulk_fields(
+                rng, DRAW_BLOCK, len(self.symbols), self.min_qty, self.max_qty,
+                self.aggression, self.price_sigma_ticks,
+            )
+            keys = ("roll", "symbol", "side_buy", "qty", "offset")
+            return zip(*(fields[key].tolist() for key in keys))
+
+        return block_stream(rows)
+
+    def on_order_opportunity(self, participant: Participant, draw: tuple) -> None:
+        roll, symbol_index, side_buy, quantity, offset = draw
         if roll < self.cancel_fraction and participant.working:
             # Cancel the oldest working order.
             client_order_id = next(iter(participant.working))
             order = participant.working[client_order_id]
             participant.cancel(client_order_id, order.symbol)
             return
-
-        symbol = self.symbols[int(rng.integers(len(self.symbols)))]
-        side = Side.BUY if rng.random() < 0.5 else Side.SELL
-        quantity = int(rng.integers(self.min_qty, self.max_qty + 1))
+        # A cancel roll with nothing working falls through to a market order.
+        symbol = self.symbols[symbol_index]
+        side = Side.BUY if side_buy else Side.SELL
         if roll < self.cancel_fraction + self.market_order_fraction:
             participant.submit_market(symbol, side, quantity)
             return
-        reference = self._reference(participant, symbol)
-        if rng.random() < self.aggression:
-            # Marketable: price a couple of ticks through the touch.
-            through = int(rng.integers(1, 4))
-            offset = through if side is Side.BUY else -through
-        else:
-            # Passive: rest behind the reference price.
-            behind = 1 + abs(int(round(rng.normal(0.0, self.price_sigma_ticks))))
-            offset = -behind if side is Side.BUY else behind
-        price = max(1, reference + offset)
+        price = max(1, self._reference(participant, symbol) + offset)
         participant.submit_limit(symbol, side, quantity, price)

@@ -42,3 +42,27 @@ def test_seed_changes_outcomes():
     base = run_summary()
     other = run_summary(seed=99)
     assert base != other
+
+
+def test_a_run_cut_in_two_is_the_same_run():
+    """Every data-plane stream is read through a block cursor (DESIGN
+    §4.11); where ``run`` calls slice simulated time must not show --
+    the property ``bench/`` relies on when it times a repetition in
+    six consecutive ``run`` calls."""
+
+    def payload(*durations):
+        cluster = CloudExCluster(
+            small_config(
+                clock_sync="huygens",
+                replication_factor=2,
+                straggler_gateways=1,
+                injected_delay_phases_us=(0.0, 400.0, 200.0),
+                injected_phase_seconds=0.1,
+            )
+        )
+        cluster.add_default_workload(rate_per_participant=400.0)
+        for duration_s in durations:
+            cluster.run(duration_s=duration_s)
+        return cluster.result_payload()
+
+    assert payload(0.125, 0.25, 0.125) == payload(0.5)

@@ -316,6 +316,27 @@ class TestSampleMany:
         assert drawn.tolist() == [model.sample(scalar_rng, now) for now in times]
         assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
 
+    @settings(max_examples=200, deadline=None)
+    @given(model=_vectorised_models, times=_times, seed=st.integers(0, 2**32 - 1))
+    def test_split_is_the_same_block_with_the_timed_part_applied_per_entry(self, model, times, seed):
+        """What a link does (DESIGN §4.11): ``drawn`` never sees the times."""
+        split_rng, bulk_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn, finish = model.split()
+        block = drawn.sample_many(split_rng, np.zeros(len(times), dtype=np.int64)).tolist()
+        if finish is not None:
+            block = [finish(delay, now) for delay, now in zip(block, times)]
+        assert block == model.sample_many(bulk_rng, np.array(times, dtype=np.int64)).tolist()
+        assert split_rng.bit_generator.state == bulk_rng.bit_generator.state
+
+    def test_only_an_injected_schedule_leaves_a_timed_part(self):
+        link = cloud_link(80.0)
+        injected = PeriodicInjectedDelay(link, [0, 400_000], SECOND)
+        for model in (link, GammaLatency(0, 0.7, 30_000.0), StragglerLatency(link, 3.0)):
+            assert model.split() == (model, None)
+        for model in (injected, StragglerLatency(injected, 3.0)):
+            drawn, finish = model.split()
+            assert drawn is link and finish is not None
+
     def test_periodic_injection_picks_the_phase_per_entry(self, rng):
         model = PeriodicInjectedDelay(ConstantLatency(10_000), [0, 400_000, 200_000], SECOND)
         times = np.array([-1, 0, SECOND - 1, SECOND, 2 * SECOND, 3 * SECOND], dtype=np.int64)

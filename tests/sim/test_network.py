@@ -1,11 +1,19 @@
 """Tests for hosts, links, and message delivery."""
 
+import numpy as np
 import pytest
 
 from repro.sim.engine import Actor, Simulator
-from repro.sim.latency import ConstantLatency, UniformLatency
+from repro.sim.latency import (
+    ConstantLatency,
+    PeriodicInjectedDelay,
+    StragglerLatency,
+    UniformLatency,
+    cloud_link,
+)
 from repro.sim.network import Network
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import DRAW_BLOCK, RngRegistry
+from repro.sim.timeunits import SECOND
 
 
 class Recorder(Actor):
@@ -324,3 +332,162 @@ class TestSendMany:
         sim, network, _ = self._fanout_net(3)
         network.send_many("src", [])
         assert sim.pending() == 0
+
+
+class TestDelayBlocks:
+    """A link's delays come off its stream in blocks of ``DRAW_BLOCK``
+    (DESIGN §4.11): the n-th message to leave gets the n-th draw."""
+
+    MODELS = {
+        "cloud": lambda: cloud_link(80.0, spike_prob=0.05),
+        "straggler": lambda: StragglerLatency(cloud_link(80.0, spike_prob=0.05), 3.0),
+        "injected": lambda: PeriodicInjectedDelay(cloud_link(80.0), [0, 400_000, 200_000], 7_000),
+        "straggler-over-injected": lambda: StragglerLatency(
+            PeriodicInjectedDelay(cloud_link(80.0), [0, 400_000, 200_000], 7_000), 2.5
+        ),
+    }
+
+    @staticmethod
+    def _net(model, seed=9, second_link=False):
+        sim = Simulator()
+        network = Network(sim, RngRegistry(seed))
+        for name in ("a", "b", "c"):
+            network.add_host(name)
+            network.host(name).bind(Recorder(sim, name))
+        network.connect("a", "b", model, fifo=False)
+        if second_link:
+            network.connect("a", "c", model, fifo=False)
+        return sim, network
+
+    @staticmethod
+    def _send_at(sim, network, times, dst="b"):
+        """Send message i at true time ``times[i]``."""
+        for i, t in enumerate(times):
+            sim.schedule_at(t, network.send, "a", dst, i)
+
+    @staticmethod
+    def _delays(network, times, dst="b"):
+        arrivals = {i: t for i, _, t in network.host(dst).actor.received}
+        return [arrivals[i] - times[i] for i in range(len(times))]
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_a_block_of_sends_is_sample_many_at_the_sends_true_times(self, name):
+        """Values, column order and generator state -- including the
+        phase in force at each send when a step falls inside the block."""
+        model = self.MODELS[name]()
+        sim, network = self._net(model)
+        times = [1_000 * i for i in range(2 * DRAW_BLOCK)]  # a phase step every seven sends
+        self._send_at(sim, network, times)
+        sim.run()
+        twin = RngRegistry(9).stream("link:a->b")
+        expected = [
+            model.sample_many(twin, np.array(times[start:start + DRAW_BLOCK], dtype=np.int64))
+            for start in (0, DRAW_BLOCK)
+        ]
+        assert self._delays(network, times) == np.concatenate(expected).tolist()
+        assert network.link("a", "b").rng.bit_generator.state == twin.bit_generator.state
+
+    def test_injected_phase_follows_the_send_not_the_draw(self, net):
+        sim, network = net
+        model = PeriodicInjectedDelay(ConstantLatency(10_000), [0, 400_000, 200_000], SECOND)
+        straggling = StragglerLatency(model, 2.0)
+        network.add_host("a")
+        for name, latency in (("b", model), ("c", straggling)):
+            network.add_host(name)
+            network.host(name).bind(Recorder(sim, name))
+            network.connect("a", name, latency, fifo=False)
+        times = [0, SECOND - 1, SECOND, 2 * SECOND - 1, 2 * SECOND, 3 * SECOND]
+        assert len(times) < DRAW_BLOCK  # all six delays sit in the first block
+        self._send_at(sim, network, times, "b")
+        self._send_at(sim, network, times, "c")
+        sim.run()
+        plain = [10_000, 10_000, 410_000, 410_000, 210_000, 10_000]
+        assert self._delays(network, times, "b") == plain
+        assert self._delays(network, times, "c") == [2 * d for d in plain]
+
+    def test_nth_delay_does_not_depend_on_when_or_beside_what_it_is_sent(self):
+        model = self.MODELS["cloud"]
+        n = 3 * DRAW_BLOCK + 5
+
+        sim, network = self._net(model())
+        self._send_at(sim, network, [0] * n)
+        sim.run()
+        at_once = self._delays(network, [0] * n)
+
+        sim, network = self._net(model(), second_link=True)
+        times = [37_000 * i for i in range(n)]
+        self._send_at(sim, network, times)
+        self._send_at(sim, network, times[::2], dst="c")  # the RngRegistry isolation property
+        sim.run(until=times[n // 2])  # ... and the run cut in two
+        sim.run()
+        assert self._delays(network, times) == at_once
+
+    def test_delay_quantiles_match_scalar_sample(self):
+        """Same distribution: 400 k delays off a link's blocks against
+        400 k ``sample`` calls, p50 / p90 / p99 within 1 %, p99.9 within 3 %."""
+        n = 400_000
+        model = cloud_link(100.0, spike_prob=0.001)
+        _, network = self._net(model)
+        link = network.link("a", "b")  # not FIFO, at t=0: an arrival is a delay
+        block = np.array([link.prepare(None)[0] for _ in range(n)])
+        scalar_rng = RngRegistry(10).stream("scalar")
+        scalar = np.array([model.sample(scalar_rng, 0) for _ in range(n)])
+        for q, rel in ((50, 0.01), (90, 0.01), (99, 0.01), (99.9, 0.03)):
+            assert np.percentile(block, q) == pytest.approx(np.percentile(scalar, q), rel=rel)
+
+    def test_nothing_is_drawn_before_the_first_send(self):
+        sim, network = self._net(self.MODELS["cloud"]())
+        fresh = RngRegistry(9).stream("link:a->b").bit_generator.state
+        assert network.link("a", "b").rng.bit_generator.state == fresh
+        network.send("a", "b", 0)
+        assert network.link("a", "b").rng.bit_generator.state != fresh
+
+    @pytest.mark.parametrize("drop", ["source-down", "partitioned"])
+    def test_a_dropped_send_takes_no_delay(self, drop):
+        model = self.MODELS["cloud"]
+        sim, network = self._net(model())
+        self._send_at(sim, network, [0] * 10)
+        sim.run()
+        undisturbed = self._delays(network, [0] * 10)
+
+        sim, network = self._net(model())
+        link = network.link("a", "b")
+        for i in range(10):
+            if i in (0, 4):  # before the first block exists, and inside it
+                state = link.rng.bit_generator.state
+                if drop == "source-down":
+                    network.host("a").crash()
+                else:
+                    link.block()
+                network.send("a", "b", "lost")
+                if drop == "source-down":
+                    network.host("a").restart()
+                else:
+                    link.unblock()
+                assert link.rng.bit_generator.state == state
+            network.send("a", "b", i)
+        sim.run()
+        assert self._delays(network, [0] * 10) == undisturbed
+        assert network.host("a").dropped_sends_while_down + link.dropped_partitioned == 2
+
+    def test_fault_scaling_and_fifo_bump_apply_after_the_draw(self):
+        model = self.MODELS["cloud"]
+        sim, network = self._net(model())
+        self._send_at(sim, network, [0] * 3)
+        sim.run()
+        drawn = self._delays(network, [0] * 3)
+
+        sim = Simulator()
+        network = Network(sim, RngRegistry(9))
+        for name in ("a", "b"):
+            network.add_host(name)
+        network.host("b").bind(Recorder(sim, "b"))
+        link = network.connect("a", "b", model())  # FIFO this time
+        token = link.push_fault(multiplier=50.0, extra_ns=7)
+        network.send("a", "b", 0)
+        link.pop_fault(token)
+        network.send("a", "b", 1)
+        network.send("a", "b", 2)
+        sim.run()
+        first = int(drawn[0] * 50.0) + 7
+        assert self._delays(network, [0] * 3) == [first, first + 1, first + 2]
