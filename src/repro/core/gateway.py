@@ -71,6 +71,7 @@ class Gateway(Actor):
         self._seq = 0
         self._service_ns = int(config.gateway_service_us * MICROSECOND)
         self._cpu_per_replica_ns = int(config.gateway_cpu_per_replica_us * MICROSECOND)
+        self._listed_symbols = frozenset(config.symbols)
         # symbol -> participant host names subscribed through this
         # gateway (dict used as an insertion-ordered set).
         self.subscriptions: Dict[str, Dict[str, None]] = {}
@@ -146,7 +147,7 @@ class Gateway(Actor):
             self._reject_locally(order, RejectReason.BAD_CREDENTIALS)
             return
         try:
-            validate_order(order, known_symbols=self.config.symbols)
+            validate_order(order, known_symbols=self._listed_symbols)
         except OrderValidationError as exc:
             self._reject_locally(order, exc.reason)
             return

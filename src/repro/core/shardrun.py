@@ -50,7 +50,7 @@ from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
 from repro.core.sharding import SymbolRouter
 from repro.core.types import OrderType, Side, TimeInForce
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, collector_paused
 from repro.sim.parallel import ConservativeShardRunner
 from repro.sim.rng import RngRegistry
 from repro.sim.worker import check_jobs
@@ -218,6 +218,7 @@ class ShardProgram:
     # ------------------------------------------------------------------
     # Window protocol
     # ------------------------------------------------------------------
+    @collector_paused()
     def run_window(self, index: int, t_end: int, feedback: Optional[Dict[str, Any]]) -> Dict[str, int]:
         """Advance this shard to ``t_end`` and return window tallies."""
         # 1. Pull this window's arrivals.  The past is immutable: a

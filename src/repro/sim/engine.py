@@ -16,9 +16,32 @@ wall-clock implementation could not time precisely (see DESIGN.md §4).
 
 from __future__ import annotations
 
+import gc
 import heapq
 import operator
-from typing import Any, Callable, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional, Sequence
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause automatic cyclic collection for the body (DESIGN.md §4.12).
+
+    A run allocates only acyclic garbage, so the collector's passes over
+    the live heap find nothing.  The state found on entry is restored,
+    also when the body raises, and a nested pause changes nothing; the
+    pause that switched the collector off settles with one young pass,
+    so no deferred collection is left to the caller.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect(0)
 
 
 class Event(list):
@@ -115,7 +138,7 @@ class Simulator:
         """
         if delay_ns < 0:
             raise SimulationError(f"cannot schedule {delay_ns} ns in the past")
-        return self.schedule_at(self.now + delay_ns, fn, *args, priority=priority)
+        return self._push(self.now + delay_ns, priority, fn, args)
 
     def schedule_at(
         self,
@@ -127,6 +150,10 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulation time ``time_ns``."""
         if time_ns < self.now:
             raise self._past(time_ns)
+        return self._push(time_ns, priority, fn, args)
+
+    def _push(self, time_ns: int, priority: int, fn: Callable[..., None], args: tuple) -> Event:
+        """The one builder of cancellable entries; ``time_ns >= now`` is the caller's."""
         event = Event((time_ns, priority, self._seq, fn, args))
         heapq.heappush(self._heap, event)
         self._seq += 1
@@ -193,6 +220,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
+    @collector_paused()
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> None:
         """Run events until the heap drains, ``until`` is reached, or
         ``max_events`` have been processed.

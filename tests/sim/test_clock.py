@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.timeunits import SECOND
+from tests.sim import reference
 
 
 def make_clock(drift_ppb=0, offset_ns=0, at=0):
@@ -166,3 +167,23 @@ class TestLocalScheduling:
         clock.set_linear_correction(corr0, rate, ref_raw_ns=offset)
         true_time = clock.local_to_true(local)
         assert abs(clock.discipline(clock.raw_local(true_time)) - local) <= 2
+
+    @given(
+        drift=st.integers(-1_000_000, 1_000_000),
+        offset=st.integers(-10**10, 10**10),
+        corr0=st.integers(-10**9, 10**9),
+        rate=st.integers(-1_000_000, 1_000_000),
+        ref=st.integers(-10**13, 10**13),
+        local=st.integers(-10**13, 10**13),
+    )
+    @example(drift=0, offset=0, corr0=0, rate=0, ref=0, local=-1)
+    @example(drift=1_000_000, offset=-5, corr0=7, rate=0, ref=3, local=-SECOND)
+    @example(drift=0, offset=5, corr0=-7, rate=-1_000_000, ref=-3, local=-SECOND)
+    @example(drift=-1_000_000, offset=0, corr0=0, rate=1_000_000, ref=0, local=10**13)
+    @settings(max_examples=500, deadline=None)
+    def test_local_to_true_is_exactly_the_per_round_reference(
+        self, drift, offset, corr0, rate, ref, local
+    ):
+        _, clock = make_clock(drift_ppb=drift, offset_ns=offset)
+        clock.set_linear_correction(corr0, rate, ref_raw_ns=ref)
+        assert clock.local_to_true(local) == reference.local_to_true(clock, local)
