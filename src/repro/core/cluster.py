@@ -258,11 +258,6 @@ class CloudExCluster:
             )
             for host in self.gateway_hosts
         ]
-        # A crashing gateway flushes held market data; without this
-        # wiring those pieces never reach their expected report count,
-        # never finalize, and starve the outbound DDP controller.
-        for gateway in self.gateways:
-            gateway.hr_buffer.flush_listener = self._on_hr_flush
 
         self.portfolio.open_account(OPERATOR)
         self.participants: List[Participant] = []
@@ -488,20 +483,11 @@ class CloudExCluster:
         payload["hr_late_ratio"] = self.hr_late_ratio()
         return payload
 
-    def _on_hr_flush(self, seqs: List[int]) -> None:
-        """Finalize md pieces orphaned by a gateway's H/R flush; feed
-        the partial-but-valid unfairness samples to outbound DDP."""
-        finalized = self.metrics.record_md_flush(seqs)
-        ddp = self.exchange.ddp_outbound
-        if ddp is not None:
-            for any_late in finalized:
-                ddp.on_sample(any_late)
-
     def finalize_metrics(self) -> int:
         """Close out in-flight market-data aggregation at end of run.
 
-        Pieces still awaiting reports (a gateway died and never
-        rejoined, or the run simply ended mid-flight) are finalized
+        Pieces still awaiting reports (a gateway was down when they
+        arrived, or the run simply ended mid-flight) are finalized
         with whatever reports arrived; see
         :meth:`MetricsCollector.finalize_partial_md`.
         """

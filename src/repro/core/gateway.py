@@ -5,9 +5,10 @@ server.  The order handler authenticates and validates incoming
 orders, assigns each a globally synchronized timestamp (from the
 gateway's Huygens-disciplined clock), and forwards it to the engine;
 it also routes confirmations back to participants.  Inbound market
-data passes through the hold/release buffer, which dispenses each
-piece to this gateway's subscribed participants at its prescribed
-release time and reports lateness back to the engine.
+data passes through the hold/release buffer, which reports each
+piece's hold or lateness back to the engine on arrival and dispenses
+it to this gateway's subscribed participants at its prescribed
+release time.
 """
 
 from __future__ import annotations
@@ -89,6 +90,7 @@ class Gateway(Actor):
             report=self._send_report,
             events=events,
             hold_early=fairness.hold_early_pieces,
+            subscribers=self.subscriptions,
         )
         self.orders_handled = 0
         self.orders_rejected = 0
@@ -102,8 +104,9 @@ class Gateway(Actor):
         """Recover after a crash window (the host is already back up).
 
         A restarted gateway process lost its in-memory state: held
-        market data is discarded (the engine's H/R aggregation simply
-        never hears about those pieces) and the stamping sequence
+        market data is discarded (each piece was reported when it
+        arrived, so the engine's H/R aggregation loses nothing; only
+        this gateway's subscribers miss it) and the stamping sequence
         continues monotonically -- correctness for in-flight orders
         rests on participants retrying and the engine's ROS dedup
         answering retries idempotently, not on this gateway recovering

@@ -11,7 +11,13 @@ Each handled piece produces a :class:`HoldReleaseReport` (sent back to
 the engine) carrying the hold duration -- the paper's *releasing
 delay*, Fig. 4b/5b's y-axis -- and the late flag that feeds both the
 outbound-unfairness metric (a piece is unfair if >=1 gateway was late)
-and the DDP controller for ``d_h``.
+and the DDP controller for ``d_h``.  All three values are known the
+instant the piece arrives, so a piece is *settled* then: its counters,
+its late WARNING and its report go out at arrival, whether or not it is
+held.  A held piece then costs a release timer only at a gateway with a
+subscriber for its symbol; the timer merely dispenses.  A piece
+released on arrival (late, exactly on time, or under
+``hold_early=False``) is dispensed first and reported second.
 
 It is the only release buffer for *market data*.  Trade confirmations
 do not pass through it: ``Gateway._forward_to_participant`` /
@@ -30,7 +36,7 @@ reads as ``hr.late_pieces``) are the same code either way.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.marketdata import MarketDataPiece
 from repro.core.messages import HoldReleaseReport
@@ -51,8 +57,8 @@ class HoldReleaseBuffer:
         Called with ``(piece, released_local)`` when the piece is
         dispensed to this gateway's participants.
     report:
-        Called with a :class:`HoldReleaseReport` per piece; the gateway
-        forwards these to the engine.
+        Called with a :class:`HoldReleaseReport` per piece, at arrival;
+        the gateway forwards these to the engine.
     events:
         Optional :class:`repro.obs.events.EventLog`; every late piece
         (an unfair dissemination) is logged as a WARNING with its
@@ -60,6 +66,11 @@ class HoldReleaseBuffer:
     hold_early:
         False releases every piece on arrival with zero hold; nothing
         is then ever pending, so :meth:`flush` finds nothing.
+    subscribers:
+        The owning gateway's ``symbol -> subscribers`` map, read at each
+        arrival: a held piece arms its release timer only when its
+        symbol maps to a non-empty entry.  None (a buffer on its own)
+        arms one for every held piece.
     """
 
     def __init__(
@@ -71,6 +82,7 @@ class HoldReleaseBuffer:
         report: Optional[Callable[[HoldReleaseReport], None]] = None,
         events=None,
         hold_early: bool = True,
+        subscribers: Optional[Mapping[str, object]] = None,
     ) -> None:
         self.sim = sim
         self.clock = clock
@@ -79,20 +91,16 @@ class HoldReleaseBuffer:
         self.report = report
         self.events = events
         self.hold_early = hold_early
+        self.subscribers = subscribers
         self.held_count = 0
         self.late_count = 0
         self.total_hold_ns = 0
-        # md seq -> pending release event, so a crashing gateway can
-        # drop its buffered state (repro.chaos rejoin path).
+        # md seq -> pending dispense, so a crashing gateway can drop its
+        # buffered state (repro.chaos rejoin path).
         self._pending: Dict[int, Event] = {}
-        #: Optional callback receiving the list of md seqs discarded by
-        #: :meth:`flush`.  The cluster wires it to the metrics
-        #: collector so pieces orphaned by a gateway crash are
-        #: finalized with partial reports instead of leaking forever.
-        self.flush_listener: Optional[Callable[[list], None]] = None
 
     def offer(self, piece: MarketDataPiece) -> None:
-        """Accept a piece from the engine; hold or release immediately.
+        """Accept a piece from the engine and settle it.
 
         Arrival strictly *after* ``release_at`` is an unfair
         dissemination; arrival exactly at the release instant is on
@@ -101,40 +109,20 @@ class HoldReleaseBuffer:
         This boundary holds whatever ``hold_early`` says.
         """
         arrival_local = self.clock.now()
-        if arrival_local > piece.release_at:
-            # Arrived past its release time: unfair dissemination.
-            self._release(piece, hold_ns=0, late=True, lateness_ns=arrival_local - piece.release_at)
-            return
-        if arrival_local == piece.release_at or not self.hold_early:
-            self._release(piece, hold_ns=0, late=False, lateness_ns=0)
-            return
         hold_ns = piece.release_at - arrival_local
-        self._pending[piece.seq] = self.clock.schedule_at_local(
-            piece.release_at, self._release, piece, hold_ns, False, 0
-        )
-
-    def flush(self) -> int:
-        """Drop every held-but-unreleased piece (a crash loses buffered
-        state; the engine's H/R aggregation never hears a *report* for
-        them, but the simulation-level ``flush_listener`` does, so the
-        metrics collector can finalize the pieces with partial
-        reports).  Returns how many were discarded."""
-        flushed = len(self._pending)
-        for event in self._pending.values():
-            event.cancel()
-        seqs = list(self._pending)
-        self._pending.clear()
-        if self.flush_listener is not None and seqs:
-            self.flush_listener(seqs)
-        return flushed
-
-    def _release(
-        self, piece: MarketDataPiece, hold_ns: int, late: bool, lateness_ns: int
-    ) -> None:
-        self._pending.pop(piece.seq, None)
         self.held_count += 1
-        self.total_hold_ns += hold_ns
-        if late:
+        if hold_ns > 0 and self.hold_early:
+            self.total_hold_ns += hold_ns
+            subscribers = self.subscribers
+            if subscribers is None or subscribers.get(piece.symbol):
+                self._pending[piece.seq] = self.clock.schedule_at_local(
+                    piece.release_at, self._release, piece
+                )
+            self._report(piece, hold_ns, 0)
+            return
+        lateness_ns = -hold_ns if hold_ns < 0 else 0
+        if lateness_ns:
+            # Arrived past its release time: unfair dissemination.
             self.late_count += 1
             if self.events is not None:
                 from repro.obs.events import Severity
@@ -149,13 +137,34 @@ class HoldReleaseBuffer:
                     symbol=piece.symbol,
                     lateness_ns=lateness_ns,
                 )
+        self.release(piece, arrival_local)
+        self._report(piece, 0, lateness_ns)
+
+    def flush(self) -> int:
+        """Cancel every pending dispense (a crash loses buffered state).
+
+        Every piece was reported when it arrived, so the engine's H/R
+        aggregation loses nothing and nothing is sent; only this
+        gateway's subscribers miss the pieces.  Returns how many
+        dispenses were cancelled."""
+        flushed = len(self._pending)
+        for event in self._pending.values():
+            event.cancel()
+        self._pending.clear()
+        return flushed
+
+    def _release(self, piece: MarketDataPiece) -> None:
+        """A held piece's release timer fired: dispense it."""
+        self._pending.pop(piece.seq, None)
         self.release(piece, self.clock.now())
+
+    def _report(self, piece: MarketDataPiece, hold_ns: int, lateness_ns: int) -> None:
         if self.report is not None:
             self.report(
                 HoldReleaseReport(
                     gateway_id=self.gateway_id,
                     md_seq=piece.seq,
-                    late=late,
+                    late=lateness_ns > 0,
                     lateness_ns=lateness_ns,
                     hold_ns=hold_ns,
                 )

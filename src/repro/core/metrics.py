@@ -101,7 +101,8 @@ class MetricsCollector:
         self.md_pieces_finalized: int = 0
         self.md_pieces_unfair: int = 0
         # Pieces finalized with fewer reports than the fan-out (a
-        # gateway flushed its H/R buffer, or the run ended first), and
+        # gateway was down when the piece arrived, or the run ended
+        # first; run teardown closes them), and
         # pieces finalized with no reports at all (no fairness
         # information; excluded from the unfairness ratio).
         self.md_pieces_partial: int = 0
@@ -276,29 +277,10 @@ class MetricsCollector:
             self.md_pieces_unfair += 1
         return state.any_late
 
-    def record_md_flush(self, seqs: List[int]) -> List[bool]:
-        """One gateway flushed its H/R buffer (crash/rejoin): each held
-        piece loses one expected report.  Pieces whose remaining
-        reports are already all in are finalized as *partial*; the
-        returned unfair flags feed the outbound DDP controller, which
-        would otherwise starve for the rest of the run.
-        """
-        finalized: List[bool] = []
-        for seq in seqs:
-            state = self._md.get(seq)
-            if state is None:
-                continue
-            state.expected_reports -= 1
-            if state.reports >= state.expected_reports:
-                flag = self._finalize_partial(seq, state)
-                if flag is not None:
-                    finalized.append(flag)
-        return finalized
-
     def finalize_partial_md(self) -> int:
         """Finalize every still-open piece with the reports it has
-        (run teardown).  Bounds ``_md`` memory when gateways died
-        without ever flushing.  Returns how many pieces were closed."""
+        (run teardown).  Bounds ``_md`` memory when a piece reached a
+        gateway that was down.  Returns how many pieces were closed."""
         pending = list(self._md.items())
         for seq, state in pending:
             self._finalize_partial(seq, state)

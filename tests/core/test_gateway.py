@@ -130,6 +130,51 @@ class TestMarketDataPath:
         # Trade md went to every gateway; each reported.
         assert cluster.metrics.md_pieces_finalized >= 1
 
+    def test_release_timer_only_where_a_subscriber_waits(self, cluster):
+        fired = {g.name: 0 for g in cluster.gateways}
+        for g in cluster.gateways:
+            def spy(piece, _name=g.name, _orig=g.hr_buffer._release):
+                fired[_name] += 1
+                _orig(piece)
+
+            g.hr_buffer._release = spy
+        watcher = cluster.participant(1)  # primary gateway g01
+        watcher.subscribe(["SYM000"])
+        run_for(cluster, ms=10)
+        cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)
+        run_for(cluster, ms=100)
+        assert fired["g01"] == watcher.md_received > 0
+        assert sum(fired.values()) == fired["g01"]
+        # Every gateway still settled and reported every piece.
+        assert len({g.hr_buffer.held_count for g in cluster.gateways}) == 1
+        assert cluster.metrics.md_pieces_finalized == cluster.gateways[0].hr_buffer.held_count
+
+    def test_rejoin_mid_hold_cancels_dispense_and_sends_nothing(self, cluster):
+        watcher = cluster.participant(1)
+        watcher.subscribe(["SYM000"])
+        run_for(cluster, ms=10)
+        cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)
+        g01 = cluster.gateways[1]
+        while not g01.hr_buffer._pending:
+            assert cluster.sim.step()
+        held = set(g01.hr_buffer._pending)
+        sent = []
+        send = cluster.network.send
+
+        def spy(src, dst, msg):
+            if src == "g01":
+                sent.append(msg)
+            send(src, dst, msg)
+
+        cluster.network.send = spy
+        g01.rejoin()
+        run_for(cluster, ms=100)
+        assert not g01.hr_buffer._pending and g01.restarts == 1
+        assert not [m for m in sent if getattr(getattr(m, "piece", None), "seq", None) in held]
+        assert not [m for m in sent if getattr(m, "md_seq", None) in held]
+        # The held pieces were reported at arrival: they finalize complete.
+        assert cluster.metrics.md_pieces_partial == cluster.metrics.open_md_pieces() == 0
+
     def test_subscription_routing_is_per_gateway(self, cluster):
         watcher = cluster.participant(1)  # primary gateway g01
         watcher.subscribe(["SYM003"])

@@ -4,8 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.core.holdrelease import HoldReleaseBuffer
+from repro.core.marketdata import MarketDataPiece
 from repro.core.metrics import LatencySummary, MetricsCollector
 from repro.core.sequencer import SequencerSample
+from repro.sim.clock import HostClock
+from repro.sim.engine import Simulator
 from repro.sim.timeunits import MICROSECOND, SECOND
 
 
@@ -96,44 +100,94 @@ class TestMdAggregation:
         assert m.mean_releasing_delay_us() == pytest.approx(2.0)
 
 
+class FanOut:
+    """``n`` gateways' H/R buffers on one simulator, reporting straight
+    into a collector that expects ``n`` reports of piece 1."""
+
+    def __init__(self, n):
+        self.sim = Simulator()
+        self.metrics = MetricsCollector()
+        self.metrics.register_md_piece(1, expected_reports=n)
+        self.dispensed = []
+        self.buffers = [
+            HoldReleaseBuffer(
+                self.sim,
+                HostClock(self.sim),
+                f"g{i:02d}",
+                release=lambda piece, local: self.dispensed.append(piece.seq),
+                report=self._report,
+            )
+            for i in range(n)
+        ]
+
+    def _report(self, r):
+        self.metrics.record_md_report(r.md_seq, r.late, r.lateness_ns, r.hold_ns)
+
+    def offer_at(self, t, buffer, release_at=10_000):
+        piece = MarketDataPiece(
+            seq=1, symbol="S", payload=None, created_local=0, release_at=release_at
+        )
+        self.sim.schedule_at(t, buffer.offer, piece)
+
+
 class TestMdPartialFinalization:
     def test_flush_finalizes_piece_with_remaining_reports_in(self):
-        # Fan-out of 2; one gateway reported, the other crashed and
-        # flushed: the piece finalizes as partial with the one report.
-        m = MetricsCollector()
-        m.register_md_piece(1, expected_reports=2)
-        m.record_md_report(1, late=False, lateness_ns=0, hold_ns=100)
-        assert m.record_md_flush([1]) == [False]
-        assert m.md_pieces_partial == 1
-        assert m.md_pieces_finalized == 0
-        assert m.open_md_pieces() == 0
+        # Fan-out of 2; one gateway crashed mid-hold and flushed.  Its
+        # report left at arrival, so the piece finalizes complete.
+        f = FanOut(2)
+        a, b = f.buffers
+        f.offer_at(1_000, a)
+        f.offer_at(1_500, b)
+        f.sim.schedule_at(5_000, a.flush)
+        f.sim.run()
+        assert f.dispensed == [1]  # b only
+        assert f.metrics.md_pieces_finalized == 1
+        assert f.metrics.md_pieces_partial == 0
+        assert f.metrics.open_md_pieces() == 0
 
-    def test_flush_of_only_gateway_counts_unreported(self):
-        # Fan-out of 1 and that gateway flushed: no report ever existed,
-        # so the piece carries no fairness information.
-        m = MetricsCollector()
-        m.register_md_piece(1, expected_reports=1)
-        assert m.record_md_flush([1]) == []
-        assert m.md_pieces_unreported == 1
-        assert m.md_pieces_partial == 0
-        assert m.open_md_pieces() == 0
+    def test_flush_of_only_gateway_finalizes_complete(self):
+        f = FanOut(1)
+        f.offer_at(1_000, f.buffers[0])
+        f.sim.schedule_at(5_000, f.buffers[0].flush)
+        f.sim.run()
+        assert f.dispensed == []
+        assert f.metrics.md_pieces_finalized == 1
+        assert f.metrics.md_pieces_unreported == 0
+        assert f.metrics.md_pieces_partial == 0
+        assert f.metrics.mean_releasing_delay_us() == pytest.approx(9.0)
 
     def test_flush_keeps_piece_open_while_reports_outstanding(self):
         # Fan-out of 3, one flush: two live gateways still owe reports.
-        m = MetricsCollector()
-        m.register_md_piece(1, expected_reports=3)
-        assert m.record_md_flush([1]) == []
-        assert m.open_md_pieces() == 1
-        m.record_md_report(1, late=True, lateness_ns=5, hold_ns=0)
-        assert m.record_md_report(1, late=False, lateness_ns=0, hold_ns=10) is True
-        assert m.md_pieces_finalized == 1
-        assert m.md_pieces_unfair == 1
+        f = FanOut(3)
+        a, b, c = f.buffers
+        f.offer_at(1_000, a)
+        f.sim.schedule_at(2_000, a.flush)
+        f.sim.run()
+        assert f.metrics.open_md_pieces() == 1
+        f.offer_at(12_000, b)  # late
+        f.offer_at(12_000, c)
+        f.sim.run()
+        assert f.metrics.md_pieces_finalized == 1
+        assert f.metrics.md_pieces_unfair == 1
+        assert f.metrics.md_pieces_partial == 0
+
+    def test_piece_missed_by_down_gateway_is_partial(self):
+        # The one way a piece still finalizes partial: a gateway never
+        # received it (down when it arrived); teardown closes it.
+        f = FanOut(2)
+        f.offer_at(1_000, f.buffers[0])
+        f.sim.run()
+        assert f.metrics.open_md_pieces() == 1
+        assert f.metrics.finalize_partial_md() == 1
+        assert f.metrics.md_pieces_partial == 1
+        assert f.metrics.md_pieces_unfair == 0
 
     def test_partial_late_piece_counts_unfair(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=2)
         m.record_md_report(1, late=True, lateness_ns=7, hold_ns=0)
-        assert m.record_md_flush([1]) == [True]
+        assert m.finalize_partial_md() == 1
+        assert m.md_pieces_partial == 1
         assert m.md_pieces_unfair == 1
         assert m.outbound_unfairness_ratio() == pytest.approx(1.0)
 
@@ -142,7 +196,7 @@ class TestMdPartialFinalization:
         m.register_md_piece(1, expected_reports=1)
         m.record_md_report(1, late=True, lateness_ns=3, hold_ns=0)  # finalized unfair
         m.register_md_piece(2, expected_reports=1)
-        m.record_md_flush([2])  # unreported: no information
+        m.finalize_partial_md()  # piece 2 unreported: no information
         assert m.md_pieces_unreported == 1
         assert m.outbound_unfairness_ratio() == pytest.approx(1.0)
 
@@ -155,10 +209,6 @@ class TestMdPartialFinalization:
         assert m.open_md_pieces() == 0
         assert m.md_pieces_partial == 1
         assert m.md_pieces_unreported == 1
-
-    def test_flush_of_unknown_seq_ignored(self):
-        m = MetricsCollector()
-        assert m.record_md_flush([99]) == []
 
 
 class TestThroughputAndSummary:

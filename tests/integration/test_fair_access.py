@@ -13,6 +13,31 @@ from repro.core.cluster import CloudExCluster
 from tests.conftest import small_config
 
 
+def spy_release_instants(cluster):
+    """seq -> the true instants at which each gateway's clock reads the
+    piece's ``release_at``, taken as the piece is offered.  A release
+    timer only exists where someone subscribes, so this is the instant
+    every gateway *would* dispense at, whether or not it does."""
+    release_times = {}
+    for gateway in cluster.gateways:
+        buffer = gateway.hr_buffer
+
+        def spy(piece, _orig=buffer.offer, _clock=gateway.clock):
+            release_times.setdefault(piece.seq, []).append(_clock.local_to_true(piece.release_at))
+            _orig(piece)
+
+        buffer.offer = spy
+    return release_times
+
+
+def release_spreads(cluster, release_times):
+    return [
+        max(times) - min(times)
+        for times in release_times.values()
+        if len(times) == cluster.config.n_gateways
+    ]
+
+
 class TestFairAccess:
     def test_all_participants_get_served(self):
         cluster = CloudExCluster(small_config(clock_sync="perfect", seed=23))
@@ -71,26 +96,11 @@ class TestFairAccess:
         cluster = CloudExCluster(
             small_config(clock_sync="huygens", holdrelease_delay_us=2_000.0, seed=23)
         )
-        release_times = {}  # seq -> [true release times]
-
-        for gateway in cluster.gateways:
-            buffer = gateway.hr_buffer
-            original = buffer.release
-
-            def spy(piece, released_local, _orig=original, _sim=cluster.sim):
-                release_times.setdefault(piece.seq, []).append(_sim.now)
-                _orig(piece, released_local)
-
-            buffer.release = spy
-
+        release_times = spy_release_instants(cluster)
         cluster.add_default_workload(rate_per_participant=200.0)
         cluster.run(duration_s=1.0)
 
-        spreads = [
-            max(times) - min(times)
-            for times in release_times.values()
-            if len(times) == cluster.config.n_gateways
-        ]
+        spreads = release_spreads(cluster, release_times)
         assert len(spreads) > 50
         # Median spread: sub-microsecond (clock sync quality); compare
         # with the raw one-way network jitter (tens of microseconds).
@@ -100,25 +110,10 @@ class TestFairAccess:
         cluster = CloudExCluster(
             small_config(clock_sync="none", holdrelease_delay_us=2_000.0, seed=23)
         )
-        release_times = {}
-
-        for gateway in cluster.gateways:
-            buffer = gateway.hr_buffer
-            original = buffer.release
-
-            def spy(piece, released_local, _orig=original, _sim=cluster.sim):
-                release_times.setdefault(piece.seq, []).append(_sim.now)
-                _orig(piece, released_local)
-
-            buffer.release = spy
-
+        release_times = spy_release_instants(cluster)
         cluster.add_default_workload(rate_per_participant=200.0)
         cluster.run(duration_s=0.5)
-        spreads = [
-            max(times) - min(times)
-            for times in release_times.values()
-            if len(times) == cluster.config.n_gateways
-        ]
-        assert spreads
+        spreads = release_spreads(cluster, release_times)
+        assert len(spreads) > 50
         # Boot offsets are +-5 ms: releases diverge by milliseconds.
         assert float(np.median(spreads)) > 500_000
