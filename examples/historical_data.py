@@ -12,9 +12,7 @@ Run:  python examples/historical_data.py
 """
 
 from repro import CloudExCluster, CloudExConfig
-from repro.analysis.bookview import render_book
-from repro.analysis.candles import candles_from_trades
-from repro.sim.timeunits import MILLISECOND, SECOND
+from repro.sim.timeunits import SECOND
 
 
 def main() -> None:
@@ -64,19 +62,6 @@ def main() -> None:
             f"bid {snapshot.best_bid/100:7.2f} / ask {snapshot.best_ask/100:7.2f} "
             f"(spread {snapshot.spread} ticks)"
         )
-
-    print(f"\n500 ms OHLCV candles for {symbol}:")
-    for bar in candles_from_trades(tape, interval_ns=500 * MILLISECOND):
-        direction = "+" if bar.is_up else "-"
-        print(
-            f"  [{bar.start_ns/1e9:4.1f}s] {direction} o={bar.open/100:7.2f} "
-            f"h={bar.high/100:7.2f} l={bar.low/100:7.2f} c={bar.close/100:7.2f} "
-            f"vol={bar.volume:5d} vwap={bar.vwap/100:7.2f}"
-        )
-
-    print(f"\nFinal {symbol} book (Fig. 3 style):")
-    shard = cluster.exchange.shards[cluster.router.shard_of(symbol)]
-    print(render_book(shard.core.books[symbol], levels=4, width=30))
 
 
 if __name__ == "__main__":

@@ -25,11 +25,9 @@ from repro.core.metrics import LatencySummary, MetricsCollector
 from repro.core.order import ClientOrderIdAllocator, Order, OrderValidationError, validate_order
 from repro.core.participant import MarketView, Participant
 from repro.core.portfolio import Account, PortfolioMatrix
-from repro.core.risk import MarginRiskPolicy, RiskPolicy, UnlimitedRisk
 from repro.core.ros import RosDeduplicator
 from repro.core.sequencer import Sequencer, SequencerSample
 from repro.core.sharding import SymbolRouter
-from repro.core.surveillance import CircuitBreaker, HaltRecord
 from repro.core.types import (
     OrderStatus,
     OrderType,
@@ -42,13 +40,8 @@ from repro.core.cluster import CloudExCluster, gateway_name, participant_name
 
 __all__ = [
     "Account",
-    "CircuitBreaker",
-    "HaltRecord",
     "AuctionResult",
     "BatchAuctionCore",
-    "MarginRiskPolicy",
-    "RiskPolicy",
-    "UnlimitedRisk",
     "AuthRegistry",
     "BookSide",
     "BookSnapshot",

@@ -534,16 +534,6 @@ class CloudExCluster:
             return 0.0
         return sum(g.hr_buffer.late_count for g in self.gateways) / handled
 
-    def leaderboard(self) -> List:
-        """Participants ranked by marked-to-market account value."""
-        prices = {}
-        for shard in self.exchange.shards:
-            for symbol in shard.core.books:
-                reference = shard.core.reference_price(symbol)
-                if reference is not None:
-                    prices[symbol] = reference
-        return self.portfolio.leaderboard(prices)
-
     def participant(self, index: int) -> Participant:
         return self.participants[index]
 

@@ -215,18 +215,11 @@ class CloudExConfig:
     subscriptions_per_participant: int = 3
 
     # ------------------------------------------------------------------
-    # Pre-trade risk (None = unconstrained, the course-deployment mode)
+    # Matching rules
     # ------------------------------------------------------------------
-    risk_max_position: Optional[int] = None
-    risk_max_order_notional: Optional[int] = None
     #: Cancel a resting order rather than let it trade against the same
     #: participant's incoming order ("cancel resting" STP).
     self_trade_prevention: bool = False
-    #: Circuit breaker: halt a symbol when its price moves more than
-    #: this fraction within ``halt_window_ms`` (None = disabled).
-    halt_threshold: Optional[float] = None
-    halt_window_ms: float = 1000.0
-    halt_duration_ms: float = 2000.0
 
     # ------------------------------------------------------------------
     # Storage: the market-data table.  Persisted trades are the trade
@@ -393,10 +386,6 @@ class CloudExConfig:
                 f"initial_book_depth={self.initial_book_depth} would seed bids at or "
                 f"below price 0 around initial_price={self.initial_price}"
             )
-        if self.halt_threshold is not None:
-            for name in ("halt_threshold", "halt_window_ms", "halt_duration_ms"):
-                if getattr(self, name) <= 0:
-                    raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
             raise ValueError("delay parameters must be non-negative")
         if self.fairness_policy not in _FAIRNESS_POLICIES:

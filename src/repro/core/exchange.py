@@ -51,11 +51,9 @@ from repro.core.order import Order
 from repro.obs import events as obs_events
 from repro.obs import tracing
 from repro.core.portfolio import PortfolioMatrix
-from repro.core.risk import MarginRiskPolicy
 from repro.core.ros import RosDeduplicator
 from repro.core.sequencer import Sequencer, SequencerSample
 from repro.core.sharding import SymbolRouter
-from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus
 from repro.sim.cpu import CorePool
 from repro.sim.engine import Actor, Simulator
@@ -88,9 +86,7 @@ class EngineShard:
             portfolio,
             trade_id_counter=trade_ids,
             snapshot_depth=server.config.snapshot_depth,
-            risk_policy=server.risk_policy,
             self_trade_prevention=server.config.self_trade_prevention,
-            circuit_breaker=server.circuit_breaker,
         )
         self.sequencer = server._build_sequencer(self._maybe_start)
         self._book_times = server.book_times
@@ -189,20 +185,6 @@ class CentralExchangeServer(Actor):
         self._ingress_service_ns = int(config.ingress_service_us * MICROSECOND)
         self._cpu_per_replica_ns = int(config.engine_cpu_per_replica_us * MICROSECOND)
         self._cpu_per_order_ns = int(config.engine_cpu_per_order_us * MICROSECOND)
-
-        self.risk_policy = None
-        if config.risk_max_position is not None or config.risk_max_order_notional is not None:
-            self.risk_policy = MarginRiskPolicy(
-                max_position=config.risk_max_position,
-                max_order_notional=config.risk_max_order_notional,
-            )
-        self.circuit_breaker: Optional[CircuitBreaker] = None
-        if config.halt_threshold is not None:
-            self.circuit_breaker = CircuitBreaker(
-                threshold=config.halt_threshold,
-                window_ns=int(config.halt_window_ms * 1_000_000),
-                halt_ns=int(config.halt_duration_ms * 1_000_000),
-            )
 
         self.dedup = RosDeduplicator(ttl_ns=config.ros_dedup_ttl_ns)
         # Crash-safe recovery (repro.chaos): when participants retry on

@@ -109,30 +109,22 @@ class MatchingEngineCore:
         portfolio: PortfolioMatrix,
         trade_id_counter: Optional[Iterable[int]] = None,
         snapshot_depth: int = 5,
-        risk_policy=None,
         self_trade_prevention: bool = False,
-        circuit_breaker=None,
     ) -> None:
         self.books: Dict[Symbol, LimitOrderBook] = {s: LimitOrderBook(s) for s in symbols}
         self.portfolio = portfolio
         self._trade_ids = iter(trade_id_counter) if trade_id_counter is not None else itertools.count(1)
         self.snapshot_depth = snapshot_depth
-        self.risk_policy = risk_policy
         #: When True, an incoming order never executes against the same
         #: participant's resting order; the *resting* order is cancelled
         #: instead (the common "cancel resting" STP policy).  The course
         #: deployments ran without it (self-trades net to zero).
         self.self_trade_prevention = self_trade_prevention
-        #: Optional :class:`repro.core.surveillance.CircuitBreaker`;
-        #: halted symbols reject incoming orders, resting orders stay.
-        self.circuit_breaker = circuit_breaker
         self.orders_processed: int = 0
         #: Running fill totals; a batch's tallies are their deltas.
         self.trades_executed: int = 0
         self.traded_quantity: int = 0
         self.traded_notional: int = 0
-        self.risk_rejects: int = 0
-        self.halt_rejects: int = 0
         self.stp_cancellations: int = 0
         self.last_trade_price: Dict[Symbol, int] = {}
 
@@ -176,12 +168,11 @@ class MatchingEngineCore:
         """Match a pre-ordered batch of orders without per-order results.
 
         The same admit -> cross -> dispose path as ``process_order(order,
-        t)`` for each ``(order, t)`` pair in sequence -- every feature
-        (risk policy, circuit breaker, self-trade prevention) included
-        -- but statuses are tallied instead of wrapped in an
-        ``OrderConfirmation`` / ``MatchResult`` per order, which is most
-        of the scalar feed's cost once the network layer is out of the
-        picture.  This is the batched kernel's feed
+        t)`` for each ``(order, t)`` pair in sequence -- self-trade
+        prevention included -- but statuses are tallied instead of
+        wrapped in an ``OrderConfirmation`` / ``MatchResult`` per order,
+        which is most of the scalar feed's cost once the network layer is
+        out of the picture.  This is the batched kernel's feed
         (:mod:`repro.core.shardrun`).
 
         Parameters
@@ -243,19 +234,6 @@ class MatchingEngineCore:
             return _REJECTED, RejectReason.UNKNOWN_SYMBOL
         if (key := (order.participant_id, order.client_order_id)) in book.resting:  # reused to rest
             return _REJECTED, RejectReason.DUPLICATE_ORDER_ID
-        breaker = self.circuit_breaker
-        if breaker is not None and breaker.is_halted(symbol, now_local):
-            self.halt_rejects += 1
-            return _REJECTED, RejectReason.SYMBOL_HALTED
-        if self.risk_policy is not None and self.portfolio.has_account(order.participant_id):
-            reason = self.risk_policy.check(
-                order,
-                self.portfolio.account(order.participant_id),
-                self.reference_price(symbol),
-            )
-            if reason is not None:
-                self.risk_rejects += 1
-                return _REJECTED, reason
         self.orders_processed += 1
 
         # Cross.
@@ -295,8 +273,6 @@ class MatchingEngineCore:
                 sink(next(trade_ids), price, quantity, order, resting, True, now_local)
             else:
                 sink(next(trade_ids), price, quantity, resting, order, False, now_local)
-            if breaker is not None and breaker.on_trade(symbol, price, now_local):
-                break  # the triggering execution stands; the sweep stops with the halt
         if trades:
             self.last_trade_price[symbol] = price
             self.trades_executed += trades
@@ -393,17 +369,6 @@ class MatchingEngineCore:
         book = self.books[symbol]
         bids, asks = book.depth_snapshot(self.snapshot_depth)
         return BookSnapshot(symbol=symbol, bids=bids, asks=asks, taken_local=now_local)
-
-    def reference_price(self, symbol: Symbol) -> Optional[int]:
-        """Last trade price, falling back to the book midpoint."""
-        last = self.last_trade_price.get(symbol)
-        if last is not None:
-            return last
-        book = self.books[symbol]
-        bid, ask = book.best_bid(), book.best_ask()
-        if bid is not None and ask is not None:
-            return (bid + ask) // 2
-        return bid if bid is not None else ask
 
     def __repr__(self) -> str:
         return f"MatchingEngineCore(symbols={len(self.books)}, processed={self.orders_processed})"

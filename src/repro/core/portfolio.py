@@ -8,9 +8,9 @@ exchange routes every trade's settlement through a single-server
 portfolio lock (:mod:`repro.core.sharding`).
 
 Cash is in integer price ticks (cents); positions in integer shares.
-Negative positions (shorts) and negative cash (margin) are permitted by
-default, as in the course deployments; an optional risk limit can
-reject orders that would exceed configured bounds.
+Negative positions (shorts) and negative cash (margin) are permitted,
+as in the course deployments: the engine admits no order on account
+grounds.
 """
 
 from __future__ import annotations
@@ -111,12 +111,6 @@ class PortfolioMatrix:
     def mark_to_market(self, prices: Mapping[Symbol, Price]) -> Dict[str, int]:
         """Total account value per participant at the given marks."""
         return {pid: acct.market_value(prices) for pid, acct in self._accounts.items()}
-
-    def leaderboard(self, prices: Mapping[Symbol, Price]) -> list:
-        """(participant, value) pairs, richest first -- the course
-        deployments ranked trading groups this way."""
-        values = self.mark_to_market(prices)
-        return sorted(values.items(), key=lambda item: (-item[1], item[0]))
 
     def total_shares(self, symbol: Symbol) -> int:
         """Net shares across all accounts -- conserved by trading."""

@@ -87,8 +87,6 @@ class RejectReason(enum.Enum):
     NO_LIQUIDITY = "no_liquidity"
     UNKNOWN_ORDER = "unknown_order"
     DUPLICATE_ORDER_ID = "duplicate_order_id"
-    RISK_LIMIT = "risk_limit"
-    SYMBOL_HALTED = "symbol_halted"
 
     def __str__(self) -> str:
         return self.value

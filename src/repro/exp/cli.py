@@ -60,6 +60,36 @@ def _parse_seed_list(text: str) -> List[int]:
         raise ValueError(f"--seed-list expects integers s1,s2,... got {text!r}") from None
 
 
+def add_pool_flags(parser: argparse.ArgumentParser) -> None:
+    """The worker-pool and result-cache flags of every pooled subcommand."""
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
+    parser.add_argument(
+        "--timeout", type=float, default=None, metavar="SECONDS",
+        help="per-task timeout (jobs > 1 only)",
+    )
+    parser.add_argument("--retries", type=int, default=1, help="extra attempts per failed task")
+    parser.add_argument("--no-cache", action="store_true", help="ignore and don't write .repro-cache/")
+    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
+    parser.add_argument(
+        "--cache-max-mb",
+        type=int,
+        default=DEFAULT_MAX_BYTES // (1024 * 1024),
+        metavar="MB",
+        help="size bound for the result cache; oldest entries are evicted (default 512)",
+    )
+
+
+def pool_options(args: argparse.Namespace) -> Dict[str, object]:
+    """The ``jobs`` / ``cache`` / ``timeout_s`` / ``retries`` keywords of
+    ``run_sweep`` and ``run_fairness_study``, from :func:`add_pool_flags`'
+    flags; raises ``ValueError`` on a bad ``--jobs``."""
+    check_jobs(args.jobs)
+    cache = None if args.no_cache else ResultCache(
+        args.cache_dir, max_bytes=args.cache_max_mb * 1024 * 1024
+    )
+    return {"jobs": args.jobs, "cache": cache, "timeout_s": args.timeout, "retries": args.retries}
+
+
 def build_sweep_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro sweep",
@@ -105,22 +135,8 @@ def build_sweep_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rate", type=float, default=None, help="orders/s per participant"
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task timeout (jobs > 1 only)",
-    )
-    parser.add_argument("--retries", type=int, default=1, help="extra attempts per failed task")
+    add_pool_flags(parser)
     add_json_flag(parser, "write the aggregated document as JSON")
-    parser.add_argument("--no-cache", action="store_true", help="ignore and don't write .repro-cache/")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    parser.add_argument(
-        "--cache-max-mb",
-        type=int,
-        default=DEFAULT_MAX_BYTES // (1024 * 1024),
-        metavar="MB",
-        help="size bound for the result cache; oldest entries are evicted (default 512)",
-    )
     parser.add_argument(
         "--columns",
         default="throughput_per_s,submission_p50_us,submission_p99_us",
@@ -155,19 +171,10 @@ def sweep_main(argv=None) -> int:
             base=base,
         )
         spec.validate()
-        check_jobs(args.jobs)
-        cache = None if args.no_cache else ResultCache(
-            args.cache_dir, max_bytes=args.cache_max_mb * 1024 * 1024
-        )
+        pool = pool_options(args)
     except (TypeError, ValueError) as exc:
         return usage_error(exc)
-    outcome = run_sweep(
-        spec,
-        jobs=args.jobs,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
+    outcome = run_sweep(spec, **pool)
 
     columns = [c.strip() for c in args.columns.split(",") if c.strip()]
     print(sweep_table(outcome.document, columns=columns))

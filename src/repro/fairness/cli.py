@@ -28,7 +28,7 @@ import sys
 from typing import List
 
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
-from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES, ResultCache
+from repro.exp.cli import add_pool_flags, pool_options
 from repro.fairness.base import POLICY_NAMES
 from repro.fairness.study import (
     DEFAULT_CLOCKS,
@@ -37,7 +37,6 @@ from repro.fairness.study import (
     run_fairness_study,
 )
 from repro.obs.breakdown import policy_comparison_table
-from repro.sim.worker import check_jobs
 
 
 def _parse_list(text: str) -> List[str]:
@@ -83,22 +82,8 @@ def build_fairness_parser() -> argparse.ArgumentParser:
                         help="orders/s per participant (default 300)")
     parser.add_argument("--warmup", type=float, default=0.3, metavar="SECONDS")
     parser.add_argument("--duration", type=float, default=0.8, metavar="SECONDS")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    parser.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                        help="per-task timeout (jobs > 1 only)")
-    parser.add_argument("--retries", type=int, default=1,
-                        help="extra attempts per failed task")
+    add_pool_flags(parser)
     add_json_flag(parser, "write the frontier document as JSON")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="ignore and don't write .repro-cache/")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    parser.add_argument(
-        "--cache-max-mb",
-        type=int,
-        default=DEFAULT_MAX_BYTES // (1024 * 1024),
-        metavar="MB",
-        help="size bound for the result cache (default 512)",
-    )
     return parser
 
 
@@ -120,21 +105,11 @@ def fairness_main(argv=None) -> int:
             name=args.name,
         )
         spec.validate()
-        check_jobs(args.jobs)
-        cache = None if args.no_cache else ResultCache(
-            args.cache_dir, max_bytes=args.cache_max_mb * 1024 * 1024
-        )
+        pool = pool_options(args)
     except (TypeError, ValueError) as exc:
         return usage_error(exc)
 
-    frontier, outcome = run_fairness_study(
-        spec,
-        labels,
-        jobs=args.jobs,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
+    frontier, outcome = run_fairness_study(spec, labels, **pool)
 
     rows = [
         (

@@ -30,14 +30,16 @@ class HistoricalDataClient:
     def __init__(self, table: Bigtable) -> None:
         self.table = table
 
-    def _scan_range(self, kind: str, symbol: str, start_ns: int, end_ns: Optional[int]):
+    def _scan_range(
+        self, kind: str, symbol: str, start_ns: int, end_ns: Optional[int], limit: Optional[int]
+    ):
         start_key = time_bound_key(kind, symbol, start_ns)
         if end_ns is None:
             prefix = time_prefix(kind, symbol)
             end_key = prefix[:-1] + chr(ord(prefix[-1]) + 1)
         else:
             end_key = time_bound_key(kind, symbol, end_ns)
-        return self.table.scan(RowRange(start=start_key, end=end_key))
+        return self.table.scan(RowRange(start=start_key, end=end_key), limit=limit)
 
     def trades(
         self,
@@ -47,13 +49,11 @@ class HistoricalDataClient:
         limit: Optional[int] = None,
     ) -> List[TradeRecord]:
         """Trades for ``symbol`` with ``start_ns <= executed < end_ns``,
-        in execution order."""
-        results: List[TradeRecord] = []
-        for _, row in self._scan_range(TRADE_FAMILY, symbol, start_ns, end_ns):
-            results.append(decode_trade_row(row))
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        in execution order; at most ``limit`` of them (the first ones)."""
+        return [
+            decode_trade_row(row)
+            for _, row in self._scan_range(TRADE_FAMILY, symbol, start_ns, end_ns, limit)
+        ]
 
     def snapshots(
         self,
@@ -62,13 +62,12 @@ class HistoricalDataClient:
         end_ns: Optional[int] = None,
         limit: Optional[int] = None,
     ) -> List[BookSnapshot]:
-        """Book snapshots for ``symbol`` within the window, in order."""
-        results: List[BookSnapshot] = []
-        for _, row in self._scan_range(BOOK_SNAPSHOT_FAMILY, symbol, start_ns, end_ns):
-            results.append(decode_snapshot_row(row))
-            if limit is not None and len(results) >= limit:
-                break
-        return results
+        """Book snapshots for ``symbol`` within the window, in order; at
+        most ``limit`` of them (the first ones)."""
+        return [
+            decode_snapshot_row(row)
+            for _, row in self._scan_range(BOOK_SNAPSHOT_FAMILY, symbol, start_ns, end_ns, limit)
+        ]
 
     def volume_traded(self, symbol: str, start_ns: int = 0, end_ns: Optional[int] = None) -> int:
         """Total shares traded in the window."""

@@ -1,29 +1,20 @@
 """Trading strategies and workload generation.
 
 The paper's evaluations run ~450 orders/s per participant (22k/s
-aggregate) of synthetic flow, and its course deployments used trading
-bots "to place trades to induce specific price-time patterns on which
-students could engineer algorithms".  This package provides both: a
-Poisson order-flow driver (:class:`TradingAgent`) and a small zoo of
-strategies (zero-intelligence, market maker, momentum, pattern bots).
+aggregate) of synthetic zero-intelligence flow.  This package provides
+the Poisson order-flow driver (:class:`TradingAgent`), the
+:class:`Strategy` callbacks it drives, and the zero-intelligence
+strategy every workload uses.
 """
 
 from repro.traders.base import Strategy, TradingAgent
-from repro.traders.maker import MarketMakerStrategy
-from repro.traders.momentum import MomentumStrategy
-from repro.traders.patterns import PatternBotStrategy, sine_target, trend_target
 from repro.traders.workload import attach_agents, split_symbols
 from repro.traders.zi import ZeroIntelligenceStrategy
 
 __all__ = [
-    "MarketMakerStrategy",
-    "MomentumStrategy",
-    "PatternBotStrategy",
     "Strategy",
     "TradingAgent",
     "ZeroIntelligenceStrategy",
     "attach_agents",
-    "sine_target",
     "split_symbols",
-    "trend_target",
 ]

@@ -66,8 +66,6 @@ class TestValidation:
             ({"gateway_engine_jitter_scale_us": 0.0}, "gateway_engine_"),
             ({"straggler_gateways": 1, "straggler_multiplier": 0.5}, "straggler_multiplier"),
             ({"orders_per_participant_per_s": 0.0}, "orders_per_participant_per_s"),
-            ({"halt_threshold": -0.1}, "halt_threshold"),
-            ({"halt_threshold": 0.1, "halt_window_ms": 0.0}, "halt_window_ms"),
             ({"ddp_inbound_target": 0.01, "ddp_window": 0}, "ddp_window"),
             ({"ddp_outbound_target": 1.5}, "ddp_outbound_target"),
             ({"ddp_inbound_target": 0.01, "sequencer_delay_us": 6000.0}, "ddp_max_delay_us"),

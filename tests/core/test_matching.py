@@ -155,15 +155,16 @@ class TestTradeEffects:
         assert result.trades[0].aggressor_is_buy is True
 
     def test_last_trade_price_updates_reference(self, core):
-        assert core.reference_price("S") is None
+        assert "S" not in core.last_trade_price
         core.process_order(order(Side.SELL, 5, price=100, participant="p2"), 0)
-        core.process_order(order(Side.BUY, 5, price=100), 1)
-        assert core.reference_price("S") == 100
+        core.process_order(order(Side.SELL, 5, price=101, participant="p2"), 0)
+        core.process_order(order(Side.BUY, 10, price=101), 1)
+        assert core.last_trade_price["S"] == 101  # the sweep's last fill
 
-    def test_reference_price_falls_back_to_mid(self, core):
+    def test_resting_orders_set_no_last_trade_price(self, core):
         core.process_order(order(Side.BUY, 5, price=98), 0)
         core.process_order(order(Side.SELL, 5, price=104, participant="p2"), 0)
-        assert core.reference_price("S") == 101
+        assert "S" not in core.last_trade_price
 
 
 class TestRejections:

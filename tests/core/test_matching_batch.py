@@ -2,7 +2,7 @@
 
 Both feeds drive one admit -> cross -> dispose path, so what is left to
 pin is the feeds themselves: run the same random order stream through
-both -- plain and with each optional feature configured -- and demand
+both -- plain and with self-trade prevention -- and demand
 identical books, trades, settlement, counters, and status tallies.
 """
 
@@ -14,8 +14,6 @@ import pytest
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
-from repro.core.risk import MarginRiskPolicy
-from repro.core.surveillance import CircuitBreaker
 from repro.core.types import OrderStatus, OrderType, Side, TimeInForce
 
 SYMBOLS = ("AAA", "BBB", "CCC")
@@ -65,17 +63,12 @@ def _build_core(**features):
     )
 
 
-# Each entry builds the feature kwargs afresh: a breaker is stateful.
 FEATURES = {
-    "plain": lambda: {},
-    "stp": lambda: {"self_trade_prevention": True},
-    "breaker": lambda: {
-        "circuit_breaker": CircuitBreaker(threshold=0.001, window_ns=5_000, halt_ns=1_500)
-    },
-    "risk": lambda: {"risk_policy": MarginRiskPolicy(max_position=120)},
+    "plain": {},
+    "stp": {"self_trade_prevention": True},
 }
 # The counter that proves the axis' feature fired inside the stream.
-FEATURE_COUNTER = {"stp": "stp_cancellations", "breaker": "halt_rejects", "risk": "risk_rejects"}
+FEATURE_COUNTER = {"stp": "stp_cancellations"}
 
 
 def _book_state(core):
@@ -108,7 +101,7 @@ class TestProcessBatchEquivalence:
         specs = _random_specs(seed, 400)
         times = [100 * (i + 1) for i in range(len(specs))]
 
-        scalar = _build_core(**FEATURES[feature]())
+        scalar = _build_core(**FEATURES[feature])
         expected = BatchMatchStats()
         scalar_trades = []
         for spec, t in zip(specs, times):
@@ -121,7 +114,7 @@ class TestProcessBatchEquivalence:
             expected.notional += sum(tr.price * tr.quantity for tr in result.trades)
             scalar_trades.extend(result.trades)
 
-        batched = _build_core(**FEATURES[feature]())
+        batched = _build_core(**FEATURES[feature])
         batch_trades = []
         stats = batched.process_batch(
             [Order(**spec) for spec in specs],
@@ -136,7 +129,7 @@ class TestProcessBatchEquivalence:
         assert batch_trades == scalar_trades
         assert _book_state(batched) == _book_state(scalar)
         assert batched.last_trade_price == scalar.last_trade_price
-        for counter in ("orders_processed", "stp_cancellations", "halt_rejects", "risk_rejects"):
+        for counter in ("orders_processed", "stp_cancellations"):
             assert getattr(batched, counter) == getattr(scalar, counter), counter
         assert _portfolio_state(batched) == _portfolio_state(scalar)
         # Both feeds consumed the same number of trade ids.

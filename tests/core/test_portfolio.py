@@ -88,13 +88,6 @@ class TestReporting:
         values = matrix.mark_to_market({})
         assert values["alice"] == 9_500
 
-    def test_leaderboard_sorted_desc_then_name(self, matrix):
-        matrix.open_account("carol")
-        matrix.apply_trade(trade("alice", "bob", price=100, qty=5))
-        board = matrix.leaderboard({"S": 200})
-        # alice: 10000 - 500 + 5*200 = 10500; carol: 10000; bob: 9500.
-        assert [name for name, _ in board] == ["alice", "carol", "bob"]
-
     def test_conservation_totals(self, matrix):
         matrix.apply_trade(trade("alice", "bob", price=123, qty=7))
         assert matrix.total_shares("S") == 0

@@ -2,7 +2,7 @@
 
 Bit-identical reruns are what make the benchmarks trustworthy and the
 bugs reproducible; these tests lock that property across the feature
-matrix (ROS, DDP, Huygens, stragglers, risk controls, faults).
+matrix (ROS, DDP, Huygens, stragglers, self-trade prevention, faults).
 """
 
 import pytest
@@ -29,7 +29,7 @@ FEATURE_MATRIX = [
     {"ddp_inbound_target": 0.02, "ddp_outbound_target": 0.02},
     {"clock_sync": "huygens", "sync_use_mesh": True},
     {"straggler_gateways": 1, "straggler_multiplier": 3.0},
-    {"self_trade_prevention": True, "risk_max_position": 100_000},
+    {"self_trade_prevention": True},
 ]
 
 

@@ -72,6 +72,9 @@ class TestNormalizeSweep:
         # The cluster has one matching design; the old knob is just an unknown field.
         with pytest.raises(JobError, match="'matching_mode' is not a CloudExConfig field"):
             normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "matching_mode": "batch"}})
+        # Nor is there a pre-trade risk cap any more.
+        with pytest.raises(JobError, match="'risk_max_position' is not a CloudExConfig field"):
+            normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "risk_max_position": 10}})
 
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):

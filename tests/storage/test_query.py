@@ -54,6 +54,8 @@ class TestTrades:
 
     def test_limit(self, client):
         assert len(client.trades("AAA", limit=3)) == 3
+        assert client.trades("AAA", limit=3) == client.trades("AAA")[:3]
+        assert client.trades("AAA", limit=0) == []
 
 
 class TestSnapshots:
@@ -64,6 +66,10 @@ class TestSnapshots:
 
     def test_snapshot_window_excludes(self, client):
         assert client.snapshots("AAA", start_ns=3_000) == []
+
+    def test_limit(self, client):
+        assert client.snapshots("AAA", limit=1) == client.snapshots("AAA")
+        assert client.snapshots("AAA", limit=0) == []
 
 
 class TestAggregates:

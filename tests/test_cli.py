@@ -51,6 +51,26 @@ class TestParser:
         for name in SUBCOMMANDS:
             assert name in out
 
+    def test_sweep_and_fairness_share_the_pool_flags(self):
+        from repro.exp.cli import build_sweep_parser
+        from repro.fairness.cli import build_fairness_parser
+
+        dests = {"jobs", "timeout", "retries", "no_cache", "cache_dir", "cache_max_mb"}
+
+        def pool_actions(parser):
+            return {
+                action.dest: (
+                    type(action), action.option_strings, action.default, action.type,
+                    action.nargs, action.const, action.metavar, action.help,
+                )
+                for action in parser._actions
+                if action.dest in dests
+            }
+
+        sweep = pool_actions(build_sweep_parser())
+        assert set(sweep) == dests
+        assert pool_actions(build_fairness_parser()) == sweep
+
     def test_chaos_parser_defaults(self):
         args = build_chaos_parser().parse_args([])
         assert args.scenario == "smoke"
@@ -187,6 +207,14 @@ class TestMain:
             (
                 ["sweep", "--grid", "n_shards=1", "--set", "initial_book_qty=0"],
                 "initial_book_qty must be positive",
+            ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "halt_threshold=0.05"],
+                "'halt_threshold' is not a CloudExConfig field",
+            ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "risk_max_position=10"],
+                "'risk_max_position' is not a CloudExConfig field",
             ),
         ],
     )

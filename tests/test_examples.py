@@ -26,7 +26,6 @@ class TestExamples:
     def test_expected_examples_present(self):
         assert set(EXAMPLES) >= {
             "quickstart",
-            "trading_competition",
             "fairness_lab",
             "resilient_submission",
             "historical_data",

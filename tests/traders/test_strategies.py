@@ -4,9 +4,6 @@ import pytest
 
 from repro.core.cluster import CloudExCluster
 from repro.traders.base import Strategy, TradingAgent
-from repro.traders.maker import MarketMakerStrategy
-from repro.traders.momentum import MomentumStrategy
-from repro.traders.patterns import PatternBotStrategy, sine_target, trend_target
 from repro.traders.zi import ZeroIntelligenceStrategy
 from tests.conftest import small_config
 
@@ -99,71 +96,3 @@ class TestZeroIntelligence:
                 ["S"], fallback_price=100, market_order_fraction=0.7, cancel_fraction=0.5
             )
 
-
-class TestMarketMaker:
-    def test_quotes_both_sides(self, cluster):
-        strategy = MarketMakerStrategy(["SYM000"], fallback_price=10_000, half_spread_ticks=3)
-        participant, _ = attach(cluster, 0, strategy, rate=50.0)
-        cluster.run(duration_s=0.5)
-        book = cluster.exchange.shards[0].core.books["SYM000"]
-        working = [participant.working[c].side for c in participant.working]
-        assert len(working) >= 2
-
-    def test_requotes_cancel_old_quotes(self, cluster):
-        strategy = MarketMakerStrategy(["SYM000"], fallback_price=10_000)
-        participant, _ = attach(cluster, 0, strategy, rate=100.0)
-        cluster.run(duration_s=1.0)
-        # Steady state: at most one live quote pair (+in-flight slack).
-        assert len(participant.working) <= 6
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MarketMakerStrategy([], fallback_price=100)
-        with pytest.raises(ValueError):
-            MarketMakerStrategy(["S"], fallback_price=100, half_spread_ticks=0)
-
-
-class TestMomentum:
-    def test_signal_computation(self):
-        strategy = MomentumStrategy(["S"], window=3, threshold_ticks=2)
-        assert strategy.signal("S") == 0  # not enough data
-        for price in (100, 103, 108):
-            strategy._prices["S"].append(price)
-        assert strategy.signal("S") == 8
-
-    def test_trades_on_trend(self, cluster):
-        mover = PatternBotStrategy("SYM000", trend_target(10_000, 400.0), quantity=40)
-        attach(cluster, 0, mover, rate=200.0)
-        follower = MomentumStrategy(["SYM000"], window=4, threshold_ticks=2)
-        participant, _ = attach(cluster, 1, follower, rate=100.0)
-        cluster.run(duration_s=1.5)
-        assert participant.orders_submitted > 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MomentumStrategy(["S"], window=1)
-
-
-class TestPatternBots:
-    def test_sine_target_oscillates(self):
-        target = sine_target(10_000, amplitude_ticks=100, period_s=1.0)
-        values = [target(int(t * 1e9)) for t in (0.0, 0.25, 0.5, 0.75)]
-        assert values[1] == 10_100
-        assert values[3] == 9_900
-        assert abs(values[0] - 10_000) <= 1
-
-    def test_trend_target_drifts(self):
-        target = trend_target(10_000, ticks_per_s=50.0)
-        assert target(0) == 10_000
-        assert target(2 * 10**9) == 10_100
-
-    def test_price_follows_pattern(self, cluster):
-        bot = PatternBotStrategy("SYM000", trend_target(10_000, 300.0), quantity=50)
-        attach(cluster, 0, bot, rate=300.0)
-        cluster.run(duration_s=2.0)
-        last = cluster.exchange.shards[0].core.last_trade_price.get("SYM000")
-        assert last is not None and last >= 10_300  # dragged upward
-
-    def test_sine_validation(self):
-        with pytest.raises(ValueError):
-            sine_target(100, 10, period_s=0.0)
