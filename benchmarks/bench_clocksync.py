@@ -48,7 +48,6 @@ def _sync_testbed(estimator=None, path_override=None):
         rngs,
         estimator=estimator,
         path_override=path_override,
-        use_coded_filter=False,
     )
     return sim, service
 

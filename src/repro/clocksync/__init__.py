@@ -8,11 +8,9 @@ network latencies are themselves only hundreds of microseconds.
 
 This package implements both:
 
-- :mod:`repro.clocksync.probes` -- columnar probe records and the
-  coded-probe spacing filter.
-- :mod:`repro.clocksync.huygens` -- Huygens-style estimator: coded
-  probes, minimum-delay envelope filtering, and offset+drift
-  regression.
+- :mod:`repro.clocksync.probes` -- columnar probe records.
+- :mod:`repro.clocksync.huygens` -- Huygens-style estimator: detrended
+  minimum-delay envelope, fed the drift the service regresses.
 - :mod:`repro.clocksync.ntp` -- NTP-style baseline: one unfiltered
   probe exchange through a distant, asymmetric server path.
 - :mod:`repro.clocksync.service` -- the periodic service that probes,
@@ -21,7 +19,7 @@ This package implements both:
 
 from repro.clocksync.huygens import HuygensEstimator
 from repro.clocksync.ntp import NtpEstimator
-from repro.clocksync.probes import ProbeColumns, coded_pair_mask
+from repro.clocksync.probes import ProbeColumns
 from repro.clocksync.service import ClockSyncService, SyncEstimate
 
 __all__ = [
@@ -30,5 +28,4 @@ __all__ = [
     "NtpEstimator",
     "ProbeColumns",
     "SyncEstimate",
-    "coded_pair_mask",
 ]

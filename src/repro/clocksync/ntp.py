@@ -24,20 +24,7 @@ from repro.clocksync.probes import ProbeColumns
 
 
 class NtpEstimator:
-    """Midpoint-of-one-exchange estimator (optionally averaging a few).
-
-    Parameters
-    ----------
-    samples_to_average:
-        NTP implementations keep a short filter register; averaging a
-        handful of recent exchanges smooths but does not remove the
-        path-asymmetry error.
-    """
-
-    def __init__(self, samples_to_average: int = 1) -> None:
-        if samples_to_average < 1:
-            raise ValueError(f"need at least one sample, got {samples_to_average}")
-        self.samples_to_average = samples_to_average
+    """Midpoint of the most recent exchange."""
 
     def estimate(
         self,
@@ -45,7 +32,7 @@ class NtpEstimator:
         reverse: ProbeColumns,
         rate_hint_ppb: int = 0,
     ) -> SyncEstimate:
-        """Estimate from the most recent exchange(s), unfiltered.
+        """Estimate from the last forward and the last reverse probe, unfiltered.
 
         ``rate_hint_ppb`` is accepted for interface compatibility and
         ignored: NTP does not detrend within a poll.
@@ -54,11 +41,10 @@ class NtpEstimator:
             raise EstimationError(
                 f"need probes in both directions, got {len(forward)} forward / {len(reverse)} reverse"
             )
-        n = min(self.samples_to_average, len(forward), len(reverse))
-        offsets = ((forward.difference[-n:] - reverse.difference[-n:]) / 2.0).tolist()
+        offset = float(forward.difference[-1] - reverse.difference[-1]) / 2.0
         return SyncEstimate(
-            offset_ns=int(round(sum(offsets) / n)),
+            offset_ns=int(round(offset)),
             rate_ppb=0,
             ref_raw_ns=int(forward.recv_local[-1]),
-            samples_used=2 * n,
+            samples_used=2,
         )

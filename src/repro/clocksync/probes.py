@@ -1,4 +1,4 @@
-"""Columnar probe records and the coded-probe filter.
+"""Columnar probe records.
 
 A probe exchange between a client clock C and the reference clock R
 yields two one-way observations:
@@ -11,12 +11,6 @@ and ``d_*`` are one-way network delays.  Because delays are
 non-negative and their *minimum* (the un-queued propagation floor) is
 symmetric on a single link, the lower envelopes of ``fwd`` and ``rev``
 bracket ``theta`` -- the basis of the Huygens estimator.
-
-Huygens additionally sends *coded probes*: back-to-back probe pairs
-with a known transmit spacing.  If the receive spacing differs beyond
-a small threshold, at least one probe of the pair was queued in the
-network and the pair is discarded.  :func:`coded_pair_mask`
-implements that test.
 """
 
 from __future__ import annotations
@@ -69,18 +63,3 @@ class ProbeColumns:
     def difference(self) -> np.ndarray:
         """``recv_local - sent_local``: clock difference plus path delay."""
         return self.recv_local - self.sent_local
-
-
-def coded_pair_mask(first: ProbeColumns, second: ProbeColumns, spacing_tolerance_ns: int) -> np.ndarray:
-    """Which back-to-back pairs kept their spacing through the network.
-
-    ``first`` and ``second`` hold the two probes of each pair, sent with
-    a fixed transmit spacing.  A pair whose receive spacing deviates
-    from its transmit spacing by more than ``spacing_tolerance_ns`` was
-    queued; its entry is False.  ``first[mask]`` are the survivors.
-    """
-    if spacing_tolerance_ns < 0:
-        raise ValueError(f"tolerance must be non-negative, got {spacing_tolerance_ns}")
-    tx_spacing = second.sent_local - first.sent_local
-    rx_spacing = second.recv_local - first.recv_local
-    return np.abs(rx_spacing - tx_spacing) <= spacing_tolerance_ns

@@ -4,9 +4,9 @@ One :class:`ClockSyncService` disciplines a set of client host clocks
 (the gateways) against a reference host (the central exchange server).
 Each *probe tick* it simulates a coded probe pair in both directions
 between the reference and every client, timestamping with the raw host
-clocks plus a small NIC timestamp noise.  Each *sync round* it filters
-the collected pairs (coded-probe spacing test), runs the configured
-estimator (Huygens or NTP), and installs the resulting linear
+clocks plus a small NIC timestamp noise.  Each *sync round* it runs the
+configured estimator (Huygens or NTP) over the first probe of every
+pair collected since the last round and installs the resulting linear
 correction on the client clock.
 
 Probe delays are drawn from the same latency model as the data-plane
@@ -15,7 +15,8 @@ server path) but with the service's own random stream, so probing does
 not perturb the data plane's FIFO state.  The unit drawn is a *window*
 -- every probe one host sends another over a set of instants; see
 :meth:`ClockSyncService._probe_window` for the order its numbers leave
-the stream in.
+the stream in.  The second probe of each pair is drawn but never
+estimated from: it fixes that order.
 
 The service also keeps a history of each client's residual clock error
 sampled at every probe tick -- the statistic behind the paper's
@@ -29,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.clocksync.huygens import EstimationError, HuygensEstimator, SyncEstimate
-from repro.clocksync.probes import ProbeColumns, coded_pair_mask
+from repro.clocksync.probes import ProbeColumns
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.latency import LatencyModel
@@ -79,24 +80,12 @@ class ClockSyncService:
         Time between estimate-and-correct rounds (default 1 s).
     coded_spacing_ns:
         Transmit spacing within a coded probe pair.
-    spacing_tolerance_ns:
-        Receive-spacing deviation beyond which a pair is discarded.
     timestamp_noise_ns:
         Half-width of uniform NIC timestamping noise.
     path_override:
         ``(forward_model, reverse_model)`` latency models replacing the
         data-plane link models -- used to route NTP probes through a
         distant, asymmetric server path.
-    use_coded_filter:
-        Disable for NTP, which has no such mechanism.
-    use_mesh:
-        Enable the Huygens "network effect": clients also probe each
-        other, and a least-squares fit over the whole mesh reconciles
-        every pairwise estimate before clocks are disciplined.  The
-        redundancy averages out per-pair envelope noise.
-    mesh_latency:
-        Latency model for client<->client probe paths (defaults to the
-        reference<->first-client forward model).
     """
 
     def __init__(
@@ -110,12 +99,8 @@ class ClockSyncService:
         probe_interval_ns: int = 10 * MILLISECOND,
         sync_interval_ns: int = 1000 * MILLISECOND,
         coded_spacing_ns: int = 20 * MICROSECOND,
-        spacing_tolerance_ns: int = 2_000,
         timestamp_noise_ns: int = 25,
         path_override: Optional[Tuple[LatencyModel, LatencyModel]] = None,
-        use_coded_filter: bool = True,
-        use_mesh: bool = False,
-        mesh_latency: Optional[LatencyModel] = None,
     ) -> None:
         if probe_interval_ns <= 0 or sync_interval_ns <= 0:
             raise ValueError("probe and sync intervals must be positive")
@@ -127,12 +112,8 @@ class ClockSyncService:
         self.probe_interval_ns = probe_interval_ns
         self.sync_interval_ns = sync_interval_ns
         self.coded_spacing_ns = coded_spacing_ns
-        self.spacing_tolerance_ns = spacing_tolerance_ns
         self.timestamp_noise_ns = timestamp_noise_ns
         self.path_override = path_override
-        self.use_coded_filter = use_coded_filter
-        self.use_mesh = use_mesh
-        self.mesh_latency = mesh_latency
         self.rng = rngs.stream("clocksync:service")
         self._state: Dict[str, _ClientState] = {c.name: _ClientState() for c in self.clients}
         self._started = False
@@ -233,28 +214,16 @@ class ClockSyncService:
     # ------------------------------------------------------------------
     # Estimation and correction
     # ------------------------------------------------------------------
-    def _filtered(self, windows: List[ProbeColumns]) -> ProbeColumns:
-        first = ProbeColumns.concat([w[: len(w) // 2] for w in windows])
-        if self.use_coded_filter:
-            second = ProbeColumns.concat([w[len(w) // 2 :] for w in windows])
-            survivors = first[coded_pair_mask(first, second, self.spacing_tolerance_ns)]
-            # Coded probes cull queued samples, but a congested window
-            # can starve the filter entirely; fall back to the raw
-            # probes -- the minimum envelope still applies, just with
-            # more noise (what real Huygens' SVM does with all points).
-            min_needed = getattr(self.estimator, "min_samples", 1)
-            if len(survivors) >= min_needed:
-                return survivors
-        return first
-
     #: Rounds of (raw, theta) history used for the drift fit.
     _HISTORY_ROUNDS = 8
     #: Sanity clamp on fitted drift (real clocks are well under this).
     _MAX_RATE_PPB = 1_000_000
 
     def _estimate_and_correct(self, client: Host, state: _ClientState) -> None:
-        forward = self._filtered(state.forward)
-        reverse = self._filtered(state.reverse)
+        # Whole windows are buffered (a slice would pin its window anyway);
+        # the estimator gets the first half of each, the pairs' first probes.
+        forward = ProbeColumns.concat([w[: len(w) // 2] for w in state.forward])
+        reverse = ProbeColumns.concat([w[: len(w) // 2] for w in state.reverse])
         state.forward.clear()
         state.reverse.clear()
         try:
@@ -304,91 +273,10 @@ class ClockSyncService:
         )
 
     def _sync_round(self) -> None:
-        if self.use_mesh:
-            self._mesh_sync_round()
-        else:
-            for client in self.clients:
-                if not client.up:
-                    continue
+        for client in self.clients:
+            if client.up:
                 self._estimate_and_correct(client, self._state[client.name])
         self.sim.schedule(self.sync_interval_ns, self._sync_round)
-
-    # ------------------------------------------------------------------
-    # The network effect (mesh mode)
-    # ------------------------------------------------------------------
-    def _pair_estimate(self, a: Host, b: Host, model: LatencyModel, rate_hint_ppb: int):
-        """Estimate theta = raw_b - raw_a over the last sync window.
-
-        Probes are evaluated over the window that just elapsed (clock
-        reads at past instants parameterize the estimate, exactly as in
-        :meth:`warm_start`).
-        """
-        ticks = self._window_ticks(self.sim.now - self.sync_interval_ns)
-        forward = self._probe_window(a.clock, b.clock, model, ticks)
-        reverse = self._probe_window(b.clock, a.clock, model, ticks)
-        estimator = self.estimator
-        if not hasattr(estimator, "min_samples"):
-            estimator = HuygensEstimator()
-        return estimator.estimate(forward, reverse, rate_hint_ppb=rate_hint_ppb)
-
-    def _mesh_sync_round(self) -> None:
-        """Probe the full mesh and reconcile by least squares.
-
-        Unknowns: theta_c (client raw minus reference) per up client.
-        Each pair measurement contributes one row theta_b - theta_a =
-        delta_ab (theta_ref = 0).  The overdetermined system averages
-        out per-pair envelope noise -- Huygens' "network effect".
-        """
-        clients = [c for c in self.clients if c.up]
-        if not clients:
-            return
-        mesh_model = self.mesh_latency
-        if mesh_model is None:
-            mesh_model = self._path_models(clients[0])[0]
-        index = {c.name: k for k, c in enumerate(clients)}
-        rows: List[List[float]] = []
-        values: List[float] = []
-
-        def rate_of(host: Host) -> int:
-            if host is self.reference:
-                return 0
-            return self._state[host.name].rate_ppb
-
-        nodes = [self.reference] + clients
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                model = self._path_models(b)[0] if a is self.reference else mesh_model
-                try:
-                    estimate = self._pair_estimate(
-                        a, b, model, rate_hint_ppb=rate_of(b) - rate_of(a)
-                    )
-                except EstimationError:
-                    continue
-                row = [0.0] * len(clients)
-                if b.name in index:
-                    row[index[b.name]] = 1.0
-                if a is not self.reference and a.name in index:
-                    row[index[a.name]] = -1.0
-                rows.append(row)
-                values.append(float(estimate.offset_ns))
-        if not rows:
-            for client in clients:
-                self._state[client.name].failed_rounds += 1
-            return
-        solution, *_ = np.linalg.lstsq(
-            np.asarray(rows), np.asarray(values), rcond=None
-        )
-        ref_raw_by_client = {c.name: c.clock.raw_local(self.sim.now - self.sync_interval_ns // 2) for c in clients}
-        for client in clients:
-            state = self._state[client.name]
-            theta = int(round(solution[index[client.name]]))
-            estimate = SyncEstimate(
-                offset_ns=theta,
-                rate_ppb=state.rate_ppb,
-                ref_raw_ns=ref_raw_by_client[client.name],
-                samples_used=len(rows),
-            )
-            self._install(client, state, estimate)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -287,16 +287,8 @@ class CloudExCluster:
         self.clock_sync: Optional[ClockSyncService] = None
         if config.clock_sync in ("perfect", "none"):
             return
-        if config.clock_sync == "huygens":
-            estimator = HuygensEstimator()
-            path_override = None
-            # With the simulator's temporally-uncorrelated jitter, the
-            # coded-probe filter keeps a biased subset and *blunts* the
-            # minimum envelope (queueing only ever adds delay here, so
-            # queued samples cannot fake a lower bound).  See
-            # tests/clocksync for the filter exercised on its own.
-            use_coded_filter = False
-        else:  # ntp
+        estimator, path_override = HuygensEstimator(), None
+        if config.clock_sync == "ntp":
             estimator = NtpEstimator()
             # NTP syncs against a server several variable hops away; the
             # forward and reverse paths are asymmetric at the ms scale,
@@ -305,12 +297,6 @@ class CloudExCluster:
                 GammaLatency(2_000_000, 2.0, 2_000_000),
                 GammaLatency(2_000_000, 2.0, 12_000_000),
             )
-            use_coded_filter = False
-        mesh_latency = None
-        if config.sync_use_mesh and config.clock_sync == "huygens":
-            # Gateway<->gateway probe paths: same fabric, slightly
-            # shorter than the gateway<->engine hop.
-            mesh_latency = config.link_model("gateway_engine", scale=0.8)
         self.clock_sync = ClockSyncService(
             sim=self.sim,
             network=self.network,
@@ -321,9 +307,6 @@ class CloudExCluster:
             probe_interval_ns=config.probe_interval_ns,
             sync_interval_ns=config.sync_interval_ns,
             path_override=path_override,
-            use_coded_filter=use_coded_filter,
-            use_mesh=config.sync_use_mesh and config.clock_sync == "huygens",
-            mesh_latency=mesh_latency,
         )
 
     def _name_counts(self) -> None:

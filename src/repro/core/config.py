@@ -177,10 +177,6 @@ class CloudExConfig:
     sync_interval_ms: float = 1000.0
     probe_interval_ms: float = 10.0
     sync_warm_start_rounds: int = 3
-    #: Huygens "network effect": gateways probe each other too, and a
-    #: mesh-wide least-squares fit reconciles the estimates (cuts the
-    #: residual-error tail at extra probing cost).
-    sync_use_mesh: bool = False
 
     # ------------------------------------------------------------------
     # Engine critical-path service model
@@ -304,16 +300,14 @@ class CloudExConfig:
         """Offered orders/second across all participants."""
         return self.n_participants * self.orders_per_participant_per_s
 
-    def link_model(self, leg: str, scale: float = 1.0) -> LatencyModel:
+    def link_model(self, leg: str) -> LatencyModel:
         """One-way latency model of a ``"participant_gateway"`` or
         ``"gateway_engine"`` link: hard floor + gamma jitter + rare
-        spikes.  ``scale`` shortens floor and jitter together (the
-        gateway<->gateway probe mesh is a shorter hop of the same
-        fabric)."""
+        spikes."""
         return cloud_link(
-            getattr(self, f"{leg}_base_us") * scale,
+            getattr(self, f"{leg}_base_us"),
             getattr(self, f"{leg}_jitter_shape"),
-            getattr(self, f"{leg}_jitter_scale_us") * scale,
+            getattr(self, f"{leg}_jitter_scale_us"),
             self.spike_prob,
             self.spike_scale,
         )

@@ -108,7 +108,6 @@ class MetricsCollector:
         self.md_pieces_partial: int = 0
         self.md_pieces_unreported: int = 0
         self.releasing_delays_ns: List[int] = []
-        self.md_lateness_ns: List[int] = []
         # Engine throughput accounting.
         self.orders_matched: int = 0
         self.trades_executed: int = 0
@@ -167,7 +166,6 @@ class MetricsCollector:
         self.md_pieces_partial = 0
         self.md_pieces_unreported = 0
         self.releasing_delays_ns.clear()
-        self.md_lateness_ns.clear()
         self.orders_matched = 0
         self.trades_executed = 0
         self.replicas_received = 0
@@ -252,7 +250,6 @@ class MetricsCollector:
         self.releasing_delays_ns.append(hold_ns)
         if late:
             state.any_late = True
-            self.md_lateness_ns.append(lateness_ns)
         if state.reports >= state.expected_reports:
             self.md_pieces_finalized += 1
             if state.any_late:

@@ -112,22 +112,12 @@ class HostClock:
     # ------------------------------------------------------------------
     # Discipline (driven by the clock-sync service)
     # ------------------------------------------------------------------
-    def set_correction(self, correction_ns: int) -> None:
-        """Install a pure offset correction (clears any rate term)."""
-        self._corr0_ns = int(correction_ns)
-        self._corr_rate_ppb = 0
-        self._corr_ref_raw = self.raw_local()
-
     def set_linear_correction(self, offset_ns: int, rate_ppb: int, ref_raw_ns: int) -> None:
         """Install a correction of ``offset_ns`` at raw time ``ref_raw_ns``,
         growing at ``rate_ppb`` per raw second thereafter."""
         self._corr0_ns = int(offset_ns)
         self._corr_rate_ppb = int(rate_ppb)
         self._corr_ref_raw = int(ref_raw_ns)
-
-    def slew(self, delta_ns: int) -> None:
-        """Adjust the offset term incrementally (NTP-style slewing)."""
-        self._corr0_ns += int(delta_ns)
 
     @property
     def correction_ns(self) -> int:

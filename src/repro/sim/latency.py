@@ -387,8 +387,8 @@ def cloud_link(
 
     - the *body and tail* (floor + gamma + spikes) calibrate to the
       paper's submission-latency percentiles (Fig. 6a, RF=1), and
-    - the *mass near the floor* is what lets Huygens-style coded-probe
-      filtering recover nanosecond-accurate clock estimates over the
+    - the *mass near the floor* is what lets a Huygens-style minimum
+      envelope recover nanosecond-accurate clock estimates over the
       very same links (§4: 159 ns p99 offsets despite ~100 us
       latencies).
     """

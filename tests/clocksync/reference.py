@@ -1,8 +1,8 @@
 """The per-probe implementations the columnar ones replaced, kept as the
-reference the tests compare against: a probe is one ``Probe`` tuple, a
-coded pair a 2-tuple of them, an estimator reads a list."""
+reference the tests compare against: a probe is one ``Probe`` tuple, an
+estimator reads a list."""
 
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,16 +29,6 @@ def columns(probes: Sequence[Probe]) -> ProbeColumns:
     )
 
 
-def list_coded_filter(pairs: Sequence[Tuple[Probe, Probe]], spacing_tolerance_ns: int) -> List[Probe]:
-    survivors = []
-    for first, second in pairs:
-        tx_spacing = second.sent_local - first.sent_local
-        rx_spacing = second.recv_local - first.recv_local
-        if abs(rx_spacing - tx_spacing) <= spacing_tolerance_ns:
-            survivors.append(first)
-    return survivors
-
-
 def list_huygens(forward: Sequence[Probe], reverse: Sequence[Probe], rate_hint_ppb: int = 0) -> SyncEstimate:
     fwd_x = [p.recv_local for p in forward]
     rev_x = [p.sent_local for p in reverse]
@@ -57,14 +47,11 @@ def list_huygens(forward: Sequence[Probe], reverse: Sequence[Probe], rate_hint_p
     )
 
 
-def list_ntp(forward: Sequence[Probe], reverse: Sequence[Probe], samples_to_average: int = 1) -> SyncEstimate:
-    fwd = list(forward)[-samples_to_average:]
-    rev = list(reverse)[-samples_to_average:]
-    n = min(len(fwd), len(rev))
-    offsets = [(f.difference - r.difference) / 2.0 for f, r in zip(fwd[-n:], rev[-n:])]
+def list_ntp(forward: Sequence[Probe], reverse: Sequence[Probe]) -> SyncEstimate:
+    last_fwd, last_rev = forward[-1], reverse[-1]
     return SyncEstimate(
-        offset_ns=int(round(sum(offsets) / len(offsets))),
+        offset_ns=int(round((last_fwd.difference - last_rev.difference) / 2.0)),
         rate_ppb=0,
-        ref_raw_ns=fwd[-1].recv_local,
-        samples_used=2 * n,
+        ref_raw_ns=last_fwd.recv_local,
+        samples_used=2,
     )

@@ -85,7 +85,7 @@ class TestEstimate:
     def test_too_few_probes_raises(self):
         forward, reverse = synth_probes(n=2)
         with pytest.raises(EstimationError):
-            HuygensEstimator(min_samples=3).estimate(forward, reverse)
+            HuygensEstimator().estimate(forward, reverse)
 
     def test_empty_raises(self):
         with pytest.raises(EstimationError):
@@ -95,11 +95,6 @@ class TestEstimate:
         forward, reverse = synth_probes(n=10)
         estimate = HuygensEstimator().estimate(forward, reverse)
         assert estimate.samples_used == 20
-
-    def test_invalid_min_samples(self):
-        with pytest.raises(ValueError):
-            HuygensEstimator(min_samples=0)
-
 
     def test_estimate_fields_are_python_ints(self):
         # A numpy scalar installed on a HostClock would leak into every stamp.

@@ -18,7 +18,7 @@ def exchange(theta, d_fwd, d_rev, t=0):
 def estimate_of(estimator, forward, reverse, **kwargs):
     """Estimate from hand-made probes, checked against the per-probe loop."""
     estimate = estimator.estimate(columns(forward), columns(reverse), **kwargs)
-    assert estimate == list_ntp(forward, reverse, estimator.samples_to_average)
+    assert estimate == list_ntp(forward, reverse)
     assert type(estimate.offset_ns) is int and type(estimate.ref_raw_ns) is int
     return estimate
 
@@ -40,12 +40,6 @@ class TestNtpEstimator:
         estimate = estimate_of(NtpEstimator(), [old_f, new_f], [old_r, new_r])
         assert estimate.offset_ns == 9_000
 
-    def test_averaging_window(self):
-        f1, r1 = exchange(theta=1_000, d_fwd=100, d_rev=100, t=0)
-        f2, r2 = exchange(theta=3_000, d_fwd=100, d_rev=100, t=1_000_000)
-        estimate = estimate_of(NtpEstimator(samples_to_average=2), [f1, f2], [r1, r2])
-        assert estimate.offset_ns == 2_000
-
     def test_no_rate_estimation(self):
         forward, reverse = exchange(theta=0, d_fwd=100, d_rev=100)
         assert estimate_of(NtpEstimator(), [forward], [reverse]).rate_ppb == 0
@@ -63,18 +57,13 @@ class TestNtpEstimator:
         with pytest.raises(EstimationError):
             NtpEstimator().estimate(columns([forward]), columns([]))
 
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            NtpEstimator(samples_to_average=0)
-
     @settings(max_examples=200, deadline=None)
     @given(
         forward=st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**8, 10**8)), min_size=1, max_size=12),
         reverse=st.lists(st.tuples(st.integers(-10**12, 10**12), st.integers(-10**8, 10**8)), min_size=1, max_size=12),
-        samples_to_average=st.integers(1, 16),
     )
-    def test_columns_estimate_equals_the_list_estimate(self, forward, reverse, samples_to_average):
-        """Unequal direction lengths, windows longer than either, odd sums."""
+    def test_columns_estimate_equals_the_list_estimate(self, forward, reverse):
+        """Unequal direction lengths, odd differences (half-way rounding)."""
         forward = [Probe(sent, sent + diff, 0) for sent, diff in forward]
         reverse = [Probe(sent, sent + diff, 0) for sent, diff in reverse]
-        estimate_of(NtpEstimator(samples_to_average), forward, reverse)
+        estimate_of(NtpEstimator(), forward, reverse)

@@ -1,35 +1,12 @@
-"""Tests for probe records and the coded-probe filter."""
+"""Tests for probe records."""
 
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.clocksync.probes import ProbeColumns, coded_pair_mask
-from tests.clocksync.reference import Probe, columns, list_coded_filter
-
-
-def pair(tx_spacing, rx_spacing, base=0):
-    first = Probe(sent_local=base, recv_local=base + 100, sent_true=base)
-    second = Probe(
-        sent_local=base + tx_spacing,
-        recv_local=base + 100 + rx_spacing,
-        sent_true=base + tx_spacing,
-    )
-    return first, second
-
-
-def survivors_of(pairs, spacing_tolerance_ns):
-    """The first probes the mask keeps, as the list filter returned them."""
-    first = columns([p for p, _ in pairs])
-    second = columns([p for _, p in pairs])
-    kept = first[coded_pair_mask(first, second, spacing_tolerance_ns)]
-    return [
-        Probe(*row)
-        for row in zip(kept.sent_local.tolist(), kept.recv_local.tolist(), kept.sent_true.tolist())
-    ]
+from repro.clocksync.probes import ProbeColumns
+from tests.clocksync.reference import Probe, columns
 
 
 class TestProbeExchange:
@@ -67,52 +44,3 @@ class TestProbeExchange:
         empty = ProbeColumns.concat([])
         assert len(empty) == 0 and len(empty[0::2]) == 0
         assert empty.sent_local.dtype == np.int64
-
-
-class TestCodedProbeFilter:
-    def test_clean_pair_survives(self):
-        survivors = survivors_of([pair(1_000, 1_000)], spacing_tolerance_ns=50)
-        assert len(survivors) == 1
-
-    def test_spread_pair_dropped(self):
-        survivors = survivors_of([pair(1_000, 5_000)], spacing_tolerance_ns=50)
-        assert survivors == []
-
-    def test_compressed_pair_dropped(self):
-        survivors = survivors_of([pair(1_000, 100)], spacing_tolerance_ns=50)
-        assert survivors == []
-
-    def test_tolerance_boundary_inclusive(self):
-        assert len(survivors_of([pair(1_000, 1_050)], spacing_tolerance_ns=50)) == 1
-        assert len(survivors_of([pair(1_000, 950)], spacing_tolerance_ns=50)) == 1
-        assert survivors_of([pair(1_000, 1_051)], spacing_tolerance_ns=50) == []
-        assert survivors_of([pair(1_000, 949)], spacing_tolerance_ns=50) == []
-
-    def test_first_probe_returned(self):
-        first, second = pair(1_000, 1_000)
-        survivors = survivors_of([(first, second)], spacing_tolerance_ns=50)
-        assert survivors == [first]
-
-    def test_order_preserved(self):
-        pairs = [pair(1_000, 1_000, base=i * 10_000) for i in range(5)]
-        survivors = survivors_of(pairs, spacing_tolerance_ns=50)
-        assert [s.sent_local for s in survivors] == [0, 10_000, 20_000, 30_000, 40_000]
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            coded_pair_mask(columns([]), columns([]), spacing_tolerance_ns=-1)
-
-    def test_empty_input(self):
-        assert survivors_of([], spacing_tolerance_ns=10) == []
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        spacings=st.lists(
-            st.tuples(st.integers(0, 50_000), st.integers(-50_000, 100_000), st.integers(-10**15, 10**15)),
-            max_size=30,
-        ),
-        tolerance=st.integers(0, 5_000),
-    )
-    def test_mask_keeps_exactly_what_the_list_filter_kept(self, spacings, tolerance):
-        pairs = [pair(tx, rx, base) for tx, rx, base in spacings]
-        assert survivors_of(pairs, tolerance) == list_coded_filter(pairs, tolerance)

@@ -9,6 +9,7 @@ path is off by milliseconds.
 import numpy as np
 import pytest
 
+from repro.clocksync.huygens import EstimationError
 from repro.clocksync.ntp import NtpEstimator
 from repro.clocksync.service import ClockSyncService
 from repro.sim.engine import Simulator
@@ -28,9 +29,7 @@ def build(n_clients=2, drift=40_000, offset=2_000_000, **service_kwargs):
         client = network.add_host(f"g{i:02d}", drift_ppb=drift * (1 if i % 2 else -1), offset_ns=offset)
         network.connect_bidirectional("engine", client.name, cloud_link(140, 0.7, 80.0, 0.002, 5))
         clients.append(client)
-    service = ClockSyncService(
-        sim, network, reference, clients, rngs, use_coded_filter=False, **service_kwargs
-    )
+    service = ClockSyncService(sim, network, reference, clients, rngs, **service_kwargs)
     return sim, service, clients
 
 
@@ -112,7 +111,7 @@ class TestProbeWindow:
         sizes = self.spy(service, monkeypatch)
         service.warm_start(3)
         # 100 ticks x a coded pair: the second probe of each pair is drawn
-        # although the filter is off -- 3 x 100 x 2 x 2 probes per client.
+        # although only the first is kept -- 3 x 100 x 2 x 2 probes per client.
         assert sizes == [200] * (3 * 2 * 2)
 
     def test_probe_tick_is_a_window_of_one_tick(self, monkeypatch):
@@ -125,13 +124,17 @@ class TestProbeWindow:
         assert [len(w) for w in state.forward] == [2, 2, 2]
         first, second = state.forward[0].sent_true.tolist()
         assert second - first == service.coded_spacing_ns
+        # A round estimates from the first probe of each pair only.
+        seen = []
 
-    def test_mesh_pairs_draw_through_the_same_window(self, monkeypatch):
-        sim, service, _ = build(n_clients=2, use_mesh=True)
-        sizes = self.spy(service, monkeypatch)
-        service._mesh_sync_round()
-        # 3 node pairs x 2 directions, 100 single probes each.
-        assert sizes == [100] * 6
+        def record(forward, reverse, rate_hint_ppb):
+            seen.append((forward.sent_true.tolist(), reverse.sent_true.tolist()))
+            raise EstimationError("recorded")
+
+        monkeypatch.setattr(service.estimator, "estimate", record)
+        service._estimate_and_correct(clients[0], state)
+        ticks = [0, 10 * MILLISECOND, 20 * MILLISECOND]
+        assert seen == [(ticks, ticks)]
 
     def test_window_draw_order_is_the_documented_contract(self):
         _, service, clients = build(n_clients=1, drift=40_000)
@@ -168,44 +171,6 @@ class TestProbeWindow:
         state = service._state[clients[0].name]
         service._estimate_and_correct(clients[0], state)
         assert state.failed_rounds == 1 and not state.estimates
-
-    def test_coded_filter_keeps_first_probes_of_clean_pairs(self):
-        sim = Simulator()
-        rngs = RngRegistry(31)
-        network = Network(sim, rngs)
-        reference = network.add_host("engine")
-        client = network.add_host("g00", drift_ppb=-40_000, offset_ns=2_000_000)
-        network.connect_bidirectional("engine", "g00", cloud_link(140, 0.7, 80.0, 0.002, 5))
-        service = ClockSyncService(sim, network, reference, [client], rngs, spacing_tolerance_ns=20_000)
-        state = service._state["g00"]
-        service._exchange_probes(client, state, service._coded_times(service._window_ticks(-SECOND)))
-        probes = state.forward[0]
-        kept = service._filtered(state.forward)
-        n = len(probes) // 2  # first probes of the pairs, then second probes
-        rx_spacing = probes.recv_local[n:] - probes.recv_local[:n]
-        tx_spacing = probes.sent_local[n:] - probes.sent_local[:n]
-        clean = np.abs(rx_spacing - tx_spacing) <= 20_000
-        assert 3 <= clean.sum() < len(clean)  # the filter has something to keep and to drop
-        assert kept.sent_true.tolist() == probes.sent_true[:n][clean].tolist()
-        # Pairs stay paired across windows: a round's worth of one-tick
-        # windows filters to the first probes of its clean pairs, in order.
-        state.forward.clear()
-        state.reverse.clear()
-        for tick in service._window_ticks(-SECOND)[:30]:
-            service._exchange_probes(client, state, service._coded_times(np.array([tick])))
-        firsts = [int(w.sent_true[0]) for w in state.forward]
-        clean = [
-            abs(int((w.recv_local[1] - w.recv_local[0]) - (w.sent_local[1] - w.sent_local[0]))) <= 20_000
-            for w in state.forward
-        ]
-        assert 3 <= sum(clean) < len(clean)
-        assert service._filtered(state.forward).sent_true.tolist() == [
-            t for t, keep in zip(firsts, clean) if keep
-        ]
-        state.forward.clear()
-        state.reverse.clear()
-        service.warm_start(3)
-        assert abs(client.clock.error_ns()) < 20_000
 
 
 class TestNtpService:

@@ -27,7 +27,6 @@ FEATURE_MATRIX = [
     {},
     {"replication_factor": 3},
     {"ddp_inbound_target": 0.02, "ddp_outbound_target": 0.02},
-    {"clock_sync": "huygens", "sync_use_mesh": True},
     {"straggler_gateways": 1, "straggler_multiplier": 3.0},
     {"self_trade_prevention": True},
 ]

@@ -75,6 +75,9 @@ class TestNormalizeSweep:
         # Nor is there a pre-trade risk cap any more.
         with pytest.raises(JobError, match="'risk_max_position' is not a CloudExConfig field"):
             normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "risk_max_position": 10}})
+        # Nor a clock-sync mesh.
+        with pytest.raises(JobError, match="'sync_use_mesh' is not a CloudExConfig field"):
+            normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "sync_use_mesh": True}})
 
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):

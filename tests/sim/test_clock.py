@@ -82,14 +82,8 @@ class TestRawLocalColumn:
 class TestDiscipline:
     def test_offset_correction_removes_error(self):
         _, clock = make_clock(offset_ns=7_777)
-        clock.set_correction(7_777)
+        clock.set_linear_correction(7_777, 0, clock.raw_local())
         assert clock.now() == 0
-        assert clock.error_ns() == 0
-
-    def test_slew_adjusts_incrementally(self):
-        _, clock = make_clock(offset_ns=100)
-        clock.slew(60)
-        clock.slew(40)
         assert clock.error_ns() == 0
 
     def test_linear_correction_tracks_drift(self):

@@ -216,6 +216,10 @@ class TestMain:
                 ["sweep", "--grid", "n_shards=1", "--set", "risk_max_position=10"],
                 "'risk_max_position' is not a CloudExConfig field",
             ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "sync_use_mesh=true"],
+                "'sync_use_mesh' is not a CloudExConfig field",
+            ),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
