@@ -258,6 +258,11 @@ class CloudExCluster:
             )
             for host in self.gateway_hosts
         ]
+        if config.ddp_outbound_target is None:
+            # The collector is the only reader of H/R reports: settle
+            # them at the gateway, with no delivery event at the engine.
+            for gateway in self.gateways:
+                gateway.settle_reports_into(self.metrics.record_md_report)
 
         self.portfolio.open_account(OPERATOR)
         self.participants: List[Participant] = []
@@ -472,9 +477,12 @@ class CloudExCluster:
         Pieces still awaiting reports (a gateway was down when they
         arrived, or the run simply ended mid-flight) are finalized
         with whatever reports arrived; see
-        :meth:`MetricsCollector.finalize_partial_md`.
+        :meth:`MetricsCollector.finalize_partial_md`.  Returns how many
+        pieces it has closed in this window, so a repeated call (or
+        :meth:`result_payload`) reads the same.
         """
-        return self.metrics.finalize_partial_md()
+        self.metrics.finalize_partial_md()
+        return self.metrics.md_pieces_partial + self.metrics.md_pieces_unreported
 
     def reset_metrics(self) -> None:
         """Discard everything measured so far and start a fresh window.

@@ -483,9 +483,7 @@ class CentralExchangeServer(Actor):
     # Market-data plumbing
     # ------------------------------------------------------------------
     def _on_hr_report(self, report: HoldReleaseReport) -> None:
-        finalized = self.metrics.record_md_report(
-            report.md_seq, report.late, report.lateness_ns, report.hold_ns
-        )
+        finalized = self.metrics.record_md_report(report.md_seq, report.late, report.hold_ns)
         if finalized is not None and self.ddp_outbound is not None:
             self.ddp_outbound.on_sample(finalized)
 

@@ -6,9 +6,9 @@ orders, assigns each a globally synchronized timestamp (from the
 gateway's Huygens-disciplined clock), and forwards it to the engine;
 it also routes confirmations back to participants.  Inbound market
 data passes through the hold/release buffer, which reports each
-piece's hold or lateness back to the engine on arrival and dispenses
-it to this gateway's subscribed participants at its prescribed
-release time.
+piece's hold or lateness on arrival (to the engine, or straight to the
+collector when no outbound DDP controller listens) and dispenses it to
+this gateway's subscribed participants at its prescribed release time.
 """
 
 from __future__ import annotations
@@ -63,12 +63,12 @@ class Gateway(Actor):
         super().__init__(sim, host.name)
         self.network = network
         self.host = host
-        self.engine_name = engine_name
         self.auth = auth
         self.config = config
         self.tracer = tracer
         self.events = events
         self.clock = host.clock
+        self._to_engine = network.link(host.name, engine_name)
         self._seq = 0
         self._service_ns = int(config.gateway_service_us * MICROSECOND)
         self._cpu_per_replica_ns = int(config.gateway_cpu_per_replica_us * MICROSECOND)
@@ -105,7 +105,7 @@ class Gateway(Actor):
 
         A restarted gateway process lost its in-memory state: held
         market data is discarded (each piece was reported when it
-        arrived, so the engine's H/R aggregation loses nothing; only
+        arrived, so the H/R aggregation loses nothing; only
         this gateway's subscribers miss it) and the stamping sequence
         continues monotonically -- correctness for in-flight orders
         rests on participants retrying and the engine's ROS dedup
@@ -176,7 +176,7 @@ class Gateway(Actor):
         self.sim.schedule(self._service_ns, self._forward_order, stamped)
 
     def _forward_order(self, stamped: Order) -> None:
-        self.network.send(self.name, self.engine_name, StampedOrder(order=stamped))
+        self._to_engine.send(StampedOrder(order=stamped))
 
     def _reject_locally(self, order: Order, reason: RejectReason) -> None:
         """Gateway-side rejection: never reaches the matching engine."""
@@ -209,13 +209,7 @@ class Gateway(Actor):
             gateway_seq=self._seq,
             stamped_true=self.sim.now,
         )
-        self.sim.schedule(
-            self._service_ns,
-            self.network.send,
-            self.name,
-            self.engine_name,
-            stamped,
-        )
+        self.sim.schedule(self._service_ns, self._to_engine.send, stamped)
 
     # ------------------------------------------------------------------
     # Confirmation routing (engine -> participant)
@@ -267,8 +261,22 @@ class Gateway(Actor):
         for participant in subscribers:
             self.network.send(self.name, participant, delivery)
 
-    def _send_report(self, report: HoldReleaseReport) -> None:
-        self.network.send(self.name, self.engine_name, report)
+    def _send_report(self, md_seq: int, late: bool, hold_ns: int) -> None:
+        self._to_engine.send(HoldReleaseReport(self.name, md_seq, late, hold_ns))
+
+    def settle_reports_into(self, record) -> None:
+        """Hand each report to ``record(md_seq, late, hold_ns)`` at send
+        instead of delivering it to the engine (wired when no outbound
+        DDP controller reads reports there).  The report still takes its
+        link draw, FIFO bump and drop check, so every other message on
+        the link is unchanged; a dropped report records nothing."""
+        prepare = self._to_engine.prepare
+
+        def settle(md_seq: int, late: bool, hold_ns: int) -> None:
+            if prepare(None) is not None:
+                record(md_seq, late, hold_ns)
+
+        self.hr_buffer.report = settle
 
     def __repr__(self) -> str:
         return f"Gateway({self.name!r}, handled={self.orders_handled})"

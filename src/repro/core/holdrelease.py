@@ -7,17 +7,19 @@ the data simultaneously.  A piece that *arrives after* its release time
 is released immediately but was unfairly disseminated: some gateways
 may have already released it.
 
-Each handled piece produces a :class:`HoldReleaseReport` (sent back to
-the engine) carrying the hold duration -- the paper's *releasing
-delay*, Fig. 4b/5b's y-axis -- and the late flag that feeds both the
-outbound-unfairness metric (a piece is unfair if >=1 gateway was late)
-and the DDP controller for ``d_h``.  All three values are known the
-instant the piece arrives, so a piece is *settled* then: its counters,
-its late WARNING and its report go out at arrival, whether or not it is
-held.  A held piece then costs a release timer only at a gateway with a
-subscriber for its symbol; the timer merely dispenses.  A piece
-released on arrival (late, exactly on time, or under
-``hold_early=False``) is dispensed first and reported second.
+Each handled piece produces a report ``(md_seq, late, hold_ns)``: the
+hold duration -- the paper's *releasing delay*, Fig. 4b/5b's y-axis --
+and the late flag that feeds both the outbound-unfairness metric (a
+piece is unfair if >=1 gateway was late) and the DDP controller for
+``d_h``.  The gateway sends it to the engine as a
+:class:`HoldReleaseReport` only when an outbound DDP controller reads
+it there; otherwise it hands it to the collector itself.  All three
+values are known the instant the piece arrives, so a piece is *settled*
+then: its counters, its late WARNING and its report go out at arrival,
+whether or not it is held.  A held piece then costs a release timer
+only at a gateway with a subscriber for its symbol; the timer merely
+dispenses.  A piece released on arrival (late, exactly on time, or
+under ``hold_early=False``) is dispensed first and reported second.
 
 It is the only release buffer for *market data*.  Trade confirmations
 do not pass through it: ``Gateway._forward_to_participant`` /
@@ -39,7 +41,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Mapping, Optional
 
 from repro.core.marketdata import MarketDataPiece
-from repro.core.messages import HoldReleaseReport
 from repro.sim.clock import HostClock
 from repro.sim.engine import Event, Simulator
 
@@ -57,8 +58,7 @@ class HoldReleaseBuffer:
         Called with ``(piece, released_local)`` when the piece is
         dispensed to this gateway's participants.
     report:
-        Called with a :class:`HoldReleaseReport` per piece, at arrival;
-        the gateway forwards these to the engine.
+        Called with ``(md_seq, late, hold_ns)`` per piece, at arrival.
     events:
         Optional :class:`repro.obs.events.EventLog`; every late piece
         (an unfair dissemination) is logged as a WARNING with its
@@ -79,7 +79,7 @@ class HoldReleaseBuffer:
         clock: HostClock,
         gateway_id: str,
         release: Callable[[MarketDataPiece, int], None],
-        report: Optional[Callable[[HoldReleaseReport], None]] = None,
+        report: Optional[Callable[[int, bool, int], None]] = None,
         events=None,
         hold_early: bool = True,
         subscribers: Optional[Mapping[str, object]] = None,
@@ -118,7 +118,8 @@ class HoldReleaseBuffer:
                 self._pending[piece.seq] = self.clock.schedule_at_local(
                     piece.release_at, self._release, piece
                 )
-            self._report(piece, hold_ns, 0)
+            if self.report is not None:
+                self.report(piece.seq, False, hold_ns)
             return
         lateness_ns = -hold_ns if hold_ns < 0 else 0
         if lateness_ns:
@@ -138,12 +139,13 @@ class HoldReleaseBuffer:
                     lateness_ns=lateness_ns,
                 )
         self.release(piece, arrival_local)
-        self._report(piece, 0, lateness_ns)
+        if self.report is not None:
+            self.report(piece.seq, lateness_ns > 0, 0)
 
     def flush(self) -> int:
         """Cancel every pending dispense (a crash loses buffered state).
 
-        Every piece was reported when it arrived, so the engine's H/R
+        Every piece was reported when it arrived, so the H/R
         aggregation loses nothing and nothing is sent; only this
         gateway's subscribers miss the pieces.  Returns how many
         dispenses were cancelled."""
@@ -157,18 +159,6 @@ class HoldReleaseBuffer:
         """A held piece's release timer fired: dispense it."""
         self._pending.pop(piece.seq, None)
         self.release(piece, self.clock.now())
-
-    def _report(self, piece: MarketDataPiece, hold_ns: int, lateness_ns: int) -> None:
-        if self.report is not None:
-            self.report(
-                HoldReleaseReport(
-                    gateway_id=self.gateway_id,
-                    md_seq=piece.seq,
-                    late=lateness_ns > 0,
-                    lateness_ns=lateness_ns,
-                    hold_ns=hold_ns,
-                )
-            )
 
     def mean_hold_us(self) -> float:
         """Average releasing delay at this gateway, microseconds."""

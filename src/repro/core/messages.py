@@ -10,7 +10,7 @@ set mirrors the numbered arrows of Fig. 2 in the paper:
 6./7. ``TradeConfirmation``                 engine -> gateway -> participant
    ``MarketDataPiece``                      engine -> gateway (H/R buffer)
    ``MarketDataDelivery``                   gateway -> participant
-   ``HoldReleaseReport``                    gateway -> engine (DDP feedback)
+   ``HoldReleaseReport``                    gateway -> engine (outbound DDP only)
    ``SubscriptionRequest``                  participant -> gateway
 """
 
@@ -121,12 +121,12 @@ class MarketDataDelivery:
 class HoldReleaseReport:
     """A gateway's report of whether a piece of market data arrived in
     time to be released fairly -- the outbound sample stream DDP tunes
-    ``d_h`` against."""
+    ``d_h`` against.  Without an outbound controller it is never built:
+    the gateway hands the same values to the collector itself."""
 
     gateway_id: str
     md_seq: int
     late: bool
-    lateness_ns: int
     hold_ns: int
 
 

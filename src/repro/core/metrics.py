@@ -11,7 +11,9 @@ truth (true times), so it can compute everything the paper reports:
   samples (Figs. 4a/5a).
 - **outbound unfairness ratio** and **releasing delay** from gateway
   H/R reports (Figs. 4b/5b): a piece is unfairly disseminated iff >= 1
-  gateway received it after its release time.
+  gateway received it after its release time.  A report reaches
+  :meth:`MetricsCollector.record_md_report` through the engine when an
+  outbound DDP controller reads it, else straight from the gateway.
 - **throughput**: orders processed by the matching engine per second.
 
 Components push events in; nothing here feeds back into the exchange
@@ -77,7 +79,6 @@ class _MdPieceState:
     expected_reports: int
     reports: int = 0
     any_late: bool = False
-    hold_ns_total: int = 0
 
 
 class MetricsCollector:
@@ -233,9 +234,7 @@ class MetricsCollector:
         """The engine disseminated piece ``seq`` to N gateways."""
         self._md[seq] = _MdPieceState(expected_reports=expected_reports)
 
-    def record_md_report(
-        self, seq: int, late: bool, lateness_ns: int, hold_ns: int
-    ) -> Optional[bool]:
+    def record_md_report(self, seq: int, late: bool, hold_ns: int) -> Optional[bool]:
         """Record one gateway's report.
 
         Returns the piece's unfair flag once all expected gateways have
@@ -246,7 +245,6 @@ class MetricsCollector:
         if state is None:
             return None
         state.reports += 1
-        state.hold_ns_total += hold_ns
         self.releasing_delays_ns.append(hold_ns)
         if late:
             state.any_late = True

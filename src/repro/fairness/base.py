@@ -52,7 +52,7 @@ own it: every released item yields a ``SequencerSample`` whose queuing
 delay runs from enqueue to *eligibility*; out-of-sequence is judged
 against the preceding release; a piece arriving exactly at
 ``release_at`` is on time and strictly after is late (the PR-3
-boundary); every handled piece yields a ``HoldReleaseReport``; a late
+boundary); every handled piece yields one H/R report; a late
 piece logs ``hr.late_release`` and counts in ``hr.late_pieces``.
 
 Determinism

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cluster import CloudExCluster, gateway_name, participant_name
+from repro.core.config import CloudExConfig
 from repro.core.types import Side
 from tests.conftest import small_config
 
@@ -118,6 +119,22 @@ class TestRun:
         report = small_cluster.cpu_report()
         assert set(report) == {"engine_cores", "gateway_cores", "participant_cores"}
         assert report["gateway_cores"] > 0
+
+    def test_result_payload_is_idempotent(self):
+        # The Table-1 recipe stops with pieces in flight; closing them
+        # is counted once, and a second call reads the same total.
+        cluster = CloudExCluster(CloudExConfig(
+            seed=2021, n_participants=48, n_gateways=16, n_symbols=100, n_shards=4,
+            orders_per_participant_per_s=1700.0, replication_factor=1,
+            cancel_fraction=0.0, clock_sync="huygens",
+        ))
+        cluster.add_default_workload()
+        cluster.run(duration_s=0.02)
+        first = cluster.result_payload()
+        assert first["md_finalized_at_end"] > 0
+        assert cluster.result_payload() == first
+        cluster.reset_metrics()
+        assert cluster.result_payload()["md_finalized_at_end"] == 0
 
 
 class TestNames:

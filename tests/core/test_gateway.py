@@ -150,28 +150,49 @@ class TestMarketDataPath:
         assert cluster.metrics.md_pieces_finalized == cluster.gateways[0].hr_buffer.held_count
 
     def test_rejoin_mid_hold_cancels_dispense_and_sends_nothing(self, cluster):
+        self.rejoin_mid_hold(cluster, deliver_reports=False)
+
+    def test_rejoin_mid_hold_with_delivered_reports_sends_nothing(self, cluster):
+        self.rejoin_mid_hold(cluster, deliver_reports=True)
+
+    @staticmethod
+    def rejoin_mid_hold(cluster, deliver_reports):
+        g01 = cluster.gateways[1]
+        if deliver_reports:
+            # The sink an outbound DDP controller wires: reports go on the wire.
+            g01.hr_buffer.report = g01._send_report
         watcher = cluster.participant(1)
         watcher.subscribe(["SYM000"])
         run_for(cluster, ms=10)
         cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)
-        g01 = cluster.gateways[1]
         while not g01.hr_buffer._pending:
             assert cluster.sim.step()
         held = set(g01.hr_buffer._pending)
-        sent = []
-        send = cluster.network.send
+        sent, reported = [], []
+        send, to_engine, report = cluster.network.send, g01._to_engine.send, g01.hr_buffer.report
 
         def spy(src, dst, msg):
             if src == "g01":
                 sent.append(msg)
             send(src, dst, msg)
 
+        def spy_engine(msg):
+            sent.append(msg)
+            to_engine(msg)
+
+        def spy_report(md_seq, late, hold_ns):
+            reported.append(md_seq)
+            report(md_seq, late, hold_ns)
+
         cluster.network.send = spy
+        g01._to_engine.send = spy_engine
+        g01.hr_buffer.report = spy_report
         g01.rejoin()
         run_for(cluster, ms=100)
         assert not g01.hr_buffer._pending and g01.restarts == 1
         assert not [m for m in sent if getattr(getattr(m, "piece", None), "seq", None) in held]
         assert not [m for m in sent if getattr(m, "md_seq", None) in held]
+        assert not held & set(reported)
         # The held pieces were reported at arrival: they finalize complete.
         assert cluster.metrics.md_pieces_partial == cluster.metrics.open_md_pieces() == 0
 

@@ -1,17 +1,29 @@
 """Tests for the hold/release buffer."""
 
+from typing import NamedTuple
+
 import pytest
 
 from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
+from repro.obs.events import EventLog
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from tests.sim import reference
 
 
+class Report(NamedTuple):
+    """One call of the buffer's ``report`` sink."""
+
+    md_seq: int
+    late: bool
+    hold_ns: int
+
+
 class Harness:
     def __init__(self, clock_offset=0, subscribers=None, clock=None):
         self.sim = Simulator()
+        self.events = EventLog()
         self.clock = clock(self.sim) if clock else HostClock(self.sim, offset_ns=clock_offset)
         self.releases = []  # (seq, true release time)
         self.releases_local = []  # (seq, gateway-local release time)
@@ -24,6 +36,7 @@ class Harness:
             gateway_id="g00",
             release=self._on_release,
             report=self._on_report,
+            events=self.events,
             subscribers=subscribers,
         )
 
@@ -32,13 +45,17 @@ class Harness:
         self.releases_local.append((piece.seq, released_local))
         self.log.append("dispense")
 
-    def _on_report(self, report):
-        self.reports.append(report)
+    def _on_report(self, md_seq, late, hold_ns):
+        self.reports.append(Report(md_seq, late, hold_ns))
         self.report_times.append(self.sim.now)
         self.log.append("report")
 
     def offer_at(self, t, piece):
         self.sim.schedule_at(t, self.buffer.offer, piece)
+
+    def lateness_logged(self):
+        """``lateness_ns`` of every ``hr.late_release`` WARNING, in order."""
+        return [e.fields["lateness_ns"] for e in self.events.events(kind="hr.late_release")]
 
 
 def piece(seq=1, created=0, release_at=10_000):
@@ -59,10 +76,8 @@ class TestHold:
         h.offer_at(2_000, piece(release_at=10_000))
         h.sim.run()
         report = h.reports[0]
-        assert report.hold_ns == 8_000
-        assert report.late is False
-        assert report.lateness_ns == 0
-        assert report.gateway_id == "g00"
+        assert report == Report(md_seq=1, late=False, hold_ns=8_000)
+        assert h.lateness_logged() == []
 
     def test_simultaneous_release_across_desynced_gateways(self):
         """Two gateways with different clock errors release at the same
@@ -83,7 +98,7 @@ class TestLate:
         assert h.releases == [(1, 12_000)]
         report = h.reports[0]
         assert report.late is True
-        assert report.lateness_ns == 2_000
+        assert h.lateness_logged() == [2_000]
         assert report.hold_ns == 0
 
     def test_exactly_on_time_is_not_late(self):
@@ -97,7 +112,7 @@ class TestLate:
         assert h.releases == [(1, 10_000)]
         report = h.reports[0]
         assert report.late is False
-        assert report.lateness_ns == 0
+        assert h.lateness_logged() == []
         assert report.hold_ns == 0
         assert h.buffer.late_count == 0
 
@@ -107,7 +122,7 @@ class TestLate:
         h.sim.run()
         report = h.reports[0]
         assert report.late is True
-        assert report.lateness_ns == 1
+        assert h.lateness_logged() == [1]
         assert report.hold_ns == 0
         assert h.buffer.late_count == 1
 
@@ -147,8 +162,7 @@ class TestSettleOnArrival:
         h.offer_at(2_000, piece(release_at=10_000))
         h.sim.run(until=2_000)
         assert h.report_times == [2_000] and h.releases == []
-        report = h.reports[0]
-        assert (report.late, report.lateness_ns, report.hold_ns) == (False, 0, 8_000)
+        assert h.reports == [Report(1, False, 8_000)]
         assert h.buffer.held_count == 1 and h.buffer.mean_hold_us() == pytest.approx(8.0)
         h.sim.run()
         assert h.releases == [(1, 10_000)]
@@ -156,7 +170,7 @@ class TestSettleOnArrival:
 
     @pytest.mark.parametrize(
         "arrival, hold_early, expected",
-        [(12_000, True, (True, 2_000, 0)), (10_000, True, (False, 0, 0)), (2_000, False, (False, 0, 0))],
+        [(12_000, True, (True, [2_000])), (10_000, True, (False, [])), (2_000, False, (False, []))],
         ids=["late", "on-time", "no-hold-early"],
     )
     def test_released_on_arrival_dispenses_then_reports(self, arrival, hold_early, expected):
@@ -166,8 +180,9 @@ class TestSettleOnArrival:
         h.sim.run()
         assert h.log == ["dispense", "report"]
         assert h.releases == [(1, arrival)] and h.report_times == [arrival]
-        report = h.reports[0]
-        assert (report.late, report.lateness_ns, report.hold_ns) == expected
+        late, lateness_logged = expected
+        assert h.reports == [Report(1, late, 0)]
+        assert h.lateness_logged() == lateness_logged
 
     @pytest.mark.parametrize("subscribers", [{}, {"S": {}}, {"OTHER": {"p00": None}}])
     def test_held_piece_without_subscriber_pushes_no_heap_entry(self, subscribers):

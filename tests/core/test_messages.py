@@ -79,9 +79,7 @@ class TestPayloadCarriers:
         assert delivery.piece.seq == 9
 
     def test_hr_report_fields(self):
-        report = HoldReleaseReport(
-            gateway_id="g", md_seq=3, late=True, lateness_ns=100, hold_ns=0
-        )
+        report = HoldReleaseReport(gateway_id="g", md_seq=3, late=True, hold_ns=0)
         assert report.late and report.hold_ns == 0
 
     def test_subscription_request(self):

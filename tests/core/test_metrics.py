@@ -75,28 +75,28 @@ class TestMdAggregation:
     def test_piece_fair_when_all_on_time(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=3)
-        assert m.record_md_report(1, late=False, lateness_ns=0, hold_ns=100) is None
-        assert m.record_md_report(1, late=False, lateness_ns=0, hold_ns=200) is None
-        assert m.record_md_report(1, late=False, lateness_ns=0, hold_ns=300) is False
+        assert m.record_md_report(1, late=False, hold_ns=100) is None
+        assert m.record_md_report(1, late=False, hold_ns=200) is None
+        assert m.record_md_report(1, late=False, hold_ns=300) is False
         assert m.outbound_unfairness_ratio() == 0.0
         assert m.md_pieces_finalized == 1
 
     def test_piece_unfair_when_any_late(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=2)
-        m.record_md_report(1, late=True, lateness_ns=500, hold_ns=0)
-        assert m.record_md_report(1, late=False, lateness_ns=0, hold_ns=100) is True
+        m.record_md_report(1, late=True, hold_ns=0)
+        assert m.record_md_report(1, late=False, hold_ns=100) is True
         assert m.outbound_unfairness_ratio() == 1.0
 
     def test_unknown_piece_ignored(self):
         m = MetricsCollector()
-        assert m.record_md_report(42, late=True, lateness_ns=1, hold_ns=1) is None
+        assert m.record_md_report(42, late=True, hold_ns=1) is None
 
     def test_releasing_delay_counts_every_report(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=2)
-        m.record_md_report(1, late=False, lateness_ns=0, hold_ns=1 * MICROSECOND)
-        m.record_md_report(1, late=False, lateness_ns=0, hold_ns=3 * MICROSECOND)
+        m.record_md_report(1, late=False, hold_ns=1 * MICROSECOND)
+        m.record_md_report(1, late=False, hold_ns=3 * MICROSECOND)
         assert m.mean_releasing_delay_us() == pytest.approx(2.0)
 
 
@@ -115,13 +115,10 @@ class FanOut:
                 HostClock(self.sim),
                 f"g{i:02d}",
                 release=lambda piece, local: self.dispensed.append(piece.seq),
-                report=self._report,
+                report=self.metrics.record_md_report,
             )
             for i in range(n)
         ]
-
-    def _report(self, r):
-        self.metrics.record_md_report(r.md_seq, r.late, r.lateness_ns, r.hold_ns)
 
     def offer_at(self, t, buffer, release_at=10_000):
         piece = MarketDataPiece(
@@ -185,7 +182,7 @@ class TestMdPartialFinalization:
     def test_partial_late_piece_counts_unfair(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=2)
-        m.record_md_report(1, late=True, lateness_ns=7, hold_ns=0)
+        m.record_md_report(1, late=True, hold_ns=0)
         assert m.finalize_partial_md() == 1
         assert m.md_pieces_partial == 1
         assert m.md_pieces_unfair == 1
@@ -194,7 +191,7 @@ class TestMdPartialFinalization:
     def test_unfairness_ratio_excludes_unreported(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=1)
-        m.record_md_report(1, late=True, lateness_ns=3, hold_ns=0)  # finalized unfair
+        m.record_md_report(1, late=True, hold_ns=0)  # finalized unfair
         m.register_md_piece(2, expected_reports=1)
         m.finalize_partial_md()  # piece 2 unreported: no information
         assert m.md_pieces_unreported == 1
@@ -203,7 +200,7 @@ class TestMdPartialFinalization:
     def test_finalize_partial_md_closes_everything(self):
         m = MetricsCollector()
         m.register_md_piece(1, expected_reports=2)
-        m.record_md_report(1, late=False, lateness_ns=0, hold_ns=50)
+        m.record_md_report(1, late=False, hold_ns=50)
         m.register_md_piece(2, expected_reports=2)
         assert m.finalize_partial_md() == 2
         assert m.open_md_pieces() == 0

@@ -353,7 +353,8 @@ class TestImmediateRelease:
         buffer = hr_buffer_for(
             policy, sim,
             release=lambda piece, t: releases.append((piece.seq, sim.now)),
-            report=reports.append,
+            report=lambda md_seq, late, hold_ns: reports.append((md_seq, late, hold_ns)),
+            events=EventLog(),
         )
         return sim, buffer, releases, reports
 
@@ -363,8 +364,7 @@ class TestImmediateRelease:
             sim.schedule_at(5_000, buffer.offer, md_piece(seq=1, release_at=10_000))
             sim.run()
             assert releases == [(1, 5_000)]
-            assert reports[0].late is False
-            assert reports[0].hold_ns == 0
+            assert reports == [(1, False, 0)]
             assert buffer.late_ratio() == 0.0
 
     def test_exactly_at_release_at_is_on_time(self):
@@ -372,15 +372,16 @@ class TestImmediateRelease:
         sim, buffer, releases, reports = self.build()
         sim.schedule_at(10_000, buffer.offer, md_piece(seq=1, release_at=10_000))
         sim.run()
-        assert reports[0].late is False
-        assert reports[0].lateness_ns == 0
+        assert reports == [(1, False, 0)]
+        assert buffer.events.events(kind="hr.late_release") == []
 
     def test_strictly_after_release_at_is_late(self):
         sim, buffer, releases, reports = self.build()
         sim.schedule_at(10_001, buffer.offer, md_piece(seq=1, release_at=10_000))
         sim.run()
-        assert reports[0].late is True
-        assert reports[0].lateness_ns == 1
+        assert reports == [(1, True, 0)]
+        (warning,) = buffer.events.events(kind="hr.late_release")
+        assert warning.fields["lateness_ns"] == 1
         assert buffer.late_count == 1
         assert buffer.late_ratio() == 1.0
 
