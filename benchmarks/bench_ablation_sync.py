@@ -13,8 +13,8 @@ import numpy as np
 
 from benchmarks.conftest import bench_scale, emit
 from repro.clocksync.service import ClockSyncService
+from repro.core.config import CLOCK_DRIFT_PPB_MAX, CLOCK_OFFSET_NS_MAX, CloudExConfig
 from repro.sim.engine import Simulator
-from repro.sim.latency import cloud_link
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.timeunits import MILLISECOND, SECOND
@@ -33,16 +33,15 @@ def run_sync(
     network = Network(sim, rngs)
     reference = network.add_host("engine")
     clock_rng = rngs.stream("clocks")
+    link = CloudExConfig().link_model("gateway_engine")
     clients = []
     for i in range(n_clients):
         client = network.add_host(
             f"g{i:02d}",
-            drift_ppb=int(clock_rng.integers(-50_000, 50_001)),
-            offset_ns=int(clock_rng.integers(-5_000_000, 5_000_001)),
+            drift_ppb=int(clock_rng.integers(-CLOCK_DRIFT_PPB_MAX, CLOCK_DRIFT_PPB_MAX + 1)),
+            offset_ns=int(clock_rng.integers(-CLOCK_OFFSET_NS_MAX, CLOCK_OFFSET_NS_MAX + 1)),
         )
-        network.connect_bidirectional(
-            "engine", client.name, cloud_link(178, 0.7, 92.0, 0.006, 5)
-        )
+        network.connect_bidirectional("engine", client.name, link)
         clients.append(client)
     service = ClockSyncService(
         sim,
@@ -52,7 +51,7 @@ def run_sync(
         rngs,
         probe_interval_ns=int(probe_interval_ms * MILLISECOND),
     )
-    service.warm_start(3)
+    service.warm_start()
     service.start()
     sim.run(until=int(12 * SECOND * bench_scale()))
     # Steady state only: the warm-up window (shared between compared

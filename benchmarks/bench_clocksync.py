@@ -17,8 +17,9 @@ import pytest
 from benchmarks.conftest import bench_scale, emit, paper_testbed_config, run_measured
 from repro.clocksync.ntp import NtpEstimator
 from repro.clocksync.service import ClockSyncService
+from repro.core.config import CLOCK_DRIFT_PPB_MAX, CLOCK_OFFSET_NS_MAX, CloudExConfig
 from repro.sim.engine import Simulator
-from repro.sim.latency import GammaLatency, cloud_link
+from repro.sim.latency import GammaLatency
 from repro.sim.network import Network
 from repro.sim.rng import RngRegistry
 from repro.sim.timeunits import MILLISECOND, SECOND
@@ -32,13 +33,14 @@ def _sync_testbed(estimator=None, path_override=None):
     reference = network.add_host("engine")
     clients = []
     clock_rng = rngs.stream("bench:clocks")
+    link = CloudExConfig().link_model("gateway_engine")
     for i in range(16):
         client = network.add_host(
             f"g{i:02d}",
-            drift_ppb=int(clock_rng.integers(-50_000, 50_001)),
-            offset_ns=int(clock_rng.integers(-5_000_000, 5_000_001)),
+            drift_ppb=int(clock_rng.integers(-CLOCK_DRIFT_PPB_MAX, CLOCK_DRIFT_PPB_MAX + 1)),
+            offset_ns=int(clock_rng.integers(-CLOCK_OFFSET_NS_MAX, CLOCK_OFFSET_NS_MAX + 1)),
         )
-        network.connect_bidirectional("engine", client.name, cloud_link(178, 0.7, 92.0, 0.006, 5))
+        network.connect_bidirectional("engine", client.name, link)
         clients.append(client)
     service = ClockSyncService(
         sim,
@@ -58,7 +60,7 @@ def test_clock_offset_percentiles(benchmark):
     def run():
         duration = int(20 * SECOND * bench_scale())
         sim, huygens = _sync_testbed()
-        huygens.warm_start(3)
+        huygens.warm_start()
         huygens.start()
         sim.run(until=duration)
         huygens_p99 = huygens.error_percentile_ns(99)

@@ -10,6 +10,7 @@ Run:  python examples/quickstart.py
 """
 
 from repro import CloudExCluster, CloudExConfig
+from repro.core.config import INITIAL_PRICE
 from repro.core.types import Side
 
 
@@ -34,7 +35,7 @@ def main() -> None:
     # ask with a marketable limit order, and wait for the confirmation.
     me = cluster.participant(0)
     me.subscribe(["SYM000"])
-    reference = me.view("SYM000").reference_price or config.initial_price
+    reference = me.view("SYM000").reference_price or INITIAL_PRICE
     order_id = me.submit_limit("SYM000", Side.BUY, quantity=10, price=reference + 5)
     cluster.run(duration_s=1.0)
 

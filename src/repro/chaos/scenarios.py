@@ -38,6 +38,7 @@ from repro.chaos.schedule import (
     Partition,
     StragglerEpisode,
 )
+from repro.core.config import INITIAL_PRICE
 from repro.core.types import Side
 from repro.sim.timeunits import SECOND
 
@@ -76,9 +77,7 @@ class OrderPump:
         participant = participants[(self._tick + passes) % len(participants)]
         symbol = symbols[self._tick % len(symbols)]
         side = Side.BUY if passes % 2 == 0 else Side.SELL
-        participant.submit_limit(
-            symbol, side, self.quantity, self.cluster.config.initial_price
-        )
+        participant.submit_limit(symbol, side, self.quantity, INITIAL_PRICE)
         self._tick += 1
         self.orders_sent += 1
         self.cluster.sim.schedule(self._interval_ns, self._fire)
@@ -135,7 +134,6 @@ _RESILIENT = dict(
     ack_retry_backoff=1.5,
     ack_max_retries=4,
     gateway_failover=True,
-    failover_after_timeouts=2,
 )
 
 

@@ -26,7 +26,17 @@ from repro.clocksync.huygens import HuygensEstimator
 from repro.clocksync.ntp import NtpEstimator
 from repro.clocksync.service import ClockSyncService
 from repro.core.auth import AuthRegistry
-from repro.core.config import CloudExConfig
+from repro.core.config import (
+    CLOCK_DRIFT_PPB_MAX,
+    CLOCK_OFFSET_NS_MAX,
+    GATEWAY_CPU_BASELINE_CORES,
+    INITIAL_BOOK_DEPTH,
+    INITIAL_BOOK_QTY,
+    INITIAL_CASH,
+    INITIAL_PRICE,
+    PARTICIPANT_CPU_BASELINE_CORES,
+    CloudExConfig,
+)
 from repro.core.exchange import CentralExchangeServer
 from repro.core.gateway import Gateway
 from repro.core.metrics import MetricsCollector
@@ -87,7 +97,7 @@ class CloudExCluster:
         # data structure); the lifecycle tracer and dispatch profiler
         # exist only when config.tracing is set, so the production hot
         # path pays one `is not None` test.
-        self.events = EventLog(capacity=config.event_log_capacity)
+        self.events = EventLog()
         self.tracer: Optional[Tracer] = (
             Tracer(sample_rate=config.trace_sample_rate) if config.tracing else None
         )
@@ -98,7 +108,7 @@ class CloudExCluster:
         self.network = Network(self.sim, self.rngs)
         self.metrics = MetricsCollector()
         self.auth = AuthRegistry()
-        self.portfolio = PortfolioMatrix(default_cash=config.initial_cash)
+        self.portfolio = PortfolioMatrix(default_cash=INITIAL_CASH)
         self.router = SymbolRouter(config.symbols, config.n_shards)
         self.id_allocator = ClientOrderIdAllocator()
 
@@ -129,24 +139,20 @@ class CloudExCluster:
         if self.config.clock_sync == "perfect":
             return {"drift_ppb": 0, "offset_ns": 0}
         rng = self.rngs.stream(f"clock:{name}")
-        max_drift = self.config.clock_drift_ppb_max
-        max_offset = int(self.config.clock_offset_ms_max * 1_000_000)
         return {
-            "drift_ppb": int(rng.integers(-max_drift, max_drift + 1)),
-            "offset_ns": int(rng.integers(-max_offset, max_offset + 1)),
+            "drift_ppb": int(rng.integers(-CLOCK_DRIFT_PPB_MAX, CLOCK_DRIFT_PPB_MAX + 1)),
+            "offset_ns": int(rng.integers(-CLOCK_OFFSET_NS_MAX, CLOCK_OFFSET_NS_MAX + 1)),
         }
 
     def _build_hosts(self) -> None:
         config = self.config
         # The engine clock is the time reference (zero error by
         # construction); gateways are disciplined against it.
-        self.engine_host = self.network.add_host(
-            ENGINE, drift_ppb=0, offset_ns=0, baseline_cores=config.engine_cpu_baseline_cores
-        )
+        self.engine_host = self.network.add_host(ENGINE, drift_ppb=0, offset_ns=0)
         self.gateway_hosts: List[Host] = [
             self.network.add_host(
                 gateway_name(i),
-                baseline_cores=config.gateway_cpu_baseline_cores,
+                baseline_cores=GATEWAY_CPU_BASELINE_CORES,
                 **self._clock_params(gateway_name(i)),
             )
             for i in range(config.n_gateways)
@@ -154,7 +160,7 @@ class CloudExCluster:
         self.participant_hosts: List[Host] = [
             self.network.add_host(
                 participant_name(i),
-                baseline_cores=config.participant_cpu_baseline_cores,
+                baseline_cores=PARTICIPANT_CPU_BASELINE_CORES,
                 **self._clock_params(participant_name(i)),
             )
             for i in range(config.n_participants)
@@ -309,8 +315,6 @@ class CloudExCluster:
             clients=self.gateway_hosts,
             rngs=self.rngs,
             estimator=estimator,
-            probe_interval_ns=config.probe_interval_ns,
-            sync_interval_ns=config.sync_interval_ns,
             path_override=path_override,
         )
 
@@ -334,7 +338,7 @@ class CloudExCluster:
     def _seed_books(self) -> None:
         """Pre-populate every book with operator liquidity.
 
-        Gives every symbol a two-sided market around ``initial_price``
+        Gives every symbol a two-sided market around ``INITIAL_PRICE``
         before trading starts, exactly like the exchange operator's
         opening auction would.  Applied directly to the shard cores at
         t=0, before any network traffic.
@@ -343,10 +347,10 @@ class CloudExCluster:
         seq = 0
         for symbol in config.symbols:
             shard = self.exchange.shards[self.router.shard_of(symbol)]
-            for level in range(config.initial_book_depth):
+            for level in range(INITIAL_BOOK_DEPTH):
                 for side, price in (
-                    (Side.BUY, config.initial_price - 1 - level),
-                    (Side.SELL, config.initial_price + 1 + level),
+                    (Side.BUY, INITIAL_PRICE - 1 - level),
+                    (Side.SELL, INITIAL_PRICE + 1 + level),
                 ):
                     seq += 1
                     order = Order(
@@ -355,7 +359,7 @@ class CloudExCluster:
                         symbol=symbol,
                         side=side,
                         order_type=OrderType.LIMIT,
-                        quantity=config.initial_book_qty,
+                        quantity=INITIAL_BOOK_QTY,
                         limit_price=price,
                         gateway_id="seed",
                         gateway_timestamp=0,
@@ -389,7 +393,7 @@ class CloudExCluster:
             def strategy_factory(index: int, symbols: Sequence[str]):
                 return ZeroIntelligenceStrategy(
                     symbols=symbols,
-                    fallback_price=config.initial_price,
+                    fallback_price=INITIAL_PRICE,
                     market_order_fraction=config.market_order_fraction,
                     cancel_fraction=config.cancel_fraction,
                 )
@@ -415,7 +419,7 @@ class CloudExCluster:
         """
         if self._ran_ns == 0:
             if self.clock_sync is not None:
-                self.clock_sync.warm_start(rounds=self.config.sync_warm_start_rounds)
+                self.clock_sync.warm_start()
                 self.clock_sync.start()
             self.exchange.start()
             if self.chaos is not None:

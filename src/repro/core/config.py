@@ -1,35 +1,14 @@
 """CloudEx cluster configuration.
 
 One :class:`CloudExConfig` describes a whole deployment: topology,
-fairness delays, DDP targets, ROS replication, network latency models,
-clock behaviour, the engine's service-time model, and CPU accounting
-constants.  Defaults reproduce the paper's testbed shape (48
-participants, 16 gateways, 100 symbols, ~22k orders/s aggregate).
+fairness delays, DDP targets, ROS replication, workload, and the
+options a run varies.  Defaults reproduce the paper's testbed shape
+(48 participants, 16 gateways, 100 symbols, ~22k orders/s aggregate).
 
-Calibration notes (see DESIGN.md §3)
-------------------------------------
-- *Network*: each link is a hard floor + gamma jitter + rare spikes
-  (participant<->gateway 115 us + gamma(0.7, 33 us); gateway<->engine
-  178 us + gamma(0.7, 92 us); spikes p=0.003 x<=11).  The composed
-  submission path measures ~370 / ~705 / ~990 us at p50/p99/p99.9 vs
-  the paper's 365 / 678 / 1096 (Fig. 6a, RF=1).
-- *Engine service model*: 8 us ingress per replica on one ingress core
-  (dedup work -- its queue heating up past RF=3 at 22k orders/s is
-  Fig. 6a's degradation), 29 us mean book work per order within a
-  shard (gamma, CV 0.8), 16.4 us mean in the global portfolio critical
-  section (caps aggregate throughput at ~61k orders/s; measured Table 1
-  curve 22k/41k/59k/61k/61k vs paper 22k/40k/49k/61k/61k).
-- *CPU accounting* (Fig. 6b): VM-level core usage is dominated by
-  messaging/polling overheads, so accounted per-message costs are much
-  larger than critical-path service times.  Engine: 529 us/order +
-  61 us/replica.  Gateway: baseline 2.05 cores + 254 us/replica.
-  Participant: baseline 0.3 cores + 222 us/replica.  Measured across
-  RF = 1..5: engine 12.8 -> 18.1 cores (paper 13.0 -> 18.4), gateway
-  2.39 -> 3.77 (2.4 -> 3.8), participant 0.40 -> 0.80 (0.4 -> 0.8).
-- *Clocks*: drift up to +-50 ppm, boot offsets up to +-5 ms; Huygens
-  sync at 1 Hz with 100 probe pairs/s yields ~50 ns median / ~250 ns
-  p99 residual (paper: 159 ns p99); NTP through a distant asymmetric
-  path yields ~10 ms.
+The testbed calibration is not configurable: it is the module
+constants below, each with the paper number it was fitted to (DESIGN.md
+§3 "Calibration constants" names them).  The comments on those
+constants are the one statement of the calibration.
 """
 
 from __future__ import annotations
@@ -45,6 +24,79 @@ from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
 #: from repro.fairness.base.POLICY_NAMES) so the config layer stays
 #: import-light; tests/fairness pins the two tuples equal.
 _FAIRNESS_POLICIES = ("cloudex", "dbo", "pfo", "noop")
+
+# ----------------------------------------------------------------------
+# Calibration constants
+# ----------------------------------------------------------------------
+# Book seeding: the operator's opening liquidity, every symbol a
+# two-sided market around INITIAL_PRICE (shardrun opens there too).
+INITIAL_CASH = 1_000_000_00  # $1M per account, in cents
+INITIAL_PRICE = 100_00  # $100.00, in cents
+INITIAL_BOOK_DEPTH = 5  # seeded resting levels per side
+INITIAL_BOOK_QTY = 500  # shares per seeded level
+
+# Network (one-way, repro.sim.latency.cloud_link): hard floor + gamma
+# jitter + spikes that multiply the jitter term by U(2, SPIKE_SCALE) with
+# probability ``CloudExConfig.spike_prob`` (0.006).  leg -> (base_us,
+# jitter_shape, jitter_scale_us).  The composed submission path of the
+# default config (seed 2021, RF=1, 0.3 s warm-up + 1.5 s measured)
+# measures 394 / 773 / 1154 us at p50/p99/p99.9 vs the paper's
+# 365 / 678 / 1096 (Fig. 6a); the mass near the floor is what lets the
+# Huygens minimum envelope reach ns precision.
+LINK_SHAPES = {
+    "participant_gateway": (115.0, 0.7, 33.0),
+    "gateway_engine": (178.0, 0.7, 92.0),
+}
+SPIKE_SCALE = 5.0
+
+# Clocks: boot drift up to +-50 ppm and offsets up to +-5 ms.  Huygens
+# (ClockSyncService's defaults: 1 Hz rounds, 100 probe pairs/s, 3
+# warm-start rounds) leaves ~250 ns steady-state p99 residual (paper §4:
+# 159 ns); NTP through a distant asymmetric path ~10 ms.
+CLOCK_DRIFT_PPB_MAX = 50_000
+CLOCK_OFFSET_NS_MAX = 5 * MILLISECOND
+
+# Engine critical path.  Ingress dedup costs 8 us per replica on one
+# core (its queue heating up past RF=3 at 22k orders/s is Fig. 6a's
+# degradation).  Book work is 29 us mean per order within a shard
+# (gamma, CV 0.8: the variability breaks the phase-locking a
+# deterministic closed system would show around the lock, giving
+# Table 1's gradual ramp).  The global portfolio critical section is
+# 16.4 us mean (CV 0.3), capping throughput at ~61k orders/s: Table 1
+# measures 22k/41k/59k/61k/61k vs the paper's 22k/40k/49k/61k/61k.  A
+# gateway spends 5 us on each order before forwarding it.
+INGRESS_SERVICE_US = 8.0
+BOOK_SERVICE_US = 29.0
+BOOK_SERVICE_CV = 0.8
+LOCK_SERVICE_US = 16.4
+LOCK_SERVICE_CV = 0.3
+GATEWAY_SERVICE_US = 5.0
+
+# CPU accounting (Fig. 6b; cores = baseline + rate * per-message cost).
+# VM core usage is dominated by messaging/polling overheads, so these
+# are far larger than the critical-path service times.  Fitted to the
+# RF=1 and RF=5 endpoints of the paper's engine 13.0 -> 18.4 cores,
+# gateway 2.4 -> 3.8 and participant 0.4 -> 0.8 (EXPERIMENTS.md Fig. 6b
+# has the measured curve, within 5 % at every RF).  The engine host has
+# no baseline term (Network.add_host's default of 0 cores).
+ENGINE_CPU_PER_ORDER_US = 529.0
+ENGINE_CPU_PER_REPLICA_US = 61.0
+GATEWAY_CPU_BASELINE_CORES = 2.05
+GATEWAY_CPU_PER_REPLICA_US = 254.0
+PARTICIPANT_CPU_BASELINE_CORES = 0.3
+PARTICIPANT_CPU_PER_REPLICA_US = 222.0
+
+# DDP (paper §3): the controller moves a delay in DdpController's
+# default 5 us steps, never above 5 ms.
+DDP_MAX_DELAY_US = 5000.0
+
+# Failover (repro.chaos): a participant rotates to a replica gateway
+# after this many consecutive ack timeouts.
+FAILOVER_AFTER_TIMEOUTS = 2
+
+# PFO: Monte-Carlo samples of the gateway->engine model behind each
+# calibrated hold quantile.
+PFO_CALIBRATION_DRAWS = 512
 
 
 def default_symbols(count: int) -> List[str]:
@@ -73,14 +125,6 @@ class CloudExConfig:
     symbols: Optional[List[str]] = None
 
     # ------------------------------------------------------------------
-    # Accounts
-    # ------------------------------------------------------------------
-    initial_cash: int = 1_000_000_00  # $1M in cents
-    initial_price: int = 100_00  # $100.00
-    initial_book_depth: int = 5  # seeded resting levels per side
-    initial_book_qty: int = 500  # shares per seeded level
-
-    # ------------------------------------------------------------------
     # Fairness delays (paper §2.2)
     # ------------------------------------------------------------------
     sequencer_delay_us: float = 500.0  # d_s
@@ -103,8 +147,6 @@ class CloudExConfig:
     #: PFO: target posterior probability that no earlier-sent message
     #: is still in flight at release time.
     pfo_threshold: float = 0.9
-    #: PFO: Monte-Carlo samples used to calibrate the hold quantiles.
-    pfo_calibration_draws: int = 512
 
     # ------------------------------------------------------------------
     # DDP (paper §3): None = static delay parameter
@@ -112,9 +154,7 @@ class CloudExConfig:
     ddp_inbound_target: Optional[float] = None
     ddp_outbound_target: Optional[float] = None
     ddp_window: int = 1000
-    ddp_step_us: float = 5.0
     ddp_update_every: int = 50
-    ddp_max_delay_us: float = 5000.0
 
     # ------------------------------------------------------------------
     # ROS (paper §3)
@@ -137,23 +177,15 @@ class CloudExConfig:
     #: Promote a replica gateway to primary after repeated ack timeouts
     #: (requires the participant to be wired to >= 2 gateways).
     gateway_failover: bool = False
-    failover_after_timeouts: int = 2
     #: Declarative fault schedule armed by the cluster on first run()
     #: (None = no chaos; see repro.chaos.schedule.FaultSchedule).
     chaos: Optional[FaultSchedule] = None
 
     # ------------------------------------------------------------------
-    # Network latency models (one-way): hard floor + gamma jitter +
-    # rare spikes (see repro.sim.latency.cloud_link)
+    # Network latency models (one-way; shapes in LINK_SHAPES)
     # ------------------------------------------------------------------
-    participant_gateway_base_us: float = 115.0
-    participant_gateway_jitter_shape: float = 0.7
-    participant_gateway_jitter_scale_us: float = 33.0
-    gateway_engine_base_us: float = 178.0
-    gateway_engine_jitter_shape: float = 0.7
-    gateway_engine_jitter_scale_us: float = 92.0
+    #: Probability that a delay's jitter term spikes (x U(2, SPIKE_SCALE)).
     spike_prob: float = 0.006
-    spike_scale: float = 5.0
     straggler_gateways: int = 0
     straggler_multiplier: float = 2.0
     #: Fig. 5: extra delays injected on gateway->engine links, cycling
@@ -168,46 +200,15 @@ class CloudExConfig:
     injected_gateway_fraction: float = 0.25
 
     # ------------------------------------------------------------------
-    # Clocks and synchronization
+    # Clock synchronization
     # ------------------------------------------------------------------
-    clock_drift_ppb_max: int = 50_000
-    clock_offset_ms_max: float = 5.0
     #: "huygens" | "ntp" | "none" (free-running clocks) | "perfect"
     clock_sync: str = "huygens"
-    sync_interval_ms: float = 1000.0
-    probe_interval_ms: float = 10.0
-    sync_warm_start_rounds: int = 3
-
-    # ------------------------------------------------------------------
-    # Engine critical-path service model
-    # ------------------------------------------------------------------
-    ingress_service_us: float = 8.0
-    book_service_us: float = 29.0
-    #: Coefficient of variation of per-order book work.  Matching cost
-    #: varies with fills and book depth; the variability also breaks
-    #: the phase-locking a deterministic closed system would exhibit
-    #: around the portfolio lock, producing Table 1's gradual ramp.
-    book_service_cv: float = 0.8
-    lock_service_us: float = 16.4
-    lock_service_cv: float = 0.3
-    gateway_service_us: float = 5.0
-
-    # ------------------------------------------------------------------
-    # CPU accounting (Fig. 6b; cores = baseline + rate * per-message)
-    # ------------------------------------------------------------------
-    engine_cpu_baseline_cores: float = 0.0
-    engine_cpu_per_order_us: float = 529.0
-    engine_cpu_per_replica_us: float = 61.0
-    gateway_cpu_baseline_cores: float = 2.05
-    gateway_cpu_per_replica_us: float = 254.0
-    participant_cpu_baseline_cores: float = 0.3
-    participant_cpu_per_replica_us: float = 222.0
 
     # ------------------------------------------------------------------
     # Market data dissemination
     # ------------------------------------------------------------------
     snapshot_interval_ms: float = 100.0
-    snapshot_depth: int = 5
     subscriptions_per_participant: int = 3
 
     # ------------------------------------------------------------------
@@ -234,7 +235,6 @@ class CloudExConfig:
     #: Fraction of orders traced (deterministic per-order hash, so the
     #: same orders are sampled across runs regardless of seed).
     trace_sample_rate: float = 1.0
-    event_log_capacity: int = 4096
 
     # ------------------------------------------------------------------
     # Workload (traders attached by the cluster builder)
@@ -262,24 +262,8 @@ class CloudExConfig:
         return int(self.holdrelease_delay_us * MICROSECOND)
 
     @property
-    def ddp_step_ns(self) -> int:
-        return int(self.ddp_step_us * MICROSECOND)
-
-    @property
-    def ddp_max_delay_ns(self) -> int:
-        return int(self.ddp_max_delay_us * MICROSECOND)
-
-    @property
     def snapshot_interval_ns(self) -> int:
         return int(self.snapshot_interval_ms * MILLISECOND)
-
-    @property
-    def sync_interval_ns(self) -> int:
-        return int(self.sync_interval_ms * MILLISECOND)
-
-    @property
-    def probe_interval_ns(self) -> int:
-        return int(self.probe_interval_ms * MILLISECOND)
 
     @property
     def injected_phase_ns(self) -> int:
@@ -304,13 +288,7 @@ class CloudExConfig:
         """One-way latency model of a ``"participant_gateway"`` or
         ``"gateway_engine"`` link: hard floor + gamma jitter + rare
         spikes."""
-        return cloud_link(
-            getattr(self, f"{leg}_base_us"),
-            getattr(self, f"{leg}_jitter_shape"),
-            getattr(self, f"{leg}_jitter_scale_us"),
-            self.spike_prob,
-            self.spike_scale,
-        )
+        return cloud_link(*LINK_SHAPES[leg], self.spike_prob, SPIKE_SCALE)
 
     # ------------------------------------------------------------------
     # Validation and variants
@@ -339,13 +317,8 @@ class CloudExConfig:
             raise ValueError(
                 f"straggler_multiplier must be >= 1, got {self.straggler_multiplier}"
             )
-        for leg in ("participant_gateway", "gateway_engine"):
-            # cloud_link states the base/jitter/spike ranges; building
-            # the model here is the check.
-            try:
-                self.link_model(leg)
-            except ValueError as exc:
-                raise ValueError(f"{leg}_* / spike_* link latency fields: {exc}") from None
+        if not 0.0 <= self.spike_prob <= 1.0:
+            raise ValueError(f"spike_prob must be in [0,1], got {self.spike_prob}")
         if self.injected_delay_phases_us is not None:
             if not self.injected_delay_phases_us:
                 raise ValueError("injected_delay_phases_us must be non-empty (or None)")
@@ -360,25 +333,13 @@ class CloudExConfig:
             raise ValueError("injected_gateway_fraction must be in (0, 1]")
         if self.clock_sync not in ("huygens", "ntp", "none", "perfect"):
             raise ValueError(f"unknown clock_sync mode {self.clock_sync!r}")
-        for name in (
-            "clock_drift_ppb_max", "clock_offset_ms_max", "sync_warm_start_rounds",
-            "ingress_service_us", "book_service_us", "lock_service_us", "gateway_service_us",
-            "book_service_cv", "lock_service_cv", "straggler_gateways",
-            "initial_cash", "initial_book_depth", "snapshot_interval_ms", "snapshot_depth",
-        ):
+        for name in ("straggler_gateways", "snapshot_interval_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in (
-            "sync_interval_ms", "probe_interval_ms", "orders_per_participant_per_s",
-            "initial_price", "initial_book_qty",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.initial_book_depth >= self.initial_price:
-            # The seeded bids sit at initial_price - 1 ... - depth.
+        if self.orders_per_participant_per_s <= 0:
             raise ValueError(
-                f"initial_book_depth={self.initial_book_depth} would seed bids at or "
-                f"below price 0 around initial_price={self.initial_price}"
+                f"orders_per_participant_per_s must be positive, "
+                f"got {self.orders_per_participant_per_s}"
             )
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
             raise ValueError("delay parameters must be non-negative")
@@ -406,14 +367,12 @@ class CloudExConfig:
                 continue
             if not 0.0 <= target <= 1.0:
                 raise ValueError(f"{name} must be in [0,1], got {target}")
-            if self.ddp_window < 1 or self.ddp_step_us <= 0 or self.ddp_update_every < 1:
-                raise ValueError(
-                    "ddp_window, ddp_step_us and ddp_update_every must be positive"
-                )
-            if initial_us > self.ddp_max_delay_us:
+            if self.ddp_window < 1 or self.ddp_update_every < 1:
+                raise ValueError("ddp_window and ddp_update_every must be positive")
+            if initial_us > DDP_MAX_DELAY_US:
                 raise ValueError(
                     f"{name}: the delay it tunes starts at {initial_us} us, "
-                    f"above ddp_max_delay_us={self.ddp_max_delay_us}"
+                    f"above DDP_MAX_DELAY_US={DDP_MAX_DELAY_US}"
                 )
         if self.dbo_window < 1:
             raise ValueError("dbo_window must be >= 1")
@@ -421,16 +380,12 @@ class CloudExConfig:
             raise ValueError("dbo_guard_cap_us must be non-negative")
         if not 0.0 < self.pfo_threshold < 1.0:
             raise ValueError(f"pfo_threshold must be in (0,1), got {self.pfo_threshold}")
-        if self.pfo_calibration_draws < 1:
-            raise ValueError("pfo_calibration_draws must be >= 1")
         if not 0 <= self.subscriptions_per_participant <= self.n_symbols:
             raise ValueError("subscriptions_per_participant outside [0, n_symbols]")
         if not 0.0 <= self.trace_sample_rate <= 1.0:
             raise ValueError(
                 f"trace_sample_rate must be in [0,1], got {self.trace_sample_rate}"
             )
-        if self.event_log_capacity < 1:
-            raise ValueError("event_log_capacity must be positive")
         if self.ros_dedup_ttl_s <= 0:
             raise ValueError("ros_dedup_ttl_s must be positive")
         if self.ack_timeout_ms is not None and self.ack_timeout_ms <= 0:
@@ -439,8 +394,6 @@ class CloudExConfig:
             raise ValueError("ack_retry_backoff must be >= 1")
         if self.ack_max_retries < 0:
             raise ValueError("ack_max_retries must be non-negative")
-        if self.failover_after_timeouts < 1:
-            raise ValueError("failover_after_timeouts must be >= 1")
         if self.gateway_failover and self.ack_timeout_ms is None:
             raise ValueError("gateway_failover requires ack_timeout_ms to be set")
         if self.gateway_failover and self.n_gateways < 2:

@@ -20,8 +20,8 @@ contains, per Fig. 1:
   unfairness samples.
 
 Timing model per order: ingress service -> sequencer hold -> shard
-book work (``book_service_us``, one order at a time per shard) ->
-portfolio critical section (``lock_service_us``, one order at a time
+book work (``BOOK_SERVICE_US``, one order at a time per shard) ->
+portfolio critical section (``LOCK_SERVICE_US``, one order at a time
 globally).  A shard does not start its next order until the current
 one clears the lock, modelling a shard thread that blocks on the
 shared-structure mutex.  There is one shard class and one way out of
@@ -37,7 +37,17 @@ from typing import Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tu
 
 import numpy as np
 
-from repro.core.config import CloudExConfig
+from repro.core.config import (
+    BOOK_SERVICE_CV,
+    BOOK_SERVICE_US,
+    DDP_MAX_DELAY_US,
+    ENGINE_CPU_PER_ORDER_US,
+    ENGINE_CPU_PER_REPLICA_US,
+    INGRESS_SERVICE_US,
+    LOCK_SERVICE_CV,
+    LOCK_SERVICE_US,
+    CloudExConfig,
+)
 from repro.core.ddp import DdpController
 from repro.core.marketdata import MarketDataPiece, TradeRecord
 from repro.core.matching import MatchingEngineCore, MatchResult
@@ -85,7 +95,6 @@ class EngineShard:
             symbols,
             portfolio,
             trade_id_counter=trade_ids,
-            snapshot_depth=server.config.snapshot_depth,
             self_trade_prevention=server.config.self_trade_prevention,
         )
         self.sequencer = server._build_sequencer(self._maybe_start)
@@ -176,15 +185,15 @@ class CentralExchangeServer(Actor):
         self.events = events
         self.clock = host.clock
         self.rng = network.rngs.stream("engine:service")
-        self.book_times = self._service_times(config.book_service_us, config.book_service_cv)
-        self.lock_times = self._service_times(config.lock_service_us, config.lock_service_cv)
+        self.book_times = self._service_times(BOOK_SERVICE_US, BOOK_SERVICE_CV)
+        self.lock_times = self._service_times(LOCK_SERVICE_US, LOCK_SERVICE_CV)
         # Critical-path pools track their own utilization; Fig. 6b CPU
         # accounting is charged separately on host.cpu.
         self.ingress = CorePool(sim, 1)
         self.lock_pool = CorePool(sim, 1)
-        self._ingress_service_ns = int(config.ingress_service_us * MICROSECOND)
-        self._cpu_per_replica_ns = int(config.engine_cpu_per_replica_us * MICROSECOND)
-        self._cpu_per_order_ns = int(config.engine_cpu_per_order_us * MICROSECOND)
+        self._ingress_service_ns = int(INGRESS_SERVICE_US * MICROSECOND)
+        self._cpu_per_replica_ns = int(ENGINE_CPU_PER_REPLICA_US * MICROSECOND)
+        self._cpu_per_order_ns = int(ENGINE_CPU_PER_ORDER_US * MICROSECOND)
 
         self.dedup = RosDeduplicator(ttl_ns=config.ros_dedup_ttl_ns)
         # Crash-safe recovery (repro.chaos): when participants retry on
@@ -222,8 +231,7 @@ class CentralExchangeServer(Actor):
                 target_ratio=config.ddp_inbound_target,
                 initial_delay_ns=config.sequencer_delay_ns,
                 window=config.ddp_window,
-                step_ns=config.ddp_step_ns,
-                max_delay_ns=config.ddp_max_delay_ns,
+                max_delay_ns=int(DDP_MAX_DELAY_US * MICROSECOND),
                 update_every_samples=config.ddp_update_every,
                 apply=self._apply_sequencer_delay,
             )
@@ -232,8 +240,7 @@ class CentralExchangeServer(Actor):
                 target_ratio=config.ddp_outbound_target,
                 initial_delay_ns=config.holdrelease_delay_ns,
                 window=config.ddp_window,
-                step_ns=config.ddp_step_ns,
-                max_delay_ns=config.ddp_max_delay_ns,
+                max_delay_ns=int(DDP_MAX_DELAY_US * MICROSECOND),
                 update_every_samples=config.ddp_update_every,
                 apply=self._apply_holdrelease_delay,
             )

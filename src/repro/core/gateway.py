@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.core.auth import AuthRegistry
-from repro.core.config import CloudExConfig
+from repro.core.config import GATEWAY_CPU_PER_REPLICA_US, GATEWAY_SERVICE_US, CloudExConfig
 from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
 from repro.core.messages import (
@@ -70,8 +70,8 @@ class Gateway(Actor):
         self.clock = host.clock
         self._to_engine = network.link(host.name, engine_name)
         self._seq = 0
-        self._service_ns = int(config.gateway_service_us * MICROSECOND)
-        self._cpu_per_replica_ns = int(config.gateway_cpu_per_replica_us * MICROSECOND)
+        self._service_ns = int(GATEWAY_SERVICE_US * MICROSECOND)
+        self._cpu_per_replica_ns = int(GATEWAY_CPU_PER_REPLICA_US * MICROSECOND)
         self._listed_symbols = frozenset(config.symbols)
         # symbol -> participant host names subscribed through this
         # gateway (dict used as an insertion-ordered set).

@@ -17,7 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.core.config import CloudExConfig
+from repro.core.config import (
+    FAILOVER_AFTER_TIMEOUTS,
+    PARTICIPANT_CPU_PER_REPLICA_US,
+    CloudExConfig,
+)
 from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.core.messages import (
     CancelRequest,
@@ -113,7 +117,7 @@ class Participant(Actor):
         self.tracer = tracer
         self.events = events
         self.strategy = None
-        self._cpu_per_replica_ns = int(config.participant_cpu_per_replica_us * MICROSECOND)
+        self._cpu_per_replica_ns = int(PARTICIPANT_CPU_PER_REPLICA_US * MICROSECOND)
 
         self.market: Dict[Symbol, MarketView] = {}
         #: client_order_id -> Order as submitted (pre-stamping).
@@ -196,7 +200,7 @@ class Participant(Actor):
         if (
             self.config.gateway_failover
             and len(self.gateways) > 1
-            and self._consecutive_timeouts >= self.config.failover_after_timeouts
+            and self._consecutive_timeouts >= FAILOVER_AFTER_TIMEOUTS
         ):
             self._fail_over()
         if pending.attempts >= self.config.ack_max_retries:

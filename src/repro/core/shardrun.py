@@ -45,6 +45,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
+from repro.core.config import INITIAL_PRICE
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
@@ -73,7 +74,7 @@ class ShardRunConfig:
     n_shards: int = 10
     rate_per_participant_s: float = 0.45
     duration_s: float = 2.0
-    initial_price: int = 10_000
+    initial_price: int = INITIAL_PRICE
     price_sigma_ticks: float = 15.0
     aggression: float = 0.18
     market_order_fraction: float = 0.05

@@ -19,11 +19,12 @@ posterior has a closed form:
   a pessimistic constant.  That derivation is the latency win: for
   θ = 0.9 on the default fabric, q lands well under the fixed 500 us.
 
-Calibration samples the configured model ``pfo_calibration_draws``
-times from the dedicated RNG streams ``fairness:pfo:calibration``
-(inbound) and ``fairness:pfo:outbound`` (the θ-quantile engine->
-gateway hold ``d_h``), so the policy is deterministic in the cluster
-seed and perturbs no other stream.  The policy supplies no rule: the
+Calibration samples the configured model a fixed number of times
+(``repro.core.config.PFO_CALIBRATION_DRAWS``, 512; not a config field)
+from the dedicated RNG streams ``fairness:pfo:calibration`` (inbound)
+and ``fairness:pfo:outbound`` (the θ-quantile engine->gateway hold
+``d_h``), so the policy is deterministic in the cluster seed and
+perturbs no other stream.  The policy supplies no rule: the
 :class:`~repro.core.sequencer.Sequencer` and
 :class:`~repro.core.holdrelease.HoldReleaseBuffer` run as under cloudex
 -- PFO changes how the delays are *chosen*, not how they are *enforced*.
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.config import GATEWAY_SERVICE_US, INGRESS_SERVICE_US, PFO_CALIBRATION_DRAWS
 from repro.fairness.base import FairnessPolicy
 from repro.sim.timeunits import MICROSECOND
 
@@ -64,10 +66,10 @@ class PfoPolicy(FairnessPolicy):
             quantile = _empirical_quantile_ns(
                 config.link_model("gateway_engine"),
                 rngs.stream("fairness:pfo:calibration"),
-                config.pfo_calibration_draws,
+                PFO_CALIBRATION_DRAWS,
                 p,
             )
-            overhead = int((config.gateway_service_us + config.ingress_service_us) * MICROSECOND)
+            overhead = int((GATEWAY_SERVICE_US + INGRESS_SERVICE_US) * MICROSECOND)
             self._inbound_ns = quantile + overhead
         return self._inbound_ns
 
@@ -77,7 +79,7 @@ class PfoPolicy(FairnessPolicy):
             self._outbound_ns = _empirical_quantile_ns(
                 config.link_model("gateway_engine"),
                 rngs.stream("fairness:pfo:outbound"),
-                config.pfo_calibration_draws,
+                PFO_CALIBRATION_DRAWS,
                 config.pfo_threshold,
             )
         return self._outbound_ns

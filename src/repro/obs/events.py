@@ -141,8 +141,8 @@ class EventLog:
             return EventLog.loads_jsonl(fh.read())
 
     @classmethod
-    def from_events(cls, events: Iterable[ObsEvent], capacity: int = 4096) -> "EventLog":
-        log = cls(capacity=capacity)
+    def from_events(cls, events: Iterable[ObsEvent]) -> "EventLog":
+        log = cls()
         for event in events:
             log.emit(
                 event.t_true,

@@ -15,7 +15,7 @@ from repro.chaos import (
     check_invariants,
 )
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CloudExConfig
+from repro.core.config import INITIAL_PRICE, CloudExConfig
 from repro.core.types import Side
 from repro.sim.timeunits import MILLISECOND
 
@@ -55,7 +55,7 @@ def _run(ttl_s):
         config.symbols[0],
         Side.BUY,
         10,
-        config.initial_price,
+        INITIAL_PRICE,
     )
     cluster.run(duration_s=0.6)
     return cluster, monitor, participant

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.cluster import CloudExCluster, gateway_name, participant_name
-from repro.core.config import CloudExConfig
+from repro.core.config import INITIAL_PRICE, CloudExConfig
 from repro.core.types import Side
 from tests.conftest import small_config
 
@@ -21,8 +21,8 @@ class TestConstruction:
         for symbol in small_cluster.config.symbols:
             shard = small_cluster.exchange.shards[small_cluster.router.shard_of(symbol)]
             book = shard.core.books[symbol]
-            assert book.best_bid() == small_cluster.config.initial_price - 1
-            assert book.best_ask() == small_cluster.config.initial_price + 1
+            assert book.best_bid() == INITIAL_PRICE - 1
+            assert book.best_ask() == INITIAL_PRICE + 1
 
     def test_every_participant_has_account_and_token(self, small_cluster):
         for participant in small_cluster.participants:

@@ -41,9 +41,7 @@ def test_dbo_bounds():
 
 
 def test_pfo_bounds():
-    CloudExConfig(pfo_threshold=0.5, pfo_calibration_draws=1)
+    CloudExConfig(pfo_threshold=0.5)
     for threshold in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError, match="pfo_threshold"):
             CloudExConfig(pfo_threshold=threshold)
-    with pytest.raises(ValueError, match="pfo_calibration_draws"):
-        CloudExConfig(pfo_calibration_draws=0)

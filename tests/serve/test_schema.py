@@ -63,8 +63,8 @@ class TestNormalizeSweep:
         with pytest.raises(JobError, match="invalid sweep spec"):
             normalize_job({**SWEEP_RAW, "grid": [{"n_shardz": 1}]})
         # ... and so is a value no config can be built from.
-        bad_base = {**SWEEP_RAW["base"], "spike_scale": 1.0}
-        with pytest.raises(JobError, match="invalid sweep spec: .*spike_scale must be >= 2"):
+        bad_base = {**SWEEP_RAW["base"], "spike_prob": 1.5}
+        with pytest.raises(JobError, match=r"invalid sweep spec: .*spike_prob must be in \[0,1\]"):
             normalize_job({**SWEEP_RAW, "base": bad_base})
         # ... or one that used to build and silently mean "off".
         with pytest.raises(JobError, match="snapshot_interval_ms must be non-negative"):

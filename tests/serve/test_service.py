@@ -105,10 +105,15 @@ class TestAuthAndRouting:
         assert status == 400
         assert body["error"] == "'kind' must be one of sweep, chaos, fairness"
         # A config value the builder would refuse is refused here, not in a worker.
-        bad_base = {**TINY_SWEEP, "base": {**TINY_SWEEP["base"], "spike_scale": 1.0}}
+        bad_base = {**TINY_SWEEP, "base": {**TINY_SWEEP["base"], "spike_prob": 1.5}}
         status, body = request(server, "POST", "/v1/jobs", body=bad_base)
         assert status == 400
-        assert "spike_scale must be >= 2" in body["error"]
+        assert "spike_prob must be in [0,1]" in body["error"]
+        # A calibration constant is not a knob: naming one is an unknown field.
+        bad_base = {**TINY_SWEEP, "base": {**TINY_SWEEP["base"], "spike_scale": 5}}
+        status, body = request(server, "POST", "/v1/jobs", body=bad_base)
+        assert status == 400
+        assert "'spike_scale' is not a CloudExConfig field" in body["error"]
 
     def test_non_json_body_is_400(self, server):
         import urllib.error

@@ -198,15 +198,15 @@ class TestMain:
             (["sweep", "--grid", "n_shards=1", "--seeds", "0"], "seeds must be >= 1"),
             (["sweep", "--grid", "n_shards=1", "--seed-list", "a,b"], "--seed-list expects"),
             (["sweep", "--grid", "n_shards=1", "--jobs", "0"], "jobs must be >= 1"),
-            (["sweep", "--grid", "n_shards=1", "--set", "spike_scale=1"], "spike_scale must be"),
+            (["sweep", "--grid", "n_shards=1", "--set", "spike_prob=1.5"], "spike_prob must be"),
             (["fairness", "--seeds", "0"], "seeds must be >= 1"),
             (
                 ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch"],
                 "'matching_mode' is not a CloudExConfig field",
             ),
             (
-                ["sweep", "--grid", "n_shards=1", "--set", "initial_book_qty=0"],
-                "initial_book_qty must be positive",
+                ["sweep", "--grid", "n_shards=1", "--set", "orders_per_participant_per_s=0"],
+                "orders_per_participant_per_s must be positive",
             ),
             (
                 ["sweep", "--grid", "n_shards=1", "--set", "halt_threshold=0.05"],
@@ -219,6 +219,10 @@ class TestMain:
             (
                 ["sweep", "--grid", "n_shards=1", "--set", "sync_use_mesh=true"],
                 "'sync_use_mesh' is not a CloudExConfig field",
+            ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "spike_scale=5"],
+                "'spike_scale' is not a CloudExConfig field",
             ),
         ],
     )
