@@ -319,16 +319,21 @@ class CloudExConfig:
             )
         if not 0.0 <= self.spike_prob <= 1.0:
             raise ValueError(f"spike_prob must be in [0,1], got {self.spike_prob}")
-        if self.injected_delay_phases_us is not None:
-            if not self.injected_delay_phases_us:
-                raise ValueError("injected_delay_phases_us must be non-empty (or None)")
+        phases = self.injected_delay_phases_us
+        if phases is not None:
+            if not (
+                isinstance(phases, (list, tuple))
+                and phases
+                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in phases)
+            ):
+                raise ValueError(
+                    "injected_delay_phases_us must be a non-empty list of numbers "
+                    f"in JSON form, e.g. [0,400,200]; got {phases!r}"
+                )
             if self.injected_phase_seconds <= 0:
                 raise ValueError("injected_phase_seconds must be positive")
-            if min(self.injected_delay_phases_us) < 0:
-                raise ValueError(
-                    f"injected_delay_phases_us must be non-negative, got "
-                    f"{self.injected_delay_phases_us}"
-                )
+            if min(phases) < 0:
+                raise ValueError(f"injected_delay_phases_us must be non-negative, got {phases}")
         if not 0.0 < self.injected_gateway_fraction <= 1.0:
             raise ValueError("injected_gateway_fraction must be in (0, 1]")
         if self.clock_sync not in ("huygens", "ntp", "none", "perfect"):

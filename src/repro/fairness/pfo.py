@@ -40,7 +40,12 @@ from repro.sim.timeunits import MICROSECOND
 
 
 def _empirical_quantile_ns(model, rng, draws: int, p: float) -> int:
-    """The p-quantile of ``draws`` Monte-Carlo samples of ``model``."""
+    """The p-quantile of ``draws`` Monte-Carlo samples of ``model``.
+
+    Each sample is its own window of one (``LatencyModel.sample``): one
+    column of ``draws`` would read the stream in another order and move
+    both calibrated holds.
+    """
     samples = sorted(model.sample(rng, 0) for _ in range(draws))
     index = int(p * draws)
     if index >= draws:

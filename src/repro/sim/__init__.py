@@ -18,15 +18,10 @@ from repro.sim.clock import HostClock
 from repro.sim.cpu import CorePool, CpuAccountant
 from repro.sim.engine import Actor, Event, Simulator
 from repro.sim.latency import (
-    CompositeLatency,
-    ConstantLatency,
     GammaLatency,
     LatencyModel,
-    LognormalLatency,
     PeriodicInjectedDelay,
-    SpikyLatency,
     StragglerLatency,
-    UniformLatency,
 )
 from repro.sim.network import Host, Link, Network
 from repro.sim.rng import RngRegistry
@@ -34,8 +29,6 @@ from repro.sim.timeunits import MICROSECOND, MILLISECOND, NANOSECOND, SECOND
 
 __all__ = [
     "Actor",
-    "CompositeLatency",
-    "ConstantLatency",
     "CorePool",
     "CpuAccountant",
     "Event",
@@ -44,7 +37,6 @@ __all__ = [
     "HostClock",
     "LatencyModel",
     "Link",
-    "LognormalLatency",
     "MICROSECOND",
     "MILLISECOND",
     "NANOSECOND",
@@ -53,7 +45,5 @@ __all__ = [
     "RngRegistry",
     "SECOND",
     "Simulator",
-    "SpikyLatency",
     "StragglerLatency",
-    "UniformLatency",
 ]

@@ -4,7 +4,12 @@ buffer, configured as each policy rules them."""
 import pytest
 
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CloudExConfig
+from repro.core.config import (
+    GATEWAY_SERVICE_US,
+    INGRESS_SERVICE_US,
+    PFO_CALIBRATION_DRAWS,
+    CloudExConfig,
+)
 from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
 from repro.core.sequencer import Sequencer
@@ -16,6 +21,8 @@ from repro.obs.events import EventLog, Severity
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.sim.timeunits import MICROSECOND
+from tests.sim import reference
 
 
 def config_for(policy, **overrides):
@@ -236,6 +243,29 @@ class TestPfoCalibration:
             config_for("pfo", n_gateways=8), RngRegistry(7)
         )
         assert many >= few
+
+    @pytest.mark.parametrize("seed", [1, 2021])
+    def test_holds_are_quantiles_of_scalar_oracle_draws(self, seed):
+        """Each calibration sample is one scalar draw off its named stream;
+        one column of 512 would read the stream in another order."""
+        config = CloudExConfig(seed=seed, fairness_policy="pfo")
+        model = config.link_model("gateway_engine")
+        oracle_rngs = RngRegistry(seed)
+
+        def quantile(stream, p):
+            rng = oracle_rngs.stream(stream)
+            draws = sorted(reference.sample(model, rng, 0) for _ in range(PFO_CALIBRATION_DRAWS))
+            return draws[min(int(p * PFO_CALIBRATION_DRAWS), PFO_CALIBRATION_DRAWS - 1)]
+
+        p_inbound = config.pfo_threshold ** (1.0 / max(1, config.n_gateways - 1))
+        overhead = int((GATEWAY_SERVICE_US + INGRESS_SERVICE_US) * MICROSECOND)
+        policy, rngs = PfoPolicy(), RngRegistry(seed)
+        assert policy.inbound_hold_ns(config, rngs) == (
+            quantile("fairness:pfo:calibration", p_inbound) + overhead
+        )
+        assert policy.engine_hold_ns(config, rngs) == quantile(
+            "fairness:pfo:outbound", config.pfo_threshold
+        )
 
     def test_engine_hold_is_outbound_quantile(self):
         config = config_for("pfo")

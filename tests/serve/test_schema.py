@@ -79,6 +79,14 @@ class TestNormalizeSweep:
         with pytest.raises(JobError, match="'sync_use_mesh' is not a CloudExConfig field"):
             normalize_job({**SWEEP_RAW, "base": {**SWEEP_RAW["base"], "sync_use_mesh": True}})
 
+    @pytest.mark.parametrize("phases", ["0,400,200", 5, [], [0, "400"], [True]])
+    def test_malformed_tuple_field_names_the_field(self, phases):
+        bad_base = {**SWEEP_RAW["base"], "injected_delay_phases_us": phases}
+        with pytest.raises(
+            JobError, match=r"injected_delay_phases_us must be a non-empty list .*\[0,400,200\]"
+        ):
+            normalize_job({**SWEEP_RAW, "base": bad_base})
+
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):
             normalize_job({**SWEEP_RAW, "grid": [{"seed": 3}]})

@@ -1,4 +1,6 @@
-"""Tests for latency models."""
+"""Tests for latency models: the columnar draws of ``repro.sim.latency``
+against the scalar oracle in ``tests/sim/reference.py``, and the oracle's
+own models."""
 
 import numpy as np
 import pytest
@@ -7,19 +9,21 @@ from hypothesis import strategies as st
 
 from repro.sim.latency import (
     CloudLinkLatency,
-    CompositeLatency,
-    ConstantLatency,
     GammaLatency,
-    LatencyModel,
-    LognormalLatency,
     PeriodicInjectedDelay,
-    SpikyLatency,
     StragglerLatency,
-    UniformLatency,
     cloud_link,
 )
 from repro.sim.rng import RngRegistry
 from repro.sim.timeunits import MICROSECOND, SECOND
+from tests.sim import reference
+from tests.sim.reference import (
+    CompositeLatency,
+    ConstantLatency,
+    LognormalLatency,
+    SpikyLatency,
+    UniformLatency,
+)
 
 
 @pytest.fixture
@@ -28,7 +32,7 @@ def rng():
 
 
 def draws(model, rng, n=5000, now=0):
-    return np.array([model.sample(rng, now) for _ in range(n)])
+    return model.sample_many(rng, np.full(n, now, dtype=np.int64))
 
 
 class TestConstant:
@@ -92,7 +96,7 @@ class TestGamma:
         assert abs(samples.mean() - 20_000) / 20_000 < 0.05
 
     def test_floor_override_allows_near_zero(self, rng):
-        model = GammaLatency(0, 0.5, 1_000, floor_ns=0)
+        model = reference.GammaLatency(0, 0.5, 1_000, floor_ns=0)
         assert draws(model, rng).min() < 1_000
 
     def test_default_floor_applies(self, rng):
@@ -189,6 +193,25 @@ class TestCloudLink:
         with pytest.raises(ValueError):
             cloud_link(0.0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"jitter_shape": 0.0},
+            {"jitter_shape": -0.7},
+            {"jitter_scale_us": 0.0},
+            {"jitter_scale_us": -30.0},
+            {"spike_prob": -0.1},
+            {"spike_prob": 1.5},
+            {"spike_prob": 0.01, "spike_scale": 1.5},
+        ],
+    )
+    def test_bad_parameters_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cloud_link(100.0, **bad)
+
+    def test_spike_scale_is_unread_without_spikes(self):
+        assert cloud_link(100.0, spike_prob=0.0, spike_scale=1.5).spike_scale == 1.5
+
     @settings(max_examples=100, deadline=None)
     @given(
         base_us=st.floats(0.001, 1000.0),
@@ -201,12 +224,12 @@ class TestCloudLink:
     def test_fused_model_is_the_composed_one_draw_for_draw(
         self, base_us, jitter_shape, jitter_scale_us, spike_prob, spike_scale, seed
     ):
-        """The fast path under every link, pinned to the models it was
-        fused from: same samples, same RNG draws in the same order."""
+        """The model under every link, pinned to the scalar composition it
+        is defined as: same samples, same RNG draws in the same order."""
         fused = cloud_link(base_us, jitter_shape, jitter_scale_us, spike_prob, spike_scale)
         assert type(fused) is CloudLinkLatency
         jitter = SpikyLatency(
-            GammaLatency(0, jitter_shape, jitter_scale_us * MICROSECOND, floor_ns=0),
+            reference.GammaLatency(0, jitter_shape, jitter_scale_us * MICROSECOND, floor_ns=0),
             spike_prob,
             spike_scale,
         )
@@ -219,33 +242,8 @@ class TestCloudLink:
 
 
 # ----------------------------------------------------------------------
-# sample_many: the bulk path pinned to the scalar one
+# sample_many: every draw body pinned to the scalar oracle
 # ----------------------------------------------------------------------
-def _cloud_link_columns(model, rng, times):
-    """``CloudLinkLatency.sample``'s scalar calls, made column by column:
-    every jitter, then every spike coin, then one factor per spike."""
-    jitter = [int(rng.gamma(model.jitter_shape, model.jitter_scale_ns)) for _ in times]
-    if model.spike_prob > 0.0:
-        spiked = [rng.random() < model.spike_prob for _ in times]
-        for i, hit in enumerate(spiked):
-            if hit:
-                jitter[i] = int(jitter[i] * rng.uniform(2.0, model.spike_scale))
-    return [max(model.base_ns + j, model.floor_ns) for j in jitter]
-
-
-def _reference_columns(model, rng, times):
-    """The scalar arithmetic of each vectorised model over its base's column."""
-    if type(model) is CloudLinkLatency:
-        return _cloud_link_columns(model, rng, times)
-    if type(model) is GammaLatency:
-        return [model._clamp(model.base_ns + rng.gamma(model.shape, model.scale_ns)) for _ in times]
-    base = _reference_columns(model.base, rng, times)
-    if type(model) is StragglerLatency:
-        return [model._clamp(d * model.multiplier) for d in base]
-    assert type(model) is PeriodicInjectedDelay
-    return [model._clamp(d + model.extra_at(t)) for d, t in zip(base, times)]
-
-
 _link_models = st.builds(
     cloud_link,
     base_us=st.floats(0.001, 1000.0),
@@ -259,7 +257,6 @@ _gamma_models = st.builds(
     base_ns=st.integers(0, 5_000_000),
     shape=st.floats(0.05, 5.0),
     scale_ns=st.floats(1.0, 12_000_000.0),
-    floor_ns=st.one_of(st.none(), st.integers(0, 10_000)),
 )
 _base_models = st.one_of(_link_models, _gamma_models)
 _vectorised_models = st.one_of(
@@ -288,7 +285,7 @@ class TestSampleMany:
         bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         drawn = model.sample_many(bulk_rng, np.array(times, dtype=np.int64))
         assert drawn.dtype == np.int64
-        assert drawn.tolist() == _reference_columns(model, scalar_rng, times)
+        assert drawn.tolist() == reference.sample_columns(model, scalar_rng, times)
         assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
@@ -298,23 +295,17 @@ class TestSampleMany:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_a_window_of_one_is_sample(self, model, times, seed):
-        bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        """``sample`` (PFO's calibration) and a one-entry column both draw
+        what the scalar body draws."""
+        bulk_rng, one_rng, scalar_rng = (np.random.default_rng(seed) for _ in range(3))
         for now in times:
-            drawn = model.sample_many(bulk_rng, np.array([now], dtype=np.int64))
-            assert drawn.tolist() == [model.sample(scalar_rng, now)]
+            expected = reference.sample(model, scalar_rng, now)
+            window = np.array([now], dtype=np.int64)
+            assert model.sample_many(bulk_rng, window).tolist() == [expected]
+            drawn = model.sample(one_rng, now)
+            assert type(drawn) is int and drawn == expected
         assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
-
-    @settings(max_examples=50, deadline=None)
-    @given(times=_times, seed=st.integers(0, 2**32 - 1))
-    def test_base_class_default_loops_sample(self, times, seed):
-        """Models nobody vectorised (here: spiky lognormal) get the loop."""
-        model = SpikyLatency(LognormalLatency(100_000, 0.4), 0.3, 4.0)
-        assert type(model).sample_many is LatencyModel.sample_many
-        bulk_rng, scalar_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = model.sample_many(bulk_rng, np.array(times, dtype=np.int64))
-        assert drawn.dtype == np.int64
-        assert drawn.tolist() == [model.sample(scalar_rng, now) for now in times]
-        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+        assert one_rng.bit_generator.state == scalar_rng.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
     @given(model=_vectorised_models, times=_times, seed=st.integers(0, 2**32 - 1))

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from repro.sim.engine import Actor, Simulator
-from repro.sim.latency import (
-    ConstantLatency,
-    PeriodicInjectedDelay,
-    StragglerLatency,
-    UniformLatency,
-    cloud_link,
-)
+from repro.sim.latency import PeriodicInjectedDelay, StragglerLatency, cloud_link
 from repro.sim.network import Network
 from repro.sim.rng import DRAW_BLOCK, RngRegistry
 from repro.sim.timeunits import SECOND
+from tests.sim import reference
+from tests.sim.reference import ConstantLatency, UniformLatency
 
 
 class Recorder(Actor):
@@ -381,10 +377,11 @@ class TestDelayBlocks:
         sim.run()
         twin = RngRegistry(9).stream("link:a->b")
         expected = [
-            model.sample_many(twin, np.array(times[start:start + DRAW_BLOCK], dtype=np.int64))
+            delay
             for start in (0, DRAW_BLOCK)
+            for delay in reference.sample_columns(model, twin, times[start:start + DRAW_BLOCK])
         ]
-        assert self._delays(network, times) == np.concatenate(expected).tolist()
+        assert self._delays(network, times) == expected
         assert network.link("a", "b").rng.bit_generator.state == twin.bit_generator.state
 
     def test_injected_phase_follows_the_send_not_the_draw(self, net):
@@ -424,14 +421,15 @@ class TestDelayBlocks:
 
     def test_delay_quantiles_match_scalar_sample(self):
         """Same distribution: 400 k delays off a link's blocks against
-        400 k ``sample`` calls, p50 / p90 / p99 within 1 %, p99.9 within 3 %."""
+        400 k scalar oracle draws, p50 / p90 / p99 within 1 %, p99.9 within 3 %."""
         n = 400_000
         model = cloud_link(100.0, spike_prob=0.001)
         _, network = self._net(model)
         link = network.link("a", "b")  # not FIFO, at t=0: an arrival is a delay
         block = np.array([link.prepare(None)[0] for _ in range(n)])
         scalar_rng = RngRegistry(10).stream("scalar")
-        scalar = np.array([model.sample(scalar_rng, 0) for _ in range(n)])
+        oracle = reference.composed(model)
+        scalar = np.array([oracle.sample(scalar_rng, 0) for _ in range(n)])
         for q, rel in ((50, 0.01), (90, 0.01), (99, 0.01), (99.9, 0.03)):
             assert np.percentile(block, q) == pytest.approx(np.percentile(scalar, q), rel=rel)
 

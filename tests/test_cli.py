@@ -224,6 +224,11 @@ class TestMain:
                 ["sweep", "--grid", "n_shards=1", "--set", "spike_scale=5"],
                 "'spike_scale' is not a CloudExConfig field",
             ),
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=0,400,200"],
+                "injected_delay_phases_us must be a non-empty list of numbers "
+                "in JSON form, e.g. [0,400,200]; got '0,400,200'",
+            ),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
