@@ -20,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.clocksync.huygens import HuygensEstimator
 from repro.clocksync.ntp import NtpEstimator
@@ -65,7 +65,8 @@ from repro.storage.records import (
     write_snapshot,
     write_trade,
 )
-from repro.traders.workload import attach_agents, split_symbols
+from repro.traders.base import TradingAgent
+from repro.traders.workload import split_symbols
 from repro.traders.zi import ZeroIntelligenceStrategy
 
 ENGINE = "engine"
@@ -121,7 +122,7 @@ class CloudExCluster:
         self._build_clock_sync()
         self._name_counts()
         self._seed_books()
-        self.agents: List = []
+        self.agents: List[TradingAgent] = []
         self._ran_ns = 0
         self._cpu_window_start = 0
         # Fault injection (repro.chaos): built only when a schedule is
@@ -375,37 +376,30 @@ class CloudExCluster:
     # ------------------------------------------------------------------
     # Workload
     # ------------------------------------------------------------------
-    def add_default_workload(
-        self,
-        rate_per_participant: Optional[float] = None,
-        strategy_factory=None,
-    ) -> None:
-        """Attach the paper's default flow: ZI traders at ~450 orders/s."""
+    def add_default_workload(self, rate_per_participant: Optional[float] = None) -> None:
+        """Attach the paper's default flow: one ZI trader per participant
+        at ``rate_per_participant`` orders/s (default: the config's
+        ~450/s), each on its own ``trader:<name>`` stream so adding or
+        removing a participant never changes another's order flow."""
         config = self.config
+        if rate_per_participant is None:
+            rate_per_participant = config.orders_per_participant_per_s
         assignments = split_symbols(
             config.symbols,
             config.n_participants,
             config.subscriptions_per_participant or 1,
             self.rngs,
         )
-        if strategy_factory is None:
-
-            def strategy_factory(index: int, symbols: Sequence[str]):
-                return ZeroIntelligenceStrategy(
-                    symbols=symbols,
-                    fallback_price=INITIAL_PRICE,
-                    market_order_fraction=config.market_order_fraction,
-                    cancel_fraction=config.cancel_fraction,
-                )
-
-        self.agents = attach_agents(
-            sim=self.sim,
-            rngs=self.rngs,
-            participants=self.participants,
-            strategy_factory=strategy_factory,
-            symbol_assignments=assignments,
-            rate_per_s=rate_per_participant or config.orders_per_participant_per_s,
-        )
+        for participant, symbols in zip(self.participants, assignments):
+            strategy = ZeroIntelligenceStrategy(
+                symbols, config.market_order_fraction, config.cancel_fraction
+            )
+            agent = TradingAgent(
+                self.sim, participant, strategy, rate_per_participant,
+                self.rngs.stream(f"trader:{participant.name}"),
+            )
+            agent.start()
+            self.agents.append(agent)
 
     # ------------------------------------------------------------------
     # Execution
@@ -435,7 +429,6 @@ class CloudExCluster:
         warmup_s: float,
         duration_s: float,
         rate_per_participant: Optional[float] = None,
-        strategy_factory=None,
     ) -> None:
         """The standard measurement protocol, in one call.
 
@@ -445,10 +438,7 @@ class CloudExCluster:
         is the protocol every benchmark hand-rolls; the sweep runner
         (:mod:`repro.exp`) executes exactly this in each worker.
         """
-        self.add_default_workload(
-            rate_per_participant=rate_per_participant,
-            strategy_factory=strategy_factory,
-        )
+        self.add_default_workload(rate_per_participant)
         if warmup_s > 0:
             self.run(duration_s=warmup_s)
         self.reset_metrics()

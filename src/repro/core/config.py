@@ -13,6 +13,7 @@ constants are the one statement of the calibration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
@@ -97,6 +98,33 @@ FAILOVER_AFTER_TIMEOUTS = 2
 # PFO: Monte-Carlo samples of the gateway->engine model behind each
 # calibrated hold quantile.
 PFO_CALIBRATION_DRAWS = 512
+
+# Zero-intelligence order shape (repro.traders.zi, both feeds): uniform
+# ZI_MIN_QTY..ZI_MAX_QTY shares; a limit order is priced 1-3 ticks
+# through the touch with probability ZI_AGGRESSION, else 1 + |N(0,
+# ZI_PRICE_SIGMA_TICKS)| ticks behind it.  Trades per order track
+# aggression + the market-order share: the paper's second deployment
+# saw ~8 % (4.2M orders, 330k trades), course-bot flow far more.
+ZI_MIN_QTY = 1
+ZI_MAX_QTY = 100
+ZI_AGGRESSION = 0.18
+ZI_PRICE_SIGMA_TICKS = 15.0
+
+# Batched feed (repro.core.shardrun): 5 % market orders and no cancels
+# (Table-1 economics: 12 283 orders, 3 459 trades in
+# tests/core/golden/shardrun_table1.json); the gateway stamps an order
+# 80 us + gamma(0.7, 30 us) after it arrives, a lighter participant ->
+# gateway leg than LINK_SHAPES'; market data is published every 10 ms,
+# so a conservative-sync window is 10 ms + twice the 80 us floor;
+# trades settle into 64 participant buckets; arrivals are drawn 4096
+# rows a chunk.
+SHARDRUN_MARKET_ORDER_FRACTION = 0.05
+SHARDRUN_GATEWAY_BASE_US = 80.0
+SHARDRUN_GATEWAY_JITTER_SHAPE = 0.7
+SHARDRUN_GATEWAY_JITTER_SCALE_US = 30.0
+SHARDRUN_PUBLISH_INTERVAL_MS = 10.0
+SHARDRUN_PORTFOLIO_BUCKETS = 64
+SHARDRUN_CHUNK = 4096
 
 
 def default_symbols(count: int) -> List[str]:
@@ -341,9 +369,9 @@ class CloudExConfig:
         for name in ("straggler_gateways", "snapshot_interval_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.orders_per_participant_per_s <= 0:
+        if not 0 < self.orders_per_participant_per_s < math.inf:
             raise ValueError(
-                f"orders_per_participant_per_s must be positive, "
+                f"orders_per_participant_per_s must be positive and finite, "
                 f"got {self.orders_per_participant_per_s}"
             )
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:

@@ -5,11 +5,11 @@ of) the gateways, with APIs to (1) submit orders and receive order and
 trade confirmations, (2) subscribe to real-time market data streams,
 and (3) query historical market data from long-term cloud storage.
 
-:class:`Participant` is the client library + VM in one actor.  Trading
-logic plugs in as a strategy object (see :mod:`repro.traders`); the
-participant invokes its callbacks on confirmations, trades, and market
-data, and exposes ``submit_limit`` / ``submit_market`` / ``cancel`` /
-``subscribe`` / ``query_trades``.
+:class:`Participant` is the client library + VM in one actor: it keeps
+a per-symbol market view and the working orders from confirmations,
+trades and market data, and exposes ``submit_limit`` / ``submit_market``
+/ ``cancel`` / ``subscribe`` / ``query_trades``.  The order flow is a
+:class:`repro.traders.TradingAgent` driving it.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class Participant(Actor):
         self.history = history_client
         self.tracer = tracer
         self.events = events
-        self.strategy = None
         self._cpu_per_replica_ns = int(PARTICIPANT_CPU_PER_REPLICA_US * MICROSECOND)
 
         self.market: Dict[Symbol, MarketView] = {}
@@ -340,16 +339,12 @@ class Participant(Actor):
             )
         if conf.status in (OrderStatus.FILLED, OrderStatus.REJECTED, OrderStatus.CANCELLED):
             self.working.pop(conf.client_order_id, None)
-        if self.strategy is not None:
-            self.strategy.on_confirmation(self, conf)
 
     def _on_trade(self, trade_conf: TradeConfirmation) -> None:
         self.trades_received += 1
         view = self.view(trade_conf.symbol)
         view.last_trade_price = trade_conf.price
         view.last_update_local = self.host.clock.now()
-        if self.strategy is not None:
-            self.strategy.on_trade(self, trade_conf)
 
     def _on_market_data(self, delivery: MarketDataDelivery) -> None:
         self.md_received += 1
@@ -362,8 +357,6 @@ class Participant(Actor):
             view.best_bid = payload.best_bid or view.best_bid
             view.best_ask = payload.best_ask or view.best_ask
         view.last_update_local = self.host.clock.now()
-        if self.strategy is not None:
-            self.strategy.on_market_data(self, delivery)
 
     def __repr__(self) -> str:
         return f"Participant({self.name!r}, submitted={self.orders_submitted})"

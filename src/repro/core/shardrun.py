@@ -14,14 +14,14 @@ scales with aggregate order count.
 Time is cut into conservative-synchronization windows of length
 ``lookahead_ns`` (see :meth:`ShardRunConfig.lookahead_ns`): within a
 window, shards are causally independent -- the only cross-shard
-influence is the global price index computed at the previous barrier,
-mirroring how market data published every ``md_publish_interval_ms``
-is the only cross-symbol coupling in the event-driven cluster.  At
-each barrier the coordinator merges per-shard tallies **in shard-id
-order**, computes the next index, and broadcasts it; shards blend it
-into their per-symbol price centers, so the feedback is genuinely
-load-bearing (prices correlate across shards) and the run is a real
-conservative-sync problem, not embarrassingly parallel.
+influence is the global price index computed at the previous barrier
+(published every ``SHARDRUN_PUBLISH_INTERVAL_MS``), mirroring how
+market data is the only cross-symbol coupling in the event-driven
+cluster.  At each barrier the coordinator merges per-shard tallies
+**in shard-id order**, computes the next index, and broadcasts it;
+shards blend it into their per-symbol price centers, so the feedback is
+genuinely load-bearing (prices correlate across shards) and the run is
+a real conservative-sync problem, not embarrassingly parallel.
 
 Determinism: a shard's computation depends only on ``(config,
 shard_id, feedback history)``.  ``--jobs 1`` runs the identical
@@ -38,6 +38,7 @@ order -- what a per-order event heap would pop, with no event per order.
 from __future__ import annotations
 
 import argparse
+import math
 import time as _time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -45,7 +46,20 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
-from repro.core.config import INITIAL_PRICE
+from repro.core.config import (
+    INITIAL_PRICE,
+    SHARDRUN_CHUNK,
+    SHARDRUN_GATEWAY_BASE_US,
+    SHARDRUN_GATEWAY_JITTER_SCALE_US,
+    SHARDRUN_GATEWAY_JITTER_SHAPE,
+    SHARDRUN_MARKET_ORDER_FRACTION,
+    SHARDRUN_PORTFOLIO_BUCKETS,
+    SHARDRUN_PUBLISH_INTERVAL_MS,
+    ZI_AGGRESSION,
+    ZI_MAX_QTY,
+    ZI_MIN_QTY,
+    ZI_PRICE_SIGMA_TICKS,
+)
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
@@ -54,10 +68,28 @@ from repro.core.types import OrderType, Side, TimeInForce
 from repro.sim.engine import SimulationError, collector_paused
 from repro.sim.parallel import ConservativeShardRunner
 from repro.sim.rng import RngRegistry
+from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
 from repro.sim.worker import check_jobs
 from repro.traders.workload import BulkOrderStream
 
 Columns = Dict[str, np.ndarray]  #: named numpy columns, one row per order
+
+#: The calibration a run reads, echoed beside the config in every report
+#: under the names the reports have always carried.
+_CALIBRATION_ECHO = {
+    "initial_price": INITIAL_PRICE,
+    "price_sigma_ticks": ZI_PRICE_SIGMA_TICKS,
+    "aggression": ZI_AGGRESSION,
+    "market_order_fraction": SHARDRUN_MARKET_ORDER_FRACTION,
+    "min_qty": ZI_MIN_QTY,
+    "max_qty": ZI_MAX_QTY,
+    "gateway_base_latency_us": SHARDRUN_GATEWAY_BASE_US,
+    "gateway_jitter_shape": SHARDRUN_GATEWAY_JITTER_SHAPE,
+    "gateway_jitter_scale_us": SHARDRUN_GATEWAY_JITTER_SCALE_US,
+    "md_publish_interval_ms": SHARDRUN_PUBLISH_INTERVAL_MS,
+    "portfolio_buckets": SHARDRUN_PORTFOLIO_BUCKETS,
+    "chunk": SHARDRUN_CHUNK,
+}
 
 
 @dataclass(frozen=True)
@@ -65,7 +97,8 @@ class ShardRunConfig:
     """Everything that identifies a sharded batched run.
 
     Two runs with equal configs produce byte-identical reports at any
-    ``jobs``; the config is echoed into the report verbatim.
+    ``jobs``; the config is echoed into the report with the calibration
+    (``ZI_*`` and ``SHARDRUN_*`` in :mod:`repro.core.config`) it reads.
     """
 
     seed: int = 2021
@@ -74,18 +107,6 @@ class ShardRunConfig:
     n_shards: int = 10
     rate_per_participant_s: float = 0.45
     duration_s: float = 2.0
-    initial_price: int = INITIAL_PRICE
-    price_sigma_ticks: float = 15.0
-    aggression: float = 0.18
-    market_order_fraction: float = 0.05
-    min_qty: int = 1
-    max_qty: int = 100
-    gateway_base_latency_us: float = 80.0
-    gateway_jitter_shape: float = 0.7
-    gateway_jitter_scale_us: float = 30.0
-    md_publish_interval_ms: float = 10.0
-    portfolio_buckets: int = 64
-    chunk: int = 4096
 
     def __post_init__(self) -> None:
         if self.n_shards < 1 or self.n_shards > self.n_symbols:
@@ -94,17 +115,10 @@ class ShardRunConfig:
             )
         if self.n_participants < 1:
             raise ValueError(f"need participants, got {self.n_participants}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration must be positive, got {self.duration_s}")
-        if self.portfolio_buckets < 1:
-            raise ValueError(f"need at least one bucket, got {self.portfolio_buckets}")
-        if self.gateway_base_latency_us < 0 or self.gateway_jitter_scale_us < 0:
-            raise ValueError(
-                f"gateway latency must be non-negative, got base "
-                f"{self.gateway_base_latency_us} us, jitter scale {self.gateway_jitter_scale_us} us"
-            )
-        if self.gateway_jitter_shape <= 0:
-            raise ValueError(f"jitter shape must be positive, got {self.gateway_jitter_shape}")
+        for name in ("rate_per_participant_s", "duration_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     def symbol_universe(self) -> Tuple[str, ...]:
         return tuple(f"SYM{i:03d}" for i in range(self.n_symbols))
@@ -120,19 +134,19 @@ class ShardRunConfig:
         link latency" argument as Chandy-Misra null messages, with the
         publish interval dominating.
         """
-        publish_ns = int(self.md_publish_interval_ms * 1_000_000)
-        floor_ns = int(self.gateway_base_latency_us * 1_000)
+        publish_ns = int(SHARDRUN_PUBLISH_INTERVAL_MS * MILLISECOND)
+        floor_ns = int(SHARDRUN_GATEWAY_BASE_US * MICROSECOND)
         return publish_ns + 2 * floor_ns
 
     def duration_ns(self) -> int:
-        return int(self.duration_s * 1_000_000_000)
+        return int(self.duration_s * SECOND)
 
     def n_windows(self) -> int:
         window = self.lookahead_ns()
         return -(-self.duration_ns() // window)  # ceil
 
     def to_dict(self) -> Dict[str, Any]:
-        return {key: value for key, value in sorted(asdict(self).items())}
+        return dict(sorted({**asdict(self), **_CALIBRATION_ECHO}.items()))
 
 
 def split_due(carry: Columns, new: Columns, t_end: int) -> Tuple[Columns, Columns]:
@@ -158,7 +172,7 @@ class BatchOrder(Order):
     its trades settle by, so the trade sink never parses them back out
     of ``participant_id`` / ``symbol``."""
 
-    bucket: int = 0  #: ``participant % portfolio_buckets``
+    bucket: int = 0  #: ``participant % SHARDRUN_PORTFOLIO_BUCKETS``
     symbol_index: int = 0  #: position of ``symbol`` in the shard's symbol tuple
 
 
@@ -193,28 +207,18 @@ class ShardProgram:
             n_participants=config.n_participants,
             rate_per_s=shard_rate,
             n_symbols=len(self.symbols),
-            min_qty=config.min_qty,
-            max_qty=config.max_qty,
-            aggression=config.aggression,
-            market_order_fraction=config.market_order_fraction,
-            price_sigma_ticks=config.price_sigma_ticks,
-            latency_base_ns=int(config.gateway_base_latency_us * 1_000),
-            latency_jitter_shape=config.gateway_jitter_shape,
-            latency_jitter_scale_ns=config.gateway_jitter_scale_us * 1_000.0,
-            chunk=config.chunk,
         )
         self.core = MatchingEngineCore(self.symbols, PortfolioMatrix())
         self.stats = BatchMatchStats()
         self.windows = 0
         self._now = 0  # end of the last window run
         self._carry: Columns = {}  # rows stamped past it (see split_due)
-        self._centers = [config.initial_price] * len(self.symbols)
+        self._centers = [INITIAL_PRICE] * len(self.symbols)
         # Bucketed settlement: participant pid settles into bucket
-        # pid % portfolio_buckets -- per-(bucket, symbol) positions and
-        # per-bucket cash, conserved exactly by construction.
-        self._n_buckets = config.portfolio_buckets
-        self._bucket_pos = [0] * (self._n_buckets * len(self.symbols))
-        self._bucket_cash = [0] * self._n_buckets
+        # pid % SHARDRUN_PORTFOLIO_BUCKETS -- per-(bucket, symbol)
+        # positions and per-bucket cash, conserved exactly by construction.
+        self._bucket_pos = [0] * (SHARDRUN_PORTFOLIO_BUCKETS * len(self.symbols))
+        self._bucket_cash = [0] * SHARDRUN_PORTFOLIO_BUCKETS
 
     # ------------------------------------------------------------------
     # Window protocol
@@ -279,7 +283,7 @@ class ShardProgram:
             prices.tolist(),
             due["participant"].tolist(),
             due["stamp"].tolist(),
-            (due["participant"] % self._n_buckets).tolist(),
+            (due["participant"] % SHARDRUN_PORTFOLIO_BUCKETS).tolist(),
         ):
             order = new(BatchOrder)
             order.client_order_id = i
@@ -361,7 +365,7 @@ def run_shardrun(
         _make_shard, (config,), config.n_shards, jobs=jobs, timeout_s=timeout_s
     )
     try:
-        index = config.initial_price
+        index = INITIAL_PRICE
         index_path: List[int] = []
         feedback: Dict[str, Any] = {"index": None}
         for w in range(n_windows):
@@ -419,7 +423,6 @@ def build_shardrun_parser() -> argparse.ArgumentParser:
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--rate", type=float, default=0.45, help="orders/s per participant")
     parser.add_argument("--duration", type=float, default=0.5, metavar="SECONDS")
-    parser.add_argument("--buckets", type=int, default=64, help="portfolio accounting buckets")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = inline)")
     add_json_flag(parser, "emit the deterministic report as JSON")
     return parser
@@ -435,7 +438,6 @@ def shardrun_main(argv=None) -> int:
             n_shards=args.shards,
             rate_per_participant_s=args.rate,
             duration_s=args.duration,
-            portfolio_buckets=args.buckets,
         )
         check_jobs(args.jobs)
     except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -127,12 +128,19 @@ class SweepSpec:
         return [f"seed{int(s)}" for s in self.seeds]
 
     def validate(self) -> None:
-        """Expand the grid and build every task's config -- what a front
-        door (``python -m repro sweep``, a submitted job) checks before
-        it runs anything.  :func:`~repro.exp.runner.run_sweep` itself
-        does not: there a point that cannot be built is one failed task."""
+        """Expand the grid, build every task's config and check its rate
+        is positive and finite -- what a front door (``python -m repro
+        sweep``, a submitted job) checks before it runs anything.
+        :func:`~repro.exp.runner.run_sweep` itself does not: there a point
+        that cannot be built is one failed task."""
         for task in self.expand():
             task.build_config()
+            rate = task.rate_per_participant
+            if rate is not None and not 0 < rate < math.inf:
+                raise ValueError(
+                    f"grid point {task.point}: rate_per_participant must be "
+                    f"positive and finite, got {rate}"
+                )
 
     def expand(self) -> List[SweepTask]:
         """The full task list, in deterministic grid-major order."""

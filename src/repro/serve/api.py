@@ -204,6 +204,12 @@ class ReproServer:
             return None
 
 
+def _no_constant(name: str) -> object:
+    """``json.loads`` accepts ``NaN`` / ``Infinity`` / ``-Infinity``; a
+    job body may not carry them into the spec ``run_id`` hashes."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
@@ -331,7 +337,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(413, {"error": f"body must be 0..{MAX_BODY_BYTES} bytes"})
             return
         try:
-            raw = json.loads(self.rfile.read(length).decode("utf-8"))
+            raw = json.loads(self.rfile.read(length).decode("utf-8"), parse_constant=_no_constant)
         except (ValueError, UnicodeDecodeError) as exc:
             self._send_json(400, {"error": f"body is not valid JSON: {exc}"})
             return

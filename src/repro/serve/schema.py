@@ -34,6 +34,7 @@ normalized spec plus the simulator source-tree hash, reusing
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional
 
 from repro.exp.cache import content_key
@@ -54,8 +55,8 @@ def _require(condition: bool, message: str) -> None:
 
 def _as_float(spec: Dict[str, object], key: str, default: float) -> float:
     value = spec.get(key, default)
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{key!r} must be a number")
+    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
+             and math.isfinite(value), f"{key!r} must be a finite number")
     return float(value)
 
 

@@ -1,20 +1,18 @@
-"""Trading strategies and workload generation.
+"""Workload generation: zero-intelligence order flow.
 
 The paper's evaluations run ~450 orders/s per participant (22k/s
 aggregate) of synthetic zero-intelligence flow.  This package provides
-the Poisson order-flow driver (:class:`TradingAgent`), the
-:class:`Strategy` callbacks it drives, and the zero-intelligence
-strategy every workload uses.
+the Poisson order-flow agent (:class:`TradingAgent`), the
+zero-intelligence trader it drives, and the batched kernel's merged
+order stream.
 """
 
-from repro.traders.base import Strategy, TradingAgent
-from repro.traders.workload import attach_agents, split_symbols
+from repro.traders.base import TradingAgent
+from repro.traders.workload import split_symbols
 from repro.traders.zi import ZeroIntelligenceStrategy
 
 __all__ = [
-    "Strategy",
     "TradingAgent",
     "ZeroIntelligenceStrategy",
-    "attach_agents",
     "split_symbols",
 ]

@@ -1,51 +1,17 @@
-"""Strategy interface and the Poisson order-flow driver."""
+"""Poisson order flow: one participant's agent, and the merged stream."""
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Iterator
+import math
 
 import numpy as np
 
+from repro.core.config import SHARDRUN_CHUNK
 from repro.core.participant import Participant
 from repro.sim.engine import Simulator
 from repro.sim.rng import DRAW_BLOCK, block_stream
 from repro.sim.timeunits import SECOND
-
-
-class Strategy:
-    """Base class for trading strategies.
-
-    A strategy is attached to a :class:`~repro.core.participant.Participant`
-    and driven from two directions: the participant forwards exchange
-    events (confirmations, trades, market data), and a
-    :class:`TradingAgent` calls :meth:`on_order_opportunity` at Poisson
-    times to generate outbound flow.
-    """
-
-    def on_start(self, participant: Participant) -> None:
-        """Called once before trading begins (subscribe, seed state)."""
-
-    def opportunity_draws(self, rng: np.random.Generator) -> Iterator[Any]:
-        """What :meth:`on_order_opportunity` gets, one item an opportunity:
-        the agent's stream itself by default, block-drawn rows for a
-        strategy that is all chance (:mod:`repro.traders.zi`).  The agent
-        keeps the iterator, so a strategy two agents share holds no buffer.
-        """
-        return itertools.repeat(rng)
-
-    def on_order_opportunity(self, participant: Participant, draw: Any) -> None:
-        """Called at each order-arrival instant with the next item of
-        :meth:`opportunity_draws`; place orders here."""
-
-    def on_market_data(self, participant: Participant, delivery) -> None:
-        """Called on every released market-data delivery."""
-
-    def on_confirmation(self, participant: Participant, confirmation) -> None:
-        """Called on every order confirmation."""
-
-    def on_trade(self, participant: Participant, trade_confirmation) -> None:
-        """Called on every trade confirmation (a fill on our order)."""
+from repro.traders.zi import ZeroIntelligenceStrategy
 
 
 class PoissonArrivalStream:
@@ -72,12 +38,11 @@ class PoissonArrivalStream:
         self,
         rng: np.random.Generator,
         rate_per_s: float,
-        start_ns: int = 0,
-        chunk: int = 4096,
+        chunk: int = SHARDRUN_CHUNK,
         field_factory=None,
     ) -> None:
-        if rate_per_s <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate_per_s}")
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError(f"arrival rate must be positive and finite, got {rate_per_s}")
         if chunk < 1:
             raise ValueError(f"chunk must be positive, got {chunk}")
         self.rng = rng
@@ -85,7 +50,7 @@ class PoissonArrivalStream:
         self.chunk = chunk
         self.field_factory = field_factory
         self._scale = SECOND / rate_per_s
-        self._last_ns = start_ns
+        self._last_ns = 0
         self._times = np.empty(0, dtype=np.int64)
         self._fields = None
         self._pos = 0
@@ -139,12 +104,12 @@ class PoissonArrivalStream:
 
 
 class TradingAgent:
-    """Drives one participant's strategy with Poisson order arrivals.
+    """Drives one participant's ZI trader with Poisson order arrivals.
 
     Inter-opportunity gaps are exponential with mean ``1/rate``, the
     standard order-flow model and what "each market participant
     submits around 450 orders/s on average" (paper §4) implies.  Gaps
-    and the strategy's draws both come off the agent's stream a block of
+    and the trader's rows both come off the agent's stream a block of
     :data:`~repro.sim.rng.DRAW_BLOCK` at a time (DESIGN §4.11).
     """
 
@@ -152,12 +117,12 @@ class TradingAgent:
         self,
         sim: Simulator,
         participant: Participant,
-        strategy: Strategy,
+        strategy: ZeroIntelligenceStrategy,
         rate_per_s: float,
         rng: np.random.Generator,
     ) -> None:
-        if rate_per_s <= 0:
-            raise ValueError(f"order rate must be positive, got {rate_per_s}")
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError(f"order rate must be positive and finite, got {rate_per_s}")
         self.sim = sim
         self.participant = participant
         self.strategy = strategy
@@ -167,18 +132,17 @@ class TradingAgent:
         self._gaps = block_stream(
             lambda: np.maximum(1, rng.exponential(scale, size=DRAW_BLOCK).astype(np.int64)).tolist()
         )
-        self._draws = strategy.opportunity_draws(rng)
+        self._rows = strategy.rows(rng)
         self.opportunities = 0
         self._running = False
-        participant.strategy = strategy
 
-    def start(self, delay_ns: int = 0) -> None:
-        """Begin generating flow after ``delay_ns``."""
+    def start(self) -> None:
+        """Subscribe to the trader's symbols and begin generating flow."""
         if self._running:
             return
         self._running = True
-        self.strategy.on_start(self.participant)
-        self.sim.schedule(delay_ns + next(self._gaps), self._tick)
+        self.participant.subscribe(self.strategy.symbols)
+        self.sim.schedule(next(self._gaps), self._tick)
 
     def stop(self) -> None:
         """Stop after the currently scheduled opportunity."""
@@ -188,7 +152,7 @@ class TradingAgent:
         if not self._running:
             return
         self.opportunities += 1
-        self.strategy.on_order_opportunity(self.participant, next(self._draws))
+        self.strategy.place(self.participant, next(self._rows))
         self.sim.schedule(next(self._gaps), self._tick)
 
     def __repr__(self) -> str:

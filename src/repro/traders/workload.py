@@ -1,24 +1,23 @@
-"""Workload assembly helpers.
-
-Functions for attaching strategy-driven Poisson order flow to a set of
-participants -- the glue between :mod:`repro.core.cluster` and the
-strategies in this package.
+"""Workload assembly helpers: the symbol split behind the cluster's
+per-participant agents, and the batched kernel's merged order stream.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.core.participant import Participant
-from repro.sim.engine import Simulator
+from repro.core.config import (
+    SHARDRUN_GATEWAY_BASE_US,
+    SHARDRUN_GATEWAY_JITTER_SCALE_US,
+    SHARDRUN_GATEWAY_JITTER_SHAPE,
+    SHARDRUN_MARKET_ORDER_FRACTION,
+)
 from repro.sim.rng import RngRegistry
-from repro.traders.base import PoissonArrivalStream, Strategy, TradingAgent
+from repro.sim.timeunits import MICROSECOND
+from repro.traders.base import PoissonArrivalStream
 from repro.traders.zi import zi_bulk_fields
-
-#: Builds a strategy for one participant: (participant index, its symbols) -> Strategy.
-StrategyFactory = Callable[[int, Sequence[str]], Strategy]
 
 
 def split_symbols(
@@ -60,14 +59,15 @@ def split_symbols(
 class BulkOrderStream:
     """Bulk-generated merged ZI order flow for one engine shard.
 
-    Where :func:`attach_agents` builds one event-driven
-    :class:`TradingAgent` per participant (an event, an RNG draw, and a
-    Python callback per opportunity), this models the *merged* flow of
-    ``n_participants`` ZI traders over a symbol subset as a single
-    chunked numpy stream: Poisson arrival times, participant / symbol /
-    side / quantity / price-offset columns, and a gateway-stamp column
-    (arrival + base latency + gamma jitter), all drawn whole chunks at
-    a time.  This is the order-generation half of the batched kernel
+    Where the cluster builds one event-driven
+    :class:`~repro.traders.base.TradingAgent` per participant (an event,
+    an RNG draw, and a Python callback per opportunity), this models the
+    *merged* flow of ``n_participants`` ZI traders over a symbol subset
+    as a single chunked numpy stream: Poisson arrival times, participant
+    / symbol / side / quantity / price-offset columns, and a
+    gateway-stamp column (arrival + the ``SHARDRUN_GATEWAY_*`` base
+    latency and gamma jitter), all drawn whole chunks at a time.  This
+    is the order-generation half of the batched kernel
     (:mod:`repro.core.shardrun`); matching consumes the columns in
     gateway-stamp order.
 
@@ -86,46 +86,25 @@ class BulkOrderStream:
         n_participants: int,
         rate_per_s: float,
         n_symbols: int,
-        min_qty: int = 1,
-        max_qty: int = 100,
-        aggression: float = 0.18,
-        market_order_fraction: float = 0.10,
-        price_sigma_ticks: float = 15.0,
-        latency_base_ns: int = 80_000,
-        latency_jitter_shape: float = 0.7,
-        latency_jitter_scale_ns: float = 30_000.0,
-        start_ns: int = 0,
-        chunk: int = 4096,
     ) -> None:
         if n_participants < 1:
             raise ValueError(f"need at least one participant, got {n_participants}")
         if n_symbols < 1:
             raise ValueError(f"need at least one symbol, got {n_symbols}")
 
+        base_ns = int(SHARDRUN_GATEWAY_BASE_US * MICROSECOND)
+        jitter_scale_ns = SHARDRUN_GATEWAY_JITTER_SCALE_US * MICROSECOND
+
         def draw_fields(n: int) -> dict:
-            fields = zi_bulk_fields(
-                fields_rng,
-                n,
-                n_symbols,
-                min_qty=min_qty,
-                max_qty=max_qty,
-                aggression=aggression,
-                price_sigma_ticks=price_sigma_ticks,
-            )
-            fields["market"] = fields.pop("roll") < market_order_fraction
+            fields = zi_bulk_fields(fields_rng, n, n_symbols)
+            fields["market"] = fields.pop("roll") < SHARDRUN_MARKET_ORDER_FRACTION
             fields["participant"] = fields_rng.integers(0, n_participants, size=n)
-            fields["latency"] = latency_base_ns + fields_rng.gamma(
-                latency_jitter_shape, latency_jitter_scale_ns, size=n
+            fields["latency"] = base_ns + fields_rng.gamma(
+                SHARDRUN_GATEWAY_JITTER_SHAPE, jitter_scale_ns, size=n
             ).astype(np.int64)
             return fields
 
-        self.arrivals = PoissonArrivalStream(
-            arrivals_rng,
-            rate_per_s,
-            start_ns=start_ns,
-            chunk=chunk,
-            field_factory=draw_fields,
-        )
+        self.arrivals = PoissonArrivalStream(arrivals_rng, rate_per_s, field_factory=draw_fields)
         self.emitted = 0
 
     def take_until(self, t_end_ns: int):
@@ -142,36 +121,3 @@ class BulkOrderStream:
         start = self.emitted
         self.emitted += len(times)
         return start, times, fields
-
-
-def attach_agents(
-    sim: Simulator,
-    rngs: RngRegistry,
-    participants: Sequence[Participant],
-    strategy_factory: StrategyFactory,
-    symbol_assignments: Sequence[Sequence[str]],
-    rate_per_s: float,
-    start_delay_ns: int = 0,
-) -> List[TradingAgent]:
-    """Create and start one agent per participant.
-
-    Each agent gets its own named random stream, so adding or removing
-    one participant never changes another's order flow.
-    """
-    if len(symbol_assignments) != len(participants):
-        raise ValueError(
-            f"{len(participants)} participants but {len(symbol_assignments)} symbol assignments"
-        )
-    agents: List[TradingAgent] = []
-    for index, participant in enumerate(participants):
-        strategy = strategy_factory(index, symbol_assignments[index])
-        agent = TradingAgent(
-            sim=sim,
-            participant=participant,
-            strategy=strategy,
-            rate_per_s=rate_per_s,
-            rng=rngs.stream(f"trader:{participant.name}"),
-        )
-        agent.start(delay_ns=start_delay_ns)
-        agents.append(agent)
-    return agents

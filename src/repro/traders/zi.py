@@ -5,7 +5,8 @@ opportunity places an order on a uniformly random symbol and side at a
 price drawn around the current reference price.  Despite having no
 strategy, ZI flow produces realistic book dynamics -- a random-walk
 mid price, two-sided depth, and a steady stream of crossings -- which
-is all the exchange-side evaluations need.
+is all the exchange-side evaluations need.  The order shape is the
+``ZI_*`` calibration in :mod:`repro.core.config`.
 """
 
 from __future__ import annotations
@@ -14,21 +15,19 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
+from repro.core.config import (
+    INITIAL_PRICE,
+    ZI_AGGRESSION,
+    ZI_MAX_QTY,
+    ZI_MIN_QTY,
+    ZI_PRICE_SIGMA_TICKS,
+)
 from repro.core.participant import Participant
 from repro.core.types import Side, Symbol
 from repro.sim.rng import DRAW_BLOCK, block_stream
-from repro.traders.base import Strategy
 
 
-def zi_bulk_fields(
-    rng: np.random.Generator,
-    n: int,
-    n_symbols: int,
-    min_qty: int = 1,
-    max_qty: int = 100,
-    aggression: float = 0.18,
-    price_sigma_ticks: float = 15.0,
-) -> dict:
+def zi_bulk_fields(rng: np.random.Generator, n: int, n_symbols: int) -> dict:
     """Draw ``n`` ZI opportunities at once -- the only ZI generator.
 
     Seven columns, in this order whatever ``n`` is (the order is part of
@@ -46,15 +45,15 @@ def zi_bulk_fields(
     thresholds: :class:`ZeroIntelligenceStrategy` reads ``cancel_fraction``
     then ``cancel_fraction + market_order_fraction``; the batched feed
     (:class:`~repro.traders.workload.BulkOrderStream`) has no cancels and
-    reads ``roll < market_order_fraction``.
+    reads ``roll < SHARDRUN_MARKET_ORDER_FRACTION``.
     """
     symbol = rng.integers(0, n_symbols, size=n)
     side_buy = rng.random(size=n) < 0.5
-    qty = rng.integers(min_qty, max_qty + 1, size=n)
+    qty = rng.integers(ZI_MIN_QTY, ZI_MAX_QTY + 1, size=n)
     roll = rng.random(size=n)
-    aggressive = rng.random(size=n) < aggression
+    aggressive = rng.random(size=n) < ZI_AGGRESSION
     through = rng.integers(1, 4, size=n)
-    behind = 1 + np.abs(np.rint(rng.normal(0.0, price_sigma_ticks, size=n)).astype(np.int64))
+    behind = 1 + np.abs(np.rint(rng.normal(0.0, ZI_PRICE_SIGMA_TICKS, size=n)).astype(np.int64))
     offset = np.where(aggressive, through, -behind)
     offset = np.where(side_buy, offset, -offset)
     return {
@@ -66,8 +65,9 @@ def zi_bulk_fields(
     }
 
 
-class ZeroIntelligenceStrategy(Strategy):
-    """Random orders around the reference price.
+class ZeroIntelligenceStrategy:
+    """Random orders around the reference price (``INITIAL_PRICE``
+    before any market data arrives).
 
     Each opportunity is one row of :func:`zi_bulk_fields` (which states
     the column order), drawn ``DRAW_BLOCK`` rows at a time.
@@ -75,77 +75,45 @@ class ZeroIntelligenceStrategy(Strategy):
     Parameters
     ----------
     symbols:
-        Symbols this trader is active in (usually its subscriptions).
-    fallback_price:
-        Reference price used before any market data arrives.
-    price_sigma_ticks:
-        Scale of the passive limit-price offset behind the reference;
-        larger values build deeper, wider books.
-    min_qty, max_qty:
-        Uniform order-size range.
-    aggression:
-        Probability a limit order is priced *through* the touch (and
-        so trades immediately against the book).  The realized
-        trades-per-order ratio tracks ``aggression +
-        market_order_fraction``; the paper's second deployment saw
-        ~8% (4.2M orders, 330k trades), course-bot flow considerably
-        more.
-    market_order_fraction:
-        Probability an opportunity becomes a market order.
-    cancel_fraction:
-        Probability an opportunity instead cancels a working order.
+        Symbols this trader is active in (and subscribes to).
+    market_order_fraction, cancel_fraction:
+        Probability an opportunity becomes a market order, or instead
+        cancels a working order (``CloudExConfig``'s workload fields).
     """
 
     def __init__(
         self,
         symbols: Sequence[Symbol],
-        fallback_price: int,
-        price_sigma_ticks: float = 15.0,
-        min_qty: int = 1,
-        max_qty: int = 100,
-        aggression: float = 0.18,
-        market_order_fraction: float = 0.10,
-        cancel_fraction: float = 0.05,
+        market_order_fraction: float,
+        cancel_fraction: float,
     ) -> None:
         if not symbols:
             raise ValueError("ZI trader needs at least one symbol")
-        if fallback_price <= 0:
-            raise ValueError(f"fallback price must be positive, got {fallback_price}")
-        if not 0 < min_qty <= max_qty:
-            raise ValueError(f"bad quantity range [{min_qty}, {max_qty}]")
-        if not 0.0 <= aggression <= 1.0:
-            raise ValueError(f"aggression must be in [0,1], got {aggression}")
         if market_order_fraction + cancel_fraction > 1.0:
             raise ValueError("market + cancel fractions exceed 1")
         self.symbols: List[Symbol] = list(symbols)
-        self.fallback_price = fallback_price
-        self.price_sigma_ticks = price_sigma_ticks
-        self.min_qty = min_qty
-        self.max_qty = max_qty
-        self.aggression = aggression
         self.market_order_fraction = market_order_fraction
         self.cancel_fraction = cancel_fraction
 
-    def on_start(self, participant: Participant) -> None:
-        participant.subscribe(self.symbols)
-
     def _reference(self, participant: Participant, symbol: Symbol) -> int:
         ref = participant.view(symbol).reference_price
-        return ref if ref is not None and ref > 0 else self.fallback_price
+        return ref if ref is not None and ref > 0 else INITIAL_PRICE
 
-    def opportunity_draws(self, rng: np.random.Generator) -> Iterator[tuple]:
-        def rows():
-            fields = zi_bulk_fields(
-                rng, DRAW_BLOCK, len(self.symbols), self.min_qty, self.max_qty,
-                self.aggression, self.price_sigma_ticks,
-            )
+    def rows(self, rng: np.random.Generator) -> Iterator[tuple]:
+        """Endless ``(roll, symbol, side_buy, qty, offset)`` rows off
+        ``rng``.  The caller keeps the iterator, so a strategy two agents
+        share holds no buffer."""
+
+        def block():
+            fields = zi_bulk_fields(rng, DRAW_BLOCK, len(self.symbols))
             keys = ("roll", "symbol", "side_buy", "qty", "offset")
             return zip(*(fields[key].tolist() for key in keys))
 
-        return block_stream(rows)
+        return block_stream(block)
 
-    def on_order_opportunity(self, participant: Participant, draw: tuple) -> None:
-        roll, symbol_index, side_buy, quantity, offset = draw
+    def place(self, participant: Participant, row: tuple) -> None:
+        """Act on one opportunity's row: cancel, market or limit order."""
+        roll, symbol_index, side_buy, quantity, offset = row
         if roll < self.cancel_fraction and participant.working:
             # Cancel the oldest working order.
             client_order_id = next(iter(participant.working))

@@ -40,6 +40,22 @@ def small_config(**overrides) -> CloudExConfig:
     return CloudExConfig(**defaults)
 
 
+def record_deliveries(participant, kind: str, record=lambda msg: msg) -> list:
+    """``record(msg)`` for each ``kind`` message ("confirmation", "trade"
+    or "market_data") ``participant`` handles from now on, in order: its
+    handler is wrapped, and runs first."""
+    seen = []
+    name = f"_on_{kind}"
+    handle = getattr(participant, name)
+
+    def spy(msg):
+        handle(msg)
+        seen.append(record(msg))
+
+    setattr(participant, name, spy)
+    return seen
+
+
 @pytest.fixture
 def small_cluster() -> CloudExCluster:
     """A small cluster, workload attached, not yet run."""

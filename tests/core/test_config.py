@@ -128,6 +128,9 @@ class TestValidation:
             ({"snapshot_interval_ms": -5}, "snapshot_interval_ms"),
             ({"straggler_gateways": -1}, "straggler_gateways"),
             ({"injected_delay_phases_us": (-100.0,)}, "injected_delay_phases_us"),
+            # Every gap clamped to 1 ns: the run would never advance.
+            ({"orders_per_participant_per_s": float("nan")}, "orders_per_participant_per_s"),
+            ({"orders_per_participant_per_s": float("inf")}, "orders_per_participant_per_s"),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.core.messages import MarketDataDelivery, NewOrderRequest, SubscriptionRequest
+from repro.core.messages import MarketDataDelivery, NewOrderRequest
 from repro.core.order import Order
-from repro.core.types import OrderStatus, OrderType, RejectReason, Side
-from tests.conftest import small_config
+from repro.core.types import OrderType, RejectReason, Side
+from tests.conftest import record_deliveries, small_config
 from repro.core.cluster import CloudExCluster
 
 
@@ -50,13 +50,7 @@ class TestOrderHandling:
             quantity=5,
             limit_price=9_500,
         )
-        confirmations = []
-        class Spy:
-            def on_confirmation(self, p, conf):
-                confirmations.append(conf)
-            def on_trade(self, p, conf): ...
-            def on_market_data(self, p, d): ...
-        participant.strategy = Spy()
+        confirmations = record_deliveries(participant, "confirmation")
         cluster.network.send(
             participant.name,
             participant.primary_gateway,

@@ -14,16 +14,14 @@ def cluster():
 
 def collect_rejections(participant):
     seen = []
+    handle = participant._on_confirmation
 
-    class Spy:
-        def on_confirmation(self, p, conf):
-            if conf.reason is not None:
-                seen.append(conf.reason)
+    def spy(conf):
+        handle(conf)
+        if conf.reason is not None:
+            seen.append(conf.reason)
 
-        def on_trade(self, p, tc): ...
-        def on_market_data(self, p, d): ...
-
-    participant.strategy = Spy()
+    participant._on_confirmation = spy
     return seen
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.cluster import CloudExCluster
 from repro.core.participant import MarketView
-from repro.core.types import OrderStatus, Side
+from repro.core.types import Side
 from tests.conftest import small_config
 
 
@@ -106,27 +106,3 @@ class TestHistoricalQueries:
         participant.history = None
         with pytest.raises(RuntimeError):
             participant.query_trades("SYM000")
-
-
-class TestStrategyCallbacks:
-    def test_callbacks_fire(self, cluster):
-        events = []
-
-        class Spy:
-            def on_confirmation(self, p, conf):
-                events.append(("conf", conf.status))
-
-            def on_trade(self, p, tc):
-                events.append(("trade", tc.price))
-
-            def on_market_data(self, p, delivery):
-                events.append(("md", delivery.piece.kind))
-
-        participant = cluster.participant(0)
-        participant.strategy = Spy()
-        participant.subscribe(["SYM000"])
-        run_for(cluster, ms=10)
-        participant.submit_limit("SYM000", Side.BUY, 5, 10_100)
-        run_for(cluster, ms=200)
-        kinds = {kind for kind, _ in events}
-        assert "conf" in kinds and "trade" in kinds and "md" in kinds

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cliutil import dump_json_document
+from repro.core.config import SHARDRUN_PORTFOLIO_BUCKETS
 from repro.core.shardrun import (
     BatchOrder,
     ShardProgram,
@@ -23,6 +25,16 @@ from repro.core.types import OrderType, Side, TimeInForce
 from repro.sim.engine import SimulationError, Simulator
 
 GOLDEN = Path(__file__).parent / "golden"
+
+#: Everything a batched run varies; the rest is calibration.
+SHARDRUN_FIELDS = (
+    "seed",
+    "n_participants",
+    "n_symbols",
+    "n_shards",
+    "rate_per_participant_s",
+    "duration_s",
+)
 
 # Small but non-trivial: enough flow that every shard trades and the
 # index moves, cheap enough to run twice per test.
@@ -45,21 +57,19 @@ class TestShardRunConfig:
             ShardRunConfig(duration_s=0.0)
         with pytest.raises(ValueError):
             ShardRunConfig(n_participants=0)
-        with pytest.raises(ValueError):
-            ShardRunConfig(portfolio_buckets=0)
-        # Latency knobs that would stamp orders into the past or make
-        # the gamma draw fail deep inside a window.
-        with pytest.raises(ValueError):
-            ShardRunConfig(gateway_base_latency_us=-1.0)
-        with pytest.raises(ValueError):
-            ShardRunConfig(gateway_jitter_scale_us=-0.5)
-        with pytest.raises(ValueError):
-            ShardRunConfig(gateway_jitter_shape=0.0)
-        ShardRunConfig(gateway_base_latency_us=0.0, gateway_jitter_scale_us=0.0)
+        # A rate or duration that is not positive and finite would fail
+        # (or hang) deep inside a window; it is refused here, by name.
+        for name in ("rate_per_participant_s", "duration_s"):
+            for bad in (0.0, -1.0, math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    ShardRunConfig(**{name: bad})
+
+    def test_fields_are_what_a_run_varies(self):
+        assert tuple(f.name for f in dataclasses.fields(ShardRunConfig)) == SHARDRUN_FIELDS
 
     def test_lookahead_derivation(self):
-        config = ShardRunConfig(md_publish_interval_ms=10.0, gateway_base_latency_us=80.0)
-        assert config.lookahead_ns() == 10_000_000 + 2 * 80_000
+        # SHARDRUN_PUBLISH_INTERVAL_MS + twice SHARDRUN_GATEWAY_BASE_US.
+        assert ShardRunConfig().lookahead_ns() == 10_000_000 + 2 * 80_000
 
     def test_window_count_covers_duration(self):
         config = SMALL
@@ -232,7 +242,7 @@ class TestShardProgram:
                 gateway_timestamp=stamp,
                 gateway_seq=i,
                 stamped_true=stamp,
-                bucket=pid % SMALL.portfolio_buckets,
+                bucket=pid % SHARDRUN_PORTFOLIO_BUCKETS,
                 symbol_index=j,
             )
             assert type(order) is BatchOrder
@@ -292,7 +302,6 @@ class TestRunShardrun:
             "shardrun_table1.json": ShardRunConfig(
                 seed=2021, n_participants=48, n_symbols=100, n_shards=4,
                 rate_per_participant_s=1_700.0, duration_s=0.15,
-                market_order_fraction=0.05,
             ),
             # A million participants (the defaults) for 0.1 s: 45 166
             # orders, 14 722 trades.

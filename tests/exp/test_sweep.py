@@ -112,6 +112,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="empty"):
             _tiny_spec(grid=[]).expand()
 
+    @pytest.mark.parametrize("rate", [0.0, -5.0, float("nan"), float("inf")])
+    def test_rate_not_finite_and_positive_rejected(self, rate):
+        # 0 used to run silently at the config's 450/s; NaN or inf never
+        # lets simulated time advance.
+        named = r"grid point \{'n_shards': 2, .*: rate_per_participant must"
+        with pytest.raises(ValueError, match=named):
+            _tiny_spec(grid=[{"n_shards": 2, "rate_per_participant": rate}]).validate()
+        with pytest.raises(ValueError, match="positive and finite"):
+            _tiny_spec(rate_per_participant=rate).validate()
+
     def test_task_config_builds_and_validates(self):
         task = _tiny_spec().expand()[0]
         config = task.build_config()

@@ -5,28 +5,26 @@ release of the corresponding trade record -- otherwise fills leak
 information ahead of the market data.
 """
 
-import pytest
-
 from repro.core.cluster import CloudExCluster
 from repro.core.types import Side
-from tests.conftest import small_config
+from tests.conftest import record_deliveries, small_config
 
 
 class TradeTimeSpy:
-    def __init__(self, cluster):
-        self.cluster = cluster
-        self.trade_conf_true_times = []
-        self.md_trade_true_times = []
+    """When (true time) the participant handles its fills and the
+    public trade records."""
 
-    def on_confirmation(self, participant, conf):
-        pass
+    def __init__(self, cluster, participant):
+        self.trade_conf_true_times = record_deliveries(
+            participant, "trade", lambda tc: cluster.sim.now
+        )
+        self._md = record_deliveries(
+            participant, "market_data", lambda d: (d.piece.kind, cluster.sim.now)
+        )
 
-    def on_trade(self, participant, tc):
-        self.trade_conf_true_times.append(self.cluster.sim.now)
-
-    def on_market_data(self, participant, delivery):
-        if delivery.piece.kind == "trade":
-            self.md_trade_true_times.append(self.cluster.sim.now)
+    @property
+    def md_trade_true_times(self):
+        return [now for kind, now in self._md if kind == "trade"]
 
 
 class TestTradeConfirmationRelease:
@@ -35,8 +33,7 @@ class TestTradeConfirmationRelease:
             small_config(clock_sync="perfect", holdrelease_delay_us=3_000.0)
         )
         buyer = cluster.participant(0)
-        spy = TradeTimeSpy(cluster)
-        buyer.strategy = spy
+        spy = TradeTimeSpy(cluster, buyer)
         buyer.subscribe(["SYM000"])
         cluster.run(duration_s=0.01)
 
@@ -60,8 +57,7 @@ class TestTradeConfirmationRelease:
             small_config(clock_sync="perfect", holdrelease_delay_us=3_000.0)
         )
         buyer = cluster.participant(0)
-        spy = TradeTimeSpy(cluster)
-        buyer.strategy = spy
+        spy = TradeTimeSpy(cluster, buyer)
         buyer.subscribe(["SYM000"])
         cluster.run(duration_s=0.01)
         buyer.submit_limit("SYM000", Side.BUY, 5, 10_100)
@@ -80,16 +76,7 @@ class TestTradeConfirmationRelease:
             small_config(clock_sync="perfect", holdrelease_delay_us=5_000.0)
         )
         buyer = cluster.participant(0)
-        conf_times = []
-
-        class Spy:
-            def on_confirmation(self, p, conf):
-                conf_times.append(cluster.sim.now)
-
-            def on_trade(self, p, tc): ...
-            def on_market_data(self, p, d): ...
-
-        buyer.strategy = Spy()
+        conf_times = record_deliveries(buyer, "confirmation", lambda conf: cluster.sim.now)
         start = cluster.sim.now
         buyer.submit_limit("SYM000", Side.BUY, 5, 10_100)
         cluster.run(duration_s=0.05)

@@ -87,6 +87,28 @@ class TestNormalizeSweep:
         ):
             normalize_job({**SWEEP_RAW, "base": bad_base})
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected(self, rate):
+        # json.loads parses NaN and Infinity; neither may enter the
+        # canonical spec that run_id hashes.
+        with pytest.raises(JobError, match="'rate_per_participant' must be a finite number"):
+            normalize_job({**SWEEP_RAW, "rate_per_participant": rate})
+        with pytest.raises(JobError, match="'duration_s' must be a finite number"):
+            normalize_job({**SWEEP_RAW, "duration_s": rate})
+        with pytest.raises(JobError, match="'rate_per_participant' must be a finite number"):
+            normalize_job({"kind": "fairness", "rate_per_participant": rate})
+
+    @pytest.mark.parametrize("rate", [0, -1])
+    def test_rate_not_positive_rejected(self, rate):
+        # A rate of 0 used to run at the config's 450 orders/s.
+        with pytest.raises(JobError, match="invalid sweep spec: grid point .* must be positive"):
+            normalize_job({**SWEEP_RAW, "rate_per_participant": rate})
+        point = [{"n_shards": 1, "rate_per_participant": rate}]
+        with pytest.raises(JobError, match="rate_per_participant must be positive"):
+            normalize_job({**SWEEP_RAW, "grid": point})
+        with pytest.raises(JobError, match="invalid fairness spec: .* must be positive"):
+            normalize_job({"kind": "fairness", "rate_per_participant": rate})
+
     def test_seed_override_in_grid_rejected(self):
         with pytest.raises(JobError, match="invalid sweep spec"):
             normalize_job({**SWEEP_RAW, "grid": [{"seed": 3}]})

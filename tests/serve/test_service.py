@@ -128,6 +128,15 @@ class TestAuthAndRouting:
             status = error.code
         assert status == 400
 
+    def test_non_finite_number_literal_is_400(self, server):
+        # json.dumps writes NaN / Infinity literals; the body parse refuses
+        # them before they can reach a spec (and the run_id it hashes).
+        for value in (float("nan"), float("inf")):
+            body = {**TINY_SWEEP, "rate_per_participant": value}
+            status, reply = request(server, "POST", "/v1/jobs", body=body)
+            assert status == 400
+            assert "is not a JSON number" in reply["error"]
+
     def test_oversized_body_is_413(self, server):
         padding = "x" * (MAX_BODY_BYTES + 1)
         status, body = request(server, "POST", "/v1/jobs", body={"pad": padding})

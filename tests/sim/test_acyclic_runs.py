@@ -13,6 +13,7 @@ import pytest
 
 from repro.chaos import available_scenarios, run_scenario
 from repro.core import CloudExCluster, CloudExConfig
+from repro.core.config import INITIAL_PRICE
 from repro.core.shardrun import ShardProgram, ShardRunConfig
 from repro.sim.engine import Simulator, collector_paused
 
@@ -73,7 +74,7 @@ def test_shard_windows_leave_no_cyclic_garbage():
 
     def windows():
         for index in range(4):
-            feedback = {"index": config.initial_price} if index else None
+            feedback = {"index": INITIAL_PRICE} if index else None
             program.run_window(index, (index + 1) * window, feedback)
 
     assert cyclic_garbage(windows) == 0

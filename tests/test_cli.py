@@ -229,6 +229,14 @@ class TestMain:
                 "injected_delay_phases_us must be a non-empty list of numbers "
                 "in JSON form, e.g. [0,400,200]; got '0,400,200'",
             ),
+            # A rate that is not positive and finite: 0 used to run at the
+            # config's 450/s, NaN or inf hung with every gap at 1 ns.
+            (["--rate", "nan"], "orders_per_participant_per_s must be positive and finite"),
+            (["trace", "--rate", "inf"], "orders_per_participant_per_s must be positive"),
+            (["sweep", "--grid", "n_shards=1", "--rate", "0"], "rate_per_participant must be"),
+            (["fairness", "--rate", "inf"], "rate_per_participant must be positive and finite"),
+            (["shardrun", "--rate", "0"], "rate_per_participant_s must be positive and finite"),
+            (["shardrun", "--duration", "nan"], "duration_s must be positive and finite"),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):

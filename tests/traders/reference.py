@@ -5,6 +5,7 @@ cancel stops after the roll, a market order after the quantity)."""
 
 import numpy as np
 
+from repro.core.config import ZI_AGGRESSION, ZI_MAX_QTY, ZI_MIN_QTY, ZI_PRICE_SIGMA_TICKS
 from repro.core.types import Side
 from repro.sim.timeunits import SECOND
 from repro.traders.zi import ZeroIntelligenceStrategy
@@ -25,18 +26,18 @@ def zi_opportunity(strategy: ZeroIntelligenceStrategy, participant, rng: np.rand
 
     symbol = strategy.symbols[int(rng.integers(len(strategy.symbols)))]
     side = Side.BUY if rng.random() < 0.5 else Side.SELL
-    quantity = int(rng.integers(strategy.min_qty, strategy.max_qty + 1))
+    quantity = int(rng.integers(ZI_MIN_QTY, ZI_MAX_QTY + 1))
     if roll < strategy.cancel_fraction + strategy.market_order_fraction:
         participant.submit_market(symbol, side, quantity)
         return
     reference = strategy._reference(participant, symbol)
-    if rng.random() < strategy.aggression:
+    if rng.random() < ZI_AGGRESSION:
         # Marketable: price a couple of ticks through the touch.
         through = int(rng.integers(1, 4))
         offset = through if side is Side.BUY else -through
     else:
         # Passive: rest behind the reference price.
-        behind = 1 + abs(int(round(rng.normal(0.0, strategy.price_sigma_ticks))))
+        behind = 1 + abs(int(round(rng.normal(0.0, ZI_PRICE_SIGMA_TICKS))))
         offset = -behind if side is Side.BUY else behind
     price = max(1, reference + offset)
     participant.submit_limit(symbol, side, quantity, price)

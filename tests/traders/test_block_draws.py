@@ -16,12 +16,13 @@ import pytest
 from repro.core.types import Side
 from repro.sim.engine import Simulator
 from repro.sim.rng import DRAW_BLOCK
-from repro.traders.base import Strategy, TradingAgent
+from repro.core.config import INITIAL_PRICE
+from repro.traders.base import TradingAgent
 from repro.traders.zi import ZeroIntelligenceStrategy
 from tests.traders import reference
 
 N = 200_000
-FALLBACK = 10_000
+FALLBACK = INITIAL_PRICE  # what ZI prices from before any market data
 
 
 class RecordingParticipant:
@@ -76,17 +77,19 @@ def assert_shares_agree(block: Counter, scalar: Counter, n: int = N) -> None:
 
 
 def zi():
-    return ZeroIntelligenceStrategy([f"S{i}" for i in range(5)], fallback_price=FALLBACK)
+    return ZeroIntelligenceStrategy(
+        [f"S{i}" for i in range(5)], market_order_fraction=0.10, cancel_fraction=0.05
+    )
 
 
 @pytest.mark.parametrize("working", [True, False], ids=["cancellable", "nothing-working"])
 def test_zi_opportunity_distribution_matches_the_scalar_reference(working):
     strategy = zi()
     block, scalar = RecordingParticipant(working), RecordingParticipant(working)
-    draws = strategy.opportunity_draws(np.random.default_rng(11))
+    rows = strategy.rows(np.random.default_rng(11))
     scalar_rng = np.random.default_rng(12)
     for _ in range(N):
-        strategy.on_order_opportunity(block, next(draws))
+        strategy.place(block, next(rows))
         reference.zi_opportunity(strategy, scalar, scalar_rng)
     for field in ("kinds", "sides", "symbols", "quantities", "offsets"):
         assert_shares_agree(getattr(block, field), getattr(scalar, field))
@@ -104,7 +107,7 @@ def test_zi_opportunity_distribution_matches_the_scalar_reference(working):
 
 def test_gap_distribution_matches_the_scalar_reference():
     rate = 1_700.0
-    agent = TradingAgent(Simulator(), RecordingParticipant(False), Strategy(), rate,
+    agent = TradingAgent(Simulator(), RecordingParticipant(False), zi(), rate,
                          np.random.default_rng(21))
     block = np.array([next(agent._gaps) for _ in range(N)])
     scalar_rng = np.random.default_rng(22)
@@ -127,7 +130,7 @@ def test_rows_and_gaps_come_off_the_agents_stream_a_block_at_a_time():
     assert rng.bit_generator.state == twin.bit_generator.state
     while agent.opportunities < 1:
         sim.step()
-    next(strategy.opportunity_draws(twin))  # one row block
+    next(strategy.rows(twin))  # one row block
     assert rng.bit_generator.state == twin.bit_generator.state
     while agent.opportunities < DRAW_BLOCK - 1:
         sim.step()

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.config import SHARDRUN_CHUNK, SHARDRUN_MARKET_ORDER_FRACTION
 from repro.sim.rng import RngRegistry
 from repro.traders.base import PoissonArrivalStream
 from repro.traders.workload import BulkOrderStream, split_symbols
+from repro.traders.zi import zi_bulk_fields
 
 
 class TestSplitSymbols:
@@ -104,8 +106,9 @@ class TestPoissonArrivalStream:
         assert np.array_equal(times_whole, np.concatenate([t for t, _ in parts]))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PoissonArrivalStream(np.random.default_rng(1), rate_per_s=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                PoissonArrivalStream(np.random.default_rng(1), rate_per_s=rate)
         with pytest.raises(ValueError):
             PoissonArrivalStream(np.random.default_rng(1), rate_per_s=1.0, chunk=0)
 
@@ -151,3 +154,15 @@ class TestBulkOrderStream:
             assert np.array_equal(
                 fields_whole[key], np.concatenate([f[key] for _, _, f in parts])
             ), key
+
+    def test_reads_the_zi_generator_draw_for_draw(self):
+        """The batched feed's first chunk is ``zi_bulk_fields`` on the
+        same generator, with the raw roll thresholded into ``market``."""
+        _, times, fields = self._stream(seed=11).take_until(200_000_000)
+        assert len(times) > SHARDRUN_CHUNK
+        zi = zi_bulk_fields(np.random.default_rng(12), SHARDRUN_CHUNK, 8)
+        for key in ("symbol", "side_buy", "qty", "offset"):
+            assert np.array_equal(fields[key][:SHARDRUN_CHUNK], zi[key]), key
+        assert np.array_equal(
+            fields["market"][:SHARDRUN_CHUNK], zi["roll"] < SHARDRUN_MARKET_ORDER_FRACTION
+        )
