@@ -35,8 +35,7 @@ def main() -> None:
     symbol = "SYM000"
     history = cluster.history
 
-    print(f"Storage: {cluster.trade_table.row_count():,} rows "
-          f"({cluster.trade_table.writes:,} cell writes)")
+    print(f"Storage: {cluster.trade_table.row_count():,} rows")
 
     tape = me.query_trades(symbol)
     print(f"\n{symbol}: {len(tape)} trades total; the last five:")

@@ -332,6 +332,9 @@ class CloudExConfig:
                 f"replication factor {self.replication_factor} must be in "
                 f"[1, n_gateways={self.n_gateways}]"
             )
+        for symbol in self.symbols:
+            if "#" in symbol:
+                raise ValueError(f"symbol {symbol!r} contains '#', the storage row-key separator")
         if self.n_shards < 1:
             raise ValueError("need at least one shard")
         if self.n_shards > self.n_symbols:

@@ -327,7 +327,7 @@ class CentralExchangeServer(Actor):
     # ------------------------------------------------------------------
     def _on_order_replica(self, order: Order) -> None:
         self.metrics.replicas_received += 1
-        self.host.cpu.charge("replica", self._cpu_per_replica_ns)
+        self.host.cpu.charge(self._cpu_per_replica_ns)
         self.ingress.submit(self._ingress_service_ns, self._ingress_done, order)
 
     def _ingress_done(self, order: Order) -> None:
@@ -366,7 +366,7 @@ class CentralExchangeServer(Actor):
         shard.sequencer.enqueue(order.priority_key(), ("order", order), order.stamped_true)
 
     def _on_cancel(self, cancel: StampedCancel) -> None:
-        self.host.cpu.charge("replica", self._cpu_per_replica_ns)
+        self.host.cpu.charge(self._cpu_per_replica_ns)
         self.ingress.submit(self._ingress_service_ns, self._cancel_ingress_done, cancel)
 
     def _cancel_ingress_done(self, cancel: StampedCancel) -> None:
@@ -401,7 +401,7 @@ class CentralExchangeServer(Actor):
     # Results and dissemination
     # ------------------------------------------------------------------
     def _emit_order_result(self, order: Order, result: MatchResult) -> None:
-        self.host.cpu.charge("order", self._cpu_per_order_ns)
+        self.host.cpu.charge(self._cpu_per_order_ns)
         self.metrics.orders_matched += 1
         if self.tracer is not None:
             self.tracer.span(
@@ -445,7 +445,7 @@ class CentralExchangeServer(Actor):
             self._publish(trade.symbol, trade)
 
     def _emit_cancel_result(self, cancel: StampedCancel, confirmation) -> None:
-        self.host.cpu.charge("order", self._cpu_per_order_ns)
+        self.host.cpu.charge(self._cpu_per_order_ns)
         if self.tracer is not None:
             self.tracer.span(
                 cancel.participant_id, cancel.client_order_id, tracing.CANCEL,

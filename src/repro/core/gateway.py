@@ -144,7 +144,7 @@ class Gateway(Actor):
     # Order handler (Fig. 2 steps 1-2, 4-5)
     # ------------------------------------------------------------------
     def _handle_order(self, request: NewOrderRequest) -> None:
-        self.host.cpu.charge("order", self._cpu_per_replica_ns)
+        self.host.cpu.charge(self._cpu_per_replica_ns)
         order = request.order
         if not self.auth.verify(order.participant_id, request.auth_token):
             self._reject_locally(order, RejectReason.BAD_CREDENTIALS)
@@ -194,7 +194,7 @@ class Gateway(Actor):
         self.network.send(self.name, order.participant_id, confirmation)
 
     def _handle_cancel(self, request: CancelRequest) -> None:
-        self.host.cpu.charge("cancel", self._cpu_per_replica_ns)
+        self.host.cpu.charge(self._cpu_per_replica_ns)
         if not self.auth.verify(request.participant_id, request.auth_token):
             # A forged cancel is silently dropped: confirming anything
             # to an unauthenticated sender would leak order state.

@@ -177,7 +177,7 @@ class Participant(Actor):
             )
         request = NewOrderRequest(order=order, auth_token=self.auth_token)
         for gateway in self.gateways[: self.config.replication_factor]:
-            self.host.cpu.charge("tx", self._cpu_per_replica_ns)
+            self.host.cpu.charge(self._cpu_per_replica_ns)
             self.network.send(self.name, gateway, request)
         if self._ack_timeout_ns is not None:
             timer = self.sim.schedule(
@@ -219,7 +219,7 @@ class Participant(Actor):
         self.retries_sent += 1
         request = NewOrderRequest(order=pending.order, auth_token=self.auth_token)
         for gateway in self.gateways[: self.config.replication_factor]:
-            self.host.cpu.charge("tx", self._cpu_per_replica_ns)
+            self.host.cpu.charge(self._cpu_per_replica_ns)
             self.network.send(self.name, gateway, request)
         backoff_ns = int(
             self._ack_timeout_ns * self.config.ack_retry_backoff ** pending.attempts
@@ -270,7 +270,7 @@ class Participant(Actor):
 
     def cancel(self, client_order_id: int, symbol: Symbol) -> None:
         """Request cancellation of a working order (via the primary)."""
-        self.host.cpu.charge("tx", self._cpu_per_replica_ns)
+        self.host.cpu.charge(self._cpu_per_replica_ns)
         self.network.send(
             self.name,
             self.primary_gateway,

@@ -22,36 +22,23 @@ engine's ingress).
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.sim.engine import Event, Simulator
 
 
 class CpuAccountant:
-    """Accumulates busy nanoseconds, per category and in total."""
+    """Accumulates busy nanoseconds in total."""
 
     def __init__(self, baseline_cores: float = 0.0) -> None:
         self.baseline_cores = float(baseline_cores)
-        self._busy_ns: Dict[str, int] = defaultdict(int)
         self.total_busy_ns: int = 0
 
-    def charge(self, category: str, busy_ns: int) -> None:
-        """Record ``busy_ns`` of work attributed to ``category``."""
+    def charge(self, busy_ns: int) -> None:
+        """Record ``busy_ns`` of work."""
         if busy_ns < 0:
             raise ValueError(f"cannot charge negative time: {busy_ns}")
-        self._busy_ns[category] += busy_ns
         self.total_busy_ns += busy_ns
-
-    def busy_ns(self, category: Optional[str] = None) -> int:
-        """Busy time for one category, or in total."""
-        if category is None:
-            return self.total_busy_ns
-        return self._busy_ns.get(category, 0)
-
-    def categories(self) -> Dict[str, int]:
-        """A copy of the per-category busy-time table."""
-        return dict(self._busy_ns)
 
     def cores_used(self, elapsed_ns: int) -> float:
         """Average cores consumed over a window of ``elapsed_ns``."""
@@ -60,8 +47,7 @@ class CpuAccountant:
         return self.baseline_cores + self.total_busy_ns / elapsed_ns
 
     def reset(self) -> None:
-        """Zero all counters (start of a measurement window)."""
-        self._busy_ns.clear()
+        """Zero the counter (start of a measurement window)."""
         self.total_busy_ns = 0
 
     def __repr__(self) -> str:

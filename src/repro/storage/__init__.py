@@ -2,20 +2,17 @@
 
 The paper persists trade records to Google Bigtable and gives market
 participants an API to query historical market data.  This package
-provides an in-process stand-in with the same data model (sorted row
-keys, column families, timestamped cells, range and prefix scans) and
-the query API built on top of it.
+provides an in-process stand-in with the same access pattern (sorted
+row keys, column families, time-range scans within a symbol), one cell
+per row holding the engine's own record, and the query API built on
+top of it.
 """
 
-from repro.storage.bigtable import Bigtable, Cell, RowRange
+from repro.storage.bigtable import Bigtable
 from repro.storage.query import HistoricalDataClient
 from repro.storage.records import (
     BOOK_SNAPSHOT_FAMILY,
     TRADE_FAMILY,
-    decode_snapshot_row,
-    decode_trade_row,
-    encode_snapshot_row,
-    encode_trade_row,
     snapshot_row_key,
     trade_row_key,
 )
@@ -23,14 +20,8 @@ from repro.storage.records import (
 __all__ = [
     "Bigtable",
     "BOOK_SNAPSHOT_FAMILY",
-    "Cell",
     "HistoricalDataClient",
-    "RowRange",
     "TRADE_FAMILY",
-    "decode_snapshot_row",
-    "decode_trade_row",
-    "encode_snapshot_row",
-    "encode_trade_row",
     "snapshot_row_key",
     "trade_row_key",
 ]

@@ -13,15 +13,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.marketdata import BookSnapshot, TradeRecord
-from repro.storage.bigtable import Bigtable, RowRange
-from repro.storage.records import (
-    BOOK_SNAPSHOT_FAMILY,
-    TRADE_FAMILY,
-    decode_snapshot_row,
-    decode_trade_row,
-    time_bound_key,
-    time_prefix,
-)
+from repro.storage.bigtable import Bigtable
+from repro.storage.records import BOOK_SNAPSHOT_FAMILY, TRADE_FAMILY, time_bound_key, time_prefix
 
 
 class HistoricalDataClient:
@@ -30,16 +23,16 @@ class HistoricalDataClient:
     def __init__(self, table: Bigtable) -> None:
         self.table = table
 
-    def _scan_range(
+    def _scan(
         self, kind: str, symbol: str, start_ns: int, end_ns: Optional[int], limit: Optional[int]
-    ):
+    ) -> list:
         start_key = time_bound_key(kind, symbol, start_ns)
         if end_ns is None:
-            prefix = time_prefix(kind, symbol)
-            end_key = prefix[:-1] + chr(ord(prefix[-1]) + 1)
+            # Just past the symbol's prefix: "#" + 1 == "$".
+            end_key = time_prefix(kind, symbol)[:-1] + "$"
         else:
             end_key = time_bound_key(kind, symbol, end_ns)
-        return self.table.scan(RowRange(start=start_key, end=end_key), limit=limit)
+        return [record for _, record in self.table.scan(start_key, end_key, limit)]
 
     def trades(
         self,
@@ -50,10 +43,7 @@ class HistoricalDataClient:
     ) -> List[TradeRecord]:
         """Trades for ``symbol`` with ``start_ns <= executed < end_ns``,
         in execution order; at most ``limit`` of them (the first ones)."""
-        return [
-            decode_trade_row(row)
-            for _, row in self._scan_range(TRADE_FAMILY, symbol, start_ns, end_ns, limit)
-        ]
+        return self._scan(TRADE_FAMILY, symbol, start_ns, end_ns, limit)
 
     def snapshots(
         self,
@@ -64,10 +54,7 @@ class HistoricalDataClient:
     ) -> List[BookSnapshot]:
         """Book snapshots for ``symbol`` within the window, in order; at
         most ``limit`` of them (the first ones)."""
-        return [
-            decode_snapshot_row(row)
-            for _, row in self._scan_range(BOOK_SNAPSHOT_FAMILY, symbol, start_ns, end_ns, limit)
-        ]
+        return self._scan(BOOK_SNAPSHOT_FAMILY, symbol, start_ns, end_ns, limit)
 
     def volume_traded(self, symbol: str, start_ns: int = 0, end_ns: Optional[int] = None) -> int:
         """Total shares traded in the window."""

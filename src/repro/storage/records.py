@@ -2,20 +2,16 @@
 
 Row-key design follows Bigtable best practice for time-series-within-
 entity data: ``<kind>#<symbol>#<zero-padded timestamp>#<id>``.  Keys
-sort lexicographically, so a prefix scan of ``trade#SYM007#`` returns
-that symbol's trades in time order, and a range scan bounded by two
-padded timestamps implements time-window queries -- exactly what the
-participant historical-data API needs.
+sort lexicographically, so a scan of the ``trade#SYM007#`` prefix
+returns that symbol's trades in time order, and a range scan bounded by
+two padded timestamps implements time-window queries -- exactly what
+the participant historical-data API needs.  ``#`` separates the key's
+parts, so no symbol may contain it (``CloudExConfig.validate``).
 
-Values are UTF-8 JSON per qualifier; a real deployment would use a
-binary encoding, but the storage access pattern (the thing being
-reproduced) is identical.
+Each row's one cell holds the engine's frozen record itself.
 """
 
 from __future__ import annotations
-
-import json
-from typing import Dict, Tuple
 
 from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.storage.bigtable import Bigtable
@@ -46,82 +42,17 @@ def time_bound_key(kind: str, symbol: str, timestamp_ns: int) -> str:
     return f"{kind}#{symbol}#{timestamp_ns:0{_TS_WIDTH}d}"
 
 
-# ----------------------------------------------------------------------
-# Trades
-# ----------------------------------------------------------------------
-def encode_trade_row(trade: TradeRecord) -> Dict[str, bytes]:
-    """Qualifier -> value map for one trade."""
-    return {
-        "symbol": trade.symbol.encode(),
-        "price": str(trade.price).encode(),
-        "quantity": str(trade.quantity).encode(),
-        "buyer": trade.buyer.encode(),
-        "seller": trade.seller.encode(),
-        "buy_order": str(trade.buy_client_order_id).encode(),
-        "sell_order": str(trade.sell_client_order_id).encode(),
-        "executed": str(trade.executed_local).encode(),
-        "trade_id": str(trade.trade_id).encode(),
-        "aggressor": (b"buy" if trade.aggressor_is_buy else b"sell"),
-    }
-
-
-def decode_trade_row(row: Dict[Tuple[str, str], list]) -> TradeRecord:
-    """Rebuild a :class:`TradeRecord` from a Bigtable row."""
-
-    def cell(qualifier: str) -> bytes:
-        versions = row[(TRADE_FAMILY, qualifier)]
-        return versions[0].value
-
-    return TradeRecord(
-        trade_id=int(cell("trade_id")),
-        symbol=cell("symbol").decode(),
-        price=int(cell("price")),
-        quantity=int(cell("quantity")),
-        buyer=cell("buyer").decode(),
-        seller=cell("seller").decode(),
-        buy_client_order_id=int(cell("buy_order")),
-        sell_client_order_id=int(cell("sell_order")),
-        executed_local=int(cell("executed")),
-        aggressor_is_buy=cell("aggressor") == b"buy",
-    )
-
-
 def write_trade(table: Bigtable, trade: TradeRecord, now_ns: int) -> str:
-    """Persist one trade; returns its row key."""
+    """Persist one trade at engine time ``now_ns``; returns its row key.
+    The key already carries the trade's own timestamp, so the row
+    stores nothing but the record."""
     key = trade_row_key(trade.symbol, trade.executed_local, trade.trade_id)
-    table.write_row(key, TRADE_FAMILY, encode_trade_row(trade), timestamp_ns=now_ns)
+    table.write_row(key, TRADE_FAMILY, trade)
     return key
 
 
-# ----------------------------------------------------------------------
-# Book snapshots
-# ----------------------------------------------------------------------
-def encode_snapshot_row(snapshot: BookSnapshot) -> Dict[str, bytes]:
-    """Qualifier -> value map for one book snapshot."""
-    return {
-        "symbol": snapshot.symbol.encode(),
-        "bids": json.dumps([list(level) for level in snapshot.bids]).encode(),
-        "asks": json.dumps([list(level) for level in snapshot.asks]).encode(),
-        "taken": str(snapshot.taken_local).encode(),
-    }
-
-
-def decode_snapshot_row(row: Dict[Tuple[str, str], list]) -> BookSnapshot:
-    """Rebuild a :class:`BookSnapshot` from a Bigtable row."""
-
-    def cell(qualifier: str) -> bytes:
-        return row[(BOOK_SNAPSHOT_FAMILY, qualifier)][0].value
-
-    return BookSnapshot(
-        symbol=cell("symbol").decode(),
-        bids=tuple(tuple(level) for level in json.loads(cell("bids"))),
-        asks=tuple(tuple(level) for level in json.loads(cell("asks"))),
-        taken_local=int(cell("taken")),
-    )
-
-
 def write_snapshot(table: Bigtable, snapshot: BookSnapshot, now_ns: int) -> str:
-    """Persist one snapshot; returns its row key."""
+    """Persist one snapshot at engine time ``now_ns``; returns its row key."""
     key = snapshot_row_key(snapshot.symbol, snapshot.taken_local)
-    table.write_row(key, BOOK_SNAPSHOT_FAMILY, encode_snapshot_row(snapshot), timestamp_ns=now_ns)
+    table.write_row(key, BOOK_SNAPSHOT_FAMILY, snapshot)
     return key

@@ -131,6 +131,9 @@ class TestValidation:
             # Every gap clamped to 1 ns: the run would never advance.
             ({"orders_per_participant_per_s": float("nan")}, "orders_per_participant_per_s"),
             ({"orders_per_participant_per_s": float("inf")}, "orders_per_participant_per_s"),
+            # "#" separates a storage row key's parts: A#1's trades sorted
+            # inside A's key range and came back as A's history.
+            ({"symbols": ["A", "A#1"]}, "symbol 'A#1' contains '#'"),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):

@@ -17,7 +17,6 @@ from repro.core.marketdata import BookSnapshot, MarketDataPiece, TradeRecord
 from repro.core.order import Order
 from repro.core.sequencer import SequencerSample
 from repro.core.shardrun import BatchOrder
-from repro.storage.bigtable import Cell
 
 SLOTTED = [
     Order,
@@ -34,7 +33,6 @@ SLOTTED = [
     TradeRecord,
     BookSnapshot,
     MarketDataPiece,
-    Cell,
     SequencerSample,
 ]
 
@@ -82,7 +80,6 @@ def test_no_instance_dict_and_no_undeclared_attribute(cls):
             aggressor_is_buy=True,
         ),
         BookSnapshot(symbol="S", bids=((100, 5), (99, 1)), asks=((101, 2),), taken_local=3),
-        Cell(value=b"v", timestamp_ns=10),
         SequencerSample(
             gateway_timestamp=1, enqueued_local=2, dequeued_local=3,
             out_of_sequence=False, out_of_sequence_true=True,

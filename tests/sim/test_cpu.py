@@ -10,21 +10,19 @@ from repro.sim.timeunits import SECOND
 class TestCpuAccountant:
     def test_charges_accumulate(self):
         acct = CpuAccountant()
-        acct.charge("rx", 1_000)
-        acct.charge("rx", 2_000)
-        acct.charge("match", 500)
-        assert acct.busy_ns("rx") == 3_000
-        assert acct.busy_ns("match") == 500
-        assert acct.busy_ns() == 3_500
+        acct.charge(1_000)
+        acct.charge(2_000)
+        acct.charge(500)
+        assert acct.total_busy_ns == 3_500
 
     def test_cores_used_with_baseline(self):
         acct = CpuAccountant(baseline_cores=2.0)
-        acct.charge("work", SECOND // 2)
+        acct.charge(SECOND // 2)
         assert acct.cores_used(SECOND) == pytest.approx(2.5)
 
     def test_negative_charge_rejected(self):
         with pytest.raises(ValueError):
-            CpuAccountant().charge("x", -1)
+            CpuAccountant().charge(-1)
 
     def test_zero_window_rejected(self):
         with pytest.raises(ValueError):
@@ -32,16 +30,10 @@ class TestCpuAccountant:
 
     def test_reset_clears_counters(self):
         acct = CpuAccountant(baseline_cores=1.0)
-        acct.charge("x", 100)
+        acct.charge(100)
         acct.reset()
-        assert acct.busy_ns() == 0
+        assert acct.total_busy_ns == 0
         assert acct.cores_used(SECOND) == pytest.approx(1.0)
-
-    def test_categories_snapshot(self):
-        acct = CpuAccountant()
-        acct.charge("a", 1)
-        acct.charge("b", 2)
-        assert acct.categories() == {"a": 1, "b": 2}
 
 
 class TestCorePool:

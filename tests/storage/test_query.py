@@ -1,6 +1,8 @@
 """Tests for the historical market-data query API."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.storage.bigtable import Bigtable
@@ -82,3 +84,72 @@ class TestAggregates:
 
     def test_vwap_empty_is_none(self, client):
         assert client.vwap("ZZZ") is None
+
+
+#: "AB" shares "A"'s first letter: its rows sort right after "A"'s.
+SYMBOLS = ("A", "AB", "B")
+
+
+@given(
+    data=st.data(),
+    # (symbol, executed, quantity, price)
+    trade_rows=st.lists(
+        st.tuples(
+            st.sampled_from(SYMBOLS), st.integers(0, 20), st.integers(1, 5), st.integers(1, 9)
+        ),
+        max_size=40,
+    ),
+    # (symbol, taken, best bid)
+    snapshot_rows=st.lists(
+        st.tuples(st.sampled_from(SYMBOLS), st.integers(0, 20), st.integers(1, 9)),
+        max_size=20,
+    ),
+    symbol=st.sampled_from(SYMBOLS + ("Z",)),
+    start_ns=st.integers(0, 22),
+    end_ns=st.none() | st.integers(0, 22),
+    limit=st.none() | st.just(0) | st.integers(1, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_queries_match_a_naive_filter(
+    data, trade_rows, snapshot_rows, symbol, start_ns, end_ns, limit
+):
+    """Every query equals filtering the written records by symbol and
+    half-open window, sorted by (time, id), cut to ``limit``.  Timestamps
+    tie often; two snapshots of one symbol at one time share a row key,
+    so the later write is the one kept."""
+    n = len(trade_rows)
+    trade_ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    trades = [
+        trade(sym, executed, trade_id, price=price, quantity=quantity)
+        for (sym, executed, quantity, price), trade_id in zip(trade_rows, trade_ids)
+    ]
+    snapshots = [
+        BookSnapshot(symbol=sym, bids=((price, 1),), asks=((price + 1, 2),), taken_local=taken)
+        for sym, taken, price in snapshot_rows
+    ]
+    table = Bigtable("md", (TRADE_FAMILY, BOOK_SNAPSHOT_FAMILY))
+    for record in trades:
+        write_trade(table, record, now_ns=0)
+    for snapshot in snapshots:
+        write_snapshot(table, snapshot, now_ns=0)
+    client = HistoricalDataClient(table)
+
+    def in_window(time_ns):
+        return start_ns <= time_ns and (end_ns is None or time_ns < end_ns)
+
+    window_trades = sorted(
+        (t for t in trades if t.symbol == symbol and in_window(t.executed_local)),
+        key=lambda t: (t.executed_local, t.trade_id),
+    )
+    kept_snapshots = {(s.symbol, s.taken_local): s for s in snapshots}
+    window_snapshots = sorted(
+        (s for s in kept_snapshots.values() if s.symbol == symbol and in_window(s.taken_local)),
+        key=lambda s: s.taken_local,
+    )
+    cut = slice(None, limit)
+    assert client.trades(symbol, start_ns, end_ns, limit) == window_trades[cut]
+    assert client.snapshots(symbol, start_ns, end_ns, limit) == window_snapshots[cut]
+    volume = sum(t.quantity for t in window_trades)
+    assert client.volume_traded(symbol, start_ns, end_ns) == volume
+    expected_vwap = sum(t.price * t.quantity for t in window_trades) / volume if volume else None
+    assert client.vwap(symbol, start_ns, end_ns) == expected_vwap

@@ -1,18 +1,14 @@
-"""Tests for record schemas and round-trip encoding."""
+"""Tests for the row-key schema and the record round trip through a table."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.marketdata import BookSnapshot, TradeRecord
 from repro.storage.bigtable import Bigtable
+from repro.storage.query import HistoricalDataClient
 from repro.storage.records import (
     BOOK_SNAPSHOT_FAMILY,
     TRADE_FAMILY,
-    decode_snapshot_row,
-    decode_trade_row,
-    encode_snapshot_row,
-    encode_trade_row,
     snapshot_row_key,
     time_bound_key,
     time_prefix,
@@ -62,19 +58,11 @@ class TestRowKeys:
 
 
 class TestTradeRoundTrip:
-    def test_encode_decode_identity(self):
-        trade = sample_trade()
-        row = {
-            (TRADE_FAMILY, q): [type("C", (), {"value": v})()]
-            for q, v in encode_trade_row(trade).items()
-        }
-        assert decode_trade_row(row) == trade
-
-    def test_write_and_decode_via_table(self):
+    def test_write_and_read_via_table(self):
         table = Bigtable("t", (TRADE_FAMILY,))
         trade = sample_trade(aggressor_is_buy=False)
         key = write_trade(table, trade, now_ns=999)
-        assert decode_trade_row(table.read_row(key)) == trade
+        assert table.scan() == [(key, trade)]
 
     @given(
         price=st.integers(1, 10**6),
@@ -93,25 +81,14 @@ class TestTradeRoundTrip:
             trade_id=trade_id,
             aggressor_is_buy=aggressor,
         )
-        key = write_trade(table, trade, now_ns=0)
-        assert decode_trade_row(table.read_row(key)) == trade
+        write_trade(table, trade, now_ns=0)
+        assert HistoricalDataClient(table).trades(trade.symbol) == [trade]
 
 
 class TestSnapshotRoundTrip:
-    def test_encode_decode_identity(self):
-        snapshot = BookSnapshot(
-            symbol="S",
-            bids=((10_000, 50), (9_999, 25)),
-            asks=((10_001, 10),),
-            taken_local=777,
-        )
-        table = Bigtable("t", (BOOK_SNAPSHOT_FAMILY,))
-        key = write_snapshot(table, snapshot, now_ns=0)
-        assert decode_snapshot_row(table.read_row(key)) == snapshot
-
     def test_empty_sides(self):
         snapshot = BookSnapshot(symbol="S", bids=(), asks=(), taken_local=0)
         table = Bigtable("t", (BOOK_SNAPSHOT_FAMILY,))
-        key = write_snapshot(table, snapshot, now_ns=0)
-        decoded = decode_snapshot_row(table.read_row(key))
-        assert decoded.bids == () and decoded.asks == ()
+        write_snapshot(table, snapshot, now_ns=0)
+        (read,) = HistoricalDataClient(table).snapshots("S")
+        assert read.bids == () and read.asks == ()

@@ -237,6 +237,11 @@ class TestMain:
             (["fairness", "--rate", "inf"], "rate_per_participant must be positive and finite"),
             (["shardrun", "--rate", "0"], "rate_per_participant_s must be positive and finite"),
             (["shardrun", "--duration", "nan"], "duration_s must be positive and finite"),
+            # "#" separates a storage row key's parts.
+            (
+                ["sweep", "--grid", "n_shards=1", "--set", 'symbols=["A","A#1"]'],
+                "symbol 'A#1' contains '#'",
+            ),
         ],
     )
     def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
