@@ -21,8 +21,9 @@ import argparse
 
 from repro.analysis.tables import format_table
 from repro.exp import ResultCache, SweepSpec, run_sweep
-from repro.fairness.study import build_fairness_spec, run_fairness_study
+from repro.fairness.study import run_fairness_study
 from repro.obs.breakdown import policy_comparison_table
+from repro.runspec import build_fairness_study, normalize_job
 
 SWEEP_DS_US = [0.0, 200.0, 400.0, 700.0, 1000.0]
 DDP_TARGETS = [0.01, 0.03]
@@ -110,17 +111,14 @@ def main() -> None:
     )
 
     print("\nFour fairness mechanisms, one storm...")
-    spec, labels = build_fairness_spec(
-        clocks=("huygens",),
-        scenarios=("latency_storm",),
-        n_participants=8,
-        n_gateways=4,
-        n_symbols=10,
-        rate_per_participant=300.0,
-        warmup_s=0.3,
-        duration_s=0.8,
-        name="fairness-lab-policies",
-    )
+    # The same job `python -m repro fairness` or a served client would
+    # run; every field left out takes its default.
+    spec, labels = build_fairness_study(normalize_job({
+        "kind": "fairness",
+        "clocks": ["huygens"],
+        "scenarios": ["latency_storm"],
+        "name": "fairness-lab-policies",
+    }))
     frontier, outcome = run_fairness_study(spec, labels, jobs=args.jobs, cache=cache)
     assert outcome.ok, outcome.failures
 

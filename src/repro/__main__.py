@@ -1,41 +1,16 @@
-"""Command-line demo: ``python -m repro``.
+"""Command-line entry point: ``python -m repro [SUBCOMMAND]``.
 
-Runs a small CloudEx deployment with the default zero-intelligence
-workload and prints the operator report.  Flags tune the interesting
-knobs; see ``python -m repro --help``.
-
-``python -m repro trace`` runs the same deployment with per-order
-lifecycle tracing enabled and prints the latency breakdown, clock
-error, ROS attribution, and operational-counter tables, writing the
-raw traces to a JSONL file; see ``python -m repro trace --help``.
-
-``python -m repro chaos`` runs a deterministic fault-injection
-scenario (gateway crashes, latency storms, partitions, clock steps)
-and prints the chaos report with its invariant findings; see
-``python -m repro chaos --help``.
-
-``python -m repro sweep`` runs a (config x seed) experiment grid over
-a parallel worker pool with deterministic aggregation and on-disk
-result caching; see ``python -m repro sweep --help``.
-
-``python -m repro fairness`` runs the fairness-policy frontier study:
-the cloudex/dbo/pfo/noop backends head-to-head across clock regimes
-and chaos scenarios under identical seeds, emitting a deterministic
-frontier document; see ``python -m repro fairness --help``.
-
-``python -m repro shardrun`` runs the batched sharded kernel: bulk
-numpy order generation, batched matching, and conservative-sync
-windows across optional worker processes whose reports are
-byte-identical to the inline run; see ``python -m repro shardrun
---help``.
-
-``python -m repro serve`` runs the exchange-as-a-service control
-plane: an authenticated HTTP API that accepts sweep/chaos/fairness job
-submissions, executes them on the experiment pool, and serves signed
-evidence packs; see ``python -m repro serve --help``.
-
-``python -m repro verify-pack`` verifies a downloaded evidence pack
-offline; see ``python -m repro verify-pack --help``.
+With no subcommand it runs a small CloudEx deployment with the default
+zero-intelligence workload and prints the operator report; ``trace``
+runs the same deployment (smaller by default) with per-order lifecycle
+tracing and prints the latency breakdown, clock error, ROS attribution
+and operational-counter tables, writing the raw traces to a JSONL file.
+Every subcommand -- its name, one-line summary and entry point -- is one
+row of :data:`SUBCOMMAND_TABLE`, which yields the dispatch, the
+``--help`` epilog and :data:`SUBCOMMANDS`; see ``python -m repro
+<subcommand> --help`` for each one's options.  ``sweep``, ``fairness``
+and ``chaos`` compile their flags into the job spec a served client
+submits (:mod:`repro.runspec`).
 
 All subcommands share the exit-code convention in :mod:`repro.cliutil`
 (0 = clean, 1 = the run surfaced failures, 2 = usage error) and emit
@@ -45,101 +20,40 @@ All subcommands share the exit-code convention in :mod:`repro.cliutil`
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
+import textwrap
+from collections import Counter
+from typing import Optional
 
 from repro.analysis.report import summarize_run
-from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
+from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_json_flag, emit_json, usage_error
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CloudExConfig
-
-#: Every subcommand, in help order.  ``python -m repro --help`` lists
-#: exactly these; the CLI test suite pins the list.
-SUBCOMMANDS = ("trace", "chaos", "sweep", "fairness", "shardrun", "serve", "verify-pack")
+from repro.core.config import CLOCK_SYNC_MODES, CloudExConfig
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_run_parser(prog: str, description: str, **defaults) -> argparse.ArgumentParser:
+    """The deployment flags ``python -m repro`` and ``trace`` share;
+    ``defaults`` are the ones that differ between the two."""
     parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Run a simulated CloudEx fair-access exchange and print a report.",
-        epilog=(
-            "subcommands:\n"
-            "  trace        run with per-order lifecycle tracing and print the\n"
-            "               latency/clock/ROS breakdown tables\n"
-            "  chaos        run a deterministic fault-injection scenario and\n"
-            "               print the invariant-checked chaos report\n"
-            "  sweep        run a (config x seed) experiment grid over a parallel\n"
-            "               worker pool with caching and deterministic output\n"
-            "  fairness     run the fairness-policy frontier study (cloudex vs\n"
-            "               dbo vs pfo vs noop under identical seeds and chaos)\n"
-            "  shardrun     run the batched sharded kernel (bulk-generated flow,\n"
-            "               conservative-sync windows, optional --jobs processes\n"
-            "               with byte-identical reports)\n"
-            "  serve        run the exchange-as-a-service HTTP control plane:\n"
-            "               submit sweep/chaos/fairness jobs, download signed\n"
-            "               evidence packs\n"
-            "  verify-pack  verify a downloaded evidence pack offline\n"
-            "\n"
-            "see `python -m repro <subcommand> --help` for their options"
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        prog=prog, description=description, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--participants", type=int, default=12)
-    parser.add_argument("--gateways", type=int, default=4)
+    parser.add_argument("--participants", type=int)
+    parser.add_argument("--gateways", type=int)
     parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--symbols", type=int, default=20)
-    parser.add_argument("--duration", type=float, default=2.0, metavar="SECONDS")
-    parser.add_argument("--rate", type=float, default=200.0, help="orders/s per participant")
-    parser.add_argument("--rf", type=int, default=1, help="ROS replication factor")
-    parser.add_argument("--ds", type=float, default=500.0, help="sequencer delay d_s (us)")
-    parser.add_argument("--dh", type=float, default=1000.0, help="hold/release delay d_h (us)")
-    parser.add_argument(
-        "--ddp",
-        type=float,
-        default=None,
-        metavar="TARGET",
-        help="enable DDP with this target unfairness ratio (e.g. 0.01)",
-    )
-    parser.add_argument(
-        "--clock-sync",
-        choices=["huygens", "ntp", "none", "perfect"],
-        default="huygens",
-    )
+    parser.add_argument("--symbols", type=int)
+    parser.add_argument("--duration", type=float, metavar="SECONDS")
+    parser.add_argument("--rate", type=float, help="orders/s per participant")
+    parser.add_argument("--rf", type=int, help="ROS replication factor")
+    parser.add_argument("--clock-sync", choices=CLOCK_SYNC_MODES, default="huygens")
+    parser.set_defaults(**defaults)
     return parser
 
 
-def build_trace_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace",
-        description=(
-            "Run a traced CloudEx deployment and print the per-stage "
-            "latency breakdown, clock-error, and ROS-attribution tables."
-        ),
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--participants", type=int, default=4)
-    parser.add_argument("--gateways", type=int, default=2)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--symbols", type=int, default=4)
-    parser.add_argument("--duration", type=float, default=0.5, metavar="SECONDS")
-    parser.add_argument("--rate", type=float, default=100.0, help="orders/s per participant")
-    parser.add_argument("--rf", type=int, default=2, help="ROS replication factor")
-    parser.add_argument("--sample-rate", type=float, default=1.0, help="trace sampling rate in [0, 1]")
-    parser.add_argument("--out", default="trace.jsonl", metavar="PATH", help="JSONL trace output path")
-    parser.add_argument(
-        "--clock-sync",
-        choices=["huygens", "ntp", "none", "perfect"],
-        default="huygens",
-    )
-    add_json_flag(parser, "also write a deterministic trace-summary document as JSON")
-    return parser
-
-
-def trace_main(argv=None) -> int:
-    from repro.analysis.tables import format_table
-    from repro.obs.breakdown import breakdown_table, clock_error_table, ros_attribution_table
-
-    args = build_trace_parser().parse_args(argv)
+def _run_deployment(args: argparse.Namespace, **settings) -> Optional[CloudExCluster]:
+    """Build the deployment ``args`` (plus config ``settings``) describe
+    and run it; None after reporting a config that cannot be built."""
     try:
         config = CloudExConfig(
             seed=args.seed,
@@ -151,14 +65,57 @@ def trace_main(argv=None) -> int:
             clock_sync=args.clock_sync,
             orders_per_participant_per_s=args.rate,
             subscriptions_per_participant=min(3, args.symbols),
-            tracing=True,
-            trace_sample_rate=args.sample_rate,
+            **settings,
         )
     except ValueError as exc:
-        return usage_error(exc)
+        usage_error(exc)
+        return None
     cluster = CloudExCluster(config)
     cluster.add_default_workload()
     cluster.run(duration_s=args.duration)
+    return cluster
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _build_run_parser(
+        "python -m repro",
+        "Run a simulated CloudEx fair-access exchange and print a report.",
+        participants=12, gateways=4, symbols=20, duration=2.0, rate=200.0, rf=1,
+    )
+    parser.add_argument("--ds", type=float, default=500.0, help="sequencer delay d_s (us)")
+    parser.add_argument("--dh", type=float, default=1000.0, help="hold/release delay d_h (us)")
+    parser.add_argument(
+        "--ddp",
+        type=float,
+        default=None,
+        metavar="TARGET",
+        help="enable DDP with this target unfairness ratio (e.g. 0.01)",
+    )
+    parser.epilog = _subcommand_epilog()
+    return parser
+
+
+def build_trace_parser() -> argparse.ArgumentParser:
+    parser = _build_run_parser(
+        "python -m repro trace",
+        "Run a traced CloudEx deployment and print the per-stage "
+        "latency breakdown, clock-error, and ROS-attribution tables.",
+        participants=4, gateways=2, symbols=4, duration=0.5, rate=100.0, rf=2,
+    )
+    parser.add_argument("--sample-rate", type=float, default=1.0, help="trace sampling rate in [0, 1]")
+    parser.add_argument("--out", default="trace.jsonl", metavar="PATH", help="JSONL trace output path")
+    add_json_flag(parser, "also write a deterministic trace-summary document as JSON")
+    return parser
+
+
+def trace_main(argv=None) -> int:
+    from repro.analysis.tables import format_table
+    from repro.obs.breakdown import breakdown_table, clock_error_table, ros_attribution_table
+
+    args = build_trace_parser().parse_args(argv)
+    cluster = _run_deployment(args, tracing=True, trace_sample_rate=args.sample_rate)
+    if cluster is None:
+        return EXIT_USAGE
 
     tracer = cluster.tracer
     assert tracer is not None
@@ -186,16 +143,12 @@ def trace_main(argv=None) -> int:
     tracer.dump_jsonl(args.out)
     print(f"\nwrote {len(traces)} traces to {args.out}")
     if args.json is not None:
-        spans_by_kind: dict = {}
-        for trace in traces:
-            for span in trace.spans:
-                spans_by_kind[span.kind] = spans_by_kind.get(span.kind, 0) + 1
         emit_json(
             {
                 "trace": {"seed": args.seed, "duration_s": args.duration},
                 "traces": len(traces),
                 "completed": len(completed),
-                "spans_by_kind": spans_by_kind,
+                "spans_by_kind": Counter(span.kind for trace in traces for span in trace.spans),
                 "counters": counts,
             },
             args.json,
@@ -203,28 +156,21 @@ def trace_main(argv=None) -> int:
     return EXIT_OK
 
 
-def build_chaos_parser() -> argparse.ArgumentParser:
+def _scenario_lines(indent: str) -> str:
     from repro.chaos import available_scenarios
 
-    scenario_lines = "\n".join(
-        f"  {name:28s}{description}" for name, description in available_scenarios()
+    return "\n".join(f"{indent}{name:28s}{text}" for name, text in available_scenarios())
+
+
+def build_chaos_parser() -> argparse.ArgumentParser:
+    from repro.exp.cli import build_job_parser
+
+    parser = build_job_parser(
+        "chaos",
+        "Run a deterministic fault-injection scenario against a CloudEx "
+        "cluster and print the invariant-checked chaos report.",
+        "scenarios:\n" + _scenario_lines("  "),
     )
-    parser = argparse.ArgumentParser(
-        prog="python -m repro chaos",
-        description=(
-            "Run a deterministic fault-injection scenario against a CloudEx "
-            "cluster and print the invariant-checked chaos report."
-        ),
-        epilog=f"scenarios:\n{scenario_lines}",
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "--scenario",
-        default="smoke",
-        metavar="NAME",
-        help="scenario to run (see list below; default: smoke)",
-    )
-    parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--list", action="store_true", help="list scenarios and exit")
     add_json_flag(parser, "emit the report as JSON instead of text")
     parser.add_argument(
@@ -236,20 +182,18 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
 
 def chaos_main(argv=None) -> int:
-    from repro.chaos import available_scenarios, run_scenario, scenario_spec
-    from repro.cliutil import EXIT_FAILURE
+    from repro.chaos import run_scenario
+    from repro.runspec import job_from_args
 
     args = build_chaos_parser().parse_args(argv)
     if args.list:
-        for name, description in available_scenarios():
-            print(f"{name:28s}{description}")
+        print(_scenario_lines(""))
         return EXIT_OK
     try:
-        scenario_spec(args.scenario)
+        job = job_from_args("chaos", args)
     except ValueError as exc:
         return usage_error(exc)
-    result = run_scenario(args.scenario, seed=args.seed)
-    report = result.report
+    report = run_scenario(job["scenario"], seed=job["seed"]).report
     if args.json is not None:
         emit_json(report.to_dict(), args.json)
     else:
@@ -259,56 +203,59 @@ def chaos_main(argv=None) -> int:
     return EXIT_OK
 
 
+#: Every subcommand as (name, summary, entry point), in help order; an
+#: entry point given as "module:function" is imported when it runs.
+SUBCOMMAND_TABLE = (
+    ("trace", "run with per-order lifecycle tracing and print the "
+              "latency/clock/ROS breakdown tables", trace_main),
+    ("chaos", "run a deterministic fault-injection scenario and print the "
+              "invariant-checked chaos report", chaos_main),
+    ("sweep", "run a (config x seed) experiment grid over a parallel worker "
+              "pool with caching and deterministic output", "repro.exp.cli:sweep_main"),
+    ("fairness", "run the fairness-policy frontier study (cloudex vs dbo vs pfo "
+                 "vs noop under identical seeds and chaos)", "repro.fairness.cli:fairness_main"),
+    ("shardrun", "run the batched sharded kernel (bulk-generated flow, "
+                 "conservative-sync windows, optional --jobs processes with "
+                 "byte-identical reports)", "repro.core.shardrun:shardrun_main"),
+    ("serve", "run the exchange-as-a-service HTTP control plane: submit "
+              "sweep/chaos/fairness jobs, download signed evidence packs",
+     "repro.serve.cli:serve_main"),
+    ("verify-pack", "verify a downloaded evidence pack offline",
+     "repro.serve.cli:verify_pack_main"),
+)
+
+#: Every subcommand name, in help order.
+SUBCOMMANDS = tuple(name for name, _, _ in SUBCOMMAND_TABLE)
+
+
+def _subcommand_epilog() -> str:
+    lines = ["subcommands:"]
+    for name, summary, _ in SUBCOMMAND_TABLE:
+        lines += textwrap.wrap(
+            summary, 70, initial_indent=f"  {name:13s}", subsequent_indent=" " * 15
+        )
+    return "\n".join(lines + ["", "see `python -m repro <subcommand> --help` for their options"])
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in SUBCOMMANDS:
-        name, rest = argv[0], argv[1:]
-        if name == "trace":
-            return trace_main(rest)
-        if name == "chaos":
-            return chaos_main(rest)
-        if name == "sweep":
-            from repro.exp.cli import sweep_main
-
-            return sweep_main(rest)
-        if name == "fairness":
-            from repro.fairness.cli import fairness_main
-
-            return fairness_main(rest)
-        if name == "shardrun":
-            from repro.core.shardrun import shardrun_main
-
-            return shardrun_main(rest)
-        if name == "serve":
-            from repro.serve.cli import serve_main
-
-            return serve_main(rest)
-        from repro.serve.cli import verify_pack_main
-
-        return verify_pack_main(rest)
+    entry = {name: entry for name, _, entry in SUBCOMMAND_TABLE}.get(argv[0] if argv else None)
+    if isinstance(entry, str):
+        module, _, function = entry.partition(":")
+        entry = getattr(importlib.import_module(module), function)
+    if entry is not None:
+        return entry(argv[1:])
     args = build_parser().parse_args(argv)
-    try:
-        config = CloudExConfig(
-            seed=args.seed,
-            n_participants=args.participants,
-            n_gateways=args.gateways,
-            n_shards=args.shards,
-            n_symbols=args.symbols,
-            replication_factor=args.rf,
-            sequencer_delay_us=args.ds,
-            holdrelease_delay_us=args.dh,
-            ddp_inbound_target=args.ddp,
-            ddp_outbound_target=args.ddp,
-            clock_sync=args.clock_sync,
-            orders_per_participant_per_s=args.rate,
-            subscriptions_per_participant=min(3, args.symbols),
-        )
-    except ValueError as exc:
-        return usage_error(exc)
-    cluster = CloudExCluster(config)
-    cluster.add_default_workload()
-    cluster.run(duration_s=args.duration)
+    cluster = _run_deployment(
+        args,
+        sequencer_delay_us=args.ds,
+        holdrelease_delay_us=args.dh,
+        ddp_inbound_target=args.ddp,
+        ddp_outbound_target=args.ddp,
+    )
+    if cluster is None:
+        return EXIT_USAGE
     print(summarize_run(cluster))
     return EXIT_OK
 

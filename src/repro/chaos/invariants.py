@@ -11,7 +11,9 @@ matter which hosts crashed or which links stalled:
 - **no duplicate execution** -- one ``(participant, client_order_id)``
   is admitted past ROS dedup at most once, despite retries;
 - **no overfill** -- an order never fills more than its quantity;
-- **book integrity** -- no resting book is crossed after recovery;
+- **book integrity** -- no resting book is crossed after recovery,
+  each price level's depth is the sum of its orders' remainders, and
+  every resting order is indexed exactly once;
 - **monotone sequencer release** -- the sequencer's measured
   out-of-sequence count stays within bounds;
 - **bounded fairness degradation** -- ground-truth inbound unfairness
@@ -186,6 +188,37 @@ def _check_books(cluster) -> List[Finding]:
                         "book_integrity", VIOLATION,
                         f"{symbol} book is crossed: bid {bid} >= ask {ask}",
                         {"symbol": symbol, "best_bid": bid, "best_ask": ask},
+                    )
+                )
+            levels = [*book.bids._levels.values(), *book.asks._levels.values()]
+            for level in levels:
+                resting_quantity = sum(order.remaining for order in level.orders)
+                if level.total_quantity != resting_quantity:
+                    findings.append(
+                        Finding(
+                            "book_integrity", VIOLATION,
+                            f"{symbol} level {level.price} shows {level.total_quantity} "
+                            f"shares, its orders rest {resting_quantity}",
+                            {"symbol": symbol, "price": level.price,
+                             "total_quantity": level.total_quantity,
+                             "resting_quantity": resting_quantity},
+                        )
+                    )
+            # Every resting order is indexed exactly once: each maps to
+            # its own index entry, and no entry is left over.
+            orders = [order for level in levels for order in level.orders]
+            indexed = sum(
+                book.resting.get((order.participant_id, order.client_order_id)) is order
+                for order in orders
+            )
+            if not indexed == len(orders) == len(book.resting):
+                findings.append(
+                    Finding(
+                        "book_integrity", VIOLATION,
+                        f"{symbol} book rests {len(orders)} orders, {indexed} of them "
+                        f"indexed, against {len(book.resting)} index entries",
+                        {"symbol": symbol, "resting_orders": len(orders),
+                         "indexed": indexed, "index_entries": len(book.resting)},
                     )
                 )
     return findings

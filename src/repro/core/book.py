@@ -109,7 +109,7 @@ class PriceLevel:
         return self._orders[self._head]
 
     def reduce(self, quantity: Quantity) -> None:
-        """Account a partial fill of the front order."""
+        """Account ``quantity`` filled from the front order."""
         self.total_quantity -= quantity
 
     @property

@@ -26,6 +26,10 @@ from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
 #: import-light; tests/fairness pins the two tuples equal.
 _FAIRNESS_POLICIES = ("cloudex", "dbo", "pfo", "noop")
 
+#: Clock-sync modes: Huygens, the NTP baseline, free-running clocks,
+#: or clocks that read true time.
+CLOCK_SYNC_MODES = ("huygens", "ntp", "none", "perfect")
+
 # ----------------------------------------------------------------------
 # Calibration constants
 # ----------------------------------------------------------------------
@@ -230,7 +234,7 @@ class CloudExConfig:
     # ------------------------------------------------------------------
     # Clock synchronization
     # ------------------------------------------------------------------
-    #: "huygens" | "ntp" | "none" (free-running clocks) | "perfect"
+    #: One of :data:`CLOCK_SYNC_MODES`.
     clock_sync: str = "huygens"
 
     # ------------------------------------------------------------------
@@ -367,7 +371,7 @@ class CloudExConfig:
                 raise ValueError(f"injected_delay_phases_us must be non-negative, got {phases}")
         if not 0.0 < self.injected_gateway_fraction <= 1.0:
             raise ValueError("injected_gateway_fraction must be in (0, 1]")
-        if self.clock_sync not in ("huygens", "ntp", "none", "perfect"):
+        if self.clock_sync not in CLOCK_SYNC_MODES:
             raise ValueError(f"unknown clock_sync mode {self.clock_sync!r}")
         for name in ("straggler_gateways", "snapshot_interval_ms"):
             if getattr(self, name) < 0:

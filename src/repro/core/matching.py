@@ -261,11 +261,10 @@ class MatchingEngineCore:
             price = level.price
             order.remaining -= quantity
             resting.remaining -= quantity
-            if resting.remaining == 0:
+            level.reduce(quantity)
+            if resting.remaining == 0:  # pop_front subtracts the 0 left
                 level.pop_front()
                 book.forget(resting)
-            else:
-                level.reduce(quantity)
             trades += 1
             traded_qty += quantity
             notional += price * quantity

@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.core.config import CLOCK_SYNC_MODES
 from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool
 from repro.exp.runner import SweepOutcome, run_sweep
@@ -56,18 +57,19 @@ _UNFAIRNESS_AXIS = "inbound_unfairness_true"
 
 
 def build_fairness_spec(
-    policies: Sequence[str] = POLICY_NAMES,
-    clocks: Sequence[str] = DEFAULT_CLOCKS,
-    scenarios: Sequence[str] = tuple(SCENARIOS),
-    seeds: Union[int, Sequence[int]] = 1,
-    master_seed: int = 0,
-    n_participants: int = 8,
-    n_gateways: int = 4,
-    n_symbols: int = 10,
-    rate_per_participant: float = 300.0,
-    warmup_s: float = 0.3,
-    duration_s: float = 0.8,
-    name: str = "fairness",
+    *,
+    policies: Sequence[str],
+    clocks: Sequence[str],
+    scenarios: Sequence[str],
+    seeds: Union[int, Sequence[int]],
+    master_seed: int,
+    n_participants: int,
+    n_gateways: int,
+    n_symbols: int,
+    rate_per_participant: float,
+    warmup_s: float,
+    duration_s: float,
+    name: str,
 ) -> Tuple[SweepSpec, List[Tuple[str, str, str]]]:
     """The study spec plus one (policy, clock, scenario) label per
     grid point, in the spec's grid order."""
@@ -75,7 +77,7 @@ def build_fairness_spec(
         if policy not in POLICY_NAMES:
             raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
     for clock in clocks:
-        if clock not in ("huygens", "ntp", "none", "perfect"):
+        if clock not in CLOCK_SYNC_MODES:
             raise ValueError(f"unknown clock regime {clock!r}")
     for scenario in scenarios:
         if scenario not in SCENARIOS:

@@ -6,10 +6,11 @@ repo's deterministic runners -- sweeps (:mod:`repro.exp`), chaos
 scenarios (:mod:`repro.chaos`), fairness studies
 (:mod:`repro.fairness`) -- into a served, queryable, certifiable system:
 
-- :mod:`repro.serve.schema` -- the JSON job schema: validation,
-  normalization, and content-addressed job identity (BLAKE2 over the
-  canonical spec + source-tree hash, the same keying as
-  :mod:`repro.exp.cache`).
+- the JSON job schema lives in :mod:`repro.runspec`, shared with the
+  ``sweep`` / ``fairness`` / ``chaos`` CLIs: validation, normalization,
+  and content-addressed job identity (BLAKE2 over the canonical spec +
+  source-tree hash, the same keying as :mod:`repro.exp.cache`); this
+  package re-exports ``JobError``, ``job_key`` and ``normalize_job``.
 - :mod:`repro.serve.store` -- SQLite-backed run store: every submitted
   job becomes a run row with provenance, status, and dedup-by-identity
   (two clients submitting the same spec share one execution).
@@ -32,14 +33,14 @@ scenarios (:mod:`repro.chaos`), fairness studies
 
 Everything a pack contains is a pure function of (spec, seed, source
 tree): ``report.json`` is byte-identical to the same spec run directly
-through ``python -m repro sweep``/``chaos``, which is what makes the
-packs *evidence* rather than logs.
+through ``python -m repro sweep``/``fairness``/``chaos``, which is what
+makes the packs *evidence* rather than logs.
 """
 
 _LAZY = {
-    "JobError": "repro.serve.schema",
-    "job_key": "repro.serve.schema",
-    "normalize_job": "repro.serve.schema",
+    "JobError": "repro.runspec",
+    "job_key": "repro.runspec",
+    "normalize_job": "repro.runspec",
     "RunStore": "repro.serve.store",
     "execute_job": "repro.serve.runners",
     "issue_certificate": "repro.serve.certificate",

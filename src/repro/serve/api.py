@@ -42,9 +42,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.core.auth import AuthRegistry, RateLimiter
 from repro.exp.cache import code_version_hash
+from repro.runspec import JobError, describe, job_key, normalize_job
 from repro.serve.evidence import MANIFEST
 from repro.serve.executor import JobExecutor
-from repro.serve.schema import JobError, describe, job_key, normalize_job
 from repro.serve.store import RunStore
 
 DEFAULT_DATA_DIR = ".repro-serve"

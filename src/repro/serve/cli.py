@@ -17,6 +17,8 @@ from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
+    from repro.exp.cli import add_worker_flags
+
     parser = argparse.ArgumentParser(
         prog="python -m repro serve",
         description=(
@@ -55,18 +57,11 @@ def build_serve_parser() -> argparse.ArgumentParser:
             "token); set a real one outside development"
         ),
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help=(
-            "worker processes in the pool that runs every job's tasks, started "
-            "once and kept for the server's lifetime (default 1 = inline)"
-        ),
+    add_worker_flags(
+        parser,
+        "worker processes in the pool that runs every job's tasks, started "
+        "once and kept for the server's lifetime (default 1 = inline)",
     )
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task timeout handed to the worker pool (jobs > 1 only)",
-    )
-    parser.add_argument("--retries", type=int, default=1, help="extra attempts per failed task")
     parser.add_argument(
         "--rate", type=float, default=20.0, metavar="REQ_PER_S",
         help="per-client request rate limit (default 20/s)",

@@ -1,15 +1,13 @@
 """Execute a normalized job spec into deterministic run artifacts.
 
 Each job kind reuses the exact runner its CLI twin uses -- that is the
-whole point: a sweep submitted over HTTP goes through the same
-:func:`repro.exp.runner.run_sweep` (and therefore the same
+whole point: a sweep or fairness job submitted over HTTP goes through
+the same :func:`repro.runspec.run_pooled_job` (and therefore the same
 crash-tolerant :func:`repro.exp.pool.run_parallel` and the same
-content-addressed result cache) as ``python -m repro sweep``, and its
-``report.json`` serializes through the same canonical formatter
-(:func:`repro.cliutil.dump_json_document`), so the two front doors are
-byte-identical.  Fairness jobs likewise run through
-:func:`repro.fairness.study.run_fairness_study` and pack the same
-frontier document ``python -m repro fairness --json`` emits.  Chaos jobs likewise run through
+content-addressed result cache) as ``python -m repro sweep`` /
+``fairness``, and its ``report.json`` serializes through the same
+canonical formatter (:func:`repro.cliutil.dump_json_document`), so the
+two front doors are byte-identical.  Chaos jobs likewise run through
 :func:`repro.chaos.scenarios.run_scenario` and serialize exactly what
 ``python -m repro chaos --json`` prints.
 
@@ -31,6 +29,7 @@ from typing import Dict, List, Optional
 from repro.cliutil import dump_json_document
 from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool, run_parallel
+from repro.runspec import run_pooled_job
 
 
 @dataclass
@@ -93,68 +92,6 @@ def _run_chaos(
     )
 
 
-def _run_sweep(
-    spec: Dict[str, object],
-    jobs: int,
-    cache: Optional[ResultCache],
-    timeout_s: Optional[float],
-    retries: int,
-    pool: Optional[WorkerPool],
-) -> RunArtifacts:
-    from repro.exp.runner import run_sweep
-    from repro.serve.schema import build_sweep_spec
-
-    outcome = run_sweep(
-        build_sweep_spec(spec),
-        jobs=jobs,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        pool=pool,
-    )
-    violations = [
-        {"invariant": "task_complete", "task": key, "error": error}
-        for key, error in outcome.failures
-    ]
-    return RunArtifacts(
-        report=dump_json_document(outcome.document).encode("utf-8"),
-        clean=outcome.ok,
-        violations=violations,
-    )
-
-
-def _run_fairness(
-    spec: Dict[str, object],
-    jobs: int,
-    cache: Optional[ResultCache],
-    timeout_s: Optional[float],
-    retries: int,
-    pool: Optional[WorkerPool],
-) -> RunArtifacts:
-    from repro.fairness.study import run_fairness_study
-    from repro.serve.schema import build_fairness_study
-
-    study_spec, labels = build_fairness_study(spec)
-    frontier, outcome = run_fairness_study(
-        study_spec,
-        labels,
-        jobs=jobs,
-        cache=cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        pool=pool,
-    )
-    violations = [
-        {"invariant": "cell_complete", "task": key, "error": error}
-        for key, error in outcome.failures
-    ]
-    return RunArtifacts(
-        report=dump_json_document(frontier).encode("utf-8"),
-        clean=outcome.ok,
-        violations=violations,
-    )
-
-
 def execute_job(
     spec: Dict[str, object],
     jobs: int = 1,
@@ -173,8 +110,17 @@ def execute_job(
     kind = spec["kind"]
     if kind == "chaos":
         return _run_chaos(spec, jobs, timeout_s, retries, pool)
-    if kind == "sweep":
-        return _run_sweep(spec, jobs, cache, timeout_s, retries, pool)
-    if kind == "fairness":
-        return _run_fairness(spec, jobs, cache, timeout_s, retries, pool)
-    raise ValueError(f"unknown job kind {kind!r}")
+    if kind not in ("sweep", "fairness"):
+        raise ValueError(f"unknown job kind {kind!r}")
+    document, outcome = run_pooled_job(
+        spec, jobs=jobs, cache=cache, timeout_s=timeout_s, retries=retries, pool=pool
+    )
+    invariant = "task_complete" if kind == "sweep" else "cell_complete"
+    return RunArtifacts(
+        report=dump_json_document(document).encode("utf-8"),
+        clean=outcome.ok,
+        violations=[
+            {"invariant": invariant, "task": key, "error": error}
+            for key, error in outcome.failures
+        ],
+    )

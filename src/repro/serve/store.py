@@ -1,7 +1,7 @@
 """SQLite-backed run store with content-addressed identity.
 
 One row per *run*, keyed by the job's content hash (spec + source
-tree, :func:`repro.serve.schema.job_key`).  Identity-as-key is what
+tree, :func:`repro.runspec.job_key`).  Identity-as-key is what
 gives the control plane its dedup semantics for free: submitting a
 spec that is already queued, running, or done never creates a second
 row -- :meth:`RunStore.submit` is an ``INSERT OR IGNORE`` and reports

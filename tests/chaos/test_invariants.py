@@ -130,6 +130,30 @@ class TestCheckers:
         finally:
             cluster.metrics.out_of_sequence -= 3
 
+    def test_level_depth_must_match_its_orders(self, clean_run):
+        cluster, monitor = clean_run
+        book = next(iter(cluster.exchange.shards[0].core.books.values()))
+        level = book.asks.best_level()
+        level.total_quantity += 5
+        try:
+            finding = _by_invariant(check_invariants(cluster, monitor))["book_integrity"]
+            assert finding.severity == VIOLATION
+            assert finding.data["total_quantity"] - finding.data["resting_quantity"] == 5
+        finally:
+            level.total_quantity -= 5
+
+    def test_every_resting_order_is_indexed_once(self, clean_run):
+        cluster, monitor = clean_run
+        book = next(iter(cluster.exchange.shards[0].core.books.values()))
+        key, resting = next(iter(book.resting.items()))
+        del book.resting[key]
+        try:
+            finding = _by_invariant(check_invariants(cluster, monitor))["book_integrity"]
+            assert finding.severity == VIOLATION
+            assert finding.data["indexed"] == finding.data["resting_orders"] - 1
+        finally:
+            book.resting[key] = resting
+
     def test_fairness_bound_is_warning(self, clean_run):
         cluster, monitor = clean_run
         findings = check_invariants(

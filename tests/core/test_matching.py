@@ -236,6 +236,16 @@ class TestSnapshot:
         assert snapshot.spread == 2
         assert snapshot.mid_price == 100.0
 
+    def test_full_fill_leaves_the_level_depth_of_what_rests(self, core):
+        # A fully filled front order used to stay in its level's depth:
+        # ((100, 20),) with one order resting.
+        core.process_order(order(Side.SELL, 10, price=100, participant="p2"), 0)
+        core.process_order(order(Side.SELL, 10, price=100, participant="p3"), 0)
+        core.process_order(order(Side.BUY, 10, price=100), 1)
+        book = core.books["S"]
+        assert book.depth_snapshot() == ((), ((100, 10),))
+        assert book.resting_count() == 1
+
 
 @given(
     flow=st.lists(

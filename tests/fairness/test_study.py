@@ -17,7 +17,7 @@ from repro.fairness.study import (
     run_fairness_study,
 )
 from repro.serve.runners import execute_job
-from repro.serve.schema import JobError, describe, normalize_job
+from repro.runspec import JobError, describe, normalize_job
 from tests.conftest import small_config
 
 GOLDEN_CELLS = Path(__file__).parent / "golden" / "tiny_study_cells.json"
@@ -30,6 +30,7 @@ def tiny_spec(policies=("cloudex", "noop"), clocks=("huygens",),
         clocks=clocks,
         scenarios=scenarios,
         seeds=1,
+        master_seed=0,
         n_participants=3,
         n_gateways=2,
         n_symbols=4,

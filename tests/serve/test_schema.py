@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.serve.schema import (
+from repro.runspec import (
     JOB_KINDS,
     SCHEMA,
     JobError,
@@ -91,11 +91,11 @@ class TestNormalizeSweep:
     def test_non_finite_number_rejected(self, rate):
         # json.loads parses NaN and Infinity; neither may enter the
         # canonical spec that run_id hashes.
-        with pytest.raises(JobError, match="'rate_per_participant' must be a finite number"):
+        with pytest.raises(JobError, match="rate_per_participant must be positive and finite"):
             normalize_job({**SWEEP_RAW, "rate_per_participant": rate})
         with pytest.raises(JobError, match="'duration_s' must be a finite number"):
             normalize_job({**SWEEP_RAW, "duration_s": rate})
-        with pytest.raises(JobError, match="'rate_per_participant' must be a finite number"):
+        with pytest.raises(JobError, match="rate_per_participant must be positive and finite"):
             normalize_job({"kind": "fairness", "rate_per_participant": rate})
 
     @pytest.mark.parametrize("rate", [0, -1])

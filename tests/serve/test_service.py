@@ -283,7 +283,7 @@ class TestDedupAcrossClients:
     def test_sweep_report_matches_direct_runner_bytes(self, server):
         from repro.cliutil import dump_json_document
         from repro.exp.runner import run_sweep
-        from repro.serve.schema import build_sweep_spec, normalize_job
+        from repro.runspec import build_sweep_spec, normalize_job
 
         _, submitted = request(server, "POST", "/v1/jobs", body=TINY_SWEEP)
         record = wait_for_run(server, submitted["run_id"])
@@ -321,7 +321,7 @@ class TestListingAndRecovery:
         # What a server leaves behind when it goes down (killed, or shut
         # down with a run it had to abandon): a row still ``running``.
         from repro.exp.cache import code_version_hash
-        from repro.serve.schema import job_key, normalize_job
+        from repro.runspec import job_key, normalize_job
         from repro.serve.store import RunStore
 
         config = serve_config(tmp_path)
@@ -394,7 +394,7 @@ class TestPooledExecution:
         from repro.chaos import run_scenario
         from repro.cliutil import dump_json_document
         from repro.exp.runner import run_sweep
-        from repro.serve.schema import build_sweep_spec, normalize_job
+        from repro.runspec import build_sweep_spec, normalize_job
 
         def served_report(job):
             _, submitted = request(server, "POST", "/v1/jobs", body=job)

@@ -1,8 +1,9 @@
 """Tests for the ``python -m repro`` command-line demo."""
 
-import pytest
-
 import json
+import math
+
+import pytest
 
 from repro.__main__ import (
     SUBCOMMANDS,
@@ -11,6 +12,125 @@ from repro.__main__ import (
     build_trace_parser,
     main,
 )
+from repro.runspec import JobError, job_from_args, normalize_job
+
+SWEEP = {"kind": "sweep", "grid": [{"n_shards": 1}]}
+PHASES = (
+    "injected_delay_phases_us must be a non-empty list of numbers in JSON form, "
+    "e.g. [0,400,200]"
+)
+RATE = "rate_per_participant must be positive and finite"
+
+#: Every bad input as (job spec, equivalent argv, message): the job is
+#: refused with a JobError (HTTP 400 at the API) and the command exits
+#: 2 with one ``error:`` line, both carrying the message.  ``None`` is
+#: a door the input has no spelling at: the plain and traced runs and
+#: shardrun take no job; --grid / --set / --seed-list syntax and the
+#: pool flags are not job fields; a key with no flag is JSON-only.
+BAD_INPUTS = [
+    (None, ["--symbols", "2", "--shards", "3"], "3 shards cannot each own a symbol"),
+    (None, ["trace", "--rf", "5"], "replication factor 5"),
+    ({"kind": "chaos", "scenario": "nope"}, ["chaos", "--scenario", "nope"],
+     "unknown chaos scenario 'nope'"),
+    (None, ["shardrun", "--shards", "20", "--symbols", "10"], "n_shards must be in"),
+    (None, ["shardrun", "--jobs", "0"], "jobs must be >= 1"),
+    ({"kind": "sweep", "grid": [{"bogus": 1}]}, ["sweep", "--grid", "bogus=1"],
+     "'bogus' is not a CloudExConfig field"),
+    (None, ["sweep", "--grid", "n_shards"], "--grid expects field=v1,v2,..."),
+    ({**SWEEP, "base": {"seed": 3}}, ["sweep", "--grid", "n_shards=1", "--set", "seed=3"],
+     "set seeds via"),
+    ({**SWEEP, "seeds": 0}, ["sweep", "--grid", "n_shards=1", "--seeds", "0"],
+     "seeds must be >= 1"),
+    (None, ["sweep", "--grid", "n_shards=1", "--seed-list", "a,b"], "--seed-list expects"),
+    (None, ["sweep", "--grid", "n_shards=1", "--jobs", "0"], "jobs must be >= 1"),
+    ({**SWEEP, "base": {"spike_prob": 1.5}},
+     ["sweep", "--grid", "n_shards=1", "--set", "spike_prob=1.5"], "spike_prob must be"),
+    ({"kind": "fairness", "seeds": 0}, ["fairness", "--seeds", "0"], "seeds must be >= 1"),
+    ({**SWEEP, "base": {"matching_mode": "batch"}},
+     ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch"],
+     "'matching_mode' is not a CloudExConfig field"),
+    ({**SWEEP, "base": {"orders_per_participant_per_s": 0}},
+     ["sweep", "--grid", "n_shards=1", "--set", "orders_per_participant_per_s=0"],
+     "orders_per_participant_per_s must be positive"),
+    ({**SWEEP, "base": {"halt_threshold": 0.05}},
+     ["sweep", "--grid", "n_shards=1", "--set", "halt_threshold=0.05"],
+     "'halt_threshold' is not a CloudExConfig field"),
+    ({**SWEEP, "base": {"risk_max_position": 10}},
+     ["sweep", "--grid", "n_shards=1", "--set", "risk_max_position=10"],
+     "'risk_max_position' is not a CloudExConfig field"),
+    ({**SWEEP, "base": {"sync_use_mesh": True}},
+     ["sweep", "--grid", "n_shards=1", "--set", "sync_use_mesh=true"],
+     "'sync_use_mesh' is not a CloudExConfig field"),
+    ({**SWEEP, "base": {"spike_scale": 5}},
+     ["sweep", "--grid", "n_shards=1", "--set", "spike_scale=5"],
+     "'spike_scale' is not a CloudExConfig field"),
+    ({**SWEEP, "base": {"injected_delay_phases_us": "0,400,200"}},
+     ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=0,400,200"],
+     f"{PHASES}; got '0,400,200'"),
+    # A rate that is not positive and finite: 0 used to run at the
+    # config's 450/s, NaN or inf hung with every gap at 1 ns.
+    (None, ["--rate", "nan"], "orders_per_participant_per_s must be positive and finite"),
+    (None, ["trace", "--rate", "inf"], "orders_per_participant_per_s must be positive"),
+    ({**SWEEP, "rate_per_participant": 0}, ["sweep", "--grid", "n_shards=1", "--rate", "0"],
+     "rate_per_participant must be"),
+    ({"kind": "fairness", "rate_per_participant": math.inf}, ["fairness", "--rate", "inf"],
+     RATE),
+    (None, ["shardrun", "--rate", "0"], "rate_per_participant_s must be positive and finite"),
+    (None, ["shardrun", "--duration", "nan"], "duration_s must be positive and finite"),
+    # "#" separates a storage row key's parts.
+    ({**SWEEP, "base": {"symbols": ["A", "A#1"]}},
+     ["sweep", "--grid", "n_shards=1", "--set", 'symbols=["A","A#1"]'],
+     "symbol 'A#1' contains '#'"),
+    ({"kind": "sweep", "grid": [{"n_shardz": 1}]}, ["sweep", "--grid", "n_shardz=1"],
+     "'n_shardz' is not a CloudExConfig field"),
+    # Negative used to build and silently mean "off".
+    ({"kind": "sweep", "grid": [{"snapshot_interval_ms": -5}]},
+     ["sweep", "--grid", "snapshot_interval_ms=-5"], "snapshot_interval_ms must be non-negative"),
+    ({**SWEEP, "base": {"injected_delay_phases_us": 5}},
+     ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=5"], PHASES),
+    ({**SWEEP, "base": {"injected_delay_phases_us": []}},
+     ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=[]"], PHASES),
+    ({**SWEEP, "base": {"injected_delay_phases_us": [0, "400"]}},
+     ["sweep", "--grid", "n_shards=1", "--set", 'injected_delay_phases_us=[0,"400"]'], PHASES),
+    ({**SWEEP, "base": {"injected_delay_phases_us": [True]}},
+     ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=[true]"], PHASES),
+    # json.loads parses NaN and Infinity; neither may enter the
+    # canonical spec that run_id hashes.
+    ({**SWEEP, "rate_per_participant": math.nan},
+     ["sweep", "--grid", "n_shards=1", "--rate", "nan"], RATE),
+    ({**SWEEP, "rate_per_participant": math.inf},
+     ["sweep", "--grid", "n_shards=1", "--rate", "inf"], RATE),
+    ({**SWEEP, "duration_s": math.nan}, ["sweep", "--grid", "n_shards=1", "--duration", "nan"],
+     "'duration_s' must be a finite number"),
+    ({**SWEEP, "warmup_s": math.inf},
+     ["sweep", "--grid", "n_shards=1", "--warmup", "inf"], "'warmup_s' must be a finite number"),
+    ({"kind": "fairness", "rate_per_participant": math.nan}, ["fairness", "--rate", "nan"], RATE),
+    ({**SWEEP, "rate_per_participant": -1}, ["sweep", "--grid", "n_shards=1", "--rate", "-1"],
+     RATE),
+    ({"kind": "sweep", "grid": [{"n_shards": 1, "rate_per_participant": 0}]},
+     ["sweep", "--grid", "n_shards=1", "--grid", "rate_per_participant=0"], RATE),
+    ({"kind": "sweep", "grid": [{"n_shards": 1, "rate_per_participant": -1}]},
+     ["sweep", "--grid", "n_shards=1", "--grid", "rate_per_participant=-1"], RATE),
+    ({"kind": "fairness", "rate_per_participant": 0}, ["fairness", "--rate", "0"], RATE),
+    ({"kind": "fairness", "rate_per_participant": -1}, ["fairness", "--rate", "-1"], RATE),
+    ({**SWEEP, "grid": [{"seed": 3}]}, ["sweep", "--grid", "seed=3"], "set seeds via"),
+    ({"kind": "chaos", "scenario": "kernel-panic"}, ["chaos", "--scenario", "kernel-panic"],
+     "unknown chaos scenario 'kernel-panic'"),
+    ({"kind": "fairness", "policies": ["bogus"]}, ["fairness", "--policies", "bogus"],
+     "unknown policy 'bogus'"),
+    ({"kind": "fairness", "clocks": ["sundial"]}, ["fairness", "--clocks", "sundial"],
+     "unknown clock regime 'sundial'"),
+    ({"kind": "fairness", "scenarios": ["earthquake"]}, ["fairness", "--scenarios", "earthquake"],
+     "unknown scenario 'earthquake'"),
+    ({"kind": "fairness", "clocks": []}, ["fairness", "--clocks", ""],
+     "'clocks' must be a non-empty list of names"),
+    ({**SWEEP, "grid": []}, None, "'grid' must be a non-empty list of override dicts"),
+    ({**SWEEP, "seeds": [1, "x"]}, None, "'seeds' list must be non-empty integers"),
+    ({**SWEEP, "jobs": 4}, None, "unknown field(s) for a sweep job: jobs"),
+    ({"kind": "fairness", "grid": []}, None, "unknown field(s) for a fairness job: grid"),
+    ({"kind": "chaos"}, None, "'scenario' is required"),
+]
+
 
 
 class TestParser:
@@ -77,6 +197,23 @@ class TestParser:
         assert args.seed == 11
         assert not args.json
         assert not args.strict
+
+    @pytest.mark.parametrize(
+        "kind, argv, job",
+        [
+            ("sweep", ["--grid", "n_shards=1"], {"grid": [{"n_shards": 1}]}),
+            ("fairness", [], {}),
+            # The one flag default that is not the job's: a job names its scenario.
+            ("chaos", [], {"scenario": "smoke"}),
+        ],
+    )
+    def test_flag_defaults_are_the_job_defaults(self, kind, argv, job):
+        from repro.exp.cli import build_sweep_parser
+        from repro.fairness.cli import build_fairness_parser
+
+        parser = {"sweep": build_sweep_parser, "fairness": build_fairness_parser,
+                  "chaos": build_chaos_parser}[kind]()
+        assert job_from_args(kind, parser.parse_args(argv)) == normalize_job({"kind": kind, **job})
 
 
 class TestMain:
@@ -185,73 +322,26 @@ class TestMain:
         assert "--grid" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "argv, complaint",
-        [
-            (["--symbols", "2", "--shards", "3"], "3 shards cannot each own a symbol"),
-            (["trace", "--rf", "5"], "replication factor 5"),
-            (["chaos", "--scenario", "nope"], "unknown chaos scenario 'nope'"),
-            (["shardrun", "--shards", "20", "--symbols", "10"], "n_shards must be in"),
-            (["shardrun", "--jobs", "0"], "jobs must be >= 1"),
-            (["sweep", "--grid", "bogus=1"], "'bogus' is not a CloudExConfig field"),
-            (["sweep", "--grid", "n_shards"], "--grid expects field=v1,v2,..."),
-            (["sweep", "--grid", "n_shards=1", "--set", "seed=3"], "set seeds via"),
-            (["sweep", "--grid", "n_shards=1", "--seeds", "0"], "seeds must be >= 1"),
-            (["sweep", "--grid", "n_shards=1", "--seed-list", "a,b"], "--seed-list expects"),
-            (["sweep", "--grid", "n_shards=1", "--jobs", "0"], "jobs must be >= 1"),
-            (["sweep", "--grid", "n_shards=1", "--set", "spike_prob=1.5"], "spike_prob must be"),
-            (["fairness", "--seeds", "0"], "seeds must be >= 1"),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "matching_mode=batch"],
-                "'matching_mode' is not a CloudExConfig field",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "orders_per_participant_per_s=0"],
-                "orders_per_participant_per_s must be positive",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "halt_threshold=0.05"],
-                "'halt_threshold' is not a CloudExConfig field",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "risk_max_position=10"],
-                "'risk_max_position' is not a CloudExConfig field",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "sync_use_mesh=true"],
-                "'sync_use_mesh' is not a CloudExConfig field",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "spike_scale=5"],
-                "'spike_scale' is not a CloudExConfig field",
-            ),
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", "injected_delay_phases_us=0,400,200"],
-                "injected_delay_phases_us must be a non-empty list of numbers "
-                "in JSON form, e.g. [0,400,200]; got '0,400,200'",
-            ),
-            # A rate that is not positive and finite: 0 used to run at the
-            # config's 450/s, NaN or inf hung with every gap at 1 ns.
-            (["--rate", "nan"], "orders_per_participant_per_s must be positive and finite"),
-            (["trace", "--rate", "inf"], "orders_per_participant_per_s must be positive"),
-            (["sweep", "--grid", "n_shards=1", "--rate", "0"], "rate_per_participant must be"),
-            (["fairness", "--rate", "inf"], "rate_per_participant must be positive and finite"),
-            (["shardrun", "--rate", "0"], "rate_per_participant_s must be positive and finite"),
-            (["shardrun", "--duration", "nan"], "duration_s must be positive and finite"),
-            # "#" separates a storage row key's parts.
-            (
-                ["sweep", "--grid", "n_shards=1", "--set", 'symbols=["A","A#1"]'],
-                "symbol 'A#1' contains '#'",
-            ),
-        ],
+        "job, argv, complaint",
+        BAD_INPUTS,
+        # The form pytest gave the table before it had a job column, so
+        # every case keeps its name.
+        ids=[f"argv{i}-{complaint}" for i, (_, _, complaint) in enumerate(BAD_INPUTS)],
     )
-    def test_invalid_configuration_is_a_usage_error(self, capsys, argv, complaint):
+    def test_invalid_configuration_is_a_usage_error(self, capsys, job, argv, complaint):
+        # A served job is refused with the message the CLI prints.
+        if job is not None:
+            with pytest.raises(JobError) as refused:
+                normalize_job(job)
+            assert complaint in str(refused.value)
         # Exit 1 is reserved for "the run completed but something it
         # measured failed"; a config or spec that cannot be built never ran.
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith("error: ") and complaint in line
+        if argv is not None:
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.splitlines()
+            assert line.startswith("error: ") and complaint in line
 
 
 class TestUnifiedJsonOutput:
