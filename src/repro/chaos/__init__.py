@@ -39,6 +39,7 @@ _LAZY = {
     "ChaosMonitor": "repro.chaos.invariants",
     "Finding": "repro.chaos.invariants",
     "InvariantBounds": "repro.chaos.invariants",
+    "check_books": "repro.chaos.invariants",
     "check_invariants": "repro.chaos.invariants",
     "ChaosReport": "repro.chaos.report",
     "ChaosRunResult": "repro.chaos.scenarios",

@@ -30,7 +30,7 @@ the run; :func:`check_invariants` turns the evidence into structured
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 VIOLATION = "violation"
 WARNING = "warning"
@@ -108,7 +108,7 @@ def check_invariants(
     findings.extend(_check_conservation(cluster, monitor))
     findings.extend(_check_duplicates(monitor))
     findings.extend(_check_overfills(monitor))
-    findings.extend(_check_books(cluster))
+    findings.extend(check_books(shard.core for shard in cluster.exchange.shards))
     findings.extend(_check_sequencing(cluster, bounds))
     findings.extend(_check_fairness(cluster, bounds))
     findings.extend(_check_order_loss(cluster, monitor))
@@ -177,10 +177,15 @@ def _check_overfills(monitor: ChaosMonitor) -> List[Finding]:
     return findings
 
 
-def _check_books(cluster) -> List[Finding]:
+def check_books(cores: Iterable) -> List[Finding]:
+    """``book_integrity`` findings for every book of the given
+    :class:`~repro.core.matching.MatchingEngineCore`\\ s -- the
+    cluster's shards or a batched run's shard programs alike: no book is
+    crossed, each price level's depth is the sum of its orders'
+    remainders, and every resting order is indexed exactly once."""
     findings = []
-    for shard in cluster.exchange.shards:
-        for symbol, book in shard.core.books.items():
+    for core in cores:
+        for symbol, book in core.books.items():
             bid, ask = book.best_bid(), book.best_ask()
             if bid is not None and ask is not None and bid >= ask:
                 findings.append(

@@ -14,6 +14,16 @@ cancellation without heap surgery (emptied levels are skipped when
 popped).  Within a level, orders are a list kept sorted by
 ``Order.priority_key()`` (built inline on insert: no call per resting
 order) with an O(1) append fast path for the common in-order case.
+
+The matching kernel enters the book once per step: the unmatched
+remainder of an order rests with one :meth:`LimitOrderBook.rest` (level
+lookup or creation, the in-order append or bisect insert, the depth and
+the cancel index, in one body), and each fill is one
+:meth:`LimitOrderBook.fill_front` (reduce both remainders and the
+level's depth; pop and un-index a filled front order).  The duplicate
+check is the kernel's own admission probe, so ``rest`` does not repeat
+it; :meth:`LimitOrderBook.add_resting` is ``rest`` behind that check for
+every other caller.
 """
 
 from __future__ import annotations
@@ -36,7 +46,8 @@ class PriceLevel:
     shifting the whole list per pop is O(n).  The consumed prefix is
     compacted away once it dominates the list, so memory stays bounded
     while every operation touches only the live region
-    ``orders[_head:]`` (all bisects pass ``lo=_head``).
+    ``orders[_head:]`` (all bisects pass ``lo=_head``).  Orders enter
+    through :meth:`LimitOrderBook.rest`, which owns the sorted insert.
     """
 
     __slots__ = ("price", "_orders", "total_quantity", "_keys", "_head")
@@ -57,21 +68,6 @@ class PriceLevel:
         """The live resting orders, front first (a copy -- the consumed
         prefix before the cursor is internal)."""
         return self._orders[self._head:]
-
-    def add(self, order: Order) -> None:
-        """Insert in timestamp-priority position (append fast path)."""
-        key = (order.gateway_timestamp, order.gateway_id, order.gateway_seq)
-        if key[0] is None or key[2] is None:
-            raise ValueError(f"order {order.client_order_id} has not been gateway-stamped")
-        keys = self._keys
-        if self._head >= len(keys) or key >= keys[-1]:
-            self._orders.append(order)
-            keys.append(key)
-        else:
-            index = bisect.bisect_right(keys, key, lo=self._head)
-            self._orders.insert(index, order)
-            keys.insert(index, key)
-        self.total_quantity += order.remaining
 
     def remove(self, order: Order) -> None:
         """Remove a specific resting order (cancellation path).
@@ -108,10 +104,6 @@ class PriceLevel:
         """The highest-priority resting order (not removed)."""
         return self._orders[self._head]
 
-    def reduce(self, quantity: Quantity) -> None:
-        """Account ``quantity`` filled from the front order."""
-        self.total_quantity -= quantity
-
     @property
     def empty(self) -> bool:
         return self._head >= len(self._orders)
@@ -139,17 +131,12 @@ class BookSide:
         # quantities are read live -- and are purged at next rebuild.
         self._depth_cache: Optional[List[PriceLevel]] = None
 
-    def add(self, order: Order) -> None:
-        """Rest ``order`` on this side at its limit price."""
-        price = order.limit_price
-        if price is None:
-            raise ValueError(f"cannot rest an order without a limit price: {order!r}")
-        level = self._levels.get(price)
-        if level is None:
-            level = self._levels[price] = PriceLevel(price)
-            heapq.heappush(self._heap, self._sign * price)
-            self._depth_cache = None
-        level.add(order)
+    def new_level(self, price: Price) -> PriceLevel:
+        """Open an empty level at ``price`` (the caller found none)."""
+        level = self._levels[price] = PriceLevel(price)
+        heapq.heappush(self._heap, self._sign * price)
+        self._depth_cache = None
+        return level
 
     def best_level(self) -> Optional[PriceLevel]:
         """The best-priced non-empty level, or None."""
@@ -237,13 +224,59 @@ class LimitOrderBook:
     def side(self, side: Side) -> BookSide:
         return self.bids if side is _BUY else self.asks
 
-    def add_resting(self, order: Order, key: Optional[Tuple[str, int]] = None) -> None:
-        """Rest a limit order's unmatched remainder (``key``: its :attr:`resting` key, if built)."""
-        key = key or (order.participant_id, order.client_order_id)
+    def add_resting(self, order: Order) -> None:
+        """Rest a limit order's unmatched remainder, refusing a key that
+        already rests."""
+        key = (order.participant_id, order.client_order_id)
         if key in self.resting:
             raise ValueError(f"order {key} is already resting in {self.symbol}")
-        (self.bids if order.side is _BUY else self.asks).add(order)
+        self.rest(order, key)
+
+    def rest(self, order: Order, key: Tuple[str, int]) -> None:
+        """Rest ``order`` under ``key``, its :attr:`resting` key, which
+        the caller has checked is not resting.
+
+        One body for the whole insert (the matching kernel's one call
+        per resting order): the level's O(1) append when the order
+        stamps last, a bisect insert otherwise, then its depth and the
+        index.
+        """
+        priority = (order.gateway_timestamp, order.gateway_id, order.gateway_seq)
+        if priority[0] is None or priority[2] is None:
+            raise ValueError(f"order {order.client_order_id} has not been gateway-stamped")
+        price = order.limit_price
+        side = self.bids if order.side is _BUY else self.asks
+        level = side._levels.get(price)
+        if level is None:
+            if price is None:
+                raise ValueError(f"cannot rest an order without a limit price: {order!r}")
+            level = side.new_level(price)
+        keys = level._keys
+        if level._head >= len(keys) or priority >= keys[-1]:
+            level._orders.append(order)
+            keys.append(priority)
+        else:
+            index = bisect.bisect_right(keys, priority, lo=level._head)
+            level._orders.insert(index, order)
+            keys.insert(index, priority)
+        level.total_quantity += order.remaining
         self.resting[key] = order
+
+    def fill_front(self, level: PriceLevel, order: Order) -> Tuple[Order, Quantity]:
+        """Fill ``order`` against ``level``'s front order, in one call:
+        both remainders and the level's depth fall by the traded
+        quantity, and a front order left with nothing is popped and
+        dropped from the cancel index.  Returns ``(resting order,
+        quantity)``."""
+        resting = level._orders[level._head]
+        quantity = min(order.remaining, resting.remaining)
+        order.remaining -= quantity
+        resting.remaining -= quantity
+        level.total_quantity -= quantity
+        if resting.remaining == 0:
+            level.pop_front()  # subtracts the 0 left
+            self.resting.pop((resting.participant_id, resting.client_order_id), None)
+        return resting, quantity
 
     def cancel(self, participant_id: str, client_order_id: int) -> Optional[Order]:
         """Remove and return a resting order; None if not resting."""
@@ -257,11 +290,8 @@ class LimitOrderBook:
         return (participant_id, client_order_id) in self.resting
 
     def forget(self, order: Order) -> None:
-        """Drop a fully-filled front order from the cancel index.
-
-        The matching engine pops filled orders from levels directly;
-        this keeps the cancel index consistent.
-        """
+        """Drop a popped front order from the cancel index (self-trade
+        prevention's cancel; a fill un-indexes in :meth:`fill_front`)."""
         self.resting.pop((order.participant_id, order.client_order_id), None)
 
     # ------------------------------------------------------------------

@@ -30,7 +30,7 @@ from repro.core.types import OrderStatus, OrderType, RejectReason, Side, Symbol,
 # an Enum class costs ~15x a module global.
 _BUY = Side.BUY
 _MARKET = OrderType.MARKET
-_GTC, _IOC = TimeInForce.GTC, TimeInForce.IOC
+_GTC = TimeInForce.GTC
 _ACCEPTED, _PARTIALLY_FILLED, _FILLED, _CANCELLED, _REJECTED = (
     OrderStatus.ACCEPTED,
     OrderStatus.PARTIALLY_FILLED,
@@ -38,6 +38,14 @@ _ACCEPTED, _PARTIALLY_FILLED, _FILLED, _CANCELLED, _REJECTED = (
     OrderStatus.CANCELLED,
     OrderStatus.REJECTED,
 )
+# ``_execute``'s (status, reject reason) results, built once, not per order.
+_ACCEPTED_RESULT = (_ACCEPTED, None)
+_PARTIALLY_FILLED_RESULT = (_PARTIALLY_FILLED, None)
+_FILLED_RESULT = (_FILLED, None)
+_CANCELLED_RESULT = (_CANCELLED, None)
+_UNKNOWN_SYMBOL_RESULT = (_REJECTED, RejectReason.UNKNOWN_SYMBOL)
+_DUPLICATE_ID_RESULT = (_REJECTED, RejectReason.DUPLICATE_ORDER_ID)
+_NO_LIQUIDITY_RESULT = (_REJECTED, RejectReason.NO_LIQUIDITY)
 
 
 @dataclass
@@ -178,7 +186,8 @@ class MatchingEngineCore:
         Parameters
         ----------
         orders, times:
-            Parallel sequences; ``times[i]`` is the engine-local
+            Parallel sequences of one length (else ``ValueError``, before
+            any book is touched); ``times[i]`` is the engine-local
             timestamp for ``orders[i]`` (the batch must already be in
             processing order -- the caller owns sequencing).
         on_trade:
@@ -189,6 +198,8 @@ class MatchingEngineCore:
             matrix exactly as ``process_order`` does; the shard runner
             passes its bucket accounting instead.
         """
+        if len(orders) != len(times):
+            raise ValueError(f"batch of {len(orders)} orders has {len(times)} times")
         sink = self._settle if on_trade is None else on_trade
         execute = self._execute
         stp_cancels: List[Order] = []  # counted in stp_cancellations; not reported per order
@@ -198,10 +209,10 @@ class MatchingEngineCore:
         accepted = partially_filled = filled = cancelled = rejected = 0
         for order, now_local in zip(orders, times):
             status, _ = execute(order, now_local, sink, stp_cancels)
-            if status is _FILLED:
-                filled += 1
-            elif status is _ACCEPTED:
+            if status is _ACCEPTED:  # most orders rest untouched
                 accepted += 1
+            elif status is _FILLED:
+                filled += 1
             elif status is _PARTIALLY_FILLED:
                 partially_filled += 1
             elif status is _REJECTED:
@@ -231,9 +242,9 @@ class MatchingEngineCore:
         symbol = order.symbol
         book = self.books.get(symbol)
         if book is None:
-            return _REJECTED, RejectReason.UNKNOWN_SYMBOL
+            return _UNKNOWN_SYMBOL_RESULT
         if (key := (order.participant_id, order.client_order_id)) in book.resting:  # reused to rest
-            return _REJECTED, RejectReason.DUPLICATE_ORDER_ID
+            return _DUPLICATE_ID_RESULT
         self.orders_processed += 1
 
         # Cross.
@@ -250,21 +261,14 @@ class MatchingEngineCore:
                 limit is not None and (level.price > limit if is_buy else level.price < limit)
             ):
                 break
-            resting = level.front()
-            if stp and resting.participant_id == order.participant_id:
-                level.pop_front()
+            if stp and level.front().participant_id == order.participant_id:
+                resting = level.pop_front()
                 book.forget(resting)
                 stp_cancels.append(resting)
                 self.stp_cancellations += 1
                 continue
-            quantity = min(order.remaining, resting.remaining)
+            resting, quantity = book.fill_front(level, order)
             price = level.price
-            order.remaining -= quantity
-            resting.remaining -= quantity
-            level.reduce(quantity)
-            if resting.remaining == 0:  # pop_front subtracts the 0 left
-                level.pop_front()
-                book.forget(resting)
             trades += 1
             traded_qty += quantity
             notional += price * quantity
@@ -282,17 +286,15 @@ class MatchingEngineCore:
         remaining = order.remaining
         if order.order_type is _MARKET:  # a market remainder never rests
             if remaining == order.quantity:
-                return _REJECTED, RejectReason.NO_LIQUIDITY
-            return (_FILLED if remaining == 0 else _PARTIALLY_FILLED), None
-        if remaining > 0 and order.time_in_force is _GTC:
-            book.add_resting(order, key)
+                return _NO_LIQUIDITY_RESULT
+            return _FILLED_RESULT if remaining == 0 else _PARTIALLY_FILLED_RESULT
         if remaining == 0:
-            return _FILLED, None
-        if remaining < order.quantity:
-            return _PARTIALLY_FILLED, None
-        if order.time_in_force is _IOC:
-            return _CANCELLED, None
-        return _ACCEPTED, None
+            return _FILLED_RESULT
+        if order.time_in_force is _GTC:
+            book.rest(order, key)  # admission's probe was the duplicate check
+            return _ACCEPTED_RESULT if remaining == order.quantity else _PARTIALLY_FILLED_RESULT
+        # IOC: the unfilled remainder is cancelled.
+        return _PARTIALLY_FILLED_RESULT if remaining < order.quantity else _CANCELLED_RESULT
 
     def _settle(
         self, trade_id, price, quantity, buyer, seller, aggressor_is_buy, now_local

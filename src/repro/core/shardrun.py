@@ -168,11 +168,12 @@ def split_due(carry: Columns, new: Columns, t_end: int) -> Tuple[Columns, Column
 
 @dataclass(eq=False, slots=True)
 class BatchOrder(Order):
-    """An :class:`Order` of the batched feed plus the two array indices
-    its trades settle by, so the trade sink never parses them back out
-    of ``participant_id`` / ``symbol``."""
+    """An :class:`Order` of the batched feed.  Its ``participant_id`` is
+    the participant's population index, an int (the resting key,
+    self-trade prevention and the trade sink only compare or hash it),
+    and ``symbol_index`` is the other array index its trades settle by,
+    so the trade sink never parses it back out of ``symbol``."""
 
-    bucket: int = 0  #: ``participant % SHARDRUN_PORTFOLIO_BUCKETS``
     symbol_index: int = 0  #: position of ``symbol`` in the shard's symbol tuple
 
 
@@ -274,7 +275,7 @@ class ShardProgram:
         orders = []
         append = orders.append
         new = BatchOrder.__new__
-        for i, j, is_buy, qty, market, price, pid, stamp, bucket in zip(
+        for i, j, is_buy, qty, market, price, pid, stamp in zip(
             due["id"].tolist(),
             due["symbol"].tolist(),
             due["side_buy"].tolist(),
@@ -283,11 +284,10 @@ class ShardProgram:
             prices.tolist(),
             due["participant"].tolist(),
             due["stamp"].tolist(),
-            (due["participant"] % SHARDRUN_PORTFOLIO_BUCKETS).tolist(),
         ):
             order = new(BatchOrder)
             order.client_order_id = i
-            order.participant_id = str(pid)
+            order.participant_id = pid
             order.symbol = symbols[j]
             order.side = buy if is_buy else sell
             order.order_type = market_t if market else limit_t
@@ -300,7 +300,6 @@ class ShardProgram:
             order.remaining = qty
             order.submitted_true = -1
             order.stamped_true = stamp
-            order.bucket = bucket
             order.symbol_index = j
             append(order)
         return orders
@@ -312,7 +311,8 @@ class ShardProgram:
         """The core's trade sink: settle into the per-bucket books."""
         notional = price * quantity
         j = buyer.symbol_index
-        buy_bucket, sell_bucket = buyer.bucket, seller.bucket
+        buy_bucket = buyer.participant_id % SHARDRUN_PORTFOLIO_BUCKETS
+        sell_bucket = seller.participant_id % SHARDRUN_PORTFOLIO_BUCKETS
         pos = self._bucket_pos
         n_symbols = len(self.symbols)
         pos[buy_bucket * n_symbols + j] += quantity

@@ -79,6 +79,17 @@ def content_key(payload: Dict[str, object], code_version: Optional[str] = None) 
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists (signal 0 checks, sends nothing)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True  # someone else's live process
+    return True
+
+
 class ResultCache:
     """One-file-per-result cache with content-hashed keys."""
 
@@ -135,8 +146,12 @@ class ResultCache:
         self.root.mkdir(parents=True, exist_ok=True)
         path = self._path(key)
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(result, sort_keys=True))
-        os.replace(tmp, path)
+        try:
+            tmp.write_text(json.dumps(result, sort_keys=True))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self._puts += 1
         if self._puts % PRUNE_EVERY == 1:
             self.prune()
@@ -147,10 +162,26 @@ class ResultCache:
         survives, even if it alone exceeds the budget -- evicting the
         result that was just computed would make the cache useless.
         Returns the number of entries evicted.
+
+        A ``<key>.tmp.<pid>`` file is a put in progress: it counts
+        toward the budget while its writer runs and is never touched,
+        and once that process is gone (killed between write and rename)
+        the orphan is removed.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         entries = []
         total = 0
+        for path in self.root.glob("*.tmp.*"):
+            pid = path.name.rpartition(".")[2]
+            if not pid.isdigit():
+                continue  # not a put's temp file
+            try:
+                if _running(int(pid)):
+                    total += path.stat().st_size
+                else:
+                    path.unlink()
+            except OSError:
+                continue  # renamed or removed meanwhile
         for path in self.root.glob("*.json"):
             try:
                 stat = path.stat()

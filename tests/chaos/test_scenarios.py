@@ -39,6 +39,15 @@ class TestLibrary:
         assert result.report.stats["trades_received"] > 0
 
 
+@pytest.mark.parametrize("name", [name for name, _ in available_scenarios()])
+def test_every_scenario_leaves_sound_books(name):
+    # Whatever else a fault costs, the books it leaves pass the one
+    # book checker: uncrossed, depth equal to the resting remainders,
+    # every resting order indexed once.
+    findings = run_scenario(name, seed=11).report.findings
+    assert [f for f in findings if f.invariant == "book_integrity"] == []
+
+
 class TestAcceptance:
     def test_rf2_failover_survives_gateway_crash(self, rf2_result):
         report = rf2_result.report

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.book import LimitOrderBook, PriceLevel
+from repro.core.book import LimitOrderBook
 from repro.core.matching import MatchingEngineCore
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
@@ -169,19 +169,35 @@ class TestDepth:
 
 
 class TestPriceLevel:
-    def test_pop_front_updates_quantity(self):
-        level = PriceLevel(100)
-        level.add(order(1, Side.BUY, 100, qty=10))
-        level.add(order(2, Side.BUY, 100, qty=20))
+    def test_pop_front_updates_quantity(self, book):
+        book.add_resting(order(1, Side.BUY, 100, qty=10))
+        book.add_resting(order(2, Side.BUY, 100, qty=20))
+        level = book.bids.level_at(100)
         popped = level.pop_front()
         assert popped.client_order_id == 1
         assert level.total_quantity == 20
 
-    def test_reduce_accounts_partial_fill(self):
-        level = PriceLevel(100)
-        level.add(order(1, Side.BUY, 100, qty=10))
-        level.reduce(4)
+    def test_reduce_accounts_partial_fill(self, book):
+        book.add_resting(order(1, Side.BUY, 100, qty=10))
+        level = book.bids.level_at(100)
+        seller = order(2, Side.SELL, 100, qty=4)
+        resting, quantity = book.fill_front(level, seller)
+        assert (resting.client_order_id, quantity) == (1, 4)
+        assert (resting.remaining, seller.remaining) == (6, 0)
         assert level.total_quantity == 6
+        assert book.is_resting("p", 1)
+
+    def test_fill_front_pops_and_unindexes_a_filled_order(self, book):
+        book.add_resting(order(1, Side.BUY, 100, qty=10))
+        book.add_resting(order(2, Side.BUY, 100, qty=5))
+        level = book.bids.level_at(100)
+        seller = order(3, Side.SELL, 100, qty=12)
+        resting, quantity = book.fill_front(level, seller)
+        assert (resting.client_order_id, quantity, seller.remaining) == (1, 10, 2)
+        assert not book.is_resting("p", 1)
+        assert [o.client_order_id for o in level.orders] == [2]
+        assert level.total_quantity == 5
+        assert book.depth_snapshot() == (((100, 5),), ())
 
 
 @given(

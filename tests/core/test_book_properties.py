@@ -16,7 +16,7 @@ import bisect
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.book import LimitOrderBook, PriceLevel
+from repro.core.book import LimitOrderBook
 from repro.core.order import Order
 from repro.core.types import OrderType, Side
 
@@ -88,18 +88,25 @@ op_strategy = st.lists(
 )
 
 
+def _book_with_level():
+    """A book and its one bid level at 10_000, where every op rests."""
+    book = LimitOrderBook("S")
+    return book, book.bids.new_level(10_000)
+
+
 @given(ops=op_strategy)
 def test_price_level_matches_reference_model(ops):
-    """The cursor/compaction PriceLevel is observably identical to the
-    naive sorted-list-with-pop(0) model under any interleaving."""
-    level = PriceLevel(10_000)
+    """The cursor/compaction PriceLevel, filled through the book's one
+    insert (``rest``), is observably identical to the naive
+    sorted-list-with-pop(0) model under any interleaving."""
+    book, level = _book_with_level()
     reference = ReferencePriceLevel()
     uid = 0
     for op, a, b in ops:
         if op == "add":
             uid += 1
             order = make_order(uid, timestamp=a, quantity=b)
-            level.add(order)
+            book.add_resting(order)
             reference.add(order)
         elif op == "pop":
             if reference.entries:
@@ -121,15 +128,15 @@ def test_price_level_matches_reference_model(ops):
 @given(ops=op_strategy)
 def test_price_level_quantity_invariant(ops):
     """total_quantity == sum(remaining) after arbitrary interleavings,
-    including partial fills accounted through reduce()."""
-    level = PriceLevel(10_000)
+    including partial fills accounted through the book's fill_front()."""
+    book, level = _book_with_level()
     live = []
     uid = 0
     for op, a, b in ops:
         if op == "add":
             uid += 1
             order = make_order(uid, timestamp=a, quantity=b)
-            level.add(order)
+            book.add_resting(order)
             live.append(order)
         elif op == "pop":
             if live:
@@ -140,10 +147,9 @@ def test_price_level_quantity_invariant(ops):
                 victim = live[a % len(live)]
                 level.remove(victim)
                 live.remove(victim)
-        # Partially fill the front order every step to exercise reduce().
+        # Partially fill the front order every step to exercise fill_front().
         if not level.empty and level.front().remaining > 1:
-            level.front().fill(1)
-            level.reduce(1)
+            book.fill_front(level, make_order(0, side=Side.SELL, quantity=1))
         assert level.total_quantity == sum(order.remaining for order in live)
 
 

@@ -159,6 +159,23 @@ class TestProcessBatchEquivalence:
         assert _book_state(sunk) == _book_state(settled)
         assert next(sunk._trade_ids) == next(settled._trade_ids)
 
+    def test_mismatched_times_are_refused_before_any_book_is_touched(self):
+        specs = _random_specs(5, 60)
+        core = _build_core()
+        core.process_batch([Order(**s) for s in specs[:40]], list(range(1, 41)))
+        before = (
+            _book_state(core), {s: b.resting_count() for s, b in core.books.items()},
+            core.orders_processed, core.trades_executed, _portfolio_state(core),
+        )
+        assert sum(before[1].values()) > 0
+        with pytest.raises(ValueError, match="batch of 3 orders has 1 times"):
+            core.process_batch([Order(**s) for s in specs[40:43]], [41])
+        after = (
+            _book_state(core), {s: b.resting_count() for s, b in core.books.items()},
+            core.orders_processed, core.trades_executed, _portfolio_state(core),
+        )
+        assert after == before
+
     def test_stats_merge_and_dict_roundtrip(self):
         a = BatchMatchStats(orders=2, filled=1, accepted=1, trades=3, traded_qty=9, notional=90)
         b = BatchMatchStats(orders=1, rejected=1)

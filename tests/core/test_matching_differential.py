@@ -5,8 +5,10 @@ scans over flat lists, no heaps, no price levels) and was written
 independently of :mod:`repro.core.matching`.  Hypothesis drives both
 with identical order flow and requires identical trades -- same
 counterparties, prices, and quantities in the same sequence -- the
-same last trade price and running fill totals after every order, plus
-identical final book contents.
+same last trade price and running fill totals after every order, the
+same depth after every order (each level's ``total_quantity`` against
+the reference's recount, and ``depth_snapshot()``), plus identical
+final book contents.
 """
 
 from __future__ import annotations
@@ -76,6 +78,21 @@ class ReferenceMatcher:
         snap = lambda side: sorted((o.coid, o.qty, o.price) for o in side)
         return snap(self.bids), snap(self.asks)
 
+    def level_totals(self):
+        """(side, price) -> resting quantity, recounted from the orders."""
+        totals = {}
+        for side, orders in ((Side.BUY, self.bids), (Side.SELL, self.asks)):
+            for o in orders:
+                totals[side, o.price] = totals.get((side, o.price), 0) + o.qty
+        return totals
+
+    def depth(self, max_levels=5):
+        """``depth_snapshot()``'s shape: best-first (price, quantity) per side."""
+        totals = self.level_totals()
+        bids = sorted(((p, q) for (s, p), q in totals.items() if s is Side.BUY), reverse=True)
+        asks = sorted((p, q) for (s, p), q in totals.items() if s is Side.SELL)
+        return tuple(bids[:max_levels]), tuple(asks[:max_levels])
+
     def running_state(self):
         """(last trade price, trades, shares, notional) so far."""
         return (
@@ -93,6 +110,18 @@ def _running_state(core: MatchingEngineCore):
         core.traded_quantity,
         core.traded_notional,
     )
+
+
+def _assert_depth(core: MatchingEngineCore, level_totals, depth):
+    """Every level's ``total_quantity`` (emptied levels included) is the
+    reference's recount at its price, and the snapshot is its depth."""
+    book = core.books["S"]
+    for side in (book.bids, book.asks):
+        for price, level in side._levels.items():
+            assert level.total_quantity == level_totals.get((side.side, price), 0), (
+                side.side, price,
+            )
+    assert book.depth_snapshot() == depth
 
 
 def _engine_book_contents(core: MatchingEngineCore):
@@ -139,6 +168,7 @@ def test_engine_matches_reference(flow):
     scalar, batched, whole = fresh_core(), fresh_core(), fresh_core()
     scalar_trades, batch_trades, whole_trades = [], [], []
     orders = []
+    depths = []  # the reference's (level totals, depth) after each order
     reference = ReferenceMatcher()
     for i, (side, qty, price, pid, ts) in enumerate(flow):
         spec = dict(
@@ -160,11 +190,32 @@ def test_engine_matches_reference(flow):
         result = scalar.process_order(Order(**spec), now_local=i)
         scalar_trades.extend((t.buyer, t.seller, t.price, t.quantity) for t in result.trades)
         batched.process_batch([Order(**spec)], [i], on_trade=sink_into(batch_trades))
+        depths.append((reference.level_totals(), reference.depth()))
         # The independent reference, not the other feed, pins each of them.
         for core, trades in ((scalar, scalar_trades), (batched, batch_trades)):
             assert trades == reference.trades
             assert _running_state(core) == reference.running_state()
-    whole.process_batch(orders, list(range(len(orders))), on_trade=sink_into(whole_trades))
+            _assert_depth(core, *depths[-1])
+
+    class DepthCheckedTimes(list):
+        """The whole batch's times: process_batch draws time i + 1 after
+        it has matched order i, so the depth is checked after every order
+        of the one batch too."""
+
+        checked = 0
+
+        def __iter__(self):
+            for i, now in enumerate(list.__iter__(self)):
+                if i:
+                    _assert_depth(whole, *depths[i - 1])
+                    DepthCheckedTimes.checked += 1
+                yield now
+
+    whole.process_batch(
+        orders, DepthCheckedTimes(range(len(orders))), on_trade=sink_into(whole_trades)
+    )
+    _assert_depth(whole, *depths[-1])
+    assert DepthCheckedTimes.checked == len(orders) - 1
 
     assert whole_trades == reference.trades
     assert _running_state(whole) == reference.running_state()

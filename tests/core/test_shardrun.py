@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.chaos import check_books
 from repro.cliutil import dump_json_document
-from repro.core.config import SHARDRUN_PORTFOLIO_BUCKETS
 from repro.core.shardrun import (
     BatchOrder,
     ShardProgram,
@@ -231,7 +231,7 @@ class TestShardProgram:
         for order, (i, j, is_buy, qty, market, offset, pid, stamp) in zip(built, rows):
             expected = BatchOrder(
                 client_order_id=i,
-                participant_id=str(pid),
+                participant_id=pid,
                 symbol=program.symbols[j],
                 side=Side.BUY if is_buy else Side.SELL,
                 order_type=OrderType.MARKET if market else OrderType.LIMIT,
@@ -242,13 +242,23 @@ class TestShardProgram:
                 gateway_timestamp=stamp,
                 gateway_seq=i,
                 stamped_true=stamp,
-                bucket=pid % SHARDRUN_PORTFOLIO_BUCKETS,
                 symbol_index=j,
             )
             assert type(order) is BatchOrder
             for field in dataclasses.fields(BatchOrder):
                 got, want = getattr(order, field.name), getattr(expected, field.name)
                 assert got == want and type(got) is type(want), field.name
+
+    def test_books_pass_the_chaos_book_check(self):
+        # The batched stack answers to the checker the cluster's chaos
+        # runs use, after every window.
+        program = ShardProgram(SMALL, 1)
+        window = SMALL.lookahead_ns()
+        for index in range(4):
+            program.run_window(index, (index + 1) * window, {"index": None})
+            assert check_books([program.core]) == []
+        assert program.stats.trades > 0
+        assert sum(book.resting_count() for book in program.core.books.values()) > 0
 
     def test_bucket_accounting_is_zero_sum(self):
         program = ShardProgram(SMALL, 1)

@@ -10,6 +10,8 @@ import json
 import os
 import random
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -383,6 +385,36 @@ class TestCacheEviction:
         cache.put(key, {"value": "new"})
         assert cache.evicted >= 2
         assert cache.get(key) == {"value": "new"}
+
+    def test_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        cache = ResultCache(str(tmp_path))
+        key = cache.key_for({"a": 1}, "v")
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            cache.put(key, {"x": 1})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_prune_counts_live_temp_files_and_removes_orphans(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        keys = self._fill(cache, tmp_path, 2)
+        live = tmp_path / f"{'a' * 32}.tmp.{os.getpid()}"
+        live.write_bytes(b"x" * 1000)
+        writer = subprocess.Popen([sys.executable, "-c", "pass"])
+        writer.wait()  # reaped: its pid names no process now
+        orphan = tmp_path / f"{'b' * 32}.tmp.{writer.pid}"
+        orphan.write_bytes(b"x" * 1000)
+        entry_size = (tmp_path / f"{keys[0]}.json").stat().st_size
+        # The two entries fit the budget alone, not beside the live
+        # writer's temp file.
+        assert cache.prune(max_bytes=2 * entry_size + 999) == 1
+        assert live.exists()  # a running writer's file is never touched
+        assert not orphan.exists()
+        assert cache.get(keys[0]) is None
+        assert cache.get(keys[1]) == {"value": 1}
 
     def test_invalid_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
