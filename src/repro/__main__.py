@@ -29,7 +29,7 @@ from typing import Optional
 from repro.analysis.report import summarize_run
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_json_flag, emit_json, usage_error
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CLOCK_SYNC_MODES, CloudExConfig
+from repro.core.config import CLOCK_SYNC_MODES, CloudExConfig, check_positive_finite
 
 
 def _build_run_parser(prog: str, description: str, **defaults) -> argparse.ArgumentParser:
@@ -55,6 +55,7 @@ def _run_deployment(args: argparse.Namespace, **settings) -> Optional[CloudExClu
     """Build the deployment ``args`` (plus config ``settings``) describe
     and run it; None after reporting a config that cannot be built."""
     try:
+        check_positive_finite("duration_s", args.duration)
         config = CloudExConfig(
             seed=args.seed,
             n_participants=args.participants,

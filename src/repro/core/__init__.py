@@ -12,7 +12,6 @@ Public API highlights:
 """
 
 from repro.core.auth import AuthRegistry
-from repro.core.batchauction import AuctionResult, BatchAuctionCore
 from repro.core.book import BookSide, LimitOrderBook, PriceLevel
 from repro.core.config import CloudExConfig, default_symbols
 from repro.core.ddp import DdpController
@@ -40,8 +39,6 @@ from repro.core.cluster import CloudExCluster, gateway_name, participant_name
 
 __all__ = [
     "Account",
-    "AuctionResult",
-    "BatchAuctionCore",
     "AuthRegistry",
     "BookSide",
     "BookSnapshot",

@@ -36,6 +36,7 @@ from repro.core.config import (
     INITIAL_PRICE,
     PARTICIPANT_CPU_BASELINE_CORES,
     CloudExConfig,
+    check_positive_finite,
 )
 from repro.core.exchange import CentralExchangeServer
 from repro.core.gateway import Gateway
@@ -411,6 +412,7 @@ class CloudExCluster:
         clock sync is warm-started (the paper's experiments begin after
         hours of Huygens convergence) and periodic services start.
         """
+        check_positive_finite("duration_s", duration_s)
         if self._ran_ns == 0:
             if self.clock_sync is not None:
                 self.clock_sync.warm_start()

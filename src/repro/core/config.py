@@ -131,6 +131,19 @@ SHARDRUN_PORTFOLIO_BUCKETS = 64
 SHARDRUN_CHUNK = 4096
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed (numpy's generators take none) with the one
+    message every door gives: the cluster, the batched kernel, a job."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """Refuse a rate or duration that is not positive and finite."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def default_symbols(count: int) -> List[str]:
     """SYM000, SYM001, ... -- deterministic symbol universe."""
     if count < 1:
@@ -327,6 +340,7 @@ class CloudExConfig:
     # ------------------------------------------------------------------
     def validate(self) -> None:
         """Reject configurations the builder cannot realize."""
+        check_seed(self.seed)
         if self.n_participants < 1:
             raise ValueError("need at least one participant")
         if self.n_gateways < 1:
@@ -376,11 +390,7 @@ class CloudExConfig:
         for name in ("straggler_gateways", "snapshot_interval_ms"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not 0 < self.orders_per_participant_per_s < math.inf:
-            raise ValueError(
-                f"orders_per_participant_per_s must be positive and finite, "
-                f"got {self.orders_per_participant_per_s}"
-            )
+        check_positive_finite("orders_per_participant_per_s", self.orders_per_participant_per_s)
         if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
             raise ValueError("delay parameters must be non-negative")
         if self.fairness_policy not in _FAIRNESS_POLICIES:

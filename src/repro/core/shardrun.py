@@ -38,7 +38,6 @@ order -- what a per-order event heap would pop, with no event per order.
 from __future__ import annotations
 
 import argparse
-import math
 import time as _time
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Tuple
@@ -59,6 +58,8 @@ from repro.core.config import (
     ZI_MAX_QTY,
     ZI_MIN_QTY,
     ZI_PRICE_SIGMA_TICKS,
+    check_positive_finite,
+    check_seed,
 )
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
@@ -115,10 +116,9 @@ class ShardRunConfig:
             )
         if self.n_participants < 1:
             raise ValueError(f"need participants, got {self.n_participants}")
+        check_seed(self.seed)
         for name in ("rate_per_participant_s", "duration_s"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            check_positive_finite(name, getattr(self, name))
 
     def symbol_universe(self) -> Tuple[str, ...]:
         return tuple(f"SYM{i:03d}" for i in range(self.n_symbols))

@@ -50,8 +50,7 @@ class TimeInForce(enum.Enum):
     """How long an unmatched order remains working.
 
     The paper's deployments used resting limit orders (GTC).  IOC is
-    implemented as an extension (DESIGN.md §6) and exercised by tests
-    and the matching-policy ablation.
+    implemented as an extension (DESIGN.md §6) and exercised by tests.
     """
 
     GTC = "good-till-cancel"

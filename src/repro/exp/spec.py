@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.config import CloudExConfig
+from repro.core.config import CloudExConfig, check_positive_finite
 from repro.sim.rng import derive_seed
 
 #: Point keys consumed by the sweep worker rather than passed to
@@ -129,18 +129,23 @@ class SweepSpec:
 
     def validate(self) -> None:
         """Expand the grid, build every task's config and check its rate
-        is positive and finite -- what a front door (``python -m repro
-        sweep``, a submitted job) checks before it runs anything.
+        and duration are positive and finite and its warmup non-negative
+        and finite -- what a front door (``python -m repro sweep``, a
+        submitted job) checks before it runs anything.
         :func:`~repro.exp.runner.run_sweep` itself does not: there a point
         that cannot be built is one failed task."""
         for task in self.expand():
             task.build_config()
-            rate = task.rate_per_participant
-            if rate is not None and not 0 < rate < math.inf:
-                raise ValueError(
-                    f"grid point {task.point}: rate_per_participant must be "
-                    f"positive and finite, got {rate}"
-                )
+            try:
+                if task.rate_per_participant is not None:
+                    check_positive_finite("rate_per_participant", task.rate_per_participant)
+                check_positive_finite("duration_s", task.duration_s)
+                if not 0 <= task.warmup_s < math.inf:
+                    raise ValueError(
+                        f"warmup_s must be non-negative and finite, got {task.warmup_s}"
+                    )
+            except ValueError as exc:
+                raise ValueError(f"grid point {task.point}: {exc}") from None
 
     def expand(self) -> List[SweepTask]:
         """The full task list, in deterministic grid-major order."""

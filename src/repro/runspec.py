@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import CLOCK_SYNC_MODES
+from repro.core.config import CLOCK_SYNC_MODES, check_seed
 from repro.exp.cache import content_key
 from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.spec import SweepSpec
@@ -61,6 +61,14 @@ def _is_int(value: object) -> bool:
 
 def _integer(key: str, value: object) -> int:
     _require(_is_int(value), f"{key!r} must be an integer")
+    return value
+
+
+def _seed(key: str, value: object) -> int:
+    try:
+        check_seed(_integer(key, value))
+    except ValueError as exc:
+        raise JobError(str(exc)) from None
     return value
 
 
@@ -196,8 +204,8 @@ class Field:
 
 
 #: The argparse ``type`` of a flag, by its field's check.
-_FLAG_TYPES = {_integer: int, _seeds: int, _number: float, _finite: float, _rate: float,
-               _names: comma_list}
+_FLAG_TYPES = {_integer: int, _seed: int, _seeds: int, _number: float, _finite: float,
+               _rate: float, _names: comma_list}
 
 #: Every field of every job kind, in canonical-spec order.
 FIELDS: Dict[str, Tuple[Field, ...]] = {
@@ -222,7 +230,7 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
     "chaos": (
         Field("scenario", _scenario, None, "--scenario", "scenario to run (see list below)",
               "NAME", cli_default="smoke"),
-        Field("seed", _integer, 11, "--seed"),
+        Field("seed", _seed, 11, "--seed"),
     ),
     "fairness": (
         Field("name", _name, "fairness", "--name", "label recorded in the JSON"),

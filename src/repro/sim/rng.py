@@ -26,8 +26,9 @@ from typing import Callable, Dict, Iterable, Iterator
 import numpy as np
 
 #: Rows per block of a data-plane stream (link delays, trader gaps and
-#: ZI rows, engine service times).  Like ``PoissonArrivalStream.chunk``
-#: it is part of the determinism contract (DESIGN §4.11), not a setting.
+#: ZI rows, engine service times).  Like the batched feed's
+#: ``SHARDRUN_CHUNK`` it is part of the determinism contract (DESIGN
+#: §4.11), not a setting.
 DRAW_BLOCK = 64
 
 

@@ -80,6 +80,14 @@ class TestRun:
         small_cluster.run(duration_s=0.1)
         assert small_cluster.sim.now == 200_000_000
 
+    def test_duration_must_be_positive_and_finite(self, small_cluster):
+        for duration in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+                small_cluster.run(duration_s=duration)
+        assert small_cluster.sim.now == 0
+        small_cluster.run(duration_s=0.1)
+        assert small_cluster.sim.now == 100_000_000
+
     def test_default_workload_generates_flow(self, small_cluster):
         small_cluster.run(duration_s=0.5)
         metrics = small_cluster.metrics

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import check_books
 from repro.chaos.scenarios import available_scenarios, run_scenario
 from repro.core.cluster import CloudExCluster
 from repro.core.config import CloudExConfig
@@ -49,10 +50,17 @@ def _check(name: str, actual: dict) -> None:
     )
 
 
+def _assert_sound_books(cluster: CloudExCluster) -> None:
+    """No book crossed, every level's depth its orders' sum, every
+    resting order indexed once -- after the run, on every shard."""
+    assert check_books(shard.core for shard in cluster.exchange.shards) == []
+
+
 def test_small_cluster_matches_golden():
     cluster = CloudExCluster(small_config())
     cluster.add_default_workload(rate_per_participant=200.0)
     cluster.run(duration_s=0.6)
+    _assert_sound_books(cluster)
     summary = cluster.metrics.summary()
     summary["events_processed"] = cluster.sim.events_processed
     summary["d_s"] = cluster.exchange.current_sequencer_delay_ns()
@@ -85,6 +93,7 @@ def test_counts_match_golden():
     ))
     ddp.add_default_workload(rate_per_participant=300.0)
     ddp.run(duration_s=0.8)
+    _assert_sound_books(ddp)
     counts["ddp"] = ddp.metrics.counts()
     _check("golden_counts.json", counts)
 
@@ -104,6 +113,7 @@ def test_table1_saturation_matches_golden():
         ))
         cluster.add_default_workload(rate_per_participant=1_700.0)
         cluster.run(duration_s=0.15)
+        _assert_sound_books(cluster)
         work[f"table1_shards_{shards}"] = {
             "events_processed": cluster.sim.events_processed,
             "throughput_per_s": round(cluster.metrics.throughput_per_s(), 3),

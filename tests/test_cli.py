@@ -20,6 +20,8 @@ PHASES = (
     "e.g. [0,400,200]"
 )
 RATE = "rate_per_participant must be positive and finite"
+SEED = "seed must be non-negative, got -"
+DURATION = "duration_s must be positive and finite"
 
 #: Every bad input as (job spec, equivalent argv, message): the job is
 #: refused with a JobError (HTTP 400 at the API) and the command exits
@@ -129,6 +131,22 @@ BAD_INPUTS = [
     ({**SWEEP, "jobs": 4}, None, "unknown field(s) for a sweep job: jobs"),
     ({"kind": "fairness", "grid": []}, None, "unknown field(s) for a fairness job: grid"),
     ({"kind": "chaos"}, None, "'scenario' is required"),
+    # numpy's generators take no negative seed.
+    (None, ["--seed", "-5"], SEED),
+    (None, ["trace", "--seed", "-1"], SEED),
+    (None, ["shardrun", "--seed", "-1"], SEED),
+    ({"kind": "chaos", "scenario": "smoke", "seed": -1}, ["chaos", "--seed", "-1"], SEED),
+    ({**SWEEP, "seeds": [-3]}, ["sweep", "--grid", "n_shards=1", "--seed-list", "-3"], SEED),
+    ({"kind": "fairness", "seeds": [-3]}, None, SEED),
+    # A run must advance the clock by a finite amount.
+    (None, ["--duration", "-1"], DURATION),
+    (None, ["--duration", "nan"], DURATION),
+    (None, ["trace", "--duration", "-1"], DURATION),
+    ({**SWEEP, "duration_s": -1}, ["sweep", "--grid", "n_shards=1", "--duration", "-1"],
+     DURATION),
+    ({**SWEEP, "warmup_s": -1}, ["sweep", "--grid", "n_shards=1", "--warmup", "-1"],
+     "warmup_s must be non-negative and finite"),
+    ({"kind": "fairness", "duration_s": -0.5}, ["fairness", "--duration", "-0.5"], DURATION),
 ]
 
 
@@ -152,8 +170,8 @@ class TestParser:
             build_parser().parse_args(["--clock-sync", "chrony"])
 
     def test_matching_design_is_not_a_flag(self, capsys):
-        # The cluster matches continuously; FBA is the standalone
-        # repro.core.batchauction, so the word is argparse's to refuse.
+        # The cluster has one matching design, continuous price-time,
+        # so the word is argparse's to refuse.
         with pytest.raises(SystemExit) as excinfo:
             main(["--matching", "batch"])
         assert excinfo.value.code == 2

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.config import SHARDRUN_CHUNK, SHARDRUN_MARKET_ORDER_FRACTION
 from repro.sim.rng import RngRegistry
-from repro.traders.base import PoissonArrivalStream
 from repro.traders.workload import BulkOrderStream, split_symbols
 from repro.traders.zi import zi_bulk_fields
 
@@ -62,57 +61,6 @@ class TestSplitSymbols:
         assert assignments == [["S00"], ["S01"]]
 
 
-class TestPoissonArrivalStream:
-    def test_arrivals_strictly_increase(self):
-        stream = PoissonArrivalStream(np.random.default_rng(1), rate_per_s=50_000.0)
-        times = stream.take_until(10_000_000)
-        assert len(times) > 0
-        assert (np.diff(times) >= 1).all()
-
-    def test_windowing_is_draw_invariant(self):
-        """The determinism contract: slicing time differently must not
-        change the generated stream (chunked draws are window-blind)."""
-        one = PoissonArrivalStream(np.random.default_rng(7), rate_per_s=20_000.0)
-        many = PoissonArrivalStream(np.random.default_rng(7), rate_per_s=20_000.0)
-        whole = one.take_until(50_000_000)
-        pieces = [many.take_until(t) for t in (1_000_000, 1_000_000, 17_000_000, 50_000_000)]
-        assert np.array_equal(whole, np.concatenate(pieces))
-
-    def test_consecutive_windows_tile_without_overlap(self):
-        stream = PoissonArrivalStream(np.random.default_rng(2), rate_per_s=10_000.0)
-        first = stream.take_until(5_000_000)
-        second = stream.take_until(9_000_000)
-        assert (first < 5_000_000).all()
-        if len(second):
-            assert second[0] >= first[-1] + 1
-            assert (second >= 5_000_000).all() and (second < 9_000_000).all()
-
-    def test_field_columns_stay_aligned_across_windows(self):
-        def factory_for(seed):
-            rng = np.random.default_rng(seed)
-            return lambda n: {"tag": rng.integers(0, 1000, size=n)}
-
-        one = PoissonArrivalStream(
-            np.random.default_rng(5), 30_000.0, field_factory=factory_for(9)
-        )
-        many = PoissonArrivalStream(
-            np.random.default_rng(5), 30_000.0, field_factory=factory_for(9)
-        )
-        times_whole, fields_whole = one.take_until(20_000_000)
-        parts = [many.take_until(t) for t in (3_000_000, 11_000_000, 20_000_000)]
-        assert np.array_equal(
-            fields_whole["tag"], np.concatenate([f["tag"] for _, f in parts])
-        )
-        assert np.array_equal(times_whole, np.concatenate([t for t, _ in parts]))
-
-    def test_validation(self):
-        for rate in (0.0, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="positive and finite"):
-                PoissonArrivalStream(np.random.default_rng(1), rate_per_s=rate)
-        with pytest.raises(ValueError):
-            PoissonArrivalStream(np.random.default_rng(1), rate_per_s=1.0, chunk=0)
-
-
 class TestBulkOrderStream:
     def _stream(self, seed=11, **overrides):
         kwargs = dict(
@@ -124,6 +72,20 @@ class TestBulkOrderStream:
         )
         kwargs.update(overrides)
         return BulkOrderStream(**kwargs)
+
+    def test_arrivals_strictly_increase(self):
+        _, times, _ = self._stream().take_until(100_000_000)
+        assert len(times) > SHARDRUN_CHUNK  # crosses a chunk boundary
+        assert (times > 0).all() and (np.diff(times) >= 1).all()
+
+    def test_validation(self):
+        for rate in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive and finite"):
+                self._stream(rate_per_s=rate)
+        with pytest.raises(ValueError, match="participant"):
+            self._stream(n_participants=0)
+        with pytest.raises(ValueError, match="symbol"):
+            self._stream(n_symbols=0)
 
     def test_columns_are_complete_and_in_range(self):
         start, times, fields = self._stream().take_until(5_000_000)
@@ -143,12 +105,19 @@ class TestBulkOrderStream:
         assert start1 == 0
         assert start2 == len(times1)
         assert stream.emitted == len(times1) + len(times2)
+        assert len(times1) and len(times2)
+        assert (times1 < 2_000_000).all() and times2[0] >= times1[-1] + 1
+        assert (times2 >= 2_000_000).all() and (times2 < 4_000_000).all()
 
     def test_window_invariance_end_to_end(self):
+        """The determinism contract: slicing time differently, a repeated
+        horizon and a chunk boundary included, changes neither the
+        arrivals nor any column aligned with them."""
         whole = self._stream()
         sliced = self._stream()
-        _, times_whole, fields_whole = whole.take_until(8_000_000)
-        parts = [sliced.take_until(t) for t in (1_000_000, 3_500_000, 8_000_000)]
+        _, times_whole, fields_whole = whole.take_until(100_000_000)
+        horizons = (1_000_000, 1_000_000, 3_500_000, 60_000_000, 100_000_000)
+        parts = [sliced.take_until(t) for t in horizons]
         assert np.array_equal(times_whole, np.concatenate([t for _, t, _ in parts]))
         for key in fields_whole:
             assert np.array_equal(
