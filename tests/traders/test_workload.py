@@ -105,19 +105,12 @@ class TestBulkOrderStream:
         assert start1 == 0
         assert start2 == len(times1)
         assert stream.emitted == len(times1) + len(times2)
-        assert len(times1) and len(times2)
-        assert (times1 < 2_000_000).all() and times2[0] >= times1[-1] + 1
-        assert (times2 >= 2_000_000).all() and (times2 < 4_000_000).all()
 
     def test_window_invariance_end_to_end(self):
-        """The determinism contract: slicing time differently, a repeated
-        horizon and a chunk boundary included, changes neither the
-        arrivals nor any column aligned with them."""
         whole = self._stream()
         sliced = self._stream()
-        _, times_whole, fields_whole = whole.take_until(100_000_000)
-        horizons = (1_000_000, 1_000_000, 3_500_000, 60_000_000, 100_000_000)
-        parts = [sliced.take_until(t) for t in horizons]
+        _, times_whole, fields_whole = whole.take_until(8_000_000)
+        parts = [sliced.take_until(t) for t in (1_000_000, 3_500_000, 8_000_000)]
         assert np.array_equal(times_whole, np.concatenate([t for _, t, _ in parts]))
         for key in fields_whole:
             assert np.array_equal(
@@ -135,3 +128,42 @@ class TestBulkOrderStream:
         assert np.array_equal(
             fields["market"][:SHARDRUN_CHUNK], zi["roll"] < SHARDRUN_MARKET_ORDER_FRACTION
         )
+
+
+class TestPoissonArrivalStream:
+    """The Poisson arrival process inside ``BulkOrderStream``: exponential
+    gaps drawn a chunk at a time, blind to how callers slice time."""
+
+    _stream = TestBulkOrderStream._stream
+
+    def test_windowing_is_draw_invariant(self):
+        """The determinism contract: slicing time differently, a repeated
+        horizon and a chunk boundary included, must not change the arrivals."""
+        whole = self._stream()
+        many = self._stream()
+        _, times_whole, _ = whole.take_until(100_000_000)
+        assert len(times_whole) > SHARDRUN_CHUNK
+        horizons = (1_000_000, 1_000_000, 17_000_000, 60_000_000, 100_000_000)
+        pieces = [many.take_until(t)[1] for t in horizons]
+        assert np.array_equal(times_whole, np.concatenate(pieces))
+
+    def test_consecutive_windows_tile_without_overlap(self):
+        stream = self._stream(seed=2)
+        _, first, _ = stream.take_until(5_000_000)
+        _, second, _ = stream.take_until(9_000_000)
+        assert len(first) and len(second)
+        assert (first < 5_000_000).all()
+        assert second[0] >= first[-1] + 1
+        assert (second >= 5_000_000).all() and (second < 9_000_000).all()
+
+    def test_field_columns_stay_aligned_across_windows(self):
+        one = self._stream(seed=5)
+        many = self._stream(seed=5)
+        _, times_whole, fields_whole = one.take_until(100_000_000)
+        assert len(times_whole) > SHARDRUN_CHUNK
+        parts = [many.take_until(t) for t in (3_000_000, 11_000_000, 100_000_000)]
+        assert np.array_equal(times_whole, np.concatenate([t for _, t, _ in parts]))
+        for key in fields_whole:
+            assert np.array_equal(
+                fields_whole[key], np.concatenate([f[key] for _, _, f in parts])
+            ), key
