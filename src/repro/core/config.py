@@ -14,8 +14,10 @@ constants are the one statement of the calibration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+import numbers
+from dataclasses import dataclass, fields, replace
+from dataclasses import field as dataclass_field
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.chaos.schedule import FaultSchedule
 from repro.sim.latency import LatencyModel, cloud_link
@@ -131,24 +133,158 @@ SHARDRUN_PORTFOLIO_BUCKETS = 64
 SHARDRUN_CHUNK = 4096
 
 
-def check_seed(seed: int) -> None:
-    """Refuse a negative seed (numpy's generators take none) with the one
-    message every door gives: the cluster, the batched kernel, a job."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+# ----------------------------------------------------------------------
+# Input ceilings, each far above every value a test, bench or example
+# uses.
+# ----------------------------------------------------------------------
+# A time field's nanosecond form: half of int64 (146 years), as a time
+# is added to a clock reading and the sum must still fit.
+MAX_TIME_NS = 2**62
+# A rate's mean gap SECOND / rate: one day.  Gaps are cast to int64 and
+# summed SHARDRUN_CHUNK at a time (~3.5e17 ns at one day).
+MAX_MEAN_GAP_NS = 86_400 * SECOND
+# A straggler's slow-down: 1000x the testbed's link is a dead link (a
+# chaos partition); far above it a delay wraps int64 and turns fastest.
+MAX_STRAGGLER_MULTIPLIER = 1000.0
+# Symbols, whose list is built with the config -- for a served sweep,
+# inside the request handler, once per task.  US equities list ~8k.
+MAX_SYMBOLS = 10_000
+# The (point, seed) tasks of one sweep, which SweepSpec.expand builds and
+# validation builds a config for, at submission.  The study's is 24.
+MAX_TASKS = 10_000
+
+# ----------------------------------------------------------------------
+# Field checks: ``check(name, value)`` accepts or raises a ValueError
+# naming the field (quoted for a wrong type).  Checks never coerce.
+# ----------------------------------------------------------------------
+Check = Callable[[str, object], None]
 
 
-def check_positive_finite(name: str, value: float) -> None:
-    """Refuse a rate or duration that is not positive and finite."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+def _is_number(value: object) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_number(name: str, value: object) -> None:
+    if not _is_number(value):
+        raise ValueError(f"{name!r} must be a number, got {value!r}")
+
+
+def check_finite(name: str, value: object) -> None:
+    if not (_is_number(value) and math.isfinite(value)):
+        raise ValueError(f"{name!r} must be a finite number, got {value!r}")
+
+
+def check_bool(name: str, value: object) -> None:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name!r} must be true or false, got {value!r}")
+
+
+def in_range(low: float, high: float, ends: str = "[]", wants: str = "") -> Check:
+    """A number from ``low`` to ``high``, each end included (``[``, ``]``)
+    or excluded (``(``, ``)``); ``wants`` words the range for a refusal."""
+    wants = wants or f"in {ends[0]}{low:g},{high:g}{ends[1]}"
+
+    def check(name: str, value: object) -> None:
+        check_number(name, value)
+        above = low < value if ends[0] == "(" else low <= value
+        if not (above and (value < high if ends[1] == ")" else value <= high)):
+            raise ValueError(f"{name} must be {wants}, got {value}")
+
+    return check
+
+
+check_positive_finite = in_range(0, math.inf, "()", "positive and finite")
+#: An arrival rate per second, with a mean gap of at most MAX_MEAN_GAP_NS.
+check_rate = in_range(
+    SECOND / MAX_MEAN_GAP_NS, math.inf, "[)",
+    f"positive and finite, at least {SECOND / MAX_MEAN_GAP_NS:.3g}",
+)
+
+
+def duration(unit: int, positive: bool = False) -> Check:
+    """A time counted in ``unit`` ns (``MICROSECOND`` for a ``_us``
+    field): non-negative -- or ``positive``, at least 1 ns -- with a
+    nanosecond form of at most :data:`MAX_TIME_NS`."""
+    low, high = (1 / unit if positive else 0), MAX_TIME_NS / unit
+    sign = "positive" if positive else "non-negative"
+    return in_range(low, high, wants=f"{sign} and finite, in [{low:g},{high:g}]")
+
+
+def integer(low: int, high: float = math.inf) -> Check:
+    """An integer (``bool`` refused) from ``low`` to ``high``."""
+    wants = "non-negative" if low == 0 else f">= {low}"
+    within = in_range(low, high, wants=wants if high == math.inf else f"{wants} and <= {high}")
+
+    def check(name: str, value: object) -> None:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name!r} must be an integer, got {value!r}")
+        within(name, value)
+
+    return check
+
+
+#: numpy's generators take no negative seed.
+check_seed = integer(0)
+
+
+def one_of(choices: Tuple[str, ...]) -> Check:
+    def check(name: str, value: object) -> None:
+        if value not in choices:
+            raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
+
+    return check
+
+
+def optional(check: Check) -> Check:
+    """``check``, or None."""
+    return lambda name, value: None if value is None else check(name, value)
+
+
+def checked(default: object, check: Check) -> Any:
+    """A dataclass field with its default and the one check its value
+    must pass (run by :func:`check_fields`)."""
+    return dataclass_field(default=default, metadata={"check": check})
+
+
+def check_fields(instance: object) -> None:
+    """Run every field's declared check on its value."""
+    for spec in fields(instance):
+        spec.metadata["check"](spec.name, getattr(instance, spec.name))
+
+
+_symbol_count = integer(1, MAX_SYMBOLS)
 
 
 def default_symbols(count: int) -> List[str]:
     """SYM000, SYM001, ... -- deterministic symbol universe."""
-    if count < 1:
-        raise ValueError(f"need at least one symbol, got {count}")
+    _symbol_count("n_symbols", count)
     return [f"SYM{index:03d}" for index in range(count)]
+
+
+def _symbol_list(name: str, symbols: object) -> None:
+    if not isinstance(symbols, (list, tuple)) or not all(isinstance(s, str) for s in symbols):
+        raise ValueError(f"{name!r} must be a list of symbol names, got {symbols!r}")
+    for symbol in symbols:
+        if "#" in symbol:
+            raise ValueError(f"symbol {symbol!r} contains '#', the storage row-key separator")
+
+
+_phase_us = duration(MICROSECOND)
+
+
+def _phase_list(name: str, phases: object) -> None:
+    if not (isinstance(phases, (list, tuple)) and phases and all(map(_is_number, phases))):
+        raise ValueError(
+            f"{name} must be a non-empty list of numbers in JSON form, e.g. [0,400,200]; "
+            f"got {phases!r}"
+        )
+    for phase in phases:
+        _phase_us(name, phase)
+
+
+def _fault_schedule(name: str, value: object) -> None:
+    if not isinstance(value, FaultSchedule):
+        raise ValueError(f"{name} must be a FaultSchedule, got {type(value).__name__}")
 
 
 @dataclass
@@ -158,22 +294,22 @@ class CloudExConfig:
     # ------------------------------------------------------------------
     # Reproducibility
     # ------------------------------------------------------------------
-    seed: int = 1
+    seed: int = checked(1, check_seed)
 
     # ------------------------------------------------------------------
     # Topology (paper §4: 48 participants, 16 gateways, 1 engine VM)
     # ------------------------------------------------------------------
-    n_participants: int = 48
-    n_gateways: int = 16
-    n_shards: int = 1
-    n_symbols: int = 100
-    symbols: Optional[List[str]] = None
+    n_participants: int = checked(48, integer(1))
+    n_gateways: int = checked(16, integer(1))
+    n_shards: int = checked(1, integer(1))
+    n_symbols: int = checked(100, _symbol_count)
+    symbols: Optional[List[str]] = checked(None, _symbol_list)
 
     # ------------------------------------------------------------------
     # Fairness delays (paper §2.2)
     # ------------------------------------------------------------------
-    sequencer_delay_us: float = 500.0  # d_s
-    holdrelease_delay_us: float = 1000.0  # d_h
+    sequencer_delay_us: float = checked(500.0, duration(MICROSECOND))  # d_s
+    holdrelease_delay_us: float = checked(1000.0, duration(MICROSECOND))  # d_h
 
     # ------------------------------------------------------------------
     # Fairness policy (repro.fairness): which mechanism answers the
@@ -184,31 +320,31 @@ class CloudExConfig:
     # latency-model quantile chosen from a miss-probability threshold,
     # "noop" is the unfair passthrough baseline.
     # ------------------------------------------------------------------
-    fairness_policy: str = "cloudex"
+    fairness_policy: str = checked("cloudex", one_of(_FAIRNESS_POLICIES))
     #: DBO: sliding-window length (per gateway) for the lag bounds.
-    dbo_window: int = 128
+    dbo_window: int = checked(128, integer(1))
     #: DBO: upper bound on the adaptive release guard.
-    dbo_guard_cap_us: float = 250.0
+    dbo_guard_cap_us: float = checked(250.0, duration(MICROSECOND))
     #: PFO: target posterior probability that no earlier-sent message
     #: is still in flight at release time.
-    pfo_threshold: float = 0.9
+    pfo_threshold: float = checked(0.9, in_range(0, 1, "()"))
 
     # ------------------------------------------------------------------
     # DDP (paper §3): None = static delay parameter
     # ------------------------------------------------------------------
-    ddp_inbound_target: Optional[float] = None
-    ddp_outbound_target: Optional[float] = None
-    ddp_window: int = 1000
-    ddp_update_every: int = 50
+    ddp_inbound_target: Optional[float] = checked(None, optional(in_range(0, 1)))
+    ddp_outbound_target: Optional[float] = checked(None, optional(in_range(0, 1)))
+    ddp_window: int = checked(1000, integer(1))
+    ddp_update_every: int = checked(50, integer(1))
 
     # ------------------------------------------------------------------
     # ROS (paper §3)
     # ------------------------------------------------------------------
-    replication_factor: int = 1
+    replication_factor: int = checked(1, integer(1))
     #: Engine-side dedup-table entry lifetime.  Retries make this load-
     #: bearing: an entry swept before a retry arrives would let the
     #: same order execute twice (see repro.chaos invariant checks).
-    ros_dedup_ttl_s: float = 5.0
+    ros_dedup_ttl_s: float = checked(5.0, duration(SECOND, positive=True))
 
     # ------------------------------------------------------------------
     # Fault tolerance (repro.chaos): ack-timeout detection, retry with
@@ -216,82 +352,82 @@ class CloudExConfig:
     # the whole reaction path -- participants then pay nothing and seed
     # behaviour is bit-for-bit unchanged.
     # ------------------------------------------------------------------
-    ack_timeout_ms: Optional[float] = None
-    ack_retry_backoff: float = 2.0
-    ack_max_retries: int = 2
+    ack_timeout_ms: Optional[float] = checked(None, optional(duration(MILLISECOND, positive=True)))
+    ack_retry_backoff: float = checked(2.0, in_range(1, math.inf, "[)"))
+    ack_max_retries: int = checked(2, integer(0))
     #: Promote a replica gateway to primary after repeated ack timeouts
     #: (requires the participant to be wired to >= 2 gateways).
-    gateway_failover: bool = False
+    gateway_failover: bool = checked(False, check_bool)
     #: Declarative fault schedule armed by the cluster on first run()
     #: (None = no chaos; see repro.chaos.schedule.FaultSchedule).
-    chaos: Optional[FaultSchedule] = None
+    chaos: Optional[FaultSchedule] = checked(None, optional(_fault_schedule))
 
     # ------------------------------------------------------------------
     # Network latency models (one-way; shapes in LINK_SHAPES)
     # ------------------------------------------------------------------
     #: Probability that a delay's jitter term spikes (x U(2, SPIKE_SCALE)).
-    spike_prob: float = 0.006
-    straggler_gateways: int = 0
-    straggler_multiplier: float = 2.0
+    spike_prob: float = checked(0.006, in_range(0, 1))
+    straggler_gateways: int = checked(0, integer(0))
+    straggler_multiplier: float = checked(2.0, in_range(1, MAX_STRAGGLER_MULTIPLIER))
     #: Fig. 5: extra delays injected on gateway->engine links, cycling
     #: every ``injected_phase_seconds`` (e.g. (0.0, 400.0, 200.0)).
-    injected_delay_phases_us: Optional[Tuple[float, ...]] = None
-    injected_phase_seconds: float = 6.0
+    injected_delay_phases_us: Optional[Tuple[float, ...]] = checked(None, optional(_phase_list))
+    injected_phase_seconds: float = checked(6.0, duration(SECOND, positive=True))
     #: Fraction of gateways whose engine link gets the injection.  The
     #: paper injects on "the gateway-engine link" (not all of them);
     #: delaying a subset creates the sustained cross-gateway asymmetry
     #: that reorders traffic, whereas delaying every link equally
     #: shifts all timestamps together and barely reorders anything.
-    injected_gateway_fraction: float = 0.25
+    injected_gateway_fraction: float = checked(0.25, in_range(0, 1, "(]"))
 
     # ------------------------------------------------------------------
     # Clock synchronization
     # ------------------------------------------------------------------
     #: One of :data:`CLOCK_SYNC_MODES`.
-    clock_sync: str = "huygens"
+    clock_sync: str = checked("huygens", one_of(CLOCK_SYNC_MODES))
 
     # ------------------------------------------------------------------
     # Market data dissemination
     # ------------------------------------------------------------------
-    snapshot_interval_ms: float = 100.0
-    subscriptions_per_participant: int = 3
+    snapshot_interval_ms: float = checked(100.0, duration(MILLISECOND))
+    subscriptions_per_participant: int = checked(3, integer(0))
 
     # ------------------------------------------------------------------
     # Matching rules
     # ------------------------------------------------------------------
     #: Cancel a resting order rather than let it trade against the same
     #: participant's incoming order ("cancel resting" STP).
-    self_trade_prevention: bool = False
+    self_trade_prevention: bool = checked(False, check_bool)
 
     # ------------------------------------------------------------------
     # Storage: the market-data table.  Persisted trades are the trade
     # tape -- with the lifecycle tracer below, the per-order record
     # (paper §6); there is no second per-order log.
     # ------------------------------------------------------------------
-    persist_trades: bool = True
-    persist_snapshots: bool = False
+    persist_trades: bool = checked(True, check_bool)
+    persist_snapshots: bool = checked(False, check_bool)
 
     # ------------------------------------------------------------------
     # Observability (repro.obs): per-order lifecycle tracing and the
     # structured event log.  Tracing off is the production default;
     # operational counts are always on (plain ints on their components).
     # ------------------------------------------------------------------
-    tracing: bool = False
+    tracing: bool = checked(False, check_bool)
     #: Fraction of orders traced (deterministic per-order hash, so the
     #: same orders are sampled across runs regardless of seed).
-    trace_sample_rate: float = 1.0
+    trace_sample_rate: float = checked(1.0, in_range(0, 1))
 
     # ------------------------------------------------------------------
     # Workload (traders attached by the cluster builder)
     # ------------------------------------------------------------------
-    orders_per_participant_per_s: float = 450.0
-    market_order_fraction: float = 0.10
-    cancel_fraction: float = 0.05
+    orders_per_participant_per_s: float = checked(450.0, check_rate)
+    market_order_fraction: float = checked(0.10, in_range(0, 1))
+    cancel_fraction: float = checked(0.05, in_range(0, 1))
 
     def __post_init__(self) -> None:
         if self.symbols is None:
             self.symbols = default_symbols(self.n_symbols)
-        else:
+        elif isinstance(self.symbols, (list, tuple)):
             self.n_symbols = len(self.symbols)
         self.validate()
 
@@ -339,65 +475,26 @@ class CloudExConfig:
     # Validation and variants
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Reject configurations the builder cannot realize."""
-        check_seed(self.seed)
-        if self.n_participants < 1:
-            raise ValueError("need at least one participant")
-        if self.n_gateways < 1:
-            raise ValueError("need at least one gateway")
-        if not 1 <= self.replication_factor <= self.n_gateways:
+        """Reject configurations the builder cannot realize: each field's
+        own check (declared with the field), then the rules between
+        fields."""
+        check_fields(self)
+        if self.replication_factor > self.n_gateways:
             raise ValueError(
                 f"replication factor {self.replication_factor} must be in "
                 f"[1, n_gateways={self.n_gateways}]"
             )
-        for symbol in self.symbols:
-            if "#" in symbol:
-                raise ValueError(f"symbol {symbol!r} contains '#', the storage row-key separator")
-        if self.n_shards < 1:
-            raise ValueError("need at least one shard")
         if self.n_shards > self.n_symbols:
             raise ValueError(
                 f"{self.n_shards} shards cannot each own a symbol "
-                f"(only {self.n_symbols} symbols)"
+                f"(only {self.n_symbols} symbols; n_shards must be <= n_symbols)"
             )
         if self.straggler_gateways > self.n_gateways:
             raise ValueError("more straggler gateways than gateways")
-        if self.straggler_gateways > 0 and self.straggler_multiplier < 1.0:
-            raise ValueError(
-                f"straggler_multiplier must be >= 1, got {self.straggler_multiplier}"
-            )
-        if not 0.0 <= self.spike_prob <= 1.0:
-            raise ValueError(f"spike_prob must be in [0,1], got {self.spike_prob}")
-        phases = self.injected_delay_phases_us
-        if phases is not None:
-            if not (
-                isinstance(phases, (list, tuple))
-                and phases
-                and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in phases)
-            ):
-                raise ValueError(
-                    "injected_delay_phases_us must be a non-empty list of numbers "
-                    f"in JSON form, e.g. [0,400,200]; got {phases!r}"
-                )
-            if self.injected_phase_seconds <= 0:
-                raise ValueError("injected_phase_seconds must be positive")
-            if min(phases) < 0:
-                raise ValueError(f"injected_delay_phases_us must be non-negative, got {phases}")
-        if not 0.0 < self.injected_gateway_fraction <= 1.0:
-            raise ValueError("injected_gateway_fraction must be in (0, 1]")
-        if self.clock_sync not in CLOCK_SYNC_MODES:
-            raise ValueError(f"unknown clock_sync mode {self.clock_sync!r}")
-        for name in ("straggler_gateways", "snapshot_interval_ms"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        check_positive_finite("orders_per_participant_per_s", self.orders_per_participant_per_s)
-        if self.sequencer_delay_us < 0 or self.holdrelease_delay_us < 0:
-            raise ValueError("delay parameters must be non-negative")
-        if self.fairness_policy not in _FAIRNESS_POLICIES:
-            raise ValueError(
-                f"unknown fairness_policy {self.fairness_policy!r}; "
-                f"expected one of {_FAIRNESS_POLICIES}"
-            )
+        if self.subscriptions_per_participant > self.n_symbols:
+            raise ValueError("subscriptions_per_participant outside [0, n_symbols]")
+        if self.market_order_fraction + self.cancel_fraction > 1:
+            raise ValueError("market_order_fraction + cancel_fraction must be <= 1")
         if self.fairness_policy != "cloudex" and (
             self.ddp_inbound_target is not None or self.ddp_outbound_target is not None
         ):
@@ -412,48 +509,15 @@ class CloudExConfig:
             ("ddp_inbound_target", self.sequencer_delay_us),
             ("ddp_outbound_target", self.holdrelease_delay_us),
         ):
-            target = getattr(self, name)
-            if target is None:
-                continue
-            if not 0.0 <= target <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {target}")
-            if self.ddp_window < 1 or self.ddp_update_every < 1:
-                raise ValueError("ddp_window and ddp_update_every must be positive")
-            if initial_us > DDP_MAX_DELAY_US:
+            if getattr(self, name) is not None and initial_us > DDP_MAX_DELAY_US:
                 raise ValueError(
                     f"{name}: the delay it tunes starts at {initial_us} us, "
                     f"above DDP_MAX_DELAY_US={DDP_MAX_DELAY_US}"
                 )
-        if self.dbo_window < 1:
-            raise ValueError("dbo_window must be >= 1")
-        if self.dbo_guard_cap_us < 0:
-            raise ValueError("dbo_guard_cap_us must be non-negative")
-        if not 0.0 < self.pfo_threshold < 1.0:
-            raise ValueError(f"pfo_threshold must be in (0,1), got {self.pfo_threshold}")
-        if not 0 <= self.subscriptions_per_participant <= self.n_symbols:
-            raise ValueError("subscriptions_per_participant outside [0, n_symbols]")
-        if not 0.0 <= self.trace_sample_rate <= 1.0:
-            raise ValueError(
-                f"trace_sample_rate must be in [0,1], got {self.trace_sample_rate}"
-            )
-        if self.ros_dedup_ttl_s <= 0:
-            raise ValueError("ros_dedup_ttl_s must be positive")
-        if self.ack_timeout_ms is not None and self.ack_timeout_ms <= 0:
-            raise ValueError("ack_timeout_ms must be positive (or None to disable)")
-        if self.ack_retry_backoff < 1.0:
-            raise ValueError("ack_retry_backoff must be >= 1")
-        if self.ack_max_retries < 0:
-            raise ValueError("ack_max_retries must be non-negative")
         if self.gateway_failover and self.ack_timeout_ms is None:
             raise ValueError("gateway_failover requires ack_timeout_ms to be set")
         if self.gateway_failover and self.n_gateways < 2:
             raise ValueError("gateway_failover requires at least two gateways")
-        if self.chaos is not None and not isinstance(self.chaos, FaultSchedule):
-            raise ValueError(f"chaos must be a FaultSchedule, got {type(self.chaos).__name__}")
-        for name in ("market_order_fraction", "cancel_fraction"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be in [0,1], got {value}")
 
     def with_overrides(self, **kwargs) -> "CloudExConfig":
         """A copy with fields replaced (dataclasses.replace + validation)."""

@@ -47,6 +47,7 @@ import numpy as np
 from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.core.config import (
     INITIAL_PRICE,
+    MAX_SYMBOLS,
     SHARDRUN_CHUNK,
     SHARDRUN_GATEWAY_BASE_US,
     SHARDRUN_GATEWAY_JITTER_SCALE_US,
@@ -58,8 +59,13 @@ from repro.core.config import (
     ZI_MAX_QTY,
     ZI_MIN_QTY,
     ZI_PRICE_SIGMA_TICKS,
-    check_positive_finite,
+    check_fields,
+    check_rate,
     check_seed,
+    checked,
+    default_symbols,
+    duration,
+    integer,
 )
 from repro.core.matching import BatchMatchStats, MatchingEngineCore
 from repro.core.order import Order
@@ -102,26 +108,19 @@ class ShardRunConfig:
     (``ZI_*`` and ``SHARDRUN_*`` in :mod:`repro.core.config`) it reads.
     """
 
-    seed: int = 2021
-    n_participants: int = 1_000_000
-    n_symbols: int = 10
-    n_shards: int = 10
-    rate_per_participant_s: float = 0.45
-    duration_s: float = 2.0
+    seed: int = checked(2021, check_seed)
+    n_participants: int = checked(1_000_000, integer(1))
+    n_symbols: int = checked(10, integer(1, MAX_SYMBOLS))
+    n_shards: int = checked(10, integer(1))
+    rate_per_participant_s: float = checked(0.45, check_rate)
+    duration_s: float = checked(2.0, duration(SECOND, positive=True))
 
     def __post_init__(self) -> None:
-        if self.n_shards < 1 or self.n_shards > self.n_symbols:
+        check_fields(self)
+        if self.n_shards > self.n_symbols:
             raise ValueError(
                 f"n_shards must be in [1, n_symbols={self.n_symbols}], got {self.n_shards}"
             )
-        if self.n_participants < 1:
-            raise ValueError(f"need participants, got {self.n_participants}")
-        check_seed(self.seed)
-        for name in ("rate_per_participant_s", "duration_s"):
-            check_positive_finite(name, getattr(self, name))
-
-    def symbol_universe(self) -> Tuple[str, ...]:
-        return tuple(f"SYM{i:03d}" for i in range(self.n_symbols))
 
     def lookahead_ns(self) -> int:
         """Conservative-sync window length.
@@ -190,7 +189,7 @@ class ShardProgram:
     def __init__(self, config: ShardRunConfig, shard_id: int) -> None:
         self.config = config
         self.shard_id = shard_id
-        router = SymbolRouter(config.symbol_universe(), config.n_shards)
+        router = SymbolRouter(default_symbols(config.n_symbols), config.n_shards)
         self.symbols: Tuple[str, ...] = router.symbols_of(shard_id)
         rngs = RngRegistry(config.seed)
         # The shard generates the merged flow of the whole participant

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.config import CloudExConfig, check_positive_finite
+from repro.core.config import MAX_TASKS, CloudExConfig, check_rate, duration, integer
 from repro.sim.rng import derive_seed
+from repro.sim.timeunits import SECOND
 
 #: Point keys consumed by the sweep worker rather than passed to
 #: ``CloudExConfig``: the offered rate and per-point measurement
@@ -26,6 +26,9 @@ from repro.sim.rng import derive_seed
 RESERVED_KEYS = ("rate_per_participant", "warmup_s", "duration_s")
 
 _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(CloudExConfig))
+
+_seconds = duration(SECOND, positive=True)
+_warmup = duration(SECOND)
 
 
 def canonical_json(value: object) -> str:
@@ -121,29 +124,26 @@ class SweepSpec:
 
     def seed_labels(self) -> List[str]:
         """One stable label per replicate (independent of seed values)."""
+        count = self.seeds if isinstance(self.seeds, int) else len(self.seeds)
+        # At most MAX_TASKS tasks, checked before any list is built.
+        integer(1, MAX_TASKS // max(1, len(self.grid)))("seeds", count)
         if isinstance(self.seeds, int):
-            if self.seeds < 1:
-                raise ValueError(f"seeds must be >= 1, got {self.seeds}")
             return [f"rep{i}" for i in range(self.seeds)]
         return [f"seed{int(s)}" for s in self.seeds]
 
     def validate(self) -> None:
-        """Expand the grid, build every task's config and check its rate
-        and duration are positive and finite and its warmup non-negative
-        and finite -- what a front door (``python -m repro sweep``, a
-        submitted job) checks before it runs anything.
-        :func:`~repro.exp.runner.run_sweep` itself does not: there a point
-        that cannot be built is one failed task."""
+        """Expand the grid, build every task's config and check its rate,
+        duration (positive) and warmup (non-negative) -- what a front door
+        (``python -m repro sweep``, a submitted job) checks before it runs
+        anything.  :func:`~repro.exp.runner.run_sweep` itself does not:
+        there a point that cannot be built is one failed task."""
         for task in self.expand():
             task.build_config()
             try:
                 if task.rate_per_participant is not None:
-                    check_positive_finite("rate_per_participant", task.rate_per_participant)
-                check_positive_finite("duration_s", task.duration_s)
-                if not 0 <= task.warmup_s < math.inf:
-                    raise ValueError(
-                        f"warmup_s must be non-negative and finite, got {task.warmup_s}"
-                    )
+                    check_rate("rate_per_participant", task.rate_per_participant)
+                _seconds("duration_s", task.duration_s)
+                _warmup("warmup_s", task.warmup_s)
             except ValueError as exc:
                 raise ValueError(f"grid point {task.point}: {exc}") from None
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.config import CLOCK_SYNC_MODES
+from repro.core.config import CLOCK_SYNC_MODES, one_of
 from repro.exp.cache import ResultCache
 from repro.exp.pool import WorkerPool
 from repro.exp.runner import SweepOutcome, run_sweep
@@ -73,17 +73,13 @@ def build_fairness_spec(
 ) -> Tuple[SweepSpec, List[Tuple[str, str, str]]]:
     """The study spec plus one (policy, clock, scenario) label per
     grid point, in the spec's grid order."""
-    for policy in policies:
-        if policy not in POLICY_NAMES:
-            raise ValueError(f"unknown policy {policy!r}; expected one of {POLICY_NAMES}")
-    for clock in clocks:
-        if clock not in CLOCK_SYNC_MODES:
-            raise ValueError(f"unknown clock regime {clock!r}")
-    for scenario in scenarios:
-        if scenario not in SCENARIOS:
-            raise ValueError(
-                f"unknown scenario {scenario!r}; expected one of {tuple(SCENARIOS)}"
-            )
+    for label, values, choices in (
+        ("policy", policies, POLICY_NAMES),
+        ("clock regime", clocks, CLOCK_SYNC_MODES),
+        ("scenario", scenarios, tuple(SCENARIOS)),
+    ):
+        for value in values:
+            one_of(choices)(label, value)
     grid: List[Dict[str, object]] = []
     labels: List[Tuple[str, str, str]] = []
     for policy, clock, scenario in itertools.product(policies, clocks, scenarios):

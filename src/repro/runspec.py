@@ -29,11 +29,12 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.config import CLOCK_SYNC_MODES, check_seed
+from repro.core.config import (
+    CLOCK_SYNC_MODES, check_finite, check_number, check_seed, integer, optional
+)
 from repro.exp.cache import content_key
 from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.spec import SweepSpec
@@ -53,41 +54,31 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Field checks: ``check(key, value)`` returns the canonical value.
+# Field checks: ``check(key, value)`` returns the canonical value.  A
+# ValueError becomes the JobError (see normalize_job).
 # ----------------------------------------------------------------------
 def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _integer(key: str, value: object) -> int:
-    _require(_is_int(value), f"{key!r} must be an integer")
-    return value
+def _accept(check: Callable[[str, object], None], canonical=lambda value: value):
+    """A :mod:`repro.core.config` check as a field check: the value,
+    through ``canonical``, once ``check`` accepts it."""
+
+    def field_check(key: str, value: object):
+        check(key, value)
+        return canonical(value)
+
+    return field_check
 
 
-def _seed(key: str, value: object) -> int:
-    try:
-        check_seed(_integer(key, value))
-    except ValueError as exc:
-        raise JobError(str(exc)) from None
-    return value
-
-
-def _number(key: str, value: object) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool),
-             f"{key!r} must be a number")
-    return float(value)
-
-
-def _finite(key: str, value: object) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool)
-             and math.isfinite(value), f"{key!r} must be a finite number")
-    return float(value)
-
-
-def _rate(key: str, value: object) -> Optional[float]:
-    # Positive and finite is the spec's check (SweepSpec.validate), the
-    # same one that covers a rate set on a single grid point.
-    return None if value is None else _number(key, value)
+_seed = _accept(check_seed)
+_count = _accept(integer(1))
+_number = _accept(check_number, float)
+_finite = _accept(check_finite, float)
+# The rate's range is the spec's check (SweepSpec.validate), the same
+# one that covers a rate set on a single grid point.
+_rate = _accept(optional(check_number), lambda value: value if value is None else float(value))
 
 
 def _name(key: str, value: object) -> str:
@@ -105,7 +96,7 @@ def _names(key: str, value: object) -> List[str]:
 
 
 def _seeds(key: str, value: object):
-    # ``seeds >= 1`` is the spec's check (SweepSpec.seed_labels).
+    # ``seeds >= 1`` and MAX_TASKS are the spec's check (SweepSpec.seed_labels).
     if isinstance(value, list):
         _require(bool(value) and all(_is_int(s) for s in value),
                  f"{key!r} list must be non-empty integers")
@@ -204,7 +195,7 @@ class Field:
 
 
 #: The argparse ``type`` of a flag, by its field's check.
-_FLAG_TYPES = {_integer: int, _seed: int, _seeds: int, _number: float, _finite: float,
+_FLAG_TYPES = {_seed: int, _count: int, _seeds: int, _number: float, _finite: float,
                _rate: float, _names: comma_list}
 
 #: Every field of every job kind, in canonical-spec order.
@@ -219,7 +210,7 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
         Field("seeds", None, None, "--seed-list",
               "explicit config seeds used verbatim (overrides --seeds)", "S1,S2,...",
               read=_seed_list),
-        Field("master_seed", _integer, 0, "--master-seed"),
+        Field("master_seed", _seed, 0, "--master-seed"),
         Field("warmup_s", _finite, 0.5, "--warmup", metavar="SECONDS"),
         Field("duration_s", _finite, 1.0, "--duration", metavar="SECONDS"),
         Field("rate_per_participant", _rate, None, "--rate", "orders/s per participant"),
@@ -241,10 +232,10 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
         Field("scenarios", _names, list(SCENARIOS), "--scenarios", "chaos scenarios",
               "S1,S2,..."),
         Field("seeds", _seeds, 1, "--seeds", "replicate seeds per cell", "N"),
-        Field("master_seed", _integer, 0, "--master-seed"),
-        Field("n_participants", _integer, 8, "--participants"),
-        Field("n_gateways", _integer, 4, "--gateways"),
-        Field("n_symbols", _integer, 10, "--symbols"),
+        Field("master_seed", _seed, 0, "--master-seed"),
+        Field("n_participants", _count, 8, "--participants"),
+        Field("n_gateways", _count, 4, "--gateways"),
+        Field("n_symbols", _count, 10, "--symbols"),
         Field("rate_per_participant", _number, 300.0, "--rate", "orders/s per participant"),
         Field("warmup_s", _finite, 0.3, "--warmup", metavar="SECONDS"),
         Field("duration_s", _finite, 0.8, "--duration", metavar="SECONDS"),
@@ -305,7 +296,10 @@ def normalize_job(raw: object) -> Dict[str, object]:
     _require(not unknown, f"unknown field(s) for a {kind} job: {', '.join(unknown)}")
     normalized: Dict[str, object] = {"kind": kind}
     for field in fields:
-        normalized[field.key] = field.check(field.key, raw.get(field.key, field.default))
+        try:
+            normalized[field.key] = field.check(field.key, raw.get(field.key, field.default))
+        except ValueError as exc:
+            raise JobError(str(exc)) from None
     # The full spec is built (its grid expanded, every point's config
     # built) at submission, so a bad field name or value is a usage
     # error or a 400 here, not a worker crash minutes later.

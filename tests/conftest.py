@@ -2,12 +2,39 @@
 
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from repro.core.cluster import CloudExCluster
 from repro.core.config import CloudExConfig
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+
+
+#: Seconds any one test may run, its fixtures' setup included (the
+#: slowest takes ~2 s on a 2-core box): a test that hangs -- say, an
+#: event loop that never advances -- fails here instead of stalling the
+#: whole suite.
+TEST_TIME_LIMIT_S = 120
+
+
+def _expire(signum, frame):
+    raise TimeoutError(f"test ran longer than TEST_TIME_LIMIT_S={TEST_TIME_LIMIT_S} s")
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    # Around the whole protocol rather than in an autouse fixture: a
+    # class- or module-scoped fixture is set up before any function
+    # fixture, and a hang there is the one a fixture would miss.
+    previous = signal.signal(signal.SIGALRM, _expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

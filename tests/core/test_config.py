@@ -1,10 +1,22 @@
 """Tests for configuration validation and derived values."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.config import DDP_MAX_DELAY_US, CloudExConfig, default_symbols
+from repro.core.config import (
+    DDP_MAX_DELAY_US,
+    MAX_SYMBOLS,
+    MAX_TASKS,
+    CloudExConfig,
+    default_symbols,
+)
+from repro.core.shardrun import ShardRunConfig
+from repro.runspec import JobError, build_sweep_spec, normalize_job
 from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
 
 
@@ -75,6 +87,13 @@ class TestOptionSurface:
     def test_fields_are_exactly_the_committed_tuple(self):
         assert tuple(sorted(f.name for f in dataclasses.fields(CloudExConfig))) == CONFIG_FIELDS
 
+    @pytest.mark.parametrize("cls", [CloudExConfig, ShardRunConfig])
+    def test_every_field_declares_its_check(self, cls):
+        # A field is declared with checked(default, check); validate()
+        # holds only the rules between fields.
+        fields = dataclasses.fields(cls)
+        assert [f.name for f in fields if not callable(f.metadata.get("check"))] == []
+
 
 class TestDerived:
     def test_ns_conversions(self):
@@ -134,6 +153,34 @@ class TestValidation:
             # "#" separates a storage row key's parts: A#1's trades sorted
             # inside A's key range and came back as A's history.
             ({"symbols": ["A", "A#1"]}, "symbol 'A#1' contains '#'"),
+            # NaN and inf passed every "<" comparison.
+            (
+                {"straggler_gateways": 1, "straggler_multiplier": math.nan},
+                "straggler_multiplier",
+            ),
+            (
+                {"injected_delay_phases_us": (0.0, 100.0), "injected_phase_seconds": math.nan},
+                "injected_phase_seconds",
+            ),
+            ({"ack_retry_backoff": math.inf}, "ack_retry_backoff"),
+            ({"dbo_guard_cap_us": math.nan}, "dbo_guard_cap_us"),
+            ({"injected_delay_phases_us": (math.nan,)}, "injected_delay_phases_us"),
+            # Accepted values that wrapped an int64 inside a draw: every
+            # gap 1 ns, the straggler the fastest link, an OverflowError.
+            ({"orders_per_participant_per_s": 1e-30}, "orders_per_participant_per_s"),
+            (
+                {"straggler_gateways": 1, "straggler_multiplier": 1e30},
+                "straggler_multiplier",
+            ),
+            (
+                {"injected_delay_phases_us": (0.0, 100.0), "injected_phase_seconds": 1e30},
+                "injected_phase_seconds",
+            ),
+            # ZeroIntelligenceStrategy refused it when the workload attached.
+            (
+                {"market_order_fraction": 0.6, "cancel_fraction": 0.6},
+                "market_order_fraction \\+ cancel_fraction",
+            ),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):
@@ -168,3 +215,95 @@ class TestDefaultSymbols:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             default_symbols(0)
+
+
+SMALL = dict(n_participants=2, n_gateways=2, n_symbols=2, subscriptions_per_participant=1)
+#: Every numeric field, by its declared type.
+NUMERIC = sorted(
+    f.name for f in dataclasses.fields(CloudExConfig)
+    if f.type in ("int", "float", "Optional[float]")
+)
+NS_PROPERTIES = sorted(
+    name for name, value in vars(CloudExConfig).items()
+    if name.endswith("_ns") and isinstance(value, property)
+)
+DRAWS = st.sampled_from([math.nan, math.inf, -math.inf, -1.0, -1, 0, 0.0, 1e30, 1e-30, 2.5])
+
+
+def _names(message: str, field: str) -> bool:
+    # "replication factor 5 must be in ..." names its field in prose.
+    return field in message or field.replace("_", " ") in message
+
+
+def _assert_ns_fit_int64(config: CloudExConfig) -> None:
+    for name in NS_PROPERTIES:
+        value = getattr(config, name)
+        assert value is None or (isinstance(value, int) and -(2**63) <= value < 2**63), name
+
+
+class TestNumericFuzz:
+    """Each numeric field, drawn from the values no hand-written "<" used
+    to catch, at the constructor and in a JSON sweep job's ``base``: it is
+    refused by a message naming the field, or accepted with every
+    ``*_ns`` form an int64.  Nothing drawn here is ever run -- a drawn
+    count would size the cluster's allocations."""
+
+    def test_the_fuzz_sees_every_numeric_field_and_ns_form(self):
+        assert len(NUMERIC) == 30
+        assert NS_PROPERTIES == [
+            "ack_timeout_ns", "holdrelease_delay_ns", "injected_phase_ns",
+            "ros_dedup_ttl_ns", "sequencer_delay_ns", "snapshot_interval_ns",
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        field=st.sampled_from(NUMERIC),
+        value=DRAWS | st.floats() | st.integers(-(2**70), 2**70),
+    )
+    def test_refused_by_name_or_every_ns_form_fits_int64(self, field, value):
+        overrides = {**SMALL, field: value}
+        try:
+            config = CloudExConfig(**overrides)
+        except ValueError as exc:
+            assert _names(str(exc), field), str(exc)
+        else:
+            _assert_ns_fit_int64(config)
+        job = {"kind": "sweep", "grid": [{"n_shards": 1}], "base": overrides}
+        try:
+            spec = normalize_job(job)
+        except JobError as exc:
+            assert _names(str(exc), field), str(exc)
+        else:
+            _assert_ns_fit_int64(build_sweep_spec(spec).expand()[0].build_config())
+
+
+class TestCeilings:
+    @pytest.mark.parametrize(
+        "job",
+        [
+            {"kind": "sweep", "grid": [{"n_symbols": MAX_SYMBOLS + 1}]},
+            {"kind": "fairness", "n_symbols": MAX_SYMBOLS + 1},
+            {"kind": "sweep", "grid": [{"n_shards": 1}], "seeds": MAX_TASKS + 1},
+            {"kind": "sweep", "grid": [{"n_shards": 1}], "seeds": list(range(MAX_TASKS + 1))},
+            {"kind": "sweep", "grid": [{}, {}], "seeds": MAX_TASKS // 2 + 1},
+            {"kind": "fairness", "seeds": MAX_TASKS // 24 + 1},
+        ],
+        ids=["symbols", "fairness-symbols", "seeds", "seed-list", "points-x-seeds",
+             "fairness-cells-x-seeds"],
+    )
+    def test_a_count_just_above_its_ceiling_is_refused_before_its_list_is_built(self, job):
+        # Each would build a list of 10k+ strings, tasks or configs at
+        # submission, inside the request handler.
+        tracemalloc.start()
+        try:
+            with pytest.raises(JobError, match=r"must be >= 1 and <= \d+, got"):
+                normalize_job(job)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_every_count_at_its_ceiling_is_accepted(self):
+        assert len(CloudExConfig(n_symbols=MAX_SYMBOLS).symbols) == MAX_SYMBOLS
+        spec = build_sweep_spec(normalize_job({"kind": "sweep", "grid": [{"n_shards": 1}]}))
+        assert len(dataclasses.replace(spec, seeds=MAX_TASKS).seed_labels()) == MAX_TASKS

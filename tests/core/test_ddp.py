@@ -38,6 +38,16 @@ class TestAdjustment:
             ddp.on_sample(False)
         assert ddp.delay_ns == 100_000 - 5_000
 
+    def test_ratio_at_target_decreases_delay(self):
+        # Paper §3: DDP raises the delay only while the window's ratio is
+        # *above* the target; a full window sitting exactly on it steps down.
+        ddp = controller(target_ratio=0.25, window=100, update_every_samples=100)
+        for index in range(100):
+            ddp.on_sample(index % 4 == 0)
+        assert ddp.current_ratio() == 0.25
+        assert ddp.adjustments == 1
+        assert ddp.delay_ns == 100_000 - 5_000
+
     def test_update_spacing(self):
         ddp = controller(update_every_samples=10)
         for _ in range(100):

@@ -12,6 +12,7 @@ from repro.__main__ import (
     build_trace_parser,
     main,
 )
+from repro.core.config import MAX_SYMBOLS, MAX_TASKS
 from repro.runspec import JobError, job_from_args, normalize_job
 
 SWEEP = {"kind": "sweep", "grid": [{"n_shards": 1}]}
@@ -147,6 +148,51 @@ BAD_INPUTS = [
     ({**SWEEP, "warmup_s": -1}, ["sweep", "--grid", "n_shards=1", "--warmup", "-1"],
      "warmup_s must be non-negative and finite"),
     ({"kind": "fairness", "duration_s": -0.5}, ["fairness", "--duration", "-0.5"], DURATION),
+    # Every config field carries its own check: NaN, inf and a mistyped
+    # value are refused by name, not turned into a traceback or a failed
+    # worker task.
+    (None, ["--ds", "nan"], "sequencer_delay_us must be non-negative and finite"),
+    (None, ["--dh", "inf"], "holdrelease_delay_us must be non-negative and finite"),
+    ({**SWEEP, "base": {"sequencer_delay_us": math.nan}},
+     ["sweep", "--grid", "n_shards=1", "--set", "sequencer_delay_us=NaN"],
+     "sequencer_delay_us must be non-negative and finite"),
+    ({**SWEEP, "base": {"snapshot_interval_ms": math.inf}},
+     ["sweep", "--grid", "n_shards=1", "--set", "snapshot_interval_ms=Infinity"],
+     "snapshot_interval_ms must be non-negative and finite"),
+    ({**SWEEP, "base": {"ros_dedup_ttl_s": math.nan}},
+     ["sweep", "--grid", "n_shards=1", "--set", "ros_dedup_ttl_s=NaN"],
+     "ros_dedup_ttl_s must be positive and finite"),
+    ({**SWEEP, "base": {"n_participants": 2.5}},
+     ["sweep", "--grid", "n_shards=1", "--set", "n_participants=2.5"],
+     "'n_participants' must be an integer, got 2.5"),
+    ({**SWEEP, "base": {"spike_prob": "0.1"}},
+     ["sweep", "--grid", "n_shards=1", "--set", 'spike_prob="0.1"'],
+     "'spike_prob' must be a number, got '0.1'"),
+    # A value that would wrap an int64 inside a draw, or size a list at
+    # submission, is refused against its ceiling in repro.core.config.
+    (None, ["shardrun", "--rate", "1e-30"],
+     "rate_per_participant_s must be positive and finite, at least"),
+    ({**SWEEP, "rate_per_participant": 1e-30},
+     ["sweep", "--grid", "n_shards=1", "--rate", "1e-30"], f"{RATE}, at least"),
+    ({**SWEEP, "base": {"straggler_gateways": 1, "straggler_multiplier": 1e30}},
+     ["sweep", "--grid", "n_shards=1", "--set", "straggler_gateways=1",
+      "--set", "straggler_multiplier=1e30"], "straggler_multiplier must be in [1,1000]"),
+    ({**SWEEP, "base": {"injected_phase_seconds": 1e30}},
+     ["sweep", "--grid", "n_shards=1", "--set", "injected_phase_seconds=1e30"],
+     "injected_phase_seconds must be positive and finite, in [1e-09,"),
+    ({"kind": "sweep", "grid": [{"n_symbols": MAX_SYMBOLS + 1}]},
+     ["sweep", "--grid", f"n_symbols={MAX_SYMBOLS + 1}"],
+     f"n_symbols must be >= 1 and <= {MAX_SYMBOLS}, got {MAX_SYMBOLS + 1}"),
+    ({**SWEEP, "seeds": MAX_TASKS + 1},
+     ["sweep", "--grid", "n_shards=1", "--seeds", str(MAX_TASKS + 1)],
+     f"seeds must be >= 1 and <= {MAX_TASKS}, got {MAX_TASKS + 1}"),
+    ({"kind": "fairness", "seeds": MAX_TASKS // 24 + 1},
+     ["fairness", "--seeds", str(MAX_TASKS // 24 + 1)],
+     f"seeds must be >= 1 and <= {MAX_TASKS // 24}, got {MAX_TASKS // 24 + 1}"),
+    # The ZI trader cannot split one opportunity into more than all of it.
+    ({**SWEEP, "base": {"market_order_fraction": 0.6, "cancel_fraction": 0.6}},
+     ["sweep", "--grid", "n_shards=1", "--set", "market_order_fraction=0.6",
+      "--set", "cancel_fraction=0.6"], "market_order_fraction + cancel_fraction must be <= 1"),
 ]
 
 
