@@ -147,11 +147,14 @@ MAX_MEAN_GAP_NS = 86_400 * SECOND
 # chaos partition); far above it a delay wraps int64 and turns fastest.
 MAX_STRAGGLER_MULTIPLIER = 1000.0
 # Symbols, whose list is built with the config -- for a served sweep,
-# inside the request handler, once per task.  US equities list ~8k.
+# inside the request handler, once per point.  US equities list ~8k.
 MAX_SYMBOLS = 10_000
-# The (point, seed) tasks of one sweep, which SweepSpec.expand builds and
-# validation builds a config for, at submission.  The study's is 24.
+# The (point, seed) tasks of one sweep, which SweepSpec.expand builds at
+# submission.  The fairness study's default is 24.
 MAX_TASKS = 10_000
+# The symbols of a sweep's points, summed: validation builds one config
+# per point, inside the request handler (~1 us a symbol).
+MAX_SWEEP_SYMBOLS = 100 * MAX_TASKS
 
 # ----------------------------------------------------------------------
 # Field checks: ``check(name, value)`` accepts or raises a ValueError
@@ -162,6 +165,10 @@ Check = Callable[[str, object], None]
 
 def _is_number(value: object) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_integer(value: object) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_number(name: str, value: object) -> None:
@@ -216,7 +223,7 @@ def integer(low: int, high: float = math.inf) -> Check:
     within = in_range(low, high, wants=wants if high == math.inf else f"{wants} and <= {high}")
 
     def check(name: str, value: object) -> None:
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        if not is_integer(value):
             raise ValueError(f"{name!r} must be an integer, got {value!r}")
         within(name, value)
 
@@ -252,12 +259,12 @@ def check_fields(instance: object) -> None:
         spec.metadata["check"](spec.name, getattr(instance, spec.name))
 
 
-_symbol_count = integer(1, MAX_SYMBOLS)
+check_symbol_count = integer(1, MAX_SYMBOLS)
 
 
 def default_symbols(count: int) -> List[str]:
     """SYM000, SYM001, ... -- deterministic symbol universe."""
-    _symbol_count("n_symbols", count)
+    check_symbol_count("n_symbols", count)
     return [f"SYM{index:03d}" for index in range(count)]
 
 
@@ -302,7 +309,7 @@ class CloudExConfig:
     n_participants: int = checked(48, integer(1))
     n_gateways: int = checked(16, integer(1))
     n_shards: int = checked(1, integer(1))
-    n_symbols: int = checked(100, _symbol_count)
+    n_symbols: int = checked(100, check_symbol_count)
     symbols: Optional[List[str]] = checked(None, _symbol_list)
 
     # ------------------------------------------------------------------
@@ -493,8 +500,6 @@ class CloudExConfig:
             raise ValueError("more straggler gateways than gateways")
         if self.subscriptions_per_participant > self.n_symbols:
             raise ValueError("subscriptions_per_participant outside [0, n_symbols]")
-        if self.market_order_fraction + self.cancel_fraction > 1:
-            raise ValueError("market_order_fraction + cancel_fraction must be <= 1")
         if self.fairness_policy != "cloudex" and (
             self.ddp_inbound_target is not None or self.ddp_outbound_target is not None
         ):

@@ -47,7 +47,6 @@ import numpy as np
 from repro.cliutil import EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.core.config import (
     INITIAL_PRICE,
-    MAX_SYMBOLS,
     SHARDRUN_CHUNK,
     SHARDRUN_GATEWAY_BASE_US,
     SHARDRUN_GATEWAY_JITTER_SCALE_US,
@@ -62,6 +61,7 @@ from repro.core.config import (
     check_fields,
     check_rate,
     check_seed,
+    check_symbol_count,
     checked,
     default_symbols,
     duration,
@@ -110,7 +110,7 @@ class ShardRunConfig:
 
     seed: int = checked(2021, check_seed)
     n_participants: int = checked(1_000_000, integer(1))
-    n_symbols: int = checked(10, integer(1, MAX_SYMBOLS))
+    n_symbols: int = checked(10, check_symbol_count)
     n_shards: int = checked(10, integer(1))
     rate_per_participant_s: float = checked(0.45, check_rate)
     duration_s: float = checked(2.0, duration(SECOND, positive=True))

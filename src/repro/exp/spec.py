@@ -16,7 +16,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.config import MAX_TASKS, CloudExConfig, check_rate, duration, integer
+from repro.core.config import (
+    MAX_SWEEP_SYMBOLS, MAX_TASKS, CloudExConfig, check_rate, check_seed, duration, integer,
+)
 from repro.sim.rng import derive_seed
 from repro.sim.timeunits import SECOND
 
@@ -124,21 +126,29 @@ class SweepSpec:
 
     def seed_labels(self) -> List[str]:
         """One stable label per replicate (independent of seed values)."""
-        count = self.seeds if isinstance(self.seeds, int) else len(self.seeds)
-        # At most MAX_TASKS tasks, checked before any list is built.
-        integer(1, MAX_TASKS // max(1, len(self.grid)))("seeds", count)
         if isinstance(self.seeds, int):
+            integer(1)("seeds", self.seeds)
             return [f"rep{i}" for i in range(self.seeds)]
         return [f"seed{int(s)}" for s in self.seeds]
 
     def validate(self) -> None:
-        """Expand the grid, build every task's config and check its rate,
-        duration (positive) and warmup (non-negative) -- what a front door
-        (``python -m repro sweep``, a submitted job) checks before it runs
-        anything.  :func:`~repro.exp.runner.run_sweep` itself does not:
-        there a point that cannot be built is one failed task."""
-        for task in self.expand():
-            task.build_config()
+        """Expand the grid, check every task's seed and build each point's
+        config once (its replicates differ only in their seed), checking
+        its rate, duration (positive) and warmup (non-negative) -- what a
+        front door (``python -m repro sweep``, a submitted job) checks
+        before it runs anything.  The points' symbols are counted as
+        their configs are built, up to ``MAX_SWEEP_SYMBOLS`` in all.
+        :func:`~repro.exp.runner.run_sweep` itself does not: there a point
+        that cannot be built is one failed task."""
+        tasks = self.expand()
+        for task in tasks:
+            check_seed("seed", task.seed)
+        symbols = 0
+        for task in tasks[:: len(tasks) // len(self.grid)]:  # each point's first task
+            symbols += len(task.build_config().symbols)
+            if symbols > MAX_SWEEP_SYMBOLS:
+                raise ValueError(f"{len(self.grid)} grid points list more than "
+                                 f"MAX_SWEEP_SYMBOLS={MAX_SWEEP_SYMBOLS} symbols in all")
             try:
                 if task.rate_per_participant is not None:
                     check_rate("rate_per_participant", task.rate_per_participant)
@@ -152,8 +162,13 @@ class SweepSpec:
         if not self.grid:
             raise ValueError("sweep grid is empty")
         _check_point(self.base, "base overrides")
-        tasks: List[SweepTask] = []
         derived = isinstance(self.seeds, int)
+        replicates = self.seeds if derived else len(self.seeds)
+        if len(self.grid) * replicates > MAX_TASKS:
+            raise ValueError(
+                f"{len(self.grid)} grid points x {replicates} seeds exceeds MAX_TASKS={MAX_TASKS}"
+            )
+        tasks: List[SweepTask] = []
         seed_values: Sequence[int] = [] if derived else [int(s) for s in self.seeds]
         labels = self.seed_labels()
         for p_index, point in enumerate(self.grid):

@@ -27,13 +27,15 @@ normalized spec plus the simulator source-tree hash, reusing
 from __future__ import annotations
 
 import argparse
+import copy
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (
-    CLOCK_SYNC_MODES, check_finite, check_number, check_seed, integer, optional
+    CLOCK_SYNC_MODES, Check, check_finite, check_number, check_seed, integer, is_integer,
+    optional,
 )
 from repro.exp.cache import content_key
 from repro.exp.runner import SweepOutcome, run_sweep
@@ -54,77 +56,54 @@ def _require(condition: bool, message: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# Field checks: ``check(key, value)`` returns the canonical value.  A
-# ValueError becomes the JobError (see normalize_job).
+# Field checks: a repro.core.config ``Check`` (``check(key, value)``
+# accepts or raises; a ValueError becomes the JobError, see
+# normalize_job).
 # ----------------------------------------------------------------------
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _accept(check: Callable[[str, object], None], canonical=lambda value: value):
-    """A :mod:`repro.core.config` check as a field check: the value,
-    through ``canonical``, once ``check`` accepts it."""
-
-    def field_check(key: str, value: object):
-        check(key, value)
-        return canonical(value)
-
-    return field_check
-
-
-_seed = _accept(check_seed)
-_count = _accept(integer(1))
-_number = _accept(check_number, float)
-_finite = _accept(check_finite, float)
+_count = integer(1)
 # The rate's range is the spec's check (SweepSpec.validate), the same
 # one that covers a rate set on a single grid point.
-_rate = _accept(optional(check_number), lambda value: value if value is None else float(value))
+_rate = optional(check_number)
 
 
-def _name(key: str, value: object) -> str:
+def _name(key: str, value: object) -> None:
     _require(isinstance(value, str) and bool(value), f"{key!r} must be a non-empty string")
-    return value
 
 
-def _names(key: str, value: object) -> List[str]:
+def _names(key: str, value: object) -> None:
     _require(
         isinstance(value, list) and bool(value)
         and all(isinstance(item, str) and item for item in value),
         f"{key!r} must be a non-empty list of names",
     )
-    return list(value)
 
 
-def _seeds(key: str, value: object):
-    # ``seeds >= 1`` and MAX_TASKS are the spec's check (SweepSpec.seed_labels).
+def _seeds(key: str, value: object) -> None:
+    # ``seeds >= 1`` and MAX_TASKS are the spec's checks (SweepSpec.expand).
     if isinstance(value, list):
-        _require(bool(value) and all(_is_int(s) for s in value),
+        _require(bool(value) and all(map(is_integer, value)),
                  f"{key!r} list must be non-empty integers")
     else:
-        _require(_is_int(value), f"{key!r} must be an integer >= 1 or an explicit list")
-    return value
+        _require(is_integer(value), f"{key!r} must be an integer >= 1 or an explicit list")
 
 
-def _object(key: str, value: object) -> dict:
+def _object(key: str, value: object) -> None:
     _require(isinstance(value, dict), f"{key!r} must be an object")
-    return dict(value)
 
 
-def _grid(key: str, value: object) -> list:
+def _grid(key: str, value: object) -> None:
     _require(isinstance(value, list) and bool(value),
              f"{key!r} must be a non-empty list of override dicts")
     for index, point in enumerate(value):
         _require(isinstance(point, dict), f"grid point {index} must be an object")
-    return value
 
 
-def _scenario(key: str, value: object) -> str:
+def _scenario(key: str, value: object) -> None:
     from repro.chaos import available_scenarios
 
     _require(isinstance(value, str) and bool(value), f"{key!r} is required")
     known = [name for name, _ in available_scenarios()]
     _require(value in known, f"unknown chaos scenario {value!r} (known: {', '.join(known)})")
-    return value
 
 
 # ----------------------------------------------------------------------
@@ -180,7 +159,7 @@ class Field:
     """
 
     key: str
-    check: Optional[Callable[[str, object], object]]
+    check: Optional[Check]
     #: What a job that omits the key gets (checked like a given value).
     default: object
     flag: str
@@ -194,9 +173,10 @@ class Field:
     read: Optional[Callable[[object], object]] = None
 
 
-#: The argparse ``type`` of a flag, by its field's check.
-_FLAG_TYPES = {_seed: int, _count: int, _seeds: int, _number: float, _finite: float,
-               _rate: float, _names: comma_list}
+#: The argparse ``type`` of a flag, by its field's check.  A number's
+#: canonical job value is a float: ``2`` and ``2.0`` are one run.
+_FLAG_TYPES = {check_seed: int, _count: int, _seeds: int, check_number: float,
+               check_finite: float, _rate: float, _names: comma_list}
 
 #: Every field of every job kind, in canonical-spec order.
 FIELDS: Dict[str, Tuple[Field, ...]] = {
@@ -210,9 +190,9 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
         Field("seeds", None, None, "--seed-list",
               "explicit config seeds used verbatim (overrides --seeds)", "S1,S2,...",
               read=_seed_list),
-        Field("master_seed", _seed, 0, "--master-seed"),
-        Field("warmup_s", _finite, 0.5, "--warmup", metavar="SECONDS"),
-        Field("duration_s", _finite, 1.0, "--duration", metavar="SECONDS"),
+        Field("master_seed", check_seed, 0, "--master-seed"),
+        Field("warmup_s", check_finite, 0.5, "--warmup", metavar="SECONDS"),
+        Field("duration_s", check_finite, 1.0, "--duration", metavar="SECONDS"),
         Field("rate_per_participant", _rate, None, "--rate", "orders/s per participant"),
         Field("base", _object, {}, "--set",
               "base config override applied to every point (repeatable)", "FIELD=VALUE",
@@ -221,7 +201,7 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
     "chaos": (
         Field("scenario", _scenario, None, "--scenario", "scenario to run (see list below)",
               "NAME", cli_default="smoke"),
-        Field("seed", _seed, 11, "--seed"),
+        Field("seed", check_seed, 11, "--seed"),
     ),
     "fairness": (
         Field("name", _name, "fairness", "--name", "label recorded in the JSON"),
@@ -232,13 +212,13 @@ FIELDS: Dict[str, Tuple[Field, ...]] = {
         Field("scenarios", _names, list(SCENARIOS), "--scenarios", "chaos scenarios",
               "S1,S2,..."),
         Field("seeds", _seeds, 1, "--seeds", "replicate seeds per cell", "N"),
-        Field("master_seed", _seed, 0, "--master-seed"),
+        Field("master_seed", check_seed, 0, "--master-seed"),
         Field("n_participants", _count, 8, "--participants"),
         Field("n_gateways", _count, 4, "--gateways"),
         Field("n_symbols", _count, 10, "--symbols"),
-        Field("rate_per_participant", _number, 300.0, "--rate", "orders/s per participant"),
-        Field("warmup_s", _finite, 0.3, "--warmup", metavar="SECONDS"),
-        Field("duration_s", _finite, 0.8, "--duration", metavar="SECONDS"),
+        Field("rate_per_participant", check_number, 300.0, "--rate", "orders/s per participant"),
+        Field("warmup_s", check_finite, 0.3, "--warmup", metavar="SECONDS"),
+        Field("duration_s", check_finite, 0.8, "--duration", metavar="SECONDS"),
     ),
 }
 
@@ -296,10 +276,14 @@ def normalize_job(raw: object) -> Dict[str, object]:
     _require(not unknown, f"unknown field(s) for a {kind} job: {', '.join(unknown)}")
     normalized: Dict[str, object] = {"kind": kind}
     for field in fields:
+        # A copy: the spec never aliases a module-level default list.
+        value = raw.get(field.key, copy.deepcopy(field.default))
         try:
-            normalized[field.key] = field.check(field.key, raw.get(field.key, field.default))
+            field.check(field.key, value)
         except ValueError as exc:
             raise JobError(str(exc)) from None
+        float_type = _FLAG_TYPES.get(field.check) is float
+        normalized[field.key] = float(value) if float_type and value is not None else value
     # The full spec is built (its grid expanded, every point's config
     # built) at submission, so a bad field name or value is a usage
     # error or a 400 here, not a worker crash minutes later.

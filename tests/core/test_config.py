@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 import tracemalloc
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import (
     DDP_MAX_DELAY_US,
+    MAX_SWEEP_SYMBOLS,
     MAX_SYMBOLS,
     MAX_TASKS,
     CloudExConfig,
@@ -176,11 +178,6 @@ class TestValidation:
                 {"injected_delay_phases_us": (0.0, 100.0), "injected_phase_seconds": 1e30},
                 "injected_phase_seconds",
             ),
-            # ZeroIntelligenceStrategy refused it when the workload attached.
-            (
-                {"market_order_fraction": 0.6, "cancel_fraction": 0.6},
-                "market_order_fraction \\+ cancel_fraction",
-            ),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):
@@ -296,7 +293,7 @@ class TestCeilings:
         # submission, inside the request handler.
         tracemalloc.start()
         try:
-            with pytest.raises(JobError, match=r"must be >= 1 and <= \d+, got"):
+            with pytest.raises(JobError, match=r"must be >= 1 and <= \d+, got|exceeds MAX_TASKS"):
                 normalize_job(job)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -306,4 +303,17 @@ class TestCeilings:
     def test_every_count_at_its_ceiling_is_accepted(self):
         assert len(CloudExConfig(n_symbols=MAX_SYMBOLS).symbols) == MAX_SYMBOLS
         spec = build_sweep_spec(normalize_job({"kind": "sweep", "grid": [{"n_shards": 1}]}))
-        assert len(dataclasses.replace(spec, seeds=MAX_TASKS).seed_labels()) == MAX_TASKS
+        assert len(dataclasses.replace(spec, seeds=MAX_TASKS).expand()) == MAX_TASKS
+        widest = [{"n_symbols": MAX_SYMBOLS}] * (MAX_SWEEP_SYMBOLS // MAX_SYMBOLS)
+        normalize_job({"kind": "sweep", "grid": widest, "seeds": MAX_TASKS // len(widest)})
+
+    def test_the_widest_grid_is_refused_without_building_every_config(self):
+        # MAX_TASKS points at MAX_SYMBOLS symbols: validating each
+        # (point, seed) task built 10^8 symbols, ~90 s inside a request
+        # handler.  One config per point, counted against
+        # MAX_SWEEP_SYMBOLS, refuses it after ~100 configs.
+        job = {"kind": "sweep", "grid": [{"n_symbols": MAX_SYMBOLS}] * MAX_TASKS}
+        started = time.perf_counter()
+        with pytest.raises(JobError, match="MAX_SWEEP_SYMBOLS"):
+            normalize_job(job)
+        assert time.perf_counter() - started < 20

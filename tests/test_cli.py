@@ -12,7 +12,7 @@ from repro.__main__ import (
     build_trace_parser,
     main,
 )
-from repro.core.config import MAX_SYMBOLS, MAX_TASKS
+from repro.core.config import MAX_SWEEP_SYMBOLS, MAX_SYMBOLS, MAX_TASKS
 from repro.runspec import JobError, job_from_args, normalize_job
 
 SWEEP = {"kind": "sweep", "grid": [{"n_shards": 1}]}
@@ -185,14 +185,19 @@ BAD_INPUTS = [
      f"n_symbols must be >= 1 and <= {MAX_SYMBOLS}, got {MAX_SYMBOLS + 1}"),
     ({**SWEEP, "seeds": MAX_TASKS + 1},
      ["sweep", "--grid", "n_shards=1", "--seeds", str(MAX_TASKS + 1)],
-     f"seeds must be >= 1 and <= {MAX_TASKS}, got {MAX_TASKS + 1}"),
+     f"1 grid points x {MAX_TASKS + 1} seeds exceeds MAX_TASKS={MAX_TASKS}"),
     ({"kind": "fairness", "seeds": MAX_TASKS // 24 + 1},
      ["fairness", "--seeds", str(MAX_TASKS // 24 + 1)],
-     f"seeds must be >= 1 and <= {MAX_TASKS // 24}, got {MAX_TASKS // 24 + 1}"),
-    # The ZI trader cannot split one opportunity into more than all of it.
-    ({**SWEEP, "base": {"market_order_fraction": 0.6, "cancel_fraction": 0.6}},
-     ["sweep", "--grid", "n_shards=1", "--set", "market_order_fraction=0.6",
-      "--set", "cancel_fraction=0.6"], "market_order_fraction + cancel_fraction must be <= 1"),
+     f"24 grid points x {MAX_TASKS // 24 + 1} seeds exceeds MAX_TASKS={MAX_TASKS}"),
+    ({"kind": "sweep", "grid": [{"n_shards": 1}] * (MAX_TASKS + 1)},
+     ["sweep", "--grid", "n_shards=" + ",".join(["1"] * (MAX_TASKS + 1))],
+     f"{MAX_TASKS + 1} grid points x 1 seeds exceeds MAX_TASKS={MAX_TASKS}"),
+    # MAX_TASKS points at MAX_SYMBOLS symbols each: refused once the
+    # configs built so far list MAX_SWEEP_SYMBOLS, not after ~90 s of
+    # building all of them.
+    ({"kind": "sweep", "grid": [{"n_symbols": MAX_SYMBOLS}] * MAX_TASKS},
+     ["sweep", "--grid", f"n_symbols={','.join([str(MAX_SYMBOLS)] * MAX_TASKS)}"],
+     f"{MAX_TASKS} grid points list more than MAX_SWEEP_SYMBOLS={MAX_SWEEP_SYMBOLS} symbols"),
 ]
 
 
