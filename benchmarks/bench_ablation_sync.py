@@ -11,45 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from benchmarks.conftest import bench_scale, emit
-from repro.clocksync.service import ClockSyncService
-from repro.core.config import CLOCK_DRIFT_PPB_MAX, CLOCK_OFFSET_NS_MAX, CloudExConfig
-from repro.sim.engine import Simulator
-from repro.sim.network import Network
-from repro.sim.rng import RngRegistry
+from benchmarks.conftest import bench_scale, emit, sync_testbed
 from repro.sim.timeunits import MILLISECOND, SECOND
 
 PROBE_INTERVALS_MS = (40.0, 20.0, 10.0, 5.0)  # 25..200 probes/s/direction
+SKIP_S = 3.0
 
 
-def run_sync(
-    probe_interval_ms: float,
-    n_clients: int = 8,
-    seed: int = 5,
-    skip_s: float = 3.0,
-):
-    sim = Simulator()
-    rngs = RngRegistry(seed)
-    network = Network(sim, rngs)
-    reference = network.add_host("engine")
-    clock_rng = rngs.stream("clocks")
-    link = CloudExConfig().link_model("gateway_engine")
-    clients = []
-    for i in range(n_clients):
-        client = network.add_host(
-            f"g{i:02d}",
-            drift_ppb=int(clock_rng.integers(-CLOCK_DRIFT_PPB_MAX, CLOCK_DRIFT_PPB_MAX + 1)),
-            offset_ns=int(clock_rng.integers(-CLOCK_OFFSET_NS_MAX, CLOCK_OFFSET_NS_MAX + 1)),
-        )
-        network.connect_bidirectional("engine", client.name, link)
-        clients.append(client)
-    service = ClockSyncService(
-        sim,
-        network,
-        reference,
-        clients,
-        rngs,
-        probe_interval_ns=int(probe_interval_ms * MILLISECOND),
+def run_sync(probe_interval_ms: float):
+    sim, service = sync_testbed(
+        5, 8, "clocks", probe_interval_ns=int(probe_interval_ms * MILLISECOND)
     )
     service.warm_start()
     service.start()
@@ -57,18 +28,15 @@ def run_sync(
     # Steady state only: the warm-up window (shared between compared
     # configurations) would otherwise dominate the tail.  It shrinks with
     # the run, so a small scale still leaves samples to rank.
-    skip = int(skip_s * bench_scale() * SECOND / (probe_interval_ms * MILLISECOND))
+    skip = int(SKIP_S * bench_scale() * SECOND / (probe_interval_ms * MILLISECOND))
     errors = np.abs(
-        np.concatenate([service._state[c.name].error_samples_ns[skip:] for c in clients])
+        np.concatenate([service._state[c.name].error_samples_ns[skip:] for c in service.clients])
     )
     return float(np.percentile(errors, 50)), float(np.percentile(errors, 99))
 
 
-def test_precision_vs_probe_rate(benchmark):
-    def run():
-        return {interval: run_sync(interval) for interval in PROBE_INTERVALS_MS}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_precision_vs_probe_rate():
+    results = {interval: run_sync(interval) for interval in PROBE_INTERVALS_MS}
     emit(
         "Ablation: Huygens residual error vs probe rate (8 gateways)",
         ["probes/s/dir", "p50 (ns)", "p99 (ns)"],

@@ -70,10 +70,8 @@ def fig4_results():
     return static_rows, ddp_rows
 
 
-def test_fig4a_inbound(benchmark, fig4_results):
-    static_rows, ddp_rows = benchmark.pedantic(
-        lambda: fig4_results, rounds=1, iterations=1
-    )
+def test_fig4a_inbound(fig4_results):
+    static_rows, ddp_rows = fig4_results
     emit(
         "Fig. 4a (inbound): static d_s sweep",
         ["d_s (us)", "inbound unfairness", "avg queuing delay (us)"],
@@ -99,10 +97,8 @@ def test_fig4a_inbound(benchmark, fig4_results):
         assert achieved == pytest.approx(target, rel=0.75, abs=0.004)
 
 
-def test_fig4b_outbound(benchmark, fig4_results):
-    static_rows, ddp_rows = benchmark.pedantic(
-        lambda: fig4_results, rounds=1, iterations=1
-    )
+def test_fig4b_outbound(fig4_results):
+    static_rows, ddp_rows = fig4_results
     emit(
         "Fig. 4b (outbound): static d_h sweep",
         ["d_h (us)", "outbound unfairness", "avg releasing delay (us)"],

@@ -70,10 +70,8 @@ def fig5_results():
     return static_rows, ddp_rows
 
 
-def test_fig5_adaptation(benchmark, fig5_results):
-    static_rows, ddp_rows = benchmark.pedantic(
-        lambda: fig5_results, rounds=1, iterations=1
-    )
+def test_fig5_adaptation(fig5_results):
+    static_rows, ddp_rows = fig5_results
     emit(
         "Fig. 5 (with artificial delay): static points",
         ["d_s/d_h (us)", "inbound", "queuing (us)", "outbound", "releasing (us)"],

@@ -75,11 +75,10 @@ def ros_results():
     return results
 
 
-def test_fig6a_submission_latency(benchmark, ros_results):
-    results = benchmark.pedantic(lambda: ros_results, rounds=1, iterations=1)
+def test_fig6a_submission_latency(ros_results):
     rows = []
     for rf in REPLICATION_FACTORS:
-        summary = results[rf][0]
+        summary = ros_results[rf][0]
         paper = PAPER_LATENCY[rf]
         rows.append(
             [rf, f"{summary.p50_us:.0f}", f"{summary.p99_us:.0f}",
@@ -91,8 +90,8 @@ def test_fig6a_submission_latency(benchmark, ros_results):
         rows,
     )
 
-    p50 = {rf: results[rf][0].p50_us for rf in REPLICATION_FACTORS}
-    p999 = {rf: results[rf][0].p999_us for rf in REPLICATION_FACTORS}
+    p50 = {rf: ros_results[rf][0].p50_us for rf in REPLICATION_FACTORS}
+    p999 = {rf: ros_results[rf][0].p999_us for rf in REPLICATION_FACTORS}
     # RF=1 matches the calibrated baseline.
     assert p50[1] == pytest.approx(365, rel=0.15)
     assert p999[1] == pytest.approx(1096, rel=0.25)
@@ -103,15 +102,14 @@ def test_fig6a_submission_latency(benchmark, ros_results):
     assert p999[5] > p999[3]
     assert p50[5] > p50[3]
     # Dedup machinery really ran.
-    _, _, dropped, received = results[5]
+    _, _, dropped, received = ros_results[5]
     assert dropped == pytest.approx(received * 4 / 5, rel=0.02)
 
 
-def test_fig6b_cpu_cost(benchmark, ros_results):
-    results = benchmark.pedantic(lambda: ros_results, rounds=1, iterations=1)
+def test_fig6b_cpu_cost(ros_results):
     rows = []
     for rf in REPLICATION_FACTORS:
-        cpu = results[rf][1]
+        cpu = ros_results[rf][1]
         paper = PAPER_CPU[rf]
         rows.append(
             [rf, f"{cpu['engine_cores']:.1f}", f"{cpu['gateway_cores']:.2f}",
@@ -125,12 +123,12 @@ def test_fig6b_cpu_cost(benchmark, ros_results):
     )
 
     for rf in REPLICATION_FACTORS:
-        cpu = results[rf][1]
+        cpu = ros_results[rf][1]
         engine, gateway, participant = PAPER_CPU[rf]
         assert cpu["engine_cores"] == pytest.approx(engine, rel=0.15)
         assert cpu["gateway_cores"] == pytest.approx(gateway, rel=0.15)
         assert cpu["participant_cores"] == pytest.approx(participant, rel=0.2)
     # Cost grows monotonically with RF for every VM type.
     for key in ("engine_cores", "gateway_cores", "participant_cores"):
-        series = [results[rf][1][key] for rf in REPLICATION_FACTORS]
+        series = [ros_results[rf][1][key] for rf in REPLICATION_FACTORS]
         assert series == sorted(series)

@@ -100,14 +100,10 @@ def table1_results():
     return results
 
 
-def test_table1(benchmark, table1_results):
-    def run():
-        return table1_results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_table1(table1_results):
     rows = []
     for shards in SHARD_COUNTS:
-        throughput, submission, e2e = results[shards]
+        throughput, submission, e2e = table1_results[shards]
         p_thr, p_sub, p_e2e = PAPER[shards]
         rows.append(
             [
@@ -124,7 +120,7 @@ def test_table1(benchmark, table1_results):
         rows,
     )
 
-    throughputs = [results[s][0] for s in SHARD_COUNTS]
+    throughputs = [table1_results[s][0] for s in SHARD_COUNTS]
     # Shape assertions: monotone non-decreasing ramp...
     assert throughputs[0] == pytest.approx(22_000, rel=0.15)
     assert throughputs[1] > 1.5 * throughputs[0]
@@ -133,5 +129,5 @@ def test_table1(benchmark, table1_results):
     assert throughputs[4] == pytest.approx(throughputs[3], rel=0.05)
     assert 2.2 * throughputs[0] < throughputs[4] < 3.4 * throughputs[0]
     # Submission latency is shard-count independent (paper: 365-402 us).
-    submissions = [results[s][1] for s in SHARD_COUNTS]
+    submissions = [table1_results[s][1] for s in SHARD_COUNTS]
     assert max(submissions) - min(submissions) < 80

@@ -20,13 +20,15 @@ duration (e.g. ``CLOUDEX_BENCH_SCALE=0.3`` for a quick smoke pass,
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence
-
-import pytest
+from typing import Optional, Sequence, Tuple
 
 from repro.analysis.tables import format_table
+from repro.clocksync.service import ClockSyncService
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CloudExConfig
+from repro.core.config import CLOCK_DRIFT_PPB_MAX, CLOCK_OFFSET_NS_MAX, CloudExConfig
+from repro.sim.engine import Simulator
+from repro.sim.network import Network
+from repro.sim.rng import RngRegistry
 
 
 def bench_scale() -> float:
@@ -96,11 +98,26 @@ def emit(title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -
     print(format_table(headers, rows))
 
 
-def run_once(benchmark, fn):
-    """Run ``fn`` exactly once under pytest-benchmark.
-
-    These are minutes-long simulations; statistical repetition lives
-    *inside* each run (hundreds of thousands of simulated orders), not
-    across rounds.
-    """
-    return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+def sync_testbed(
+    seed: int, n_clients: int, clock_stream: str, **service_options
+) -> Tuple[Simulator, ClockSyncService]:
+    """The §4 clock-sync testbed: an ``engine`` reference plus
+    ``n_clients`` gateway clocks, each booted with a drift and offset
+    drawn off ``clock_stream``, over the calibrated gateway-engine link.
+    ``service_options`` go to :class:`ClockSyncService`."""
+    sim = Simulator()
+    rngs = RngRegistry(seed)
+    network = Network(sim, rngs)
+    reference = network.add_host("engine")
+    clock_rng = rngs.stream(clock_stream)
+    link = CloudExConfig().link_model("gateway_engine")
+    clients = []
+    for i in range(n_clients):
+        client = network.add_host(
+            f"g{i:02d}",
+            drift_ppb=int(clock_rng.integers(-CLOCK_DRIFT_PPB_MAX, CLOCK_DRIFT_PPB_MAX + 1)),
+            offset_ns=int(clock_rng.integers(-CLOCK_OFFSET_NS_MAX, CLOCK_OFFSET_NS_MAX + 1)),
+        )
+        network.connect_bidirectional("engine", client.name, link)
+        clients.append(client)
+    return sim, ClockSyncService(sim, network, reference, clients, rngs, **service_options)

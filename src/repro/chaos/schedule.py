@@ -142,7 +142,7 @@ class FaultSchedule:
 
     def __bool__(self) -> bool:
         # An empty schedule is still a schedule: arming it must be a
-        # no-op that perturbs nothing (bench_chaos_overhead pins this).
+        # no-op that perturbs nothing (tests/chaos/test_injector.py pins this).
         return True
 
     # ------------------------------------------------------------------

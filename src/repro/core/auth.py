@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import math
 import threading
 import time
 from typing import Callable, Dict
@@ -78,8 +79,8 @@ class RateLimiter:
         burst: int,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if rate_per_s <= 0:
-            raise ValueError(f"rate_per_s must be > 0, got {rate_per_s}")
+        if not 0 < rate_per_s < math.inf:
+            raise ValueError(f"rate_per_s must be positive and finite, got {rate_per_s}")
         if burst < 1:
             raise ValueError(f"burst must be >= 1, got {burst}")
         self.rate_per_s = float(rate_per_s)

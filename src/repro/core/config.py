@@ -519,6 +519,11 @@ class CloudExConfig:
                     f"{name}: the delay it tunes starts at {initial_us} us, "
                     f"above DDP_MAX_DELAY_US={DDP_MAX_DELAY_US}"
                 )
+        if self.market_order_fraction + self.cancel_fraction > 1.0:
+            raise ValueError(
+                f"market_order_fraction + cancel_fraction must be <= 1, got "
+                f"{self.market_order_fraction} + {self.cancel_fraction}"
+            )
         if self.gateway_failover and self.ack_timeout_ms is None:
             raise ValueError("gateway_failover requires ack_timeout_ms to be set")
         if self.gateway_failover and self.n_gateways < 2:

@@ -35,12 +35,13 @@ request budgets come from :class:`repro.core.auth.RateLimiter`
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from repro.core.auth import AuthRegistry, RateLimiter
+from repro.core.config import check_fields, check_positive_finite, checked, integer, optional
 from repro.exp.cache import code_version_hash
 from repro.runspec import JobError, describe, job_key, normalize_job
 from repro.serve.evidence import MANIFEST
@@ -53,26 +54,44 @@ DEFAULT_DATA_DIR = ".repro-serve"
 MAX_BODY_BYTES = 1 << 20
 
 
+def _text(name: str, value: object) -> None:
+    if not isinstance(value, str):
+        raise ValueError(f"{name!r} must be a string, got {value!r}")
+
+
+def _credentials(name: str, value: object) -> None:
+    if not (
+        isinstance(value, dict)
+        and all(isinstance(item, str) for pair in value.items() for item in pair)
+    ):
+        raise ValueError(f"{name!r} must map client ids to tokens, got {value!r}")
+
+
 @dataclass
 class ServeConfig:
-    """Everything a :class:`ReproServer` needs, in one place."""
+    """Everything a :class:`ReproServer` needs, in one place.  Each field
+    declares its check (``repro.core.config.checked``); construction runs
+    them all, so a bad value is refused before any store is opened."""
 
-    host: str = "127.0.0.1"
-    port: int = 8321  # 0 = ephemeral (tests, parallel CI)
-    data_dir: str = DEFAULT_DATA_DIR
+    host: str = checked("127.0.0.1", _text)
+    port: int = checked(8321, integer(0, 65535))  # 0 = ephemeral (tests, parallel CI)
+    data_dir: str = checked(DEFAULT_DATA_DIR, _text)
     #: Operator secret: signs certificates and (when no explicit
     #: clients are given) mints the default client token.
-    secret: str = "repro-dev-secret"
-    #: client id -> bearer token.  Empty = a single "operator" client
-    #: with a token minted from the secret.
-    clients: Dict[str, str] = field(default_factory=dict)
+    secret: str = checked("repro-dev-secret", _text)
+    #: client id -> bearer token.  None or empty = a single "operator"
+    #: client with a token minted from the secret.
+    clients: Optional[Dict[str, str]] = checked(None, optional(_credentials))
     #: Worker processes in the executor's pool (1 = run jobs inline).
-    jobs: int = 1
-    rate_per_s: float = 20.0
-    burst: int = 40
+    jobs: int = checked(1, integer(1))
+    rate_per_s: float = checked(20.0, check_positive_finite)
+    burst: int = checked(40, integer(1))
     #: Per-task timeout / retries handed to the pool (jobs > 1).
-    timeout_s: Optional[float] = None
-    retries: int = 1
+    timeout_s: Optional[float] = checked(None, optional(check_positive_finite))
+    retries: int = checked(1, integer(0))
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 class ReproServer:

@@ -84,18 +84,21 @@ def serve_main(argv=None) -> int:
             return usage_error(f"--client expects NAME=TOKEN, got {spec!r}")
         clients[name] = token
 
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        data_dir=args.data_dir,
-        secret=args.operator_secret,
-        clients=clients,
-        jobs=args.jobs,
-        rate_per_s=args.rate,
-        burst=args.burst,
-        timeout_s=args.timeout,
-        retries=args.retries,
-    )
+    try:
+        config = ServeConfig(
+            host=args.host,
+            port=args.port,
+            data_dir=args.data_dir,
+            secret=args.operator_secret,
+            clients=clients,
+            jobs=args.jobs,
+            rate_per_s=args.rate,
+            burst=args.burst,
+            timeout_s=args.timeout,
+            retries=args.retries,
+        )
+    except ValueError as exc:
+        return usage_error(exc)
     server = ReproServer(config)
     host, port = server.address
     print(f"repro serve: listening on http://{host}:{port}", flush=True)

@@ -78,7 +78,8 @@ class ZeroIntelligenceStrategy:
         Symbols this trader is active in (and subscribes to).
     market_order_fraction, cancel_fraction:
         Probability an opportunity becomes a market order, or instead
-        cancels a working order (``CloudExConfig``'s workload fields).
+        cancels a working order (``CloudExConfig``'s workload fields,
+        whose sum it checks).
     """
 
     def __init__(
@@ -89,8 +90,6 @@ class ZeroIntelligenceStrategy:
     ) -> None:
         if not symbols:
             raise ValueError("ZI trader needs at least one symbol")
-        if market_order_fraction + cancel_fraction > 1.0:
-            raise ValueError("market + cancel fractions exceed 1")
         self.symbols: List[Symbol] = list(symbols)
         self.market_order_fraction = market_order_fraction
         self.cancel_fraction = cancel_fraction

@@ -80,6 +80,36 @@ class TestInjector:
         kinds = [e.kind for e in cluster.events.events(component="chaos")]
         assert "chaos.crash" in kinds and "chaos.heal" in kinds
 
+    def test_armed_empty_schedule_runs_identically_to_no_chaos(self):
+        """Fault injection is free when off: every hot-path hook is gated
+        behind one ``is not None`` / flag test, so an armed schedule with
+        no faults runs event for event as no chaos at all."""
+
+        def run(chaos):
+            cluster = CloudExCluster(CloudExConfig(
+                seed=7,
+                n_participants=8,
+                n_gateways=4,
+                n_symbols=8,
+                orders_per_participant_per_s=300.0,
+                subscriptions_per_participant=2,
+                chaos=chaos,
+            ))
+            cluster.add_default_workload()
+            cluster.run(duration_s=1.0)
+            return cluster
+
+        off, armed = run(None), run(FaultSchedule(()))
+        assert off.sim.events_processed == armed.sim.events_processed
+        assert off.metrics.orders_released == armed.metrics.orders_released
+        # Less the chaos.* counters the armed injector registers at zero.
+        armed_counters = {
+            name: value
+            for name, value in armed.metrics.counts().items()
+            if not name.startswith("chaos.")
+        }
+        assert armed_counters == off.metrics.counts()
+
     def test_unknown_host_fails_at_arm_time(self):
         schedule = FaultSchedule((HostCrash("g99", at_s=0.5),))
         cluster = CloudExCluster(_config(schedule))

@@ -71,7 +71,7 @@ class TestSchedule:
 
     def test_empty_schedule_is_truthy(self):
         # An armed empty schedule must still count as "chaos configured"
-        # (it is the zero-overhead baseline in bench_chaos_overhead).
+        # (the zero-overhead baseline tests/chaos/test_injector.py compares).
         assert bool(FaultSchedule(()))
         assert len(FaultSchedule(())) == 0
 

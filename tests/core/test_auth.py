@@ -95,3 +95,8 @@ class TestRateLimiter:
             RateLimiter(rate_per_s=0.0, burst=1)
         with pytest.raises(ValueError):
             RateLimiter(rate_per_s=1.0, burst=0)
+
+    def test_nan_rate_rejected(self):
+        # NaN failed no "<= 0" test, and a NaN bucket never throttles.
+        with pytest.raises(ValueError, match="rate_per_s"):
+            RateLimiter(float("nan"), 2)

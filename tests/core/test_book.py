@@ -1,5 +1,6 @@
 """Tests for the limit order book."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,23 @@ def order(coid, side, price, qty=10, ts=None, participant="p", seq=None):
         gateway_timestamp=ts if ts is not None else coid,
         gateway_seq=seq if seq is not None else coid,
     )
+
+
+def random_orders(n, crossing=False, seed=1):
+    """``n`` seeded limit orders from eight participants: 0-19 ticks
+    behind a 9 990 / 10 010 touch, or ``crossing`` within 5 of 10 000."""
+    rng = np.random.default_rng(seed)
+    orders = []
+    for i in range(n):
+        side = Side.BUY if rng.random() < 0.5 else Side.SELL
+        if crossing:
+            price = 10_000 + int(rng.integers(-5, 6))
+        else:
+            behind = int(rng.integers(0, 20))
+            price = 9_990 - behind if side is Side.BUY else 10_010 + behind
+        qty = int(rng.integers(1, 100))
+        orders.append(order(i + 1, side, price, qty=qty, ts=i, participant=f"p{i % 8}", seq=i))
+    return orders
 
 
 @pytest.fixture
@@ -166,6 +184,28 @@ class TestDepth:
         book.add_resting(order(2, Side.BUY, 99, qty=20))
         assert book.bids.total_volume() == 30
         assert book.bids.order_count() == 2
+
+
+class TestPinnedWorkloads:
+    """Seeded workloads whose results a faster book must leave unchanged."""
+
+    def test_add_then_cancel_every_order_empties_the_book(self, book):
+        orders = random_orders(2_000)
+        for o in orders:
+            book.add_resting(o)
+        for o in orders:
+            book.cancel(o.participant_id, o.client_order_id)
+        assert book.resting_count() == 0
+
+    def test_depth_snapshot_checksum(self, book):
+        checksum = 0
+        for i, o in enumerate(random_orders(1_000)):
+            book.add_resting(o)
+            bids, asks = book.depth_snapshot(max_levels=10)
+            checksum = (checksum * 31 + len(bids) + 7 * len(asks) + i) % 1_000_000_007
+            if i % 3 == 0:
+                book.cancel(o.participant_id, o.client_order_id)
+        assert checksum == 194_432_042
 
 
 class TestPriceLevel:

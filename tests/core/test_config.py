@@ -178,6 +178,11 @@ class TestValidation:
                 {"injected_delay_phases_us": (0.0, 100.0), "injected_phase_seconds": 1e30},
                 "injected_phase_seconds",
             ),
+            # The ZI trader draws one roll against both thresholds.
+            (
+                {"market_order_fraction": 0.7, "cancel_fraction": 0.5},
+                "cancel_fraction must be <= 1",
+            ),
         ],
     )
     def test_values_the_builder_would_refuse_are_refused_here(self, overrides, named):

@@ -11,6 +11,7 @@ from repro.core.messages import StampedCancel
 from repro.core.order import Order
 from repro.core.portfolio import PortfolioMatrix
 from repro.core.types import OrderStatus, OrderType, RejectReason, Side, TimeInForce
+from tests.core.test_book import random_orders
 
 _ids = itertools.count(1)
 
@@ -223,6 +224,18 @@ class TestCancels:
         assert confirmation.status is OrderStatus.CANCELLED
         assert confirmation.filled == 4
         assert confirmation.remaining == 6
+
+
+class TestPinnedWorkload:
+    def test_crossing_flow_processes_every_order(self):
+        """A seeded workload whose result a faster core must leave unchanged."""
+        portfolio = PortfolioMatrix(default_cash=10**9)
+        for i in range(8):
+            portfolio.open_account(f"p{i}")
+        core = MatchingEngineCore(["S"], portfolio)
+        for o in random_orders(2_000, crossing=True):
+            core.process_order(o, now_local=0)
+        assert core.orders_processed == 2_000
 
 
 class TestSnapshot:

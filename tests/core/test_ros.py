@@ -32,6 +32,15 @@ class TestDedup:
         assert RosDeduplicator().winner(("p", 9)) is None
 
 
+    def test_three_replicas_of_each_order_drop_two(self):
+        """A fixed workload whose result a faster dedup must leave unchanged."""
+        dedup = RosDeduplicator()
+        for i in range(5_000):
+            for gw in ("g0", "g1", "g2"):
+                dedup.admit(("p", i), gw, now_local=i * 1_000)
+        assert dedup.duplicates_dropped == 10_000
+
+
 class TestTtl:
     def test_entries_expire(self):
         dedup = RosDeduplicator(ttl_ns=1 * SECOND)

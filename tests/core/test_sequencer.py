@@ -174,6 +174,23 @@ class TestDynamicDelay:
             Sequencer(h.sim, h.clock, on_eligible=lambda: None, delay_ns=-5)
 
 
+class TestPinnedWorkload:
+    def test_enqueue_then_drain_releases_every_item(self):
+        """A fixed workload whose result a faster sequencer must leave
+        unchanged."""
+        sim = Simulator()
+        seq = Sequencer(sim, HostClock(sim), on_eligible=lambda: None, delay_ns=0)
+        for i in range(5_000):
+            seq.enqueue((i % 97, "g", i), i, i)
+        # Advance past every release deadline, then drain.
+        sim.schedule(1_000, lambda: None)
+        sim.run()
+        drained = 0
+        while seq.pop_eligible() is not None:
+            drained += 1
+        assert drained == 5_000
+
+
 class TestBusyConsumer:
     def test_backlog_comes_out_sorted(self):
         """While the consumer is busy, arrivals accumulate in the heap

@@ -106,6 +106,18 @@ class TestDiscipline:
         assert clock.correction_ns == 10 + 1_000
 
 
+    def test_corrected_readings_sum(self):
+        """A fixed workload whose result a faster clock must leave unchanged."""
+        sim = Simulator()
+        clock = HostClock(sim, drift_ppb=42_000, offset_ns=1_500_000)
+        clock.set_linear_correction(1_200, 37_000, clock.raw_local())
+        total = 0
+        for i in range(150_000):
+            sim.now = i * 1_000
+            total += clock.now()
+        assert total == 11_474_801_232_297
+
+
 class TestLocalScheduling:
     def test_schedule_at_local_perfect_clock(self):
         sim, clock = make_clock()

@@ -59,6 +59,18 @@ class TestScheduling:
         assert sim.now == 30
 
 
+    def test_event_chain_processes_every_event(self, sim):
+        """A fixed workload whose result a faster engine must leave unchanged."""
+
+        def tick(n):
+            if n:
+                sim.schedule(10, tick, n - 1)
+
+        tick(10_000)
+        sim.run()
+        assert sim.events_processed == 10_000
+
+
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self, sim):
         hits = []

@@ -70,6 +70,13 @@ class TestScan:
         assert keys(table.scan(start="b")) == ["b", "c"]
 
 
+    def test_scan_returns_every_written_row(self, table):
+        """A fixed workload whose result a faster table must leave unchanged."""
+        for i in range(2_000):
+            table.write(f"trade#S#{i:012d}", "cf", i)
+        assert sum(1 for _ in table.scan()) == 2_000
+
+
 class TestCounters:
     def test_write_counter(self, table):
         table.write("r", "cf", "v")

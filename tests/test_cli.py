@@ -198,6 +198,10 @@ BAD_INPUTS = [
     ({"kind": "sweep", "grid": [{"n_symbols": MAX_SYMBOLS}] * MAX_TASKS},
      ["sweep", "--grid", f"n_symbols={','.join([str(MAX_SYMBOLS)] * MAX_TASKS)}"],
      f"{MAX_TASKS} grid points list more than MAX_SWEEP_SYMBOLS={MAX_SWEEP_SYMBOLS} symbols"),
+    # Refused in a worker, as a failed task, while the strategy checked it.
+    ({**SWEEP, "base": {"market_order_fraction": 0.6, "cancel_fraction": 0.6}},
+     ["sweep", "--grid", "n_shards=1", "--set", "market_order_fraction=0.6",
+      "--set", "cancel_fraction=0.6"], "market_order_fraction + cancel_fraction must be <= 1"),
 ]
 
 
@@ -482,6 +486,37 @@ class TestServeCli:
     def test_serve_rejects_malformed_client(self, capsys):
         assert main(["serve", "--client", "no-token-here"]) == 2
         assert "NAME=TOKEN" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            # A traceback (exit 1) after runs.sqlite3 was created.
+            (["--rate", "0"], "rate_per_s"),
+            (["--burst", "0"], "burst"),
+            (["--jobs", "0"], "jobs"),
+            (["--port", "-1"], "port"),
+            (["--port", "70000"], "port"),
+            # A server that started: NaN never throttles, and with -1
+            # retries every job failed inside the pool.
+            (["--rate", "nan"], "rate_per_s"),
+            (["--rate", "inf"], "rate_per_s"),
+            (["--timeout", "-1"], "timeout_s"),
+            (["--timeout", "nan"], "timeout_s"),
+            (["--retries", "-1"], "retries"),
+        ],
+    )
+    def test_serve_refuses_a_bad_flag_before_opening_the_store(
+        self, capsys, monkeypatch, tmp_path, flags, field
+    ):
+        from repro.serve.api import ReproServer
+
+        # A server that does start serves on a thread and stops at once.
+        monkeypatch.setattr(ReproServer, "serve_forever", ReproServer.start)
+        data_dir = tmp_path / "data"
+        assert main(["serve", "--port", "0", "--data-dir", str(data_dir), *flags]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and field in line
+        assert not data_dir.exists()
 
 
 class TestVerifyPackCli:

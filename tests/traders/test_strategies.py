@@ -64,5 +64,3 @@ class TestZeroIntelligence:
     def test_validation(self):
         with pytest.raises(ValueError):
             zi([])
-        with pytest.raises(ValueError):
-            ZeroIntelligenceStrategy(["S"], market_order_fraction=0.7, cancel_fraction=0.5)
