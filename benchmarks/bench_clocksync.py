@@ -70,10 +70,8 @@ def test_unfairness_with_and_without_sync():
             warmup_s=0.3,
             measure_s=1.0,
         )
-        results[mode] = (
-            cluster.metrics.inbound_unfairness_ratio(),
-            cluster.metrics.inbound_unfairness_ratio_true(),
-        )
+        payload = cluster.result_payload()
+        results[mode] = (payload["inbound_unfairness"], payload["inbound_unfairness_true"])
     emit(
         "§4 Inbound unfairness at static d_s = 0",
         ["clocks", "measured", "ground truth", "paper"],

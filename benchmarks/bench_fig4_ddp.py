@@ -33,15 +33,15 @@ def fig4_results():
             warmup_s=0.5,
             measure_s=1.5,
         )
-        m = cluster.metrics
+        m = cluster.result_payload()
         static_rows.append(
             (
                 d_s,
                 d_h,
-                m.inbound_unfairness_ratio(),
-                m.mean_queuing_delay_us(),
-                m.outbound_unfairness_ratio(),
-                m.mean_releasing_delay_us(),
+                m["inbound_unfairness"],
+                m["mean_queuing_delay_us"],
+                m["outbound_unfairness"],
+                m["mean_releasing_delay_us"],
             )
         )
 
@@ -57,14 +57,14 @@ def fig4_results():
             warmup_s=4.0,  # let both controllers converge
             measure_s=2.0,
         )
-        m = cluster.metrics
+        m = cluster.result_payload()
         ddp_rows.append(
             (
                 target,
-                m.inbound_unfairness_ratio(),
-                m.mean_queuing_delay_us(),
-                m.outbound_unfairness_ratio(),
-                m.mean_releasing_delay_us(),
+                m["inbound_unfairness"],
+                m["mean_queuing_delay_us"],
+                m["outbound_unfairness"],
+                m["mean_releasing_delay_us"],
             )
         )
     return static_rows, ddp_rows

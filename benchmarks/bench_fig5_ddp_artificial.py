@@ -43,10 +43,10 @@ def fig5_results():
             warmup_s=cycle / 2,
             measure_s=cycle,  # one full injection cycle
         )
-        m = cluster.metrics
+        m = cluster.result_payload()
         static_rows.append(
-            (d_s, d_h, m.inbound_unfairness_ratio(), m.mean_queuing_delay_us(),
-             m.outbound_unfairness_ratio(), m.mean_releasing_delay_us())
+            (d_s, d_h, m["inbound_unfairness"], m["mean_queuing_delay_us"],
+             m["outbound_unfairness"], m["mean_releasing_delay_us"])
         )
 
     ddp_rows = []
@@ -61,10 +61,10 @@ def fig5_results():
             warmup_s=cycle,
             measure_s=cycle,
         )
-        m = cluster.metrics
+        m = cluster.result_payload()
         ddp_rows.append(
-            (target, m.inbound_unfairness_ratio(), m.mean_queuing_delay_us(),
-             m.outbound_unfairness_ratio(), m.mean_releasing_delay_us(),
+            (target, m["inbound_unfairness"], m["mean_queuing_delay_us"],
+             m["outbound_unfairness"], m["mean_releasing_delay_us"],
              cluster.exchange.ddp_inbound.adjustments)
         )
     return static_rows, ddp_rows

@@ -24,86 +24,85 @@ import importlib
 import sys
 import textwrap
 from collections import Counter
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.analysis.report import summarize_run
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, EXIT_USAGE, add_json_flag, emit_json, usage_error
 from repro.core.cluster import CloudExCluster
-from repro.core.config import CLOCK_SYNC_MODES, CloudExConfig, check_positive_finite
+from repro.core.config import CloudExConfig, check_positive_finite
+from repro.runspec import (
+    FIELDS, Field, config_field, door_defaults, door_parser, flag_values, job_from_args,
+)
+
+#: The deployment flags ``python -m repro`` and ``trace`` share, at
+#: ``CloudExConfig``'s defaults; each door sets its own (smaller) ones.
+DEPLOYMENT_FIELDS = (
+    config_field(CloudExConfig, "seed", "--seed"),
+    config_field(CloudExConfig, "n_participants", "--participants"),
+    config_field(CloudExConfig, "n_gateways", "--gateways"),
+    config_field(CloudExConfig, "n_shards", "--shards"),
+    config_field(CloudExConfig, "n_symbols", "--symbols"),
+    Field("duration_s", check_positive_finite, None, "--duration", metavar="SECONDS", type=float),
+    config_field(CloudExConfig, "orders_per_participant_per_s", "--rate",
+                 "orders/s per participant"),
+    config_field(CloudExConfig, "replication_factor", "--rf", "ROS replication factor"),
+    config_field(CloudExConfig, "clock_sync", "--clock-sync"),
+)
+
+RUN_FIELDS = door_defaults(
+    DEPLOYMENT_FIELDS, n_participants=12, n_gateways=4, n_symbols=20, duration_s=2.0,
+    orders_per_participant_per_s=200.0,
+) + (
+    config_field(CloudExConfig, "sequencer_delay_us", "--ds", "sequencer delay d_s (us)"),
+    config_field(CloudExConfig, "holdrelease_delay_us", "--dh", "hold/release delay d_h (us)"),
+    # One target for both controllers.
+    config_field(CloudExConfig, "ddp_inbound_target", "--ddp",
+                 "enable DDP with this target unfairness ratio (e.g. 0.01)", metavar="TARGET"),
+)
+
+TRACE_FIELDS = door_defaults(
+    DEPLOYMENT_FIELDS, n_participants=4, n_gateways=2, n_symbols=4, duration_s=0.5,
+    orders_per_participant_per_s=100.0, replication_factor=2,
+) + (
+    config_field(CloudExConfig, "trace_sample_rate", "--sample-rate",
+                 "trace sampling rate in [0, 1]"),
+)
 
 
-def _build_run_parser(prog: str, description: str, **defaults) -> argparse.ArgumentParser:
-    """The deployment flags ``python -m repro`` and ``trace`` share;
-    ``defaults`` are the ones that differ between the two."""
-    parser = argparse.ArgumentParser(
-        prog=prog, description=description, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--participants", type=int)
-    parser.add_argument("--gateways", type=int)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--symbols", type=int)
-    parser.add_argument("--duration", type=float, metavar="SECONDS")
-    parser.add_argument("--rate", type=float, help="orders/s per participant")
-    parser.add_argument("--rf", type=int, help="ROS replication factor")
-    parser.add_argument("--clock-sync", choices=CLOCK_SYNC_MODES, default="huygens")
-    parser.set_defaults(**defaults)
-    return parser
-
-
-def _run_deployment(args: argparse.Namespace, **settings) -> Optional[CloudExCluster]:
-    """Build the deployment ``args`` (plus config ``settings``) describe
+def _run_deployment(args, rows: Tuple[Field, ...], **settings) -> Optional[CloudExCluster]:
+    """Build the deployment ``rows``' flags (plus config ``settings``) describe
     and run it; None after reporting a config that cannot be built."""
     try:
-        check_positive_finite("duration_s", args.duration)
+        values = flag_values(rows, args)
+        duration_s = values.pop("duration_s")
         config = CloudExConfig(
-            seed=args.seed,
-            n_participants=args.participants,
-            n_gateways=args.gateways,
-            n_shards=args.shards,
-            n_symbols=args.symbols,
-            replication_factor=args.rf,
-            clock_sync=args.clock_sync,
-            orders_per_participant_per_s=args.rate,
-            subscriptions_per_participant=min(3, args.symbols),
-            **settings,
+            subscriptions_per_participant=min(3, values["n_symbols"]), **values, **settings
         )
     except ValueError as exc:
         usage_error(exc)
         return None
     cluster = CloudExCluster(config)
     cluster.add_default_workload()
-    cluster.run(duration_s=args.duration)
+    cluster.run(duration_s=duration_s)
     return cluster
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _build_run_parser(
-        "python -m repro",
+    return door_parser(
+        "",
         "Run a simulated CloudEx fair-access exchange and print a report.",
-        participants=12, gateways=4, symbols=20, duration=2.0, rate=200.0, rf=1,
+        RUN_FIELDS,
+        _subcommand_epilog(),
     )
-    parser.add_argument("--ds", type=float, default=500.0, help="sequencer delay d_s (us)")
-    parser.add_argument("--dh", type=float, default=1000.0, help="hold/release delay d_h (us)")
-    parser.add_argument(
-        "--ddp",
-        type=float,
-        default=None,
-        metavar="TARGET",
-        help="enable DDP with this target unfairness ratio (e.g. 0.01)",
-    )
-    parser.epilog = _subcommand_epilog()
-    return parser
 
 
 def build_trace_parser() -> argparse.ArgumentParser:
-    parser = _build_run_parser(
-        "python -m repro trace",
+    parser = door_parser(
+        "trace",
         "Run a traced CloudEx deployment and print the per-stage "
         "latency breakdown, clock-error, and ROS-attribution tables.",
-        participants=4, gateways=2, symbols=4, duration=0.5, rate=100.0, rf=2,
+        TRACE_FIELDS,
     )
-    parser.add_argument("--sample-rate", type=float, default=1.0, help="trace sampling rate in [0, 1]")
     parser.add_argument("--out", default="trace.jsonl", metavar="PATH", help="JSONL trace output path")
     add_json_flag(parser, "also write a deterministic trace-summary document as JSON")
     return parser
@@ -114,7 +113,7 @@ def trace_main(argv=None) -> int:
     from repro.obs.breakdown import breakdown_table, clock_error_table, ros_attribution_table
 
     args = build_trace_parser().parse_args(argv)
-    cluster = _run_deployment(args, tracing=True, trace_sample_rate=args.sample_rate)
+    cluster = _run_deployment(args, TRACE_FIELDS, tracing=True)
     if cluster is None:
         return EXIT_USAGE
 
@@ -164,12 +163,11 @@ def _scenario_lines(indent: str) -> str:
 
 
 def build_chaos_parser() -> argparse.ArgumentParser:
-    from repro.exp.cli import build_job_parser
-
-    parser = build_job_parser(
+    parser = door_parser(
         "chaos",
         "Run a deterministic fault-injection scenario against a CloudEx "
         "cluster and print the invariant-checked chaos report.",
+        FIELDS["chaos"],
         "scenarios:\n" + _scenario_lines("  "),
     )
     parser.add_argument("--list", action="store_true", help="list scenarios and exit")
@@ -184,7 +182,6 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
 def chaos_main(argv=None) -> int:
     from repro.chaos import run_scenario
-    from repro.runspec import job_from_args
 
     args = build_chaos_parser().parse_args(argv)
     if args.list:
@@ -248,13 +245,7 @@ def main(argv=None) -> int:
     if entry is not None:
         return entry(argv[1:])
     args = build_parser().parse_args(argv)
-    cluster = _run_deployment(
-        args,
-        sequencer_delay_us=args.ds,
-        holdrelease_delay_us=args.dh,
-        ddp_inbound_target=args.ddp,
-        ddp_outbound_target=args.ddp,
-    )
+    cluster = _run_deployment(args, RUN_FIELDS, ddp_outbound_target=args.ddp)
     if cluster is None:
         return EXIT_USAGE
     print(summarize_run(cluster))

@@ -15,7 +15,8 @@ from repro.sim.timeunits import SECOND
 
 
 def summarize_run(cluster: CloudExCluster) -> str:
-    """A multi-section plain-text report for one cluster run."""
+    """A multi-section plain-text report for one cluster run, finalized first."""
+    cluster.finalize_metrics()
     m = cluster.metrics
     config = cluster.config
     duration_s = cluster.duration_ns() / SECOND

@@ -21,7 +21,9 @@ exit code               meaning
 JSON output always goes through :func:`emit_json`: one document, keys
 sorted, two-space indent, trailing newline -- so ``--json`` files are
 byte-comparable across subcommands, job counts, and the served
-evidence packs built from the same documents.
+evidence packs built from the same documents.  What is hashed or
+signed -- run ids, cache keys, certificate signatures, grid point ids
+-- is :func:`canonical_json`'s compact form.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ def dump_json_document(document: object) -> str:
     """The canonical serialized form shared by every ``--json`` flag
     and every evidence-pack ``report.json``."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def canonical_json(value: object) -> str:
+    """The compact canonical form: sorted keys, no whitespace."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def emit_json(document: object, path: Optional[str]) -> None:

@@ -235,10 +235,12 @@ check_seed = integer(0)
 
 
 def one_of(choices: Tuple[str, ...]) -> Check:
+    """One of ``choices`` (also the argparse ``choices`` of its flag)."""
     def check(name: str, value: object) -> None:
         if value not in choices:
             raise ValueError(f"unknown {name} {value!r}; expected one of {choices}")
 
+    check.choices = choices
     return check
 
 

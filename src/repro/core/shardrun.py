@@ -76,7 +76,6 @@ from repro.sim.engine import SimulationError, collector_paused
 from repro.sim.parallel import ConservativeShardRunner
 from repro.sim.rng import RngRegistry
 from repro.sim.timeunits import MICROSECOND, MILLISECOND, SECOND
-from repro.sim.worker import check_jobs
 from repro.traders.workload import BulkOrderStream
 
 Columns = Dict[str, np.ndarray]  #: named numpy columns, one row per order
@@ -406,49 +405,56 @@ def run_shardrun(
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def build_shardrun_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro shardrun",
-        description=(
-            "Run the batched, sharded matching kernel (conservative-sync "
-            "windows, bulk-generated ZI flow) and print throughput.  "
-            "--jobs N runs shards in separate processes; the report is "
-            "byte-identical to --jobs 1."
-        ),
+def _cli_fields():
+    """``ShardRunConfig``'s flags at the CLI's smaller defaults (the bench
+    runs the dataclass's), then the pool's ``--jobs``."""
+    from repro.exp.cli import POOL_FIELDS
+    from repro.runspec import config_field, door_defaults
+
+    rows = (
+        config_field(ShardRunConfig, "seed", "--seed"),
+        config_field(ShardRunConfig, "n_participants", "--participants"),
+        config_field(ShardRunConfig, "n_symbols", "--symbols"),
+        config_field(ShardRunConfig, "n_shards", "--shards"),
+        config_field(ShardRunConfig, "rate_per_participant_s", "--rate",
+                     "orders/s per participant"),
+        config_field(ShardRunConfig, "duration_s", "--duration", metavar="SECONDS"),
     )
-    parser.add_argument("--seed", type=int, default=2021)
-    parser.add_argument("--participants", type=int, default=100_000)
-    parser.add_argument("--symbols", type=int, default=10)
-    parser.add_argument("--shards", type=int, default=4)
-    parser.add_argument("--rate", type=float, default=0.45, help="orders/s per participant")
-    parser.add_argument("--duration", type=float, default=0.5, metavar="SECONDS")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes (1 = inline)")
+    return door_defaults(rows, n_participants=100_000, n_shards=4, duration_s=0.5) + POOL_FIELDS[:1]
+
+
+def build_shardrun_parser() -> argparse.ArgumentParser:
+    from repro.runspec import door_parser
+
+    parser = door_parser(
+        "shardrun",
+        "Run the batched, sharded matching kernel (conservative-sync windows,\n"
+        "bulk-generated ZI flow) and print throughput.  --jobs N runs shards in\n"
+        "separate processes; the report is byte-identical to --jobs 1.",
+        _cli_fields(),
+    )
     add_json_flag(parser, "emit the deterministic report as JSON")
     return parser
 
 
 def shardrun_main(argv=None) -> int:
+    from repro.runspec import flag_values
+
     args = build_shardrun_parser().parse_args(argv)
     try:
-        config = ShardRunConfig(
-            seed=args.seed,
-            n_participants=args.participants,
-            n_symbols=args.symbols,
-            n_shards=args.shards,
-            rate_per_participant_s=args.rate,
-            duration_s=args.duration,
-        )
-        check_jobs(args.jobs)
+        values = flag_values(_cli_fields(), args)
+        jobs = values.pop("jobs")
+        config = ShardRunConfig(**values)
     except ValueError as exc:
         return usage_error(exc)
     started = _time.perf_counter()
-    report = run_shardrun(config, jobs=args.jobs)
+    report = run_shardrun(config, jobs=jobs)
     wall_s = _time.perf_counter() - started
     totals = report["totals"]
     orders = totals["orders"]
     print(
         f"shardrun: {config.n_participants} participants, {config.n_symbols} symbols, "
-        f"{config.n_shards} shards, jobs={args.jobs}"
+        f"{config.n_shards} shards, jobs={jobs}"
     )
     print(
         f"  {report['windows']} windows x {report['lookahead_ns'] / 1e6:.2f} ms lookahead "

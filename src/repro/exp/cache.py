@@ -23,6 +23,8 @@ import os
 from pathlib import Path
 from typing import Dict, Optional
 
+from repro.cliutil import canonical_json
+
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Default size budget for a cache directory (512 MiB).  A cache entry
@@ -71,11 +73,7 @@ def content_key(payload: Dict[str, object], code_version: Optional[str] = None) 
     """
     if code_version is None:
         code_version = code_version_hash()
-    blob = json.dumps(
-        {"payload": payload, "code": code_version},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    blob = canonical_json({"payload": payload, "code": code_version})
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 

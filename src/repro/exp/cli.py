@@ -21,70 +21,43 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict
 
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
+from repro.core.config import check_bool
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES, ResultCache
 from repro.exp.runner import sweep_table
-from repro.runspec import add_job_flags, comma_list, job_from_args, run_pooled_job
-from repro.sim.worker import check_jobs
+from repro.runspec import (
+    FIELDS, Field, comma_list, config_field, door_parser, flag_values, job_from_args,
+    run_pooled_job,
+)
+from repro.serve.api import ServeConfig
 
+#: The worker-pool flags of every pooled subcommand and ``serve``: the
+#: pool keywords ``ServeConfig`` declares, with its defaults and checks.
+POOL_FIELDS = (
+    config_field(ServeConfig, "jobs", "--jobs", "worker processes"),
+    config_field(ServeConfig, "timeout_s", "--timeout", "per-task timeout (jobs > 1 only)",
+                 metavar="SECONDS"),
+    config_field(ServeConfig, "retries", "--retries", "extra attempts per failed task"),
+)
 
-def add_worker_flags(parser: argparse.ArgumentParser, jobs_help: str) -> None:
-    """The worker-pool flags of every pooled subcommand and ``serve``."""
-    parser.add_argument("--jobs", type=int, default=1, help=jobs_help)
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-task timeout (jobs > 1 only)",
-    )
-    parser.add_argument("--retries", type=int, default=1, help="extra attempts per failed task")
-
-
-def add_pool_flags(parser: argparse.ArgumentParser) -> None:
-    """The worker-pool and result-cache flags of every pooled subcommand."""
-    add_worker_flags(parser, "worker processes (default 1)")
-    parser.add_argument("--no-cache", action="store_true", help="ignore and don't write .repro-cache/")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
-    parser.add_argument(
-        "--cache-max-mb",
-        type=int,
-        default=DEFAULT_MAX_BYTES // (1024 * 1024),
-        metavar="MB",
-        help="size bound for the result cache; oldest entries are evicted (default 512)",
-    )
-
-
-def pool_options(args: argparse.Namespace) -> Dict[str, object]:
-    """The ``jobs`` / ``cache`` / ``timeout_s`` / ``retries`` keywords of
-    ``run_sweep`` and ``run_fairness_study``, from :func:`add_pool_flags`'
-    flags; raises ``ValueError`` on a bad ``--jobs``."""
-    check_jobs(args.jobs)
-    cache = None if args.no_cache else ResultCache(
-        args.cache_dir, max_bytes=args.cache_max_mb * 1024 * 1024
-    )
-    return {"jobs": args.jobs, "cache": cache, "timeout_s": args.timeout, "retries": args.retries}
-
-
-def build_job_parser(kind: str, description: str, epilog: str) -> argparse.ArgumentParser:
-    """A job subcommand's parser, with the ``kind`` job's flags."""
-    parser = argparse.ArgumentParser(
-        prog=f"python -m repro {kind}",
-        description=description,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-        epilog=epilog,
-    )
-    add_job_flags(parser, kind)
-    return parser
+#: The result-cache flags of every pooled subcommand; ``ResultCache`` checks them.
+CACHE_FIELDS = (
+    Field("no_cache", check_bool, False, "--no-cache", "ignore and don't write .repro-cache/"),
+    Field("cache_dir", None, DEFAULT_CACHE_DIR, "--cache-dir"),
+    Field("cache_max_mb", None, DEFAULT_MAX_BYTES >> 20, "--cache-max-mb",
+          "size bound for the result cache; oldest entries are evicted", "MB", type=int),
+)
 
 
 def build_sweep_parser() -> argparse.ArgumentParser:
-    parser = build_job_parser(
+    parser = door_parser(
         "sweep",
         "Run a (config x seed) experiment sweep over a parallel worker "
         "pool with deterministic aggregation and on-disk result caching.",
+        FIELDS["sweep"] + POOL_FIELDS + CACHE_FIELDS,
         __doc__.split("Examples\n--------\n", 1)[1],
     )
-    add_pool_flags(parser)
     add_json_flag(parser, "write the aggregated document as JSON")
     parser.add_argument(
         "--columns",
@@ -103,7 +76,9 @@ def run_job_main(kind: str, parser: argparse.ArgumentParser, argv, show) -> int:
     # runs -- the same checks, and the same messages, as a submitted job.
     try:
         job = job_from_args(kind, args)
-        pool = pool_options(args)
+        pool = flag_values(POOL_FIELDS, args)
+        if not args.no_cache:
+            pool["cache"] = ResultCache(args.cache_dir, max_bytes=args.cache_max_mb << 20)
     except (TypeError, ValueError) as exc:
         return usage_error(exc)
     document, outcome = run_pooled_job(job, **pool)

@@ -12,10 +12,10 @@ changing the worker count never changes any task's trajectory.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
+from repro.cliutil import canonical_json
 from repro.core.config import (
     MAX_SWEEP_SYMBOLS, MAX_TASKS, CloudExConfig, check_rate, check_seed, duration, integer,
 )
@@ -31,11 +31,6 @@ _CONFIG_FIELDS = frozenset(f.name for f in dataclasses.fields(CloudExConfig))
 
 _seconds = duration(SECOND, positive=True)
 _warmup = duration(SECOND)
-
-
-def canonical_json(value: object) -> str:
-    """Deterministic JSON: sorted keys, no whitespace variation."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 def _check_point(point: Dict[str, object], where: str) -> None:

@@ -27,18 +27,19 @@ import argparse
 import sys
 
 from repro.cliutil import add_json_flag
-from repro.exp.cli import add_pool_flags, build_job_parser, run_job_main
+from repro.exp.cli import CACHE_FIELDS, POOL_FIELDS, run_job_main
 from repro.obs.breakdown import policy_comparison_table
+from repro.runspec import FIELDS, door_parser
 
 
 def build_fairness_parser() -> argparse.ArgumentParser:
-    parser = build_job_parser(
+    parser = door_parser(
         "fairness",
         "Run the fairness-policy frontier study: every selected backend "
         "under identical seeds, clock regimes, and chaos scenarios.",
+        FIELDS["fairness"] + POOL_FIELDS + CACHE_FIELDS,
         __doc__.split("Examples\n--------\n", 1)[1],
     )
-    add_pool_flags(parser)
     add_json_flag(parser, "write the frontier document as JSON")
     return parser
 

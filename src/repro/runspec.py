@@ -10,8 +10,10 @@ in different field orders or with defaults spelled out produce the
 therefore share one execution and one evidence pack; and a bad value
 gets one message at every door (exit 2 at a CLI, HTTP 400 at the API).
 Each field is one :class:`Field` of :data:`FIELDS` (key, check,
-default, flag), which :func:`normalize_job`, :func:`add_job_flags` and
-:func:`job_from_args` all read.
+default, flag), which :func:`normalize_job`, :func:`door_parser` and
+:func:`job_from_args` all read.  Every other door's table is
+:func:`config_field` rows (a config dataclass field's default and
+check) that :func:`flag_values` reads.
 
 The kinds are ``sweep`` (a :class:`repro.exp.spec.SweepSpec` by
 value), ``chaos`` (a :mod:`repro.chaos` scenario and seed) and
@@ -28,14 +30,15 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import itertools
 import json
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import (
-    CLOCK_SYNC_MODES, Check, check_finite, check_number, check_seed, integer, is_integer,
-    optional,
+    CLOCK_SYNC_MODES, Check, check_bool, check_finite, check_number, check_seed, integer,
+    is_integer, optional,
 )
 from repro.exp.cache import content_key
 from repro.exp.runner import SweepOutcome, run_sweep
@@ -154,8 +157,9 @@ def _seed_list(text: str) -> List[int]:
 class Field:
     """One run field: its job key, check and default, and its CLI flag.
 
-    ``check=None`` marks a second flag for the key of the entry before
-    it (``--seed-list`` for ``seeds``): when given, it wins.
+    ``check=None`` is a flag with no check of its own: in a kind's table,
+    a second flag for the key of the entry before it (``--seed-list`` for
+    ``seeds``), which wins when given.  ``check_bool`` makes a switch.
     """
 
     key: str
@@ -167,16 +171,37 @@ class Field:
     metavar: Optional[str] = None
     #: A repeatable flag, collected into a list for ``read``.
     repeat: bool = False
-    #: The flag's default, when it is not the job's.
+    #: The flag's default, when it is not the job's (a door's own).
     cli_default: object = None
     #: Turns the parsed flag into the job value.
     read: Optional[Callable[[object], object]] = None
+    #: The flag's argparse ``type``, when the check does not give it.
+    type: Optional[Callable[[str], object]] = None
 
 
 #: The argparse ``type`` of a flag, by its field's check.  A number's
 #: canonical job value is a float: ``2`` and ``2.0`` are one run.
 _FLAG_TYPES = {check_seed: int, _count: int, _seeds: int, check_number: float,
                check_finite: float, _rate: float, _names: comma_list}
+
+#: The argparse ``type`` of a config dataclass field's flag, by its annotation.
+_ANNOTATED_TYPES = {"int": int, "float": float, "Optional[float]": float}
+
+
+def config_field(config: type, key: str, flag: str, help: str = "", **door) -> Field:
+    """The row of the ``config`` dataclass's field ``key``: its default,
+    check and flag type are the field's; ``door`` sets anything else a
+    door states (a ``cli_default`` where its default is its own)."""
+    (spec,) = [spec for spec in dataclasses.fields(config) if spec.name == key]
+    return Field(key, spec.metadata["check"], spec.default, flag, help,
+                 type=_ANNOTATED_TYPES.get(spec.type), **door)
+
+
+def door_defaults(rows: Tuple[Field, ...], **defaults) -> Tuple[Field, ...]:
+    """``rows`` with a door's own flag defaults, by key."""
+    return tuple(dataclasses.replace(row, cli_default=defaults.get(row.key, row.cli_default))
+                 for row in rows)
+
 
 #: Every field of every job kind, in canonical-spec order.
 FIELDS: Dict[str, Tuple[Field, ...]] = {
@@ -229,34 +254,53 @@ JOB_KINDS = tuple(FIELDS)
 _JOB_FIELDS = {kind: tuple(f for f in fields if f.check) for kind, fields in FIELDS.items()}
 
 
-def add_job_flags(parser: argparse.ArgumentParser, kind: str) -> None:
-    """Give ``parser`` one flag per field of a ``kind`` job."""
-    for field in FIELDS[kind]:
+def door_parser(name: str, description: str, rows: Tuple[Field, ...],
+                epilog: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser of ``python -m repro [name]``, with one flag per row (a
+    kind's :data:`FIELDS`, or another door's table)."""
+    parser = argparse.ArgumentParser(
+        prog=f"python -m repro {name}".rstrip(), description=description, epilog=epilog,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    for field in rows:
+        if field.check is check_bool:
+            parser.add_argument(field.flag, action="store_true", help=field.help)
+            continue
         default = field.default if field.cli_default is None else field.cli_default
         shown = ",".join(default) if isinstance(default, list) else default
         parser.add_argument(
             field.flag,
             action="append" if field.repeat else "store",
             default=[] if field.repeat else default,
-            type=_FLAG_TYPES.get(field.check),
+            type=field.type or _FLAG_TYPES.get(field.check),
+            choices=getattr(field.check, "choices", None),
             metavar=field.metavar,
             help=field.help if field.repeat or default is None
             else f"{field.help} (default {shown})".lstrip(),
         )
+    return parser
 
 
-def job_from_args(kind: str, args: argparse.Namespace) -> Dict[str, object]:
-    """The normalized ``kind`` job that :func:`add_job_flags`' parsed
-    flags describe; raises ``ValueError`` (:class:`JobError` for the
-    spec itself) on bad input."""
-    raw: Dict[str, object] = {"kind": kind}
-    for field in FIELDS[kind]:
+def flag_values(rows: Tuple[Field, ...], args: argparse.Namespace) -> Dict[str, object]:
+    """The values ``rows``' parsed flags set, by key, each through its
+    row's ``read`` and ``check`` (the first to fail raises ``ValueError``);
+    a flag left at None sets nothing."""
+    values: Dict[str, object] = {}
+    for field in rows:
         value = getattr(args, field.flag[2:].replace("-", "_"))
         if field.read is not None and value is not None:
             value = field.read(value)
         if value is not None:
-            raw[field.key] = value
-    return normalize_job(raw)
+            if field.check is not None:
+                field.check(field.key, value)
+            values[field.key] = value
+    return values
+
+
+def job_from_args(kind: str, args: argparse.Namespace) -> Dict[str, object]:
+    """The normalized ``kind`` job that :func:`door_parser`'s parsed
+    flags describe; raises ``ValueError`` on bad input."""
+    return normalize_job({"kind": kind, **flag_values(FIELDS[kind], args)})
 
 
 def normalize_job(raw: object) -> Dict[str, object]:

@@ -48,8 +48,6 @@ from repro.serve.evidence import MANIFEST
 from repro.serve.executor import JobExecutor
 from repro.serve.store import RunStore
 
-DEFAULT_DATA_DIR = ".repro-serve"
-
 #: Submission bodies larger than this are rejected outright (413).
 MAX_BODY_BYTES = 1 << 20
 
@@ -75,7 +73,7 @@ class ServeConfig:
 
     host: str = checked("127.0.0.1", _text)
     port: int = checked(8321, integer(0, 65535))  # 0 = ephemeral (tests, parallel CI)
-    data_dir: str = checked(DEFAULT_DATA_DIR, _text)
+    data_dir: str = checked(".repro-serve", _text)
     #: Operator secret: signs certificates and (when no explicit
     #: clients are given) mints the default client token.
     secret: str = checked("repro-dev-secret", _text)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 from typing import Dict, List, Optional
+
+from repro.cliutil import canonical_json
 
 CERTIFICATE_SCHEMA = "repro-certificate/1"
 TRIAGE_SCHEMA = "repro-triage/1"
@@ -38,13 +39,9 @@ CLAIMS = {
 }
 
 
-def _canonical(payload: object) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def sign_payload(payload: Dict[str, object], secret: str) -> str:
     """HMAC-SHA256 over the canonical JSON of ``payload``."""
-    return hmac.new(secret.encode("utf-8"), _canonical(payload), hashlib.sha256).hexdigest()
+    return hmac.new(secret.encode("utf-8"), canonical_json(payload).encode("utf-8"), hashlib.sha256).hexdigest()
 
 
 def issue_certificate(

@@ -10,93 +10,71 @@ without any network or server state.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import signal
 import sys
+from typing import Dict, List
 
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
+from repro.exp.cli import POOL_FIELDS
+from repro.runspec import config_field, door_parser, flag_values
+from repro.serve.api import ReproServer, ServeConfig
+
+
+def _client_tokens(specs: List[str]) -> Dict[str, str]:
+    clients = {}
+    for spec in specs:
+        name, _, token = spec.partition("=")
+        if not name or not token:
+            raise ValueError(f"--client expects NAME=TOKEN, got {spec!r}")
+        clients[name] = token
+    return clients
+
+
+#: The ``serve`` flags: ``ServeConfig``'s fields, with its defaults and checks.
+SERVE_FIELDS = (
+    config_field(ServeConfig, "host", "--host"),
+    config_field(ServeConfig, "port", "--port",
+                 "listen port; 0 = pick an ephemeral port and print it"),
+    config_field(ServeConfig, "data_dir", "--data-dir",
+                 "run store, result cache, and evidence packs live here", metavar="DIR"),
+    config_field(ServeConfig, "clients", "--client",
+                 "register an API client credential (repeatable); with none given, a "
+                 "single 'operator' client is minted from the operator secret and its "
+                 "token printed at startup", metavar="NAME=TOKEN", repeat=True,
+                 read=_client_tokens),
+    config_field(ServeConfig, "secret", "--operator-secret",
+                 "signs evidence-pack certificates (and mints the default client token); "
+                 "set a real one outside development", metavar="SECRET"),
+    dataclasses.replace(
+        POOL_FIELDS[0],
+        help="worker processes in the pool that runs every job's tasks, started once "
+             "and kept for the server's lifetime; 1 = inline",
+    ),
+    *POOL_FIELDS[1:],
+    config_field(ServeConfig, "rate_per_s", "--rate", "per-client request rate limit, requests/s",
+                 metavar="REQ_PER_S"),
+    config_field(ServeConfig, "burst", "--burst", "per-client rate-limit burst allowance"),
+)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
-    from repro.exp.cli import add_worker_flags
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro serve",
-        description=(
-            "Run the exchange-as-a-service control plane: an authenticated "
-            "HTTP API accepting sweep/chaos/fairness jobs, executing them on "
-            "the repro.exp pool, and serving signed evidence packs."
-        ),
-        epilog=(
-            "submit with:  curl -X POST $URL/v1/jobs "
-            "-H 'Authorization: Bearer <client>:<token>' -d @job.json\n"
-            "see README 'Running the service' for the full quickstart"
-        ),
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    return door_parser(
+        "serve",
+        "Run the exchange-as-a-service control plane: an authenticated "
+        "HTTP API accepting sweep/chaos/fairness jobs, executing them on "
+        "the repro.exp pool, and serving signed evidence packs.",
+        SERVE_FIELDS,
+        "submit with:  curl -X POST $URL/v1/jobs "
+        "-H 'Authorization: Bearer <client>:<token>' -d @job.json\n"
+        "see README 'Running the service' for the full quickstart",
     )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument(
-        "--port", type=int, default=8321,
-        help="listen port (0 = pick an ephemeral port and print it; default 8321)",
-    )
-    parser.add_argument(
-        "--data-dir", default=".repro-serve", metavar="DIR",
-        help="run store, result cache, and evidence packs live here (default .repro-serve)",
-    )
-    parser.add_argument(
-        "--client", action="append", default=[], metavar="NAME=TOKEN",
-        help=(
-            "register an API client credential (repeatable); with none given, "
-            "a single 'operator' client is minted from the operator secret "
-            "and its token printed at startup"
-        ),
-    )
-    parser.add_argument(
-        "--operator-secret", default="repro-dev-secret", metavar="SECRET",
-        help=(
-            "signs evidence-pack certificates (and mints the default client "
-            "token); set a real one outside development"
-        ),
-    )
-    add_worker_flags(
-        parser,
-        "worker processes in the pool that runs every job's tasks, started "
-        "once and kept for the server's lifetime (default 1 = inline)",
-    )
-    parser.add_argument(
-        "--rate", type=float, default=20.0, metavar="REQ_PER_S",
-        help="per-client request rate limit (default 20/s)",
-    )
-    parser.add_argument(
-        "--burst", type=int, default=40,
-        help="per-client rate-limit burst allowance (default 40)",
-    )
-    return parser
 
 
 def serve_main(argv=None) -> int:
-    from repro.serve.api import ReproServer, ServeConfig
-
     args = build_serve_parser().parse_args(argv)
-    clients = {}
-    for spec in args.client:
-        name, sep, token = spec.partition("=")
-        if not sep or not name or not token:
-            return usage_error(f"--client expects NAME=TOKEN, got {spec!r}")
-        clients[name] = token
-
     try:
-        config = ServeConfig(
-            host=args.host,
-            port=args.port,
-            data_dir=args.data_dir,
-            secret=args.operator_secret,
-            clients=clients,
-            jobs=args.jobs,
-            rate_per_s=args.rate,
-            burst=args.burst,
-            timeout_s=args.timeout,
-            retries=args.retries,
-        )
+        config = ServeConfig(**flag_values(SERVE_FIELDS, args))
     except ValueError as exc:
         return usage_error(exc)
     server = ReproServer(config)
@@ -105,7 +83,7 @@ def serve_main(argv=None) -> int:
     print(f"repro serve: data dir {args.data_dir}", flush=True)
     if server.recovered_runs:
         print(f"repro serve: requeued {server.recovered_runs} interrupted run(s)", flush=True)
-    if not clients:
+    if not config.clients:
         token = server.clients["operator"]
         print(f"repro serve: default client 'operator' token {token}", flush=True)
     try:
@@ -122,13 +100,12 @@ def serve_main(argv=None) -> int:
 
 
 def build_verify_pack_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro verify-pack",
-        description=(
-            "Verify a downloaded evidence pack offline: artifact hashes vs. "
-            "the manifest, certificate/triage consistency, and -- given the "
-            "operator secret -- the certificate signature."
-        ),
+    parser = door_parser(
+        "verify-pack",
+        "Verify a downloaded evidence pack offline: artifact hashes vs. the manifest,\n"
+        "certificate/triage consistency, and -- given the operator secret -- the\n"
+        "certificate signature.",
+        (),
     )
     parser.add_argument("pack", metavar="PACK_DIR", help="evidence-pack directory")
     parser.add_argument(

@@ -24,6 +24,8 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.cliutil import canonical_json
+
 #: Run lifecycle: queued -> running -> done | failed.
 QUEUED = "queued"
 RUNNING = "running"
@@ -99,7 +101,7 @@ class RunStore:
                 (
                     run_id,
                     spec["kind"],
-                    json.dumps(spec, sort_keys=True, separators=(",", ":")),
+                    canonical_json(spec),
                     code_version,
                     QUEUED,
                     submitted_by,

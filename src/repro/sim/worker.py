@@ -37,8 +37,8 @@ class WorkerDown(Exception):
 
 def check_jobs(jobs: int) -> None:
     """A worker count below 1 is an error everywhere it is accepted --
-    the pool, the shard runner and the ``--jobs`` flags in front of
-    them -- never a request to run inline."""
+    the pool, the shard runner and the ``--jobs`` flags (by
+    ``ServeConfig.jobs``'s check) -- never a request to run inline."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.cluster import CloudExCluster, gateway_name, participant_name
 from repro.core.config import INITIAL_PRICE, CloudExConfig
-from repro.core.types import Side
 from tests.conftest import small_config
 
 

@@ -1,7 +1,5 @@
 """Tests for the central exchange server inside a small cluster."""
 
-import pytest
-
 from repro.core.cluster import CloudExCluster
 from repro.core.types import Side
 from tests.conftest import small_config

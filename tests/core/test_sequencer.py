@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.sequencer import Sequencer, SequencerSample
+from repro.core.sequencer import Sequencer
 from repro.sim.clock import HostClock
 from repro.sim.engine import Simulator
-from repro.sim.timeunits import MICROSECOND
 
 
 class Harness:

@@ -7,7 +7,6 @@ single aggregate metric captures.
 """
 
 import numpy as np
-import pytest
 
 from repro.core.cluster import CloudExCluster
 from tests.conftest import small_config

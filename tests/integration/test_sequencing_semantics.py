@@ -1,9 +1,7 @@
 """Sequencing semantics across message types and shards."""
 
-import pytest
-
 from repro.core.cluster import CloudExCluster
-from repro.core.types import OrderStatus, Side, TimeInForce, OrderType
+from repro.core.types import Side, TimeInForce, OrderType
 from tests.conftest import small_config
 
 

@@ -202,6 +202,19 @@ BAD_INPUTS = [
     ({**SWEEP, "base": {"market_order_fraction": 0.6, "cancel_fraction": 0.6}},
      ["sweep", "--grid", "n_shards=1", "--set", "market_order_fraction=0.6",
       "--set", "cancel_fraction=0.6"], "market_order_fraction + cancel_fraction must be <= 1"),
+    # The pool flags carry ServeConfig's checks at every door: a zero
+    # timeout timed out every task (exit 1), NaN meant no timeout, and
+    # -1 retries was a traceback.
+    (None, ["sweep", "--grid", "n_shards=1", "--jobs", "2", "--timeout", "0"],
+     "timeout_s must be positive and finite, got 0.0"),
+    (None, ["sweep", "--grid", "n_shards=1", "--timeout", "nan"],
+     "timeout_s must be positive and finite, got nan"),
+    (None, ["sweep", "--grid", "n_shards=1", "--retries", "-1"],
+     "retries must be non-negative, got -1"),
+    (None, ["fairness", "--jobs", "2", "--timeout", "0"],
+     "timeout_s must be positive and finite, got 0.0"),
+    (None, ["fairness", "--timeout", "nan"], "timeout_s must be positive and finite, got nan"),
+    (None, ["fairness", "--retries", "-1"], "retries must be non-negative, got -1"),
 ]
 
 

@@ -7,7 +7,6 @@ CI's ``test`` job runs every ``examples/*.py`` to exit 0.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 
