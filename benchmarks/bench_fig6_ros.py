@@ -33,7 +33,7 @@ from benchmarks.conftest import (
     emit,
     paper_testbed_overrides,
 )
-from repro.exp import ResultCache, SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, WorkerPool, run_sweep
 
 REPLICATION_FACTORS = (1, 2, 3, 4, 5)
 
@@ -48,18 +48,19 @@ def ros_results():
     from types import SimpleNamespace
 
     scale = bench_scale()
-    outcome = run_sweep(
-        SweepSpec(
-            name="fig6-ros",
-            grid=[{"replication_factor": rf} for rf in REPLICATION_FACTORS],
-            seeds=[PAPER_SEED],
-            base=paper_testbed_overrides(cancel_fraction=0.0),
-            warmup_s=0.3 * scale,
-            duration_s=1.5 * scale,
-        ),
-        jobs=bench_jobs(),
-        cache=ResultCache(),
-    )
+    with WorkerPool(bench_jobs()) as pool:
+        outcome = run_sweep(
+            SweepSpec(
+                name="fig6-ros",
+                grid=[{"replication_factor": rf} for rf in REPLICATION_FACTORS],
+                seeds=[PAPER_SEED],
+                base=paper_testbed_overrides(cancel_fraction=0.0),
+                warmup_s=0.3 * scale,
+                duration_s=1.5 * scale,
+            ),
+            pool,
+            ResultCache(),
+        )
     assert outcome.ok, outcome.failures
     results = {}
     for entry in outcome.document["points"]:

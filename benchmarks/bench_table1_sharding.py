@@ -26,7 +26,7 @@ from benchmarks.conftest import (
     emit,
     paper_testbed_overrides,
 )
-from repro.exp import ResultCache, SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, WorkerPool, run_sweep
 
 SHARD_COUNTS = (1, 2, 4, 8, 16)
 
@@ -42,51 +42,51 @@ PAPER = {
 @pytest.fixture(scope="module")
 def table1_results():
     scale = bench_scale()
-    jobs = bench_jobs()
     cache = ResultCache()
-    # Phase 1 -- saturation throughput: offer ~1.3x the expected
-    # plateau at every shard count, fanned out over the sweep pool.
-    overload = run_sweep(
-        SweepSpec(
-            name="table1-overload",
-            grid=[{"n_shards": shards} for shards in SHARD_COUNTS],
-            seeds=[PAPER_SEED],
-            base=paper_testbed_overrides(cancel_fraction=0.0),
-            warmup_s=0.5 * scale,
-            duration_s=1.0 * scale,
-            rate_per_participant=1_700.0,
-        ),
-        jobs=jobs,
-        cache=cache,
-    )
-    assert overload.ok, overload.failures
-    throughputs = {
-        entry["point"]["n_shards"]: entry["result"]["throughput_per_s"]
-        for entry in overload.document["points"]
-    }
-    # Phase 2 -- latency at the paper's offered load (22k/s aggregate),
-    # capped at 85% of the measured capacity: Table 1's own e2e numbers
-    # (~1.1 ms at every shard count) imply the engine was not run into
-    # saturation for the latency measurement.  The per-point rate is a
-    # reserved sweep key, so one grid carries all five shard counts.
-    nominal = run_sweep(
-        SweepSpec(
-            name="table1-nominal",
-            grid=[
-                {
-                    "n_shards": shards,
-                    "rate_per_participant": min(450.0, 0.85 * throughputs[shards] / 48.0),
-                }
-                for shards in SHARD_COUNTS
-            ],
-            seeds=[PAPER_SEED],
-            base=paper_testbed_overrides(),
-            warmup_s=0.3 * scale,
-            duration_s=1.0 * scale,
-        ),
-        jobs=jobs,
-        cache=cache,
-    )
+    with WorkerPool(bench_jobs()) as pool:
+        # Phase 1 -- saturation throughput: offer ~1.3x the expected
+        # plateau at every shard count, fanned out over the sweep pool.
+        overload = run_sweep(
+            SweepSpec(
+                name="table1-overload",
+                grid=[{"n_shards": shards} for shards in SHARD_COUNTS],
+                seeds=[PAPER_SEED],
+                base=paper_testbed_overrides(cancel_fraction=0.0),
+                warmup_s=0.5 * scale,
+                duration_s=1.0 * scale,
+                rate_per_participant=1_700.0,
+            ),
+            pool,
+            cache,
+        )
+        assert overload.ok, overload.failures
+        throughputs = {
+            entry["point"]["n_shards"]: entry["result"]["throughput_per_s"]
+            for entry in overload.document["points"]
+        }
+        # Phase 2 -- latency at the paper's offered load (22k/s aggregate),
+        # capped at 85% of the measured capacity: Table 1's own e2e numbers
+        # (~1.1 ms at every shard count) imply the engine was not run into
+        # saturation for the latency measurement.  The per-point rate is a
+        # reserved sweep key, so one grid carries all five shard counts.
+        nominal = run_sweep(
+            SweepSpec(
+                name="table1-nominal",
+                grid=[
+                    {
+                        "n_shards": shards,
+                        "rate_per_participant": min(450.0, 0.85 * throughputs[shards] / 48.0),
+                    }
+                    for shards in SHARD_COUNTS
+                ],
+                seeds=[PAPER_SEED],
+                base=paper_testbed_overrides(),
+                warmup_s=0.3 * scale,
+                duration_s=1.0 * scale,
+            ),
+            pool,
+            cache,
+        )
     assert nominal.ok, nominal.failures
     results = {}
     for entry in nominal.document["points"]:

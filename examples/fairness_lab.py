@@ -20,7 +20,7 @@ Run:  python examples/fairness_lab.py [--jobs N]
 import argparse
 
 from repro.analysis.tables import format_table
-from repro.exp import ResultCache, SweepSpec, run_sweep
+from repro.exp import ResultCache, SweepSpec, WorkerPool, run_sweep
 from repro.fairness.study import run_fairness_study
 from repro.obs.breakdown import policy_comparison_table
 from repro.runspec import build_fairness_study, normalize_job
@@ -39,12 +39,7 @@ BASE = dict(
 )
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
-    args = parser.parse_args()
-    cache = ResultCache()  # .repro-cache/ in the working directory
-
+def lab(pool: WorkerPool, cache: ResultCache) -> None:
     print("Static sweep of d_s...")
     static = run_sweep(
         SweepSpec(
@@ -55,8 +50,8 @@ def main() -> None:
             warmup_s=0.5,
             duration_s=1.5,
         ),
-        jobs=args.jobs,
-        cache=cache,
+        pool,
+        cache,
     )
     assert static.ok, static.failures
 
@@ -73,8 +68,8 @@ def main() -> None:
             warmup_s=2.0,  # DDP needs time to converge on its target
             duration_s=1.5,
         ),
-        jobs=args.jobs,
-        cache=cache,
+        pool,
+        cache,
     )
     assert ddp.ok, ddp.failures
 
@@ -119,7 +114,7 @@ def main() -> None:
         "scenarios": ["latency_storm"],
         "name": "fairness-lab-policies",
     }))
-    frontier, outcome = run_fairness_study(spec, labels, jobs=args.jobs, cache=cache)
+    frontier, outcome = run_fairness_study(spec, labels, pool, cache)
     assert outcome.ok, outcome.failures
 
     print()
@@ -144,6 +139,14 @@ def main() -> None:
         "\ntrades a small miss probability for shorter holds; no-op is"
         "\nthe fast, unfair floor.  Full grid: python -m repro fairness"
     )
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--jobs", type=int, default=1, help="sweep worker processes")
+    args = parser.parse_args()
+    with WorkerPool(args.jobs) as pool:
+        lab(pool, ResultCache())  # .repro-cache/ in the working directory
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ Typical use::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.clocksync.huygens import HuygensEstimator
 from repro.clocksync.ntp import NtpEstimator
@@ -126,6 +126,7 @@ class CloudExCluster:
         self.agents: List[TradingAgent] = []
         self._ran_ns = 0
         self._cpu_window_start = 0
+        self._hr_window_start = (0, 0)  # _hr_counts() at the window's start
         # Fault injection (repro.chaos): built only when a schedule is
         # configured, armed on the first run() call.
         self.chaos = None
@@ -489,6 +490,7 @@ class CloudExCluster:
         """
         self.metrics.reset_window(self.sim.now)
         self._cpu_window_start = self._ran_ns
+        self._hr_window_start = self._hr_counts()
         for host in self.network.hosts.values():
             host.cpu.reset()
 
@@ -510,16 +512,22 @@ class CloudExCluster:
             "participant_cores": sum(participant_cores) / len(participant_cores),
         }
 
+    def _hr_counts(self) -> Tuple[int, int]:
+        """(handled, late) piece-gateway pairs over every H/R buffer, so far."""
+        buffers = [g.hr_buffer for g in self.gateways]
+        return sum(b.held_count for b in buffers), sum(b.late_count for b in buffers)
+
     def hr_late_ratio(self) -> float:
-        """Late fraction across every gateway's outbound buffer.
+        """Late fraction across every gateway's outbound buffer, over the
+        measurement window (since :meth:`reset_metrics`).
 
         The gateway-side view of outbound unfairness (piece-gateway
         pairs late / handled), comparable across fairness policies.
         """
-        handled = sum(g.hr_buffer.held_count for g in self.gateways)
-        if handled == 0:
+        (handled, late), (handled0, late0) = self._hr_counts(), self._hr_window_start
+        if handled == handled0:
             return 0.0
-        return sum(g.hr_buffer.late_count for g in self.gateways) / handled
+        return (late - late0) / (handled - handled0)
 
     def participant(self, index: int) -> Participant:
         return self.participants[index]

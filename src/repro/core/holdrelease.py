@@ -94,7 +94,6 @@ class HoldReleaseBuffer:
         self.subscribers = subscribers
         self.held_count = 0
         self.late_count = 0
-        self.total_hold_ns = 0
         # md seq -> pending dispense, so a crashing gateway can drop its
         # buffered state (repro.chaos rejoin path).
         self._pending: Dict[int, Event] = {}
@@ -112,7 +111,6 @@ class HoldReleaseBuffer:
         hold_ns = piece.release_at - arrival_local
         self.held_count += 1
         if hold_ns > 0 and self.hold_early:
-            self.total_hold_ns += hold_ns
             subscribers = self.subscribers
             if subscribers is None or subscribers.get(piece.symbol):
                 self._pending[piece.seq] = self.clock.schedule_at_local(
@@ -159,18 +157,6 @@ class HoldReleaseBuffer:
         """A held piece's release timer fired: dispense it."""
         self._pending.pop(piece.seq, None)
         self.release(piece, self.clock.now())
-
-    def mean_hold_us(self) -> float:
-        """Average releasing delay at this gateway, microseconds."""
-        if self.held_count == 0:
-            return 0.0
-        return self.total_hold_ns / self.held_count / 1_000
-
-    def late_ratio(self) -> float:
-        """Fraction of pieces this gateway received past release time."""
-        if self.held_count == 0:
-            return 0.0
-        return self.late_count / self.held_count
 
     def __repr__(self) -> str:
         return (

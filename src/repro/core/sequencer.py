@@ -127,9 +127,6 @@ class Sequencer:
         self._last_released_ts: Optional[int] = None
         self._last_released_true: Optional[int] = None
         self.enqueued_count = 0
-        self.released_count = 0
-        self.out_of_sequence_count = 0
-        self.out_of_sequence_true_count = 0
 
     # ------------------------------------------------------------------
     # Producer side
@@ -222,11 +219,6 @@ class Sequencer:
         )
         self._last_released_ts = gateway_ts
         self._last_released_true = stamped_true
-        self.released_count += 1
-        if out_of_seq:
-            self.out_of_sequence_count += 1
-        if out_of_seq_true:
-            self.out_of_sequence_true_count += 1
         if self.on_sample is not None:
             self.on_sample(
                 SequencerSample(
@@ -279,20 +271,5 @@ class Sequencer:
         invariant checker distinguish in-flight orders from lost ones."""
         return [entry[3] for entry in self._heap]
 
-    def inbound_unfairness_ratio(self) -> float:
-        """Fraction of released orders processed out of (measured) sequence."""
-        if self.released_count == 0:
-            return 0.0
-        return self.out_of_sequence_count / self.released_count
-
-    def inbound_unfairness_ratio_true(self) -> float:
-        """Fraction out of sequence against ground-truth stamping order."""
-        if self.released_count == 0:
-            return 0.0
-        return self.out_of_sequence_true_count / self.released_count
-
     def __repr__(self) -> str:
-        return (
-            f"Sequencer(d_s={self.delay_ns}ns, pending={len(self._heap)}, "
-            f"released={self.released_count})"
-        )
+        return f"Sequencer(d_s={self.delay_ns}ns, pending={len(self._heap)})"

@@ -345,11 +345,7 @@ def _make_shard(config: ShardRunConfig, shard_id: int) -> ShardProgram:
     return ShardProgram(config, shard_id)
 
 
-def run_shardrun(
-    config: ShardRunConfig,
-    jobs: int = 1,
-    timeout_s: float = 600.0,
-) -> Dict[str, Any]:
+def run_shardrun(config: ShardRunConfig, jobs: int = 1) -> Dict[str, Any]:
     """Run the batched sharded kernel and return the report document.
 
     The report contains deterministic fields only -- no wall-clock --
@@ -359,9 +355,7 @@ def run_shardrun(
     window_ns = config.lookahead_ns()
     duration_ns = config.duration_ns()
     n_windows = config.n_windows()
-    runner = ConservativeShardRunner(
-        _make_shard, (config,), config.n_shards, jobs=jobs, timeout_s=timeout_s
-    )
+    runner = ConservativeShardRunner(_make_shard, (config,), config.n_shards, jobs=jobs)
     try:
         index = INITIAL_PRICE
         index_path: List[int] = []

@@ -11,12 +11,15 @@ declarative harness:
   per-task seeds derived from the task's *identity*
   (:func:`repro.sim.rng.derive_seed`), never from enumeration or
   execution order.
-- :func:`~repro.exp.runner.run_sweep` fans tasks out over a
-  crash-tolerant pool of warm worker processes
-  (:class:`~repro.exp.pool.WorkerPool`) with per-task timeouts and,
-  when the caller passes one, a content-hashed on-disk result cache
-  (:class:`~repro.exp.cache.ResultCache`), then aggregates the results
-  into one deterministic JSON document.
+- :class:`~repro.exp.pool.WorkerPool` is a crash-tolerant pool of
+  warm worker processes that carries its whole run policy (workers,
+  per-task timeout, retries), fixed when it is built.  Each door opens
+  one: the ``sweep`` / ``fairness`` CLIs per invocation, ``serve`` for
+  its lifetime.
+- :func:`~repro.exp.runner.run_sweep` fans tasks out over the caller's
+  pool and, when the caller passes one, a content-hashed on-disk
+  result cache (:class:`~repro.exp.cache.ResultCache`), then
+  aggregates the results into one deterministic JSON document.
 
 The aggregated document is byte-identical for any ``--jobs`` value:
 workers only compute pure functions of their task, and everything

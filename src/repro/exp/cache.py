@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -35,6 +36,9 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 #: Prune on every Nth put: a directory scan is O(entries), so pruning
 #: per-put would make a large sweep quadratic in its own cache.
 PRUNE_EVERY = 64
+
+#: The file names a cache writes: an entry, or a put in progress.
+_OWN_NAME = re.compile(r"[0-9a-f]{32}(?:\.json|\.tmp\.(?P<pid>[0-9]+))")
 
 _code_version: Optional[str] = None
 
@@ -161,31 +165,30 @@ class ResultCache:
         result that was just computed would make the cache useless.
         Returns the number of entries evicted.
 
-        A ``<key>.tmp.<pid>`` file is a put in progress: it counts
-        toward the budget while its writer runs and is never touched,
-        and once that process is gone (killed between write and rename)
-        the orphan is removed.
+        Only the names the cache writes are its own: ``<key>.json``
+        entries, and ``<key>.tmp.<pid>`` puts in progress.  A put in
+        progress counts toward the budget while its writer runs and is
+        never touched; once that process is gone (killed between write
+        and rename) the orphan is removed.  Any other file in the
+        directory is neither counted nor removed.
         """
         budget = self.max_bytes if max_bytes is None else max_bytes
         entries = []
         total = 0
-        for path in self.root.glob("*.tmp.*"):
-            pid = path.name.rpartition(".")[2]
-            if not pid.isdigit():
-                continue  # not a put's temp file
-            try:
-                if _running(int(pid)):
-                    total += path.stat().st_size
-                else:
-                    path.unlink()
-            except OSError:
-                continue  # renamed or removed meanwhile
-        for path in self.root.glob("*.json"):
+        for path in self.root.glob("*"):
+            name = _OWN_NAME.fullmatch(path.name)
+            if name is None:
+                continue  # not a file this cache wrote: never counted or evicted
             try:
                 stat = path.stat()
+                pid = name.group("pid")
+                if pid is None:
+                    entries.append((stat.st_mtime_ns, path.name, path, stat.st_size))
+                elif not _running(int(pid)):
+                    path.unlink()
+                    continue
             except OSError:
-                continue  # raced with another pruner
-            entries.append((stat.st_mtime_ns, path.name, path, stat.st_size))
+                continue  # renamed or removed meanwhile (a put's rename, another pruner)
             total += stat.st_size
         entries.sort()
         evicted = 0

@@ -25,6 +25,7 @@ import sys
 from repro.cliutil import EXIT_FAILURE, EXIT_OK, add_json_flag, emit_json, usage_error
 from repro.core.config import check_bool
 from repro.exp.cache import DEFAULT_CACHE_DIR, DEFAULT_MAX_BYTES, ResultCache
+from repro.exp.pool import WorkerPool
 from repro.exp.runner import sweep_table
 from repro.runspec import (
     FIELDS, Field, comma_list, config_field, door_parser, flag_values, job_from_args,
@@ -70,22 +71,25 @@ def build_sweep_parser() -> argparse.ArgumentParser:
 
 def run_job_main(kind: str, parser: argparse.ArgumentParser, argv, show) -> int:
     """A pooled subcommand: its flags compile to a ``kind`` job, which
-    runs on the pool; ``show(document, args)`` prints the tables."""
+    runs on the one pool its pool flags open; ``show(document, args)``
+    prints the tables."""
     args = parser.parse_args(argv)
     # Everything the spec can get wrong is found here, before anything
     # runs -- the same checks, and the same messages, as a submitted job.
     try:
         job = job_from_args(kind, args)
-        pool = flag_values(POOL_FIELDS, args)
+        policy = flag_values(POOL_FIELDS, args)
+        cache = None
         if not args.no_cache:
-            pool["cache"] = ResultCache(args.cache_dir, max_bytes=args.cache_max_mb << 20)
+            cache = ResultCache(args.cache_dir, max_bytes=args.cache_max_mb << 20)
     except (TypeError, ValueError) as exc:
         return usage_error(exc)
-    document, outcome = run_pooled_job(job, **pool)
+    with WorkerPool(**policy) as pool:
+        document, outcome = run_pooled_job(job, pool, cache)
     show(document, args)
     print(
         f"\n{'tasks' if kind == 'sweep' else 'cells'}: {outcome.executed} executed, "
-        f"{outcome.from_cache} cached, {len(outcome.failures)} failed; jobs={args.jobs}; "
+        f"{outcome.from_cache} cached, {len(outcome.failures)} failed; jobs={pool.jobs}; "
         f"wall {outcome.wall_s:.1f}s",
         file=sys.stderr,
     )

@@ -20,6 +20,7 @@ worker processes; the inline path has no one to interrupt it.
 
 from __future__ import annotations
 
+import math
 import traceback
 from collections import deque
 from dataclasses import dataclass
@@ -73,16 +74,26 @@ def _serve_tasks(conn) -> None:
 
 
 class WorkerPool:
-    """``jobs`` warm worker processes (none when ``jobs == 1``).
+    """``jobs`` warm worker processes (none when ``jobs == 1``) and the
+    policy every :meth:`map` on them runs under: a task attempt past
+    ``timeout_s`` is terminated, and a failed task gets ``retries``
+    extra attempts.
 
     A pool has one owner thread at a time: the thread that calls
     :meth:`map` and :meth:`close`.  Other threads may read
     :attr:`stats`; only the owner writes it.
     """
 
-    def __init__(self, jobs: int) -> None:
+    def __init__(self, jobs: int, timeout_s: Optional[float] = None, retries: int = 1) -> None:
         check_jobs(jobs)
+        # A NaN deadline never passes: map() would poll in a busy loop, forever.
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError(f"timeout_s must be positive and finite, got {timeout_s}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.jobs = jobs
+        self.timeout_s = timeout_s
+        self.retries = retries
         #: What the workers did, for ``/healthz``.
         self.stats: Dict[str, int] = {
             "spawned": 0,  # worker processes started, replacements included
@@ -111,13 +122,7 @@ class WorkerPool:
         self._workers.insert(slot, fresh)
         return fresh
 
-    def map(
-        self,
-        worker: Callable[[Any], Any],
-        items: Sequence[Any],
-        timeout_s: Optional[float] = None,
-        retries: int = 1,
-    ) -> List[TaskResult]:
+    def map(self, worker: Callable[[Any], Any], items: Sequence[Any]) -> List[TaskResult]:
         """Run ``worker(item)`` for every item; results align with items.
 
         ``worker`` must be a module-level callable and items and values
@@ -125,13 +130,12 @@ class WorkerPool:
         Item order in the result list is item order in the input,
         regardless of completion order.
         """
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
         if self.jobs == 1:
             self.stats["tasks"] += len(items)
             return [_call(worker, item) for item in items]
         if not self._workers:
             raise RuntimeError("pool is closed")
+        timeout_s, retries = self.timeout_s, self.retries
 
         results: List[Optional[TaskResult]] = [None] * len(items)
         pending = deque((index, 0) for index in range(len(items)))
@@ -221,9 +225,10 @@ def run_parallel(
     retries: int = 1,
     pool: Optional[WorkerPool] = None,
 ) -> List[TaskResult]:
-    """:meth:`WorkerPool.map` on ``pool``; without one, on a
-    ``WorkerPool(jobs)`` opened for this call and closed after it."""
+    """:meth:`WorkerPool.map` on ``pool``, under that pool's policy;
+    without one, on a ``WorkerPool(jobs, timeout_s, retries)`` opened
+    for this call and closed after it."""
     if pool is not None:
-        return pool.map(worker, items, timeout_s=timeout_s, retries=retries)
-    with WorkerPool(jobs) as own:
-        return own.map(worker, items, timeout_s=timeout_s, retries=retries)
+        return pool.map(worker, items)
+    with WorkerPool(jobs, timeout_s, retries) as own:
+        return own.map(worker, items)

@@ -44,7 +44,7 @@ class SweepOutcome:
     """A finished sweep: the deterministic document plus run stats."""
 
     #: Deterministic aggregation (see module docstring): identical for
-    #: any ``jobs`` value; serialize with ``sort_keys=True`` to get
+    #: any pool size; serialize with ``sort_keys=True`` to get
     #: byte-identical JSON.
     document: Dict[str, object]
     #: Tasks actually run in this invocation.
@@ -61,21 +61,16 @@ class SweepOutcome:
 
 
 def run_sweep(
-    spec: SweepSpec,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    pool: Optional[WorkerPool] = None,
+    spec: SweepSpec, pool: WorkerPool, cache: Optional[ResultCache] = None
 ) -> SweepOutcome:
-    """Expand ``spec``, run what the cache can't answer, aggregate.
+    """Expand ``spec``, run what the cache can't answer on ``pool`` (under
+    its policy), aggregate.
 
-    Tasks run on ``pool`` when one is given (``jobs`` is then the
-    pool's), else on a ``WorkerPool(jobs)`` opened for this sweep.
     Results are read from and written to ``cache`` when one is given;
-    without one nothing touches the disk.  The cache belongs to the
-    caller, so its prune cadence and hit/miss/evict counts span every
-    sweep the caller runs through it.
+    without one nothing touches the disk.  The pool and the cache belong
+    to the caller, so the pool's workers and counters, and the cache's
+    prune cadence and hit/miss/evict counts, span every sweep the caller
+    runs through them.
     """
     tasks = spec.expand()
     start = monotonic()
@@ -94,12 +89,7 @@ def run_sweep(
         to_run.append(task)
 
     pool_results = run_parallel(
-        _execute_task,
-        [task.worker_payload() for task in to_run],
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        pool=pool,
+        _execute_task, [task.worker_payload() for task in to_run], pool=pool
     )
 
     failures: List[Tuple[str, str]] = []

@@ -230,15 +230,10 @@ def build_frontier(
 def run_fairness_study(
     spec: SweepSpec,
     labels: Sequence[Tuple[str, str, str]],
-    jobs: int = 1,
+    pool: WorkerPool,
     cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    pool: Optional[WorkerPool] = None,
 ) -> Tuple[Dict[str, object], SweepOutcome]:
-    """Run the study and reduce it: (frontier document, sweep outcome)."""
-    outcome = run_sweep(
-        spec, jobs=jobs, cache=cache, timeout_s=timeout_s, retries=retries, pool=pool
-    )
+    """Run the study on ``pool`` and reduce it: (frontier document, sweep outcome)."""
+    outcome = run_sweep(spec, pool, cache)
     frontier = build_frontier(outcome.document, labels, spec.seed_labels())
     return frontier, outcome

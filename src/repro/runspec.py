@@ -40,7 +40,8 @@ from repro.core.config import (
     CLOCK_SYNC_MODES, Check, check_bool, check_finite, check_number, check_seed, integer,
     is_integer, optional,
 )
-from repro.exp.cache import content_key
+from repro.exp.cache import ResultCache, content_key
+from repro.exp.pool import WorkerPool
 from repro.exp.runner import SweepOutcome, run_sweep
 from repro.exp.spec import SweepSpec
 from repro.fairness.base import POLICY_NAMES
@@ -366,16 +367,16 @@ def build_fairness_study(spec: Dict[str, object]):
     return build_fairness_spec(**_spec_fields(spec))
 
 
-def run_pooled_job(spec: Dict[str, object], **pool) -> Tuple[Dict[str, object], SweepOutcome]:
-    """Run a normalized sweep or fairness job: ``(document, outcome)``,
-    the document being the aggregated sweep or the frontier.  ``pool``
-    is ``run_sweep``'s ``jobs`` / ``cache`` / ``timeout_s`` /
-    ``retries`` / ``pool``."""
+def run_pooled_job(
+    spec: Dict[str, object], pool: WorkerPool, cache: Optional[ResultCache] = None
+) -> Tuple[Dict[str, object], SweepOutcome]:
+    """Run a normalized sweep or fairness job on ``pool``: ``(document,
+    outcome)``, the document being the aggregated sweep or the frontier."""
     if spec["kind"] == "sweep":
-        outcome = run_sweep(build_sweep_spec(spec), **pool)
+        outcome = run_sweep(build_sweep_spec(spec), pool, cache)
         return outcome.document, outcome
     study, labels = build_fairness_study(spec)
-    return run_fairness_study(study, labels, **pool)
+    return run_fairness_study(study, labels, pool, cache)
 
 
 def describe(spec: Dict[str, object]) -> str:

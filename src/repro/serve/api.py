@@ -84,7 +84,8 @@ class ServeConfig:
     jobs: int = checked(1, integer(1))
     rate_per_s: float = checked(20.0, check_positive_finite)
     burst: int = checked(40, integer(1))
-    #: Per-task timeout / retries handed to the pool (jobs > 1).
+    #: The pool's policy: per-task timeout (enforced when jobs > 1) and
+    #: extra attempts per failed task.
     timeout_s: Optional[float] = checked(None, optional(check_positive_finite))
     retries: int = checked(1, integer(0))
 

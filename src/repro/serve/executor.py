@@ -15,10 +15,12 @@ whole process going down, and :meth:`RunStore.requeue_interrupted`
 recovers even that at the next startup.
 
 The executor keeps one :class:`~repro.exp.pool.WorkerPool` for its
-lifetime and runs every job's tasks on it.  The pool is created in the
-constructor -- before the server starts any thread, so steady state
-never forks from a threaded process -- and from ``start()`` on belongs
-to the executor thread, which closes it on its way out.
+lifetime, built with the server's whole run policy (workers, per-task
+timeout, retries), and runs every job's tasks on it.  The pool is
+created in the constructor -- before the server starts any thread, so
+steady state never forks from a threaded process -- and from
+``start()`` on belongs to the executor thread, which closes it on its
+way out.
 """
 
 from __future__ import annotations
@@ -47,19 +49,14 @@ class JobExecutor(threading.Thread):
         cache_dir: Optional[str] = None,
         timeout_s: Optional[float] = None,
         retries: int = 1,
-        poll_interval_s: float = 0.25,
     ) -> None:
         super().__init__(name="repro-serve-executor", daemon=True)
         self.store = store
         self.packs_dir = Path(packs_dir)
         self.secret = secret
-        self.jobs = jobs
-        self.timeout_s = timeout_s
-        self.retries = retries
-        self.poll_interval_s = poll_interval_s
         self.runs_executed = 0
         self.runs_failed = 0
-        self.pool = WorkerPool(jobs)
+        self.pool = WorkerPool(jobs, timeout_s, retries)
         # One cache for every job, like the pool: its prune cadence and
         # hit/miss/evict counts span the executor's lifetime.
         self.cache = ResultCache(cache_dir) if cache_dir is not None else None
@@ -92,7 +89,7 @@ class JobExecutor(threading.Thread):
             while not self._halt.is_set():
                 record = self.store.claim_next()
                 if record is None:
-                    self._wake.wait(self.poll_interval_s)
+                    self._wake.wait(0.25)  # the poll interval, should a notify be missed
                     self._wake.clear()
                     continue
                 self._execute(record)
@@ -103,14 +100,7 @@ class JobExecutor(threading.Thread):
         run_id: str = record["run_id"]  # type: ignore[assignment]
         spec: Dict[str, object] = record["spec"]  # type: ignore[assignment]
         try:
-            artifacts = execute_job(
-                spec,
-                jobs=self.jobs,
-                cache=self.cache,
-                timeout_s=self.timeout_s,
-                retries=self.retries,
-                pool=self.pool,
-            )
+            artifacts = execute_job(spec, self.pool, self.cache)
             pack_dir = self.packs_dir / run_id
             write_pack(
                 pack_dir,

@@ -3,7 +3,7 @@
 Each job kind reuses the exact runner its CLI twin uses -- that is the
 whole point: a sweep or fairness job submitted over HTTP goes through
 the same :func:`repro.runspec.run_pooled_job` (and therefore the same
-crash-tolerant :func:`repro.exp.pool.run_parallel` and the same
+crash-tolerant :class:`repro.exp.pool.WorkerPool` and the same
 content-addressed result cache) as ``python -m repro sweep`` /
 ``fairness``, and its ``report.json`` serializes through the same
 canonical formatter (:func:`repro.cliutil.dump_json_document`), so the
@@ -11,14 +11,12 @@ two front doors are byte-identical.  Chaos jobs likewise run through
 :func:`repro.chaos.scenarios.run_scenario` and serialize exactly what
 ``python -m repro chaos --json`` prints.
 
-Chaos jobs execute through :func:`run_parallel` too, so a scenario
-that crashes or hangs a worker is reported as a failed run instead of
-taking the serve process down with it (``jobs=1`` stays inline, the
-deterministic baseline).
-
-Sweep, fairness and chaos jobs take the caller's
-:class:`~repro.exp.pool.WorkerPool` (the executor keeps one for its
-lifetime), so a served job runs on workers that are already warm.
+Every job runs on the caller's pool, under that pool's timeout and
+retry policy: the executor keeps one for its lifetime, so a served job
+runs on workers that are already warm, and a chaos scenario that
+crashes or hangs a worker is reported as a failed run instead of
+taking the serve process down with it (``WorkerPool(1)`` runs inline,
+the deterministic baseline).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.cliutil import dump_json_document
 from repro.exp.cache import ResultCache
-from repro.exp.pool import WorkerPool, run_parallel
+from repro.exp.pool import WorkerPool
 from repro.runspec import run_pooled_job
 
 
@@ -65,22 +63,9 @@ def _chaos_worker(payload: Dict[str, object]) -> Dict[str, object]:
     }
 
 
-def _run_chaos(
-    spec: Dict[str, object],
-    jobs: int,
-    timeout_s: Optional[float],
-    retries: int,
-    pool: Optional[WorkerPool],
-) -> RunArtifacts:
+def _run_chaos(spec: Dict[str, object], pool: WorkerPool) -> RunArtifacts:
     payload = {"scenario": spec["scenario"], "seed": spec["seed"]}
-    (result,) = run_parallel(
-        _chaos_worker,
-        [payload],
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        pool=pool,
-    )
+    (result,) = pool.map(_chaos_worker, [payload])
     if not result.ok:
         raise RuntimeError(f"chaos scenario execution failed:\n{result.error}")
     value = result.value
@@ -93,12 +78,7 @@ def _run_chaos(
 
 
 def execute_job(
-    spec: Dict[str, object],
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    pool: Optional[WorkerPool] = None,
+    spec: Dict[str, object], pool: WorkerPool, cache: Optional[ResultCache] = None
 ) -> RunArtifacts:
     """Run one normalized job spec to completion.
 
@@ -109,12 +89,10 @@ def execute_job(
     """
     kind = spec["kind"]
     if kind == "chaos":
-        return _run_chaos(spec, jobs, timeout_s, retries, pool)
+        return _run_chaos(spec, pool)
     if kind not in ("sweep", "fairness"):
         raise ValueError(f"unknown job kind {kind!r}")
-    document, outcome = run_pooled_job(
-        spec, jobs=jobs, cache=cache, timeout_s=timeout_s, retries=retries, pool=pool
-    )
+    document, outcome = run_pooled_job(spec, pool, cache)
     invariant = "task_complete" if kind == "sweep" else "cell_complete"
     return RunArtifacts(
         report=dump_json_document(document).encode("utf-8"),

@@ -143,6 +143,28 @@ class TestRun:
         cluster.reset_metrics()
         assert cluster.result_payload()["md_finalized_at_end"] == 0
 
+    def test_hr_late_ratio_covers_only_the_measured_window(self):
+        # Like every other payload ratio: pieces settled in the warm-up
+        # must not count.
+        cluster = CloudExCluster(small_config(
+            seed=3, n_participants=8, n_gateways=4, holdrelease_delay_us=300.0,
+        ))
+
+        def hr_counts():
+            buffers = [g.hr_buffer for g in cluster.gateways]
+            return sum(b.held_count for b in buffers), sum(b.late_count for b in buffers)
+
+        cluster.add_default_workload()
+        cluster.run(duration_s=0.5)
+        cluster.reset_metrics()
+        handled0, late0 = hr_counts()
+        assert late0 > 0  # the warm-up settled pieces late
+        cluster.run(duration_s=0.5)
+        handled, late = hr_counts()
+        window = (late - late0) / (handled - handled0)
+        assert window != late / handled
+        assert cluster.result_payload()["hr_late_ratio"] == window
+
 
 class TestNames:
     def test_name_helpers(self):

@@ -41,11 +41,12 @@ class TestShardedProcessing:
         shard_of = cluster.router.shard_of
         target0 = next(s for s in symbols if shard_of(s) == 0)
         target1 = next(s for s in symbols if shard_of(s) == 1)
+        shards = cluster.exchange.shards
+        seeded = [shard.core.orders_processed for shard in shards]  # the opening book
         cluster.participant(0).submit_limit(target0, Side.BUY, 5, 9_000)
         cluster.participant(1).submit_limit(target1, Side.BUY, 5, 9_000)
         run_for(cluster)
-        assert cluster.exchange.shards[0].sequencer.released_count == 1
-        assert cluster.exchange.shards[1].sequencer.released_count == 1
+        assert [s.core.orders_processed - n for s, n in zip(shards, seeded)] == [1, 1]
 
     def test_trade_ids_globally_unique_across_shards(self):
         cluster = CloudExCluster(small_config(n_shards=2, clock_sync="perfect"))
@@ -82,12 +83,10 @@ class TestMarketDataDissemination:
         cluster.participant(0).submit_limit("SYM000", Side.BUY, 5, 10_100)
         run_for(cluster)
         # All pieces finalized so far obeyed t_R = t_M + d_h by
-        # construction; verify via buffer stats: no piece held longer
-        # than d_h.
+        # construction; verify via the gateways' reports: no piece held
+        # longer than d_h.
         d_h = cluster.config.holdrelease_delay_ns
-        for gateway in cluster.gateways:
-            if gateway.hr_buffer.held_count:
-                assert gateway.hr_buffer.total_hold_ns <= d_h * gateway.hr_buffer.held_count
+        assert all(hold_ns <= d_h for hold_ns in cluster.metrics.releasing_delays_ns)
 
     def test_every_gateway_receives_md(self):
         cluster = CloudExCluster(small_config(clock_sync="perfect"))

@@ -225,6 +225,9 @@ class TestRunParallel:
             run_parallel(_square, [1], jobs=0)
         with pytest.raises(ValueError):
             run_parallel(_square, [1], retries=-1)
+        for policy in ({"retries": -1}, {"timeout_s": 0.0}, {"timeout_s": float("nan")}):
+            with pytest.raises(ValueError):  # before any worker forks
+                WorkerPool(2, **policy)
 
 
 class TestWorkerPool:
@@ -244,9 +247,9 @@ class TestWorkerPool:
             assert pool.stats["spawned"] == 0 and pool.stats["tasks"] == 3
 
     def test_crashed_worker_is_replaced_and_pool_keeps_serving(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, retries=0) as pool:
             before = {r.value for r in pool.map(_pid, range(8))}
-            results = pool.map(_crash_on_two, [1, 2, 3], retries=0)
+            results = pool.map(_crash_on_two, [1, 2, 3])
             assert [r.ok for r in results] == [True, False, True]
             after = pool.map(_pid, range(8))
             assert all(r.ok for r in after)
@@ -256,9 +259,9 @@ class TestWorkerPool:
 
     @requires_proc
     def test_hung_worker_is_terminated_and_replaced(self):
-        with WorkerPool(2) as pool:
+        with WorkerPool(2, timeout_s=0.3, retries=0) as pool:
             before = set(children_of(os.getpid()))
-            results = pool.map(_hang_on_zero, [0, 1, 2, 3], timeout_s=0.3, retries=0)
+            results = pool.map(_hang_on_zero, [0, 1, 2, 3])
             assert results[0].timed_out and not results[0].ok
             assert [r.ok for r in results[1:]] == [True, True, True]
             # All three ran on the worker that was not hung...
@@ -300,8 +303,8 @@ class TestWorkerPool:
     def test_stress_more_workers_than_cores_with_random_crashes(self):
         items = list(range(300))
         started = time.monotonic()
-        with WorkerPool(min(3 * (os.cpu_count() or 2), 32)) as pool:
-            results = pool.map(_square_or_crash, items, retries=12)
+        with WorkerPool(min(3 * (os.cpu_count() or 2), 32), retries=12) as pool:
+            results = pool.map(_square_or_crash, items)
             stats = pool.stats
         assert time.monotonic() - started < 60.0
         # Aligned: slot i holds item i's answer whichever worker, and
@@ -416,6 +419,25 @@ class TestCacheEviction:
         assert cache.get(keys[0]) is None
         assert cache.get(keys[1]) == {"value": 1}
 
+    def test_prune_counts_and_evicts_only_its_own_files(self, tmp_path):
+        # A user's file beside the entries: older and larger than the
+        # whole budget, and a temp-like name whose pid is not running.
+        foreign = tmp_path / "table1.json"
+        foreign.write_bytes(b"x" * (2 << 20))
+        os.utime(foreign, ns=(0, 0))
+        writer = subprocess.Popen([sys.executable, "-c", "pass"])
+        writer.wait()
+        notes = tmp_path / f"x.tmp.{writer.pid}"
+        notes.write_bytes(b"x" * 1000)
+        cache = ResultCache(str(tmp_path), max_bytes=1 << 20)
+        keys = self._fill(cache, tmp_path, 2)  # the first put prunes
+        assert foreign.exists() and notes.exists()
+        # Neither counts toward the budget: two entries that fit it alone stay.
+        entry_size = (tmp_path / f"{keys[0]}.json").stat().st_size
+        assert cache.prune(max_bytes=2 * entry_size) == 0
+        assert foreign.exists() and notes.exists()
+        assert [cache.get(key) for key in keys] == [{"value": 0}, {"value": 1}]
+
     def test_invalid_budget_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
             ResultCache(str(tmp_path), max_bytes=0)
@@ -433,14 +455,15 @@ def _doc_bytes(outcome):
 class TestJobsInvariance:
     def test_jobs_1_vs_4_byte_identical_and_cache_executes_zero(self, tmp_path):
         spec = _tiny_spec()  # 2 points x 3 seeds
-        serial = run_sweep(spec, jobs=1, cache=ResultCache(str(tmp_path / "cache1")))
-        parallel = run_sweep(spec, jobs=4, cache=ResultCache(str(tmp_path / "cache2")))
-        assert serial.executed == 6 and parallel.executed == 6
-        assert serial.ok and parallel.ok
-        assert _doc_bytes(serial) == _doc_bytes(parallel)
+        serial = run_sweep(spec, WorkerPool(1), ResultCache(str(tmp_path / "cache1")))
+        with WorkerPool(4) as pool:
+            parallel = run_sweep(spec, pool, ResultCache(str(tmp_path / "cache2")))
+            assert serial.executed == 6 and parallel.executed == 6
+            assert serial.ok and parallel.ok
+            assert _doc_bytes(serial) == _doc_bytes(parallel)
 
-        # A cached re-run executes zero tasks and returns the same doc.
-        cached = run_sweep(spec, jobs=4, cache=ResultCache(str(tmp_path / "cache1")))
+            # A cached re-run executes zero tasks and returns the same doc.
+            cached = run_sweep(spec, pool, ResultCache(str(tmp_path / "cache1")))
         assert cached.executed == 0
         assert cached.from_cache == 6
         assert _doc_bytes(cached) == _doc_bytes(serial)
@@ -451,26 +474,26 @@ class TestJobsInvariance:
         # processes, each against its inline run.
         specs = [_tiny_spec(seeds=2), _tiny_spec(name="other", seeds=2, master_seed=9)]
         with WorkerPool(2) as pool:
-            pooled = [run_sweep(spec, pool=pool) for spec in specs]
+            pooled = [run_sweep(spec, pool) for spec in specs]
             assert pool.stats == {
                 "spawned": 2, "respawned": 0, "tasks": 8, "crashes": 0, "timeouts": 0,
             }
-        inline = [run_sweep(spec, jobs=1) for spec in specs]
+        inline = [run_sweep(spec, WorkerPool(1)) for spec in specs]
         assert [_doc_bytes(o) for o in pooled] == [_doc_bytes(o) for o in inline]
         assert _doc_bytes(pooled[0]) != _doc_bytes(pooled[1])
 
     def test_no_cache_skips_read_and_write(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         spec = _tiny_spec(grid=[{"n_shards": 1}], seeds=1)
-        first = run_sweep(spec, jobs=1, cache=ResultCache(str(tmp_path / "warm")))
+        first = run_sweep(spec, WorkerPool(1), ResultCache(str(tmp_path / "warm")))
         assert first.executed == 1
-        uncached = run_sweep(spec, jobs=1)
+        uncached = run_sweep(spec, WorkerPool(1))
         assert uncached.executed == 1 and uncached.from_cache == 0
         assert [p.name for p in tmp_path.iterdir()] == ["warm"]  # no .repro-cache/ in the cwd
         assert _doc_bytes(uncached) == _doc_bytes(first)
 
     def test_document_excludes_execution_details(self):
-        outcome = run_sweep(_tiny_spec(grid=[{"n_shards": 1}], seeds=1), jobs=1)
+        outcome = run_sweep(_tiny_spec(grid=[{"n_shards": 1}], seeds=1), WorkerPool(1))
         text = _doc_bytes(outcome)
         assert "wall" not in text
         assert outcome.wall_s > 0
@@ -484,7 +507,7 @@ class TestJobsInvariance:
             grid=[{"n_shards": 1}, {"gateway_failover": True}],
             seeds=1,
         )
-        outcome = run_sweep(spec, jobs=1, retries=0)
+        outcome = run_sweep(spec, WorkerPool(1, retries=0))
         assert not outcome.ok
         assert len(outcome.failures) == 1
         entries = outcome.document["points"]
@@ -493,7 +516,7 @@ class TestJobsInvariance:
 
     def test_sweep_table_renders_failures_and_values(self):
         spec = _tiny_spec(grid=[{"n_shards": 1}], seeds=1)
-        outcome = run_sweep(spec, jobs=1)
+        outcome = run_sweep(spec, WorkerPool(1))
         table = sweep_table(outcome.document, columns=("throughput_per_s",))
         assert "n_shards" in table and "seed" in table
         assert "throughput_per_s" in table

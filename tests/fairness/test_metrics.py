@@ -8,6 +8,7 @@ rule: the schedules go through the one sequencer in arrival order.
 
 import pytest
 
+from repro.core.metrics import MetricsCollector
 from repro.core.sequencer import Sequencer
 from repro.fairness.noop import arrival_rank
 from repro.obs.breakdown import POLICY_METRIC_FIELDS, policy_metrics_row
@@ -17,17 +18,24 @@ from repro.sim.engine import Simulator
 
 def replay(schedule, rank=arrival_rank, delay_ns=0):
     """Release (gateway_ts, stamped_true) pairs in the order given, one
-    per ns, and return the sequencer that accounted for them."""
+    per ns, and return the collector that accounted for the sequencer's
+    samples, and the samples."""
     sim = Simulator()
     samples = []
-    recorder = Sequencer(
-        sim, HostClock(sim), on_eligible=lambda: recorder.pop_eligible(),
-        delay_ns=delay_ns, on_sample=samples.append, rank=rank,
+    recorder = MetricsCollector()
+
+    def on_sample(sample):
+        samples.append(sample)
+        recorder.record_sequencer_sample(sample)
+
+    sequencer = Sequencer(
+        sim, HostClock(sim), on_eligible=lambda: sequencer.pop_eligible(),
+        delay_ns=delay_ns, on_sample=on_sample, rank=rank,
     )
     for i, (gateway_ts, stamped_true) in enumerate(schedule):
-        sim.schedule_at(i, recorder.enqueue, (gateway_ts, "g", i), i, stamped_true)
+        sim.schedule_at(i, sequencer.enqueue, (gateway_ts, "g", i), i, stamped_true)
     sim.run()
-    assert recorder.released_count == len(schedule)
+    assert recorder.orders_released == len(schedule)
     return recorder, samples
 
 
@@ -39,8 +47,8 @@ class TestInboundRatios:
 
     def test_monotone_schedule_is_fair(self):
         recorder, samples = replay([(10, 10), (20, 20), (30, 30)])
-        assert recorder.out_of_sequence_count == 0
-        assert recorder.out_of_sequence_true_count == 0
+        assert recorder.out_of_sequence == 0
+        assert recorder.out_of_sequence_true == 0
         assert all(not s.out_of_sequence for s in samples)
 
     def test_inversion_counts_against_preceding_release_only(self):
@@ -53,8 +61,8 @@ class TestInboundRatios:
 
     def test_equal_timestamps_are_not_inversions(self):
         recorder, _ = replay([(10, 10), (10, 10), (10, 10)])
-        assert recorder.out_of_sequence_count == 0
-        assert recorder.out_of_sequence_true_count == 0
+        assert recorder.out_of_sequence == 0
+        assert recorder.out_of_sequence_true == 0
 
     def test_measured_and_true_ratios_diverge_under_skew(self):
         # Gateway timestamps monotone (the exchange *measures* fairness)

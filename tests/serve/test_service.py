@@ -10,6 +10,7 @@ including the two headline acceptance properties:
   receive byte-identical packs (dedup by content-addressed identity).
 """
 
+import dataclasses
 import http.client
 import json
 import os
@@ -282,7 +283,7 @@ class TestDedupAcrossClients:
 
     def test_sweep_report_matches_direct_runner_bytes(self, server):
         from repro.cliutil import dump_json_document
-        from repro.exp.runner import run_sweep
+        from repro.exp import WorkerPool, run_sweep
         from repro.runspec import build_sweep_spec, normalize_job
 
         _, submitted = request(server, "POST", "/v1/jobs", body=TINY_SWEEP)
@@ -294,7 +295,7 @@ class TestDedupAcrossClients:
             server, "GET", f"/v1/runs/{submitted['run_id']}/pack/report.json",
             raw=True,
         )
-        outcome = run_sweep(build_sweep_spec(normalize_job(TINY_SWEEP)), jobs=1)
+        outcome = run_sweep(build_sweep_spec(normalize_job(TINY_SWEEP)), WorkerPool(1))
         assert served == dump_json_document(outcome.document).encode("utf-8")
 
 
@@ -389,11 +390,34 @@ class TestPooledExecution:
             server.stop()
         assert survivors(workers, timeout_s=5.0) == []
 
+    def test_served_sweep_runs_under_the_servers_pool_policy(self, tmp_path):
+        # ServeConfig's timeout_s / retries are the executor pool's: one
+        # task far longer than its timeout fails on its only attempt, and
+        # the job still completes, into a triage report.
+        config = dataclasses.replace(serve_config(tmp_path, jobs=2), timeout_s=0.5, retries=0)
+        server = ReproServer(config)
+        server.start()
+        try:
+            job = {"kind": "sweep", "grid": [{"n_shards": 1}], "duration_s": 60}
+            _, submitted = request(server, "POST", "/v1/jobs", body=job)
+            record = wait_for_run(server, submitted["run_id"])
+            assert record["status"] == "done", record.get("error")
+            assert record["certified"] is False
+            _, triage = request(
+                server, "GET", f"/v1/runs/{submitted['run_id']}/pack/triage.json"
+            )
+            (violation,) = triage["violations"]
+            assert violation["invariant"] == "task_complete"
+            assert "timed out after 0.5s" in violation["error"]
+            assert server.executor.pool.stats["timeouts"] == 1  # no retry
+        finally:
+            server.stop()
+
     @staticmethod
     def _run_jobs(server, workers):
         from repro.chaos import run_scenario
         from repro.cliutil import dump_json_document
-        from repro.exp.runner import run_sweep
+        from repro.exp import WorkerPool, run_sweep
         from repro.runspec import build_sweep_spec, normalize_job
 
         def served_report(job):
@@ -411,7 +435,7 @@ class TestPooledExecution:
         reports = [served_report(job) for job in sweeps]
         assert len(set(reports)) == 3
         for job, report in zip(sweeps, reports):
-            direct = run_sweep(build_sweep_spec(normalize_job(job)), jobs=1)
+            direct = run_sweep(build_sweep_spec(normalize_job(job)), WorkerPool(1))
             assert report == dump_json_document(direct.document).encode("utf-8")
 
         direct_chaos = run_scenario("smoke", seed=11).report.to_json() + "\n"

@@ -13,6 +13,7 @@ from repro.__main__ import (
     main,
 )
 from repro.core.config import MAX_SWEEP_SYMBOLS, MAX_SYMBOLS, MAX_TASKS
+from repro.exp.pool import WorkerPool
 from repro.runspec import JobError, job_from_args, normalize_job
 
 SWEEP = {"kind": "sweep", "grid": [{"n_shards": 1}]}
@@ -402,6 +403,24 @@ class TestMain:
         argv2 += ["--jobs", "2"]
         assert main(argv2) == 0
         assert rerun_path.read_bytes() == out_path.read_bytes()
+
+    def test_sweep_pool_flags_are_the_pools_policy(self, capsys, monkeypatch):
+        # One task far longer than --timeout, and --retries 0: the task
+        # fails on its only attempt, and the sweep exits 1 saying why.
+        pools = []
+
+        class RecordedPool(WorkerPool):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+        monkeypatch.setattr("repro.exp.cli.WorkerPool", RecordedPool)
+        argv = ["sweep", "--grid", "n_shards=1", "--jobs", "2", "--timeout", "0.5",
+                "--retries", "0", "--duration", "60", "--no-cache"]
+        assert main(argv) == 1
+        assert "timed out after 0.5s" in capsys.readouterr().err
+        (pool,) = pools
+        assert pool.stats["timeouts"] == 1  # no retry
 
     def test_sweep_requires_a_grid(self, capsys):
         assert main(["sweep"]) == 2
