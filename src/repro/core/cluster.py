@@ -268,8 +268,8 @@ class CloudExCluster:
             for host in self.gateway_hosts
         ]
         if config.ddp_outbound_target is None:
-            # The collector is the only reader of H/R reports: settle
-            # them at the gateway, with no delivery event at the engine.
+            # The collector is the only reader of H/R reports: record
+            # each at the gateway on arrival, a measurement, not traffic.
             for gateway in self.gateways:
                 gateway.settle_reports_into(self.metrics.record_md_report)
 

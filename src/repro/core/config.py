@@ -97,6 +97,16 @@ PARTICIPANT_CPU_PER_REPLICA_US = 222.0
 # default 5 us steps, never above 5 ms.
 DDP_MAX_DELAY_US = 5000.0
 
+# H/R reports under an outbound DDP controller: a gateway sends its
+# (md_seq, late, hold_ns) triples to the engine as one message once
+# HR_REPORT_BATCH are pending, or HR_REPORT_WAIT_US after the first was
+# queued, whichever comes first.  On the ROS+DDP recipe (~5.8k reports
+# per second per gateway, in bursts of 100 at each book-snapshot tick)
+# that is 13.4 triples a message, and the wait is a quarter of DDP's
+# median 50-sample decision interval there (9.4 ms).
+HR_REPORT_BATCH = 16
+HR_REPORT_WAIT_US = 2500.0
+
 # Failover (repro.chaos): a participant rotates to a replica gateway
 # after this many consecutive ack timeouts.
 FAILOVER_AFTER_TIMEOUTS = 2

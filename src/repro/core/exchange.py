@@ -489,10 +489,14 @@ class CentralExchangeServer(Actor):
     # ------------------------------------------------------------------
     # Market-data plumbing
     # ------------------------------------------------------------------
-    def _on_hr_report(self, report: HoldReleaseReport) -> None:
-        finalized = self.metrics.record_md_report(report.md_seq, report.late, report.hold_ns)
-        if finalized is not None and self.ddp_outbound is not None:
-            self.ddp_outbound.on_sample(finalized)
+    def _on_hr_report(self, batch: HoldReleaseReport) -> None:
+        """Feed a gateway's report triples, in order, to the collector
+        and each finalized piece's unfair flag to outbound DDP."""
+        record, ddp = self.metrics.record_md_report, self.ddp_outbound
+        for md_seq, late, hold_ns in batch.reports:
+            finalized = record(md_seq, late, hold_ns)
+            if finalized is not None and ddp is not None:
+                ddp.on_sample(finalized)
 
     # ------------------------------------------------------------------
     # Diagnostics

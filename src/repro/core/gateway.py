@@ -6,17 +6,24 @@ orders, assigns each a globally synchronized timestamp (from the
 gateway's Huygens-disciplined clock), and forwards it to the engine;
 it also routes confirmations back to participants.  Inbound market
 data passes through the hold/release buffer, which reports each
-piece's hold or lateness on arrival (to the engine, or straight to the
-collector when no outbound DDP controller listens) and dispenses it to
-this gateway's subscribed participants at its prescribed release time.
+piece's hold or lateness on arrival (batched to the engine when an
+outbound DDP controller reads reports there, else straight to the
+collector) and dispenses it to this gateway's subscribed participants
+at its prescribed release time.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.auth import AuthRegistry
-from repro.core.config import GATEWAY_CPU_PER_REPLICA_US, GATEWAY_SERVICE_US, CloudExConfig
+from repro.core.config import (
+    GATEWAY_CPU_PER_REPLICA_US,
+    GATEWAY_SERVICE_US,
+    HR_REPORT_BATCH,
+    HR_REPORT_WAIT_US,
+    CloudExConfig,
+)
 from repro.core.holdrelease import HoldReleaseBuffer
 from repro.core.marketdata import MarketDataPiece
 from repro.core.messages import (
@@ -33,7 +40,7 @@ from repro.core.messages import (
 from repro.core.order import Order, OrderValidationError, validate_order
 from repro.core.types import OrderStatus, RejectReason
 from repro.obs import tracing
-from repro.sim.engine import Actor, Simulator
+from repro.sim.engine import Actor, Event, Simulator
 from repro.sim.network import Host, Network
 from repro.sim.timeunits import MICROSECOND
 
@@ -76,6 +83,11 @@ class Gateway(Actor):
         # symbol -> participant host names subscribed through this
         # gateway (dict used as an insertion-ordered set).
         self.subscriptions: Dict[str, Dict[str, None]] = {}
+        # H/R report triples queued for the engine, and the timer that
+        # sends them HR_REPORT_WAIT_US after the first was queued.
+        self._reports: List[Tuple[int, bool, int]] = []
+        self._report_timer: Optional[Event] = None
+        self._report_wait_ns = int(HR_REPORT_WAIT_US * MICROSECOND)
         # The fairness policy (repro.fairness) decides one thing here:
         # whether a piece that arrives early is held to its release time.
         if fairness is None:
@@ -87,7 +99,7 @@ class Gateway(Actor):
             clock=self.clock,
             gateway_id=self.name,
             release=self._dispense_market_data,
-            report=self._send_report,
+            report=self._queue_report,
             events=events,
             hold_early=fairness.hold_early_pieces,
             subscribers=self.subscriptions,
@@ -105,14 +117,16 @@ class Gateway(Actor):
 
         A restarted gateway process lost its in-memory state: held
         market data is discarded (each piece was reported when it
-        arrived, so the H/R aggregation loses nothing; only
-        this gateway's subscribers miss it) and the stamping sequence
+        arrived; only this gateway's subscribers miss it), so are the
+        report triples still queued for the engine (their pieces close
+        partial, as a dropped report's do), and the stamping sequence
         continues monotonically -- correctness for in-flight orders
         rests on participants retrying and the engine's ROS dedup
         answering retries idempotently, not on this gateway recovering
         anything.
         """
         flushed = self.hr_buffer.flush()
+        self._drop_reports()
         self.restarts += 1
         if self.events is not None:
             from repro.obs.events import Severity
@@ -261,22 +275,36 @@ class Gateway(Actor):
         for participant in subscribers:
             self.network.send(self.name, participant, delivery)
 
-    def _send_report(self, md_seq: int, late: bool, hold_ns: int) -> None:
-        self._to_engine.send(HoldReleaseReport(self.name, md_seq, late, hold_ns))
+    def _queue_report(self, md_seq: int, late: bool, hold_ns: int) -> None:
+        """Queue one piece's report; send the batch when it is full, and
+        arm the wait timer when it is the first."""
+        reports = self._reports
+        reports.append((md_seq, late, hold_ns))
+        if len(reports) >= HR_REPORT_BATCH:
+            self._send_reports()
+        elif self._report_timer is None:
+            self._report_timer = self.sim.schedule(self._report_wait_ns, self._send_reports)
+
+    def _send_reports(self) -> None:
+        """Send every queued triple to the engine as one message."""
+        batch = HoldReleaseReport(self.name, tuple(self._reports))
+        self._drop_reports()
+        self._to_engine.send(batch)
+
+    def _drop_reports(self) -> None:
+        """Forget the queued triples and cancel their timer."""
+        self._reports.clear()
+        if self._report_timer is not None:
+            self._report_timer.cancel()
+            self._report_timer = None
 
     def settle_reports_into(self, record) -> None:
-        """Hand each report to ``record(md_seq, late, hold_ns)`` at send
-        instead of delivering it to the engine (wired when no outbound
-        DDP controller reads reports there).  The report still takes its
-        link draw, FIFO bump and drop check, so every other message on
-        the link is unchanged; a dropped report records nothing."""
-        prepare = self._to_engine.prepare
-
-        def settle(md_seq: int, late: bool, hold_ns: int) -> None:
-            if prepare(None) is not None:
-                record(md_seq, late, hold_ns)
-
-        self.hr_buffer.report = settle
+        """Hand each report to ``record(md_seq, late, hold_ns)`` at
+        arrival instead of batching it to the engine (wired when no
+        outbound DDP controller reads reports there).  The report is then
+        a measurement, not traffic: it takes no link draw, and no fault
+        on the link to the engine touches it."""
+        self.hr_buffer.report = record
 
     def __repr__(self) -> str:
         return f"Gateway({self.name!r}, handled={self.orders_handled})"

@@ -11,15 +11,18 @@ Each handled piece produces a report ``(md_seq, late, hold_ns)``: the
 hold duration -- the paper's *releasing delay*, Fig. 4b/5b's y-axis --
 and the late flag that feeds both the outbound-unfairness metric (a
 piece is unfair if >=1 gateway was late) and the DDP controller for
-``d_h``.  The gateway sends it to the engine as a
-:class:`HoldReleaseReport` only when an outbound DDP controller reads
-it there; otherwise it hands it to the collector itself.  All three
-values are known the instant the piece arrives, so a piece is *settled*
-then: its counters, its late WARNING and its report go out at arrival,
-whether or not it is held.  A held piece then costs a release timer
-only at a gateway with a subscriber for its symbol; the timer merely
-dispenses.  A piece released on arrival (late, exactly on time, or
-under ``hold_early=False``) is dispensed first and reported second.
+``d_h``.  Only an outbound DDP controller makes the report traffic:
+the gateway then queues its triples and sends them to the engine in
+batches (one :class:`HoldReleaseReport` per ``HR_REPORT_BATCH`` triples
+or ``HR_REPORT_WAIT_US`` after the first was queued); otherwise the
+report is a measurement and the gateway hands it to the collector at
+arrival, with no link draw.  All three values are known the instant the
+piece arrives, so a piece is *settled* then: its counters, its late
+WARNING and its report go out at arrival, whether or not it is held.
+A held piece then costs a release timer only at a gateway with a
+subscriber for its symbol; the timer merely dispenses.  A piece
+released on arrival (late, exactly on time, or under
+``hold_early=False``) is dispensed first and reported second.
 
 It is the only release buffer for *market data*.  Trade confirmations
 do not pass through it: ``Gateway._forward_to_participant`` /
@@ -58,7 +61,9 @@ class HoldReleaseBuffer:
         Called with ``(piece, released_local)`` when the piece is
         dispensed to this gateway's participants.
     report:
-        Called with ``(md_seq, late, hold_ns)`` per piece, at arrival.
+        Called with ``(md_seq, late, hold_ns)`` per piece, at arrival:
+        the gateway's batching queue or the collector's
+        ``record_md_report``.
     events:
         Optional :class:`repro.obs.events.EventLog`; every late piece
         (an unfair dissemination) is logged as a WARNING with its
@@ -143,10 +148,11 @@ class HoldReleaseBuffer:
     def flush(self) -> int:
         """Cancel every pending dispense (a crash loses buffered state).
 
-        Every piece was reported when it arrived, so the H/R
-        aggregation loses nothing and nothing is sent; only this
-        gateway's subscribers miss the pieces.  Returns how many
-        dispenses were cancelled."""
+        Every piece was reported when it arrived and nothing is sent;
+        only this gateway's subscribers miss the pieces.  (Report
+        triples the gateway still had queued for the engine are its own
+        state: ``Gateway.rejoin`` drops them beside this call.)  Returns
+        how many dispenses were cancelled."""
         flushed = len(self._pending)
         for event in self._pending.values():
             event.cancel()

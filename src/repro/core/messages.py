@@ -10,7 +10,7 @@ set mirrors the numbered arrows of Fig. 2 in the paper:
 6./7. ``TradeConfirmation``                 engine -> gateway -> participant
    ``MarketDataPiece``                      engine -> gateway (H/R buffer)
    ``MarketDataDelivery``                   gateway -> participant
-   ``HoldReleaseReport``                    gateway -> engine (outbound DDP only)
+   ``HoldReleaseReport``                    gateway -> engine (batched; outbound DDP only)
    ``SubscriptionRequest``                  participant -> gateway
 """
 
@@ -119,15 +119,17 @@ class MarketDataDelivery:
 
 @dataclass(slots=True)
 class HoldReleaseReport:
-    """A gateway's report of whether a piece of market data arrived in
-    time to be released fairly -- the outbound sample stream DDP tunes
-    ``d_h`` against.  Without an outbound controller it is never built:
-    the gateway hands the same values to the collector itself."""
+    """A gateway's batch of H/R reports: one ``(md_seq, late, hold_ns)``
+    triple per piece it handled, in arrival order -- whether each piece
+    arrived in time to be released fairly, the outbound sample stream
+    DDP tunes ``d_h`` against.  A gateway sends one per
+    ``HR_REPORT_BATCH`` triples or ``HR_REPORT_WAIT_US`` after the first
+    was queued (:mod:`repro.core.config`).  Without an outbound
+    controller it is never built: the gateway hands each triple to the
+    collector at arrival."""
 
     gateway_id: str
-    md_seq: int
-    late: bool
-    hold_ns: int
+    reports: Tuple[Tuple[int, bool, int], ...]
 
 
 @dataclass(slots=True)

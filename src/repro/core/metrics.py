@@ -12,8 +12,12 @@ truth (true times), so it can compute everything the paper reports:
 - **outbound unfairness ratio** and **releasing delay** from gateway
   H/R reports (Figs. 4b/5b): a piece is unfairly disseminated iff >= 1
   gateway received it after its release time.  A report reaches
-  :meth:`MetricsCollector.record_md_report` through the engine when an
-  outbound DDP controller reads it, else straight from the gateway.
+  :meth:`MetricsCollector.record_md_report` through the engine, in a
+  gateway's batch, when an outbound DDP controller reads it, else
+  straight from the gateway at the piece's arrival.  Triples still
+  queued at a gateway at teardown never arrive: a piece none of whose
+  reports arrived counts in ``md_pieces_unreported``, one with some in
+  ``md_pieces_partial``.
 - **throughput**: orders processed by the matching engine per second.
 
 Components push events in; nothing here feeds back into the exchange
@@ -275,7 +279,8 @@ class MetricsCollector:
     def finalize_partial_md(self) -> int:
         """Finalize every still-open piece with the reports it has
         (run teardown).  Bounds ``_md`` memory when a piece reached a
-        gateway that was down.  Returns how many pieces were closed."""
+        gateway that was down, or its report was still queued at a
+        gateway.  Returns how many pieces were closed."""
         pending = list(self._md.items())
         for seq, state in pending:
             self._finalize_partial(seq, state)

@@ -126,7 +126,6 @@ class Sequencer:
         self._wakeup_target: int = 0
         self._last_released_ts: Optional[int] = None
         self._last_released_true: Optional[int] = None
-        self.enqueued_count = 0
 
     # ------------------------------------------------------------------
     # Producer side
@@ -143,7 +142,6 @@ class Sequencer:
         entry = (rank, priority_key, self._seq, item, stamped_true, now_local)
         self._seq += 1
         heapq.heappush(self._heap, entry)
-        self.enqueued_count += 1
         if self._heap[0] is entry:
             # New head: the earliest release time moved up.
             self._arm_or_notify()

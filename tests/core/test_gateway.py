@@ -144,17 +144,17 @@ class TestMarketDataPath:
         assert cluster.metrics.md_pieces_finalized == cluster.gateways[0].hr_buffer.held_count
 
     def test_rejoin_mid_hold_cancels_dispense_and_sends_nothing(self, cluster):
-        self.rejoin_mid_hold(cluster, deliver_reports=False)
+        self.rejoin_mid_hold(cluster)
 
-    def test_rejoin_mid_hold_with_delivered_reports_sends_nothing(self, cluster):
-        self.rejoin_mid_hold(cluster, deliver_reports=True)
+    def test_rejoin_mid_hold_with_delivered_reports_sends_nothing(self):
+        # An outbound DDP controller: reports go to the engine in batches.
+        self.rejoin_mid_hold(
+            CloudExCluster(small_config(clock_sync="perfect", ddp_outbound_target=0.01))
+        )
 
     @staticmethod
-    def rejoin_mid_hold(cluster, deliver_reports):
+    def rejoin_mid_hold(cluster):
         g01 = cluster.gateways[1]
-        if deliver_reports:
-            # The sink an outbound DDP controller wires: reports go on the wire.
-            g01.hr_buffer.report = g01._send_report
         watcher = cluster.participant(1)
         watcher.subscribe(["SYM000"])
         run_for(cluster, ms=10)
@@ -162,6 +162,9 @@ class TestMarketDataPath:
         while not g01.hr_buffer._pending:
             assert cluster.sim.step()
         held = set(g01.hr_buffer._pending)
+        # Reports queued for the engine (outbound DDP only) are lost too.
+        queued = {md_seq for md_seq, _, _ in g01._reports}
+        assert queued >= held if cluster.exchange.ddp_outbound else not queued
         sent, reported = [], []
         send, to_engine, report = cluster.network.send, g01._to_engine.send, g01.hr_buffer.report
 
@@ -182,13 +185,16 @@ class TestMarketDataPath:
         g01._to_engine.send = spy_engine
         g01.hr_buffer.report = spy_report
         g01.rejoin()
+        assert not g01._reports and g01._report_timer is None
         run_for(cluster, ms=100)
         assert not g01.hr_buffer._pending and g01.restarts == 1
         assert not [m for m in sent if getattr(getattr(m, "piece", None), "seq", None) in held]
-        assert not [m for m in sent if getattr(m, "md_seq", None) in held]
+        assert not [m for m in sent for r in getattr(m, "reports", ()) if r[0] in queued]
         assert not held & set(reported)
-        # The held pieces were reported at arrival: they finalize complete.
-        assert cluster.metrics.md_pieces_partial == cluster.metrics.open_md_pieces() == 0
+        # The held pieces were reported at arrival; only those whose report
+        # was still queued close partial.
+        assert cluster.metrics.open_md_pieces() == len(queued)
+        assert cluster.finalize_metrics() == cluster.metrics.md_pieces_partial == len(queued)
 
     def test_subscription_routing_is_per_gateway(self, cluster):
         watcher = cluster.participant(1)  # primary gateway g01

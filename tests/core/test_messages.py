@@ -79,8 +79,9 @@ class TestPayloadCarriers:
         assert delivery.piece.seq == 9
 
     def test_hr_report_fields(self):
-        report = HoldReleaseReport(gateway_id="g", md_seq=3, late=True, hold_ns=0)
-        assert report.late and report.hold_ns == 0
+        report = HoldReleaseReport(gateway_id="g", reports=((3, True, 0), (4, False, 250)))
+        assert [md_seq for md_seq, _, _ in report.reports] == [3, 4]
+        assert report.reports[0][1] and report.reports[0][2] == 0
 
     def test_subscription_request(self):
         request = SubscriptionRequest(participant_id="p", symbols=("A", "B"))
